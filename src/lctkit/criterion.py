@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BudgetError
+from .errors import BudgetError, TruncationError
 from .poly import (
     MPoly, UPoly, generic_compound_coeffs, generic_difference_coeffs,
     taylor_shift, z_vars,
@@ -360,7 +360,9 @@ def lct_ge(d: int, c, coeffs, depth=None, precision=None):
     """Decide lct(f) >= c for f = y^d + sum a_i y^(d-i).
 
     Returns (verdict, diagnostics): verdict in {yes, no, unknown}, and the
-    diagnostics echo p, c1, c2 and V so results are auditable.
+    diagnostics echo p, c1, c2 and V so results are auditable.  Truncated
+    data that cannot be certified gives unknown, with the error as
+    `reason` and the truncation hint as `required` in place of V.
     """
     c = as_frac(c)
     if d < 1:
@@ -375,9 +377,15 @@ def lct_ge(d: int, c, coeffs, depth=None, precision=None):
         diag["reason"] = "thresholds lie in [1/d, 1]"
         return YES, diag
     ctx = choose_p(d, c)
-    v = eval_theorem_lhs(ctx, coeffs, depth=depth, precision=precision)
-    diag.update({"p": ctx.p, "c1": frac_str(ctx.c1), "c2": frac_str(ctx.c2),
-                 "V": v.to_json()})
+    diag.update({"p": ctx.p, "c1": frac_str(ctx.c1), "c2": frac_str(ctx.c2)})
+    try:
+        v = eval_theorem_lhs(ctx, coeffs, depth=depth, precision=precision)
+    except TruncationError as exc:
+        diag["reason"] = str(exc)
+        diag["required"] = (None if exc.required is None
+                            else frac_str(exc.required))
+        return UNKNOWN, diag
+    diag["V"] = v.to_json()
     return _le_one_verdict(v), diag
 
 
@@ -470,22 +478,35 @@ def _rand_sample(rng, d, var="x"):
     return coeffs
 
 
+CONTAINMENT_DRAWS = 20
+
+
 def containment_check(ctx: CriterionContext, samples=100, seed=0):
     """Checks ord(plus) >= (d/(d-1)) * ord(minus) through the lambda
     decomposition: with v_i = c1 * prefix(p-1) + c2 * prefix(p) at center i,
     lambda_d = sum of all v_i and lambda_(d-1) = sum of the d-1 smallest,
-    the bound reads lambda_d >= (d/(d-1)) * lambda_(d-1)."""
+    the bound reads lambda_d >= (d/(d-1)) * lambda_(d-1).
+
+    Samples are distinct polynomials: a repeated draw is discarded (it
+    would only recheck a cached table) and counted in `discarded`, with at
+    most CONTAINMENT_DRAWS draws per requested sample.  A sample that fails
+    to certify raises; it is a fault, not a skip."""
     import random as _random
     rng = _random.Random(seed)
     d = ctx.d
     failures = []
-    checked = 0
-    while checked < samples:
+    seen = set()
+    checked = discarded = 0
+    for _ in range(CONTAINMENT_DRAWS * samples):
+        if checked == samples:
+            break
         coeffs = _rand_sample(rng, d)
-        try:
-            table = _table_for(tuple(coeffs), None, None)
-        except Exception:
+        key = tuple(tuple(a.sorted_terms()) for a in coeffs)
+        if key in seen:
+            discarded += 1
             continue
+        seen.add(key)
+        table = _table_for(tuple(coeffs), None, None)
         checked += 1
         vals = []
         for i in range(d):
@@ -505,4 +526,5 @@ def containment_check(ctx: CriterionContext, samples=100, seed=0):
             failures.append({"sample": [a.to_json() for a in coeffs],
                              "lambda_d": lam_d.to_json(),
                              "lambda_d_minus_1": lam_d1.to_json()})
-    return {"pass": not failures, "samples": checked, "violations": failures}
+    return {"pass": not failures, "samples": checked, "discarded": discarded,
+            "violations": failures}

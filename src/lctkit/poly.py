@@ -4,24 +4,30 @@ Taylor shifts, reduction of symmetric polynomials to elementary symmetric
 ones, and the auxiliary monic polynomials whose roots are products,
 differences, or polynomial images of the roots of a given polynomial.
 
+The difference, cross-difference and value polynomials come from one kernel
+over either coefficient domain: root power sums by Newton's identities,
+combined and turned back into coefficients by the same identities run in
+reverse.
+
 Resultants take two routes depending on the coefficient domain: a
 fraction-free subresultant remainder sequence when the coefficients are
 series (keeps truncation loss in check), and a Sylvester determinant via
-fraction-free Bareiss elimination for the small symbolic cases.
+fraction-free Bareiss elimination for the small symbolic cases.  They stay
+as the public `resultant` and as an oracle independent of the kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BudgetError, ConsistencyError
 from .series import PSeries, as_frac, frac_str
 
-# Degree caps for the cached symbolic constructions (configurable).
+# Degree cap for the cached symbolic compound construction (configurable).
 COMPOUND_BUDGET = 4
-DIFFERENCE_BUDGET = 4
 
 _ZERO = Fraction(0)
 
@@ -717,23 +723,6 @@ def generic_compound_coeffs(d, k):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def generic_difference_coeffs(d):
-    """Coefficients (MPoly in z_1..z_d) of the monic polynomial of degree
-    d(d-1) whose roots are the ordered pairwise root differences."""
-    if d < 2:
-        raise ValueError("difference polynomial needs degree >= 2")
-    if d > DIFFERENCE_BUDGET:
-        raise BudgetError(f"symbolic difference construction capped at degree "
-                          f"{DIFFERENCE_BUDGET}")
-    vars = _root_vars(d)
-    rs = [MPoly.variable(v, vars) for v in vars]
-    diffs = [rs[i] - rs[j]
-             for i in range(d) for j in range(d) if i != j]
-    dense = _dense_from_root_exprs(diffs)
-    return tuple(_subst_e_to_z(symmetric_reduce(c), d) for c in dense[1:])
-
-
 def _eval_generic(coeff_polys, h: UPoly):
     d = h.degree
     if h.is_series:
@@ -754,72 +743,118 @@ def compound_poly(h: UPoly, k: int) -> UPoly:
     return UPoly(h.var, coeffs)
 
 
-def _interp_nodes(count):
-    nodes = []
-    k = 1
-    while len(nodes) < count:
-        nodes.append(Fraction(k))
-        if len(nodes) < count:
-            nodes.append(Fraction(-k))
-        k += 1
-    return nodes
+# ---------------------------------------------------------------------------
+# Root power sums: one kernel for the polynomials whose roots are
+# differences or polynomial images of roots (Bostan, Flajolet, Salvy and
+# Schost, "Fast computation of special resultants", J. Symbolic Comput. 41,
+# 2006).  Works over either coefficient domain.
+# ---------------------------------------------------------------------------
+
+def power_sums(h: UPoly, n):
+    """Root power sums s_0..s_n of the monic h, by Newton's identities
+    s_k = -(k a_k + a_1 s_(k-1) + ... + a_(k-1) s_1), where a_k = 0 for
+    k > d and the sum stops at a_d."""
+    d = h.degree
+    a = h.coeffs
+    s = [_lift(d, a[0])]
+    for k in range(1, n + 1):
+        acc = a[k - 1].scale(k) if k <= d else _lift(0, a[0])
+        for i in range(1, min(k - 1, d) + 1):
+            acc = acc + a[i - 1] * s[k - i]
+        s.append(-acc)
+    return s
 
 
-def _lagrange_coeffs(nodes, values):
-    """Dense descending coefficients of the interpolating polynomial through
-    (node, value); nodes rational, values domain elements."""
-    n = len(nodes)
-    master = [Fraction(1)]
-    for r in nodes:
-        master.append(Fraction(0))
-        for i in range(len(master) - 2, -1, -1):
-            master[i + 1] -= master[i] * r
-    zero = values[0] - values[0]
-    out = [zero] * n
-    for j, r in enumerate(nodes):
-        # basis numerator: master / (y - r), by synthetic division
-        basis = [Fraction(1)]
-        for i in range(1, n):
-            basis.append(master[i] + basis[-1] * r)
-        denom = Fraction(1)
-        for i, rr in enumerate(nodes):
-            if i != j:
-                denom *= r - rr
-        scale = 1 / denom
-        for i in range(n):
-            out[i] = out[i] + values[j].scale(basis[i] * scale)
-    return out
+def from_power_sums(p, n):
+    """Coefficients a_1..a_n of the monic degree-n polynomial whose root
+    power sums are p[1..n] (p[0] is not read): Newton's identities in
+    reverse, k a_k = -(p_k + a_1 p_(k-1) + ... + a_(k-1) p_1), over Q."""
+    a = []
+    for k in range(1, n + 1):
+        acc = p[k]
+        for i in range(1, k):
+            acc = acc + a[i - 1] * p[k - i]
+        a.append(acc.scale(Fraction(-1, k)))
+    return a
+
+
+def composed_difference(f: UPoly, g: UPoly) -> UPoly:
+    """Monic polynomial of degree deg f * deg g whose roots are the
+    differences beta - alpha over the roots alpha of f and beta of g.  Its
+    power sums are P_k = sum_m C(k, m) (-1)^m s_m(f) s_(k-m)(g)."""
+    n = f.degree * g.degree
+    sf, sg = power_sums(f, n), power_sums(g, n)
+    p = [None]
+    for k in range(1, n + 1):
+        acc = _lift(0, f.coeffs[0])
+        for m in range(k + 1):
+            c = math.comb(k, m)
+            acc = acc + (sf[m] * sg[k - m]).scale(-c if m % 2 else c)
+        p.append(acc)
+    return UPoly(f.var, from_power_sums(p, n))
 
 
 def difference_poly(h: UPoly) -> UPoly:
-    """Monic polynomial of degree d(d-1) whose roots are the ordered pairwise
-    differences of the roots of h; realized through the resultant of h(z)
-    and h(z+y) with the d trivial zero roots removed."""
+    """Monic polynomial D of degree d(d-1) whose roots are the ordered
+    pairwise differences of the roots of h.
+
+    D(y) = E(y^2), where E has degree N = d(d-1)/2 and the squared
+    differences as roots, so the odd coefficients of D vanish exactly.  The
+    power sums of E are half the even power sums of the composed difference
+    of h with itself (the terms m and 2j - m agree):
+    Q_j = d s_(2j) + sum_(0<m<j) C(2j, m) (-1)^m s_m s_(2j-m)
+          + C(2j, j)/2 (-1)^j s_j^2.
+    """
     d = h.degree
     if d < 2:
         raise ValueError("difference polynomial needs degree >= 2")
-    if h.is_series:
-        big_d = d * (d - 1)
-        nodes = _interp_nodes(big_d + 1)
-        fd = h.dense()
-        values = []
-        for r in nodes:
-            gd = taylor_shift(h, r).dense()
-            res = resultant_lists(fd, gd)
-            values.append(res.scale(Fraction(1, 1) / r ** d))
-        coeffs = _lagrange_coeffs(nodes, values)
-        lead = coeffs[0]
-        if not (lead - PSeries.one(lead.var)).is_zero():
-            raise ConsistencyError("difference polynomial is not monic")
-        return UPoly(h.var, coeffs[1:])
-    coeffs = _eval_generic(generic_difference_coeffs(d), h)
+    n = d * (d - 1) // 2
+    s = power_sums(h, 2 * n)
+    q = [None]
+    for j in range(1, n + 1):
+        acc = s[2 * j].scale(d)
+        for m in range(1, j + 1):
+            c = math.comb(2 * j, m) // (2 if m == j else 1)
+            acc = acc + (s[m] * s[2 * j - m]).scale(-c if m % 2 else c)
+        q.append(acc)
+    zero = _lift(0, h.coeffs[0])
+    coeffs = []
+    for e in from_power_sums(q, n):
+        coeffs.extend((zero, e))
     return UPoly(h.var, coeffs)
+
+
+@lru_cache(maxsize=None)
+def generic_difference_coeffs(d):
+    """Coefficients (MPoly in z_1..z_d) of the difference polynomial of the
+    generic monic y^d + z_1 y^(d-1) + ... + z_d."""
+    if d < 2:
+        raise ValueError("difference polynomial needs degree >= 2")
+    zs = z_vars(d)
+    h = UPoly("y", [MPoly.variable(v, zs) for v in zs])
+    return difference_poly(h).coeffs
+
+
+def _mul_mod(r, g, h: UPoly):
+    """Ascending coefficients of r * g modulo the monic h."""
+    zero = _lift(0, h.coeffs[0])
+    prod = [zero] * (len(r) + len(g) - 1)
+    for i, x in enumerate(r):
+        for j, y in enumerate(g):
+            prod[i + j] = prod[i + j] + x * y
+    d = h.degree
+    while len(prod) > d:
+        top = prod.pop()  # coefficient of y^n, n = len(prod)
+        n = len(prod)
+        for i in range(1, d + 1):
+            prod[n - i] = prod[n - i] - top * h.coeffs[i - 1]
+    return prod
 
 
 def value_poly(h: UPoly, G: MPoly) -> UPoly:
     """Monic degree-d polynomial whose roots are G(a_1..a_d, alpha_i) over
-    the roots alpha_i of h; realized as the resultant in w of h(w) and
-    y - G(a, w), interpolated through rational y-values."""
+    the roots alpha_i of h.  Its power sums are traces,
+    sum_i G(alpha_i)^m = Tr(G^m mod h) with Tr(y^k) = s_k(h)."""
     d = h.degree
     wvar = "w"
     if wvar not in G.vars:
@@ -840,30 +875,18 @@ def value_poly(h: UPoly, G: MPoly) -> UPoly:
                 raise ValueError(f"variable {v!r} outside z1..z{d}")
             mono = mono * _dpow(h.coeff(i), e)
         by_w[wexp] = by_w.get(wexp, mono - mono) + mono
-    wdeg = max(by_w) if by_w else 0
-    zero = template - template
-    g_base = [by_w.get(e, zero) for e in range(wdeg, -1, -1)]
-    nodes = _interp_nodes(d + 1)
-    fd = h.dense()
-    one = _dom_one(template)
-    values = []
-    for r in nodes:
-        g = list(g_base)
-        g = [-c for c in g]
-        g[-1] = g[-1] + one.scale(r)
-        g = _strip(g)
-        if not g:
-            values.append(zero)
-            continue
-        if len(g) == 1:
-            values.append(_dpow(g[0], d))
-            continue
-        values.append(resultant_lists(fd, g))
-    coeffs = _lagrange_coeffs(nodes, values)
-    lead = coeffs[0]
-    if not (lead - one).is_zero():
-        raise ConsistencyError("value polynomial is not monic")
-    return UPoly(h.var, coeffs[1:])
+    zero = _lift(0, template)
+    g = [by_w.get(e, zero) for e in range(max(by_w, default=0) + 1)]
+    s = power_sums(h, d - 1)
+    p = [None]
+    r = [_dom_one(template)]
+    for _ in range(d):
+        r = _mul_mod(r, g, h)
+        trace = zero
+        for x, sk in zip(r, s):
+            trace = trace + x * sk
+        p.append(trace)
+    return UPoly(h.var, from_power_sums(p, d))
 
 
 # ---------------------------------------------------------------------------

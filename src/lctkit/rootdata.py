@@ -7,8 +7,9 @@ ways that must agree), and the maximum root order (again dual-route).
 The numeric layer: Newton-Puiseux expansion with exact rational exponents and
 arbitrary-precision complex coefficients, used to attach pairwise
 root-difference orders to individual roots.  Every numerically derived order
-is certified against an exact resultant-based computation; a mismatch
-escalates precision and ultimately raises, never returning a silent answer.
+is certified against an exact difference or cross-difference polynomial
+(built from root power sums); a mismatch escalates precision and ultimately
+raises, never returning a silent answer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import mpmath
 
 from .errors import ConsistencyError, PrecisionError, TruncationError
 from .poly import (
-    UPoly, difference_poly, q_squarefree_decomposition, taylor_shift,
+    UPoly, composed_difference, difference_poly, q_squarefree_decomposition,
+    taylor_shift,
 )
 from .qideal import QIdeal, qi_ord, qi_power
 from .series import INF, OrderVal, PSeries, as_frac, frac_str
@@ -112,14 +114,23 @@ def newton_polygon(h: UPoly) -> NewtonPolygon:
         elif ov.is_at_least:
             atleast_pts.append((j, ov.value))
     j_start = min(j for j, _ in exact_pts)
-    for j, t in atleast_pts:
-        if j < j_start:
-            # an unknown coefficient below every known one: the hull's left
-            # end (and the infinite-order root count) cannot be certified
-            raise TruncationError(
-                f"coefficient a_{d - j} is unknown below its truncation and "
-                "controls the polygon", required=None)
     hull = _lower_hull(exact_pts)
+    hidden = [(j, t) for j, t in atleast_pts if j < j_start]
+    if hidden:
+        # an unknown coefficient below every known one: the hull's left
+        # end (and the infinite-order root count) cannot be certified.  The
+        # hint is the truncation past which every root such a coefficient
+        # could add lies more than one beyond the largest certified order
+        # (always past the current truncation).
+        y_start = hull[0][1]
+        q_max = (Fraction(y_start - hull[1][1], hull[1][0] - j_start)
+                 if len(hull) > 1 else _ZERO)
+        required = max(max(y_start + (j_start - j) * (q_max + 1),
+                            math.floor(t) + 1) for j, t in hidden)
+        j = max(j for j, _ in hidden)
+        raise TruncationError(
+            f"coefficient a_{d - j} is unknown below its truncation and "
+            "controls the polygon", required=required)
     for j, t in atleast_pts:
         if j <= j_start:
             continue
@@ -307,13 +318,33 @@ class PuiseuxRootSet:
         return len(self.roots)
 
 
+def _single_cluster(phi_num, prec):
+    """(u, m) when the degree-m polynomial is within the gray tolerance of
+    c_0 (z - u)^m, where u = -c_1 / (m c_0); else None.
+
+    Root finders converge only linearly on a multiple root, so a branch
+    whose roots share a prefix would otherwise exhaust every precision
+    escalation.  A false cluster is caught by the exact certificate."""
+    m = len(phi_num) - 1
+    c0 = phi_num[0]
+    u = -phi_num[1] / (m * c0)
+    tol = _tolerances(prec)[1] * max(abs(c) for c in phi_num)
+    want = c0
+    for k in range(1, m + 1):
+        want = want * (-u) * (m - k + 1) / k  # c_0 C(m, k) (-u)^k
+        if abs(phi_num[k] - want) > tol:
+            return None
+    return u, m
+
+
 def _solve_char(phi_num, phi_exact, prec):
     """Roots of the characteristic polynomial with multiplicity structure.
 
     phi_num: descending mpc coefficients; phi_exact: matching Fractions when
     the data is exact (top level), else None.  Returns [(root, mult)].
     Exact data gets its multiplicities from a squarefree decomposition; the
-    numeric fallback clusters by tolerance.
+    numeric fallback first tests for a single multiple root, then clusters
+    by tolerance.
     """
     deg = len(phi_num) - 1
     if phi_exact is not None:
@@ -334,6 +365,9 @@ def _solve_char(phi_num, phi_exact, prec):
         if sum(m for _, m in out) != deg:
             raise ConsistencyError("squarefree multiplicities do not add up")
         return out
+    cluster = _single_cluster(phi_num, prec)
+    if cluster is not None:
+        return [cluster]
     try:
         roots = mpmath.polyroots(phi_num, maxsteps=200, extraprec=2 * prec)
     except mpmath.libmp.libhyper.NoConvergence:
@@ -352,6 +386,16 @@ def _solve_char(phi_num, phi_exact, prec):
         centroid = sum(members) / len(members)
         out.append((centroid, len(members)))
     return out
+
+
+class _Shortfall(TruncationError):
+    """Truncated data inside the expansion: a transformed coefficient falls
+    `short` of the truncation it needs.  Exponents there are relative to the
+    transform, so puiseux_expand turns the shortfall into an input bound."""
+
+    def __init__(self, message, short):
+        super().__init__(message)
+        self.short = short
 
 
 def _numeric_polygon(coeffs, depth):
@@ -380,15 +424,15 @@ def _numeric_polygon(coeffs, depth):
         # branches hiding behind the truncation have order at least
         # (tj - v_start) / (j0 - j); they may be ignored beyond depth
         if (tj - v_start) < depth * (j0 - j):
-            raise TruncationError(
+            raise _Shortfall(
                 "a transformed coefficient is unknown below its truncation",
-                required=depth * (j0 - j) + v_start)
+                depth * (j0 - j) + v_start - tj)
     for j in range(j0 + 1, d + 1):
         if coeffs[j].empty and coeffs[j].trunc != INF:
             if coeffs[j].trunc < _hull_value(hull, j):
-                raise TruncationError(
+                raise _Shortfall(
                     "a truncated coefficient could cut the numeric polygon",
-                    required=_hull_value(hull, j))
+                    _hull_value(hull, j) - coeffs[j].trunc)
     segments = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         q = Fraction(y1 - y2, x2 - x1)
@@ -488,9 +532,17 @@ def puiseux_expand(h: UPoly, depth, precision=None) -> PuiseuxRootSet:
                     f"depth", required=depth)
             coeffs.append(_ns_from_pseries(ps, prec))
             exact.append(ps)
-        if any(ps.trunc != INF for ps in exact):
+        known = max((ps.trunc for ps in exact if ps.trunc != INF),
+                    default=None)
+        if known is not None:
             exact = None  # exact char-poly route needs fully exact data
-        expansions = _expand_rec(coeffs, exact, depth, prec, 0)
+        try:
+            expansions = _expand_rec(coeffs, exact, depth, prec, 0)
+        except _Shortfall as exc:
+            # a transform adds a fixed offset to each truncation, so
+            # raising every input truncation by the shortfall clears it
+            raise TruncationError(str(exc),
+                                  required=known + exc.short) from None
     if len(expansions) != d:
         raise ConsistencyError(
             f"expected {d} expansions, produced {len(expansions)}")
@@ -787,23 +839,8 @@ def contact_order_identity_check(h: UPoly, w: PSeries, depth=None,
 
 def cross_difference_orders(f: UPoly, g: UPoly):
     """Exact multiset of ord(beta_j - alpha_i) over roots alpha of f and
-    beta of g, via the resultant of f(z) and g(z + y)."""
-    from .poly import _interp_nodes, _lagrange_coeffs, resultant_lists
-    if f.degree < 1 or g.degree < 1:
-        raise ValueError("positive degrees required")
-    dy = f.degree * g.degree
-    nodes = _interp_nodes(dy + 1)
-    fd = f.dense()
-    values = []
-    for r in nodes:
-        gd = taylor_shift(g, r).dense()
-        values.append(resultant_lists(fd, gd))
-    coeffs = _lagrange_coeffs(nodes, values)
-    lead = coeffs[0]
-    if not (lead - PSeries.one(lead.var)).is_zero():
-        raise ConsistencyError("cross-difference polynomial is not monic")
-    C = UPoly(f.var, coeffs[1:])
-    return root_orders(C)
+    beta of g, via their composed-difference polynomial."""
+    return root_orders(composed_difference(f, g))
 
 
 def perturbation_check(f: UPoly, g: UPoly, N, depth=None, precision=None):

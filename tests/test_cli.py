@@ -143,6 +143,14 @@ class TestCommands:
         rc = run(["lct", "--c", "3/4", "--coeffs", str(path)])
         assert rc == 3
 
+    def test_truncated_lct_prints_unknown(self, capsys):
+        rc = run(["lct", "--c", "3/4", "--coeff=2*x^3", "--coeff=x^2",
+                  "--trunc", "1"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 3
+        assert out["verdict"] == "unknown"
+        assert F(out["required"]) > 1 and out["reason"]
+
     def test_verify_lem1(self, capsys):
         assert run(["verify", "--suite", "lem1", "--trials", "5",
                     "--seed", "42"]) == 0

@@ -9,9 +9,9 @@ from lctkit.criterion import (
     cor3_divisibility, degree3_test, depressed_cubic, eval_theorem_lhs,
     example3_test, lct_ge,
 )
-from lctkit.errors import BudgetError
+from lctkit.errors import BudgetError, ConsistencyError
 from lctkit.poly import UPoly
-from lctkit.qideal import NO, YES, qi_ord
+from lctkit.qideal import NO, UNKNOWN, YES, qi_ord
 from lctkit.rootdata import integrality_test
 from lctkit.series import OrderVal, PSeries
 
@@ -469,6 +469,20 @@ class TestContainment:
         rep = containment_check(ctx, samples=30, seed=11)
         assert rep["pass"], rep["violations"][:1]
 
+    def test_distinct_samples_and_discards(self):
+        ctx = choose_p(2, F(2, 3))
+        rep = containment_check(ctx, samples=40, seed=3)
+        assert rep["samples"] == 40 and rep["discarded"] > 0
+
+    def test_certification_failure_propagates(self, monkeypatch):
+        import lctkit.criterion as crit
+
+        def broken(*args):
+            raise ConsistencyError("planted")
+        monkeypatch.setattr(crit, "_table_for", broken)
+        with pytest.raises(ConsistencyError):
+            containment_check(choose_p(2, F(2, 3)), samples=5, seed=0)
+
     def test_degenerate_sample_passes(self):
         # triple root: infinite on both sides
         ctx = choose_p(3, F(5, 6))
@@ -479,3 +493,50 @@ class TestContainment:
                 _weighted(ctx.c2, table.row_prefix_sum(i, ctx.p))
                 for i in range(3)]
         assert all(v.is_infinite for v in vals)
+
+
+class TestTruncatedInput:
+    """Truncated data: a certified verdict must hold for every completion
+    of the data; otherwise the verdict is unknown with a hint."""
+
+    @staticmethod
+    def _series(rng, lo, hi, terms):
+        out = {}
+        for _ in range(terms):
+            c = F(rng.randint(-5, 5))
+            if c:
+                out[F(rng.randint(lo, hi))] = c
+        return PSeries("x", out)
+
+    def test_sound_against_exact_and_completion(self):
+        rng = random.Random(20260)
+        certified = unknown = 0
+        for _ in range(70):
+            d = rng.choice([2, 2, 3, 3, 4])
+            coeffs = [self._series(rng, 1, 6, rng.randint(0, 2))
+                      for _ in range(d)]
+            c = F(1, d) + (1 - F(1, d)) * F(rng.randint(1, 10), 10)
+            for bound in (F(2), F(4), F(6), F(9)):
+                cut = [a.truncated(bound) for a in coeffs]
+                # a second completion: the known part plus random terms
+                # at or past the bound
+                other = [a + self._series(rng, int(bound), int(bound) + 4, 2)
+                         for a in cut]
+                other = [PSeries("x", a.terms) for a in other]
+                verdict, diag = lct_ge(d, c, cut)
+                if verdict == UNKNOWN:
+                    unknown += 1
+                    assert diag["required"] is not None, diag
+                    assert diag["reason"]
+                    continue
+                certified += 1
+                assert verdict == lct_ge(d, c, coeffs)[0]
+                assert verdict == lct_ge(d, c, other)[0]
+        assert certified > 50 and unknown > 50
+
+    def test_no_known_term_is_unknown(self):
+        cut = [PSeries.zero("x", 1), PSeries.zero("x", 1)]
+        verdict, diag = lct_ge(2, F(3, 4), cut)
+        assert verdict == UNKNOWN
+        assert diag["V"] is None
+        assert F(diag["required"]) > 1

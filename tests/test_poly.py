@@ -6,10 +6,10 @@ import pytest
 
 from lctkit.errors import ConsistencyError
 from lctkit.poly import (
-    MPoly, UPoly, compound_poly, difference_poly, generic_difference_coeffs,
-    q_discriminant, q_eval, q_resultant, q_squarefree,
-    q_squarefree_decomposition, resultant, resultant_lists, symmetric_reduce,
-    taylor_shift, value_poly,
+    MPoly, UPoly, composed_difference, compound_poly, difference_poly,
+    from_power_sums, generic_difference_coeffs, power_sums, q_discriminant,
+    q_eval, q_resultant, q_squarefree, q_squarefree_decomposition, resultant,
+    resultant_lists, symmetric_reduce, taylor_shift, value_poly, z_vars,
 )
 from lctkit.series import PSeries
 
@@ -277,6 +277,101 @@ class TestDifferencePoly:
                 assert const == sign * disc
 
 
+def rand_exact_series(rng, var="t"):
+    """One or two terms of positive order with nonzero coefficients."""
+    return PSeries(var, {F(rng.randint(1, 6), rng.choice([1, 1, 2])):
+                         F(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]))
+                         for _ in range(rng.randint(1, 2))})
+
+
+def prs_nodes(count):
+    """Nonzero integer nodes 1, -1, 2, -2, ..."""
+    return [F((k // 2 + 1) * (-1) ** k) for k in range(count)]
+
+
+class TestPowerSumKernel:
+    """The kernel against oracles that do not share its code: the
+    subresultant PRS, explicit roots, and symmetric reduction."""
+
+    def test_power_sums_of_explicit_roots(self):
+        rng = random.Random(3)
+        for d in (1, 2, 3, 4):
+            roots = [F(rng.randint(-5, 5), rng.randint(1, 3))
+                     for _ in range(d)]
+            h = UPoly.from_roots("y", [MPoly.const(r) for r in roots])
+            s = power_sums(h, 7)
+            assert [x.const_value() for x in s] == \
+                [sum(r ** k for r in roots) for k in range(8)]
+            assert from_power_sums(s, d) == list(h.coeffs)
+
+    @pytest.mark.parametrize("d,count", [(2, 6), (3, 4), (4, 2), (5, 1)])
+    def test_difference_poly_matches_prs(self, d, count):
+        # Res_z(h(z), h(z + r)) = r^d D(r) at d(d-1)+1 integer nodes
+        rng = random.Random(50 + d)
+        for _ in range(count):
+            h = UPoly("y", [rand_exact_series(rng) for _ in range(d)])
+            D = difference_poly(h)
+            assert D.degree == d * (d - 1)
+            for r in prs_nodes(d * (d - 1) + 1):
+                want = resultant_lists(h.dense(), taylor_shift(h, r).dense())
+                assert D.evaluate(r).scale(r ** d) == want
+
+    def test_composed_difference_matches_prs(self):
+        # Res_z(f(z), g(z + r)) = C(r), C with roots beta - alpha
+        rng = random.Random(61)
+        for _ in range(12):
+            f = UPoly("y", [rand_exact_series(rng)
+                            for _ in range(rng.randint(1, 3))])
+            g = UPoly("y", [rand_exact_series(rng)
+                            for _ in range(rng.randint(1, 3))])
+            C = composed_difference(f, g)
+            assert C.degree == f.degree * g.degree
+            for r in prs_nodes(C.degree + 1):
+                want = resultant_lists(f.dense(), taylor_shift(g, r).dense())
+                assert C.evaluate(r) == want
+
+    def test_cross_difference_orders_of_explicit_roots(self):
+        from lctkit.rootdata import cross_difference_orders
+        rng = random.Random(67)
+        for _ in range(12):
+            alphas = [rand_exact_series(rng) for _ in range(rng.randint(1, 3))]
+            betas = [rand_exact_series(rng) for _ in range(rng.randint(1, 3))]
+            f = UPoly.from_roots("y", alphas)
+            g = UPoly.from_roots("y", betas)
+            want = sorted(((b - a).order() for a in alphas for b in betas),
+                          key=lambda v: v.sort_key())
+            assert cross_difference_orders(f, g) == want
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_generic_matches_symmetric_reduction(self, d):
+        from lctkit.poly import _dense_from_root_exprs, _subst_e_to_z
+        rs = [MPoly.variable(f"r{i}", [f"r{j}" for j in range(1, d + 1)])
+              for i in range(1, d + 1)]
+        diffs = [rs[i] - rs[j] for i in range(d) for j in range(d) if i != j]
+        dense = _dense_from_root_exprs(diffs)
+        want = [_subst_e_to_z(symmetric_reduce(c), d) for c in dense[1:]]
+        got = generic_difference_coeffs(d)
+        assert list(got) == want
+        assert all(c.vars == z_vars(d) for c in got)
+
+    def test_generic_degree_five_has_no_cap(self):
+        coeffs = generic_difference_coeffs(5)
+        assert len(coeffs) == 20
+        assert all(c.is_zero() for c in coeffs[0::2])
+
+    def test_truncated_input_stays_sound(self):
+        # every known term of D from truncated data matches the exact D
+        rng = random.Random(71)
+        for _ in range(20):
+            d = rng.randint(2, 4)
+            h = UPoly("y", [rand_exact_series(rng) for _ in range(d)])
+            exact = difference_poly(h)
+            cut = difference_poly(UPoly("y", [a.truncated(F(rng.randint(2, 6)))
+                                              for a in h.coeffs]))
+            for a, b in zip(exact.coeffs, cut.coeffs):
+                assert a.truncated(b.trunc) == b
+
+
 class TestValuePoly:
     def test_identity(self):
         h = generic(3)
@@ -308,6 +403,20 @@ class TestValuePoly:
         got = value_poly(h, G)
         want = UPoly.from_roots("y", [mono(2), mono(4)])
         assert got == want
+
+    def test_explicit_roots(self):
+        # G(a, alpha) = alpha^3 + a_1 alpha over rational roots
+        rng = random.Random(13)
+        G = MPoly.variable("w") ** 3 + MPoly.variable("z1") * \
+            MPoly.variable("w")
+        for d in (1, 2, 3, 4):
+            roots = [F(rng.randint(-4, 4), rng.randint(1, 2))
+                     for _ in range(d)]
+            h = UPoly.from_roots("y", [MPoly.const(r) for r in roots])
+            a1 = h.coeff(1).const_value()
+            want = UPoly.from_roots(
+                "y", [MPoly.const(r ** 3 + a1 * r) for r in roots])
+            assert value_poly(h, G) == want
 
 
 class TestQHelpers:

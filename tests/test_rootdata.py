@@ -82,6 +82,17 @@ class TestNewtonPolygon:
         with pytest.raises(TruncationError):
             newton_polygon(h)
 
+    def test_truncated_left_end_hint_passes_truncation(self):
+        # y^2 + t y + O(t^5): the hint lies past the known bound
+        h = UPoly("y", [mono(1), PSeries.zero("t", 5)])
+        with pytest.raises(TruncationError) as info:
+            newton_polygon(h)
+        assert info.value.required is not None and info.value.required > 5
+        h = UPoly("y", [PSeries.zero("t", 4), PSeries.zero("t", 4)])
+        with pytest.raises(TruncationError) as info:
+            newton_polygon(h)
+        assert info.value.required > 4
+
 
 class TestRootOrders:
     def test_cusp_min_matches_ideal(self):
@@ -394,3 +405,57 @@ class TestOrdersAgainstSeries:
             vals, cert = orders_against_series(h, w)
             assert sorted(v.sort_key() for v in vals) == \
                 sorted(v.sort_key() for v in cert)
+
+
+class TestSharedPrefix:
+    """Roots w + t_i sharing a prefix w of two or more terms: the
+    expansion meets a characteristic polynomial with one multiple root."""
+
+    @staticmethod
+    def _check(prefix, tails):
+        w = PSeries("t", {F(e): F(c) for e, c in prefix})
+        roots = [w + mono(e, c) for e, c in tails]
+        h = UPoly.from_roots("y", roots)
+        # rows follow the expansion order: compare the multiset of rows
+        key = lambda row: sorted(v.sort_key() for v in row)  # noqa: E731
+        want = [[(mono(*a) - mono(*b)).order() if a != b
+                 else OrderVal.infinite() for b in tails] for a in tails]
+        rows = diff_orders(h).entries
+        assert sorted(map(key, rows)) == sorted(map(key, want))
+        return h
+
+    def test_two_term_prefix_decides(self):
+        # the reproducer y -> y + 3x + 2x^2 of a curve with lct 7/12
+        from lctkit.criterion import lct_ge
+        from lctkit.qideal import NO, YES
+        a1 = PSeries("x", {F(1): F(-6), F(2): F(-4), F(6): F(2),
+                           F(7): F(-1)})
+        a2 = PSeries("x", {F(2): F(9), F(3): F(12), F(4): F(4), F(7): F(-6),
+                           F(8): F(-1), F(9): F(2), F(13): F(-2)})
+        assert lct_ge(2, F(2, 3), [a1, a2])[0] == NO
+        assert lct_ge(2, F(7, 12), [a1, a2])[0] == YES
+        self._check([(1, 3), (2, 2)], [(6, -2), (7, 1)])
+
+    def test_three_term_prefix(self):
+        self._check([(1, 1), (2, 2), (3, -3)], [(5, 2), (6, -1)])
+        self._check([(1, 1), (2, 2), (3, -3)], [(4, 1), (5, 2), (6, -1)])
+
+    def test_cluster_detection_on_truncated_data(self):
+        # truncated data takes the numeric characteristic-root route
+        h = self._check([(1, 1), (2, 2), (3, -3)], [(4, 1), (5, 2), (6, -1)])
+        cut = UPoly("y", [a.truncated(F(40)) for a in h.coeffs])
+        assert diff_orders(cut).entries == diff_orders(h).entries
+
+
+class TestTruncationHints:
+    def test_expansion_hint_in_input_units(self):
+        # y^2 + O(t^(5/2)) y + t^2 + O(t^(5/2)): the second expansion level
+        # needs the input known to order 3
+        h = UPoly("y", [PSeries.zero("t", F(5, 2)),
+                        PSeries("t", {F(2): F(1)}, F(5, 2))])
+        with pytest.raises(TruncationError) as info:
+            diff_orders(h)
+        assert info.value.required == 3
+        cut = UPoly("y", [PSeries.zero("t", 3),
+                          PSeries("t", {F(2): F(1)}, 3)])
+        assert diff_orders(cut).entries[0][1] == OrderVal.exact(1)

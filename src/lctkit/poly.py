@@ -4,16 +4,15 @@ Taylor shifts, reduction of symmetric polynomials to elementary symmetric
 ones, and the auxiliary monic polynomials whose roots are products,
 differences, or polynomial images of the roots of a given polynomial.
 
-The difference, cross-difference and value polynomials come from one kernel
-over either coefficient domain: root power sums by Newton's identities,
-combined and turned back into coefficients by the same identities run in
-reverse.
+The difference, cross-difference, compound and value polynomials come from
+one kernel over either coefficient domain: root power sums by Newton's
+identities, combined and turned back into coefficients by the same
+identities run in reverse.  Compound polynomials have no degree cap.
 
-Resultants take two routes depending on the coefficient domain: a
-fraction-free subresultant remainder sequence when the coefficients are
-series (keeps truncation loss in check), and a Sylvester determinant via
-fraction-free Bareiss elimination for the small symbolic cases.  They stay
-as the public `resultant` and as an oracle independent of the kernel.
+Resultants take one route over both coefficient domains, a fraction-free
+subresultant remainder sequence (which keeps truncation loss in check over
+series).  It stays as the public `resultant` and as an oracle independent of
+the kernel.
 """
 
 from __future__ import annotations
@@ -23,11 +22,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BudgetError, ConsistencyError
+from .errors import ConsistencyError
 from .series import PSeries, as_frac, frac_str
-
-# Degree cap for the cached symbolic compound construction (configurable).
-COMPOUND_BUDGET = 4
 
 _ZERO = Fraction(0)
 
@@ -501,9 +497,10 @@ def _prem(f, g):
     return r
 
 
-def _prs_resultant(f, g):
-    """Resultant of dense descending coefficient lists over a shared domain,
-    by the subresultant PRS (Brown's algorithm)."""
+def resultant_lists(f, g):
+    """Resultant of dense descending coefficient lists over a shared domain
+    (general leading coefficients allowed), by the subresultant PRS (Brown's
+    algorithm)."""
     f, g = _strip(list(f)), _strip(list(g))
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
@@ -552,45 +549,6 @@ def _prs_resultant(f, g):
     return res if sign == 1 else -res
 
 
-def _sylvester_matrix(f, g):
-    """Sylvester matrix rows for dense descending lists (deg >= 1 each)."""
-    n, m = len(f) - 1, len(g) - 1
-    size = n + m
-    one = _dom_one(f[0])
-    zero = one - one
-    rows = []
-    for i in range(m):
-        rows.append([zero] * i + list(f) + [zero] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([zero] * i + list(g) + [zero] * (size - m - 1 - i))
-    return rows
-
-
-def _bareiss_det(mat):
-    """Fraction-free determinant with pivoting; consumes `mat`."""
-    n = len(mat)
-    if n == 0:
-        raise ValueError("empty matrix")
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if mat[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n)
-                          if not mat[r][k].is_zero()), None)
-            if pivot is None:
-                return mat[k][k]  # a zero of the right domain
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = mat[k][k] * mat[i][j] - mat[i][k] * mat[k][j]
-                mat[i][j] = num if prev is None else num.div_exact(prev)
-            mat[i][k] = mat[i][k] - mat[i][k]  # zero out
-        prev = mat[k][k]
-    det = mat[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def resultant(f: UPoly, g: UPoly):
     """Classical resultant eliminating the shared main variable; vanishes
     iff f and g have a common root."""
@@ -599,20 +557,6 @@ def resultant(f: UPoly, g: UPoly):
     if f.degree < 1 or g.degree < 1:
         raise ValueError("resultant needs positive-degree inputs")
     return resultant_lists(f.dense(), g.dense())
-
-
-def resultant_lists(fd, gd):
-    """Resultant of dense descending coefficient lists (general leading
-    coefficients allowed)."""
-    fd, gd = _strip(list(fd)), _strip(list(gd))
-    if not fd or not gd:
-        raise ValueError("resultant of the zero polynomial")
-    template = fd[0]
-    if isinstance(template, PSeries):
-        return _prs_resultant(fd, gd)
-    if len(fd) == 1 or len(gd) == 1:
-        return _prs_resultant(fd, gd)
-    return _bareiss_det(_sylvester_matrix(fd, gd))
 
 
 # ---------------------------------------------------------------------------
@@ -686,68 +630,11 @@ def z_vars(d):
     return tuple(f"z{i}" for i in range(1, d + 1))
 
 
-def _dense_from_root_exprs(root_exprs):
-    """Descending coefficients of the monic product of (y - r) over MPoly."""
-    template = root_exprs[0]
-    dense = [MPoly.const(1, template.vars)]
-    for r in root_exprs:
-        dense.append(MPoly.zero(template.vars))
-        for i in range(len(dense) - 2, -1, -1):
-            dense[i + 1] = dense[i + 1] - dense[i] * r
-    return dense
-
-
-@lru_cache(maxsize=None)
-def generic_compound_coeffs(d, k):
-    """Coefficients (as MPoly in z_1..z_d) of the monic polynomial whose
-    roots are the products of k distinct roots of the generic monic degree-d
-    polynomial; entry index ell carries (-1)^ell s_ell of the products."""
-    if not 1 <= k <= d:
-        raise ValueError("k out of range")
-    if d > COMPOUND_BUDGET:
-        raise BudgetError(f"symbolic compound construction capped at degree "
-                          f"{COMPOUND_BUDGET}; use the numeric route")
-    vars = _root_vars(d)
-    rs = [MPoly.variable(v, vars) for v in vars]
-    prods = []
-    for subset in itertools.combinations(range(d), k):
-        p = MPoly.const(1, vars)
-        for j in subset:
-            p = p * rs[j]
-        prods.append(p)
-    dense = _dense_from_root_exprs(prods)
-    out = []
-    for coeff in dense[1:]:
-        reduced = symmetric_reduce(coeff)
-        out.append(_subst_e_to_z(reduced, d))
-    return tuple(out)
-
-
-def _eval_generic(coeff_polys, h: UPoly):
-    d = h.degree
-    if h.is_series:
-        mapping = {f"z{i}": h.coeff(i) for i in range(1, d + 1)}
-        return [c.eval_series(mapping, out_var=h.coeffs[0].var)
-                for c in coeff_polys]
-    mapping = {f"z{i}": h.coeff(i) for i in range(1, d + 1)}
-    return [c.substitute(mapping) for c in coeff_polys]
-
-
-def compound_poly(h: UPoly, k: int) -> UPoly:
-    """Monic polynomial whose roots are the products of k distinct roots
-    of h (degree C(d, k))."""
-    d = h.degree
-    if not 1 <= k <= d:
-        raise ValueError("k out of range")
-    coeffs = _eval_generic(generic_compound_coeffs(d, k), h)
-    return UPoly(h.var, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Root power sums: one kernel for the polynomials whose roots are
-# differences or polynomial images of roots (Bostan, Flajolet, Salvy and
-# Schost, "Fast computation of special resultants", J. Symbolic Comput. 41,
-# 2006).  Works over either coefficient domain.
+# differences, products or polynomial images of roots (Bostan, Flajolet,
+# Salvy and Schost, "Fast computation of special resultants", J. Symbolic
+# Comput. 41, 2006).  Works over either coefficient domain.
 # ---------------------------------------------------------------------------
 
 def power_sums(h: UPoly, n):
@@ -824,15 +711,44 @@ def difference_poly(h: UPoly) -> UPoly:
     return UPoly(h.var, coeffs)
 
 
+def compound_poly(h: UPoly, k: int) -> UPoly:
+    """Monic polynomial whose roots are the products of k distinct roots
+    of h (degree N = C(d, k)).  Its m-th power sum is e_k(alpha^m), which
+    Newton's identities give from s_m, s_2m, ..., s_km."""
+    d = h.degree
+    if not 1 <= k <= d:
+        raise ValueError("k out of range")
+    n = math.comb(d, k)
+    s = power_sums(h, k * n)
+    p = [None]
+    for m in range(1, n + 1):
+        # a_k of the polynomial with roots alpha^m is (-1)^k e_k(alpha^m)
+        ak = from_power_sums([None] + s[m:k * m + 1:m], k)[-1]
+        p.append(ak.scale(-1 if k % 2 else 1))
+    return UPoly(h.var, from_power_sums(p, n))
+
+
+def _generic(d):
+    """The generic monic y^d + z_1 y^(d-1) + ... + z_d."""
+    zs = z_vars(d)
+    return UPoly("y", [MPoly.variable(v, zs) for v in zs])
+
+
+@lru_cache(maxsize=None)
+def generic_compound_coeffs(d, k):
+    """Coefficients (MPoly in z_1..z_d) of the monic polynomial whose roots
+    are the products of k distinct roots of the generic monic degree-d
+    polynomial; entry index ell carries (-1)^ell s_ell of the products."""
+    return compound_poly(_generic(d), k).coeffs
+
+
 @lru_cache(maxsize=None)
 def generic_difference_coeffs(d):
     """Coefficients (MPoly in z_1..z_d) of the difference polynomial of the
     generic monic y^d + z_1 y^(d-1) + ... + z_d."""
     if d < 2:
         raise ValueError("difference polynomial needs degree >= 2")
-    zs = z_vars(d)
-    h = UPoly("y", [MPoly.variable(v, zs) for v in zs])
-    return difference_poly(h).coeffs
+    return difference_poly(_generic(d)).coeffs
 
 
 def _mul_mod(r, g, h: UPoly):

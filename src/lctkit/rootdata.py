@@ -644,6 +644,29 @@ def _auto_depth(order_lists):
     return m + 1
 
 
+def _escalate(precision, attempt, mismatch, exhausted):
+    """Run attempt(p) at p = prec, 2 prec, ..., 16 prec (prec defaults to
+    default_precision()) until it returns a result.  A PrecisionError or a
+    None result (the numeric orders disagree with the exact certificate)
+    moves on to the next precision; every other error propagates at once.
+    Once all five are spent, raises ConsistencyError: `mismatch` when the
+    last attempt disagreed, else `exhausted` with the PrecisionError."""
+    prec = precision or default_precision()
+    last_error = None
+    for i in range(5):
+        try:
+            result = attempt(prec << i)
+        except PrecisionError as exc:
+            last_error = exc
+            continue
+        if result is not None:
+            return result
+        last_error = None
+    if last_error is None:
+        raise ConsistencyError(mismatch)
+    raise ConsistencyError(f"{exhausted}: {last_error}")
+
+
 def diff_orders(h: UPoly, depth=None, precision=None) -> DiffOrderTable:
     """Pairwise root-difference orders with exact certification.
 
@@ -663,19 +686,14 @@ def diff_orders(h: UPoly, depth=None, precision=None) -> DiffOrderTable:
     if depth is None:
         depth = _auto_depth([orders, cert])
     depth = as_frac(depth)
-    prec = precision or default_precision()
-    last_error = None
-    for attempt in range(5):
-        try:
-            rootset = puiseux_expand(h, depth, prec << attempt)
-        except PrecisionError as exc:
-            last_error = exc
-            continue
-        tol = mpmath.mpf(2) ** (-((prec << attempt) // 8))
+
+    def attempt(p):
+        rootset = puiseux_expand(h, depth, p)
+        tol = mpmath.mpf(2) ** (-(p // 8))
         entries = [[None] * d for _ in range(d)]
         finite_found = []
         unresolved = 0
-        with mpmath.workprec((prec << attempt) + 64):
+        with mpmath.workprec(p + 64):
             for i in range(d):
                 entries[i][i] = OrderVal.infinite()
                 for j in range(i + 1, d):
@@ -688,17 +706,17 @@ def diff_orders(h: UPoly, depth=None, precision=None) -> DiffOrderTable:
                     finite_found.extend([e, e])
         fill = _match_certificate(finite_found, unresolved, cert, depth)
         if fill is None:
-            last_error = ConsistencyError(
-                "numeric difference orders disagree with the exact "
-                "difference polynomial")
-            continue
+            return None
         for i in range(d):
             for j in range(d):
                 if entries[i][j] is None:
                     entries[i][j] = fill
         return DiffOrderTable(d, entries, cert, depth)
-    raise last_error if isinstance(last_error, ConsistencyError) else \
-        ConsistencyError(f"difference orders failed to certify: {last_error}")
+
+    return _escalate(
+        precision, attempt,
+        "numeric difference orders disagree with the exact difference "
+        "polynomial", "difference orders failed to certify")
 
 
 def orders_against_series(h: UPoly, w: PSeries, depth=None, precision=None):
@@ -715,15 +733,9 @@ def orders_against_series(h: UPoly, w: PSeries, depth=None, precision=None):
         depth = _auto_depth([cert, root_orders(h),
                              [w.order()] if not w.is_exactly_zero else []])
     depth = as_frac(depth)
-    prec = precision or default_precision()
-    last_error = None
-    for attempt in range(5):
-        p = prec << attempt
-        try:
-            rootset = puiseux_expand(h, depth, p)
-        except PrecisionError as exc:
-            last_error = exc
-            continue
+
+    def attempt(p):
+        rootset = puiseux_expand(h, depth, p)
         tol = mpmath.mpf(2) ** (-(p // 8))
         with mpmath.workprec(p + 64):
             wterms = _series_terms_numeric(w)
@@ -743,17 +755,18 @@ def orders_against_series(h: UPoly, w: PSeries, depth=None, precision=None):
         cert_rest = [v for v in cert
                      if v.is_infinite or (not v.is_exact) or v.value >= depth]
         if sorted(finite) != cert_small or unresolved != len(cert_rest):
-            last_error = ConsistencyError(
-                "numeric contact orders disagree with the shifted polygon")
-            continue
+            return None
         if unresolved:
             fill = OrderVal.infinite() if all(v.is_infinite
                                               for v in cert_rest) \
                 else OrderVal.at_least(depth)
             vals = [fill if v is None else v for v in vals]
         return vals, cert
-    raise last_error if isinstance(last_error, ConsistencyError) else \
-        ConsistencyError(f"contact orders failed to certify: {last_error}")
+
+    return _escalate(
+        precision, attempt,
+        "numeric contact orders disagree with the shifted polygon",
+        "contact orders failed to certify")
 
 
 # ---------------------------------------------------------------------------
@@ -862,16 +875,10 @@ def perturbation_check(f: UPoly, g: UPoly, N, depth=None, precision=None):
     if depth is None:
         depth = _auto_depth([cert, root_orders(f), root_orders(g)])
     depth = as_frac(depth)
-    prec = precision or default_precision()
-    last_error = None
-    for attempt in range(5):
-        p = prec << attempt
-        try:
-            rf = puiseux_expand(f, depth, p)
-            rg = puiseux_expand(g, depth, p)
-        except PrecisionError as exc:
-            last_error = exc
-            continue
+
+    def attempt(p):
+        rf = puiseux_expand(f, depth, p)
+        rg = puiseux_expand(g, depth, p)
         tol = mpmath.mpf(2) ** (-(p // 8))
         finite = []
         unresolved = 0
@@ -887,10 +894,7 @@ def perturbation_check(f: UPoly, g: UPoly, N, depth=None, precision=None):
                         finite.append(e)
         fill = _match_certificate(finite, unresolved, cert, depth)
         if fill is None:
-            last_error = ConsistencyError(
-                "numeric perturbation orders disagree with the exact "
-                "cross-difference polynomial")
-            continue
+            return None
         rows = []
         ok = True
         for j in range(d):
@@ -903,5 +907,8 @@ def perturbation_check(f: UPoly, g: UPoly, N, depth=None, precision=None):
             rows.append({"root": j, "best_match": best.to_json(),
                          "holds": bool(holds)})
         return {"pass": ok, "bound": frac_str(bound), "roots": rows}
-    raise last_error if isinstance(last_error, ConsistencyError) else \
-        ConsistencyError(f"perturbation check failed to certify: {last_error}")
+
+    return _escalate(
+        precision, attempt,
+        "numeric perturbation orders disagree with the exact "
+        "cross-difference polynomial", "perturbation check failed to certify")

@@ -1,0 +1,71 @@
+"""Static checks over the package sources: no handler broad enough to hide a
+ConsistencyError, and no unused import."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lctkit"
+MODULES = sorted(SRC.glob("*.py"))
+BROAD = {"Exception", "BaseException"}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def broad_handlers(tree):
+    """Line numbers of bare `except:` and of handlers naming Exception or
+    BaseException, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type
+        names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+        if caught is None or any(isinstance(n, ast.Name) and n.id in BROAD
+                                 for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def unused_imports(tree):
+    """Names bound by an import (other than `from __future__`) that the
+    module never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_broad_except(path):
+    assert broad_handlers(_tree(path)) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"],
+    ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(_tree(path)) == []
+
+
+def test_checks_catch_offenders():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from .errors import BudgetError, ConsistencyError\n"
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
+        "try:\n    pass\nexcept ValueError:\n    raise ConsistencyError\n")
+    assert broad_handlers(tree) == [6, 10]
+    assert unused_imports(tree) == [(2, "os"), (3, "BudgetError")]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ import pytest
 from lctkit.errors import ConsistencyError
 from lctkit.poly import (
     MPoly, UPoly, composed_difference, compound_poly, difference_poly,
-    from_power_sums, generic_difference_coeffs, power_sums, q_discriminant,
-    q_eval, q_resultant, q_squarefree, q_squarefree_decomposition, resultant,
-    resultant_lists, symmetric_reduce, taylor_shift, value_poly, z_vars,
+    from_power_sums, generic_compound_coeffs, generic_difference_coeffs,
+    power_sums, q_discriminant, q_eval, q_resultant, q_squarefree,
+    q_squarefree_decomposition, resultant, resultant_lists, symmetric_reduce,
+    taylor_shift, value_poly, z_vars,
 )
 from lctkit.series import PSeries
 
@@ -112,7 +114,7 @@ class TestResultant:
         g = UPoly("z", [PSeries.zero("t"), -mono(3) + mono(10)])
         assert resultant(f, g) == mono(20)
 
-    def test_prs_matches_bareiss_and_field(self):
+    def test_prs_matches_field(self):
         rng = random.Random(11)
         for _ in range(60):
             df, dg = rng.randint(1, 4), rng.randint(1, 4)
@@ -120,13 +122,37 @@ class TestResultant:
             gq = [F(rng.randint(-4, 4)) for _ in range(dg + 1)]
             if fq[0] == 0 or gq[0] == 0:
                 continue
-            from lctkit.poly import _bareiss_det, _prs_resultant, _sylvester_matrix
             fm = [MPoly.const(c) for c in fq]
             gm = [MPoly.const(c) for c in gq]
-            r_prs = _prs_resultant(fm, gm).const_value()
-            r_det = _bareiss_det(_sylvester_matrix(fm, gm)).const_value()
-            r_q = q_resultant(fq, gq)
-            assert r_prs == r_det == r_q
+            assert resultant_lists(fm, gm).const_value() == q_resultant(fq, gq)
+
+    def test_prs_on_symbolic_input_matches_field_specialization(self):
+        rng = random.Random(29)
+        vars = ("a", "b")
+
+        def rand_mpoly():
+            return MPoly(vars, {(rng.randint(0, 2), rng.randint(0, 2)):
+                                rng.randint(-3, 3)
+                                for _ in range(rng.randint(1, 3))})
+
+        checked = 0
+        for _ in range(40):
+            df, dg = rng.randint(1, 3), rng.randint(1, 3)
+            fs = [rand_mpoly() for _ in range(df + 1)]
+            gs = [rand_mpoly() for _ in range(dg + 1)]
+            if fs[0].is_zero() or gs[0].is_zero():
+                continue
+            res = resultant_lists(fs, gs)
+            for _ in range(3):
+                pt = {v: F(rng.randint(-4, 4), rng.randint(1, 3))
+                      for v in vars}
+                fq = [c.eval_frac(pt) for c in fs]
+                gq = [c.eval_frac(pt) for c in gs]
+                if fq[0] == 0 or gq[0] == 0:
+                    continue  # the degree drops under specialization
+                assert res.eval_frac(pt) == q_resultant(fq, gq)
+                checked += 1
+        assert checked > 60
 
     def test_prs_on_series_matches_field_specialization(self):
         rng = random.Random(23)
@@ -210,7 +236,9 @@ class TestCompoundPoly:
         assert g.coeffs[0] == zpoly("z3")
 
     @pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
-                                     (4, 2), (4, 3), (4, 4)])
+                                     (4, 2), (4, 3), (4, 4)] +
+                             [(d, k) for d in (5, 6)
+                              for k in range(1, d + 1)])
     def test_numeric_brute_force(self, d, k):
         rng = random.Random(100 * d + k)
         for _ in range(8):
@@ -218,9 +246,8 @@ class TestCompoundPoly:
                      for _ in range(d)]
             h = UPoly.from_roots("y", [MPoly.const(r) for r in roots])
             got = compound_poly(h, k)
-            prods = [MPoly.const(
-                __import__("math").prod(sub, start=F(1)))
-                for sub in itertools.combinations(roots, k)]
+            prods = [MPoly.const(math.prod(sub, start=F(1)))
+                     for sub in itertools.combinations(roots, k)]
             want = UPoly.from_roots("y", prods)
             assert got == want
 
@@ -344,15 +371,24 @@ class TestPowerSumKernel:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_generic_matches_symmetric_reduction(self, d):
-        from lctkit.poly import _dense_from_root_exprs, _subst_e_to_z
+        from lctkit.poly import _subst_e_to_z
+
+        def reduced(root_exprs):
+            return [_subst_e_to_z(symmetric_reduce(c), d)
+                    for c in UPoly.from_roots("y", root_exprs).coeffs]
+
         rs = [MPoly.variable(f"r{i}", [f"r{j}" for j in range(1, d + 1)])
               for i in range(1, d + 1)]
         diffs = [rs[i] - rs[j] for i in range(d) for j in range(d) if i != j]
-        dense = _dense_from_root_exprs(diffs)
-        want = [_subst_e_to_z(symmetric_reduce(c), d) for c in dense[1:]]
         got = generic_difference_coeffs(d)
-        assert list(got) == want
+        assert list(got) == reduced(diffs)
         assert all(c.vars == z_vars(d) for c in got)
+        for k in range(1, d + 1):
+            prods = [math.prod(sub, start=MPoly.const(1, rs[0].vars))
+                     for sub in itertools.combinations(rs, k)]
+            got = generic_compound_coeffs(d, k)
+            assert list(got) == reduced(prods)
+            assert all(c.vars == z_vars(d) for c in got)
 
     def test_generic_degree_five_has_no_cap(self):
         coeffs = generic_difference_coeffs(5)

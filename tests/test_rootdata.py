@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lctkit.errors import TruncationError
+from lctkit import rootdata
+from lctkit.errors import ConsistencyError, PrecisionError, TruncationError
 from lctkit.poly import UPoly, compound_poly
 from lctkit.rootdata import (
     contact_order_identity_check, diff_orders, integrality_test,
@@ -459,3 +460,70 @@ class TestTruncationHints:
         cut = UPoly("y", [PSeries.zero("t", 3),
                           PSeries("t", {F(2): F(1)}, 3)])
         assert diff_orders(cut).entries[0][1] == OrderVal.exact(1)
+
+
+class TestEscalation:
+    """The shared precision-escalation loop, seen through each caller with
+    puiseux_expand replaced: precisions prec << i for five attempts, only a
+    PrecisionError retried."""
+
+    PREC = 96
+
+    @staticmethod
+    def _call(name):
+        h = UPoly.from_roots("y", [mono(1), mono(1) + mono(2), mono(3)])
+        if name == "diff_orders":
+            return diff_orders(h, precision=TestEscalation.PREC).to_json()
+        if name == "orders_against_series":
+            return orders_against_series(h, mono(1),
+                                         precision=TestEscalation.PREC)
+        f = UPoly("y", [zero(), -mono(4)])
+        g = UPoly("y", [zero(), -mono(4) + mono(10)])
+        return perturbation_check(f, g, 10, precision=TestEscalation.PREC)
+
+    @staticmethod
+    def _patch(monkeypatch, fail):
+        """Replace puiseux_expand; fail(n) gives the error for the n-th call
+        (from 1) or None to expand for real.  Returns the precisions seen."""
+        real = rootdata.puiseux_expand
+        bits = []
+
+        def fake(h, depth, precision=None):
+            bits.append(precision)
+            err = fail(len(bits))
+            if err is not None:
+                raise err
+            return real(h, depth, precision)
+
+        monkeypatch.setattr(rootdata, "puiseux_expand", fake)
+        return bits
+
+    CALLERS = {
+        "diff_orders": "difference orders failed to certify",
+        "orders_against_series": "contact orders failed to certify",
+        "perturbation_check": "perturbation check failed to certify",
+    }
+
+    @pytest.mark.parametrize("name", list(CALLERS))
+    def test_precision_error_exhausts_five_attempts(self, monkeypatch, name):
+        bits = self._patch(monkeypatch, lambda n: PrecisionError("lost"))
+        with pytest.raises(ConsistencyError) as info:
+            self._call(name)
+        assert str(info.value) == f"{self.CALLERS[name]}: lost"
+        assert bits == [self.PREC << i for i in range(5)]
+
+    @pytest.mark.parametrize("name", list(CALLERS))
+    def test_consistency_error_propagates_at_once(self, monkeypatch, name):
+        bits = self._patch(monkeypatch, lambda n: ConsistencyError("bad"))
+        with pytest.raises(ConsistencyError, match="^bad$"):
+            self._call(name)
+        assert bits == [self.PREC]
+
+    @pytest.mark.parametrize("name", list(CALLERS))
+    def test_one_precision_error_then_success(self, monkeypatch, name):
+        want = self._call(name)
+        bits = self._patch(
+            monkeypatch, lambda n: PrecisionError("lost") if n == 1 else None)
+        assert self._call(name) == want
+        assert bits[0] == self.PREC
+        assert set(bits[1:]) == {2 * self.PREC}

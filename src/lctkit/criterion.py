@@ -310,20 +310,13 @@ def _validate_coeffs(coeffs, d):
                 f"coefficient a_{i} must have positive order")
 
 
-_TABLE_CACHE = {}
-
-
+@lru_cache(maxsize=257)
 def _table_for(coeffs, depth, precision):
-    key = (tuple((a.var, tuple(a.sorted_terms()), a.trunc) for a in coeffs),
-           depth, precision)
-    hit = _TABLE_CACHE.get(key)
-    if hit is None:
-        h = UPoly("y", list(coeffs))
-        hit = diff_orders(h, depth=depth, precision=precision)
-        if len(_TABLE_CACHE) > 256:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[key] = hit
-    return hit
+    """Difference-order table of y^d + sum a_i y^(d-i), kept for the 257
+    most recently used inputs (a parameter sweep revisits each curve once
+    per threshold); _table_for.cache_info() counts hits and misses."""
+    return diff_orders(UPoly("y", list(coeffs)), depth=depth,
+                       precision=precision)
 
 
 def _weighted(c, val: OrderVal) -> OrderVal:

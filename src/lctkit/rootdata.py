@@ -264,13 +264,15 @@ class _NSeries:
 
 
 def _tolerances(prec):
-    zero = mpmath.mpf(2) ** (-(prec // 2))
-    gray = mpmath.mpf(2) ** (-(prec // 4))
-    return zero, gray
+    """(zero, gray, cluster) magnitudes at working precision prec: below
+    zero a coefficient is dropped, between zero and gray it is ambiguous,
+    and roots closer than cluster are one root."""
+    two = mpmath.mpf(2)
+    return two ** (-(prec // 2)), two ** (-(prec // 4)), two ** (-(prec // 8))
 
 
-def _ns_normalize(terms, trunc, prec):
-    tol_zero, tol_gray = _tolerances(prec)
+def _ns_normalize(terms, trunc, tols):
+    tol_zero, tol_gray = tols[0], tols[1]
     clean = {}
     for e, c in terms.items():
         if trunc != INF and e >= trunc:
@@ -318,7 +320,7 @@ class PuiseuxRootSet:
         return len(self.roots)
 
 
-def _single_cluster(phi_num, prec):
+def _single_cluster(phi_num, tols):
     """(u, m) when the degree-m polynomial is within the gray tolerance of
     c_0 (z - u)^m, where u = -c_1 / (m c_0); else None.
 
@@ -328,7 +330,7 @@ def _single_cluster(phi_num, prec):
     m = len(phi_num) - 1
     c0 = phi_num[0]
     u = -phi_num[1] / (m * c0)
-    tol = _tolerances(prec)[1] * max(abs(c) for c in phi_num)
+    tol = tols[1] * max(abs(c) for c in phi_num)
     want = c0
     for k in range(1, m + 1):
         want = want * (-u) * (m - k + 1) / k  # c_0 C(m, k) (-u)^k
@@ -337,7 +339,121 @@ def _single_cluster(phi_num, prec):
     return u, m
 
 
-def _solve_char(phi_num, phi_exact, prec):
+_DK_STEPS = 200
+_SEED_STEPS = 100
+
+
+def _quadratic_roots(b, c):
+    """Roots of z^2 + b z + c by q = -(b + s sqrt(b^2 - 4c)) / 2 with the
+    sign s that avoids cancellation: q and c / q.  Real coefficients with a
+    negative discriminant give an exactly conjugate pair."""
+    disc = b * b - 4 * c
+    if b.imag == 0 and c.imag == 0:
+        b, c, disc = b.real, c.real, disc.real
+        if disc < 0:
+            re, im = -b / 2, mpmath.sqrt(-disc) / 2
+            return [mpmath.mpc(re, im), mpmath.mpc(re, -im)]
+        root = mpmath.sqrt(disc)
+        q = -(b + root) / 2 if b >= 0 else -(b - root) / 2
+    else:
+        root = mpmath.sqrt(disc)
+        if (mpmath.conj(b) * root).real < 0:
+            root = -root
+        q = -(b + root) / 2
+    if q == 0:  # b = c = 0
+        return [q, q]
+    return [q, c / q]
+
+
+def _start_points(n):
+    """mpmath.polyroots' fixed Durand-Kerner start points."""
+    return [(0.4 + 0.9j) ** k for k in range(n)]
+
+
+def _dk_sweep(roots, monic):
+    """One sweep of mpmath.polyroots' Durand-Kerner update, in place, over
+    approximations to the roots of z^n + monic[0] z^(n-1) + ... + monic[-1];
+    works on machine complex numbers and on mpc alike.  Returns the largest
+    step taken."""
+    worst = 0
+    for i, p in enumerate(roots):
+        x = p + monic[0]
+        for c in monic[1:]:
+            x = x * p + c
+        for j, r in enumerate(roots):
+            if j != i and r != p:
+                x /= p - r
+        roots[i] = p - x
+        worst = max(worst, abs(x))
+    return worst
+
+
+def _seed_roots(monic):
+    """The roots to about 1e-13 by Durand-Kerner in machine complex
+    arithmetic, or None when the coefficients leave the float range or the
+    iteration does not settle."""
+    cs = [complex(c) for c in monic]
+    roots = _start_points(len(cs))
+    for _ in range(_SEED_STEPS):
+        step = _dk_sweep(roots, cs)
+        if not all(math.isfinite(abs(r)) for r in roots):
+            return None
+        if step < 1e-13 * max(1.0, max(abs(r) for r in roots)):
+            return roots
+    return None
+
+
+def _durand_kerner(monic, tol):
+    """mpmath.polyroots' iteration on the monic polynomial, started from
+    _seed_roots when they exist: it stops once no root moves by tol."""
+    seeds = _seed_roots(monic) or _start_points(len(monic))
+    roots = [mpmath.mpc(s) for s in seeds]
+    for _ in range(_DK_STEPS):
+        if _dk_sweep(roots, monic) < tol:
+            return roots
+    raise PrecisionError("characteristic roots did not converge")
+
+
+def _char_roots(coeffs, extraprec, separation=None):
+    """Roots of the polynomial with descending coefficients `coeffs`
+    (leading one nonzero), worked out at `extraprec` bits above the working
+    precision and sorted as mpmath.polyroots sorts them: by |imaginary part|,
+    then by real part, after parts below the working epsilon are zeroed.
+
+    Degrees 1 and 2 use the closed form; higher degrees run Durand-Kerner
+    from machine-precision seeds instead of fixed start points, so a few
+    quadratically converging steps reach full precision.  Raises
+    PrecisionError when the iteration does not converge, or when
+    `separation` is given and two roots lie within it of each other (they
+    cannot be told apart downstream, and are never returned merged)."""
+    tol = +mpmath.eps
+    with mpmath.extraprec(extraprec):
+        monic = [c / coeffs[0] for c in coeffs[1:]]
+        if len(monic) == 1:
+            roots = [-monic[0]]
+        elif len(monic) == 2:
+            roots = _quadratic_roots(*monic)
+        else:
+            roots = _durand_kerner(monic, tol)
+        for i, r in enumerate(roots):
+            if abs(r) < tol:
+                roots[i] = mpmath.mpf(0)
+            elif abs(mpmath.im(r)) < tol:
+                roots[i] = mpmath.re(r)
+            elif abs(mpmath.re(r)) < tol:
+                roots[i] = mpmath.mpc(0, mpmath.im(r))
+        roots.sort(key=lambda r: (abs(mpmath.im(r)), mpmath.re(r)))
+    roots = [+r for r in roots]
+    if separation is not None:
+        for i, r in enumerate(roots):
+            if any(abs(r - s) <= separation for s in roots[i + 1:]):
+                raise PrecisionError(
+                    "characteristic roots are not separated at the working "
+                    "precision")
+    return roots
+
+
+def _solve_char(phi_num, phi_exact, prec, tols):
     """Roots of the characteristic polynomial with multiplicity structure.
 
     phi_num: descending mpc coefficients; phi_exact: matching Fractions when
@@ -352,31 +468,18 @@ def _solve_char(phi_num, phi_exact, prec):
         for factor, mult in q_squarefree_decomposition(phi_exact):
             coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
                       for c in factor]
-            if len(coeffs) == 2:
-                roots = [-coeffs[1] / coeffs[0]]
-            else:
-                try:
-                    roots = mpmath.polyroots(coeffs, maxsteps=200,
-                                             extraprec=prec)
-                except mpmath.libmp.libhyper.NoConvergence:
-                    raise PrecisionError("characteristic roots did not "
-                                         "converge")
-            out.extend((r, mult) for r in roots)
+            out.extend((r, mult)
+                       for r in _char_roots(coeffs, prec, tols[1]))
         if sum(m for _, m in out) != deg:
             raise ConsistencyError("squarefree multiplicities do not add up")
         return out
-    cluster = _single_cluster(phi_num, prec)
+    cluster = _single_cluster(phi_num, tols)
     if cluster is not None:
         return [cluster]
-    try:
-        roots = mpmath.polyroots(phi_num, maxsteps=200, extraprec=2 * prec)
-    except mpmath.libmp.libhyper.NoConvergence:
-        raise PrecisionError("characteristic roots did not converge")
-    tol_cluster = mpmath.mpf(2) ** (-(prec // 8))
     clusters = []
-    for r in roots:
+    for r in _char_roots(phi_num, 2 * prec):
         for c in clusters:
-            if abs(r - c[0]) < tol_cluster:
+            if abs(r - c[0]) < tols[2]:
                 c[1].append(r)
                 break
         else:
@@ -441,40 +544,60 @@ def _numeric_polygon(coeffs, depth):
     return j0, segments
 
 
-def _transform(coeffs, q, u, mu, prec):
-    """Coefficients of h(t^q (u + z)) / t^mu in z, given those of h in y."""
+def _transform(coeffs, q, u, mu, cut, tols):
+    """Coefficients of h(t^q (u + z)) / t^mu in z, given those of h in y,
+    less every term at exponent `cut` or beyond.
+
+    For u a characteristic root of multiplicity m on a segment of slope q,
+    with D = depth - q left to expand, the cut m D drops only terms that
+    cannot change a root expansion below D:
+    - The expansions below D come from the part of the polygon with slopes
+      below D.  That part ends at (m, 0), and its left end (k, v_k) has
+      v_k < (m - k) D when k < m, so its points and the characteristic
+      coefficients read on it all lie below m D.
+    - A point at m D or beyond lies above that part, or shapes the part with
+      slopes of D or more, whose branches have no term below D.
+    - A dropped term stays beyond the next cut too: the next transform
+      (slope q' < D, multiplicity m' <= m) lowers exponents by mu' <= q' m,
+      and m D - q' m >= m' (D - q').
+    The bound is tight: the roots +-t^(e/2) of z^2 - t^e have a term below
+    D exactly when e < 2 D.
+
+    The cut is INF on truncated input, where the shortfall tests of
+    _numeric_polygon read the whole polygon."""
     d = len(coeffs) - 1
     acc = [dict() for _ in range(d + 1)]
     truncs = [INF] * (d + 1)
+    upow = [mpmath.mpc(1)]
+    for _ in range(d):
+        upow.append(upow[-1] * u)
     for j in range(d + 1):
         cj = coeffs[j]
-        if cj.empty and cj.trunc == INF:
-            continue
         shift = q * j - mu
         if cj.trunc != INF:
             tj = cj.trunc + shift
-        else:
-            tj = INF
-        upow = mpmath.mpc(1)
-        for i in range(j, -1, -1):
-            binom = math.comb(j, i)
+            for i in range(j + 1):
+                truncs[i] = min(truncs[i], tj)
+        terms = [(key, c) for key, c in
+                 ((e + shift, c) for e, c in cj.terms.items()) if key < cut]
+        if not terms:
+            continue
+        for i in range(j + 1):
+            factor = math.comb(j, i) * upow[j - i]
             target = acc[i]
-            for e, c in cj.terms.items():
-                key = e + shift
-                add = c * binom * upow
-                target[key] = target.get(key, mpmath.mpc(0)) + add
-            truncs[i] = min(truncs[i], tj)
-            if i > 0:
-                upow = upow * u
-    return [_ns_normalize(acc[i], truncs[i], prec) for i in range(d + 1)]
+            for key, c in terms:
+                add = c * factor
+                prev = target.get(key)
+                target[key] = add if prev is None else prev + add
+    return [_ns_normalize(acc[i], truncs[i], tols) for i in range(d + 1)]
 
 
-def _expand_rec(coeffs, exact, depth, prec, level):
+def _expand_rec(coeffs, exact, depth, prec, tols, lazy, level):
     """All positive-order root expansions of the polynomial with coefficients
-    c_0..c_d (ascending), truncated below `depth` (relative exponents)."""
+    c_0..c_d (ascending), truncated below `depth` (relative exponents).
+    `lazy` turns on the depth cut of _transform (exact input only)."""
     if level > 512:
         raise ConsistencyError("expansion recursion exceeded its level cap")
-    d = len(coeffs) - 1
     expansions = []
     j0, segments = _numeric_polygon(coeffs, depth)
     expansions.extend([] for _ in range(j0))
@@ -494,12 +617,14 @@ def _expand_rec(coeffs, exact, depth, prec, level):
                 phi_exact.append(exact[j].coeff(line))
         mu = v1 + q * j1
         found = 0
-        for (u, mult) in _solve_char(phi_num, phi_exact, prec):
+        for (u, mult) in _solve_char(phi_num, phi_exact, prec, tols):
             if abs(u) == 0:
                 continue
             found += mult
-            sub_coeffs = _transform(coeffs, q, u, mu, prec)
-            subs = _expand_rec(sub_coeffs, None, depth - q, prec, level + 1)
+            cut = mult * (depth - q) if lazy else INF
+            sub_coeffs = _transform(coeffs, q, u, mu, cut, tols)
+            subs = _expand_rec(sub_coeffs, None, depth - q, prec, tols, lazy,
+                               level + 1)
             if len(subs) != mult:
                 raise PrecisionError(
                     "branch multiplicity does not match its continuation")
@@ -537,8 +662,13 @@ def puiseux_expand(h: UPoly, depth, precision=None) -> PuiseuxRootSet:
         if known is not None:
             exact = None  # exact char-poly route needs fully exact data
         try:
-            expansions = _expand_rec(coeffs, exact, depth, prec, 0)
+            expansions = _expand_rec(coeffs, exact, depth, prec,
+                                     _tolerances(prec), known is None, 0)
         except _Shortfall as exc:
+            if known is None:
+                raise ConsistencyError(
+                    f"truncation shortfall {exc.short} on exact input: "
+                    f"{exc}") from None
             # a transform adds a fixed offset to each truncation, so
             # raising every input truncation by the shortfall clears it
             raise TruncationError(str(exc),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lctkit import criterion
 from lctkit.criterion import (
     build_b, build_bbar_k, build_bk, build_c, build_cor3_pack,
     build_p_plus_minus, build_tilde_bk, choose_p, containment_check,
@@ -540,3 +541,49 @@ class TestTruncatedInput:
         assert verdict == UNKNOWN
         assert diag["V"] is None
         assert F(diag["required"]) > 1
+
+
+class TestTableCache:
+    """The difference-order table cache is a least-recently-used map of
+    257 entries with hit and miss counters."""
+
+    @pytest.fixture(autouse=True)
+    def _stub(self, monkeypatch):
+        """An empty cache around each test, and diff_orders replaced by a
+        stub that returns a new object per call."""
+        monkeypatch.setattr(criterion, "diff_orders",
+                            lambda h, depth=None, precision=None: object())
+        criterion._table_for.cache_clear()
+        yield
+        criterion._table_for.cache_clear()
+
+    @staticmethod
+    def _lookup(k):
+        return criterion._table_for((xs(k + 1), xs(k + 2)), None, None)
+
+    @staticmethod
+    def _counts():
+        info = criterion._table_for.cache_info()
+        return info.hits, info.misses, info.currsize
+
+    def test_evicts_least_recently_used(self):
+        size = criterion._table_for.cache_info().maxsize
+        assert size == 257
+        first = [self._lookup(k) for k in range(size)]
+        assert self._lookup(0) is first[0]  # hit: key 0 is now the newest
+        self._lookup(size)  # a miss past capacity evicts key 1
+        assert self._lookup(0) is first[0]
+        assert self._lookup(2) is first[2]
+        assert self._lookup(1) is not first[1]
+        assert self._counts() == (3, size + 2, size)
+
+    def test_reuse_distance_85_always_hits(self):
+        # a sliding window of 86 curves, one new curve per round: every
+        # repeat has 85 other curves between its uses, and 385 curves in
+        # all pass through a 257-entry cache
+        rounds = 300
+        for r in range(rounds):
+            for k in range(r, r + 86):
+                self._lookup(k)
+        assert self._counts()[:2] == (86 * rounds - (85 + rounds),
+                                      85 + rounds)

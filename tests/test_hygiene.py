@@ -1,7 +1,9 @@
 """Static checks over the package sources: no handler broad enough to hide a
-ConsistencyError, and no unused import."""
+ConsistencyError, no unused import, and no runtime dependency besides the
+standard library and mpmath."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "lctkit"
 MODULES = sorted(SRC.glob("*.py"))
 BROAD = {"Exception", "BaseException"}
+ALLOWED = set(sys.stdlib_module_names) | {"mpmath"}
 
 
 def _tree(path):
@@ -47,6 +50,22 @@ def unused_imports(tree):
                   if name not in used)
 
 
+def foreign_imports(tree):
+    """(line, top-level module) of every absolute import from outside the
+    standard library and mpmath; relative imports stay in the package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found.extend((node.lineno, name.split(".")[0]) for name in names
+                     if name.split(".")[0] not in ALLOWED)
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_broad_except(path):
     assert broad_handlers(_tree(path)) == []
@@ -59,6 +78,11 @@ def test_no_unused_import(path):
     assert unused_imports(_tree(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_stdlib_and_mpmath_imports(path):
+    assert foreign_imports(_tree(path)) == []
+
+
 def test_checks_catch_offenders():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -69,3 +93,7 @@ def test_checks_catch_offenders():
         "try:\n    pass\nexcept ValueError:\n    raise ConsistencyError\n")
     assert broad_handlers(tree) == [6, 10]
     assert unused_imports(tree) == [(2, "os"), (3, "BudgetError")]
+    tree = ast.parse("import math, numpy as np\nimport mpmath.libmp\n"
+                     "from scipy.linalg import eig\nfrom . import poly\n"
+                     "from collections import OrderedDict\n")
+    assert foreign_imports(tree) == [(1, "numpy"), (3, "scipy")]

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from lctkit import rootdata
 from lctkit.errors import ConsistencyError, PrecisionError, TruncationError
-from lctkit.poly import UPoly, compound_poly
+from lctkit.poly import UPoly, compound_poly, q_squarefree
 from lctkit.rootdata import (
     contact_order_identity_check, diff_orders, integrality_test,
     max_root_order, newton_polygon, orders_against_series, partial_sums,
@@ -527,3 +528,154 @@ class TestEscalation:
         assert self._call(name) == want
         assert bits[0] == self.PREC
         assert set(bits[1:]) == {2 * self.PREC}
+
+
+class TestCharRoots:
+    """The characteristic-root routine against mpmath.polyroots run at four
+    times the precision."""
+
+    PREC = 256
+
+    @staticmethod
+    def _expand(roots):
+        """Descending rational coefficients of prod (z - r) over rational
+        roots r and conjugate pairs (a, b) for a +- i b."""
+        poly = [F(1)]
+        for r in roots:
+            factor = [F(1), -2 * r[0], r[0] ** 2 + r[1] ** 2] \
+                if isinstance(r, tuple) else [F(1), -r]
+            poly = [sum(poly[i] * factor[k - i] for i in range(len(poly))
+                        if 0 <= k - i < len(factor))
+                    for k in range(len(poly) + len(factor) - 1)]
+        return poly
+
+    def _roots(self, coeffs, prec=PREC):
+        with mpmath.workprec(prec + 64):
+            mp = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
+            got = rootdata._char_roots(mp, prec,
+                                       rootdata._tolerances(prec)[1])
+            want = mpmath.polyroots(mp, maxsteps=400, extraprec=4 * prec)
+        return got, want
+
+    def _check(self, coeffs, prec=PREC):
+        got, want = self._roots(coeffs, prec)
+        assert len(got) == len(want) == len(coeffs) - 1
+        tol = mpmath.mpf(2) ** (-(prec // 2))
+        for w in want:  # every root found once, to 2^-(prec/2)
+            near = [g for g in got if abs(g - w) <= tol * max(1, abs(w))]
+            assert len(near) == 1, (got, want)
+        keys = [(abs(mpmath.im(g)), mpmath.re(g)) for g in got]
+        assert keys == sorted(keys)  # polyroots' order
+        return got
+
+    def test_random_squarefree_factors(self):
+        rng = random.Random(5)
+        done = 0
+        while done < 60:
+            deg = rng.randint(2, 5)
+            coeffs = [F(rng.randint(1, 9), rng.randint(1, 4))] + \
+                [F(rng.randint(-20, 20), rng.randint(1, 6))
+                 for _ in range(deg)]
+            if coeffs[-1] == 0 or not q_squarefree(coeffs):
+                continue
+            self._check(coeffs)
+            done += 1
+
+    def test_real_roots_and_conjugate_pairs(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            deg = rng.randint(2, 5)
+            pairs = rng.randint(0, deg // 2)
+            re = [F(k, 7) for k in rng.sample(range(-60, 60), deg - pairs)]
+            roots = [(a, F(rng.randint(1, 30), 7)) for a in re[:pairs]] + \
+                re[pairs:]
+            got = self._check(self._expand(roots))
+            assert sum(1 for g in got if mpmath.im(g) != 0) == 2 * pairs
+
+    def test_near_coincident_roots_raise(self):
+        for gap in (F(1, 2 ** 80), F(1, 2 ** 200)):
+            for other in ([], [F(3)], [(F(1), F(2))], [F(-2), F(5, 3)]):
+                coeffs = self._expand([F(7, 5), F(7, 5) + gap] + other)
+                with pytest.raises(PrecisionError):
+                    self._roots(coeffs)
+        # the same pair is resolved once the precision separates it
+        got = self._check(self._expand([F(7, 5), F(7, 5) + F(1, 2 ** 80),
+                                        F(3)]), prec=1024)
+        assert abs(got[0] - got[1]) > mpmath.mpf(2) ** -81
+
+    def test_complex_coefficients(self):
+        # the numeric route's characteristic polynomials are complex
+        rng = random.Random(8)
+        with mpmath.workprec(self.PREC + 64):
+            for _ in range(30):
+                deg = rng.randint(2, 5)
+                mp = [mpmath.mpc(rng.randint(-9, 9) or 1, rng.randint(-9, 9))
+                      for _ in range(deg + 1)]
+                got = rootdata._char_roots(mp, 2 * self.PREC)
+                want = mpmath.polyroots(mp, maxsteps=400,
+                                        extraprec=4 * self.PREC)
+                tol = mpmath.mpf(2) ** (-(self.PREC // 2))
+                for w in want:
+                    assert sum(1 for g in got
+                               if abs(g - w) <= tol * max(1, abs(w))) == 1
+
+
+class TestTransformCut:
+    """_transform drops the terms at or past its cut and nothing else."""
+
+    PREC = 256
+
+    def test_cut_equals_uncut_below_the_cut(self):
+        rng = random.Random(9)
+        exps = [F(k, r) for r in (1, 2, 3) for k in range(0, 13)]
+        with mpmath.workprec(self.PREC + 64):
+            tols = rootdata._tolerances(self.PREC)
+
+            def value():
+                return mpmath.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+            dropping = 0
+            for _ in range(60):
+                d = rng.randint(2, 5)
+                coeffs = []
+                for _ in range(d + 1):
+                    terms = {e: value() for e in rng.sample(exps, 3)}
+                    trunc = INF if rng.random() < 0.7 else F(13)
+                    coeffs.append(rootdata._ns_normalize(terms, trunc, tols))
+                q = F(rng.randint(1, 6), rng.randint(1, 3))
+                mu = F(rng.randint(0, 12), rng.randint(1, 2))
+                cut = F(rng.randint(1, 24), rng.randint(1, 3))
+                u = value()
+                full = rootdata._transform(coeffs, q, u, mu, INF, tols)
+                lazy = rootdata._transform(coeffs, q, u, mu, cut, tols)
+                dropping += any(e >= cut for a in full for e in a.terms)
+                for a, b in zip(full, lazy):
+                    assert b.terms == {e: c for e, c in a.terms.items()
+                                       if e < cut}
+                    assert b.trunc == a.trunc
+        assert dropping > 30
+
+    def test_cut_keeps_tables_on_deep_expansions(self):
+        # shared prefixes send the expansion several levels down, where the
+        # cut drops most of each transform
+        for prefix, tails in (([(1, 1), (2, 2), (3, -3)], [(5, 2), (6, -1)]),
+                              ([(1, 3), (2, 2)], [(6, -2), (7, 1), (9, 1)])):
+            w = PSeries("t", {F(e): F(c) for e, c in prefix})
+            h = UPoly.from_roots("y", [w + mono(e, c) for e, c in tails])
+            table = diff_orders(h, depth=12)
+            want = [[(mono(*a) - mono(*b)).order() if a != b
+                     else OrderVal.infinite() for b in tails] for a in tails]
+            key = lambda row: sorted(v.sort_key() for v in row)  # noqa
+            assert sorted(map(key, table.entries)) == sorted(map(key, want))
+
+
+class TestShortfallGuard:
+    def test_shortfall_on_exact_input_is_a_consistency_error(
+            self, monkeypatch):
+        def short(coeffs, depth):
+            raise rootdata._Shortfall("a forced shortfall", F(5, 2))
+
+        monkeypatch.setattr(rootdata, "_numeric_polygon", short)
+        h = UPoly.from_roots("y", [mono(1), mono(2)])
+        with pytest.raises(ConsistencyError, match="shortfall 5/2"):
+            puiseux_expand(h, 3)

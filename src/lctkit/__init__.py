@@ -15,8 +15,8 @@ from .errors import (
 from .series import INF, OrderVal, PSeries, ps_add, ps_mul, ps_ord, \
     ps_substitute
 from .poly import (
-    MPoly, UPoly, compound_poly, difference_poly, resultant,
-    symmetric_reduce, taylor_shift, value_poly,
+    MPoly, UPoly, compound_poly, difference_poly, resultant, taylor_shift,
+    value_poly,
 )
 from .qideal import (
     NO, QIdeal, QIdealFrac, UNKNOWN, YES, lc_dim1, qi_ord, qi_ord_along_arc,

@@ -2,12 +2,16 @@
 differences, and the decision lct(f) >= c for monic f = y^d + sum a_i(x)
 y^(d-i) with one-variable series coefficients of positive order.
 
-The decision runs on the direct evaluator: per-root sorted difference
-orders feed V = max_i [c1 * (b_1 + .. + b_(p-1)) + c2 * (b_1 + .. + b_p)],
-and in one variable the pair is log canonical iff V <= 1.  The symbolic
-plus/minus ideal pair is built in closed form for d <= 3 and serves as a
-validation route; its orders are evaluated factor-wise (the semigroup laws
-make this exact), which avoids materializing huge generator powers.
+The decision evaluates V = max_i [c1 * (b_1 + .. + b_(p-1)) + c2 * (b_1 +
+.. + b_p)] over the per-root rows b_1 <= b_2 <= .. of difference orders, and
+in one variable the pair is log canonical iff V <= 1.  V reads the rows only
+as a multiset.  On exact input that multiset comes from the root tree of the
+exact difference orders whenever the tree fixes it (always for d <= 4);
+otherwise, and on truncated input, from the certified expansion of
+diff_orders.  The symbolic plus/minus ideal pair is built in closed form for
+d <= 3 and serves as a validation route; its orders are evaluated
+factor-wise (the semigroup laws make this exact), which avoids materializing
+huge generator powers.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from .qideal import (
     NO, QIdeal, UNKNOWN, YES, ord_diff_le_one, qi_ord, qi_power, qi_product,
     qi_sum,
 )
-from .rootdata import diff_orders
-from .series import OrderVal, PSeries, as_frac, frac_str
+from .rootdata import certified_rows, diff_orders
+from .series import INF, OrderVal, PSeries, as_frac, frac_str
 
 _ONE = Fraction(1)
 
@@ -312,11 +316,20 @@ def _validate_coeffs(coeffs, d):
 
 @lru_cache(maxsize=257)
 def _table_for(coeffs, depth, precision):
-    """Difference-order table of y^d + sum a_i y^(d-i), kept for the 257
+    """Difference-order rows of y^d + sum a_i y^(d-i), kept for the 257
     most recently used inputs (a parameter sweep revisits each curve once
-    per threshold); _table_for.cache_info() counts hits and misses."""
-    return diff_orders(UPoly("y", list(coeffs)), depth=depth,
-                       precision=precision)
+    per threshold); _table_for.cache_info() counts hits and misses.
+
+    Exact input at the default depth takes them from the certificate's root
+    tree when it fixes them; otherwise diff_orders expands the roots.
+    Truncated input goes to diff_orders as well, so its `unknown` verdicts
+    and `required` hints are those of the full table."""
+    h = UPoly("y", coeffs)
+    if depth is None and all(a.trunc == INF for a in coeffs):
+        rows = certified_rows(h)
+        if rows is not None:
+            return rows
+    return diff_orders(h, depth=depth, precision=precision)
 
 
 def _weighted(c, val: OrderVal) -> OrderVal:

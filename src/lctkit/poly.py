@@ -1,7 +1,6 @@
 """Exact polynomial arithmetic: multivariate polynomials over Q, monic
 univariate polynomials over polynomial or series coefficients, resultants,
-Taylor shifts, reduction of symmetric polynomials to elementary symmetric
-ones, and the auxiliary monic polynomials whose roots are products,
+Taylor shifts, and the auxiliary monic polynomials whose roots are products,
 differences, or polynomial images of the roots of a given polynomial.
 
 The difference, cross-difference, compound and value polynomials come from
@@ -17,7 +16,6 @@ the kernel.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -85,9 +83,6 @@ class MPoly:
         if any(exps):
             raise ValueError("not a constant polynomial")
         return c
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def with_vars(self, vars):
         """Reinterpret over a superset of variables (order given by `vars`)."""
@@ -557,73 +552,6 @@ def resultant(f: UPoly, g: UPoly):
     if f.degree < 1 or g.degree < 1:
         raise ValueError("resultant needs positive-degree inputs")
     return resultant_lists(f.dense(), g.dense())
-
-
-# ---------------------------------------------------------------------------
-# Symmetric polynomials
-# ---------------------------------------------------------------------------
-
-def _root_vars(d):
-    return tuple(f"r{i}" for i in range(1, d + 1))
-
-
-@lru_cache(maxsize=None)
-def _elem_sym(d, i):
-    """Elementary symmetric polynomial e_i in the d root variables."""
-    vars = _root_vars(d)
-    terms = {}
-    for subset in itertools.combinations(range(d), i):
-        exps = tuple(1 if j in subset else 0 for j in range(d))
-        terms[exps] = Fraction(1)
-    return MPoly(vars, terms)
-
-
-def _is_symmetric(p: MPoly, vars) -> bool:
-    for i in range(len(vars) - 1):
-        swap = {vars[i]: vars[i + 1], vars[i + 1]: vars[i]}
-        if p.permuted(swap) != p:
-            return False
-    return True
-
-
-def symmetric_reduce(p: MPoly, evars=None) -> MPoly:
-    """Rewrite a symmetric polynomial in the r_i as a polynomial in the
-    elementary symmetric polynomials e_1..e_d, by lex leading-term
-    subtraction.  Raises ValueError on non-symmetric input."""
-    d = len(p.vars)
-    vars = _root_vars(d)
-    if p.vars != vars:
-        p = p.with_vars(vars)
-    if not _is_symmetric(p, vars):
-        raise ValueError("input polynomial is not symmetric")
-    if evars is None:
-        evars = tuple(f"e{i}" for i in range(1, d + 1))
-    evars = tuple(evars)
-    work = p
-    out = MPoly.zero(evars)
-    while not work.is_zero():
-        lead, c = work.lex_lead()
-        if any(lead[i] < lead[i + 1] for i in range(d - 1)):
-            raise ConsistencyError(
-                "leading exponent of a symmetric polynomial must be sorted")
-        mu = [lead[i] - (lead[i + 1] if i + 1 < d else 0) for i in range(d)]
-        emono = MPoly(evars, {tuple(mu): c})
-        out = out + emono
-        sub = MPoly.const(c, _root_vars(d))
-        for i, m in enumerate(mu, start=1):
-            if m:
-                sub = sub * _elem_sym(d, i) ** m
-        work = work - sub
-    return out
-
-
-def _subst_e_to_z(q: MPoly, d) -> MPoly:
-    """Substitute e_i -> (-1)^i z_i (the sign convention a_i = (-1)^i s_i)."""
-    mapping = {}
-    for i in range(1, d + 1):
-        zi = MPoly.variable(f"z{i}")
-        mapping[f"e{i}"] = zi if i % 2 == 0 else -zi
-    return q.substitute(mapping).with_vars(z_vars(d))
 
 
 def z_vars(d):

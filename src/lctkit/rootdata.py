@@ -2,23 +2,26 @@
 
 The exact layer: Newton polygons with truncation-aware ordinates, root-order
 multisets, partial sums of the smallest root orders (computed two independent
-ways that must agree), and the maximum root order (again dual-route).
+ways that must agree), the maximum root order (again dual-route), and the
+per-root rows of difference orders wherever the root tree of the exact
+difference orders fixes them.
 
 The numeric layer: Newton-Puiseux expansion with exact rational exponents and
 arbitrary-precision complex coefficients, used to attach pairwise
 root-difference orders to individual roots.  Every numerically derived order
 is certified against an exact difference or cross-difference polynomial
 (built from root power sums); a mismatch escalates precision and ultimately
-raises, never returning a silent answer.
+raises, never returning a silent answer.  mpmath is imported on the numeric
+layer's first use.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from fractions import Fraction
-
-import mpmath
+from functools import lru_cache
 
 from .errors import ConsistencyError, PrecisionError, TruncationError
 from .poly import (
@@ -29,6 +32,20 @@ from .qideal import QIdeal, qi_ord, qi_power
 from .series import INF, OrderVal, PSeries, as_frac, frac_str
 
 _ZERO = Fraction(0)
+
+
+class _LazyMpmath:
+    """Stands in for the mpmath module until the numeric layer first reads
+    it; that read imports mpmath and rebinds this module's `mpmath` to the
+    module itself, so a process that only does exact work never loads it."""
+
+    def __getattr__(self, name):
+        import mpmath as module
+        globals()["mpmath"] = module
+        return getattr(module, name)
+
+
+mpmath = _LazyMpmath()
 
 
 def default_precision() -> int:
@@ -244,6 +261,114 @@ def max_root_order(h: UPoly) -> OrderVal:
 
 
 # ---------------------------------------------------------------------------
+# Difference-order rows from the root tree (exact)
+# ---------------------------------------------------------------------------
+
+class RootRows:
+    """Per-root rows of ascending difference orders ord(alpha_j - alpha_i),
+    each ending in the root's infinite order against itself.  The rows form
+    a multiset: which row belongs to which root is not recorded."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def row_prefix_sum(self, i, k) -> OrderVal:
+        """Sum of the k smallest difference orders at center i."""
+        return OrderVal.sum_of(self.rows[i][:k])
+
+
+def difference_orders(h: UPoly):
+    """The exact certificate: the ascending root orders of the difference
+    polynomial, i.e. every pair order ord(alpha_i - alpha_j), i != j, twice,
+    as a tuple.  The last polynomial's orders are kept, so a caller that
+    falls back to diff_orders on the same input builds the difference
+    polynomial once."""
+    return _difference_orders(h.var, h.coeffs)
+
+
+@lru_cache(maxsize=1)
+def _difference_orders(var, coeffs):
+    return tuple(root_orders(difference_poly(UPoly(var, coeffs))))
+
+
+@lru_cache(maxsize=None)
+def _partitions(n, most=None):
+    """Integer partitions of n into parts of at most `most`, descending."""
+    most = n if most is None else most
+    if n == 0:
+        return ((),)
+    return tuple((p,) + rest for p in range(min(n, most), 0, -1)
+                 for rest in _partitions(n - p, p))
+
+
+def _split_blocks(blocks, want, k):
+    """Every way to split each (size, row) block at level k so that `want`
+    pairs fall on level k in all.  A block of size n split into parts of
+    sizes n_1, ..., n_r puts C(n, 2) - sum C(n_i, 2) pairs on level k, and
+    n - n_i of them on the row of each root of the i-th part."""
+    if not blocks:
+        if want == 0:
+            yield ()
+        return
+    (n, row), rest = blocks[0], blocks[1:]
+    for parts in _partitions(n):
+        used = math.comb(n, 2) - sum(math.comb(p, 2) for p in parts)
+        if used > want:
+            continue
+        head = tuple((p, row + (k,) * (n - p)) for p in parts)
+        for tail in _split_blocks(rest, want - used, k):
+            yield head + tail
+
+
+@lru_cache(maxsize=None)
+def _row_multisets(d, counts):
+    """Every row multiset of a root tree on d roots with counts[k] pairs on
+    its k-th lowest level, as a sorted tuple of sorted tuples; a row lists
+    the levels of one root's d - 1 pairs.
+
+    Difference orders form an ultrametric, the Kuo-Lu tree of the roots
+    (Kuo and Lu, Topology 16, 1977): the roots whose pairs all lie above
+    level k - 1 fall into blocks, each of which splits at level k.  A block
+    carries its size and the row its roots share so far.  The key is the
+    count pattern alone, of which a degree has finitely many."""
+    states = {((d, ()),)}
+    for k, want in enumerate(counts):
+        states = {tuple(sorted(blocks)) for state in states
+                  for blocks in _split_blocks(state, want, k)}
+    return tuple(sorted({tuple(sorted(row for _, row in state))
+                         for state in states
+                         if all(n == 1 for n, _ in state)}))
+
+
+def certified_rows(h: UPoly):
+    """The rows of h's difference-order table, read exactly from the
+    certificate's root tree: a RootRows, or None when the certificate does
+    not fix them (some count patterns from d = 5 on, or an AtLeast order)
+    and only diff_orders' expansion can attach orders to roots.  For
+    d <= 4 every pattern fixes them."""
+    cert = difference_orders(h)
+    if any(v.is_at_least for v in cert):
+        return None
+    counts = Counter(cert)
+    levels = sorted(counts, key=OrderVal.sort_key)
+    if any(counts[v] % 2 for v in levels):
+        raise ConsistencyError(
+            "difference-polynomial orders do not come in pairs")
+    found = _row_multisets(h.degree,
+                           tuple(counts[v] // 2 for v in levels))
+    if not found:
+        raise ConsistencyError(
+            "no root tree has the difference-polynomial orders")
+    if len(found) > 1:
+        return None
+    inf = OrderVal.infinite()
+    return RootRows([tuple(levels[k] for k in row) + (inf,)
+                     for row in found[0]])
+
+
+# ---------------------------------------------------------------------------
 # Numeric series (exact rational exponents, arbitrary-precision complex
 # coefficients); internal to the expansion machinery.
 # ---------------------------------------------------------------------------
@@ -315,9 +440,6 @@ class PuiseuxRootSet:
         self.depth = depth
         self.precision = precision
         self.roots = roots
-
-    def __len__(self):
-        return len(self.roots)
 
 
 def _single_cluster(phi_num, tols):
@@ -692,26 +814,20 @@ def puiseux_expand(h: UPoly, depth, precision=None) -> PuiseuxRootSet:
 # Difference-order tables
 # ---------------------------------------------------------------------------
 
-class DiffOrderTable:
+class DiffOrderTable(RootRows):
     """d x d matrix of ord(alpha_j - alpha_i) with per-root sorted rows;
     the off-diagonal multiset is certified against the exact root orders of
     the difference polynomial."""
 
-    __slots__ = ("degree", "entries", "rows", "certificate", "depth")
+    __slots__ = ("degree", "entries", "certificate", "depth")
 
     def __init__(self, degree, entries, certificate, depth):
+        super().__init__([sorted(row, key=lambda v: v.sort_key())
+                          for row in entries])
         self.degree = degree
         self.entries = entries
         self.certificate = certificate
         self.depth = depth
-        self.rows = []
-        for i in range(degree):
-            row = sorted(entries[i], key=lambda v: v.sort_key())
-            self.rows.append(row)
-
-    def row_prefix_sum(self, i, k) -> OrderVal:
-        """Sum of the k smallest difference orders at center i."""
-        return OrderVal.sum_of(self.rows[i][:k])
 
     def to_json(self):
         return {
@@ -810,7 +926,7 @@ def diff_orders(h: UPoly, depth=None, precision=None) -> DiffOrderTable:
         table = [[OrderVal.infinite()]]
         return DiffOrderTable(1, table, [], as_frac(depth or 1))
     orders = root_orders(h)
-    cert = root_orders(difference_poly(h))
+    cert = list(difference_orders(h))
     if any(v.is_at_least for v in cert):
         raise TruncationError("difference-polynomial orders are truncated")
     if depth is None:
@@ -922,8 +1038,7 @@ def integrality_test(h: UPoly):
             return False, {"integral": False, "source": "root",
                            "violating_order": frac_str(v.value)}
     if h.degree >= 2:
-        dorders = root_orders(difference_poly(h))
-        for v in dorders:
+        for v in difference_orders(h):
             if not _is_integral(v):
                 return False, {"integral": False, "source": "difference",
                                "violating_order": frac_str(v.value)}

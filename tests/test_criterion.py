@@ -549,8 +549,10 @@ class TestTableCache:
 
     @pytest.fixture(autouse=True)
     def _stub(self, monkeypatch):
-        """An empty cache around each test, and diff_orders replaced by a
-        stub that returns a new object per call."""
+        """An empty cache around each test, and both routes to the rows
+        replaced by stubs: the certificate's leaves them open and
+        diff_orders returns a new object per call."""
+        monkeypatch.setattr(criterion, "certified_rows", lambda h: None)
         monkeypatch.setattr(criterion, "diff_orders",
                             lambda h, depth=None, precision=None: object())
         criterion._table_for.cache_clear()

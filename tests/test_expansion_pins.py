@@ -6,11 +6,14 @@ roots, products of binomials with conjugate and ramified roots), each exact
 and truncated at two bounds.  The expected strings were recorded before the
 expansion gained its closed-form characteristic roots and depth cut; any
 change to them is a change of output, not of speed.  Two shared-prefix
-cases with a repeated root pin a ConsistencyError: below the shared prefix
-their characteristic polynomial has a double root beside a simple one, which
-the numeric fallback cannot split.  Only public API is used, so the same
-file runs against any version of the package; run it as a script to print
-the pins for the package on the path.
+cases with a repeated root (12 and 14) pin a ConsistencyError for their
+tables: below the shared prefix their characteristic polynomial has a
+double root beside a simple one, which the numeric fallback cannot split.
+Their exact lct_ge verdicts come from the certificate's root tree, which
+needs no expansion; every shared-prefix verdict is checked against the
+table of its explicit roots.  Only public API is used, so the same file
+runs against any version of the package; run it as a script to print the
+pins for the package on the path.
 """
 
 import random
@@ -19,11 +22,11 @@ from fractions import Fraction
 
 import pytest
 
-from lctkit.criterion import lct_ge
+from lctkit.criterion import choose_p, lct_ge
 from lctkit.errors import LctkitError, TruncationError
 from lctkit.poly import UPoly, taylor_shift
 from lctkit.rootdata import diff_orders
-from lctkit.series import PSeries, frac_str
+from lctkit.series import OrderVal, PSeries, frac_str
 
 F = Fraction
 BOUNDS = (F(3), F(6))
@@ -42,7 +45,7 @@ def _sparse(rng, d):
     return UPoly("y", coeffs)
 
 
-def _shared_prefix(rng, d):
+def _shared_prefix_roots(rng, d):
     exps = sorted(rng.sample(range(1, 5), rng.randint(1, 3)))
     w = {F(e): F(rng.choice([-3, -2, -1, 1, 2, 3])) for e in exps}
     tails = [(rng.randint(exps[-1] + 1, exps[-1] + 4),
@@ -50,7 +53,11 @@ def _shared_prefix(rng, d):
     roots = [PSeries("x", {**w, F(e): F(c)}) for e, c in tails]
     if rng.random() < 0.25:
         roots[-1] = roots[0]
-    return UPoly.from_roots("y", roots)
+    return roots
+
+
+def _shared_prefix(rng, d):
+    return UPoly.from_roots("y", _shared_prefix_roots(rng, d))
 
 
 def _binomials(rng, d):
@@ -72,13 +79,27 @@ def _binomials(rng, d):
     return h
 
 
+SEED = 20261018
+DEGREES = (2, 2, 3, 3, 3, 4, 4, 5)
+
+
 def corpus():
     """[(h, c)]: the polynomials, each with a threshold c for lct_ge."""
-    rng = random.Random(20261018)
+    rng = random.Random(SEED)
     polys = [make(rng, d) for make in (_sparse, _shared_prefix, _binomials)
-             for d in (2, 2, 3, 3, 3, 4, 4, 5)]
+             for d in DEGREES]
     rng = random.Random(7)
     return [(h, F(rng.randint(30, 100), 100)) for h in polys]
+
+
+def shared_prefix_roots():
+    """{case index: roots} of the shared-prefix cases, from the same draws
+    as corpus()."""
+    rng = random.Random(SEED)
+    for d in DEGREES:
+        _sparse(rng, d)
+    return {len(DEGREES) + k: _shared_prefix_roots(rng, d)
+            for k, d in enumerate(DEGREES)}
 
 
 CASES = corpus()
@@ -195,8 +216,7 @@ PINNED = [
      'unknown@7'),
     ('ConsistencyError: difference orders failed to certify: characteristic '
      'roots did not converge',
-     'ConsistencyError: difference orders failed to certify: characteristic '
-     'roots did not converge',
+     'no',
      'required=4',
      'unknown@4',
      'required=10',
@@ -209,8 +229,7 @@ PINNED = [
      'unknown@10'),
     ('ConsistencyError: difference orders failed to certify: characteristic '
      'roots did not converge',
-     'ConsistencyError: difference orders failed to certify: characteristic '
-     'roots did not converge',
+     'no',
      'required=11',
      'unknown@11',
      'required=10',
@@ -280,6 +299,35 @@ def test_outputs_match_pins(index):
 
 def test_corpus_is_pinned_in_full():
     assert len(PINNED) == len(CASES)
+
+
+ROOTS = shared_prefix_roots()
+
+
+def _weighted(c, v):
+    return OrderVal.exact(0) if c == 0 else v.scale(c)
+
+
+@pytest.mark.parametrize("index", sorted(ROOTS))
+def test_shared_prefix_verdicts_match_explicit_roots(index):
+    """The exact lct_ge verdict and V against V computed from the table
+    ord(alpha_i - alpha_j) of the explicit roots, by series subtraction."""
+    (h, c), roots = CASES[index], ROOTS[index]
+    assert UPoly.from_roots("y", roots) == h
+    d = h.degree
+    verdict, diag = lct_ge(d, c, h.coeffs)
+    if c <= F(1, d):
+        assert verdict == "yes" and diag["V"] is None
+        return
+    rows = [sorted(((a - b).order() if j != i else OrderVal.infinite()
+                    for j, b in enumerate(roots)), key=OrderVal.sort_key)
+            for i, a in enumerate(roots)]
+    ctx = choose_p(d, c)
+    v = OrderVal.max_of(
+        _weighted(ctx.c1, OrderVal.sum_of(row[:ctx.p - 1])) +
+        _weighted(ctx.c2, OrderVal.sum_of(row[:ctx.p])) for row in rows)
+    assert diag["V"] == v.to_json()
+    assert verdict == ("yes" if v.le(1) else "no")
 
 
 def _literal(part, indent):

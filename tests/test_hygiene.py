@@ -1,8 +1,11 @@
 """Static checks over the package sources: no handler broad enough to hide a
 ConsistencyError, no unused import, and no runtime dependency besides the
-standard library and mpmath."""
+standard library and mpmath; and mpmath stays unloaded until the numeric
+layer runs."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,3 +100,26 @@ def test_checks_catch_offenders():
                      "from scipy.linalg import eig\nfrom . import poly\n"
                      "from collections import OrderedDict\n")
     assert foreign_imports(tree) == [(1, "numpy"), (3, "scipy")]
+
+
+LAZY_MPMATH = """
+import sys
+import lctkit.cli
+code = lctkit.cli.run(["lct", "--c", "5/6", "--coeff", "x", "--coeff",
+                       "x^2 - x^3", "--coeff", "2*x^3"])
+print(code, "mpmath" in sys.modules)
+lctkit.cli.run(["diffs", "--poly", "y^3 + t^2*y + t^3"])
+print("mpmath" in sys.modules)
+"""
+
+
+def test_exact_decision_leaves_mpmath_unloaded():
+    """A d = 3 `lctkit lct` run decides from the certificate alone, so the
+    process never imports mpmath; `lctkit diffs` expands and loads it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", LAZY_MPMATH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    verdict, lct_done, _, diffs_done = proc.stdout.splitlines()
+    assert '"verdict": "no"' in verdict
+    assert (lct_done, diffs_done) == ("0 False", "True")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -10,12 +11,80 @@ from lctkit.poly import (
     MPoly, UPoly, composed_difference, compound_poly, difference_poly,
     from_power_sums, generic_compound_coeffs, generic_difference_coeffs,
     power_sums, q_discriminant, q_eval, q_resultant, q_squarefree,
-    q_squarefree_decomposition, resultant, resultant_lists, symmetric_reduce,
-    taylor_shift, value_poly, z_vars,
+    q_squarefree_decomposition, resultant, resultant_lists, taylor_shift,
+    value_poly, z_vars,
 )
 from lctkit.series import PSeries
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Symmetric reduction: the oracle for the generic coefficient polynomials,
+# independent of the power-sum kernel that builds them.
+# ---------------------------------------------------------------------------
+
+def _root_vars(d):
+    return tuple(f"r{i}" for i in range(1, d + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _elem_sym(d, i):
+    """Elementary symmetric polynomial e_i in the d root variables."""
+    vars = _root_vars(d)
+    terms = {}
+    for subset in itertools.combinations(range(d), i):
+        exps = tuple(1 if j in subset else 0 for j in range(d))
+        terms[exps] = Fraction(1)
+    return MPoly(vars, terms)
+
+
+def _is_symmetric(p: MPoly, vars) -> bool:
+    for i in range(len(vars) - 1):
+        swap = {vars[i]: vars[i + 1], vars[i + 1]: vars[i]}
+        if p.permuted(swap) != p:
+            return False
+    return True
+
+
+def symmetric_reduce(p: MPoly, evars=None) -> MPoly:
+    """Rewrite a symmetric polynomial in the r_i as a polynomial in the
+    elementary symmetric polynomials e_1..e_d, by lex leading-term
+    subtraction.  Raises ValueError on non-symmetric input."""
+    d = len(p.vars)
+    vars = _root_vars(d)
+    if p.vars != vars:
+        p = p.with_vars(vars)
+    if not _is_symmetric(p, vars):
+        raise ValueError("input polynomial is not symmetric")
+    if evars is None:
+        evars = tuple(f"e{i}" for i in range(1, d + 1))
+    evars = tuple(evars)
+    work = p
+    out = MPoly.zero(evars)
+    while not work.is_zero():
+        lead, c = work.lex_lead()
+        if any(lead[i] < lead[i + 1] for i in range(d - 1)):
+            raise ConsistencyError(
+                "leading exponent of a symmetric polynomial must be sorted")
+        mu = [lead[i] - (lead[i + 1] if i + 1 < d else 0) for i in range(d)]
+        emono = MPoly(evars, {tuple(mu): c})
+        out = out + emono
+        sub = MPoly.const(c, _root_vars(d))
+        for i, m in enumerate(mu, start=1):
+            if m:
+                sub = sub * _elem_sym(d, i) ** m
+        work = work - sub
+    return out
+
+
+def _subst_e_to_z(q: MPoly, d) -> MPoly:
+    """Substitute e_i -> (-1)^i z_i (the sign convention a_i = (-1)^i s_i)."""
+    mapping = {}
+    for i in range(1, d + 1):
+        zi = MPoly.variable(f"z{i}")
+        mapping[f"e{i}"] = zi if i % 2 == 0 else -zi
+    return q.substitute(mapping).with_vars(z_vars(d))
 
 
 def zpoly(name):
@@ -187,7 +256,6 @@ class TestSymmetricReduce:
         assert symmetric_reduce((r1 - r2) ** 2) == e1 ** 2 - 4 * e2
 
     def test_identity_on_elementary(self):
-        from lctkit.poly import _elem_sym
         for d in (2, 3, 4):
             for i in range(1, d + 1):
                 out = symmetric_reduce(_elem_sym(d, i))
@@ -371,8 +439,6 @@ class TestPowerSumKernel:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_generic_matches_symmetric_reduction(self, d):
-        from lctkit.poly import _subst_e_to_z
-
         def reduced(root_exprs):
             return [_subst_e_to_z(symmetric_reduce(c), d)
                     for c in UPoly.from_roots("y", root_exprs).coeffs]

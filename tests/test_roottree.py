@@ -1,0 +1,279 @@
+"""Difference-order rows from the exact certificate's root tree.
+
+The count-pattern enumeration is checked against a brute force over
+labelled ultrametrics, and every row multiset it decides is checked against
+the sorted rows of the numeric expansion (diff_orders) or, where the roots
+are known, against the table of the explicit roots."""
+
+import itertools
+import random
+from collections import defaultdict
+from fractions import Fraction
+
+import pytest
+
+from lctkit import criterion, rootdata
+from lctkit.criterion import choose_p, lct_ge
+from lctkit.errors import ConsistencyError
+from lctkit.poly import UPoly
+from lctkit.rootdata import _row_multisets, certified_rows, diff_orders
+from lctkit.series import OrderVal, PSeries
+
+F = Fraction
+
+
+def mono(e, c=1):
+    return PSeries.monomial("x", F(e), F(c))
+
+
+# ---------------------------------------------------------------------------
+# The enumeration against labelled ultrametrics
+# ---------------------------------------------------------------------------
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def _chains(blocks):
+    """Every chain of strictly finer set partitions from `blocks` down to
+    singletons."""
+    if all(len(b) == 1 for b in blocks):
+        yield []
+        return
+    for split in itertools.product(*(list(_set_partitions(b))
+                                     for b in blocks)):
+        finer = [part for parts in split for part in parts]
+        if len(finer) > len(blocks):
+            for rest in _chains(finer):
+                yield [finer] + rest
+
+
+def brute_force(d):
+    """{count pattern: set of row multisets} over every labelled
+    ultrametric on d points: the pair (i, j) sits on level k when i and j
+    share a block of the (k-1)-th partition of the chain but not of the
+    k-th."""
+    found = defaultdict(set)
+    for chain in _chains([list(range(d))]):
+        level = {}
+        outer = [list(range(d))]
+        for k, part in enumerate(chain):
+            block = {i: n for n, b in enumerate(part) for i in b}
+            for b in outer:
+                for i, j in itertools.combinations(b, 2):
+                    if block[i] != block[j]:
+                        level[i, j] = level[j, i] = k
+            outer = part
+        counts = tuple(sum(1 for (i, j), k in level.items()
+                           if i < j and k == n) for n in range(len(chain)))
+        rows = tuple(sorted(tuple(sorted(level[i, j] for j in range(d)
+                                         if j != i)) for i in range(d)))
+        found[counts].add(rows)
+    return found
+
+
+def _compositions(n):
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        parts, size = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(size)
+                size = 0
+            size += 1
+        yield tuple(parts + [size])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_patterns_match_brute_force(d):
+    brute = brute_force(d)
+    for counts in _compositions(d * (d - 1) // 2):
+        assert _row_multisets(d, counts) == \
+            tuple(sorted(brute.get(counts, ()))), counts
+    ambiguous = sorted(c for c, rows in brute.items() if len(rows) > 1)
+    assert ambiguous == ([] if d <= 4 else [(6, 2, 1, 1), (6, 3, 1)])
+
+
+def test_d5_pattern_is_ambiguous():
+    # 6 pairs at a, 3 at b, 1 at c: blocks of 3 and 2 split at a; then the
+    # 3 splits fully at b and the 2 at c, or the 3 splits 2 + 1 and the 2
+    # splits at b, leaving the 2 from the 3 for c
+    assert _row_multisets(5, (6, 3, 1)) == (
+        ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 2),
+         (0, 0, 1, 2)),
+        ((0, 0, 0, 2), (0, 0, 0, 2), (0, 0, 1, 1), (0, 0, 1, 1),
+         (0, 0, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Rows decided from the certificate against the expansion
+# ---------------------------------------------------------------------------
+
+def _key(rows):
+    return sorted(sorted(v.sort_key() for v in row) for row in rows)
+
+
+def _explicit_rows(roots):
+    return [[(a - b).order() if j != i else OrderVal.infinite()
+             for j, b in enumerate(roots)] for i, a in enumerate(roots)]
+
+
+def _sparse(rng, d):
+    coeffs = []
+    for _ in range(d):
+        terms = {}
+        for _ in range(rng.randint(0, 2)):
+            c = F(rng.randint(-5, 5))
+            if c:
+                terms[F(rng.randint(1, 6), rng.choice([1, 1, 2, 3]))] = c
+        coeffs.append(PSeries("x", terms))
+    return UPoly("y", coeffs), None
+
+
+def _shared_prefix(rng, d):
+    """Roots w + tail: a shared prefix, sometimes a second shared term or
+    a repeated root."""
+    w = {F(e): F(rng.choice([-2, -1, 1, 3]))
+         for e in rng.sample(range(1, 4), rng.randint(1, 2))}
+    top = max(w)
+    roots = []
+    for _ in range(d):
+        tail = {top + rng.randint(1, 3): F(rng.choice([-2, -1, 1, 2]))}
+        if rng.random() < 0.3:
+            tail[top + 4] = F(rng.choice([-1, 1]))
+        roots.append(PSeries("x", {**w, **tail}))
+    if rng.random() < 0.4:
+        roots[-1] = roots[rng.randrange(d - 1)]
+    return UPoly.from_roots("y", roots), roots
+
+
+def _binomials(rng, d):
+    """Products of y^k - c x^e: conjugate and ramified roots."""
+    h = None
+    left = d
+    while left:
+        k = rng.randint(1, min(3, left))
+        left -= k
+        factor = UPoly("y", [PSeries.zero("x")] * (k - 1) +
+                       [mono(rng.randint(1, 7), rng.choice([-2, -1, 1, 3]))])
+        h = factor if h is None else _mul(h, factor)
+    return h, None
+
+
+def _mul(f, g):
+    a = [PSeries.one("x"), *f.coeffs]
+    b = [PSeries.one("x"), *g.coeffs]
+    out = [PSeries.zero("x")] * (len(a) + len(b) - 1)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            out[i + j] = out[i + j] + p * q
+    return UPoly("y", out[1:])
+
+
+def corpus(seed, degrees):
+    rng = random.Random(seed)
+    return [make(rng, d) for d in degrees
+            for make in (_sparse, _shared_prefix, _binomials)]
+
+
+@pytest.mark.parametrize("seed,degrees", [
+    (1, (2, 2, 2, 3, 3, 3, 3, 4, 4)),
+    (2, (2, 3, 3, 3, 4, 4, 4)),
+    (3, (5, 5, 5)),
+])
+def test_certified_rows_match_expansion(seed, degrees):
+    decided = 0
+    for h, roots in corpus(seed, degrees):
+        rows = certified_rows(h)
+        if rows is None:
+            assert h.degree >= 5
+            continue
+        decided += 1
+        if roots:
+            assert _key(rows.rows) == _key(_explicit_rows(roots)), roots
+        # the expansion cannot split a repeated root beside a simple one
+        # below a shared prefix, a known defect; it checks the rest
+        if not roots or len(set(map(repr, roots))) == len(roots):
+            assert _key(rows.rows) == _key(diff_orders(h).rows), h
+    assert decided >= len(degrees) * 2
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs the degree of each call's
+    polynomial; returns the log."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(g, *args, **kwargs):
+        calls.append(g.degree)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_ambiguous_pattern_falls_back_to_expansion(monkeypatch):
+    # the d = 5 pattern above: blocks {x, x + x^3} and {x^2, 2x^2, 3x^2}
+    roots = [mono(1), mono(1) + mono(3), mono(2), mono(2, 2), mono(2, 3)]
+    h = UPoly.from_roots("y", roots)
+    assert certified_rows(h) is None
+    expanded = _counted(monkeypatch, criterion, "diff_orders")
+    built = _counted(monkeypatch, rootdata, "difference_poly")
+    rootdata._difference_orders.cache_clear()
+    criterion._table_for.cache_clear()
+    table = criterion._table_for(h.coeffs, None, None)
+    # one expansion, and the fallback reuses the certificate
+    assert (expanded, built) == ([5], [5])
+    assert _key(table.rows) == _key(_explicit_rows(roots))
+
+
+def test_exact_decisions_without_expansion(monkeypatch):
+    """With the expansion disabled, lct_ge decides every exact d <= 4 input
+    with the V of the expansion's (or the explicit roots') table."""
+    cases = corpus(4, (2, 2, 3, 3, 3, 4, 4))
+    rng = random.Random(5)
+    want = []
+    for h, roots in cases:
+        d = h.degree
+        c = F(1, d) + (1 - F(1, d)) * F(rng.randint(1, 10), 10)
+        rows = [sorted(row, key=OrderVal.sort_key) for row in
+                (_explicit_rows(roots) if roots else diff_orders(h).rows)]
+        ctx = choose_p(d, c)
+        v = OrderVal.max_of(
+            (OrderVal.exact(0) if ctx.c1 == 0 else
+             OrderVal.sum_of(row[:ctx.p - 1]).scale(ctx.c1)) +
+            OrderVal.sum_of(row[:ctx.p]).scale(ctx.c2) for row in rows)
+        want.append((c, v))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the expansion ran")
+
+    monkeypatch.setattr(rootdata, "puiseux_expand", refuse)
+    criterion._table_for.cache_clear()
+    for (h, _), (c, v) in zip(cases, want):
+        verdict, diag = lct_ge(h.degree, c, h.coeffs)
+        assert diag["V"] == v.to_json()
+        assert verdict == ("yes" if v.le(1) else "no")
+
+
+# ---------------------------------------------------------------------------
+# Checks on the certificate
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cert,message", [
+    ([1, 1, 1, 2, 2, 2], "do not come in pairs"),
+    # d = 3 cannot put a single pair on its lowest level
+    ([1, 1, 2, 2, 2, 2], "no root tree"),
+])
+def test_inconsistent_certificate_raises(monkeypatch, cert, message):
+    monkeypatch.setattr(rootdata, "difference_orders",
+                        lambda h: [OrderVal.exact(v) for v in cert])
+    h = UPoly.from_roots("y", [mono(1), mono(2), mono(3)])
+    with pytest.raises(ConsistencyError, match=message):
+        certified_rows(h)

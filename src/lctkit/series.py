@@ -8,6 +8,16 @@ how polynomial input data is represented.  Orders of vanishing are reported
 through OrderVal, a three-way value (exact / at-least / infinite) so that
 truncated data degrades to "unknown" instead of producing wrong answers.
 
+The series kernel runs on integers.  Exponents are ints over the series'
+ramification index (the lcm of the exponent denominators) and coefficients
+are int numerators over one positive shared denominator; both are reduced
+after every operation, so a value has exactly one stored form and compares
+and hashes by its int fields.  Exactly known series carry None as their
+internal truncation; a finite truncation stays a Fraction and becomes an int
+bound, in the exponent units of the result, wherever terms are cut.  The
+public `terms` and `trunc` present the same values as {Fraction: Fraction}
+and as INF or a Fraction.
+
 All values are immutable and all operations are pure.
 """
 
@@ -16,13 +26,13 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import ConsistencyError, TruncationError
 
 INF = math.inf
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def default_trunc():
@@ -226,17 +236,75 @@ class OrderVal:
         return cls(obj["kind"], Fraction(obj["value"]))
 
 
-class PSeries:
-    """Truncated Puiseux series: finitely many exact terms below `trunc`."""
+def _ceil_units(q, ram) -> int:
+    """The least int k with k/ram >= q: a truncation q as an int bound in
+    exponent units of 1/ram."""
+    return -(-q.numerator * ram // q.denominator)
 
-    __slots__ = ("var", "terms", "trunc")
+
+def _check_name(var):
+    if not isinstance(var, str) or not var:
+        raise ValueError("series variable must be a nonempty string")
+
+
+def _series(var, t, ram, den, tr):
+    """Internal constructor: the int fields, already in lowest terms."""
+    s = object.__new__(PSeries)
+    s.var = var
+    s._t = t
+    s._ram = ram
+    s._den = den
+    s._tr = tr
+    s._hash = None
+    s._view = None
+    return s
+
+
+def _reduced(var, t, ram, den, tr):
+    """Internal constructor for arithmetic results: drops zero numerators
+    and, below a finite tr, the exponents at or past it; then divides ram
+    and den by their gcd with the exponents and the numerators."""
+    if tr is None:
+        t = {e: c for e, c in t.items() if c}
+    else:
+        bound = _ceil_units(tr, ram)
+        t = {e: c for e, c in t.items() if c and e < bound}
+    if ram > 1:
+        g = math.gcd(ram, *t)
+        if g > 1:
+            ram //= g
+            t = {e // g: c for e, c in t.items()}
+    if den > 1:
+        g = math.gcd(den, *t.values())
+        if g > 1:
+            den //= g
+            t = {e: c // g for e, c in t.items()}
+    return _series(var, t, ram, den, tr)
+
+
+class PSeries:
+    """Truncated Puiseux series: finitely many exact terms below `trunc`.
+
+    Stored on integers: `_t` maps each exponent, an int over the
+    ramification index `_ram`, to an int numerator over the shared positive
+    denominator `_den`.  `_ram` is the lcm of the exponent denominators and
+    `_den` that of the coefficient denominators, so each value has exactly
+    one stored form and equality and hashing compare the fields directly
+    (the hash is cached).  `_tr` is the truncation as a Fraction, or None
+    when the series is known exactly.  `terms` (built on first use and kept
+    in `_view`) and `trunc` give the same values as {Fraction: Fraction} and
+    as INF or a Fraction.
+    """
+
+    __slots__ = ("var", "_t", "_ram", "_den", "_tr", "_hash", "_view")
 
     def __init__(self, var, terms, trunc=INF):
-        if not isinstance(var, str) or not var:
-            raise ValueError("series variable must be a nonempty string")
-        if trunc != INF:
-            trunc = as_frac(trunc)
-            if trunc <= 0:
+        _check_name(var)
+        if trunc == INF:
+            tr = None
+        else:
+            tr = as_frac(trunc)
+            if tr <= 0:
                 raise ValueError("truncation bound must be positive")
         clean = {}
         for e, c in terms.items():
@@ -246,12 +314,20 @@ class PSeries:
                 continue
             if e < 0:
                 raise ValueError(f"negative exponent {e} in series")
-            if e >= trunc:
+            if tr is not None and e >= tr:
                 continue  # at/beyond the truncation bound: unknown, drop
             clean[e] = c
+        ram = math.lcm(*(e.denominator for e in clean))
+        den = math.lcm(*(c.denominator for c in clean.values()))
         self.var = var
-        self.terms = clean
-        self.trunc = trunc
+        self._t = {e.numerator * (ram // e.denominator):
+                   c.numerator * (den // c.denominator)
+                   for e, c in clean.items()}
+        self._ram = ram
+        self._den = den
+        self._tr = tr
+        self._hash = None
+        self._view = None
 
     # -- constructors ------------------------------------------------------
 
@@ -261,11 +337,14 @@ class PSeries:
 
     @classmethod
     def one(cls, var):
-        return cls(var, {_ZERO: _ONE})
+        return cls.const(var, 1)
 
     @classmethod
     def const(cls, var, c):
-        return cls(var, {_ZERO: as_frac(c)})
+        _check_name(var)
+        c = as_frac(c)
+        return _series(var, {0: c.numerator} if c else {}, 1, c.denominator,
+                       None)
 
     @classmethod
     def monomial(cls, var, e, c=1, trunc=INF):
@@ -274,34 +353,58 @@ class PSeries:
     # -- basic queries ------------------------------------------------------
 
     @property
+    def terms(self):
+        """Read-only {exponent: coefficient} view, both Fractions."""
+        view = self._view
+        if view is None:
+            ram, den = self._ram, self._den
+            view = self._view = MappingProxyType(
+                {Fraction(e, ram): Fraction(c, den)
+                 for e, c in self._t.items()})
+        return view
+
+    @property
+    def trunc(self):
+        """Truncation bound: INF for exactly known data, else a Fraction."""
+        return INF if self._tr is None else self._tr
+
+    @property
     def ram(self) -> int:
         """Ramification index: lcm of the exponent denominators present."""
-        n = 1
-        for e in self.terms:
-            n = n * e.denominator // math.gcd(n, e.denominator)
-        return n
+        return self._ram
 
     @property
     def is_exactly_zero(self) -> bool:
-        return not self.terms and self.trunc == INF
+        return not self._t and self._tr is None
+
+    def _lower(self):
+        """Certified lower bound on the order; None for the infinite one."""
+        if self._t:
+            return Fraction(min(self._t), self._ram)
+        return self._tr
 
     def order(self) -> OrderVal:
         """ps_ord: Exact for a witnessed least exponent, AtLeast(trunc) when
         no terms are stored, Infinite only for exactly-known zero."""
-        if self.terms:
-            return OrderVal.exact(min(self.terms))
-        if self.trunc == INF:
+        if self._t:
+            return OrderVal.exact(Fraction(min(self._t), self._ram))
+        if self._tr is None:
             return OrderVal.infinite()
-        return OrderVal.at_least(self.trunc)
+        return OrderVal.at_least(self._tr)
 
     def coeff(self, e) -> Fraction:
-        return self.terms.get(as_frac(e), _ZERO)
+        e = as_frac(e)
+        k, r = divmod(e.numerator * self._ram, e.denominator)
+        c = None if r else self._t.get(k)
+        return _ZERO if c is None else Fraction(c, self._den)
 
     def max_exp(self):
-        return max(self.terms) if self.terms else None
+        return Fraction(max(self._t), self._ram) if self._t else None
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        ram, den = self._ram, self._den
+        return [(Fraction(e, ram), Fraction(c, den))
+                for e, c in sorted(self._t.items())]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -311,22 +414,28 @@ class PSeries:
                 f"series variable mismatch: {self.var!r} vs {other.var!r}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PSeries.const(self.var, other)
         if not isinstance(other, PSeries):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = PSeries.const(self.var, other)
         self._check_var(other)
-        trunc = min(self.trunc, other.trunc)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, _ZERO) + c
-        return PSeries(self.var, terms, trunc)
+        ta, tb = self._tr, other._tr
+        tr = ta if tb is None or (ta is not None and ta <= tb) else tb
+        ram = math.lcm(self._ram, other._ram)
+        den = math.lcm(self._den, other._den)
+        fa, ka = ram // self._ram, den // self._den
+        fb, kb = ram // other._ram, den // other._den
+        t = {e * fa: c * ka for e, c in self._t.items()}
+        for e, c in other._t.items():
+            e *= fb
+            t[e] = t.get(e, 0) + c * kb
+        return _reduced(self.var, t, ram, den, tr)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PSeries(self.var, {e: -c for e, c in self.terms.items()},
-                       self.trunc)
+        return _series(self.var, {e: -c for e, c in self._t.items()},
+                       self._ram, self._den, self._tr)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -341,27 +450,45 @@ class PSeries:
     def scale(self, c):
         c = as_frac(c)
         if c == 0:
-            return PSeries.zero(self.var, self.trunc)
-        return PSeries(self.var, {e: c * k for e, k in self.terms.items()},
-                       self.trunc)
+            return _series(self.var, {}, 1, 1, self._tr)
+        n = c.numerator
+        return _reduced(self.var, {e: n * k for e, k in self._t.items()},
+                        self._ram, self._den * c.denominator, self._tr)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, PSeries):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self.scale(other)
         self._check_var(other)
-        # product known below min(T_a + ord_lb(b), T_b + ord_lb(a))
-        trunc = min(self.trunc + other.order().lower,
-                    other.trunc + self.order().lower)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e >= trunc:
-                    continue
-                terms[e] = terms.get(e, _ZERO) + c1 * c2
-        return PSeries(self.var, terms, trunc)
+        if self._tr is None and other._tr is None:
+            tr = None
+        else:
+            # product known below min(T_a + ord_lb(b), T_b + ord_lb(a))
+            la, lb = self._lower(), other._lower()
+            known = [t + lo for t, lo in ((self._tr, lb), (other._tr, la))
+                     if t is not None and lo is not None]
+            tr = min(known) if known else None
+        ram = math.lcm(self._ram, other._ram)
+        fa, fb = ram // self._ram, ram // other._ram
+        right = [(e * fb, c) for e, c in other._t.items()]
+        t = {}
+        get = t.get
+        if tr is None:
+            for e1, c1 in self._t.items():
+                e1 *= fa
+                for e2, c2 in right:
+                    e = e1 + e2
+                    t[e] = get(e, 0) + c1 * c2
+        else:
+            bound = _ceil_units(tr, ram)
+            for e1, c1 in self._t.items():
+                e1 *= fa
+                for e2, c2 in right:
+                    e = e1 + e2
+                    if e < bound:
+                        t[e] = get(e, 0) + c1 * c2
+        return _reduced(self.var, t, ram, self._den * other._den, tr)
 
     __rmul__ = __mul__
 
@@ -380,98 +507,132 @@ class PSeries:
     def __eq__(self, other):
         if not isinstance(other, PSeries):
             return NotImplemented
-        return (self.var == other.var and self.terms == other.terms
-                and self.trunc == other.trunc)
+        return (self.var == other.var and self._ram == other._ram
+                and self._den == other._den and self._tr == other._tr
+                and self._t == other._t)
 
     def __hash__(self):
-        return hash((self.var, tuple(sorted(self.terms.items())), self.trunc))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.var, self._ram, self._den, self._tr,
+                                   frozenset(self._t.items())))
+        return h
 
     def truncated(self, trunc):
-        return PSeries(self.var, self.terms, min(self.trunc, trunc))
+        if trunc == INF:
+            return self
+        trunc = as_frac(trunc)
+        if trunc <= 0:
+            raise ValueError("truncation bound must be positive")
+        if self._tr is not None and self._tr <= trunc:
+            return self
+        return _reduced(self.var, self._t, self._ram, self._den, trunc)
 
     def is_zero(self) -> bool:
         """No stored terms (exactly zero, or zero as far as known)."""
-        return not self.terms
+        return not self._t
 
     def substitute(self, g: "PSeries") -> "PSeries":
         """Composition f(g) for f with integer exponents and ord(g) > 0."""
-        for e in self.terms:
-            if e.denominator != 1:
-                raise ValueError(
-                    "substitution into fractional-exponent series is undefined")
-        w = g.order().lower  # certified lower bound on ord(g)
-        if w <= 0:
+        if self._ram != 1:
+            raise ValueError(
+                "substitution into fractional-exponent series is undefined")
+        w = g._lower()  # certified lower bound on ord(g); None if infinite
+        if w is not None and w <= 0:
             raise ValueError("substitution requires a series of positive order")
         # the unknown tail of f sits beyond trunc(f)*ord(g); g's own
         # truncation is threaded through the arithmetic below
-        trunc = INF if self.trunc == INF else self.trunc * w
-        exps = sorted({int(e) for e in self.terms}, reverse=True)
+        trunc = None if self._tr is None or w is None else self._tr * w
+        exps = sorted(self._t, reverse=True)
         if not exps:
-            return PSeries.zero(g.var, trunc)
+            return _series(g.var, {}, 1, 1, trunc)
         # Horner over descending integer exponents
-        result = PSeries.zero(g.var, INF)
+        result = PSeries.zero(g.var)
         prev = None
         for e in exps:
             if prev is not None:
                 for _ in range(prev - e):
                     result = result * g
-            result = result + self.terms[Fraction(e)]
+            result = result + Fraction(self._t[e], self._den)
             prev = e
         for _ in range(prev):
             result = result * g
-        return result.truncated(trunc)
+        return result if trunc is None else result.truncated(trunc)
 
     def div_exact(self, b: "PSeries", max_exp=None) -> "PSeries":
         """Quotient self/b when b divides self in the Puiseux-polynomial ring.
 
         Used by fraction-free elimination, which guarantees divisibility for
         exactly-known data; raises ConsistencyError when division fails.
-        Truncated inputs yield a correctly truncated quotient.
+        Truncated inputs yield a correctly truncated quotient.  The long
+        division runs on int numerators: each step multiplies the remainder
+        by b's leading numerator instead of dividing by it, and the quotient
+        takes its coefficient over the accumulated denominator.
         """
         self._check_var(b)
         if b.is_zero():
-            if b.trunc != INF:
+            if b._tr is not None:
                 raise TruncationError("division by a series with no known terms",
-                                      required=b.trunc)
+                                      required=b._tr)
             raise ZeroDivisionError("series division by exact zero")
-        ob = min(b.terms)
-        lead_b = b.terms[ob]
+        ram = math.lcm(self._ram, b._ram)
+        fa, fb = ram // self._ram, ram // b._ram
+        right = [(e * fb, c) for e, c in b._t.items()]
+        ob, lead = min(right)
         # quotient known below this bound
-        if self.trunc == INF and b.trunc == INF:
-            q_trunc = INF
+        if self._tr is None and b._tr is None:
+            q_tr = None
         else:
-            oa = self.order().lower
-            q_trunc = min(self.trunc - ob, b.trunc + oa - 2 * ob)
-        if max_exp is None:
-            if self.trunc == INF:
-                me = self.max_exp()
-                bx = b.max_exp()
-                max_exp = (me - ob) if me is not None else _ZERO
-                # exact polynomial divisibility cannot exceed this
-            else:
-                max_exp = q_trunc
-        rem = dict(self.terms)
+            obq, oa = Fraction(ob, ram), self._lower()
+            known = []
+            if self._tr is not None:
+                known.append(self._tr - obq)
+            if b._tr is not None and oa is not None:
+                known.append(b._tr + oa - 2 * obq)
+            q_tr = min(known) if known else None
+        bound = None if q_tr is None else _ceil_units(q_tr, ram)
+        if max_exp is not None:
+            top = math.floor(as_frac(max_exp) * ram)
+        elif self._tr is None:
+            # exact polynomial divisibility cannot exceed this
+            top = max(self._t) * fa - ob if self._t else 0
+        else:
+            top = None  # implied by the bound
+        rem = {e * fa: c for e, c in self._t.items()}  # over _den * scale
+        scale = 1
         out = {}
         while rem:
             e = min(rem)
             qe = e - ob
-            if qe >= q_trunc:
+            if bound is not None and qe >= bound:
                 break
-            if qe > max_exp or qe < 0:
+            if (top is not None and qe > top) or qe < 0:
                 raise ConsistencyError(
                     "series division left a nonzero remainder")
-            qc = rem[e] / lead_b
-            out[qe] = qc
-            for eb, cb in b.terms.items():
+            r = rem[e]
+            out[qe] = Fraction(r * b._den, self._den * scale * lead)
+            if lead != 1:
+                rem = {k: v * lead for k, v in rem.items()}
+                scale *= lead
+            for eb, cb in right:
                 k = qe + eb
-                v = rem.get(k, _ZERO) - qc * cb
-                if v == 0:
-                    rem.pop(k, None)
-                else:
+                v = rem.get(k, 0) - r * cb
+                if v:
                     rem[k] = v
-        if rem and q_trunc == INF:
+                else:
+                    rem.pop(k, None)
+            if lead != 1:
+                g = math.gcd(scale, *rem.values())
+                if g > 1:
+                    scale //= g
+                    rem = {k: v // g for k, v in rem.items()}
+        if rem and q_tr is None:
             raise ConsistencyError("series division left a nonzero remainder")
-        return PSeries(self.var, out, q_trunc)
+        if q_tr is not None and q_tr <= 0:
+            raise ValueError("truncation bound must be positive")
+        den = math.lcm(*(c.denominator for c in out.values()))
+        return _reduced(self.var, {e: c.numerator * (den // c.denominator)
+                                   for e, c in out.items()}, ram, den, q_tr)
 
     # -- serialization -------------------------------------------------------
 
@@ -494,7 +655,7 @@ class PSeries:
         return s
 
     def __repr__(self):
-        if not self.terms:
+        if not self._t:
             body = "0"
         else:
             parts = []
@@ -506,9 +667,9 @@ class PSeries:
                     es = self.var if e == 1 else f"{self.var}^{frac_str(e)}"
                     parts.append(f"{cs}{es}")
             body = " + ".join(parts).replace("+ -", "- ")
-        if self.trunc == INF:
+        if self._tr is None:
             return body
-        return f"{body} + O({self.var}^{frac_str(self.trunc)})"
+        return f"{body} + O({self.var}^{frac_str(self._tr)})"
 
 
 # Functional aliases over the methods.

@@ -579,6 +579,21 @@ class TestTableCache:
         assert self._lookup(1) is not first[1]
         assert self._counts() == (3, size + 2, size)
 
+    def test_equal_keys_built_differently_hit(self):
+        """A key equal by value hits, however its series were built: from
+        int, Fraction or str keys, unreduced exponents, or arithmetic."""
+        built = [
+            (PSeries("x", {1: 3}), PSeries("x", {2: 1, F(1, 2): -1}, 7)),
+            (PSeries("x", {"2/2": "6/2"}),
+             PSeries("x", {"4/2": F(2, 2), "1/2": "-1"}, "14/2")),
+            (xs(1, 3),
+             (xs(F(1, 4)) * xs(F(1, 4)) + xs(2) * xs(0)).scale(-1).truncated(7)
+             .scale(-1) - xs(F(1, 2), 2)),
+        ]
+        tables = [criterion._table_for(key, None, None) for key in built]
+        assert tables[1] is tables[0] and tables[2] is tables[0]
+        assert self._counts() == (2, 1, 1)
+
     def test_reuse_distance_85_always_hits(self):
         # a sliding window of 86 curves, one new curve per round: every
         # repeat has 85 other curves between its uses, and 385 curves in

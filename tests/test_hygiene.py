@@ -1,7 +1,7 @@
 """Static checks over the package sources: no handler broad enough to hide a
-ConsistencyError, no unused import, and no runtime dependency besides the
-standard library and mpmath; and mpmath stays unloaded until the numeric
-layer runs."""
+ConsistencyError, no unused import, no assignment a function never reads,
+and no runtime dependency besides the standard library and mpmath; and
+mpmath stays unloaded until the numeric layer runs."""
 
 import ast
 import os
@@ -15,6 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lctkit"
 MODULES = sorted(SRC.glob("*.py"))
 BROAD = {"Exception", "BaseException"}
 ALLOWED = set(sys.stdlib_module_names) | {"mpmath"}
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
 def _tree(path):
@@ -53,6 +54,38 @@ def unused_imports(tree):
                   if name not in used)
 
 
+def _own_nodes(fn):
+    """Nodes of a function's body, not descending into nested functions or
+    classes (each is checked as its own scope)."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_assignments(tree):
+    """(line, name) of every plain `name = value` in a function whose name
+    the function (nested closures included) never reads.  Loop targets,
+    tuple unpacking and names declared global or nonlocal are exempt."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read.update(name for n in ast.walk(fn)
+                    if isinstance(n, (ast.Global, ast.Nonlocal))
+                    for name in n.names)
+        for node in _own_nodes(fn):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and node.targets[0].id not in read):
+                found.append((node.lineno, node.targets[0].id))
+    return sorted(found)
+
+
 def foreign_imports(tree):
     """(line, top-level module) of every absolute import from outside the
     standard library and mpmath; relative imports stay in the package."""
@@ -82,6 +115,11 @@ def test_no_unused_import(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_assignment(path):
+    assert unread_assignments(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_stdlib_and_mpmath_imports(path):
     assert foreign_imports(_tree(path)) == []
 
@@ -100,6 +138,26 @@ def test_checks_catch_offenders():
                      "from scipy.linalg import eig\nfrom . import poly\n"
                      "from collections import OrderedDict\n")
     assert foreign_imports(tree) == [(1, "numpy"), (3, "scipy")]
+
+
+def test_unread_assignment_check_catches_offenders():
+    tree = ast.parse(
+        "def div(a, b):\n"
+        "    bx = b.max_exp()\n"          # never read: flagged
+        "    me = a.max_exp()\n"
+        "    lo, hi = a, b\n"             # tuple unpacking: exempt
+        "    for k in range(3):\n"        # loop target: exempt
+        "        pass\n"
+        "    def inner():\n"
+        "        unused = 1\n"            # flagged in its own scope
+        "        return me\n"             # a closure read counts
+        "    return inner\n"
+        "def count():\n"
+        "    global TOTAL\n"
+        "    TOTAL = 0\n"                 # declared global: exempt
+        "    n = 0\n"
+        "    return n\n")
+    assert unread_assignments(tree) == [(2, "bx"), (8, "unused")]
 
 
 LAZY_MPMATH = """

@@ -1,10 +1,13 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from lctkit.series import INF, OrderVal, PSeries, ps_add, ps_mul, ps_ord, ps_substitute
+from lctkit.errors import ConsistencyError
+from lctkit.series import (INF, OrderVal, PSeries, frac_str, ps_add, ps_mul,
+                           ps_ord, ps_substitute)
 
 
 def S(var="t", **terms):
@@ -74,6 +77,35 @@ class TestBasics:
         assert (PSeries.one("t") + t) ** 3 == \
             PSeries("t", {Fraction(0): 1, Fraction(1): 3,
                           Fraction(2): 3, Fraction(3): 1})
+
+
+class TestKeyIdentity:
+    """Equal values compare and hash equal however they were built."""
+
+    def test_int_fraction_str_and_unreduced_keys(self):
+        forms = [
+            PSeries("t", {0: -1, Fraction(3, 2): 2, 4: Fraction(1, 3)}, 9),
+            PSeries("t", {"0": "-1", "3/2": "2", "4": "1/3"}, "9"),
+            PSeries("t", {"0/5": "-2/2", "6/4": "4/2", "8/2": "2/6"},
+                     Fraction(18, 2)),
+            PSeries("t", {Fraction(0): Fraction(-1), Fraction(3, 2): 2,
+                          Fraction(4): Fraction(2, 6), 5: 0, 10: 1}, 9),
+            (mono(Fraction(3, 4)) ** 2 * 2 + mono(4, Fraction(1, 3))
+             - PSeries.one("t")).truncated(9),
+        ]
+        for s in forms[1:]:
+            assert s == forms[0]
+            assert hash(s) == hash(forms[0])
+            assert s.to_json() == forms[0].to_json()
+        assert len({*forms}) == 1
+
+    def test_distinct_values_differ(self):
+        a = PSeries("t", {1: 2}, 9)
+        for b in (PSeries("t", {1: 2}), PSeries("t", {1: 2}, 8),
+                  PSeries("t", {1: 3}, 9), PSeries("t", {2: 2}, 9),
+                  PSeries("t", {Fraction(1, 2): 2}, 9),
+                  PSeries("x", {1: 2}, 9)):
+            assert a != b
 
 
 class TestOrder:
@@ -271,3 +303,189 @@ class TestOrderVal:
         for v in [OrderVal.exact(Fraction(7, 6)), OrderVal.at_least(64),
                   OrderVal.infinite()]:
             assert OrderVal.from_json(v.to_json()) == v
+
+
+# ---------------------------------------------------------------------------
+# Reference series: a {Fraction: Fraction} map and a truncation (INF or a
+# Fraction), the plainest form of the semantics.  The integer kernel of
+# PSeries must agree with it field by field.
+# ---------------------------------------------------------------------------
+
+class Ref:
+    def __init__(self, terms, trunc=INF):
+        self.trunc = trunc if trunc == INF else Fraction(trunc)
+        self.terms = {Fraction(e): Fraction(c) for e, c in terms.items()
+                      if c != 0 and e < self.trunc}
+
+    @classmethod
+    def of(cls, s):
+        return cls(dict(s.terms), s.trunc)
+
+    def lower(self):
+        if self.terms:
+            return min(self.terms)
+        return self.trunc
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return Ref(terms, min(self.trunc, other.trunc))
+
+    def __mul__(self, other):
+        trunc = min(self.trunc + other.lower(), other.trunc + self.lower())
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+        return Ref(terms, trunc)
+
+    def __pow__(self, n):
+        out = Ref({Fraction(0): Fraction(1)})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def scale(self, c):
+        return Ref({e: c * k for e, k in self.terms.items()}, self.trunc)
+
+    def substitute(self, g):
+        trunc = INF if self.trunc == INF else self.trunc * g.lower()
+        out = Ref({})
+        for e, c in self.terms.items():
+            out = out + (g ** int(e)).scale(c)
+        return Ref(out.terms, min(out.trunc, trunc))
+
+    def div_exact(self, b):
+        """Long division; None where PSeries must raise ConsistencyError."""
+        ob = min(b.terms)
+        if self.trunc == INF and b.trunc == INF:
+            q_trunc = INF
+        else:
+            q_trunc = min(self.trunc - ob, b.trunc + self.lower() - 2 * ob)
+        top = max(self.terms, default=ob) - ob if self.trunc == INF else INF
+        rem, out = dict(self.terms), {}
+        while rem:
+            qe = min(rem) - ob
+            if qe >= q_trunc:
+                break
+            if qe < 0 or qe > top:
+                return None
+            out[qe] = rem[qe + ob] / b.terms[ob]
+            for eb, cb in b.terms.items():
+                rem[qe + eb] = rem.get(qe + eb, 0) - out[qe] * cb
+                if rem[qe + eb] == 0:
+                    del rem[qe + eb]
+        if rem and q_trunc == INF:
+            return None
+        return Ref(out, q_trunc)
+
+    @property
+    def ram(self):
+        return math.lcm(*(e.denominator for e in self.terms))
+
+    def order(self):
+        if self.terms:
+            return OrderVal.exact(min(self.terms))
+        if self.trunc == INF:
+            return OrderVal.infinite()
+        return OrderVal.at_least(self.trunc)
+
+    def to_json(self):
+        return {"var": "t", "ram": self.ram,
+                "trunc": "inf" if self.trunc == INF else frac_str(self.trunc),
+                "terms": [{"e": frac_str(e), "c": frac_str(c)}
+                          for e, c in sorted(self.terms.items())]}
+
+
+def assert_matches(s, ref):
+    assert dict(s.terms) == ref.terms
+    assert s.trunc == ref.trunc and type(s.trunc) is type(ref.trunc)
+    assert s.ram == ref.ram
+    assert s.order() == ref.order()
+    assert json.dumps(s.to_json()) == json.dumps(ref.to_json())
+
+
+def wild_series(rng, exact=False, integral=False, positive=False):
+    """Random series: ram 1..4 (1 when integral), coefficients small or
+    large and of both signs, and a truncation whose denominator need not
+    divide ram."""
+    ram = 1 if integral else rng.randint(1, 4)
+    big = rng.random() < 0.3
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        e = Fraction(rng.randint(1 if positive else 0, 6 * ram), ram)
+        if big:
+            c = Fraction(rng.randint(-10 ** 12, 10 ** 12),
+                         rng.randint(1, 10 ** 6))
+        else:
+            c = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+        terms[e] = c
+    trunc = INF
+    if not exact and rng.random() < 0.4:
+        trunc = Fraction(rng.randint(1, 30), rng.choice([1, 2, 3, 5, 7]))
+    return PSeries("t", terms, trunc)
+
+
+class TestAgainstReference:
+    def test_add_and_scale(self):
+        rng = random.Random(101)
+        for _ in range(400):
+            a, b = wild_series(rng), wild_series(rng)
+            assert_matches(a + b, Ref.of(a) + Ref.of(b))
+            assert_matches(a - b, Ref.of(a) + Ref.of(b).scale(-1))
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            assert_matches(a.scale(c), Ref.of(a).scale(c))
+            assert_matches(a * c, Ref.of(a).scale(c))
+
+    def test_cancellation(self):
+        """a + (-a + b) is b, down to zero and down to a smaller ram."""
+        rng = random.Random(102)
+        for _ in range(200):
+            a = wild_series(rng, exact=True)
+            b = wild_series(rng, integral=rng.random() < 0.5)
+            s = a + (b - a)
+            assert_matches(s, Ref.of(a) + (Ref.of(b) + Ref.of(a).scale(-1)))
+            assert s == b
+            z = a - a
+            assert_matches(z, Ref({}))
+            assert z.ram == 1 and z.is_exactly_zero
+        half = PSeries("t", {Fraction(1, 2): 3, Fraction(2): 1})
+        s = half + PSeries("t", {Fraction(1, 2): -3, Fraction(5, 3): 2}, 7)
+        assert s.ram == 3
+        assert_matches(s - PSeries.monomial("t", Fraction(5, 3), 2),
+                       Ref({Fraction(2): 1}, 7))
+
+    def test_mul_and_pow(self):
+        rng = random.Random(103)
+        for _ in range(400):
+            a, b = wild_series(rng), wild_series(rng)
+            assert_matches(a * b, Ref.of(a) * Ref.of(b))
+            n = rng.randint(0, 4)
+            assert_matches(a ** n, Ref.of(a) ** n)
+
+    def test_substitute(self):
+        rng = random.Random(104)
+        for _ in range(200):
+            f = wild_series(rng, integral=True)
+            g = wild_series(rng, positive=True)
+            if g.is_zero():
+                continue
+            assert_matches(f.substitute(g), Ref.of(f).substitute(Ref.of(g)))
+
+    def test_div_exact(self):
+        rng = random.Random(105)
+        for _ in range(300):
+            a, b = wild_series(rng), wild_series(rng)
+            if b.is_zero():
+                continue
+            for num in (a * b, a):
+                want = Ref.of(num).div_exact(Ref.of(b))
+                if want is None:
+                    with pytest.raises(ConsistencyError):
+                        num.div_exact(b)
+                elif want.trunc != INF and want.trunc <= 0:
+                    with pytest.raises(ValueError):
+                        num.div_exact(b)
+                else:
+                    assert_matches(num.div_exact(b), want)

@@ -639,10 +639,39 @@ def _build_argparser():
     return ap
 
 
+# Options whose value is series or polynomial text, by subcommand.
+_TEXT_OPTIONS = {
+    "orders": ("--poly",), "diffs": ("--poly",), "integrality": ("--poly",),
+    "oracle": ("--poly",), "lct": ("--coeff",), "degree3": ("--a", "--b"),
+}
+
+
+def _join_text_values(argv):
+    """Series text may start with "-", which argparse reads as an option:
+    "--coeff -x^5/3" fails with "expected one argument".  Such a value is
+    joined to its option as "--coeff=-x^5/3", the form argparse reads as a
+    value.  A following "--..." or "-h" stays an option."""
+    argv = list(argv)
+    opts = _TEXT_OPTIONS.get(argv[0], ()) if argv else ()
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if (tok in opts and nxt.startswith("-")
+                and not nxt.startswith("--") and nxt != "-h"):
+            out.append(f"{tok}={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def run(argv) -> int:
     ap = _build_argparser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_text_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

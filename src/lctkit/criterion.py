@@ -8,10 +8,12 @@ in one variable the pair is log canonical iff V <= 1.  V reads the rows only
 as a multiset.  On exact input that multiset comes from the root tree of the
 exact difference orders whenever the tree fixes it (always for d <= 4);
 otherwise, and on truncated input, from the certified expansion of
-diff_orders.  The symbolic plus/minus ideal pair is built in closed form for
-d <= 3 and serves as a validation route; its orders are evaluated
-factor-wise (the semigroup laws make this exact), which avoids materializing
-huge generator powers.
+diff_orders.  A table stores each row's prefix sums when it is built, and
+only p, c1 and c2 depend on c, so a decision on a cached table evaluates V
+from two stored prefix sums per distinct row.  The symbolic plus/minus
+ideal pair is built in closed form for d <= 3 and serves as a validation
+route; its orders are evaluated factor-wise (the semigroup laws make this
+exact), which avoids materializing huge generator powers.
 """
 
 from __future__ import annotations
@@ -51,19 +53,15 @@ class CriterionContext:
 
 def choose_p(d: int, c) -> CriterionContext:
     """The unique p in {1..d-1} with 1/(d-p+1) < c <= 1/(d-p), plus the
-    weights c1 = 1-(d-p)c and c2 = (d-p+1)c - 1."""
+    weights c1 = 1-(d-p)c and c2 = (d-p+1)c - 1.  With m = d - p the band
+    reads m <= 1/c < m + 1, so m is the floor of 1/c."""
     c = as_frac(c)
     if d < 2:
         raise ValueError("the band parameter needs d >= 2")
     if not (Fraction(1, d) < c <= 1):
         raise ValueError(f"c must lie in (1/{d}, 1]")
-    for p in range(1, d):
-        if Fraction(1, d - p + 1) < c <= Fraction(1, d - p):
-            c1 = 1 - (d - p) * c
-            c2 = (d - p + 1) * c - 1
-            assert c1 >= 0 and c2 > 0
-            return CriterionContext(d, c, p, c1, c2)
-    raise AssertionError("band partition failed")  # unreachable
+    m = c.denominator // c.numerator
+    return CriterionContext(d, c, d - m, 1 - m * c, (m + 1) * c - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +336,20 @@ def _weighted(c, val: OrderVal) -> OrderVal:
     return OrderVal.exact(0) if c == 0 else val.scale(c)
 
 
+def _center_values(ctx: CriterionContext, prefix_sums):
+    """v = c1 * S_(p-1) + c2 * S_p for each row of prefix sums S."""
+    c1, c2, p = ctx.c1, ctx.c2, ctx.p
+    return [_weighted(c1, sums[p - 1]) + _weighted(c2, sums[p])
+            for sums in prefix_sums]
+
+
+def _eval_v(ctx: CriterionContext, coeffs, depth, precision) -> OrderVal:
+    """V from validated coefficients: the maximum over the table's
+    distinct rows, which is the maximum over all of its centers."""
+    table = _table_for(tuple(coeffs), depth, precision)
+    return OrderVal.max_of(_center_values(ctx, table.distinct_prefix_sums))
+
+
 def eval_theorem_lhs(ctx: CriterionContext, coeffs, depth=None,
                      precision=None) -> OrderVal:
     """V = max over centers i of c1 * (sum of the p-1 smallest difference
@@ -345,12 +357,7 @@ def eval_theorem_lhs(ctx: CriterionContext, coeffs, depth=None,
     include the center itself, contributing an infinite order that is never
     selected while finite alternatives remain."""
     _validate_coeffs(coeffs, ctx.d)
-    table = _table_for(tuple(coeffs), depth, precision)
-    vals = []
-    for i in range(ctx.d):
-        vals.append(_weighted(ctx.c1, table.row_prefix_sum(i, ctx.p - 1)) +
-                    _weighted(ctx.c2, table.row_prefix_sum(i, ctx.p)))
-    return OrderVal.max_of(vals)
+    return _eval_v(ctx, coeffs, depth, precision)
 
 
 def _le_one_verdict(v: OrderVal):
@@ -385,7 +392,7 @@ def lct_ge(d: int, c, coeffs, depth=None, precision=None):
     ctx = choose_p(d, c)
     diag.update({"p": ctx.p, "c1": frac_str(ctx.c1), "c2": frac_str(ctx.c2)})
     try:
-        v = eval_theorem_lhs(ctx, coeffs, depth=depth, precision=precision)
+        v = _eval_v(ctx, coeffs, depth, precision)
     except TruncationError as exc:
         diag["reason"] = str(exc)
         diag["required"] = (None if exc.required is None
@@ -514,10 +521,7 @@ def containment_check(ctx: CriterionContext, samples=100, seed=0):
         seen.add(key)
         table = _table_for(tuple(coeffs), None, None)
         checked += 1
-        vals = []
-        for i in range(d):
-            vals.append(_weighted(ctx.c1, table.row_prefix_sum(i, ctx.p - 1))
-                        + _weighted(ctx.c2, table.row_prefix_sum(i, ctx.p)))
+        vals = _center_values(ctx, table.prefix_sums)
         lam_d = OrderVal.sum_of(vals)
         small = sorted(vals, key=lambda v: v.sort_key())[:d - 1]
         lam_d1 = OrderVal.sum_of(small)

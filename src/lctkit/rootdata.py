@@ -267,16 +267,34 @@ def max_root_order(h: UPoly) -> OrderVal:
 class RootRows:
     """Per-root rows of ascending difference orders ord(alpha_j - alpha_i),
     each ending in the root's infinite order against itself.  The rows form
-    a multiset: which row belongs to which root is not recorded."""
+    a multiset: which row belongs to which root is not recorded.
 
-    __slots__ = ("rows",)
+    The prefix sums S_0 = 0, S_1, .., S_d of each distinct row are computed
+    once, with the table, and equal rows share them;
+    `distinct_prefix_sums` holds one per distinct row, which is all that a
+    maximum over the rows reads."""
+
+    __slots__ = ("rows", "prefix_sums", "distinct_prefix_sums")
 
     def __init__(self, rows):
-        self.rows = rows
+        self.rows = tuple(map(tuple, rows))
+        sums = {row: _prefix_sums(row) for row in dict.fromkeys(self.rows)}
+        self.prefix_sums = tuple(sums[row] for row in self.rows)
+        self.distinct_prefix_sums = tuple(sums.values())
 
     def row_prefix_sum(self, i, k) -> OrderVal:
         """Sum of the k smallest difference orders at center i."""
-        return OrderVal.sum_of(self.rows[i][:k])
+        return self.prefix_sums[i][k]
+
+
+_EXACT_ZERO = OrderVal.exact(0)
+
+
+def _prefix_sums(row):
+    sums = [_EXACT_ZERO]
+    for v in row:
+        sums.append(sums[-1] + v)
+    return tuple(sums)
 
 
 def difference_orders(h: UPoly):

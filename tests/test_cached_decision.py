@@ -1,0 +1,277 @@
+"""The cached decision: V evaluated from the prefix sums a table stores,
+over its distinct rows, against a test-side copy of the per-center
+formula; the closed-form band against the band loop; and digests of the
+verdicts and diagnostics of a parameter sweep."""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from lctkit import criterion, rootdata
+from lctkit.criterion import (
+    choose_p, containment_check, eval_theorem_lhs, lct_ge,
+)
+from lctkit.errors import ConsistencyError, DegenerateError, TruncationError
+from lctkit.oracle import lct_plane_nondegenerate
+from lctkit.poly import MPoly, UPoly
+from lctkit.rootdata import RootRows, diff_orders
+from lctkit.series import OrderVal, PSeries
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-center formula and the band loop
+# ---------------------------------------------------------------------------
+
+def _ref_weighted(c, val):
+    return OrderVal.exact(0) if c == 0 else val.scale(c)
+
+
+def _ref_center(ctx, rows, i):
+    """c1 * (sum of the p-1 smallest orders at i) + c2 * (sum of the p
+    smallest), each prefix added up afresh."""
+    return (_ref_weighted(ctx.c1, OrderVal.sum_of(rows[i][:ctx.p - 1])) +
+            _ref_weighted(ctx.c2, OrderVal.sum_of(rows[i][:ctx.p])))
+
+
+def _ref_v(ctx, rows):
+    return OrderVal.max_of([_ref_center(ctx, rows, i)
+                            for i in range(ctx.d)])
+
+
+def _ref_band(d, c):
+    for p in range(1, d):
+        if F(1, d - p + 1) < c <= F(1, d - p):
+            return p, 1 - (d - p) * c, (d - p + 1) * c - 1
+    raise AssertionError("band partition failed")
+
+
+def _band_thresholds(d):
+    """For each p: the upper edge 1/(d-p), where c1 = 0, a point just
+    above the lower edge, and the midpoint."""
+    for p in range(1, d):
+        lo, hi = F(1, d - p + 1), F(1, d - p)
+        for c in (hi, lo + (hi - lo) / 97, (lo + hi) / 2):
+            yield p, c
+
+
+def _positive_coeffs(d):
+    return [PSeries.monomial("x", 1)] * d
+
+
+# ---------------------------------------------------------------------------
+# V against the reference
+# ---------------------------------------------------------------------------
+
+def _random_order(rng):
+    kind = rng.choice("eeeai")
+    if kind == "i":
+        return OrderVal.infinite()
+    q = F(rng.randint(1, 12), rng.choice([1, 2, 3]))
+    return OrderVal.exact(q) if kind == "e" else OrderVal.at_least(q)
+
+
+def _random_rows(rng, d):
+    """d rows drawn with repetition from at most d distinct ascending
+    rows, each ending in the infinite self-order."""
+    pool = []
+    for _ in range(rng.randint(1, d)):
+        row = sorted((_random_order(rng) for _ in range(d - 1)),
+                     key=OrderVal.sort_key)
+        pool.append(tuple(row) + (OrderVal.infinite(),))
+    return [rng.choice(pool) for _ in range(d)]
+
+
+class TestAgainstReference:
+    def test_random_rows_every_band(self, monkeypatch):
+        rng = random.Random(808)
+        kinds = set()
+        for _ in range(200):
+            d = rng.randint(2, 6)
+            rows = _random_rows(rng, d)
+            table = RootRows(rows)
+            kinds.update(v.kind for row in rows for v in row)
+            monkeypatch.setattr(criterion, "_table_for",
+                                lambda *args, t=table: t)
+            for p, c in _band_thresholds(d):
+                ctx = choose_p(d, c)
+                assert ctx.p == p
+                got = eval_theorem_lhs(ctx, _positive_coeffs(d))
+                assert got == _ref_v(ctx, rows), (rows, c)
+                assert criterion._center_values(ctx, table.prefix_sums) == \
+                    [_ref_center(ctx, rows, i) for i in range(d)]
+        assert kinds == {"exact", "atleast", "inf"}
+
+    def test_repeated_rows_collapse(self):
+        inf = OrderVal.infinite()
+        row = (OrderVal.exact(1), OrderVal.exact(F(3, 2)), inf)
+        other = (OrderVal.exact(1), OrderVal.exact(1), inf)
+        table = RootRows([row, other, list(row)])
+        assert len(table.distinct_prefix_sums) == 2
+        assert len(table.prefix_sums) == 3
+        assert table.prefix_sums[2] is table.prefix_sums[0]
+        assert isinstance(table.rows[2], tuple)
+
+    def test_row_prefix_sums(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            d = rng.randint(2, 6)
+            rows = _random_rows(rng, d)
+            table = RootRows(rows)
+            for i in range(d):
+                for k in range(d + 1):
+                    assert table.row_prefix_sum(i, k) == \
+                        OrderVal.sum_of(rows[i][:k])
+
+    def test_zero_weight_against_infinite_prefix(self, monkeypatch):
+        # p = 2 at its upper edge c = 1/(d-2): c1 = 0 meets an infinite
+        # S_1 on the second row, and contributes 0
+        inf = OrderVal.infinite()
+        rows = [(OrderVal.exact(2), OrderVal.exact(3), inf),
+                (inf, inf, inf), (OrderVal.exact(2), OrderVal.exact(3), inf)]
+        table = RootRows(rows)
+        ctx = choose_p(3, F(1))
+        assert (ctx.p, ctx.c1) == (2, 0)
+        assert criterion._center_values(ctx, table.prefix_sums)[1] == inf
+        monkeypatch.setattr(criterion, "_table_for", lambda *args: table)
+        assert eval_theorem_lhs(ctx, _positive_coeffs(3)) == \
+            _ref_v(ctx, rows) == inf
+
+    def test_truncated_diff_order_tables(self):
+        rng = random.Random(7)
+        tables = 0
+        kinds = set()
+        for _ in range(20):
+            d = rng.choice([2, 3, 3, 4])
+            coeffs = [PSeries("x", {F(rng.randint(1, 6)):
+                                    F(rng.choice([-3, -2, -1, 1, 2, 3]))
+                                    for _ in range(rng.randint(1, 2))})
+                      for _ in range(d)]
+            for bound in (3, 6, 9):
+                cut = [a.truncated(F(bound)) for a in coeffs]
+                for depth in (None, F(2)):
+                    try:
+                        table = diff_orders(UPoly("y", cut), depth=depth)
+                    except (TruncationError, ConsistencyError):
+                        continue
+                    tables += 1
+                    kinds.update(v.kind for row in table.rows for v in row)
+                    for _, c in _band_thresholds(d):
+                        ctx = choose_p(d, c)
+                        assert eval_theorem_lhs(ctx, cut, depth=depth) == \
+                            _ref_v(ctx, table.rows), (cut, depth, c)
+        assert tables > 60
+        assert kinds == {"exact", "atleast", "inf"}
+
+
+class TestClosedFormBand:
+    def test_against_band_loop(self):
+        pairs = set()
+        for d in range(2, 9):
+            for b in range(1, 61):
+                for a in range(1, b + 1):
+                    c = F(a, b)
+                    if not F(1, d) < c <= 1:
+                        continue
+                    ctx = choose_p(d, c)
+                    assert (ctx.p, ctx.c1, ctx.c2) == _ref_band(d, c)
+                    assert (ctx.d, ctx.c) == (d, c)
+                    pairs.add((d, a, b))
+        assert len(pairs) == 9824
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="d >= 2"):
+            choose_p(1, F(1))
+        for c in (F(1, 3), F(1, 4), F(0), F(-1, 2), F(3, 2)):
+            with pytest.raises(ValueError, match="must lie in"):
+                choose_p(3, c)
+
+
+# ---------------------------------------------------------------------------
+# Parameter sweep: pinned outputs and a table built once
+# ---------------------------------------------------------------------------
+
+def _sweep_family():
+    """The 36 binomials y^d + x^k (d = 2..5, k = 2..10) and the first 50
+    nondegenerate trinomials y^3 + x^a y + x^b in (a, b) order."""
+    zero = PSeries.zero("x")
+    family = [(d, (zero,) * (d - 1) + (PSeries.monomial("x", k),))
+              for d in range(2, 6) for k in range(2, 11)]
+    found = 0
+    for a in range(1, 11):
+        for b in range(1, 11):
+            if found == 50:
+                return family
+            f = MPoly(("x", "y"), {(0, 3): F(1), (a, 1): F(1), (b, 0): F(1)})
+            try:
+                lct_plane_nondegenerate(f)
+            except DegenerateError:
+                continue
+            family.append((3, (zero, PSeries.monomial("x", a),
+                               PSeries.monomial("x", b))))
+            found += 1
+    raise AssertionError("fewer than 50 nondegenerate trinomials")
+
+
+def _grid(d):
+    return [F(1, d) + (1 - F(1, d)) * F(j, 40) for j in range(1, 41)]
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(json.dumps(line, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestSweepPins:
+    def test_sweep_verdicts_and_diagnostics(self):
+        family = _sweep_family()
+        assert len(family) == 86
+        lines = []
+        for d, coeffs in family:
+            for c in _grid(d):
+                verdict, diag = lct_ge(d, c, coeffs)
+                lines.append([verdict, diag])
+        for d, coeffs in family[::9]:
+            for bound in (3, 6):
+                cut = tuple(a.truncated(F(bound)) for a in coeffs)
+                for c in _grid(d):
+                    verdict, diag = lct_ge(d, c, cut)
+                    lines.append([bound, verdict, diag])
+        assert len(lines) == 3440 + 10 * 2 * 40
+        assert _digest(lines) == SWEEP_DIGEST
+
+    def test_containment_reports(self):
+        lines = [containment_check(choose_p(d, c), samples=15, seed=seed)
+                 for d, c, seed in ((2, F(2, 3), 1), (3, F(5, 6), 2),
+                                    (3, F(1, 2), 3), (4, F(3, 5), 4))]
+        assert all(rep["pass"] for rep in lines)
+        assert _digest(lines) == CONTAINMENT_DIGEST
+
+    def test_forty_thresholds_build_one_table(self, monkeypatch):
+        built = []
+        real = rootdata._prefix_sums
+        monkeypatch.setattr(rootdata, "_prefix_sums",
+                            lambda row: built.append(row) or real(row))
+        criterion._table_for.cache_clear()
+        zero = PSeries.zero("x")
+        coeffs = (zero, PSeries.monomial("x", 3), PSeries.monomial("x", 5))
+        for c in _grid(3):
+            lct_ge(3, c, coeffs)
+        info = criterion._table_for.cache_info()
+        criterion._table_for.cache_clear()
+        assert (info.misses, info.hits) == (1, 39)
+        # the three roots share one row, so its prefix sums are built once
+        assert built == [(OrderVal.exact(F(3, 2)), OrderVal.exact(F(3, 2)),
+                          OrderVal.infinite())]
+
+
+SWEEP_DIGEST = (
+    "37a963905c77982b1efb01ccc8325b7ed2abb782924c86fd6ab9ac2827b6aa71")
+CONTAINMENT_DIGEST = (
+    "dc5cf2989c71c4c765f37d2a6bd4d3c3589fd7cf4418dbf3188d4810c6fcdacc")

@@ -162,6 +162,48 @@ class TestCommands:
         assert run(["verify", "--suite", "nope"]) == 2
 
 
+class TestDashLedText:
+    """Series and polynomial text that starts with "-" is read as a value
+    in the space form, with the same output as the "--opt=text" form."""
+
+    @staticmethod
+    def _both(capsys, head, opt, text, tail):
+        rc_space = run(head + [opt, text] + tail)
+        out_space = capsys.readouterr().out
+        rc_eq = run(head + [f"{opt}={text}"] + tail)
+        out_eq = capsys.readouterr().out
+        assert (rc_space, out_space) == (rc_eq, out_eq)
+        return rc_space, out_space
+
+    def test_lct_coeff(self, capsys):
+        rc, out = self._both(capsys, ["lct", "--c", "3/4"], "--coeff",
+                             "-x^5/3", ["--coeff", "x^3"])
+        assert rc == 0 and json.loads(out)["verdict"] == "yes"
+
+    def test_degree3_a(self, capsys):
+        rc, out = self._both(capsys, ["degree3"], "--a", "-x^2",
+                             ["--b", "x^3", "--c", "3/4"])
+        assert rc == 0 and json.loads(out)["verdict"] == "no"
+
+    def test_degree3_b(self, capsys):
+        rc, out = self._both(capsys, ["degree3", "--a", "x^2"], "--b",
+                             "-x^3", ["--c", "3/4"])
+        assert rc == 0 and json.loads(out)["verdict"] == "no"
+
+    def test_orders_poly(self, capsys):
+        rc, out = self._both(capsys, ["orders"], "--poly", "-t^3+y^2", [])
+        assert rc == 0 and json.loads(out)["slopes"] == [["3/2", 2]]
+
+    def test_dash_led_parse_error(self, capsys):
+        rc, _ = self._both(capsys, ["lct", "--c", "3/4"], "--coeff", "-?",
+                           ["--coeff", "x^3"])
+        assert rc == 2
+
+    def test_missing_value_stays_usage_error(self, capsys):
+        assert run(["lct", "--c", "3/4", "--coeff", "--coeff", "x"]) == 2
+        assert run(["lct", "--c", "3/4", "--coeff", "-h"]) == 2
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "lem1", "--trials", "8", "--seed", "7"],

@@ -488,12 +488,10 @@ class TestContainment:
         # triple root: infinite on both sides
         ctx = choose_p(3, F(5, 6))
         h = UPoly.from_roots("y", [xs(1)] * 3)
-        from lctkit.criterion import _table_for, _weighted
+        from lctkit.criterion import _center_values, _table_for
         table = _table_for(tuple(h.coeffs), None, None)
-        vals = [_weighted(ctx.c1, table.row_prefix_sum(i, ctx.p - 1)) +
-                _weighted(ctx.c2, table.row_prefix_sum(i, ctx.p))
-                for i in range(3)]
-        assert all(v.is_infinite for v in vals)
+        vals = _center_values(ctx, table.prefix_sums)
+        assert len(vals) == 3 and all(v.is_infinite for v in vals)
 
 
 class TestTruncatedInput:

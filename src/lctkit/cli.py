@@ -370,61 +370,49 @@ def _rand_w(rng, var="t"):
     return PSeries(var, terms)
 
 
-def _suite_orders(trials, seed):
-    results = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        h = _rand_upoly(rng)
-        orders = root_orders(h)  # carries the internal coefficient check
-        results.append({"trial": i, "ok": True,
-                        "orders": [v.to_json() for v in orders]})
-    return results
+def _per_trial(check):
+    """A suite that runs check(rng) once per trial, on the trial's own rng;
+    check gives the trial's report fields besides "trial"."""
+    def suite(trials, seed):
+        return [{"trial": i, **check(_trial_rng(seed, i))}
+                for i in range(trials)]
+    return suite
 
 
-def _suite_partial_sums(trials, seed):
-    results = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        h = _rand_upoly(rng)
-        sums = [partial_sums(h, k).to_json() for k in range(1, h.degree + 1)]
-        results.append({"trial": i, "ok": True, "partial_sums": sums})
-    return results
+@_per_trial
+def _suite_orders(rng):
+    orders = root_orders(_rand_upoly(rng))  # carries the coefficient check
+    return {"ok": True, "orders": [v.to_json() for v in orders]}
 
 
-def _suite_max_order(trials, seed):
-    results = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        h = _rand_upoly(rng)
-        results.append({"trial": i, "ok": True,
-                        "max_root_order": max_root_order(h).to_json()})
-    return results
+@_per_trial
+def _suite_partial_sums(rng):
+    h = _rand_upoly(rng)
+    return {"ok": True, "partial_sums": [partial_sums(h, k).to_json()
+                                         for k in range(1, h.degree + 1)]}
 
 
-def _suite_diffs(trials, seed):
-    results = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        h = _rand_upoly(rng)
-        table = diff_orders(h)  # certificate check is internal
-        flat = sorted(v.sort_key() for row in table.rows for v in row[:-1])
-        cert = sorted(v.sort_key() for v in table.certificate)
-        ok = flat == cert
-        results.append({"trial": i, "ok": ok})
-    return results
+@_per_trial
+def _suite_max_order(rng):
+    return {"ok": True,
+            "max_root_order": max_root_order(_rand_upoly(rng)).to_json()}
 
 
-def _suite_shift(trials, seed):
-    results = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        h = _rand_upoly(rng, dmax=3)
-        w = _rand_w(rng)
-        vals, cert = orders_against_series(h, w)
-        ok = sorted(v.sort_key() for v in vals) == \
-            sorted(v.sort_key() for v in cert)
-        results.append({"trial": i, "ok": ok})
-    return results
+@_per_trial
+def _suite_diffs(rng):
+    table = diff_orders(_rand_upoly(rng))  # certificate check is internal
+    flat = sorted(v.sort_key() for row in table.rows for v in row[:-1])
+    cert = sorted(v.sort_key() for v in table.certificate)
+    return {"ok": flat == cert}
+
+
+@_per_trial
+def _suite_shift(rng):
+    h = _rand_upoly(rng, dmax=3)
+    vals, cert = orders_against_series(h, _rand_w(rng))
+    ok = sorted(v.sort_key() for v in vals) == \
+        sorted(v.sort_key() for v in cert)
+    return {"ok": ok}
 
 
 def _suite_integrality(trials, seed):
@@ -465,57 +453,43 @@ def _suite_containment(trials, seed):
     return results
 
 
-def _suite_perturbation(trials, seed):
-    results = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        f = _rand_upoly(rng, dmax=3)
-        N = rng.randint(8, 12)
-        pert = []
-        for a in f.coeffs:
-            bump = PSeries("t", {Fraction(N + rng.randint(0, 2)):
-                                 Fraction(rng.randint(-2, 2))})
-            pert.append(a + bump)
-        g = UPoly("y", pert)
-        rep = perturbation_check(f, g, N)
-        results.append({"trial": i, "ok": rep["pass"], "N": N})
-    return results
+@_per_trial
+def _suite_perturbation(rng):
+    f = _rand_upoly(rng, dmax=3)
+    N = rng.randint(8, 12)
+    pert = []
+    for a in f.coeffs:
+        bump = PSeries("t", {Fraction(N + rng.randint(0, 2)):
+                             Fraction(rng.randint(-2, 2))})
+        pert.append(a + bump)
+    rep = perturbation_check(f, UPoly("y", pert), N)
+    return {"ok": rep["pass"], "N": N}
 
 
-def _suite_contact(trials, seed):
-    results = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        h = _rand_upoly(rng, dmax=3)
-        w = _rand_w(rng)
-        rep = contact_order_identity_check(h, w)
-        results.append({"trial": i, "ok": rep["pass"]})
-    return results
+@_per_trial
+def _suite_contact(rng):
+    h = _rand_upoly(rng, dmax=3)
+    return {"ok": contact_order_identity_check(h, _rand_w(rng))["pass"]}
 
 
-def _suite_ring(trials, seed):
-    results = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+@_per_trial
+def _suite_ring(rng):
+    def rnd():
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            e = Fraction(rng.randint(0, 8), rng.choice([1, 1, 2]))
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            if c:
+                terms[e] = c
+        return PSeries("t", terms)
 
-        def rnd():
-            terms = {}
-            for _ in range(rng.randint(0, 4)):
-                e = Fraction(rng.randint(0, 8), rng.choice([1, 1, 2]))
-                c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                if c:
-                    terms[e] = c
-            return PSeries("t", terms)
-
-        a, b, c = rnd(), rnd(), rnd()
-        ok = ((a + b) + c == a + (b + c)) and \
-            (a * (b + c) == a * b + a * c) and (a * b == b * a)
-        oa, ob = a.order(), b.order()
-        om = (a * b).order()
-        if oa.is_exact and ob.is_exact:
-            ok = ok and om == oa + ob
-        results.append({"trial": i, "ok": ok})
-    return results
+    a, b, c = rnd(), rnd(), rnd()
+    ok = ((a + b) + c == a + (b + c)) and \
+        (a * (b + c) == a * b + a * c) and (a * b == b * a)
+    oa, ob = a.order(), b.order()
+    if oa.is_exact and ob.is_exact:
+        ok = ok and (a * b).order() == oa + ob
+    return {"ok": ok}
 
 
 def _suite_oracle(trials, seed):

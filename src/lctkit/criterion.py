@@ -36,6 +36,7 @@ from .rootdata import certified_rows, diff_orders
 from .series import INF, OrderVal, PSeries, as_frac, frac_str
 
 _ONE = Fraction(1)
+_EXACT_ZERO = OrderVal.exact(0)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +361,6 @@ def eval_theorem_lhs(ctx: CriterionContext, coeffs, depth=None,
     return _eval_v(ctx, coeffs, depth, precision)
 
 
-def _le_one_verdict(v: OrderVal):
-    res = v.le(1)
-    if res is True:
-        return YES
-    if res is False:
-        return NO
-    return UNKNOWN
-
-
 def lct_ge(d: int, c, coeffs, depth=None, precision=None):
     """Decide lct(f) >= c for f = y^d + sum a_i y^(d-i).
 
@@ -399,7 +391,7 @@ def lct_ge(d: int, c, coeffs, depth=None, precision=None):
                             else frac_str(exc.required))
         return UNKNOWN, diag
     diag["V"] = v.to_json()
-    return _le_one_verdict(v), diag
+    return ord_diff_le_one(v, _EXACT_ZERO), diag
 
 
 def degree3_test(a: PSeries, b: PSeries, c):
@@ -461,7 +453,7 @@ def example3_test(d: int, c, tail):
             for i, a in enumerate(tail, start=2)]
     ord_p = OrderVal.min_of(vals)
     v = ord_p.scale(c * d - 1)
-    return _le_one_verdict(v)
+    return ord_diff_le_one(v, _EXACT_ZERO)
 
 
 def depressed_cubic(a1: PSeries, a2: PSeries, a3: PSeries):
@@ -526,13 +518,7 @@ def containment_check(ctx: CriterionContext, samples=100, seed=0):
         small = sorted(vals, key=lambda v: v.sort_key())[:d - 1]
         lam_d1 = OrderVal.sum_of(small)
         bound = lam_d1.scale(Fraction(d, d - 1))
-        if lam_d.is_infinite or bound.is_infinite:
-            holds = lam_d.is_infinite
-        elif lam_d.is_exact and bound.is_exact:
-            holds = lam_d.value >= bound.value
-        else:
-            holds = lam_d.lower >= bound.lower
-        if not holds:
+        if lam_d.ge(bound) is not True:  # unknown counts as a violation
             failures.append({"sample": [a.to_json() for a in coeffs],
                              "lambda_d": lam_d.to_json(),
                              "lambda_d_minus_1": lam_d1.to_json()})

@@ -49,7 +49,17 @@ mpmath = _LazyMpmath()
 
 
 def default_precision() -> int:
-    return int(os.environ.get("LCTKIT_PRECISION", "256"))
+    """Working precision in bits: LCTKIT_PRECISION, 256 when unset.
+    Anything but a positive integer is a usage error (ValueError)."""
+    text = os.environ.get("LCTKIT_PRECISION", "256")
+    try:
+        prec = int(text)
+    except ValueError:
+        prec = 0
+    if prec < 1:
+        raise ValueError(
+            f"LCTKIT_PRECISION must be a positive integer, got {text!r}")
+    return prec
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +373,10 @@ def _row_multisets(d, counts):
 def certified_rows(h: UPoly):
     """The rows of h's difference-order table, read exactly from the
     certificate's root tree: a RootRows, or None when the certificate does
-    not fix them (some count patterns from d = 5 on, or an AtLeast order)
-    and only diff_orders' expansion can attach orders to roots.  For
-    d <= 4 every pattern fixes them."""
+    not fix them (some count patterns from d = 5 on) and only diff_orders'
+    expansion can attach orders to roots.  For d <= 4 every pattern fixes
+    them."""
     cert = difference_orders(h)
-    if any(v.is_at_least for v in cert):
-        return None
     counts = Counter(cert)
     levels = sorted(counts, key=OrderVal.sort_key)
     if any(counts[v] % 2 for v in levels):
@@ -429,13 +437,6 @@ def _ns_normalize(terms, trunc, tols):
                 "tolerance")
         clean[e] = c
     return _NSeries(clean, trunc)
-
-
-def _ns_from_pseries(ps: PSeries, prec) -> _NSeries:
-    terms = {}
-    for e, c in ps.terms.items():
-        terms[e] = mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-    return _NSeries(terms, ps.trunc)
 
 
 def _series_terms_numeric(ps: PSeries):
@@ -795,7 +796,8 @@ def puiseux_expand(h: UPoly, depth, precision=None) -> PuiseuxRootSet:
                 raise TruncationError(
                     f"coefficient a_{i} is truncated below the requested "
                     f"depth", required=depth)
-            coeffs.append(_ns_from_pseries(ps, prec))
+            coeffs.append(_NSeries(dict(_series_terms_numeric(ps)),
+                                   ps.trunc))
             exact.append(ps)
         known = max((ps.trunc for ps in exact if ps.trunc != INF),
                     default=None)
@@ -880,25 +882,6 @@ def _pair_order(terms_a, terms_b, depth, tol):
     return None
 
 
-def _match_certificate(finite_found, unresolved_count, cert_orders, depth):
-    """Check the numerically found finite orders against the exact multiset;
-    returns the backfill value for unresolved pairs (an OrderVal) or None on
-    mismatch."""
-    cert_small = sorted(v.value for v in cert_orders
-                        if v.is_exact and v.value < depth)
-    cert_rest = [v for v in cert_orders
-                 if v.is_infinite or (v.is_exact and v.value >= depth)]
-    if sorted(finite_found) != cert_small:
-        return None
-    if unresolved_count != len(cert_rest):
-        return None
-    if unresolved_count == 0:
-        return OrderVal.at_least(depth)  # unused
-    if all(v.is_infinite for v in cert_rest):
-        return OrderVal.infinite()
-    return OrderVal.at_least(depth)
-
-
 def _auto_depth(order_lists):
     m = _ZERO
     for vals in order_lists:
@@ -908,24 +891,42 @@ def _auto_depth(order_lists):
     return m + 1
 
 
-def _escalate(precision, attempt, mismatch, exhausted):
-    """Run attempt(p) at p = prec, 2 prec, ..., 16 prec (prec defaults to
-    default_precision()) until it returns a result.  A PrecisionError or a
-    None result (the numeric orders disagree with the exact certificate)
-    moves on to the next precision; every other error propagates at once.
-    Once all five are spent, raises ConsistencyError: `mismatch` when the
-    last attempt disagreed, else `exhausted` with the PrecisionError."""
+def _certified_orders(precision, expand, pairs, cert, depth, mismatch,
+                      exhausted):
+    """The orders ord(left[a] - right[b]) below `depth` for the index pairs
+    (a, b), certified against `cert`, the exact multiset of the same orders.
+
+    expand(p) gives the numeric term lists (left, right); it runs under p +
+    64 bits at p = prec, 2 prec, ..., 16 prec (prec defaults to
+    default_precision()).  An attempt certifies when its finite orders are
+    cert's orders below `depth` and it leaves as many pairs unresolved as
+    cert has orders that are infinite or at least `depth`; those pairs get
+    Infinite when all such orders are, else AtLeast(depth).  A
+    PrecisionError or a disagreement moves on to the next precision; every
+    other error propagates at once.  Once all five are spent, raises
+    ConsistencyError: `mismatch` when the last attempt disagreed, else
+    `exhausted` with the PrecisionError."""
+    small = sorted(v.value for v in cert if v.is_exact and v.value < depth)
+    rest = [v for v in cert if v.is_infinite or v.value >= depth]
+    fill = (OrderVal.infinite() if all(v.is_infinite for v in rest)
+            else OrderVal.at_least(depth))
     prec = precision or default_precision()
     last_error = None
     for i in range(5):
+        p = prec << i
         try:
-            result = attempt(prec << i)
+            with mpmath.workprec(p + 64):
+                left, right = expand(p)
+                tol = mpmath.mpf(2) ** (-(p // 8))
+                found = [_pair_order(left[a], right[b], depth, tol)
+                         for a, b in pairs]
         except PrecisionError as exc:
             last_error = exc
             continue
-        if result is not None:
-            return result
         last_error = None
+        if (sorted(e for e in found if e is not None) == small
+                and found.count(None) == len(rest)):
+            return [fill if e is None else OrderVal.exact(e) for e in found]
     if last_error is None:
         raise ConsistencyError(mismatch)
     raise ConsistencyError(f"{exhausted}: {last_error}")
@@ -945,42 +946,22 @@ def diff_orders(h: UPoly, depth=None, precision=None) -> DiffOrderTable:
         return DiffOrderTable(1, table, [], as_frac(depth or 1))
     orders = root_orders(h)
     cert = list(difference_orders(h))
-    if any(v.is_at_least for v in cert):
-        raise TruncationError("difference-polynomial orders are truncated")
     if depth is None:
         depth = _auto_depth([orders, cert])
     depth = as_frac(depth)
 
-    def attempt(p):
-        rootset = puiseux_expand(h, depth, p)
-        tol = mpmath.mpf(2) ** (-(p // 8))
-        entries = [[None] * d for _ in range(d)]
-        finite_found = []
-        unresolved = 0
-        with mpmath.workprec(p + 64):
-            for i in range(d):
-                entries[i][i] = OrderVal.infinite()
-                for j in range(i + 1, d):
-                    e = _pair_order(rootset.roots[i], rootset.roots[j],
-                                    depth, tol)
-                    if e is None:
-                        unresolved += 2
-                        continue
-                    entries[i][j] = entries[j][i] = OrderVal.exact(e)
-                    finite_found.extend([e, e])
-        fill = _match_certificate(finite_found, unresolved, cert, depth)
-        if fill is None:
-            return None
-        for i in range(d):
-            for j in range(d):
-                if entries[i][j] is None:
-                    entries[i][j] = fill
-        return DiffOrderTable(d, entries, cert, depth)
+    def expand(p):
+        roots = puiseux_expand(h, depth, p).roots
+        return roots, roots
 
-    return _escalate(
-        precision, attempt,
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    found = dict(zip(pairs, _certified_orders(
+        precision, expand, pairs, cert, depth,
         "numeric difference orders disagree with the exact difference "
-        "polynomial", "difference orders failed to certify")
+        "polynomial", "difference orders failed to certify")))
+    entries = [[found[i, j] if i != j else OrderVal.infinite()
+                for j in range(d)] for i in range(d)]
+    return DiffOrderTable(d, entries, cert, depth)
 
 
 def orders_against_series(h: UPoly, w: PSeries, depth=None, precision=None):
@@ -990,7 +971,6 @@ def orders_against_series(h: UPoly, w: PSeries, depth=None, precision=None):
     Returns (values, certificate) where values align with the expansion
     order of puiseux_expand(h, ...).
     """
-    d = h.degree
     shifted = taylor_shift(h, w)
     cert = root_orders(shifted)
     if depth is None:
@@ -998,39 +978,14 @@ def orders_against_series(h: UPoly, w: PSeries, depth=None, precision=None):
                              [w.order()] if not w.is_exactly_zero else []])
     depth = as_frac(depth)
 
-    def attempt(p):
-        rootset = puiseux_expand(h, depth, p)
-        tol = mpmath.mpf(2) ** (-(p // 8))
-        with mpmath.workprec(p + 64):
-            wterms = _series_terms_numeric(w)
-            vals = []
-            finite = []
-            unresolved = 0
-            for i in range(d):
-                e = _pair_order(rootset.roots[i], wterms, depth, tol)
-                if e is None:
-                    vals.append(None)
-                    unresolved += 1
-                else:
-                    vals.append(OrderVal.exact(e))
-                    finite.append(e)
-        cert_small = sorted(v.value for v in cert
-                            if v.is_exact and v.value < depth)
-        cert_rest = [v for v in cert
-                     if v.is_infinite or (not v.is_exact) or v.value >= depth]
-        if sorted(finite) != cert_small or unresolved != len(cert_rest):
-            return None
-        if unresolved:
-            fill = OrderVal.infinite() if all(v.is_infinite
-                                              for v in cert_rest) \
-                else OrderVal.at_least(depth)
-            vals = [fill if v is None else v for v in vals]
-        return vals, cert
+    def expand(p):
+        return puiseux_expand(h, depth, p).roots, [_series_terms_numeric(w)]
 
-    return _escalate(
-        precision, attempt,
+    vals = _certified_orders(
+        precision, expand, [(i, 0) for i in range(h.degree)], cert, depth,
         "numeric contact orders disagree with the shifted polygon",
         "contact orders failed to certify")
+    return vals, cert
 
 
 # ---------------------------------------------------------------------------
@@ -1038,11 +993,7 @@ def orders_against_series(h: UPoly, w: PSeries, depth=None, precision=None):
 # ---------------------------------------------------------------------------
 
 def _is_integral(v: OrderVal) -> bool:
-    if v.is_infinite:
-        return True
-    if not v.is_exact:
-        raise TruncationError("cannot certify integrality from truncated data")
-    return v.value.denominator == 1
+    return v.is_infinite or v.value.denominator == 1
 
 
 def integrality_test(h: UPoly):
@@ -1067,21 +1018,6 @@ def integrality_test(h: UPoly):
 # Contact-order identity and perturbation bound
 # ---------------------------------------------------------------------------
 
-def _ov_ge(a: OrderVal, b: OrderVal):
-    """Three-valued a >= b."""
-    if a.is_infinite:
-        return True
-    if b.is_infinite:
-        return False
-    if a.is_exact and b.is_exact:
-        return a.value >= b.value
-    if a.lower >= b.value and b.is_exact:
-        return True
-    if b.lower > a.value and a.is_exact:
-        return False
-    return None
-
-
 def contact_order_identity_check(h: UPoly, w: PSeries, depth=None,
                                  precision=None):
     """For each center i, ord(h(w)) >= sum_j min(ord(w - alpha_i),
@@ -1099,7 +1035,7 @@ def contact_order_identity_check(h: UPoly, w: PSeries, depth=None,
             OrderVal.min_of([wvals[i], table.entries[i][j]])
             for j in range(d))
         is_max = wvals[i] == best
-        ge = _ov_ge(hw, bound)
+        ge = hw.ge(bound)
         eq = hw == bound
         if ge is not True or (is_max and not eq):
             ok = False
@@ -1139,39 +1075,19 @@ def perturbation_check(f: UPoly, g: UPoly, N, depth=None, precision=None):
         depth = _auto_depth([cert, root_orders(f), root_orders(g)])
     depth = as_frac(depth)
 
-    def attempt(p):
-        rf = puiseux_expand(f, depth, p)
-        rg = puiseux_expand(g, depth, p)
-        tol = mpmath.mpf(2) ** (-(p // 8))
-        finite = []
-        unresolved = 0
-        matrix = [[None] * d for _ in range(d)]
-        with mpmath.workprec(p + 64):
-            for i in range(d):
-                for j in range(d):
-                    e = _pair_order(rf.roots[i], rg.roots[j], depth, tol)
-                    if e is None:
-                        unresolved += 1
-                    else:
-                        matrix[i][j] = OrderVal.exact(e)
-                        finite.append(e)
-        fill = _match_certificate(finite, unresolved, cert, depth)
-        if fill is None:
-            return None
-        rows = []
-        ok = True
-        for j in range(d):
-            col = [matrix[i][j] if matrix[i][j] is not None else fill
-                   for i in range(d)]
-            best = OrderVal.max_of(col)
-            holds = best.lower >= bound
-            if not holds:
-                ok = False
-            rows.append({"root": j, "best_match": best.to_json(),
-                         "holds": bool(holds)})
-        return {"pass": ok, "bound": frac_str(bound), "roots": rows}
+    def expand(p):
+        return (puiseux_expand(f, depth, p).roots,
+                puiseux_expand(g, depth, p).roots)
 
-    return _escalate(
-        precision, attempt,
+    found = _certified_orders(
+        precision, expand, [(i, j) for i in range(d) for j in range(d)],
+        cert, depth,
         "numeric perturbation orders disagree with the exact "
         "cross-difference polynomial", "perturbation check failed to certify")
+    rows = []
+    for j in range(d):
+        best = OrderVal.max_of(found[i * d + j] for i in range(d))
+        rows.append({"root": j, "best_match": best.to_json(),
+                     "holds": best.lower >= bound})
+    return {"pass": all(r["holds"] for r in rows), "bound": frac_str(bound),
+            "roots": rows}

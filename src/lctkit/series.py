@@ -187,6 +187,19 @@ class OrderVal:
             return False
         return None
 
+    def ge(self, other):
+        """Three-valued `true order >= other's true order`: True, False, or
+        None (unknown)."""
+        if self.is_infinite:
+            return True
+        if other.is_infinite:
+            return False if self.is_exact else None
+        if other.is_exact and self.value >= other.value:
+            return True
+        if self.is_exact and other.value > self.value:
+            return False
+        return None
+
     def sort_key(self):
         rank = {self.EXACT: 0, self.ATLEAST: 1, self.INFINITE: 2}[self.kind]
         return (self.lower, rank)

@@ -162,6 +162,26 @@ class TestCommands:
         assert run(["verify", "--suite", "nope"]) == 2
 
 
+class TestPrecisionVariable:
+    ARGV = ["diffs", "--poly", "y^2 - t^3"]
+
+    @pytest.mark.parametrize("text", ["-8", "0", "abc"])
+    def test_bad_value_is_a_usage_error(self, monkeypatch, capsys, text):
+        monkeypatch.setenv("LCTKIT_PRECISION", text)
+        assert run(self.ARGV) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "LCTKIT_PRECISION" in json.loads(out.err)["error"]
+
+    def test_default_value_gives_default_output(self, monkeypatch, capsys):
+        monkeypatch.delenv("LCTKIT_PRECISION", raising=False)
+        assert run(self.ARGV) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setenv("LCTKIT_PRECISION", "256")
+        assert run(self.ARGV) == 0
+        assert capsys.readouterr().out == default
+
+
 class TestDashLedText:
     """Series and polynomial text that starts with "-" is read as a value
     in the space form, with the same output as the "--opt=text" form."""

@@ -484,6 +484,19 @@ class TestContainment:
         with pytest.raises(ConsistencyError):
             containment_check(choose_p(2, F(2, 3)), samples=5, seed=0)
 
+    def test_unknown_comparison_is_a_violation(self, monkeypatch):
+        """Rows known only from below give lambda_d = AtLeast(4) against
+        the bound AtLeast(4): the bound may fail, so the sample is a
+        violation, not a pass."""
+        from lctkit.rootdata import RootRows
+        row = (OrderVal.at_least(2), OrderVal.infinite())
+        monkeypatch.setattr(criterion, "_table_for",
+                            lambda *args: RootRows([row, row]))
+        rep = containment_check(choose_p(2, F(1)), samples=3, seed=0)
+        assert not rep["pass"] and rep["samples"] == 3
+        assert {(v["lambda_d"]["kind"], v["lambda_d"]["value"])
+                for v in rep["violations"]} == {("atleast", "4")}
+
     def test_degenerate_sample_passes(self):
         # triple root: infinite on both sides
         ctx = choose_p(3, F(5, 6))

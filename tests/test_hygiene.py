@@ -1,7 +1,7 @@
 """Static checks over the package sources: no handler broad enough to hide a
-ConsistencyError, no unused import, no assignment a function never reads,
-and no runtime dependency besides the standard library and mpmath; and
-mpmath stays unloaded until the numeric layer runs."""
+ConsistencyError, no unused import, no assignment or parameter a function
+never reads, and no runtime dependency besides the standard library and
+mpmath; and mpmath stays unloaded until the numeric layer runs."""
 
 import ast
 import os
@@ -86,6 +86,29 @@ def unread_assignments(tree):
     return sorted(found)
 
 
+def unread_parameters(tree):
+    """(line, function, parameter) of every parameter that a function or
+    lambda (nested closures included) never reads.  `self` and `cls` are
+    exempt, and so is the (trials, seed) signature that the verify dispatch
+    fixes for the `_suite_*` functions."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        spec = fn.args
+        params = [a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs
+                  + [spec.vararg, spec.kwarg] if a is not None]
+        if name.startswith("_suite_") and params == ["trials", "seed"]:
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found.extend((fn.lineno, name, p) for p in params
+                     if p not in read and p not in ("self", "cls"))
+    return sorted(found)
+
+
 def foreign_imports(tree):
     """(line, top-level module) of every absolute import from outside the
     standard library and mpmath; relative imports stay in the package."""
@@ -117,6 +140,11 @@ def test_no_unused_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_assignment(path):
     assert unread_assignments(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_parameter(path):
+    assert unread_parameters(_tree(path)) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -158,6 +186,28 @@ def test_unread_assignment_check_catches_offenders():
         "    n = 0\n"
         "    return n\n")
     assert unread_assignments(tree) == [(2, "bx"), (8, "unused")]
+
+
+def test_unread_parameter_check_catches_offenders():
+    tree = ast.parse(
+        "class A:\n"
+        "    def m(self, x, y):\n"       # y never read; self exempt
+        "        return x\n"
+        "    @classmethod\n"
+        "    def k(cls, *args, **kw):\n"  # args never read
+        "        return kw\n"
+        "def outer(a, b, *, c=0):\n"      # b and c never read
+        "    def inner():\n"
+        "        return a\n"             # a closure read counts
+        "    return inner\n"
+        "f = lambda u, v: u\n"           # v never read
+        "def _suite_oracle(trials, seed):\n"  # dispatch signature: exempt
+        "    return []\n"
+        "def _suite_x(rng, seed):\n"     # seed never read
+        "    return rng\n")
+    assert unread_parameters(tree) == [
+        (2, "m", "y"), (5, "k", "args"), (7, "outer", "b"),
+        (7, "outer", "c"), (11, "<lambda>", "v"), (14, "_suite_x", "seed")]
 
 
 LAZY_MPMATH = """

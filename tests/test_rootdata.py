@@ -6,7 +6,7 @@ import pytest
 
 from lctkit import rootdata
 from lctkit.errors import ConsistencyError, PrecisionError, TruncationError
-from lctkit.poly import UPoly, compound_poly, q_squarefree
+from lctkit.poly import UPoly, compound_poly, difference_poly, q_squarefree
 from lctkit.rootdata import (
     contact_order_identity_check, diff_orders, integrality_test,
     max_root_order, newton_polygon, orders_against_series, partial_sums,
@@ -118,6 +118,31 @@ class TestRootOrders:
             for k in range(1, d + 1):
                 partial_sums(h, k)  # internal dual-route assert
             max_root_order(h)       # internal dual-route assert
+
+    def test_truncated_orders_are_exact_or_infinite(self):
+        """A truncation either leaves the polygon ambiguous, and raises, or
+        leaves it certified, with exact hull slopes (infinite orders need
+        exactly vanishing coefficients): root_orders never returns AtLeast,
+        for h or for its difference polynomial."""
+        rng = random.Random(909)
+        seen = set()
+        for n in range(40):
+            d = 2 + n % 4
+            h = UPoly("y", [PSeries("t", {F(rng.randint(1, 6)):
+                                          F(rng.choice([-3, -1, 1, 2]))
+                                          for _ in range(rng.randint(0, 2))})
+                            for _ in range(d)])
+            for trunc in range(1, 10):
+                cut = UPoly("y", [a.truncated(trunc) for a in h.coeffs])
+                for poly in (cut, difference_poly(cut)):
+                    try:
+                        orders = root_orders(poly)
+                    except TruncationError:
+                        seen.add("raised")
+                        continue
+                    seen.update(v.kind for v in orders)
+                    assert all(v.is_exact or v.is_infinite for v in orders)
+        assert {"raised", OrderVal.EXACT} <= seen
 
 
 class TestPartialAndMax:
@@ -528,6 +553,55 @@ class TestEscalation:
         assert self._call(name) == want
         assert bits[0] == self.PREC
         assert set(bits[1:]) == {2 * self.PREC}
+
+    # another polynomial of the same degree, whose orders differ from the
+    # caller's certificate at every precision
+    _CUBIC = UPoly.from_roots("y", [mono(1), mono(1) + mono(3), mono(3)])
+    OTHER = {"diff_orders": _CUBIC, "orders_against_series": _CUBIC,
+             "perturbation_check": UPoly("y", [zero(), -mono(6)])}
+    MISMATCH = {
+        "diff_orders": "numeric difference orders disagree with the exact "
+                       "difference polynomial",
+        "orders_against_series": "numeric contact orders disagree with the "
+                                 "shifted polygon",
+        "perturbation_check": "numeric perturbation orders disagree with "
+                              "the exact cross-difference polynomial",
+    }
+
+    def test_backfill_and_unresolved_count(self):
+        """Unresolved pairs are filled from the certificate's orders at or
+        past the depth, and must be exactly as many as those orders."""
+        one, two = mpmath.mpf(1), mpmath.mpf(2)
+        roots = [[(F(1), one)], [(F(1), one)], [(F(1), two)]]
+
+        def certify(cert):
+            return rootdata._certified_orders(
+                self.PREC, lambda p: (roots, roots), [(0, 1), (0, 2)], cert,
+                F(3), "mismatch", "exhausted")
+
+        E = OrderVal.exact
+        assert certify([E(1), OrderVal.infinite()]) == \
+            [OrderVal.infinite(), E(1)]
+        assert certify([E(5), E(1)]) == [OrderVal.at_least(3), E(1)]
+        with pytest.raises(ConsistencyError, match="^mismatch$"):
+            certify([E(1)])
+
+    @pytest.mark.parametrize("name", list(CALLERS))
+    def test_mismatch_exhausts_five_attempts(self, monkeypatch, name):
+        real = rootdata.puiseux_expand
+        bits = []
+
+        def fake(h, depth, precision=None):
+            bits.append(precision)
+            return real(self.OTHER[name], depth, precision)
+
+        monkeypatch.setattr(rootdata, "puiseux_expand", fake)
+        with pytest.raises(ConsistencyError) as info:
+            self._call(name)
+        assert str(info.value) == self.MISMATCH[name]
+        per_attempt = 2 if name == "perturbation_check" else 1
+        assert bits == [self.PREC << i for i in range(5)
+                        for _ in range(per_attempt)]
 
 
 class TestCharRoots:

@@ -291,6 +291,40 @@ class TestOrderVal:
         assert OrderVal.at_least(2).le(1) is False
         assert OrderVal.at_least(1).le(2) is None
 
+    def test_ge_three_valued(self):
+        E, A, I = OrderVal.exact, OrderVal.at_least, OrderVal.infinite
+        table = [
+            (I(), I(), True), (I(), E(3), True), (I(), A(3), True),
+            (E(3), I(), False), (A(3), I(), None),
+            (E(3), E(2), True), (E(3), E(3), True), (E(2), E(3), False),
+            (A(3), E(2), True), (A(3), E(3), True), (A(2), E(3), None),
+            (E(2), A(3), False), (E(3), A(3), None), (E(4), A(3), None),
+            (A(2), A(3), None), (A(3), A(2), None),
+        ]
+        for a, b, want in table:
+            assert a.ge(b) is want, (a, b)
+
+    def test_ge_against_true_values(self):
+        """True exactly when every pair of possible true orders satisfies
+        >=, False when none does, else None."""
+        grid = [Fraction(k, 2) for k in range(9)]
+
+        def possible(v):
+            if v.is_infinite:
+                return [math.inf]
+            if v.is_exact:
+                return [v.value]
+            return [q for q in grid if q >= v.value] + [math.inf]
+
+        vals = [OrderVal.infinite()] + [make(q) for q in grid[:7]
+                                        for make in (OrderVal.exact,
+                                                     OrderVal.at_least)]
+        for a in vals:
+            for b in vals:
+                outcomes = {x >= y for x in possible(a) for y in possible(b)}
+                want = outcomes.pop() if len(outcomes) == 1 else None
+                assert a.ge(b) is want, (a, b)
+
     def test_max(self):
         assert OrderVal.max_of([OrderVal.exact(1), OrderVal.exact(4)]) \
             == OrderVal.exact(4)

@@ -19,7 +19,7 @@ exact), which avoids materializing huge generator powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,13 +43,7 @@ _EXACT_ZERO = OrderVal.exact(0)
 # Context: the band parameter p and the weights c1, c2
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CriterionContext:
-    d: int
-    c: Fraction
-    p: int
-    c1: Fraction
-    c2: Fraction
+CriterionContext = namedtuple("CriterionContext", "d c p c1 c2")
 
 
 def choose_p(d: int, c) -> CriterionContext:
@@ -166,12 +160,10 @@ def build_bbar_k(d: int, k: int) -> QIdeal:
 # Root-integrality pack
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cor3Pack:
+class Cor3Pack(namedtuple("Cor3Pack", "polys modulus")):
     """Polynomials P_i in the coefficients and a modulus m: if m divides
     ord(P_i(a)) for every i, all roots are unramified."""
-    polys: tuple
-    modulus: int
+    __slots__ = ()
 
 
 COR3_BUDGET = 2

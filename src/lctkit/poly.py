@@ -6,7 +6,10 @@ differences, or polynomial images of the roots of a given polynomial.
 The difference, cross-difference, compound and value polynomials come from
 one kernel over either coefficient domain: root power sums by Newton's
 identities, combined and turned back into coefficients by the same
-identities run in reverse.  Compound polynomials have no degree cap.
+identities run in reverse.  Every identity is one sum of scaled products,
+which `_sum_products` forms in a single pass over series coefficients (one
+dict, one reduction) and by a plain fold over MPoly.  Compound polynomials
+have no degree cap.
 
 Resultants take one route over both coefficient domains, a fraction-free
 subresultant remainder sequence (which keeps truncation loss in check over
@@ -21,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConsistencyError
-from .series import PSeries, as_frac, frac_str
+from .series import PSeries, as_frac, frac_str, sum_of_products
 
 _ZERO = Fraction(0)
 
@@ -342,6 +345,18 @@ def _dom_one(template):
     return MPoly.const(1, template.vars)
 
 
+def _sum_products(template, triples):
+    """Sum of k*a*b over (k, a, b) triples (k*a where b is None) in the
+    domain of `template`: one fused pass over series, a plain fold over
+    MPoly."""
+    if isinstance(template, PSeries):
+        return sum_of_products(template.var, triples)
+    acc = MPoly.zero(template.vars)
+    for k, a, b in triples:
+        acc = acc + (a if b is None else a * b).scale(k)
+    return acc
+
+
 def _dpow(x, n):
     out = _dom_one(x)
     while n:
@@ -573,10 +588,11 @@ def power_sums(h: UPoly, n):
     a = h.coeffs
     s = [_lift(d, a[0])]
     for k in range(1, n + 1):
-        acc = a[k - 1].scale(k) if k <= d else _lift(0, a[0])
-        for i in range(1, min(k - 1, d) + 1):
-            acc = acc + a[i - 1] * s[k - i]
-        s.append(-acc)
+        terms = [(-1, a[i - 1], s[k - i])
+                 for i in range(1, min(k - 1, d) + 1)]
+        if k <= d:
+            terms.append((-k, a[k - 1], None))
+        s.append(_sum_products(a[0], terms))
     return s
 
 
@@ -586,10 +602,10 @@ def from_power_sums(p, n):
     reverse, k a_k = -(p_k + a_1 p_(k-1) + ... + a_(k-1) p_1), over Q."""
     a = []
     for k in range(1, n + 1):
-        acc = p[k]
-        for i in range(1, k):
-            acc = acc + a[i - 1] * p[k - i]
-        a.append(acc.scale(Fraction(-1, k)))
+        w = Fraction(-1, k)
+        terms = [(w, p[k], None)]
+        terms += [(w, a[i - 1], p[k - i]) for i in range(1, k)]
+        a.append(_sum_products(p[1], terms))
     return a
 
 
@@ -601,11 +617,11 @@ def composed_difference(f: UPoly, g: UPoly) -> UPoly:
     sf, sg = power_sums(f, n), power_sums(g, n)
     p = [None]
     for k in range(1, n + 1):
-        acc = _lift(0, f.coeffs[0])
+        terms = []
         for m in range(k + 1):
             c = math.comb(k, m)
-            acc = acc + (sf[m] * sg[k - m]).scale(-c if m % 2 else c)
-        p.append(acc)
+            terms.append((-c if m % 2 else c, sf[m], sg[k - m]))
+        p.append(_sum_products(f.coeffs[0], terms))
     return UPoly(f.var, from_power_sums(p, n))
 
 
@@ -627,11 +643,11 @@ def difference_poly(h: UPoly) -> UPoly:
     s = power_sums(h, 2 * n)
     q = [None]
     for j in range(1, n + 1):
-        acc = s[2 * j].scale(d)
+        terms = [(d, s[2 * j], None)]
         for m in range(1, j + 1):
             c = math.comb(2 * j, m) // (2 if m == j else 1)
-            acc = acc + (s[m] * s[2 * j - m]).scale(-c if m % 2 else c)
-        q.append(acc)
+            terms.append((-c if m % 2 else c, s[m], s[2 * j - m]))
+        q.append(_sum_products(h.coeffs[0], terms))
     zero = _lift(0, h.coeffs[0])
     coeffs = []
     for e in from_power_sums(q, n):
@@ -726,10 +742,8 @@ def value_poly(h: UPoly, G: MPoly) -> UPoly:
     r = [_dom_one(template)]
     for _ in range(d):
         r = _mul_mod(r, g, h)
-        trace = zero
-        for x, sk in zip(r, s):
-            trace = trace + x * sk
-        p.append(trace)
+        p.append(_sum_products(template, [(1, x, sk)
+                                          for x, sk in zip(r, s)]))
     return UPoly(h.var, from_power_sums(p, d))
 
 

@@ -16,7 +16,9 @@ and hashes by its int fields.  Exactly known series carry None as their
 internal truncation; a finite truncation stays a Fraction and becomes an int
 bound, in the exponent units of the result, wherever terms are cut.  The
 public `terms` and `trunc` present the same values as {Fraction: Fraction}
-and as INF or a Fraction.
+and as INF or a Fraction.  Sums, differences, scalings and products all
+go through `sum_of_products`, which forms a whole sum of scaled products in
+one dict with one reduction: the shape of every Newton identity.
 
 All values are immutable and all operations are pure.
 """
@@ -295,6 +297,80 @@ def _reduced(var, t, ram, den, tr):
     return _series(var, t, ram, den, tr)
 
 
+def sum_of_products(var, triples):
+    """Sum of k*a*b over (k, a, b) triples, with b None meaning k*a, built
+    in one pass; +, -, scale and * are its one- and two-term cases.
+
+    Numerators accumulate in one dict at the lcm of the operands'
+    ramification indices and of the terms' denominators, and the result is
+    reduced once.  A product is known below min(T_a + ord_lb(b),
+    T_b + ord_lb(a)) and a scaled term below T_a, even when k = 0 or a has
+    no terms; the sum is known below the least of these, exactly as if the
+    terms were added one at a time.  Terms with k = 0 or an empty operand
+    add nothing, and product terms at or past that bound are never formed.
+    """
+    tr = None
+    live = []
+    ram = den = 1
+    for k, a, b in triples:
+        if a.var != var or (b is not None and b.var != var):
+            other = a.var if a.var != var else b.var
+            raise ValueError(
+                f"series variable mismatch: {var!r} vs {other!r}")
+        if b is None:
+            t = a._tr
+        elif a._tr is None and b._tr is None:
+            t = None
+        else:
+            la, lb = a._lower(), b._lower()
+            t = None if a._tr is None or lb is None else a._tr + lb
+            if b._tr is not None and la is not None:
+                u = b._tr + la
+                if t is None or u < t:
+                    t = u
+        if t is not None and (tr is None or t < tr):
+            tr = t
+        if not k or not a._t or (b is not None and not b._t):
+            continue
+        kd = k.denominator * a._den
+        if a._ram != ram:
+            ram = math.lcm(ram, a._ram)
+        if b is not None:
+            kd *= b._den
+            if b._ram != ram:
+                ram = math.lcm(ram, b._ram)
+        if kd != den:
+            den = math.lcm(den, kd)
+        live.append((k.numerator, kd, a, b))
+    bound = None if tr is None else _ceil_units(tr, ram)
+    t = {}
+    get = t.get
+    for kn, kd, a, b in live:
+        f = kn * (den // kd)
+        fa = ram // a._ram
+        if b is None:
+            for e, c in a._t.items():
+                e *= fa
+                t[e] = get(e, 0) + f * c
+            continue
+        fb = ram // b._ram
+        right = [(e * fb, c * f) for e, c in b._t.items()]
+        if bound is None:
+            for e1, c1 in a._t.items():
+                e1 *= fa
+                for e2, c2 in right:
+                    e = e1 + e2
+                    t[e] = get(e, 0) + c1 * c2
+        else:
+            for e1, c1 in a._t.items():
+                e1 *= fa
+                for e2, c2 in right:
+                    e = e1 + e2
+                    if e < bound:
+                        t[e] = get(e, 0) + c1 * c2
+    return _reduced(var, t, ram, den, tr)
+
+
 class PSeries:
     """Truncated Puiseux series: finitely many exact terms below `trunc`.
 
@@ -431,18 +507,7 @@ class PSeries:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = PSeries.const(self.var, other)
-        self._check_var(other)
-        ta, tb = self._tr, other._tr
-        tr = ta if tb is None or (ta is not None and ta <= tb) else tb
-        ram = math.lcm(self._ram, other._ram)
-        den = math.lcm(self._den, other._den)
-        fa, ka = ram // self._ram, den // self._den
-        fb, kb = ram // other._ram, den // other._den
-        t = {e * fa: c * ka for e, c in self._t.items()}
-        for e, c in other._t.items():
-            e *= fb
-            t[e] = t.get(e, 0) + c * kb
-        return _reduced(self.var, t, ram, den, tr)
+        return sum_of_products(self.var, ((1, self, None), (1, other, None)))
 
     __radd__ = __add__
 
@@ -455,53 +520,20 @@ class PSeries:
             other = PSeries.const(self.var, other)
         if not isinstance(other, PSeries):
             return NotImplemented
-        return self + (-other)
+        return sum_of_products(self.var, ((1, self, None), (-1, other, None)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, c):
-        c = as_frac(c)
-        if c == 0:
-            return _series(self.var, {}, 1, 1, self._tr)
-        n = c.numerator
-        return _reduced(self.var, {e: n * k for e, k in self._t.items()},
-                        self._ram, self._den * c.denominator, self._tr)
+        return sum_of_products(self.var, ((as_frac(c), self, None),))
 
     def __mul__(self, other):
         if not isinstance(other, PSeries):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return self.scale(other)
-        self._check_var(other)
-        if self._tr is None and other._tr is None:
-            tr = None
-        else:
-            # product known below min(T_a + ord_lb(b), T_b + ord_lb(a))
-            la, lb = self._lower(), other._lower()
-            known = [t + lo for t, lo in ((self._tr, lb), (other._tr, la))
-                     if t is not None and lo is not None]
-            tr = min(known) if known else None
-        ram = math.lcm(self._ram, other._ram)
-        fa, fb = ram // self._ram, ram // other._ram
-        right = [(e * fb, c) for e, c in other._t.items()]
-        t = {}
-        get = t.get
-        if tr is None:
-            for e1, c1 in self._t.items():
-                e1 *= fa
-                for e2, c2 in right:
-                    e = e1 + e2
-                    t[e] = get(e, 0) + c1 * c2
-        else:
-            bound = _ceil_units(tr, ram)
-            for e1, c1 in self._t.items():
-                e1 *= fa
-                for e2, c2 in right:
-                    e = e1 + e2
-                    if e < bound:
-                        t[e] = get(e, 0) + c1 * c2
-        return _reduced(self.var, t, ram, self._den * other._den, tr)
+        return sum_of_products(self.var, ((1, self, other),))
 
     __rmul__ = __mul__
 

@@ -1,7 +1,8 @@
 """Static checks over the package sources: no handler broad enough to hide a
 ConsistencyError, no unused import, no assignment or parameter a function
 never reads, and no runtime dependency besides the standard library and
-mpmath; and mpmath stays unloaded until the numeric layer runs."""
+mpmath; importing the CLI loads neither dataclasses nor inspect, and mpmath
+stays unloaded until the numeric layer runs."""
 
 import ast
 import os
@@ -89,8 +90,7 @@ def unread_assignments(tree):
 def unread_parameters(tree):
     """(line, function, parameter) of every parameter that a function or
     lambda (nested closures included) never reads.  `self` and `cls` are
-    exempt, and so is the (trials, seed) signature that the verify dispatch
-    fixes for the `_suite_*` functions."""
+    exempt."""
     found = []
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -100,8 +100,6 @@ def unread_parameters(tree):
         spec = fn.args
         params = [a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs
                   + [spec.vararg, spec.kwarg] if a is not None]
-        if name.startswith("_suite_") and params == ["trials", "seed"]:
-            continue
         read = {n.id for n in ast.walk(fn)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         found.extend((fn.lineno, name, p) for p in params
@@ -201,18 +199,17 @@ def test_unread_parameter_check_catches_offenders():
         "        return a\n"             # a closure read counts
         "    return inner\n"
         "f = lambda u, v: u\n"           # v never read
-        "def _suite_oracle(trials, seed):\n"  # dispatch signature: exempt
-        "    return []\n"
         "def _suite_x(rng, seed):\n"     # seed never read
         "    return rng\n")
     assert unread_parameters(tree) == [
         (2, "m", "y"), (5, "k", "args"), (7, "outer", "b"),
-        (7, "outer", "c"), (11, "<lambda>", "v"), (14, "_suite_x", "seed")]
+        (7, "outer", "c"), (11, "<lambda>", "v"), (12, "_suite_x", "seed")]
 
 
 LAZY_MPMATH = """
 import sys
 import lctkit.cli
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
 code = lctkit.cli.run(["lct", "--c", "5/6", "--coeff", "x", "--coeff",
                        "x^2 - x^3", "--coeff", "2*x^3"])
 print(code, "mpmath" in sys.modules)
@@ -222,12 +219,14 @@ print("mpmath" in sys.modules)
 
 
 def test_exact_decision_leaves_mpmath_unloaded():
-    """A d = 3 `lctkit lct` run decides from the certificate alone, so the
-    process never imports mpmath; `lctkit diffs` expands and loads it."""
+    """Importing the CLI loads neither dataclasses nor inspect.  A d = 3
+    `lctkit lct` run decides from the certificate alone, so the process
+    never imports mpmath; `lctkit diffs` expands and loads it."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", LAZY_MPMATH], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    verdict, lct_done, _, diffs_done = proc.stdout.splitlines()
+    heavy, verdict, lct_done, _, diffs_done = proc.stdout.splitlines()
+    assert heavy == "[]"
     assert '"verdict": "no"' in verdict
     assert (lct_done, diffs_done) == ("0 False", "True")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lctkit import poly
 from lctkit.errors import ConsistencyError
 from lctkit.poly import (
     MPoly, UPoly, composed_difference, compound_poly, difference_poly,
@@ -14,7 +15,7 @@ from lctkit.poly import (
     q_squarefree_decomposition, resultant, resultant_lists, taylor_shift,
     value_poly, z_vars,
 )
-from lctkit.series import PSeries
+from lctkit.series import INF, PSeries
 
 F = Fraction
 
@@ -472,6 +473,96 @@ class TestPowerSumKernel:
                                               for a in h.coeffs]))
             for a, b in zip(exact.coeffs, cut.coeffs):
                 assert a.truncated(b.trunc) == b
+
+
+def fold_products(var, triples):
+    """Reference for the fused kernel on {Fraction: Fraction} maps: each
+    term known below T_a (scaled) or min(T_a + ord(b), T_b + ord(a))
+    (product), the sum below the least of these."""
+    def lower(s):
+        return min(s.terms, default=s.trunc)
+
+    terms, trunc = {}, INF
+    for k, a, b in triples:
+        if b is None:
+            trunc = min(trunc, a.trunc)
+            part = a.terms.items()
+        else:
+            trunc = min(trunc, a.trunc + lower(b), b.trunc + lower(a))
+            part = [(e1 + e2, c1 * c2) for e1, c1 in a.terms.items()
+                    for e2, c2 in b.terms.items()]
+        for e, c in part:
+            terms[e] = terms.get(e, 0) + k * c
+    return PSeries(var, terms, trunc)
+
+
+def rand_cut_upoly(rng, d):
+    """Coefficients of mixed ramification, each exactly zero, exact, or
+    truncated (possibly below its first term)."""
+    coeffs = []
+    for _ in range(d):
+        a = PSeries.zero("t") if rng.random() < 0.1 else \
+            rand_exact_series(rng) + rng.choice([0, 0, F(1, 3)])
+        if rng.random() < 0.7:
+            a = a.truncated(F(rng.randint(1, 12), rng.choice([1, 2, 3])))
+        coeffs.append(a)
+    return UPoly("y", coeffs)
+
+
+W2 = MPoly.variable("w") ** 2 + MPoly.variable("z1") * MPoly.variable("w")
+W3 = MPoly.variable("w") ** 3 - MPoly.variable("z2")
+
+
+def _builds(rng):
+    """(name, thunk) for every kernel user, on truncated inputs."""
+    out = []
+    for _ in range(8):
+        h = rand_cut_upoly(rng, rng.randint(2, 3))
+        g = rand_cut_upoly(rng, rng.randint(1, 3))
+        out += [("difference", lambda h=h: difference_poly(h)),
+                ("composed", lambda h=h, g=g: composed_difference(h, g)),
+                ("value", lambda h=h: value_poly(h, W2)),
+                ("value", lambda h=h: value_poly(h, W3)),
+                ("compound", lambda h=h: compound_poly(h, 2))]
+    return out
+
+
+class TestTruncatedKernel:
+    """On truncated input every polynomial built from roots has the fields
+    it gets from a reference sum of products, and each known term agrees
+    with the result from exact input."""
+
+    def test_matches_reference_sums(self, monkeypatch):
+        def fields(thunk):
+            return [(c._t, c._ram, c._den, c._tr) for c in thunk().coeffs]
+
+        builds = _builds(random.Random(79))
+        fused = [fields(thunk) for _, thunk in builds]
+        monkeypatch.setattr(poly, "sum_of_products", fold_products)
+        folded = [fields(thunk) for _, thunk in builds]
+        for (name, _), a, b in zip(builds, fused, folded):
+            assert a == b, name
+        assert any(c[3] is not None for f in fused for c in f)
+
+    def test_composed_difference_and_value_stay_sound(self):
+        rng = random.Random(83)
+        for _ in range(12):
+            f = UPoly("y", [rand_exact_series(rng)
+                            for _ in range(rng.randint(1, 3))])
+            g = UPoly("y", [rand_exact_series(rng)
+                            for _ in range(rng.randint(2, 3))])
+
+            def cut(u):
+                return UPoly("y", [a.truncated(F(rng.randint(2, 8)))
+                                   for a in u.coeffs])
+
+            pairs = [(composed_difference(f, g),
+                      composed_difference(cut(f), cut(g))),
+                     (value_poly(g, W2), value_poly(cut(g), W2)),
+                     (value_poly(g, W3), value_poly(cut(g), W3))]
+            for exact, got in pairs:
+                for a, b in zip(exact.coeffs, got.coeffs):
+                    assert a.truncated(b.trunc) == b
 
 
 class TestValuePoly:

@@ -7,7 +7,7 @@ import pytest
 
 from lctkit.errors import ConsistencyError
 from lctkit.series import (INF, OrderVal, PSeries, frac_str, ps_add, ps_mul,
-                           ps_ord, ps_substitute)
+                           ps_ord, ps_substitute, sum_of_products)
 
 
 def S(var="t", **terms):
@@ -523,3 +523,81 @@ class TestAgainstReference:
                         num.div_exact(b)
                 else:
                     assert_matches(num.div_exact(b), want)
+
+
+def fold(triples):
+    """sum_of_products one operator at a time: acc + (a*b).scale(k) from
+    exact zero."""
+    acc = PSeries.zero("t")
+    for k, a, b in triples:
+        acc = acc + (a if b is None else a * b).scale(k)
+    return acc
+
+
+def fields(s):
+    return s._t, s._ram, s._den, s._tr
+
+
+def rand_operand(rng):
+    """A wild series, or an exactly zero or a truncated empty one."""
+    r = rng.random()
+    if r < 0.1:
+        return PSeries.zero("t")
+    if r < 0.2:
+        return PSeries.zero("t", Fraction(rng.randint(1, 20),
+                                          rng.choice([1, 2, 3])))
+    return wild_series(rng)
+
+
+def rand_triples(rng):
+    triples = []
+    for _ in range(rng.randint(0, 6)):
+        k = rng.choice([0, 1, -1, rng.randint(-40, 40),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+        b = None if rng.random() < 0.3 else rand_operand(rng)
+        triples.append((k, rand_operand(rng), b))
+    return triples
+
+
+class TestSumOfProducts:
+    """The fused kernel against the {Fraction: Fraction} reference, and
+    against the same sum folded over + and *."""
+
+    def test_matches_fold(self):
+        rng = random.Random(106)
+        for _ in range(600):
+            triples = rand_triples(rng)
+            got = sum_of_products("t", triples)
+            assert fields(got) == fields(fold(triples))
+            want = Ref({})
+            for k, a, b in triples:
+                term = Ref.of(a) if b is None else Ref.of(a) * Ref.of(b)
+                want = want + term.scale(Fraction(k))
+            assert_matches(got, want)
+
+    def test_every_bound_source_counts(self):
+        a = PSeries("t", {Fraction(1): 2}, 5)
+        b = PSeries("t", {Fraction(3): 1}, 4)
+        c = PSeries("t", {Fraction(1, 2): 1, Fraction(3): 1})
+        # min(T_a + ord(b), T_b + ord(a)) = min(8, 5), in either order
+        for x, y in ((a, b), (b, a)):
+            assert sum_of_products("t", [(1, x, y)]).trunc == 5
+        # beside an exact factor: T_a + ord(c) = 11/2
+        assert sum_of_products("t", [(1, c, a), (1, c, None)]).trunc \
+            == Fraction(11, 2)
+        # a zero k and an operand without terms still bound the sum
+        e = PSeries.zero("t", Fraction(7, 2))
+        for triple in [(0, a, None), (0, a, c), (2, e, None), (1, c, e)]:
+            got = sum_of_products("t", [(1, c, None), triple])
+            assert got.trunc == fold([triple]).trunc < INF
+            assert fields(got) == fields(fold([(1, c, None), triple]))
+        # an exactly zero operand leaves the product exactly zero
+        z = PSeries.zero("t")
+        assert sum_of_products("t", [(1, z, a), (1, e, z)]).is_exactly_zero
+
+    def test_empty_and_mismatched(self):
+        assert sum_of_products("t", []).is_exactly_zero
+        with pytest.raises(ValueError):
+            sum_of_products("t", [(1, PSeries.one("x"), None)])
+        with pytest.raises(ValueError):
+            sum_of_products("t", [(1, PSeries.one("t"), PSeries.one("x"))])

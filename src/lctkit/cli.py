@@ -242,12 +242,22 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _rational(value, option):
+    """The rational value of an option; a zero denominator is a usage
+    error (ValueError) like any other malformed value."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"{option} has a zero denominator: {value!r}") from None
+
+
 def _apply_trunc(coeffs, arg):
     """--trunc without a value truncates at the LCTKIT_TRUNC default."""
     if arg is None:
         return coeffs
     from .series import default_trunc
-    bound = default_trunc() if arg == "" else Fraction(arg)
+    bound = default_trunc() if arg == "" else _rational(arg, "--trunc")
     return [s.truncated(bound) for s in coeffs]
 
 
@@ -281,7 +291,7 @@ def _cmd_orders(args):
 
 def _cmd_diffs(args):
     h = parse_upoly(args.poly, args.var)
-    depth = Fraction(args.depth) if args.depth else None
+    depth = _rational(args.depth, "--depth") if args.depth else None
     table = diff_orders(h, depth=depth)
     _emit(table.to_json())
     return 0
@@ -295,7 +305,7 @@ def _cmd_integrality(args):
 
 
 def _cmd_criterion(args):
-    ctx = crit.choose_p(int(args.d), Fraction(args.c))
+    ctx = crit.choose_p(int(args.d), _rational(args.c, "--c"))
     out = {"d": ctx.d, "c": frac_str(ctx.c), "p": ctx.p,
            "c1": frac_str(ctx.c1), "c2": frac_str(ctx.c2)}
     if ctx.d <= 3:
@@ -309,7 +319,7 @@ def _cmd_criterion(args):
 def _cmd_lct(args):
     coeffs = _load_lct_input(args)
     d = int(args.d) if args.d is not None else len(coeffs)
-    verdict, diag = crit.lct_ge(d, Fraction(args.c), coeffs)
+    verdict, diag = crit.lct_ge(d, _rational(args.c, "--c"), coeffs)
     diag["verdict"] = verdict
     _emit(diag)
     return 3 if verdict == UNKNOWN else 0
@@ -317,7 +327,7 @@ def _cmd_lct(args):
 
 def _cmd_degree3(args):
     a, b = parse_series_group([args.a, args.b], var=args.series_var)
-    verdict, diag = crit.degree3_test(a, b, Fraction(args.c))
+    verdict, diag = crit.degree3_test(a, b, _rational(args.c, "--c"))
     diag["verdict"] = verdict
     _emit(diag)
     return 3 if verdict == UNKNOWN else 0

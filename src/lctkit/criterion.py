@@ -8,12 +8,14 @@ in one variable the pair is log canonical iff V <= 1.  V reads the rows only
 as a multiset.  On exact input that multiset comes from the root tree of the
 exact difference orders whenever the tree fixes it (always for d <= 4);
 otherwise, and on truncated input, from the certified expansion of
-diff_orders.  A table stores each row's prefix sums when it is built, and
-only p, c1 and c2 depend on c, so a decision on a cached table evaluates V
-from two stored prefix sums per distinct row.  The symbolic plus/minus
-ideal pair is built in closed form for d <= 3 and serves as a validation
-route; its orders are evaluated factor-wise (the semigroup laws make this
-exact), which avoids materializing huge generator powers.
+diff_orders.  A table stores each row's prefix sums when it is built, as
+ints over one table-wide denominator, and only p, c1 and c2 depend on c, so
+a decision on a cached table evaluates V from two stored prefix sums per
+distinct row in int arithmetic and decides by one int comparison.  The
+symbolic plus/minus ideal pair is built in closed form for d <= 3 and
+serves as a validation route; its orders are evaluated factor-wise (the
+semigroup laws make this exact), which avoids materializing huge generator
+powers.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from .qideal import (
     qi_sum,
 )
 from .rootdata import certified_rows, diff_orders
-from .series import INF, OrderVal, PSeries, as_frac, frac_str
+from .series import INF, OrderVal, PSeries, as_frac, frac_str, ratio_str
 
 _ONE = Fraction(1)
 _EXACT_ZERO = OrderVal.exact(0)
+_KINDS = (OrderVal.EXACT, OrderVal.ATLEAST, OrderVal.INFINITE)
 
 
 # ---------------------------------------------------------------------------
@@ -46,17 +49,26 @@ _EXACT_ZERO = OrderVal.exact(0)
 CriterionContext = namedtuple("CriterionContext", "d c p c1 c2")
 
 
+def _band(d, c):
+    """The band of c = a/b in (1/d, 1] on ints: (p, w1, w2, b) with
+    c1 = w1/b and c2 = w2/b.  With m = d - p the band reads
+    m <= 1/c < m + 1, so m = b // a, w1 = b - m a and w2 = (m + 1) a - b;
+    w1 >= 0 (zero at the band's upper edge) and w2 > 0."""
+    a, b = c.numerator, c.denominator
+    m = b // a
+    return d - m, b - m * a, (m + 1) * a - b, b
+
+
 def choose_p(d: int, c) -> CriterionContext:
     """The unique p in {1..d-1} with 1/(d-p+1) < c <= 1/(d-p), plus the
-    weights c1 = 1-(d-p)c and c2 = (d-p+1)c - 1.  With m = d - p the band
-    reads m <= 1/c < m + 1, so m is the floor of 1/c."""
+    weights c1 = 1-(d-p)c and c2 = (d-p+1)c - 1."""
     c = as_frac(c)
     if d < 2:
         raise ValueError("the band parameter needs d >= 2")
     if not (Fraction(1, d) < c <= 1):
         raise ValueError(f"c must lie in (1/{d}, 1]")
-    m = c.denominator // c.numerator
-    return CriterionContext(d, c, d - m, 1 - m * c, (m + 1) * c - 1)
+    p, w1, w2, b = _band(d, c)
+    return CriterionContext(d, c, p, Fraction(w1, b), Fraction(w2, b))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +312,7 @@ def _validate_coeffs(coeffs, d):
     for i, a in enumerate(coeffs, start=1):
         if not isinstance(a, PSeries):
             raise TypeError("coefficients must be series")
-        if a.order().lower <= 0:
+        if not a.has_positive_order:
             raise ValueError(
                 f"coefficient a_{i} must have positive order")
 
@@ -323,24 +335,37 @@ def _table_for(coeffs, depth, precision):
     return diff_orders(h, depth=depth, precision=precision)
 
 
-def _weighted(c, val: OrderVal) -> OrderVal:
-    """c * val with the convention that weight 0 contributes 0 even against
-    an infinite order."""
-    return OrderVal.exact(0) if c == 0 else val.scale(c)
+def _centers(band, prefix_sums):
+    """The center c1 * S_(p-1) + c2 * S_p of each row of int prefix sums
+    (see RootRows), as (numerator over b * L, rank): rank 0 for an exact
+    center, 1 for one known from below and 2, numerator None, for an
+    infinite one, the ranks of OrderVal.sort_key.  c2 > 0, so a center is
+    infinite exactly when S_p is; an infinite S_(p-1) makes S_p infinite,
+    so a zero c1 against it needs no case of its own."""
+    p, w1, w2, _ = band
+    return [(None, 2) if p > inf else
+            (w1 * sums[p - 1] + w2 * sums[p], 0 if p <= inexact else 1)
+            for sums, inexact, inf in prefix_sums]
 
 
-def _center_values(ctx: CriterionContext, prefix_sums):
-    """v = c1 * S_(p-1) + c2 * S_p for each row of prefix sums S."""
-    c1, c2, p = ctx.c1, ctx.c2, ctx.p
-    return [_weighted(c1, sums[p - 1]) + _weighted(c2, sums[p])
-            for sums in prefix_sums]
-
-
-def _eval_v(ctx: CriterionContext, coeffs, depth, precision) -> OrderVal:
-    """V from validated coefficients: the maximum over the table's
-    distinct rows, which is the maximum over all of its centers."""
+def _eval_v(band, coeffs, depth, precision):
+    """V from validated coefficients, the largest center over the table's
+    distinct rows, as (numerator, rank, b * L): infinite when one center
+    is, exact when all are."""
     table = _table_for(tuple(coeffs), depth, precision)
-    return OrderVal.max_of(_center_values(ctx, table.distinct_prefix_sums))
+    one = band[3] * table.denominator
+    centers = _centers(band, table.distinct_prefix_sums)
+    rank = max(r for _, r in centers)
+    if rank == 2:
+        return None, 2, one
+    return max(n for n, _ in centers), rank, one
+
+
+def _order_json(num, rank, den):
+    """OrderVal.to_json of num/den with the given rank, from the ints."""
+    if rank == 2:
+        return {"kind": OrderVal.INFINITE}
+    return {"kind": _KINDS[rank], "value": ratio_str(num, den)}
 
 
 def eval_theorem_lhs(ctx: CriterionContext, coeffs, depth=None,
@@ -350,7 +375,10 @@ def eval_theorem_lhs(ctx: CriterionContext, coeffs, depth=None,
     include the center itself, contributing an infinite order that is never
     selected while finite alternatives remain."""
     _validate_coeffs(coeffs, ctx.d)
-    return _eval_v(ctx, coeffs, depth, precision)
+    num, rank, one = _eval_v(_band(ctx.d, ctx.c), coeffs, depth, precision)
+    if rank == 2:
+        return OrderVal.infinite()
+    return OrderVal(_KINDS[rank], Fraction(num, one))
 
 
 def lct_ge(d: int, c, coeffs, depth=None, precision=None):
@@ -360,6 +388,11 @@ def lct_ge(d: int, c, coeffs, depth=None, precision=None):
     diagnostics echo p, c1, c2 and V so results are auditable.  Truncated
     data that cannot be certified gives unknown, with the error as
     `reason` and the truncation hint as `required` in place of V.
+
+    V = num / (b * L) with c = a/b and L the table's denominator, so the
+    verdict is the one int comparison num <= b * L: yes when V is exact, no
+    when V is infinite or exceeds 1, unknown when V is only known from
+    below and does not exceed 1.
     """
     c = as_frac(c)
     if d < 1:
@@ -367,23 +400,27 @@ def lct_ge(d: int, c, coeffs, depth=None, precision=None):
     _validate_coeffs(coeffs, d)
     diag = {"d": d, "c": frac_str(c), "p": None, "c1": None, "c2": None,
             "V": None}
-    if c > 1:
+    a, b = c.numerator, c.denominator
+    if a > b:
         diag["reason"] = "thresholds of monic polynomials never exceed 1"
         return NO, diag
-    if d == 1 or c <= Fraction(1, d):
+    if d == 1 or d * a <= b:
         diag["reason"] = "thresholds lie in [1/d, 1]"
         return YES, diag
-    ctx = choose_p(d, c)
-    diag.update({"p": ctx.p, "c1": frac_str(ctx.c1), "c2": frac_str(ctx.c2)})
+    band = _band(d, c)
+    p, w1, w2, _ = band
+    diag.update({"p": p, "c1": ratio_str(w1, b), "c2": ratio_str(w2, b)})
     try:
-        v = _eval_v(ctx, coeffs, depth, precision)
+        num, rank, one = _eval_v(band, coeffs, depth, precision)
     except TruncationError as exc:
         diag["reason"] = str(exc)
         diag["required"] = (None if exc.required is None
                             else frac_str(exc.required))
         return UNKNOWN, diag
-    diag["V"] = v.to_json()
-    return ord_diff_le_one(v, _EXACT_ZERO), diag
+    diag["V"] = _order_json(num, rank, one)
+    if rank == 2 or num > one:
+        return NO, diag
+    return (YES if rank == 0 else UNKNOWN), diag
 
 
 def degree3_test(a: PSeries, b: PSeries, c):
@@ -400,7 +437,7 @@ def degree3_test(a: PSeries, b: PSeries, c):
     if not (Fraction(1, 3) < c <= 1):
         raise ValueError("c must lie in (1/3, 1]")
     for s, name in ((a, "a"), (b, "b")):
-        if s.order().lower <= 0:
+        if not s.has_positive_order:
             raise ValueError(f"coefficient {name} must have positive order")
     m_ideal = QIdeal([a ** 3, b ** 2], _ONE) \
         if not (a.is_exactly_zero and b.is_exactly_zero) else QIdeal.zero()
@@ -439,7 +476,7 @@ def example3_test(d: int, c, tail):
     if len(tail) != d - 1:
         raise ValueError(f"expected coefficients a_2..a_{d}")
     for a in tail:
-        if a.order().lower <= 0:
+        if not a.has_positive_order:
             raise ValueError("coefficients must have positive order")
     vals = [a.order().scale(Fraction(1, i))
             for i, a in enumerate(tail, start=2)]
@@ -491,6 +528,7 @@ def containment_check(ctx: CriterionContext, samples=100, seed=0):
     import random as _random
     rng = _random.Random(seed)
     d = ctx.d
+    band = _band(d, ctx.c)
     failures = []
     seen = set()
     checked = discarded = 0
@@ -505,14 +543,22 @@ def containment_check(ctx: CriterionContext, samples=100, seed=0):
         seen.add(key)
         table = _table_for(tuple(coeffs), None, None)
         checked += 1
-        vals = _center_values(ctx, table.prefix_sums)
-        lam_d = OrderVal.sum_of(vals)
-        small = sorted(vals, key=lambda v: v.sort_key())[:d - 1]
-        lam_d1 = OrderVal.sum_of(small)
-        bound = lam_d1.scale(Fraction(d, d - 1))
-        if lam_d.ge(bound) is not True:  # unknown counts as a violation
-            failures.append({"sample": [a.to_json() for a in coeffs],
-                             "lambda_d": lam_d.to_json(),
-                             "lambda_d_minus_1": lam_d1.to_json()})
+        centers = _centers(band, table.prefix_sums)
+        if any(r == 2 for _, r in centers):
+            continue  # lambda_d is infinite
+        centers.sort()
+        small = centers[:d - 1]
+        lam_d = sum(n for n, _ in centers)
+        lam_d1 = sum(n for n, _ in small)
+        rank_d1 = max(r for _, r in small)
+        # lambda_d >= (d/(d-1)) lambda_(d-1) holds for certain only when
+        # lambda_(d-1) is exact; otherwise it is unknown, a violation
+        if rank_d1 == 0 and (d - 1) * lam_d >= d * lam_d1:
+            continue
+        den = band[3] * table.denominator
+        failures.append({
+            "sample": [a.to_json() for a in coeffs],
+            "lambda_d": _order_json(lam_d, max(r for _, r in centers), den),
+            "lambda_d_minus_1": _order_json(lam_d1, rank_d1, den)})
     return {"pass": not failures, "samples": checked, "discarded": discarded,
             "violations": failures}

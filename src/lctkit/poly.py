@@ -267,30 +267,6 @@ class MPoly:
             total = total + term
         return total
 
-    def eval_frac(self, mapping) -> Fraction:
-        total = _ZERO
-        for exps, c in self.terms.items():
-            val = c
-            for v, e in zip(self.vars, exps):
-                if e:
-                    val *= as_frac(mapping[v]) ** e
-            total += val
-        return total
-
-    def permuted(self, rename) -> "MPoly":
-        """Apply a variable renaming (a dict), keeping the variable set."""
-        new_names = [rename.get(v, v) for v in self.vars]
-        if sorted(new_names) != sorted(self.vars):
-            raise ValueError("renaming must permute the variable set")
-        pos = {v: i for i, v in enumerate(self.vars)}
-        terms = {}
-        for exps, c in self.terms.items():
-            new = [0] * len(exps)
-            for v, e in zip(new_names, exps):
-                new[pos[v]] = e
-            terms[tuple(new)] = c
-        return MPoly(self.vars, terms)
-
     # -- serialization ---------------------------------------------------------
 
     def to_json(self):
@@ -827,38 +803,3 @@ def q_squarefree_decomposition(f):
         i += 1
     return out
 
-
-def q_eval(f, x):
-    acc = _ZERO
-    for c in f:
-        acc = acc * x + c
-    return acc
-
-
-def q_resultant(f, g):
-    """Resultant of dense rational coefficient lists (field arithmetic)."""
-    f, g = q_strip(f), q_strip(g)
-    if not f or not g:
-        return _ZERO
-    n, m = len(f) - 1, len(g) - 1
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
-    _, r = q_divmod(f, g)
-    if not r:
-        return _ZERO
-    k = len(r) - 1
-    sign = Fraction(-1) if (n % 2 and m % 2) else Fraction(1)
-    return sign * g[0] ** (n - k) * q_resultant(g, r)
-
-
-def q_discriminant(f):
-    """Discriminant of a dense rational polynomial (degree >= 1)."""
-    f = q_strip(f)
-    n = len(f) - 1
-    if n < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    res = q_resultant(f, q_deriv(f))
-    s = -1 if (n * (n - 1) // 2) % 2 else 1
-    return s * res / f[0]

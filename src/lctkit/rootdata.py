@@ -280,31 +280,45 @@ class RootRows:
     a multiset: which row belongs to which root is not recorded.
 
     The prefix sums S_0 = 0, S_1, .., S_d of each distinct row are computed
-    once, with the table, and equal rows share them;
+    once, with the table, on ints: `denominator` is the lcm L of the
+    denominators of the table's finite entries, and a row's prefix sums are
+    a triple (sums, inexact, inf).  `sums` holds the numerators over L of
+    its finite sums S_0 .. S_inf, `inexact` is the index of the row's first
+    entry that is not exact and `inf` that of its first infinite entry
+    (both len(row) when there is none), so S_k is exact iff k <= inexact
+    and finite iff k <= inf.  Equal rows share one triple;
     `distinct_prefix_sums` holds one per distinct row, which is all that a
-    maximum over the rows reads."""
+    maximum over the rows reads, and `prefix_sums` one per row."""
 
-    __slots__ = ("rows", "prefix_sums", "distinct_prefix_sums")
+    __slots__ = ("rows", "denominator", "prefix_sums", "distinct_prefix_sums")
 
     def __init__(self, rows):
         self.rows = tuple(map(tuple, rows))
-        sums = {row: _prefix_sums(row) for row in dict.fromkeys(self.rows)}
+        sums = dict.fromkeys(self.rows)
+        den = math.lcm(*(v.value.denominator for row in sums for v in row
+                         if not v.is_infinite))
+        for row in sums:
+            sums[row] = _prefix_sums(row, den)
+        self.denominator = den
         self.prefix_sums = tuple(sums[row] for row in self.rows)
         self.distinct_prefix_sums = tuple(sums.values())
 
-    def row_prefix_sum(self, i, k) -> OrderVal:
-        """Sum of the k smallest difference orders at center i."""
-        return self.prefix_sums[i][k]
 
-
-_EXACT_ZERO = OrderVal.exact(0)
-
-
-def _prefix_sums(row):
-    sums = [_EXACT_ZERO]
-    for v in row:
-        sums.append(sums[-1] + v)
-    return tuple(sums)
+def _prefix_sums(row, den):
+    """The (sums, inexact, inf) triple of one row over the denominator
+    den (see RootRows)."""
+    sums = [0]
+    inexact = inf = len(row)
+    for k, v in enumerate(row):
+        if v.is_infinite:
+            inf = k
+            inexact = min(inexact, k)
+            break
+        if inexact > k and not v.is_exact:
+            inexact = k
+        q = v.value
+        sums.append(sums[-1] + q.numerator * (den // q.denominator))
+    return tuple(sums), inexact, inf
 
 
 def difference_orders(h: UPoly):

@@ -38,9 +38,18 @@ _ZERO = Fraction(0)
 
 
 def default_trunc():
-    """Working truncation bound for operations that must pick one."""
-    raw = os.environ.get("LCTKIT_TRUNC", "64")
-    return Fraction(raw)
+    """Working truncation bound for operations that must pick one:
+    LCTKIT_TRUNC, 64 when unset.  Anything but a positive rational is a
+    usage error (ValueError)."""
+    text = os.environ.get("LCTKIT_TRUNC", "64")
+    try:
+        bound = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        bound = 0
+    if bound <= 0:
+        raise ValueError(
+            f"LCTKIT_TRUNC must be a positive rational, got {text!r}")
+    return bound
 
 
 def as_frac(x) -> Fraction:
@@ -56,9 +65,16 @@ def as_frac(x) -> Fraction:
 def frac_str(q) -> str:
     """Serialize a rational as "p" or "p/q" (never floating point)."""
     q = as_frac(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return ratio_str(q.numerator, q.denominator)
+
+
+def ratio_str(num, den) -> str:
+    """The rational num/den (ints, den > 0) in lowest terms, as frac_str
+    writes it."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 def _trunc_str(t) -> str:
@@ -176,18 +192,6 @@ class OrderVal:
         if self.is_exact:
             return OrderVal.exact(self.value - other.value)
         return OrderVal.at_least(self.value - other.value)
-
-    def le(self, bound):
-        """Three-valued `true order <= bound`: True, False, or None (unknown)."""
-        bound = as_frac(bound)
-        if self.is_infinite:
-            return False
-        if self.is_exact:
-            return self.value <= bound
-        # at-least: order in [value, inf]
-        if self.value > bound:
-            return False
-        return None
 
     def ge(self, other):
         """Three-valued `true order >= other's true order`: True, False, or
@@ -465,6 +469,13 @@ class PSeries:
     @property
     def is_exactly_zero(self) -> bool:
         return not self._t and self._tr is None
+
+    @property
+    def has_positive_order(self) -> bool:
+        """ord > 0: no constant term is stored.  Exponents are never
+        negative, and a series without stored terms has infinite order or
+        one at least its positive truncation."""
+        return 0 not in self._t
 
     def _lower(self):
         """Certified lower bound on the order; None for the infinite one."""

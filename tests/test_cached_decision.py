@@ -1,7 +1,8 @@
-"""The cached decision: V evaluated from the prefix sums a table stores,
-over its distinct rows, against a test-side copy of the per-center
-formula; the closed-form band against the band loop; and digests of the
-verdicts and diagnostics of a parameter sweep."""
+"""The cached decision: V, the verdict and the diagnostics evaluated on ints
+from the prefix sums a table stores, over its distinct rows, against a
+test-side copy of the per-center formula on OrderVal; the containment
+lambdas against the same reference; the closed-form band against the band
+loop; and digests of the verdicts and diagnostics of a parameter sweep."""
 
 import hashlib
 import json
@@ -17,8 +18,9 @@ from lctkit.criterion import (
 from lctkit.errors import ConsistencyError, DegenerateError, TruncationError
 from lctkit.oracle import lct_plane_nondegenerate
 from lctkit.poly import MPoly, UPoly
+from lctkit.qideal import ord_diff_le_one
 from lctkit.rootdata import RootRows, diff_orders
-from lctkit.series import OrderVal, PSeries
+from lctkit.series import OrderVal, PSeries, frac_str
 
 F = Fraction
 
@@ -50,6 +52,32 @@ def _ref_band(d, c):
     raise AssertionError("band partition failed")
 
 
+def _ref_containment(ctx, rows):
+    """lambda_d, lambda_(d-1) and whether lambda_d >= (d/(d-1))
+    lambda_(d-1) holds for certain, on OrderVal."""
+    d = ctx.d
+    vals = [_ref_center(ctx, rows, i) for i in range(len(rows))]
+    lam_d = OrderVal.sum_of(vals)
+    lam_d1 = OrderVal.sum_of(sorted(vals, key=OrderVal.sort_key)[:d - 1])
+    return lam_d, lam_d1, lam_d.ge(lam_d1.scale(F(d, d - 1))) is True
+
+
+def _as_order(num, rank, den):
+    """An int center (numerator over den, rank) as an OrderVal."""
+    if rank == 2:
+        return OrderVal.infinite()
+    return OrderVal((OrderVal.EXACT, OrderVal.ATLEAST)[rank], F(num, den))
+
+
+def _row_prefix_sum(table, i, k):
+    """Sum of the k smallest difference orders at center i, read from the
+    table's int prefix sums."""
+    sums, inexact, inf = table.prefix_sums[i]
+    if k > inf:
+        return OrderVal.infinite()
+    return _as_order(sums[k], 0 if k <= inexact else 1, table.denominator)
+
+
 def _band_thresholds(d):
     """For each p: the upper edge 1/(d-p), where c1 = 0, a point just
     above the lower edge, and the midpoint."""
@@ -67,20 +95,20 @@ def _positive_coeffs(d):
 # V against the reference
 # ---------------------------------------------------------------------------
 
-def _random_order(rng):
+def _random_order(rng, dens=(1, 2, 3)):
     kind = rng.choice("eeeai")
     if kind == "i":
         return OrderVal.infinite()
-    q = F(rng.randint(1, 12), rng.choice([1, 2, 3]))
+    q = F(rng.randint(1, 12), rng.choice(dens))
     return OrderVal.exact(q) if kind == "e" else OrderVal.at_least(q)
 
 
-def _random_rows(rng, d):
+def _random_rows(rng, d, dens=(1, 2, 3)):
     """d rows drawn with repetition from at most d distinct ascending
     rows, each ending in the infinite self-order."""
     pool = []
     for _ in range(rng.randint(1, d)):
-        row = sorted((_random_order(rng) for _ in range(d - 1)),
+        row = sorted((_random_order(rng, dens) for _ in range(d - 1)),
                      key=OrderVal.sort_key)
         pool.append(tuple(row) + (OrderVal.infinite(),))
     return [rng.choice(pool) for _ in range(d)]
@@ -102,9 +130,71 @@ class TestAgainstReference:
                 assert ctx.p == p
                 got = eval_theorem_lhs(ctx, _positive_coeffs(d))
                 assert got == _ref_v(ctx, rows), (rows, c)
-                assert criterion._center_values(ctx, table.prefix_sums) == \
+                band = criterion._band(d, c)
+                den = band[3] * table.denominator
+                assert [_as_order(n, r, den) for n, r in criterion._centers(
+                    band, table.prefix_sums)] == \
                     [_ref_center(ctx, rows, i) for i in range(d)]
         assert kinds == {"exact", "atleast", "inf"}
+
+    def test_int_verdict_and_diagnostics(self, monkeypatch):
+        """lct_ge on a cached table against ord_diff_le_one(V, 0) and the
+        JSON of the reference V, on rows with larger denominators, at
+        every band edge and at random thresholds in each band."""
+        rng = random.Random(4242)
+        kinds, verdicts, zero_c1_inf = set(), set(), 0
+        for _ in range(150):
+            d = rng.randint(2, 6)
+            rows = _random_rows(rng, d, dens=(1, 2, 3, 5, 7, 12))
+            table = RootRows(rows)
+            kinds.update(v.kind for row in rows for v in row)
+            monkeypatch.setattr(criterion, "_table_for",
+                                lambda *args, t=table: t)
+            thresholds = [c for _, c in _band_thresholds(d)]
+            thresholds += [F(rng.randint(1, 60), 60) for _ in range(6)]
+            for c in thresholds:
+                if not F(1, d) < c <= 1:
+                    continue
+                ctx = choose_p(d, c)
+                ref = _ref_v(ctx, rows)
+                verdict, diag = lct_ge(d, c, _positive_coeffs(d))
+                assert verdict == ord_diff_le_one(ref, OrderVal.exact(0))
+                assert diag == {"d": d, "c": frac_str(c), "p": ctx.p,
+                                "c1": frac_str(ctx.c1),
+                                "c2": frac_str(ctx.c2), "V": ref.to_json()}
+                verdicts.add(verdict)
+                zero_c1_inf += ctx.c1 == 0 and any(
+                    r[ctx.p - 2].is_infinite for r in rows if ctx.p > 1)
+        assert kinds == {"exact", "atleast", "inf"}
+        assert verdicts == {"yes", "no", "unknown"}
+        assert zero_c1_inf > 0
+
+    def test_containment_lambdas(self, monkeypatch):
+        """containment_check's pass and lambda values against the OrderVal
+        reference, on random rows: a table with an infinite center passes,
+        and so does one whose largest center alone is known only from
+        below; one whose lambda_(d-1) is known only from below fails."""
+        rng = random.Random(99)
+        outcomes = set()
+        for _ in range(150):
+            d = rng.randint(2, 6)
+            rows = _random_rows(rng, d, dens=(1, 2, 3, 5))
+            table = RootRows(rows)
+            monkeypatch.setattr(criterion, "_table_for",
+                                lambda *args, t=table: t)
+            for _, c in _band_thresholds(d):
+                ctx = choose_p(d, c)
+                lam_d, lam_d1, ok = _ref_containment(ctx, rows)
+                rep = containment_check(ctx, samples=2, seed=rng.random())
+                assert rep["pass"] is ok and rep["samples"] == 2
+                lams = [(v["lambda_d"], v["lambda_d_minus_1"])
+                        for v in rep["violations"]]
+                assert lams == ([] if ok else
+                                [(lam_d.to_json(), lam_d1.to_json())] * 2)
+                outcomes.add((ok, lam_d.kind))
+        assert outcomes == {
+            (True, "inf"), (True, "exact"), (True, "atleast"),
+            (False, "atleast")}
 
     def test_repeated_rows_collapse(self):
         inf = OrderVal.infinite()
@@ -124,7 +214,7 @@ class TestAgainstReference:
             table = RootRows(rows)
             for i in range(d):
                 for k in range(d + 1):
-                    assert table.row_prefix_sum(i, k) == \
+                    assert _row_prefix_sum(table, i, k) == \
                         OrderVal.sum_of(rows[i][:k])
 
     def test_zero_weight_against_infinite_prefix(self, monkeypatch):
@@ -136,10 +226,14 @@ class TestAgainstReference:
         table = RootRows(rows)
         ctx = choose_p(3, F(1))
         assert (ctx.p, ctx.c1) == (2, 0)
-        assert criterion._center_values(ctx, table.prefix_sums)[1] == inf
+        centers = criterion._centers(criterion._band(3, F(1)),
+                                     table.prefix_sums)
+        assert centers[1] == (None, 2)
         monkeypatch.setattr(criterion, "_table_for", lambda *args: table)
         assert eval_theorem_lhs(ctx, _positive_coeffs(3)) == \
             _ref_v(ctx, rows) == inf
+        verdict, diag = lct_ge(3, F(1), _positive_coeffs(3))
+        assert (verdict, diag["V"]) == ("no", inf.to_json())
 
     def test_truncated_diff_order_tables(self):
         rng = random.Random(7)
@@ -257,7 +351,8 @@ class TestSweepPins:
         built = []
         real = rootdata._prefix_sums
         monkeypatch.setattr(rootdata, "_prefix_sums",
-                            lambda row: built.append(row) or real(row))
+                            lambda row, den: built.append(row) or
+                            real(row, den))
         criterion._table_for.cache_clear()
         zero = PSeries.zero("x")
         coeffs = (zero, PSeries.monomial("x", 3), PSeries.monomial("x", 5))

@@ -7,7 +7,7 @@ from lctkit.cli import (
     parse_poly, parse_series, parse_series_group, parse_upoly, run,
 )
 from lctkit.errors import ParseError
-from lctkit.series import PSeries
+from lctkit.series import PSeries, default_trunc
 
 F = Fraction
 
@@ -180,6 +180,56 @@ class TestPrecisionVariable:
         monkeypatch.setenv("LCTKIT_PRECISION", "256")
         assert run(self.ARGV) == 0
         assert capsys.readouterr().out == default
+
+
+class TestZeroDenominator:
+    """A rational option with a zero denominator is a usage error: exit 2,
+    nothing on stdout and one JSON error line on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lct", "--c", "1/0", "--coeff", "x", "--coeff", "x^2"],
+        ["criterion", "--d", "3", "--c", "1/0"],
+        ["degree3", "--a", "x", "--b", "x^2", "--c", "1/0"],
+        ["lct", "--c", "3/4", "--coeff", "x", "--coeff", "x^2",
+         "--trunc", "1/0"],
+        ["diffs", "--poly", "y^2 - t^3", "--depth", "1/0"],
+    ], ids=["lct-c", "criterion-c", "degree3-c", "lct-trunc", "diffs-depth"])
+    def test_usage_error(self, capsys, argv):
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert "zero denominator" in json.loads(line)["error"]
+
+
+class TestTruncVariable:
+    """LCTKIT_TRUNC, read by a bare --trunc, must be a positive rational."""
+
+    ARGV = ["lct", "--c", "3/4", "--coeff=2*x^3", "--coeff=x^2", "--trunc"]
+
+    @pytest.mark.parametrize("text", ["abc", "0", "-3", "1/0"])
+    def test_bad_value_is_a_usage_error(self, monkeypatch, capsys, text):
+        monkeypatch.setenv("LCTKIT_TRUNC", text)
+        with pytest.raises(ValueError, match="LCTKIT_TRUNC"):
+            default_trunc()
+        assert run(self.ARGV) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert "LCTKIT_TRUNC" in json.loads(line)["error"]
+
+    def test_default_and_set_values(self, monkeypatch, capsys):
+        monkeypatch.delenv("LCTKIT_TRUNC", raising=False)
+        assert default_trunc() == 64
+        assert run(self.ARGV) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setenv("LCTKIT_TRUNC", "64")
+        assert run(self.ARGV) == 0
+        assert capsys.readouterr().out == default
+        monkeypatch.setenv("LCTKIT_TRUNC", "5/2")
+        assert default_trunc() == F(5, 2)
+        assert run(self.ARGV) == 3
+        assert json.loads(capsys.readouterr().out)["verdict"] == "unknown"
 
 
 class TestDashLedText:

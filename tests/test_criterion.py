@@ -501,10 +501,10 @@ class TestContainment:
         # triple root: infinite on both sides
         ctx = choose_p(3, F(5, 6))
         h = UPoly.from_roots("y", [xs(1)] * 3)
-        from lctkit.criterion import _center_values, _table_for
+        from lctkit.criterion import _band, _centers, _table_for
         table = _table_for(tuple(h.coeffs), None, None)
-        vals = _center_values(ctx, table.prefix_sums)
-        assert len(vals) == 3 and all(v.is_infinite for v in vals)
+        vals = _centers(_band(3, ctx.c), table.prefix_sums)
+        assert vals == [(None, 2)] * 3
 
 
 class TestTruncatedInput:

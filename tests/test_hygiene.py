@@ -1,13 +1,14 @@
 """Static checks over the package sources: no handler broad enough to hide a
 ConsistencyError, no unused import, no assignment or parameter a function
-never reads, and no runtime dependency besides the standard library and
-mpmath; importing the CLI loads neither dataclasses nor inspect, and mpmath
+never reads, no function, method or class that only tests use, and no
+runtime dependency besides the standard library and mpmath; importing the CLI loads neither dataclasses nor inspect, and mpmath
 stays unloaded until the numeric layer runs."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ MODULES = sorted(SRC.glob("*.py"))
 BROAD = {"Exception", "BaseException"}
 ALLOWED = set(sys.stdlib_module_names) | {"mpmath"}
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _tree(path):
@@ -107,6 +109,45 @@ def unread_parameters(tree):
     return sorted(found)
 
 
+def _name_reads(node):
+    """How often each identifier occurs under node as a name, an attribute
+    or a string constant (a getattr target or a key can name a method)."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found[n.value] += 1
+    return found
+
+
+def unreferenced_definitions(trees, exported):
+    """(module, line, name) of every function, method or class, dunders
+    aside, that lctkit/__init__.py does not export and whose name no
+    package code reads outside the definition itself (a recursive call is
+    no use)."""
+    reads = Counter()
+    for tree in trees.values():
+        reads.update(_name_reads(tree))
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            name = getattr(node, "name", "")
+            if (isinstance(node, DEFS) and name not in exported
+                    and not (name.startswith("__") and name.endswith("__"))
+                    and reads[name] == _name_reads(node)[name]):
+                found.append((module, node.lineno, name))
+    return sorted(found)
+
+
+def exported_names(tree):
+    """Names an __init__ module imports from its submodules."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def foreign_imports(tree):
     """(line, top-level module) of every absolute import from outside the
     standard library and mpmath; relative imports stay in the package."""
@@ -143,6 +184,12 @@ def test_no_unread_assignment(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_parameter(path):
     assert unread_parameters(_tree(path)) == []
+
+
+def test_every_definition_is_used_or_exported():
+    trees = {path.name: _tree(path) for path in MODULES}
+    exported = exported_names(trees["__init__.py"])
+    assert unreferenced_definitions(trees, exported) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -204,6 +251,35 @@ def test_unread_parameter_check_catches_offenders():
     assert unread_parameters(tree) == [
         (2, "m", "y"), (5, "k", "args"), (7, "outer", "b"),
         (7, "outer", "c"), (11, "<lambda>", "v"), (12, "_suite_x", "seed")]
+
+
+def test_unreferenced_definition_check_catches_offenders():
+    trees = {
+        "__init__.py": ast.parse("from .a import api\n"),
+        "a.py": ast.parse(
+            "def api():\n"                  # exported: exempt
+            "    return _used() + Box().size\n"
+            "def _used():\n"
+            "    return 1\n"
+            "def helper():\n"               # never read: flagged
+            "    return 2\n"
+            "def walk(n):\n"                # read only by itself: flagged
+            "    return walk(n - 1) if n else 0\n"
+            "class Box:\n"
+            "    def __len__(self):\n"      # dunder: exempt
+            "        return 0\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 0\n"
+            "    def scaled(self, k):\n"    # never read: flagged
+            "        return k\n"
+            "    def named(self):\n"        # read as a string: kept
+            "        return 0\n"
+            "KEYS = ['named']\n"),
+    }
+    assert unreferenced_definitions(trees, exported_names(
+        trees["__init__.py"])) == [
+        ("a.py", 5, "helper"), ("a.py", 7, "walk"), ("a.py", 15, "scaled")]
 
 
 LAZY_MPMATH = """

@@ -259,7 +259,7 @@ def test_exact_decisions_without_expansion(monkeypatch):
     for (h, _), (c, v) in zip(cases, want):
         verdict, diag = lct_ge(h.degree, c, h.coeffs)
         assert diag["V"] == v.to_json()
-        assert verdict == ("yes" if v.le(1) else "no")
+        assert verdict == ("yes" if v.is_exact and v.value <= 1 else "no")
 
 
 # ---------------------------------------------------------------------------

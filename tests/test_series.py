@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lctkit.errors import ConsistencyError
+from lctkit.qideal import ord_diff_le_one
 from lctkit.series import (INF, OrderVal, PSeries, frac_str, ps_add, ps_mul,
                            ps_ord, ps_substitute, sum_of_products)
 
@@ -285,11 +286,14 @@ class TestOrderVal:
         assert OrderVal.infinite().scale(0) == OrderVal.exact(0)
 
     def test_le_three_valued(self):
-        assert OrderVal.exact(1).le(1) is True
-        assert OrderVal.exact(2).le(1) is False
-        assert OrderVal.infinite().le(10) is False
-        assert OrderVal.at_least(2).le(1) is False
-        assert OrderVal.at_least(1).le(2) is None
+        # true order <= b, three-valued, is ord_diff_le_one against b - 1
+        def le(v, b):
+            return ord_diff_le_one(v, OrderVal.exact(b - 1))
+        assert le(OrderVal.exact(1), 1) == "yes"
+        assert le(OrderVal.exact(2), 1) == "no"
+        assert le(OrderVal.infinite(), 10) == "no"
+        assert le(OrderVal.at_least(2), 1) == "no"
+        assert le(OrderVal.at_least(1), 2) == "unknown"
 
     def test_ge_three_valued(self):
         E, A, I = OrderVal.exact, OrderVal.at_least, OrderVal.infinite

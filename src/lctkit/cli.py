@@ -265,11 +265,18 @@ def _load_lct_input(args):
     if args.coeffs:
         with open(args.coeffs) as fh:
             blob = json.load(fh)
-        if isinstance(blob, list):
-            coeffs = [PSeries.from_json(o) for o in blob]
-        else:
-            coeffs = [PSeries.from_json(o) for o in blob["coeffs"]]
+        # a list of series objects, or an object holding it in "coeffs";
+        # a malformed document is a usage error that names the bad field
+        items = blob.get("coeffs") if isinstance(blob, dict) else blob
+        if not isinstance(items, list):
+            raise ValueError('--coeffs JSON must be a list of series or an '
+                             'object whose field "coeffs" is one')
+        coeffs = [PSeries.from_json(o) for o in items]
+        if isinstance(blob, dict):
             if args.d is None and "d" in blob:
+                if not isinstance(blob["d"], (int, str)):
+                    raise ValueError(
+                        '--coeffs JSON field "d" must be an integer')
                 args.d = int(blob["d"])
             if args.c is None and "c" in blob:
                 args.c = blob["c"]

@@ -39,7 +39,6 @@ from .series import INF, OrderVal, PSeries, as_frac, frac_str, ratio_str
 
 _ONE = Fraction(1)
 _EXACT_ZERO = OrderVal.exact(0)
-_KINDS = (OrderVal.EXACT, OrderVal.ATLEAST, OrderVal.INFINITE)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +364,7 @@ def _order_json(num, rank, den):
     """OrderVal.to_json of num/den with the given rank, from the ints."""
     if rank == 2:
         return {"kind": OrderVal.INFINITE}
-    return {"kind": _KINDS[rank], "value": ratio_str(num, den)}
+    return {"kind": OrderVal.KINDS[rank], "value": ratio_str(num, den)}
 
 
 def eval_theorem_lhs(ctx: CriterionContext, coeffs, depth=None,
@@ -378,7 +377,7 @@ def eval_theorem_lhs(ctx: CriterionContext, coeffs, depth=None,
     num, rank, one = _eval_v(_band(ctx.d, ctx.c), coeffs, depth, precision)
     if rank == 2:
         return OrderVal.infinite()
-    return OrderVal(_KINDS[rank], Fraction(num, one))
+    return OrderVal(OrderVal.KINDS[rank], Fraction(num, one))
 
 
 def lct_ge(d: int, c, coeffs, depth=None, precision=None):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,7 +27,6 @@ from .poly import (
     UPoly, composed_difference, difference_poly, q_squarefree_decomposition,
     taylor_shift,
 )
-from .qideal import QIdeal, qi_ord, qi_power
 from .series import INF, OrderVal, PSeries, as_frac, frac_str
 
 _ZERO = Fraction(0)
@@ -122,35 +120,52 @@ def _hull_value(hull, x):
     raise ValueError("abscissa outside hull range")
 
 
-def newton_polygon(h: UPoly) -> NewtonPolygon:
-    """Exact Newton polygon; raises TruncationError when truncated coefficient
-    data leaves the hull ambiguous (with a required-truncation hint)."""
+def _polygon(h: UPoly):
+    """The Newton polygon of h on ints: (R, hull).
+
+    R is the lcm of the ramification indices of the coefficients with a
+    stored term, so each such a_i gives the int point (d - i, ord(a_i) R);
+    hull lists the lower-hull vertices of those points and the anchor
+    (d, 0).  The hull starts at the count of roots of infinite order, and a
+    segment from (x1, y1) to (x2, y2) carries x2 - x1 roots of order
+    (y1 - y2) / ((x2 - x1) R).  Raises TruncationError, with a
+    required-truncation hint, when a coefficient known only from below
+    leaves the hull ambiguous."""
     if not h.is_series:
         raise ValueError("newton_polygon expects series coefficients")
     d = h.degree
-    points = [(0, OrderVal.exact(0))]
-    for i in range(1, d + 1):
-        points.append((i, h.coeff(i).order()))
-    # abscissa j = d - i; anchor at (d, 0)
-    exact_pts = []
-    atleast_pts = []
-    for i, ov in points:
-        j = d - i
-        if ov.is_exact:
-            exact_pts.append((j, ov.value))
-        elif ov.is_at_least:
-            atleast_pts.append((j, ov.value))
-    j_start = min(j for j, _ in exact_pts)
-    hull = _lower_hull(exact_pts)
-    hidden = [(j, t) for j, t in atleast_pts if j < j_start]
+    known = []
+    loose = []
+    for i, a in enumerate(h.coeffs, 1):
+        units = a.order_units()
+        if units is not None:
+            known.append((d - i,) + units)
+        elif not a.is_exactly_zero:
+            loose.append((d - i, a.trunc))
+    R = math.lcm(*(ram for _, _, ram in known))
+    points = [(j, k * (R // ram)) for j, k, ram in reversed(known)]
+    points.append((d, 0))
+    hull = _lower_hull(points)
+    if loose:
+        _check_truncated(d, R, hull, loose)
+    return R, hull
+
+
+def _check_truncated(d, R, hull, loose):
+    """Raises TruncationError when a coefficient a_(d - j) of order at
+    least t, for (j, t) in loose, could change the int hull of _polygon:
+    when it lies left of the hull's start or below the hull."""
+    j_start = hull[0][0]
+    hidden = [(j, t) for j, t in loose if j < j_start]
     if hidden:
         # an unknown coefficient below every known one: the hull's left
         # end (and the infinite-order root count) cannot be certified.  The
         # hint is the truncation past which every root such a coefficient
         # could add lies more than one beyond the largest certified order
         # (always past the current truncation).
-        y_start = hull[0][1]
-        q_max = (Fraction(y_start - hull[1][1], hull[1][0] - j_start)
+        y_start = Fraction(hull[0][1], R)
+        q_max = (Fraction(hull[0][1] - hull[1][1],
+                          (hull[1][0] - j_start) * R)
                  if len(hull) > 1 else _ZERO)
         required = max(max(y_start + (j_start - j) * (q_max + 1),
                             math.floor(t) + 1) for j, t in hidden)
@@ -158,63 +173,103 @@ def newton_polygon(h: UPoly) -> NewtonPolygon:
         raise TruncationError(
             f"coefficient a_{d - j} is unknown below its truncation and "
             "controls the polygon", required=required)
-    for j, t in atleast_pts:
-        if j <= j_start:
-            continue
-        bound = _hull_value(hull, j)
+    for j, t in loose:
+        bound = Fraction(_hull_value(hull, j), R)
         if t < bound:
             raise TruncationError(
                 f"coefficient a_{d - j} is only known up to order {t}",
                 required=bound)
-    slopes = []
-    if j_start > 0:
-        slopes.append((OrderVal.infinite(), j_start))
-    seg = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        q = Fraction(y1 - y2, x2 - x1)
-        seg.append((OrderVal.exact(q), x2 - x1))
-    seg.reverse()  # ascending root order
-    slopes = seg + slopes
-    merged = []
-    for val, mult in slopes:
-        if merged and merged[-1][0] == val:
-            merged[-1] = (val, merged[-1][1] + mult)
-        else:
-            merged.append((val, mult))
-    return NewtonPolygon(d, points, hull, merged)
 
 
-def _lem1_ideal_order(h: UPoly) -> OrderVal:
-    """Order of the ideal sum of (z_i)^(1/i) evaluated at the coefficients.
+def _slope_levels(R, hull):
+    """The finite root orders of an int hull of _polygon, ascending, as
+    (num, den, mult): mult roots of order num / den (den > 0, the fraction
+    not reduced)."""
+    levels = [(y1 - y2, (x2 - x1) * R, x2 - x1)
+              for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+    levels.reverse()
+    return tuple(levels)
 
-    Uses the semigroup law ord(sum) = min(ord): materializing the sum at a
-    common denominator would raise generators to the lcm(1..d)-th power,
-    which explodes for the large degrees this check runs on (difference
-    polynomials reach degree d(d-1))."""
+
+def newton_polygon(h: UPoly) -> NewtonPolygon:
+    """Exact Newton polygon; raises TruncationError when truncated coefficient
+    data leaves the hull ambiguous (with a required-truncation hint)."""
+    R, hull = _polygon(h)
     d = h.degree
-    vals = []
-    for i in range(1, d + 1):
-        a = h.coeff(i)
-        if a.is_exactly_zero:
+    points = [(0, OrderVal.exact(0))]
+    points.extend((i, h.coeff(i).order()) for i in range(1, d + 1))
+    slopes = [(OrderVal.exact(Fraction(num, den)), mult)
+              for num, den, mult in _slope_levels(R, hull)]
+    if hull[0][0]:
+        slopes.append((OrderVal.infinite(), hull[0][0]))
+    return NewtonPolygon(d, points, [(j, Fraction(y, R)) for j, y in hull],
+                         slopes)
+
+
+def _lemma1_order(h: UPoly):
+    """Order of the ideal sum of (a_i)^(1/i) over the coefficients that are
+    not exactly zero, min_i ord(a_i) / i by the semigroup law
+    ord(sum) = min(ord), as (num, den, rank): rank 0 when a coefficient
+    with a stored term attains the minimum, else 1, the minimum then being
+    known from below only (as in OrderVal.min_of); None, the infinite
+    order, when every coefficient is exactly zero.
+
+    The minimum is taken over the coefficients' int exponents by
+    cross-multiplication, apart from the polygon whose least slope it
+    checks."""
+    best = None
+    for i, a in enumerate(h.coeffs, 1):
+        units = a.order_units()
+        if units is not None:
+            num, den, rank = units[0], units[1] * i, 0
+        elif a.is_exactly_zero:
             continue
-        vals.append(qi_ord(qi_power(QIdeal.principal(a), Fraction(1, i))))
-    if not vals:
-        return OrderVal.infinite()
-    return OrderVal.min_of(vals)
+        else:
+            t = a.trunc
+            num, den, rank = t.numerator, t.denominator * i, 1
+        if best is None or (num * best[1], rank) < (best[0] * den, best[2]):
+            best = num, den, rank
+    return best
+
+
+def _root_levels(h: UPoly):
+    """h's root orders on ints, (levels, infinite): the finite orders as
+    _slope_levels gives them and the count of infinite ones.  Every call
+    checks the least order against the coefficient-ideal order of
+    _lemma1_order."""
+    R, hull = _polygon(h)
+    levels = _slope_levels(R, hull)
+    lem1 = _lemma1_order(h)
+    if levels:
+        num, den, _ = levels[0]
+        ok = (lem1 is not None and lem1[2] == 0
+              and lem1[0] * den == num * lem1[1])
+    else:
+        ok = lem1 is None
+    if not ok:
+        smallest = (OrderVal.exact(Fraction(num, den)) if levels
+                    else OrderVal.infinite())
+        lem1 = (OrderVal.infinite() if lem1 is None else
+                OrderVal(OrderVal.KINDS[lem1[2]], Fraction(*lem1[:2])))
+        raise ConsistencyError(
+            f"minimum root order {smallest!r} disagrees with the coefficient "
+            f"ideal order {lem1!r}")
+    return levels, hull[0][0]
+
+
+def _order_list(levels, infinite):
+    """The ascending OrderVal list of int root orders (see _root_levels)."""
+    orders = []
+    for num, den, mult in levels:
+        orders.extend([OrderVal.exact(Fraction(num, den))] * mult)
+    orders.extend([OrderVal.infinite()] * infinite)
+    return orders
 
 
 def root_orders(h: UPoly):
     """Ascending multiset of root orders (slope multiset), with the smallest
     order checked against the coefficient-ideal route."""
-    np = newton_polygon(h)
-    orders = np.order_list()
-    lem1 = _lem1_ideal_order(h)
-    smallest = OrderVal.min_of(orders)
-    if smallest != lem1:
-        raise ConsistencyError(
-            f"minimum root order {smallest!r} disagrees with the coefficient "
-            f"ideal order {lem1!r}")
-    return orders
+    return _order_list(*_root_levels(h))
 
 
 def partial_sums(h: UPoly, k: int) -> OrderVal:
@@ -279,60 +334,99 @@ class RootRows:
     each ending in the root's infinite order against itself.  The rows form
     a multiset: which row belongs to which root is not recorded.
 
-    The prefix sums S_0 = 0, S_1, .., S_d of each distinct row are computed
-    once, with the table, on ints: `denominator` is the lcm L of the
-    denominators of the table's finite entries, and a row's prefix sums are
-    a triple (sums, inexact, inf).  `sums` holds the numerators over L of
-    its finite sums S_0 .. S_inf, `inexact` is the index of the row's first
-    entry that is not exact and `inf` that of its first infinite entry
-    (both len(row) when there is none), so S_k is exact iff k <= inexact
-    and finite iff k <= inf.  Equal rows share one triple;
-    `distinct_prefix_sums` holds one per distinct row, which is all that a
-    maximum over the rows reads, and `prefix_sums` one per row."""
+    A table is kept on ints.  `denominator` is the lcm L of the
+    denominators of its finite entries.  Each distinct entry is a pair
+    (num, rank): its numerator over L (None when infinite) and its rank in
+    OrderVal.RANK; a row lists the indices of its entries.  The prefix sums
+    S_0 = 0, S_1, .., S_d of a row are a triple (sums, inexact, inf):
+    `sums` holds the numerators over L of its finite sums S_0 .. S_inf,
+    `inexact` is the index of the row's first entry that is not exact and
+    `inf` that of its first infinite entry (both len(row) when there is
+    none), so S_k is exact iff k <= inexact and finite iff k <= inf.
 
-    __slots__ = ("rows", "denominator", "prefix_sums", "distinct_prefix_sums")
+    `distinct_prefix_sums`, one triple per distinct row, is built with the
+    table: it is all that a maximum over the rows reads.  `prefix_sums`,
+    one triple per row with equal rows sharing one, and the OrderVal
+    `rows` are built when read."""
+
+    __slots__ = ("denominator", "distinct_prefix_sums", "_entries", "_shape",
+                 "_rows")
 
     def __init__(self, rows):
-        self.rows = tuple(map(tuple, rows))
-        sums = dict.fromkeys(self.rows)
-        den = math.lcm(*(v.value.denominator for row in sums for v in row
+        """The table of rows of OrderVals."""
+        rows = [tuple(row) for row in rows]
+        vals = list(dict.fromkeys(v for row in rows for v in row))
+        den = math.lcm(*(v.value.denominator for v in vals
                          if not v.is_infinite))
-        for row in sums:
-            sums[row] = _prefix_sums(row, den)
+        entries = tuple(
+            (None, 2) if v.is_infinite else
+            (v.value.numerator * (den // v.value.denominator),
+             OrderVal.RANK[v.kind]) for v in vals)
+        index = {v: k for k, v in enumerate(vals)}
+        self._set(den, entries,
+                  tuple(tuple(index[v] for v in row) for row in rows))
+
+    def _set(self, den, entries, shape):
+        """Fills a table from its int form (see RootRows)."""
         self.denominator = den
-        self.prefix_sums = tuple(sums[row] for row in self.rows)
-        self.distinct_prefix_sums = tuple(sums.values())
+        self._entries = entries
+        self._shape = shape
+        self._rows = None
+        self.distinct_prefix_sums = tuple(
+            _prefix_sums(entries, row) for row in dict.fromkeys(shape))
+        return self
+
+    @property
+    def rows(self):
+        """The rows as tuples of OrderVals."""
+        if self._rows is None:
+            den = self.denominator
+            vals = [OrderVal.infinite() if rank == 2 else
+                    OrderVal(OrderVal.KINDS[rank], Fraction(num, den))
+                    for num, rank in self._entries]
+            self._rows = tuple(tuple(vals[k] for k in row)
+                               for row in self._shape)
+        return self._rows
+
+    @property
+    def prefix_sums(self):
+        """One prefix-sum triple per row; equal rows share one."""
+        sums = dict(zip(dict.fromkeys(self._shape),
+                        self.distinct_prefix_sums))
+        return tuple(sums[row] for row in self._shape)
 
 
-def _prefix_sums(row, den):
-    """The (sums, inexact, inf) triple of one row over the denominator
-    den (see RootRows)."""
+def _prefix_sums(entries, row):
+    """The (sums, inexact, inf) triple of the row of entries[k], k in row
+    (see RootRows): the one routine that builds prefix sums."""
     sums = [0]
     inexact = inf = len(row)
-    for k, v in enumerate(row):
-        if v.is_infinite:
+    for k, e in enumerate(row):
+        num, rank = entries[e]
+        if rank == 2:
             inf = k
             inexact = min(inexact, k)
             break
-        if inexact > k and not v.is_exact:
+        if rank and inexact > k:
             inexact = k
-        q = v.value
-        sums.append(sums[-1] + q.numerator * (den // q.denominator))
+        sums.append(sums[-1] + num)
     return tuple(sums), inexact, inf
 
 
 def difference_orders(h: UPoly):
     """The exact certificate: the ascending root orders of the difference
     polynomial, i.e. every pair order ord(alpha_i - alpha_j), i != j, twice,
-    as a tuple.  The last polynomial's orders are kept, so a caller that
-    falls back to diff_orders on the same input builds the difference
-    polynomial once."""
-    return _difference_orders(h.var, h.coeffs)
+    as a tuple of OrderVals built from _certificate."""
+    return tuple(_order_list(*_certificate(h.var, h.coeffs)))
 
 
 @lru_cache(maxsize=1)
-def _difference_orders(var, coeffs):
-    return tuple(root_orders(difference_poly(UPoly(var, coeffs))))
+def _certificate(var, coeffs):
+    """The exact certificate on ints: the root orders of the difference
+    polynomial of y^d + sum a_i y^(d-i) as _root_levels gives them.  The
+    last input's is kept, so a caller that falls back to diff_orders on the
+    same input builds the difference polynomial once."""
+    return _root_levels(difference_poly(UPoly(var, coeffs)))
 
 
 @lru_cache(maxsize=None)
@@ -389,23 +483,34 @@ def certified_rows(h: UPoly):
     certificate's root tree: a RootRows, or None when the certificate does
     not fix them (some count patterns from d = 5 on) and only diff_orders'
     expansion can attach orders to roots.  For d <= 4 every pattern fixes
-    them."""
-    cert = difference_orders(h)
-    counts = Counter(cert)
-    levels = sorted(counts, key=OrderVal.sort_key)
-    if any(counts[v] % 2 for v in levels):
+    them.
+
+    The levels of the tree are the certificate's distinct orders: its
+    finite levels, ascending, then its infinite one when there is one.
+    Their numerators over L become the table's entries, with one infinite
+    entry last for each root's order against itself."""
+    levels, infinite = _certificate(h.var, h.coeffs)
+    counts = [mult for _, _, mult in levels]
+    if infinite:
+        counts.append(infinite)
+    if any(m % 2 for m in counts):
         raise ConsistencyError(
             "difference-polynomial orders do not come in pairs")
-    found = _row_multisets(h.degree,
-                           tuple(counts[v] // 2 for v in levels))
+    found = _row_multisets(h.degree, tuple(m // 2 for m in counts))
     if not found:
         raise ConsistencyError(
             "no root tree has the difference-polynomial orders")
     if len(found) > 1:
         return None
-    inf = OrderVal.infinite()
-    return RootRows([tuple(levels[k] for k in row) + (inf,)
-                     for row in found[0]])
+    reduced = []
+    for num, den, _ in levels:
+        g = math.gcd(num, den)
+        reduced.append((num // g, den // g))
+    den = math.lcm(*(q for _, q in reduced))
+    entries = tuple((p * (den // q), 0) for p, q in reduced) + ((None, 2),)
+    top = len(levels)
+    return object.__new__(RootRows)._set(
+        den, entries, tuple(row + (top,) for row in found[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +961,7 @@ class DiffOrderTable(RootRows):
     __slots__ = ("degree", "entries", "certificate", "depth")
 
     def __init__(self, degree, entries, certificate, depth):
-        super().__init__([sorted(row, key=lambda v: v.sort_key())
+        super().__init__([sorted(row, key=OrderVal.sort_key)
                           for row in entries])
         self.degree = degree
         self.entries = entries

@@ -85,6 +85,11 @@ def _trunc_parse(s):
     return INF if s == "inf" else Fraction(s)
 
 
+def _json_rational(value) -> bool:
+    """A JSON value that Fraction reads: a string or an integer."""
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
 class OrderVal:
     """Order of vanishing: Exact(q), AtLeast(q) (from truncation), or Infinite.
 
@@ -97,6 +102,10 @@ class OrderVal:
     EXACT = "exact"
     ATLEAST = "atleast"
     INFINITE = "inf"
+    # the kinds by rank, and each kind's rank: the order sort_key ranks
+    # equal lower bounds in
+    KINDS = (EXACT, ATLEAST, INFINITE)
+    RANK = {EXACT: 0, ATLEAST: 1, INFINITE: 2}
 
     def __init__(self, kind, value=None):
         if kind not in (self.EXACT, self.ATLEAST, self.INFINITE):
@@ -207,8 +216,7 @@ class OrderVal:
         return None
 
     def sort_key(self):
-        rank = {self.EXACT: 0, self.ATLEAST: 1, self.INFINITE: 2}[self.kind]
-        return (self.lower, rank)
+        return (self.lower, self.RANK[self.kind])
 
     @staticmethod
     def min_of(vals) -> "OrderVal":
@@ -492,6 +500,14 @@ class PSeries:
             return OrderVal.infinite()
         return OrderVal.at_least(self._tr)
 
+    def order_units(self):
+        """The order as ints (k, ram), ord = k / ram over the ramification
+        index, when a term witnesses it; None when no term is stored (the
+        order is infinite or only known to be at least the truncation)."""
+        if self._t:
+            return min(self._t), self._ram
+        return None
+
     def coeff(self, e) -> Fraction:
         e = as_frac(e)
         k, r = divmod(e.numerator * self._ram, e.denominator)
@@ -703,7 +719,22 @@ class PSeries:
 
     @classmethod
     def from_json(cls, obj):
-        terms = {Fraction(t["e"]): Fraction(t["c"]) for t in obj["terms"]}
+        """The series that to_json wrote.  A malformed object is a
+        ValueError that names the field at fault."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a series must be a JSON object, got {obj!r}")
+        if "var" not in obj:
+            raise ValueError('series JSON lacks the field "var"')
+        terms = obj.get("terms")
+        if not (isinstance(terms, list) and all(
+                isinstance(t, dict) and _json_rational(t.get("e"))
+                and _json_rational(t.get("c")) for t in terms)):
+            raise ValueError('series JSON field "terms" must be a list of '
+                             '{"e": rational, "c": rational} objects')
+        if not _json_rational(obj.get("trunc")):
+            raise ValueError('series JSON field "trunc" must be "inf" or a '
+                             'rational')
+        terms = {Fraction(t["e"]): Fraction(t["c"]) for t in terms}
         s = cls(obj["var"], terms, _trunc_parse(obj["trunc"]))
         if "ram" in obj and s.ram != obj["ram"]:
             raise ValueError(

@@ -351,8 +351,9 @@ class TestSweepPins:
         built = []
         real = rootdata._prefix_sums
         monkeypatch.setattr(rootdata, "_prefix_sums",
-                            lambda row, den: built.append(row) or
-                            real(row, den))
+                            lambda entries, row: built.append(
+                                tuple(entries[k] for k in row)) or
+                            real(entries, row))
         criterion._table_for.cache_clear()
         zero = PSeries.zero("x")
         coeffs = (zero, PSeries.monomial("x", 3), PSeries.monomial("x", 5))
@@ -361,9 +362,9 @@ class TestSweepPins:
         info = criterion._table_for.cache_info()
         criterion._table_for.cache_clear()
         assert (info.misses, info.hits) == (1, 39)
-        # the three roots share one row, so its prefix sums are built once
-        assert built == [(OrderVal.exact(F(3, 2)), OrderVal.exact(F(3, 2)),
-                          OrderVal.infinite())]
+        # the three roots share one row, 3/2, 3/2, inf as (numerator over
+        # L = 2, rank) pairs, so its prefix sums are built once
+        assert built == [((3, 0), (3, 0), (None, 2))]
 
 
 SWEEP_DIGEST = (

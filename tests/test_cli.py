@@ -202,6 +202,34 @@ class TestZeroDenominator:
         assert "zero denominator" in json.loads(line)["error"]
 
 
+class TestMalformedCoeffsFile:
+    """A --coeffs document of the wrong shape is a usage error: exit 2,
+    nothing on stdout and one JSON error line on stderr that names the bad
+    field."""
+
+    @pytest.mark.parametrize("blob,field", [
+        ([{"var": "x"}], '"terms"'),
+        ([{"var": "x", "terms": {"1": "1"}}], '"terms"'),
+        ({"a": 1}, '"coeffs"'),
+        ({"coeffs": {"var": "x"}}, '"coeffs"'),
+        ([{"terms": [], "trunc": "inf"}], '"var"'),
+        ([{"var": "x", "terms": [{"e": "1", "c": None}], "trunc": "inf"}],
+         '"terms"'),
+        ([{"var": "x", "terms": []}], '"trunc"'),
+        ({"coeffs": [{"var": "x", "terms": [{"e": "1", "c": "1"}],
+                      "trunc": "inf"}], "d": None}, '"d"'),
+    ], ids=["no-terms", "terms-object", "no-coeffs", "coeffs-object",
+            "no-var", "null-coefficient", "no-trunc", "null-d"])
+    def test_usage_error(self, tmp_path, capsys, blob, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        assert run(["lct", "--c", "3/4", "--coeffs", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert field in json.loads(line)["error"]
+
+
 class TestTruncVariable:
     """LCTKIT_TRUNC, read by a bare --trunc, must be a positive rational."""
 

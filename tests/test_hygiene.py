@@ -2,7 +2,8 @@
 ConsistencyError, no unused import, no assignment or parameter a function
 never reads, no function, method or class that only tests use, and no
 runtime dependency besides the standard library and mpmath; importing the CLI loads neither dataclasses nor inspect, and mpmath
-stays unloaded until the numeric layer runs."""
+stays unloaded until the numeric layer runs; an exact decision constructs
+no OrderVal."""
 
 import ast
 import os
@@ -306,3 +307,40 @@ def test_exact_decision_leaves_mpmath_unloaded():
     assert heavy == "[]"
     assert '"verdict": "no"' in verdict
     assert (lct_done, diffs_done) == ("0 False", "True")
+
+
+def test_exact_decision_constructs_no_orderval(monkeypatch):
+    """An exact lct_ge decision at d = 2..4 reads the certificate on ints
+    from the difference polynomial's coefficients to the verdict: after
+    one warm-up decision per degree, fresh inputs construct no OrderVal."""
+    from fractions import Fraction
+
+    from lctkit import criterion
+    from lctkit.criterion import lct_ge
+    from lctkit.poly import UPoly
+    from lctkit.series import OrderVal, PSeries
+
+    def poly(d, shift):
+        roots = [PSeries("x", {Fraction(k + 1): Fraction(k + shift),
+                               Fraction(k + 2, 2): Fraction(1)})
+                 for k in range(d)]
+        return UPoly.from_roots("y", roots).coeffs
+
+    for d in (2, 3, 4):
+        lct_ge(d, Fraction(2, 3), poly(d, 1))
+    made = []
+    real = OrderVal.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        real(self, *args)
+
+    inputs = [(d, poly(d, shift)) for d in (2, 3, 4) for shift in (2, 3)]
+    monkeypatch.setattr(OrderVal, "__init__", counted)
+    misses = criterion._table_for.cache_info().misses
+    verdicts = [lct_ge(d, c, coeffs)[0] for d, coeffs in inputs
+                for c in (Fraction(2, 3), Fraction(1))]
+    monkeypatch.undo()
+    assert criterion._table_for.cache_info().misses == misses + len(inputs)
+    assert set(verdicts) <= {"yes", "no"}
+    assert made == []

@@ -225,7 +225,7 @@ def test_ambiguous_pattern_falls_back_to_expansion(monkeypatch):
     assert certified_rows(h) is None
     expanded = _counted(monkeypatch, criterion, "diff_orders")
     built = _counted(monkeypatch, rootdata, "difference_poly")
-    rootdata._difference_orders.cache_clear()
+    rootdata._certificate.cache_clear()
     criterion._table_for.cache_clear()
     table = criterion._table_for(h.coeffs, None, None)
     # one expansion, and the fallback reuses the certificate
@@ -272,8 +272,11 @@ def test_exact_decisions_without_expansion(monkeypatch):
     ([1, 1, 2, 2, 2, 2], "no root tree"),
 ])
 def test_inconsistent_certificate_raises(monkeypatch, cert, message):
-    monkeypatch.setattr(rootdata, "difference_orders",
-                        lambda h: [OrderVal.exact(v) for v in cert])
+    # the int certificate: (order numerator, denominator, multiplicity) of
+    # each finite level, and no infinite orders
+    levels = tuple((v, 1, cert.count(v)) for v in sorted(set(cert)))
+    monkeypatch.setattr(rootdata, "_certificate",
+                        lambda var, coeffs: (levels, 0))
     h = UPoly.from_roots("y", [mono(1), mono(2), mono(3)])
     with pytest.raises(ConsistencyError, match=message):
         certified_rows(h)

@@ -12,15 +12,14 @@ from .errors import (
     BudgetError, ConsistencyError, DegenerateError, LctkitError, ParseError,
     PrecisionError, TruncationError,
 )
-from .series import INF, OrderVal, PSeries, ps_add, ps_mul, ps_ord, \
-    ps_substitute
+from .series import INF, OrderVal, PSeries
 from .poly import (
     MPoly, UPoly, compound_poly, difference_poly, resultant, taylor_shift,
     value_poly,
 )
 from .qideal import (
-    NO, QIdeal, QIdealFrac, UNKNOWN, YES, lc_dim1, qi_ord, qi_ord_along_arc,
-    qi_power, qi_product, qi_sum,
+    NO, QIdeal, QIdealFrac, UNKNOWN, YES, lc_dim1, qi_ord, qi_power,
+    qi_product, qi_sum,
 )
 from .rootdata import (
     DiffOrderTable, NewtonPolygon, PuiseuxRootSet,

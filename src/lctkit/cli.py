@@ -262,6 +262,8 @@ def _apply_trunc(coeffs, arg):
 
 
 def _load_lct_input(args):
+    """The coefficients of `lctkit lct`; fills args.d and args.c from a
+    --coeffs document where the command line leaves them out."""
     if args.coeffs:
         with open(args.coeffs) as fh:
             blob = json.load(fh)
@@ -279,9 +281,16 @@ def _load_lct_input(args):
                         '--coeffs JSON field "d" must be an integer')
                 args.d = int(blob["d"])
             if args.c is None and "c" in blob:
+                if not isinstance(blob["c"], (int, str)):
+                    raise ValueError(
+                        '--coeffs JSON field "c" must be a rational')
                 args.c = blob["c"]
     else:
         coeffs = parse_series_group(args.coeff or [])
+    if args.c is None:
+        raise ValueError(
+            'missing the threshold: give --c or a "c" field in the --coeffs '
+            'JSON')
     return _apply_trunc(coeffs, getattr(args, "trunc", None))
 
 
@@ -596,7 +605,8 @@ def _build_argparser():
 
     p = sub.add_parser("lct", help="decide lct(f) >= c")
     p.add_argument("--d", default=None)
-    p.add_argument("--c", required=True)
+    p.add_argument("--c", default=None,
+                   help='threshold; overrides "c" in the --coeffs JSON')
     p.add_argument("--coeffs", default=None,
                    help="JSON file with the coefficient series")
     p.add_argument("--coeff", action="append",
@@ -613,11 +623,13 @@ def _build_argparser():
     p.set_defaults(func=_cmd_degree3)
 
     p = sub.add_parser("oracle", help="independent threshold oracles")
-    p.add_argument("--poly", default=None)
-    p.add_argument("--vectors", default=None,
-                   help="JSON list of exponent vectors")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--poly", default=None)
+    which.add_argument("--vectors", default=None,
+                       help="JSON list of exponent vectors")
+    which.add_argument("--binomial", nargs=2, default=None,
+                       metavar=("D", "K"))
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--binomial", nargs=2, default=None, metavar=("D", "K"))
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="seeded verification suites")

@@ -5,13 +5,14 @@ y^(d-i) with one-variable series coefficients of positive order.
 The decision evaluates V = max_i [c1 * (b_1 + .. + b_(p-1)) + c2 * (b_1 +
 .. + b_p)] over the per-root rows b_1 <= b_2 <= .. of difference orders, and
 in one variable the pair is log canonical iff V <= 1.  V reads the rows only
-as a multiset.  On exact input that multiset comes from the root tree of the
-exact difference orders whenever the tree fixes it (always for d <= 4);
-otherwise, and on truncated input, from the certified expansion of
-diff_orders.  A table stores each row's prefix sums when it is built, as
-ints over one table-wide denominator, and only p, c1 and c2 depend on c, so
-a decision on a cached table evaluates V from two stored prefix sums per
-distinct row in int arithmetic and decides by one int comparison.  The
+as a multiset, which rootdata.certified_rows builds by its one route: on
+exact input from the root tree of the exact difference orders whenever the
+tree fixes it (always for d <= 4), otherwise, and on truncated input, from
+the certified expansion.  The tables are cached by the coefficients alone.
+A table stores each row's prefix sums when it is built, as ints over one
+table-wide denominator, and only p, c1 and c2 depend on c, so a decision on
+a cached table evaluates V from two stored prefix sums per distinct row in
+int arithmetic and decides by one int comparison.  The
 symbolic plus/minus ideal pair is built in closed form for d <= 3 and
 serves as a validation route; its orders are evaluated factor-wise (the
 semigroup laws make this exact), which avoids materializing huge generator
@@ -34,8 +35,8 @@ from .qideal import (
     NO, QIdeal, UNKNOWN, YES, ord_diff_le_one, qi_ord, qi_power, qi_product,
     qi_sum,
 )
-from .rootdata import certified_rows, diff_orders
-from .series import INF, OrderVal, PSeries, as_frac, frac_str, ratio_str
+from .rootdata import certified_rows
+from .series import OrderVal, PSeries, as_frac, frac_str, ratio_str
 
 _ONE = Fraction(1)
 _EXACT_ZERO = OrderVal.exact(0)
@@ -317,21 +318,12 @@ def _validate_coeffs(coeffs, d):
 
 
 @lru_cache(maxsize=257)
-def _table_for(coeffs, depth, precision):
-    """Difference-order rows of y^d + sum a_i y^(d-i), kept for the 257
-    most recently used inputs (a parameter sweep revisits each curve once
-    per threshold); _table_for.cache_info() counts hits and misses.
-
-    Exact input at the default depth takes them from the certificate's root
-    tree when it fixes them; otherwise diff_orders expands the roots.
-    Truncated input goes to diff_orders as well, so its `unknown` verdicts
-    and `required` hints are those of the full table."""
-    h = UPoly("y", coeffs)
-    if depth is None and all(a.trunc == INF for a in coeffs):
-        rows = certified_rows(h)
-        if rows is not None:
-            return rows
-    return diff_orders(h, depth=depth, precision=precision)
+def _table_for(coeffs):
+    """Difference-order rows of y^d + sum a_i y^(d-i) from
+    rootdata.certified_rows, kept for the 257 most recently used inputs (a
+    parameter sweep revisits each curve once per threshold);
+    _table_for.cache_info() counts hits and misses."""
+    return certified_rows(UPoly("y", coeffs))
 
 
 def _centers(band, prefix_sums):
@@ -347,11 +339,11 @@ def _centers(band, prefix_sums):
             for sums, inexact, inf in prefix_sums]
 
 
-def _eval_v(band, coeffs, depth, precision):
+def _eval_v(band, coeffs):
     """V from validated coefficients, the largest center over the table's
     distinct rows, as (numerator, rank, b * L): infinite when one center
     is, exact when all are."""
-    table = _table_for(tuple(coeffs), depth, precision)
+    table = _table_for(tuple(coeffs))
     one = band[3] * table.denominator
     centers = _centers(band, table.distinct_prefix_sums)
     rank = max(r for _, r in centers)
@@ -367,20 +359,19 @@ def _order_json(num, rank, den):
     return {"kind": OrderVal.KINDS[rank], "value": ratio_str(num, den)}
 
 
-def eval_theorem_lhs(ctx: CriterionContext, coeffs, depth=None,
-                     precision=None) -> OrderVal:
+def eval_theorem_lhs(ctx: CriterionContext, coeffs) -> OrderVal:
     """V = max over centers i of c1 * (sum of the p-1 smallest difference
     orders at i) + c2 * (sum of the p smallest).  Minima over index tuples
     include the center itself, contributing an infinite order that is never
     selected while finite alternatives remain."""
     _validate_coeffs(coeffs, ctx.d)
-    num, rank, one = _eval_v(_band(ctx.d, ctx.c), coeffs, depth, precision)
+    num, rank, one = _eval_v(_band(ctx.d, ctx.c), coeffs)
     if rank == 2:
         return OrderVal.infinite()
     return OrderVal(OrderVal.KINDS[rank], Fraction(num, one))
 
 
-def lct_ge(d: int, c, coeffs, depth=None, precision=None):
+def lct_ge(d: int, c, coeffs):
     """Decide lct(f) >= c for f = y^d + sum a_i y^(d-i).
 
     Returns (verdict, diagnostics): verdict in {yes, no, unknown}, and the
@@ -410,7 +401,7 @@ def lct_ge(d: int, c, coeffs, depth=None, precision=None):
     p, w1, w2, _ = band
     diag.update({"p": p, "c1": ratio_str(w1, b), "c2": ratio_str(w2, b)})
     try:
-        num, rank, one = _eval_v(band, coeffs, depth, precision)
+        num, rank, one = _eval_v(band, coeffs)
     except TruncationError as exc:
         diag["reason"] = str(exc)
         diag["required"] = (None if exc.required is None
@@ -540,7 +531,7 @@ def containment_check(ctx: CriterionContext, samples=100, seed=0):
             discarded += 1
             continue
         seen.add(key)
-        table = _table_for(tuple(coeffs), None, None)
+        table = _table_for(tuple(coeffs))
         checked += 1
         centers = _centers(band, table.prefix_sums)
         if any(r == 2 for _, r in centers):

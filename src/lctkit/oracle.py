@@ -97,8 +97,15 @@ def _diag_entry(vectors):
 def lct_monomial_ideal(vectors, n=None) -> Fraction:
     """Threshold of the monomial ideal generated by x^v over the given
     exponent vectors: the largest t with the all-ones vector inside t times
-    the Newton polyhedron."""
-    vectors = [tuple(int(c) for c in v) for v in vectors]
+    the Newton polyhedron.  Raises ValueError unless `vectors` is a list
+    of lists of integers."""
+    if not (isinstance(vectors, (list, tuple)) and
+            all(isinstance(v, (list, tuple)) for v in vectors)):
+        raise ValueError("exponent vectors must be a list of lists")
+    try:
+        vectors = [tuple(int(c) for c in v) for v in vectors]
+    except TypeError:
+        raise ValueError("exponents must be integers") from None
     if not vectors:
         raise ValueError("no exponent vectors")
     if n is None:

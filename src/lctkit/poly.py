@@ -333,17 +333,6 @@ def _sum_products(template, triples):
     return acc
 
 
-def _dpow(x, n):
-    out = _dom_one(x)
-    while n:
-        if n & 1:
-            out = out * x
-        n >>= 1
-        if n:
-            x = x * x
-    return out
-
-
 class UPoly:
     """Monic univariate polynomial y^d + a_1 y^(d-1) + ... + a_d with
     coefficients a_i in one shared domain (MPoly or PSeries)."""
@@ -478,7 +467,7 @@ def _prem(f, g):
         r = _strip(r)
         n -= 1
     if n > 0:
-        scale = _dpow(l, n)
+        scale = l ** n
         r = [scale * c for c in r]
     return r
 
@@ -501,14 +490,14 @@ def resultant_lists(f, g):
     if n == 0:
         return one  # two nonzero constants
     if m == 0:
-        res = _dpow(g[0], n)
+        res = g[0] ** n
         return res if sign == 1 else -res
     d = n - m
     b = one if (d + 1) % 2 == 0 else -one
     h = _prem(f, g)
     h = [b * c for c in h]
     lc = g[0]
-    c = _dpow(lc, d)
+    c = lc ** d
     subres = [one, c]
     c = -c
     while h:
@@ -516,13 +505,13 @@ def resultant_lists(f, g):
         f, g = g, h
         d = m - k
         m = k
-        bb = -(lc * _dpow(c, d))
+        bb = -(lc * c ** d)
         h = _prem(f, g)
         h = [x.div_exact(bb) for x in h]
         lc = g[0]
         if d > 1:
-            q = _dpow(c, d - 1)
-            c = _dpow(-lc, d).div_exact(q)
+            q = c ** (d - 1)
+            c = ((-lc) ** d).div_exact(q)
         else:
             c = -lc
         subres.append(-c)
@@ -709,7 +698,7 @@ def value_poly(h: UPoly, G: MPoly) -> UPoly:
             i = int(v[1:])
             if not 1 <= i <= d:
                 raise ValueError(f"variable {v!r} outside z1..z{d}")
-            mono = mono * _dpow(h.coeff(i), e)
+            mono = mono * h.coeff(i) ** e
         by_w[wexp] = by_w.get(wexp, mono - mono) + mono
     zero = _lift(0, template)
     g = [by_w.get(e, zero) for e in range(max(by_w, default=0) + 1)]

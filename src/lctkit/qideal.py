@@ -239,10 +239,6 @@ def qi_ord(a: QIdeal, arc=None) -> OrderVal:
     return OrderVal.min_of(vals).scale(a.exp)
 
 
-def qi_ord_along_arc(a: QIdeal, arc) -> OrderVal:
-    return qi_ord(a, arc)
-
-
 def lc_dim1(pair: QIdealFrac, arc=None):
     """One-variable log-canonicity test for a fraction of Q-ideals:
     yes iff ord(numer) - ord(denom) <= 1, with interval-aware verdicts.

@@ -3,8 +3,9 @@
 The exact layer: Newton polygons with truncation-aware ordinates, root-order
 multisets, partial sums of the smallest root orders (computed two independent
 ways that must agree), the maximum root order (again dual-route), and the
-per-root rows of difference orders wherever the root tree of the exact
-difference orders fixes them.
+per-root rows of difference orders: certified_rows reads them from the root
+tree of the exact difference orders wherever that tree fixes them, and
+otherwise from the numeric layer.
 
 The numeric layer: Newton-Puiseux expansion with exact rational exponents and
 arbitrary-precision complex coefficients, used to attach pairwise
@@ -81,13 +82,6 @@ class NewtonPolygon:
         self.points = points
         self.hull = hull
         self.slopes = slopes
-
-    def order_list(self):
-        """Root orders as a flat ascending list of OrderVal (length d)."""
-        out = []
-        for val, mult in self.slopes:
-            out.extend([val] * mult)
-        return out
 
     def to_json(self):
         return {"slopes": [[("inf" if v.is_infinite else frac_str(v.value)),
@@ -413,22 +407,6 @@ def _prefix_sums(entries, row):
     return tuple(sums), inexact, inf
 
 
-def difference_orders(h: UPoly):
-    """The exact certificate: the ascending root orders of the difference
-    polynomial, i.e. every pair order ord(alpha_i - alpha_j), i != j, twice,
-    as a tuple of OrderVals built from _certificate."""
-    return tuple(_order_list(*_certificate(h.var, h.coeffs)))
-
-
-@lru_cache(maxsize=1)
-def _certificate(var, coeffs):
-    """The exact certificate on ints: the root orders of the difference
-    polynomial of y^d + sum a_i y^(d-i) as _root_levels gives them.  The
-    last input's is kept, so a caller that falls back to diff_orders on the
-    same input builds the difference polynomial once."""
-    return _root_levels(difference_poly(UPoly(var, coeffs)))
-
-
 @lru_cache(maxsize=None)
 def _partitions(n, most=None):
     """Integer partitions of n into parts of at most `most`, descending."""
@@ -479,17 +457,24 @@ def _row_multisets(d, counts):
 
 
 def certified_rows(h: UPoly):
-    """The rows of h's difference-order table, read exactly from the
-    certificate's root tree: a RootRows, or None when the certificate does
-    not fix them (some count patterns from d = 5 on) and only diff_orders'
-    expansion can attach orders to roots.  For d <= 4 every pattern fixes
-    them.
+    """The rows of h's difference-order table, the one route from the
+    coefficients to the table V reads: a RootRows.
+
+    Exact input is read from the certificate's root tree, the root orders
+    of the difference polynomial.  Where the tree does not fix the rows
+    (some count patterns from d = 5 on; every pattern with d <= 4 fixes
+    them), the certified expansion attaches orders to roots, checked
+    against the certificate already built.  Truncated input goes to
+    diff_orders, so its TruncationErrors and `required` hints are those of
+    the full table.
 
     The levels of the tree are the certificate's distinct orders: its
     finite levels, ascending, then its infinite one when there is one.
     Their numerators over L become the table's entries, with one infinite
     entry last for each root's order against itself."""
-    levels, infinite = _certificate(h.var, h.coeffs)
+    if any(a.trunc != INF for a in h.coeffs):
+        return diff_orders(h)
+    levels, infinite = _root_levels(difference_poly(h))
     counts = [mult for _, _, mult in levels]
     if infinite:
         counts.append(infinite)
@@ -501,7 +486,8 @@ def certified_rows(h: UPoly):
         raise ConsistencyError(
             "no root tree has the difference-polynomial orders")
     if len(found) > 1:
-        return None
+        return _expanded(h, root_orders(h), _order_list(levels, infinite),
+                         None)
     reduced = []
     for num, den, _ in levels:
         g = math.gcd(num, den)
@@ -903,7 +889,7 @@ def puiseux_expand(h: UPoly, depth, precision=None) -> PuiseuxRootSet:
     if depth <= 0:
         raise ValueError("depth must be positive")
     prec = precision or default_precision()
-    np_exact = newton_polygon(h)
+    orders = root_orders(h)
     d = h.degree
     with mpmath.workprec(prec + 64):
         coeffs = []
@@ -941,7 +927,7 @@ def puiseux_expand(h: UPoly, depth, precision=None) -> PuiseuxRootSet:
     lead_num = sorted((exp[0][0] if exp else INF) for exp in expansions)
     lead_exact = sorted(
         INF if (v.is_infinite or v.lower >= depth) else v.value
-        for v in np_exact.order_list())
+        for v in orders)
     if lead_num != lead_exact:
         raise ConsistencyError(
             "numeric leading exponents disagree with the Newton polygon")
@@ -1010,14 +996,13 @@ def _auto_depth(order_lists):
     return m + 1
 
 
-def _certified_orders(precision, expand, pairs, cert, depth, mismatch,
-                      exhausted):
+def _certified_orders(expand, pairs, cert, depth, mismatch, exhausted):
     """The orders ord(left[a] - right[b]) below `depth` for the index pairs
     (a, b), certified against `cert`, the exact multiset of the same orders.
 
     expand(p) gives the numeric term lists (left, right); it runs under p +
-    64 bits at p = prec, 2 prec, ..., 16 prec (prec defaults to
-    default_precision()).  An attempt certifies when its finite orders are
+    64 bits at p = prec, 2 prec, ..., 16 prec with prec =
+    default_precision().  An attempt certifies when its finite orders are
     cert's orders below `depth` and it leaves as many pairs unresolved as
     cert has orders that are infinite or at least `depth`; those pairs get
     Infinite when all such orders are, else AtLeast(depth).  A
@@ -1029,7 +1014,7 @@ def _certified_orders(precision, expand, pairs, cert, depth, mismatch,
     rest = [v for v in cert if v.is_infinite or v.value >= depth]
     fill = (OrderVal.infinite() if all(v.is_infinite for v in rest)
             else OrderVal.at_least(depth))
-    prec = precision or default_precision()
+    prec = default_precision()
     last_error = None
     for i in range(5):
         p = prec << i
@@ -1051,20 +1036,26 @@ def _certified_orders(precision, expand, pairs, cert, depth, mismatch,
     raise ConsistencyError(f"{exhausted}: {last_error}")
 
 
-def diff_orders(h: UPoly, depth=None, precision=None) -> DiffOrderTable:
+def diff_orders(h: UPoly, depth=None) -> DiffOrderTable:
     """Pairwise root-difference orders with exact certification.
 
     The default depth is one past the largest finite order in the exact
     difference data, which resolves every pair exactly (entries are Exact or
     Infinite); smaller explicit depths may leave AtLeast entries.
     """
-    d = h.degree
-    if d == 1:
-        root_orders(h)  # validate input
-        table = [[OrderVal.infinite()]]
-        return DiffOrderTable(1, table, [], as_frac(depth or 1))
     orders = root_orders(h)
-    cert = list(difference_orders(h))
+    if h.degree == 1:
+        return DiffOrderTable(1, [[OrderVal.infinite()]], [],
+                              as_frac(depth or 1))
+    return _expanded(h, orders, _order_list(*_root_levels(difference_poly(h))),
+                     depth)
+
+
+def _expanded(h, orders, cert, depth):
+    """diff_orders' table from h's root orders and the exact certificate
+    `cert`, the ascending OrderVal list of the difference polynomial's root
+    orders (d >= 2)."""
+    d = h.degree
     if depth is None:
         depth = _auto_depth([orders, cert])
     depth = as_frac(depth)
@@ -1075,7 +1066,7 @@ def diff_orders(h: UPoly, depth=None, precision=None) -> DiffOrderTable:
 
     pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
     found = dict(zip(pairs, _certified_orders(
-        precision, expand, pairs, cert, depth,
+        expand, pairs, cert, depth,
         "numeric difference orders disagree with the exact difference "
         "polynomial", "difference orders failed to certify")))
     entries = [[found[i, j] if i != j else OrderVal.infinite()
@@ -1083,7 +1074,7 @@ def diff_orders(h: UPoly, depth=None, precision=None) -> DiffOrderTable:
     return DiffOrderTable(d, entries, cert, depth)
 
 
-def orders_against_series(h: UPoly, w: PSeries, depth=None, precision=None):
+def orders_against_series(h: UPoly, w: PSeries):
     """Per-root orders ord(alpha_i - w), numerically grouped and certified
     against the exact Newton polygon of h(y + w).
 
@@ -1092,16 +1083,14 @@ def orders_against_series(h: UPoly, w: PSeries, depth=None, precision=None):
     """
     shifted = taylor_shift(h, w)
     cert = root_orders(shifted)
-    if depth is None:
-        depth = _auto_depth([cert, root_orders(h),
-                             [w.order()] if not w.is_exactly_zero else []])
-    depth = as_frac(depth)
+    depth = _auto_depth([cert, root_orders(h),
+                         [w.order()] if not w.is_exactly_zero else []])
 
     def expand(p):
         return puiseux_expand(h, depth, p).roots, [_series_terms_numeric(w)]
 
     vals = _certified_orders(
-        precision, expand, [(i, 0) for i in range(h.degree)], cert, depth,
+        expand, [(i, 0) for i in range(h.degree)], cert, depth,
         "numeric contact orders disagree with the shifted polygon",
         "contact orders failed to certify")
     return vals, cert
@@ -1126,7 +1115,7 @@ def integrality_test(h: UPoly):
             return False, {"integral": False, "source": "root",
                            "violating_order": frac_str(v.value)}
     if h.degree >= 2:
-        for v in difference_orders(h):
+        for v in _order_list(*_root_levels(difference_poly(h))):
             if not _is_integral(v):
                 return False, {"integral": False, "source": "difference",
                                "violating_order": frac_str(v.value)}
@@ -1137,15 +1126,14 @@ def integrality_test(h: UPoly):
 # Contact-order identity and perturbation bound
 # ---------------------------------------------------------------------------
 
-def contact_order_identity_check(h: UPoly, w: PSeries, depth=None,
-                                 precision=None):
+def contact_order_identity_check(h: UPoly, w: PSeries):
     """For each center i, ord(h(w)) >= sum_j min(ord(w - alpha_i),
     ord(alpha_i - alpha_j)), with equality at every center maximizing
     ord(w - alpha_i).  Returns a report dict."""
     d = h.degree
     hw = h.evaluate(w).order()
-    table = diff_orders(h, depth=depth, precision=precision)
-    wvals, _ = orders_against_series(h, w, depth=depth, precision=precision)
+    table = diff_orders(h)
+    wvals, _ = orders_against_series(h, w)
     per_center = []
     best = OrderVal.max_of(wvals)
     ok = True
@@ -1174,7 +1162,7 @@ def cross_difference_orders(f: UPoly, g: UPoly):
     return root_orders(composed_difference(f, g))
 
 
-def perturbation_check(f: UPoly, g: UPoly, N, depth=None, precision=None):
+def perturbation_check(f: UPoly, g: UPoly, N):
     """Checks that every root of g matches some root of f to order at least
     N/d, given ord(a_i - b_i) >= N for all coefficients.  Numeric matching
     is certified against the exact cross-difference polynomial."""
@@ -1190,16 +1178,14 @@ def perturbation_check(f: UPoly, g: UPoly, N, depth=None, precision=None):
                 f"coefficient {i} differs at order {ov!r}, below N={N}")
     cert = cross_difference_orders(f, g)
     bound = N / d
-    if depth is None:
-        depth = _auto_depth([cert, root_orders(f), root_orders(g)])
-    depth = as_frac(depth)
+    depth = _auto_depth([cert, root_orders(f), root_orders(g)])
 
     def expand(p):
         return (puiseux_expand(f, depth, p).roots,
                 puiseux_expand(g, depth, p).roots)
 
     found = _certified_orders(
-        precision, expand, [(i, j) for i in range(d) for j in range(d)],
+        expand, [(i, j) for i in range(d) for j in range(d)],
         cert, depth,
         "numeric perturbation orders disagree with the exact "
         "cross-difference polynomial", "perturbation check failed to certify")

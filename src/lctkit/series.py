@@ -492,7 +492,7 @@ class PSeries:
         return self._tr
 
     def order(self) -> OrderVal:
-        """ps_ord: Exact for a witnessed least exponent, AtLeast(trunc) when
+        """Exact for a witnessed least exponent, AtLeast(trunc) when
         no terms are stored, Infinite only for exactly-known zero."""
         if self._t:
             return OrderVal.exact(Fraction(min(self._t), self._ram))
@@ -758,20 +758,3 @@ class PSeries:
             return body
         return f"{body} + O({self.var}^{frac_str(self._tr)})"
 
-
-# Functional aliases over the methods.
-
-def ps_add(a: PSeries, b: PSeries) -> PSeries:
-    return a + b
-
-
-def ps_mul(a: PSeries, b: PSeries) -> PSeries:
-    return a * b
-
-
-def ps_ord(a: PSeries) -> OrderVal:
-    return a.order()
-
-
-def ps_substitute(f: PSeries, g: PSeries) -> PSeries:
-    return f.substitute(g)

@@ -236,6 +236,10 @@ class TestAgainstReference:
         assert (verdict, diag["V"]) == ("no", inf.to_json())
 
     def test_truncated_diff_order_tables(self):
+        """V on diff_orders' tables of truncated input, at the default
+        depth and at depth 2 (whose AtLeast entries no decision builds),
+        from the int centers against the reference; at the default depth
+        eval_theorem_lhs, which builds the same table, agrees."""
         rng = random.Random(7)
         tables = 0
         kinds = set()
@@ -256,8 +260,15 @@ class TestAgainstReference:
                     kinds.update(v.kind for row in table.rows for v in row)
                     for _, c in _band_thresholds(d):
                         ctx = choose_p(d, c)
-                        assert eval_theorem_lhs(ctx, cut, depth=depth) == \
-                            _ref_v(ctx, table.rows), (cut, depth, c)
+                        band = criterion._band(d, c)
+                        den = band[3] * table.denominator
+                        v = OrderVal.max_of(
+                            _as_order(n, r, den) for n, r in
+                            criterion._centers(band,
+                                               table.distinct_prefix_sums))
+                        assert v == _ref_v(ctx, table.rows), (cut, depth, c)
+                        if depth is None:
+                            assert eval_theorem_lhs(ctx, cut) == v
         assert tables > 60
         assert kinds == {"exact", "atleast", "inf"}
 

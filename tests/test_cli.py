@@ -202,6 +202,66 @@ class TestZeroDenominator:
         assert "zero denominator" in json.loads(line)["error"]
 
 
+class TestThresholdFromFile:
+    """`lctkit lct` takes c from --c, else from the --coeffs document's
+    "c" field; with neither, it is a usage error naming --c."""
+
+    @staticmethod
+    def _file(tmp_path, **fields):
+        blob = {"coeffs": [PSeries.zero("x").to_json(),
+                           PSeries.monomial("x", 3, -1).to_json()], **fields}
+        path = tmp_path / "cusp.json"
+        path.write_text(json.dumps(blob))
+        return str(path)
+
+    def test_file_c_is_read(self, tmp_path, capsys):
+        assert run(["lct", "--coeffs", self._file(tmp_path, c="5/6")]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["c"], out["verdict"]) == ("5/6", "yes")
+
+    def test_option_overrides_file(self, tmp_path, capsys):
+        path = self._file(tmp_path, c="5/6")
+        assert run(["lct", "--c", "1", "--coeffs", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["c"], out["verdict"]) == ("1", "no")
+
+    @pytest.mark.parametrize("argv,fields,named", [
+        (["--coeff", "0", "--coeff", "x^3"], None, "--c"),
+        ([], {}, "--c"),
+        ([], {"c": None}, '"c"'),
+        ([], {"c": ["5/6"]}, '"c"'),
+    ], ids=["no-file", "file-without-c", "null-c", "list-c"])
+    def test_usage_error(self, tmp_path, capsys, argv, fields, named):
+        if fields is not None:
+            argv = argv + ["--coeffs", self._file(tmp_path, **fields)]
+        assert run(["lct", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert named in json.loads(line)["error"]
+
+
+class TestOracleArguments:
+    """`lctkit oracle` takes exactly one of --poly, --vectors and
+    --binomial; malformed vectors are a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--n", "2"], ["--poly", "x^2 + y^3", "--vectors", "[[1]]"],
+        ["--vectors", "[[1]]", "--binomial", "2", "3"],
+    ], ids=["none", "n-only", "poly-vectors", "vectors-binomial"])
+    def test_one_source_required(self, capsys, argv):
+        assert run(["oracle", *argv]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("vectors", ["5", '"12"', "[[1, null]]"])
+    def test_malformed_vectors(self, capsys, vectors):
+        assert run(["oracle", "--vectors", vectors]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert "error" in json.loads(line)
+
+
 class TestMalformedCoeffsFile:
     """A --coeffs document of the wrong shape is a usage error: exit 2,
     nothing on stdout and one JSON error line on stderr that names the bad

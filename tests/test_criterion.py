@@ -258,15 +258,6 @@ class TestLctGe:
                 else:
                     assert not seen_no, "yes after no breaks monotonicity"
 
-    def test_unknown_under_shallow_depth(self):
-        # an explicit depth below the difference orders leaves interval
-        # entries in the table; the verdict degrades to unknown, never flips
-        from lctkit.qideal import UNKNOWN
-        verdict, diag = lct_ge(3, F(5, 6), [zero(), zero(), xs(2)],
-                               depth=F(1, 2))
-        assert verdict == UNKNOWN
-        assert diag["V"]["kind"] == "atleast"
-
     def test_repeated_root_family(self):
         for d in (2, 3, 4):
             for m in (1, 2):
@@ -502,7 +493,7 @@ class TestContainment:
         ctx = choose_p(3, F(5, 6))
         h = UPoly.from_roots("y", [xs(1)] * 3)
         from lctkit.criterion import _band, _centers, _table_for
-        table = _table_for(tuple(h.coeffs), None, None)
+        table = _table_for(tuple(h.coeffs))
         vals = _centers(_band(3, ctx.c), table.prefix_sums)
         assert vals == [(None, 2)] * 3
 
@@ -560,19 +551,16 @@ class TestTableCache:
 
     @pytest.fixture(autouse=True)
     def _stub(self, monkeypatch):
-        """An empty cache around each test, and both routes to the rows
-        replaced by stubs: the certificate's leaves them open and
-        diff_orders returns a new object per call."""
-        monkeypatch.setattr(criterion, "certified_rows", lambda h: None)
-        monkeypatch.setattr(criterion, "diff_orders",
-                            lambda h, depth=None, precision=None: object())
+        """An empty cache around each test, and the route to the rows
+        replaced by a stub that returns a new object per call."""
+        monkeypatch.setattr(criterion, "certified_rows", lambda h: object())
         criterion._table_for.cache_clear()
         yield
         criterion._table_for.cache_clear()
 
     @staticmethod
     def _lookup(k):
-        return criterion._table_for((xs(k + 1), xs(k + 2)), None, None)
+        return criterion._table_for((xs(k + 1), xs(k + 2)))
 
     @staticmethod
     def _counts():
@@ -601,7 +589,7 @@ class TestTableCache:
              (xs(F(1, 4)) * xs(F(1, 4)) + xs(2) * xs(0)).scale(-1).truncated(7)
              .scale(-1) - xs(F(1, 2), 2)),
         ]
-        tables = [criterion._table_for(key, None, None) for key in built]
+        tables = [criterion._table_for(key) for key in built]
         assert tables[1] is tables[0] and tables[2] is tables[0]
         assert self._counts() == (2, 1, 1)
 

@@ -3,7 +3,7 @@ ConsistencyError, no unused import, no assignment or parameter a function
 never reads, no function, method or class that only tests use, and no
 runtime dependency besides the standard library and mpmath; importing the CLI loads neither dataclasses nor inspect, and mpmath
 stays unloaded until the numeric layer runs; an exact decision constructs
-no OrderVal."""
+no OrderVal, and an exact table-cache miss constructs two UPolys."""
 
 import ast
 import os
@@ -309,6 +309,21 @@ def test_exact_decision_leaves_mpmath_unloaded():
     assert (lct_done, diffs_done) == ("0 False", "True")
 
 
+def _exact_coeffs(d, shift):
+    """Coefficients of the polynomial with the d roots
+    (k + shift) x^(k + 1) + x^((k + 2)/2), k < d: distinct inputs for
+    distinct shifts."""
+    from fractions import Fraction
+
+    from lctkit.poly import UPoly
+    from lctkit.series import PSeries
+
+    roots = [PSeries("x", {Fraction(k + 1): Fraction(k + shift),
+                           Fraction(k + 2, 2): Fraction(1)})
+             for k in range(d)]
+    return UPoly.from_roots("y", roots).coeffs
+
+
 def test_exact_decision_constructs_no_orderval(monkeypatch):
     """An exact lct_ge decision at d = 2..4 reads the certificate on ints
     from the difference polynomial's coefficients to the verdict: after
@@ -317,17 +332,10 @@ def test_exact_decision_constructs_no_orderval(monkeypatch):
 
     from lctkit import criterion
     from lctkit.criterion import lct_ge
-    from lctkit.poly import UPoly
-    from lctkit.series import OrderVal, PSeries
-
-    def poly(d, shift):
-        roots = [PSeries("x", {Fraction(k + 1): Fraction(k + shift),
-                               Fraction(k + 2, 2): Fraction(1)})
-                 for k in range(d)]
-        return UPoly.from_roots("y", roots).coeffs
+    from lctkit.series import OrderVal
 
     for d in (2, 3, 4):
-        lct_ge(d, Fraction(2, 3), poly(d, 1))
+        lct_ge(d, Fraction(2, 3), _exact_coeffs(d, 1))
     made = []
     real = OrderVal.__init__
 
@@ -335,7 +343,8 @@ def test_exact_decision_constructs_no_orderval(monkeypatch):
         made.append(args)
         real(self, *args)
 
-    inputs = [(d, poly(d, shift)) for d in (2, 3, 4) for shift in (2, 3)]
+    inputs = [(d, _exact_coeffs(d, shift)) for d in (2, 3, 4)
+              for shift in (2, 3)]
     monkeypatch.setattr(OrderVal, "__init__", counted)
     misses = criterion._table_for.cache_info().misses
     verdicts = [lct_ge(d, c, coeffs)[0] for d, coeffs in inputs
@@ -344,3 +353,31 @@ def test_exact_decision_constructs_no_orderval(monkeypatch):
     assert criterion._table_for.cache_info().misses == misses + len(inputs)
     assert set(verdicts) <= {"yes", "no"}
     assert made == []
+
+
+def test_exact_miss_constructs_two_upolys(monkeypatch):
+    """An exact lct_ge miss at d = 2..4 validates the coefficients once:
+    it constructs two UPolys, h from the coefficients and the difference
+    polynomial D of degree d(d - 1)."""
+    from fractions import Fraction
+
+    from lctkit import criterion
+    from lctkit.criterion import lct_ge
+    from lctkit.poly import UPoly
+
+    inputs = [(d, _exact_coeffs(d, shift)) for d in (2, 3, 4)
+              for shift in (4, 5)]
+    made = []
+    real = UPoly.__init__
+
+    def counted(self, var, coeffs):
+        real(self, var, coeffs)
+        made.append(self.degree)
+
+    criterion._table_for.cache_clear()
+    monkeypatch.setattr(UPoly, "__init__", counted)
+    for d, coeffs in inputs:
+        lct_ge(d, Fraction(2, 3), coeffs)
+    monkeypatch.undo()
+    assert criterion._table_for.cache_info().misses == len(inputs)
+    assert made == [n for d, _ in inputs for n in (d, d * (d - 1))]

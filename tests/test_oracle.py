@@ -50,6 +50,14 @@ class TestMonomialIdeal:
         with pytest.raises(ValueError):
             lct_monomial_ideal([(0, 0)])
 
+    @pytest.mark.parametrize("vectors", [
+        5, "12", [5], [[1, 0], 2], {"a": [1]}, [[1, None]], [[[1], 2]],
+    ])
+    def test_malformed_vectors_rejected(self, vectors):
+        # anything but a list of lists of integers is a ValueError
+        with pytest.raises(ValueError):
+            lct_monomial_ideal(vectors)
+
 
 class TestPlaneOracle:
     def test_cusp(self):

@@ -161,7 +161,7 @@ def test_polygon_matches_fraction_reference(seed):
         assert (got.slopes, got.hull) == (slopes, hull), h.coeffs
         assert got.points == [(0, OrderVal.exact(0))] + [
             (i, h.coeff(i).order()) for i in range(1, h.degree + 1)]
-        assert root_orders(h) == got.order_list()
+        assert root_orders(h) == [v for v, m in slopes for _ in range(m)]
         seen.update(v.kind for v, _ in slopes)
         if any(h.coeff(i).order().is_at_least
                for i in range(1, h.degree + 1)):
@@ -210,7 +210,6 @@ def test_shifted_slope_is_caught(monkeypatch):
 
     h = UPoly.from_roots("y", [PSeries.monomial("t", k) for k in (1, 2, 3)])
     monkeypatch.setattr(rootdata, "_polygon", shifted)
-    rootdata._certificate.cache_clear()
     with pytest.raises(ConsistencyError, match="coefficient ideal order"):
         root_orders(h)
     with pytest.raises(ConsistencyError, match="coefficient ideal order"):

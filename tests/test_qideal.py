@@ -6,8 +6,8 @@ import pytest
 
 from lctkit.poly import MPoly
 from lctkit.qideal import (
-    NO, QIdeal, QIdealFrac, UNKNOWN, YES, lc_dim1, qi_ord, qi_ord_along_arc,
-    qi_power, qi_product, qi_sum,
+    NO, QIdeal, QIdealFrac, UNKNOWN, YES, lc_dim1, qi_ord, qi_power,
+    qi_product, qi_sum,
 )
 from lctkit.series import OrderVal, PSeries
 
@@ -108,7 +108,7 @@ class TestProductSumPower:
 class TestOrd:
     def test_principal_along_power_arc(self):
         a = QIdeal([MPoly.variable("x")], F(5, 6))
-        got = qi_ord_along_arc(a, {"x": PSeries.monomial("t", 2)})
+        got = qi_ord(a, {"x": PSeries.monomial("t", 2)})
         assert got == OrderVal.exact(F(5, 3))
 
     def test_two_generator_min(self):

@@ -200,8 +200,7 @@ class TestPuiseuxExpand:
         rng = random.Random(77)
         for _ in range(40):
             h = rand_h(rng, dmax=3)
-            np = newton_polygon(h)
-            finite = [v.value for v in np.order_list() if v.is_exact]
+            finite = [v.value for v in root_orders(h) if v.is_exact]
             depth = max(finite, default=F(1)) + 1
             rs = puiseux_expand(h, depth)
             got = sorted(r[0][0] for r in rs.roots if r)
@@ -495,17 +494,20 @@ class TestEscalation:
 
     PREC = 96
 
+    @pytest.fixture(autouse=True)
+    def _precision(self, monkeypatch):
+        monkeypatch.setenv("LCTKIT_PRECISION", str(self.PREC))
+
     @staticmethod
     def _call(name):
         h = UPoly.from_roots("y", [mono(1), mono(1) + mono(2), mono(3)])
         if name == "diff_orders":
-            return diff_orders(h, precision=TestEscalation.PREC).to_json()
+            return diff_orders(h).to_json()
         if name == "orders_against_series":
-            return orders_against_series(h, mono(1),
-                                         precision=TestEscalation.PREC)
+            return orders_against_series(h, mono(1))
         f = UPoly("y", [zero(), -mono(4)])
         g = UPoly("y", [zero(), -mono(4) + mono(10)])
-        return perturbation_check(f, g, 10, precision=TestEscalation.PREC)
+        return perturbation_check(f, g, 10)
 
     @staticmethod
     def _patch(monkeypatch, fail):
@@ -576,7 +578,7 @@ class TestEscalation:
 
         def certify(cert):
             return rootdata._certified_orders(
-                self.PREC, lambda p: (roots, roots), [(0, 1), (0, 2)], cert,
+                lambda p: (roots, roots), [(0, 1), (0, 2)], cert,
                 F(3), "mismatch", "exhausted")
 
         E = OrderVal.exact

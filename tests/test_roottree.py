@@ -16,7 +16,9 @@ from lctkit import criterion, rootdata
 from lctkit.criterion import choose_p, lct_ge
 from lctkit.errors import ConsistencyError
 from lctkit.poly import UPoly
-from lctkit.rootdata import _row_multisets, certified_rows, diff_orders
+from lctkit.rootdata import (
+    DiffOrderTable, _row_multisets, certified_rows, diff_orders,
+)
 from lctkit.series import OrderVal, PSeries
 
 F = Fraction
@@ -191,7 +193,7 @@ def test_certified_rows_match_expansion(seed, degrees):
     decided = 0
     for h, roots in corpus(seed, degrees):
         rows = certified_rows(h)
-        if rows is None:
+        if isinstance(rows, DiffOrderTable):  # the tree left them open
             assert h.degree >= 5
             continue
         decided += 1
@@ -222,12 +224,10 @@ def test_ambiguous_pattern_falls_back_to_expansion(monkeypatch):
     # the d = 5 pattern above: blocks {x, x + x^3} and {x^2, 2x^2, 3x^2}
     roots = [mono(1), mono(1) + mono(3), mono(2), mono(2, 2), mono(2, 3)]
     h = UPoly.from_roots("y", roots)
-    assert certified_rows(h) is None
-    expanded = _counted(monkeypatch, criterion, "diff_orders")
+    expanded = _counted(monkeypatch, rootdata, "_expanded")
     built = _counted(monkeypatch, rootdata, "difference_poly")
-    rootdata._certificate.cache_clear()
     criterion._table_for.cache_clear()
-    table = criterion._table_for(h.coeffs, None, None)
+    table = criterion._table_for(h.coeffs)
     # one expansion, and the fallback reuses the certificate
     assert (expanded, built) == ([5], [5])
     assert _key(table.rows) == _key(_explicit_rows(roots))
@@ -272,11 +272,11 @@ def test_exact_decisions_without_expansion(monkeypatch):
     ([1, 1, 2, 2, 2, 2], "no root tree"),
 ])
 def test_inconsistent_certificate_raises(monkeypatch, cert, message):
-    # the int certificate: (order numerator, denominator, multiplicity) of
-    # each finite level, and no infinite orders
+    # the int certificate, the difference polynomial's root orders:
+    # (order numerator, denominator, multiplicity) of each finite level,
+    # and no infinite orders
     levels = tuple((v, 1, cert.count(v)) for v in sorted(set(cert)))
-    monkeypatch.setattr(rootdata, "_certificate",
-                        lambda var, coeffs: (levels, 0))
+    monkeypatch.setattr(rootdata, "_root_levels", lambda g: (levels, 0))
     h = UPoly.from_roots("y", [mono(1), mono(2), mono(3)])
     with pytest.raises(ConsistencyError, match=message):
         certified_rows(h)

@@ -7,8 +7,7 @@ import pytest
 
 from lctkit.errors import ConsistencyError
 from lctkit.qideal import ord_diff_le_one
-from lctkit.series import (INF, OrderVal, PSeries, frac_str, ps_add, ps_mul,
-                           ps_ord, ps_substitute, sum_of_products)
+from lctkit.series import INF, OrderVal, PSeries, frac_str, sum_of_products
 
 
 def S(var="t", **terms):
@@ -50,11 +49,6 @@ class TestBasics:
 
     def test_mul_monomials(self):
         assert mono(1) * mono(2) == mono(3)
-
-    def test_functional_aliases(self):
-        a, b = mono(1) + mono(2), mono(2, -1)
-        assert ps_add(a, b) == a + b
-        assert ps_mul(a, b) == a * b
 
     def test_mul_binomials(self):
         one = PSeries.one("t")
@@ -111,26 +105,26 @@ class TestKeyIdentity:
 
 class TestOrder:
     def test_ord_exact(self):
-        assert ps_ord(S(t2=3, t5=1)) == OrderVal.exact(2)
+        assert S(t2=3, t5=1).order() == OrderVal.exact(2)
 
     def test_ord_empty_truncated(self):
-        assert ps_ord(PSeries.zero("t", 64)) == OrderVal.at_least(64)
+        assert PSeries.zero("t", 64).order() == OrderVal.at_least(64)
 
     def test_ord_puiseux(self):
-        assert ps_ord(mono(Fraction(3, 2))) == OrderVal.exact(Fraction(3, 2))
+        assert mono(Fraction(3, 2)).order() == OrderVal.exact(Fraction(3, 2))
 
     def test_ord_exact_zero_is_infinite(self):
-        assert ps_ord(PSeries.zero("t")).is_infinite
+        assert PSeries.zero("t").order().is_infinite
 
     def test_ord_rules_random(self):
         rng = random.Random(7)
         for _ in range(200):
             a, b = rand_series(rng), rand_series(rng)
-            oa, ob = ps_ord(a), ps_ord(b)
-            om = ps_ord(a * b)
+            oa, ob = a.order(), b.order()
+            om = (a * b).order()
             if oa.is_exact and ob.is_exact:
                 assert om == oa + ob
-            os_ = ps_ord(a + b)
+            os_ = (a + b).order()
             assert os_.lower >= min(oa.lower, ob.lower)
             if oa.is_exact and ob.is_exact and oa.value != ob.value:
                 assert os_ == OrderVal.min_of([oa, ob])
@@ -186,32 +180,32 @@ class TestTruncation:
 class TestSubstitute:
     def test_power(self):
         f = mono(2, var="x")
-        assert ps_substitute(f, mono(3)) == mono(6)
+        assert f.substitute(mono(3)) == mono(6)
 
     def test_poly(self):
         f = S("x", t1=1, t2=1)
-        assert ps_substitute(f, mono(1)) == S("t", t1=1, t2=1)
+        assert f.substitute(mono(1)) == S("t", t1=1, t2=1)
 
     def test_with_constant(self):
         f = PSeries.one("x") + mono(1, var="x")
-        assert ps_substitute(f, mono(2)) == PSeries.one("t") + mono(2)
+        assert f.substitute(mono(2)) == PSeries.one("t") + mono(2)
 
     def test_rejects_order_zero(self):
         f = mono(1, var="x")
         with pytest.raises(ValueError):
-            ps_substitute(f, PSeries.one("t") + mono(1))
+            f.substitute(PSeries.one("t") + mono(1))
 
     def test_truncation_flows(self):
         f = mono(1, var="x") + mono(3, var="x")
         g = PSeries("t", {Fraction(2): 1}, 6)   # t^2 + O(t^6)
-        r = ps_substitute(f, g)
+        r = f.substitute(g)
         assert r.coeff(2) == 1
         assert r.trunc == 6
 
     def test_exact_composition_stays_exact(self):
         f = S("x", t1=2, t4=-1)
         g = S("t", t2=1, t3=1)
-        r = ps_substitute(f, g)
+        r = f.substitute(g)
         assert r.trunc == INF
 
 

@@ -275,13 +275,19 @@ def _load_lct_input(args):
                              'object whose field "coeffs" is one')
         coeffs = [PSeries.from_json(o) for o in items]
         if isinstance(blob, dict):
+            # JSON true and false load as bools, which Python counts as ints
             if args.d is None and "d" in blob:
-                if not isinstance(blob["d"], (int, str)):
+                d = blob["d"]
+                try:
+                    if isinstance(d, bool) or not isinstance(d, (int, str)):
+                        raise ValueError
+                    args.d = int(d)
+                except ValueError:
                     raise ValueError(
-                        '--coeffs JSON field "d" must be an integer')
-                args.d = int(blob["d"])
+                        '--coeffs JSON field "d" must be an integer') from None
             if args.c is None and "c" in blob:
-                if not isinstance(blob["c"], (int, str)):
+                if isinstance(blob["c"], bool) or \
+                        not isinstance(blob["c"], (int, str)):
                     raise ValueError(
                         '--coeffs JSON field "c" must be a rational')
                 args.c = blob["c"]

@@ -5,14 +5,14 @@ y^(d-i) with one-variable series coefficients of positive order.
 The decision evaluates V = max_i [c1 * (b_1 + .. + b_(p-1)) + c2 * (b_1 +
 .. + b_p)] over the per-root rows b_1 <= b_2 <= .. of difference orders, and
 in one variable the pair is log canonical iff V <= 1.  V reads the rows only
-as a multiset, which rootdata.certified_rows builds by its one route: on
-exact input from the root tree of the exact difference orders whenever the
-tree fixes it (always for d <= 4), otherwise, and on truncated input, from
-the certified expansion.  The tables are cached by the coefficients alone.
-A table stores each row's prefix sums when it is built, as ints over one
-table-wide denominator, and only p, c1 and c2 depend on c, so a decision on
-a cached table evaluates V from two stored prefix sums per distinct row in
-int arithmetic and decides by one int comparison.  The
+as a multiset, which rootdata.certified_rows builds by its one route, on
+exact and truncated input alike: from the root tree of the certified
+difference orders whenever the tree fixes it (always for d <= 4), otherwise
+from the certified expansion.  The tables are cached by the coefficients
+alone.  A table stores each row's prefix sums when it is built, as ints
+over one table-wide denominator, and only p, c1 and c2 depend on c, so a
+decision on a cached table evaluates V from two stored prefix sums per
+distinct row in int arithmetic and decides by one int comparison.  The
 symbolic plus/minus ideal pair is built in closed form for d <= 3 and
 serves as a validation route; its orders are evaluated factor-wise (the
 semigroup laws make this exact), which avoids materializing huge generator
@@ -376,8 +376,10 @@ def lct_ge(d: int, c, coeffs):
 
     Returns (verdict, diagnostics): verdict in {yes, no, unknown}, and the
     diagnostics echo p, c1, c2 and V so results are auditable.  Truncated
-    data that cannot be certified gives unknown, with the error as
-    `reason` and the truncation hint as `required` in place of V.
+    data is decided when the certificate of the difference orders fixes the
+    rows of every completion; data that cannot be certified gives unknown,
+    with the error as `reason` and the truncation hint as `required` in
+    place of V.
 
     V = num / (b * L) with c = a/b and L the table's denominator, so the
     verdict is the one int comparison num <= b * L: yes when V is exact, no

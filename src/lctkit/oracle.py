@@ -102,10 +102,11 @@ def lct_monomial_ideal(vectors, n=None) -> Fraction:
     if not (isinstance(vectors, (list, tuple)) and
             all(isinstance(v, (list, tuple)) for v in vectors)):
         raise ValueError("exponent vectors must be a list of lists")
-    try:
-        vectors = [tuple(int(c) for c in v) for v in vectors]
-    except TypeError:
-        raise ValueError("exponents must be integers") from None
+    # bool is an int subclass: True is not an exponent
+    if any(isinstance(c, bool) or not isinstance(c, int)
+           for v in vectors for c in v):
+        raise ValueError("exponents must be integers")
+    vectors = [tuple(v) for v in vectors]
     if not vectors:
         raise ValueError("no exponent vectors")
     if n is None:

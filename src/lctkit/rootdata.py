@@ -3,9 +3,9 @@
 The exact layer: Newton polygons with truncation-aware ordinates, root-order
 multisets, partial sums of the smallest root orders (computed two independent
 ways that must agree), the maximum root order (again dual-route), and the
-per-root rows of difference orders: certified_rows reads them from the root
-tree of the exact difference orders wherever that tree fixes them, and
-otherwise from the numeric layer.
+per-root rows of difference orders: certified_rows reads them, on exact and
+truncated input alike, from the root tree of the difference orders wherever
+that tree fixes them, and otherwise from the numeric layer.
 
 The numeric layer: Newton-Puiseux expansion with exact rational exponents and
 arbitrary-precision complex coefficients, used to attach pairwise
@@ -460,21 +460,25 @@ def certified_rows(h: UPoly):
     """The rows of h's difference-order table, the one route from the
     coefficients to the table V reads: a RootRows.
 
-    Exact input is read from the certificate's root tree, the root orders
-    of the difference polynomial.  Where the tree does not fix the rows
-    (some count patterns from d = 5 on; every pattern with d <= 4 fixes
-    them), the certified expansion attaches orders to roots, checked
-    against the certificate already built.  Truncated input goes to
-    diff_orders, so its TruncationErrors and `required` hints are those of
-    the full table.
+    The rows are read from the certificate's root tree, the root orders of
+    the difference polynomial D.  Truncation is tracked through D's
+    coefficients, so a polygon of D that certifies is that of every
+    completion of h, and so are the rows.  Where the tree does not fix the
+    rows (some count patterns from d = 5 on; every pattern with d <= 4
+    fixes them), the certified expansion attaches orders to roots, checked
+    against the certificate already built.  When D's polygon is left open
+    by truncation, h's own polygon is read first, so that a TruncationError
+    of h's, with its `required` hint in h's terms, is the one raised.
 
     The levels of the tree are the certificate's distinct orders: its
     finite levels, ascending, then its infinite one when there is one.
     Their numerators over L become the table's entries, with one infinite
     entry last for each root's order against itself."""
-    if any(a.trunc != INF for a in h.coeffs):
-        return diff_orders(h)
-    levels, infinite = _root_levels(difference_poly(h))
+    try:
+        levels, infinite = _root_levels(difference_poly(h))
+    except TruncationError:
+        _root_levels(h)
+        raise
     counts = [mult for _, _, mult in levels]
     if infinite:
         counts.append(infinite)

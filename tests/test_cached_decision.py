@@ -351,6 +351,30 @@ class TestSweepPins:
         assert len(lines) == 3440 + 10 * 2 * 40
         assert _digest(lines) == SWEEP_DIGEST
 
+    def test_truncated_leg_is_sound(self):
+        """Every yes or no of the sweep's truncated leg is the verdict of
+        the exact input and of a random completion of the cut: the
+        certificate's root tree fixes the rows of every completion."""
+        rng = random.Random(16)
+        decided = unknown = 0
+        for d, coeffs in _sweep_family()[::9]:
+            for bound in (3, 6):
+                cut = tuple(a.truncated(F(bound)) for a in coeffs)
+                other = tuple(
+                    PSeries("x", {**a.terms,
+                                  F(rng.randint(2 * bound, 4 * bound), 2):
+                                  F(rng.choice([-2, -1, 1, 3]))})
+                    for a in cut)
+                for c in _grid(d):
+                    verdict, _ = lct_ge(d, c, cut)
+                    if verdict == "unknown":
+                        unknown += 1
+                        continue
+                    decided += 1
+                    assert verdict == lct_ge(d, c, coeffs)[0], (d, bound, c)
+                    assert verdict == lct_ge(d, c, other)[0], (d, bound, c)
+        assert (decided, unknown) == (560, 240)
+
     def test_containment_reports(self):
         lines = [containment_check(choose_p(d, c), samples=15, seed=seed)
                  for d, c, seed in ((2, F(2, 3), 1), (3, F(5, 6), 2),
@@ -379,6 +403,6 @@ class TestSweepPins:
 
 
 SWEEP_DIGEST = (
-    "37a963905c77982b1efb01ccc8325b7ed2abb782924c86fd6ab9ac2827b6aa71")
+    "8677198a812725f6963836289235e2135ef15082af287232e10cf8b92be3f596")
 CONTAINMENT_DIGEST = (
     "dc5cf2989c71c4c765f37d2a6bd4d3c3589fd7cf4418dbf3188d4810c6fcdacc")

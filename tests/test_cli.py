@@ -135,13 +135,21 @@ class TestCommands:
         assert run(["orders", "--poly", "1/0"]) == 2
 
     def test_truncation_exit_code(self, tmp_path, capsys):
-        # a truncated coefficient that the polygon cannot certify
-        blob = [PSeries.monomial("x", 1).to_json(),
-                PSeries.zero("x", 5).to_json()]
-        path = tmp_path / "trunc.json"
-        path.write_text(json.dumps(blob))
-        rc = run(["lct", "--c", "3/4", "--coeffs", str(path)])
-        assert rc == 3
+        def lct(*coeffs):
+            path = tmp_path / "trunc.json"
+            path.write_text(json.dumps([a.to_json() for a in coeffs]))
+            rc = run(["lct", "--c", "3/4", "--coeffs", str(path)])
+            return rc, json.loads(capsys.readouterr().out)["verdict"]
+
+        # y^2 + O(x^3): its completions y^2 + x^3 (lct 5/6) and y^2 + x^5
+        # (lct 7/10) lie on both sides of 3/4
+        zero = PSeries.zero("x")
+        assert lct(zero, PSeries.zero("x", 3)) == (3, "unknown")
+        assert lct(zero, PSeries.monomial("x", 3)) == (0, "yes")
+        assert lct(zero, PSeries.monomial("x", 5)) == (0, "no")
+        # y^2 + x*y + O(x^5) is a node (lct 1) for every completion
+        assert lct(PSeries.monomial("x", 1), PSeries.zero("x", 5)) == \
+            (0, "yes")
 
     def test_truncated_lct_prints_unknown(self, capsys):
         rc = run(["lct", "--c", "3/4", "--coeff=2*x^3", "--coeff=x^2",
@@ -230,7 +238,8 @@ class TestThresholdFromFile:
         ([], {}, "--c"),
         ([], {"c": None}, '"c"'),
         ([], {"c": ["5/6"]}, '"c"'),
-    ], ids=["no-file", "file-without-c", "null-c", "list-c"])
+        ([], {"c": True}, '"c"'),
+    ], ids=["no-file", "file-without-c", "null-c", "list-c", "bool-c"])
     def test_usage_error(self, tmp_path, capsys, argv, fields, named):
         if fields is not None:
             argv = argv + ["--coeffs", self._file(tmp_path, **fields)]
@@ -253,13 +262,19 @@ class TestOracleArguments:
         assert run(["oracle", *argv]) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("vectors", ["5", '"12"', "[[1, null]]"])
+    @pytest.mark.parametrize("vectors", [
+        "5", '"12"', "[[1, null]]", "[[2.9,0],[0,3]]", "[[true,0],[0,3]]",
+        '[["2",0],[0,3]]',
+    ])
     def test_malformed_vectors(self, capsys, vectors):
         assert run(["oracle", "--vectors", vectors]) == 2
         out = capsys.readouterr()
         assert out.out == ""
         (line,) = out.err.splitlines()
         assert "error" in json.loads(line)
+
+
+_X = {"var": "x", "terms": [{"e": "1", "c": "1"}], "trunc": "inf"}
 
 
 class TestMalformedCoeffsFile:
@@ -276,10 +291,12 @@ class TestMalformedCoeffsFile:
         ([{"var": "x", "terms": [{"e": "1", "c": None}], "trunc": "inf"}],
          '"terms"'),
         ([{"var": "x", "terms": []}], '"trunc"'),
-        ({"coeffs": [{"var": "x", "terms": [{"e": "1", "c": "1"}],
-                      "trunc": "inf"}], "d": None}, '"d"'),
+        ({"coeffs": [_X], "d": None}, '"d"'),
+        ({"coeffs": [_X], "d": True}, '"d"'),
+        ({"coeffs": [_X], "d": "two"}, '"d"'),
     ], ids=["no-terms", "terms-object", "no-coeffs", "coeffs-object",
-            "no-var", "null-coefficient", "no-trunc", "null-d"])
+            "no-var", "null-coefficient", "no-trunc", "null-d", "bool-d",
+            "word-d"])
     def test_usage_error(self, tmp_path, capsys, blob, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(blob))
@@ -293,7 +310,9 @@ class TestMalformedCoeffsFile:
 class TestTruncVariable:
     """LCTKIT_TRUNC, read by a bare --trunc, must be a positive rational."""
 
-    ARGV = ["lct", "--c", "3/4", "--coeff=2*x^3", "--coeff=x^2", "--trunc"]
+    # y^2 + 2x^3 y + x^3, lct 5/6; cut at 5/2 it has the completion
+    # y^2 + x^5, lct 7/10 < 3/4
+    ARGV = ["lct", "--c", "3/4", "--coeff=2*x^3", "--coeff=x^3", "--trunc"]
 
     @pytest.mark.parametrize("text", ["abc", "0", "-3", "1/0"])
     def test_bad_value_is_a_usage_error(self, monkeypatch, capsys, text):
@@ -318,6 +337,11 @@ class TestTruncVariable:
         assert default_trunc() == F(5, 2)
         assert run(self.ARGV) == 3
         assert json.loads(capsys.readouterr().out)["verdict"] == "unknown"
+        assert run(self.ARGV[:3] + ["--coeff=0", "--coeff=x^5"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "no"
+        # the node y^2 + 2x^3 y + x^2 is decided from its cut at 5/2
+        assert run(self.ARGV[:4] + ["--coeff=x^2", "--trunc"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "yes"
 
 
 class TestDashLedText:

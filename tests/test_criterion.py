@@ -514,8 +514,9 @@ class TestTruncatedInput:
     def test_sound_against_exact_and_completion(self):
         rng = random.Random(20260)
         certified = unknown = 0
+        degrees = set()
         for _ in range(70):
-            d = rng.choice([2, 2, 3, 3, 4])
+            d = rng.choice([2, 2, 3, 3, 4, 5])
             coeffs = [self._series(rng, 1, 6, rng.randint(0, 2))
                       for _ in range(d)]
             c = F(1, d) + (1 - F(1, d)) * F(rng.randint(1, 10), 10)
@@ -533,9 +534,11 @@ class TestTruncatedInput:
                     assert diag["reason"]
                     continue
                 certified += 1
+                degrees.add(d)
                 assert verdict == lct_ge(d, c, coeffs)[0]
                 assert verdict == lct_ge(d, c, other)[0]
         assert certified > 50 and unknown > 50
+        assert degrees == {2, 3, 4, 5}
 
     def test_no_known_term_is_unknown(self):
         cut = [PSeries.zero("x", 1), PSeries.zero("x", 1)]

@@ -11,7 +11,9 @@ tables: below the shared prefix their characteristic polynomial has a
 double root beside a simple one, which the numeric fallback cannot split.
 Their exact lct_ge verdicts come from the certificate's root tree, which
 needs no expansion; every shared-prefix verdict is checked against the
-table of its explicit roots.  Only public API is used, so the same file
+table of its explicit roots.  Truncated verdicts come from the same tree,
+which can decide where the expanded table still asks for more terms
+(case 2).  Only public API is used, so the same file
 runs against any version of the package; run it as a script to print the
 pins for the package on the path.
 """
@@ -157,9 +159,9 @@ PINNED = [
     ('inf,1/2,1/2;1/2,inf,1/2;1/2,1/2,inf',
      'yes',
      'required=4',
-     'unknown@4',
+     'yes',
      'required=7',
-     'unknown@7'),
+     'yes'),
     ('inf,1/4,1/4;1/4,inf,1/4;1/4,1/4,inf',
      'yes',
      'inf,1/4,1/4;1/4,inf,1/4;1/4,1/4,inf',

@@ -2,8 +2,9 @@
 ConsistencyError, no unused import, no assignment or parameter a function
 never reads, no function, method or class that only tests use, and no
 runtime dependency besides the standard library and mpmath; importing the CLI loads neither dataclasses nor inspect, and mpmath
-stays unloaded until the numeric layer runs; an exact decision constructs
-no OrderVal, and an exact table-cache miss constructs two UPolys."""
+stays unloaded until the numeric layer runs, also on truncated input at
+d <= 4, which never expands; an exact decision constructs no OrderVal, and
+an exact table-cache miss constructs two UPolys."""
 
 import ast
 import os
@@ -307,6 +308,70 @@ def test_exact_decision_leaves_mpmath_unloaded():
     assert heavy == "[]"
     assert '"verdict": "no"' in verdict
     assert (lct_done, diffs_done) == ("0 False", "True")
+
+
+TRUNCATED_MPMATH = """
+import json
+import sys
+from lctkit.criterion import lct_ge
+from lctkit.series import PSeries
+for d, c, coeffs in json.loads(sys.argv[1]):
+    print(lct_ge(d, c, [PSeries.from_json(a) for a in coeffs])[0])
+print("mpmath" in sys.modules)
+"""
+
+
+def _truncated_cases():
+    """(d, c, coeffs, verdict) of truncated inputs at d = 2..4 that the
+    certificate's root tree decides, and of inputs it leaves unknown: a
+    hint from h's own polygon (y^2 + O(x^3), and d = 3 cut at 3) or from
+    the difference polynomial's (d = 4 cut at 8)."""
+    from fractions import Fraction
+
+    from lctkit.series import PSeries
+
+    x, zero = PSeries.monomial("x", 1), PSeries.zero("x")
+    cases = [(2, Fraction(3, 4), (x, PSeries.zero("x", 5)), "yes"),
+             (2, Fraction(3, 4), (zero, PSeries.zero("x", 3)), "unknown")]
+    for d, bound, verdict in ((3, 5, "no"), (3, 3, "unknown"),
+                              (4, 9, "no"), (4, 8, "unknown")):
+        cut = tuple(a.truncated(Fraction(bound))
+                    for a in _exact_coeffs(d, 1))
+        cases.append((d, Fraction(2, 3), cut, verdict))
+    return cases
+
+
+def test_truncated_decision_leaves_mpmath_unloaded():
+    """Truncated input at d = 2..4 is decided from the certificate's root
+    tree, or left unknown by a polygon, so the process never imports
+    mpmath."""
+    import json
+
+    cases = _truncated_cases()
+    blob = json.dumps([[d, str(c), [a.to_json() for a in coeffs]]
+                       for d, c, coeffs, _ in cases])
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", TRUNCATED_MPMATH, blob],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == \
+        [verdict for *_, verdict in cases] + ["False"]
+
+
+def test_truncated_decision_never_expands(monkeypatch):
+    """The same truncated decisions with the expansion replaced by a
+    failure: none of them reaches it."""
+    from lctkit import criterion, rootdata
+    from lctkit.criterion import lct_ge
+
+    def refuse(*args):
+        raise AssertionError("expanded")
+
+    criterion._table_for.cache_clear()
+    monkeypatch.setattr(rootdata, "_expanded", refuse)
+    for d, c, coeffs, verdict in _truncated_cases():
+        assert lct_ge(d, c, coeffs)[0] == verdict
 
 
 def _exact_coeffs(d, shift):

@@ -52,6 +52,7 @@ class TestMonomialIdeal:
 
     @pytest.mark.parametrize("vectors", [
         5, "12", [5], [[1, 0], 2], {"a": [1]}, [[1, None]], [[[1], 2]],
+        [[2.9, 0], [0, 3]], [[True, 0], [0, 3]], [["2", 0], [0, 3]],
     ])
     def test_malformed_vectors_rejected(self, vectors):
         # anything but a list of lists of integers is a ValueError

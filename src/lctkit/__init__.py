@@ -6,35 +6,63 @@ differences for f = y^d + a_1(x) y^(d-1) + ... + a_d(x), builds the
 associated criterion ideals, and decides lct(f) >= c in one variable, all
 with exact rational arithmetic cross-validated against independent
 Newton-polyhedron oracles.
+
+Importing the package loads the decision path only (errors, series, poly,
+rootdata and criterion).  Every other public name is imported from its
+module on first access: the Q-ideals, the numeric Newton-Puiseux layer,
+the criterion ideals and the oracles.
 """
+
+import importlib
 
 from .errors import (
     BudgetError, ConsistencyError, DegenerateError, LctkitError, ParseError,
     PrecisionError, TruncationError,
 )
-from .series import INF, OrderVal, PSeries
+from .series import INF, NO, UNKNOWN, YES, OrderVal, PSeries
 from .poly import (
     MPoly, UPoly, compound_poly, difference_poly, resultant, taylor_shift,
     value_poly,
 )
-from .qideal import (
-    NO, QIdeal, QIdealFrac, UNKNOWN, YES, lc_dim1, qi_ord, qi_power,
-    qi_product, qi_sum,
-)
 from .rootdata import (
-    DiffOrderTable, NewtonPolygon, PuiseuxRootSet,
-    contact_order_identity_check, diff_orders, integrality_test,
-    max_root_order, newton_polygon, orders_against_series, partial_sums,
-    perturbation_check, puiseux_expand, root_orders,
+    NewtonPolygon, integrality_test, max_root_order, newton_polygon,
+    partial_sums, root_orders,
 )
-from .criterion import (
-    Cor3Pack, CriterionContext, CriterionIdeals, build_b, build_bbar_k,
-    build_bk, build_c, build_cor3_pack, build_p_plus_minus, build_tilde_bk,
-    choose_p, containment_check, cor3_divisibility, degree3_test,
-    depressed_cubic, eval_theorem_lhs, example3_test, lct_ge,
-)
-from .oracle import (
-    lct_binomial_curve, lct_monomial_ideal, lct_plane_nondegenerate,
-)
+from .criterion import CriterionContext, choose_p, lct_ge
 
 __version__ = "0.1.0"
+
+# The public names off the decision path, each with the module defining it.
+_LAZY = {
+    "QIdeal": "qideal", "QIdealFrac": "qideal", "lc_dim1": "qideal",
+    "qi_ord": "qideal", "qi_power": "qideal", "qi_product": "qideal",
+    "qi_sum": "qideal",
+    "DiffOrderTable": "numeric", "PuiseuxRootSet": "numeric",
+    "contact_order_identity_check": "numeric", "diff_orders": "numeric",
+    "orders_against_series": "numeric", "perturbation_check": "numeric",
+    "puiseux_expand": "numeric",
+    "Cor3Pack": "ideals", "CriterionIdeals": "ideals", "build_b": "ideals",
+    "build_bbar_k": "ideals", "build_bk": "ideals", "build_c": "ideals",
+    "build_cor3_pack": "ideals", "build_p_plus_minus": "ideals",
+    "build_tilde_bk": "ideals", "containment_check": "ideals",
+    "cor3_divisibility": "ideals", "degree3_test": "ideals",
+    "depressed_cubic": "ideals", "eval_theorem_lhs": "ideals",
+    "example3_test": "ideals",
+    "lct_binomial_curve": "oracle", "lct_monomial_ideal": "oracle",
+    "lct_plane_nondegenerate": "oracle",
+}
+
+
+def __getattr__(name):
+    """Imports the module of a public name off the decision path on the
+    name's first access (PEP 562)."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -1,5 +1,9 @@
-"""Command-line front end: text/JSON parsing, subcommand dispatch,
-deterministic verification suites, JSON reporting.
+"""Command-line front end: text/JSON parsing, subcommand dispatch, JSON
+reporting.
+
+The module loads only what `lctkit lct` needs (the decision path); every
+other subcommand imports its own layer when it runs, and `lctkit verify`
+runs the seeded suites of lctkit.verify.
 
 Exit codes: 0 success (a verdict was produced), 2 parse/usage error,
 3 unknown due to truncation, 1 internal consistency failure.
@@ -13,24 +17,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
-from . import criterion as crit
-from . import oracle as orc
+from .criterion import lct_ge
 from .errors import (
     ConsistencyError, DegenerateError, LctkitError, ParseError,
     TruncationError,
 )
 from .poly import MPoly, UPoly
-from .qideal import UNKNOWN
-from .rootdata import (
-    contact_order_identity_check, diff_orders, integrality_test,
-    max_root_order, newton_polygon, orders_against_series, partial_sums,
-    perturbation_check, root_orders,
-)
-from .series import PSeries, frac_str
+from .series import UNKNOWN, PSeries, frac_str
 
 # ---------------------------------------------------------------------------
 # Text parsing
@@ -252,6 +248,16 @@ def _rational(value, option):
             f"{option} has a zero denominator: {value!r}") from None
 
 
+def _integer(value, option):
+    """The int value of an option; anything else is a usage error
+    (ValueError) that names the option."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(
+            f"{option} must be an integer, got {value!r}") from None
+
+
 def _apply_trunc(coeffs, arg):
     """--trunc without a value truncates at the LCTKIT_TRUNC default."""
     if arg is None:
@@ -301,6 +307,7 @@ def _load_lct_input(args):
 
 
 def _cmd_orders(args):
+    from .rootdata import max_root_order, newton_polygon, partial_sums
     h = parse_upoly(args.poly, args.var)
     np = newton_polygon(h)
     out = np.to_json()
@@ -312,6 +319,7 @@ def _cmd_orders(args):
 
 
 def _cmd_diffs(args):
+    from .numeric import diff_orders
     h = parse_upoly(args.poly, args.var)
     depth = _rational(args.depth, "--depth") if args.depth else None
     table = diff_orders(h, depth=depth)
@@ -320,6 +328,7 @@ def _cmd_diffs(args):
 
 
 def _cmd_integrality(args):
+    from .rootdata import integrality_test
     h = parse_upoly(args.poly, args.var)
     verdict, cert = integrality_test(h)
     _emit(cert)
@@ -327,11 +336,13 @@ def _cmd_integrality(args):
 
 
 def _cmd_criterion(args):
-    ctx = crit.choose_p(int(args.d), _rational(args.c, "--c"))
+    from .criterion import choose_p
+    from .ideals import build_p_plus_minus
+    ctx = choose_p(_integer(args.d, "--d"), _rational(args.c, "--c"))
     out = {"d": ctx.d, "c": frac_str(ctx.c), "p": ctx.p,
            "c1": frac_str(ctx.c1), "c2": frac_str(ctx.c2)}
     if ctx.d <= 3:
-        ideals = crit.build_p_plus_minus(ctx)
+        ideals = build_p_plus_minus(ctx)
         out["p_plus"] = ideals.p_plus.to_json()
         out["p_minus"] = ideals.p_minus.to_json()
     _emit(out)
@@ -340,229 +351,46 @@ def _cmd_criterion(args):
 
 def _cmd_lct(args):
     coeffs = _load_lct_input(args)
-    d = int(args.d) if args.d is not None else len(coeffs)
-    verdict, diag = crit.lct_ge(d, _rational(args.c, "--c"), coeffs)
+    d = _integer(args.d, "--d") if args.d is not None else len(coeffs)
+    verdict, diag = lct_ge(d, _rational(args.c, "--c"), coeffs)
     diag["verdict"] = verdict
     _emit(diag)
     return 3 if verdict == UNKNOWN else 0
 
 
 def _cmd_degree3(args):
+    from .ideals import degree3_test
     a, b = parse_series_group([args.a, args.b], var=args.series_var)
-    verdict, diag = crit.degree3_test(a, b, _rational(args.c, "--c"))
+    verdict, diag = degree3_test(a, b, _rational(args.c, "--c"))
     diag["verdict"] = verdict
     _emit(diag)
     return 3 if verdict == UNKNOWN else 0
 
 
 def _cmd_oracle(args):
+    from .oracle import (
+        lct_binomial_curve, lct_monomial_ideal, lct_plane_nondegenerate,
+    )
     if args.binomial:
         d, k = (int(v) for v in args.binomial)
-        _emit({"lct": frac_str(orc.lct_binomial_curve(d, k)),
+        _emit({"lct": frac_str(lct_binomial_curve(d, k)),
                "kind": "binomial"})
         return 0
     if args.vectors:
         vecs = json.loads(args.vectors)
-        lct = orc.lct_monomial_ideal(vecs, n=args.n)
+        lct = lct_monomial_ideal(vecs, n=args.n)
         _emit({"lct": frac_str(lct), "kind": "monomial"})
         return 0
     f = parse_poly(args.poly)
-    lct, cert = orc.lct_plane_nondegenerate(f)
+    lct, cert = lct_plane_nondegenerate(f)
     _emit({"lct": frac_str(lct), "kind": "plane",
            "t0": frac_str(cert["t0"]),
            "hull": cert["hull"]})
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-# ---------------------------------------------------------------------------
-
-def _trial_rng(seed, index):
-    return random.Random(seed * 1_000_003 + index)
-
-
-def _rand_upoly(rng, dmax=4, var="t"):
-    d = rng.randint(2, dmax)
-    coeffs = []
-    for _ in range(d):
-        terms = {}
-        for _ in range(rng.randint(0, 2)):
-            e = Fraction(rng.randint(1, 6))
-            c = Fraction(rng.randint(-5, 5))
-            if c:
-                terms[e] = c
-        coeffs.append(PSeries(var, terms))
-    return UPoly("y", coeffs)
-
-
-def _rand_w(rng, var="t"):
-    terms = {Fraction(rng.randint(1, 4)): Fraction(rng.randint(-3, 3))
-             for _ in range(rng.randint(0, 2))}
-    return PSeries(var, terms)
-
-
-def _per_trial(check):
-    """A suite that runs check(rng) once per trial, on the trial's own rng;
-    check gives the trial's report fields besides "trial"."""
-    def suite(trials, seed):
-        return [{"trial": i, **check(_trial_rng(seed, i))}
-                for i in range(trials)]
-    return suite
-
-
-@_per_trial
-def _suite_orders(rng):
-    orders = root_orders(_rand_upoly(rng))  # carries the coefficient check
-    return {"ok": True, "orders": [v.to_json() for v in orders]}
-
-
-@_per_trial
-def _suite_partial_sums(rng):
-    h = _rand_upoly(rng)
-    return {"ok": True, "partial_sums": [partial_sums(h, k).to_json()
-                                         for k in range(1, h.degree + 1)]}
-
-
-@_per_trial
-def _suite_max_order(rng):
-    return {"ok": True,
-            "max_root_order": max_root_order(_rand_upoly(rng)).to_json()}
-
-
-@_per_trial
-def _suite_diffs(rng):
-    table = diff_orders(_rand_upoly(rng))  # certificate check is internal
-    flat = sorted(v.sort_key() for row in table.rows for v in row[:-1])
-    cert = sorted(v.sort_key() for v in table.certificate)
-    return {"ok": flat == cert}
-
-
-@_per_trial
-def _suite_shift(rng):
-    h = _rand_upoly(rng, dmax=3)
-    vals, cert = orders_against_series(h, _rand_w(rng))
-    ok = sorted(v.sort_key() for v in vals) == \
-        sorted(v.sort_key() for v in cert)
-    return {"ok": ok}
-
-
-def _suite_integrality(trials, seed):
-    pack = crit.build_cor3_pack(2)
-    results = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        if i % 2 == 0:
-            m = rng.randint(1, 10)
-            ram = rng.choice([0, 1])
-            h = UPoly("y", [PSeries.zero("t"),
-                            PSeries.monomial("t", 2 * m + ram, -1)])
-            expect = ram == 0
-        else:
-            roots = [PSeries("t", {Fraction(rng.randint(1, 4)):
-                                   Fraction(rng.randint(-3, 3))
-                                   for _ in range(rng.randint(0, 2))})
-                     for _ in range(2)]
-            h = UPoly.from_roots("y", roots)
-            expect = True
-        verdict, _ = integrality_test(h)
-        divisible = crit.cor3_divisibility(pack, [h.coeff(1), h.coeff(2)])
-        ok = (verdict == expect) and (divisible == verdict)
-        results.append({"trial": i, "ok": ok, "integral": verdict})
-    return results
-
-
-def _suite_containment(trials, seed):
-    results = []
-    combos = [(2, Fraction(2, 3)), (2, Fraction(1)), (3, Fraction(5, 12)),
-              (3, Fraction(2, 3)), (3, Fraction(11, 12))]
-    per = max(1, trials // len(combos))
-    for i, (d, c) in enumerate(combos):
-        ctx = crit.choose_p(d, c)
-        rep = crit.containment_check(ctx, samples=per, seed=seed + i)
-        results.append({"trial": i, "ok": rep["pass"], "d": d,
-                        "c": frac_str(c), "samples": rep["samples"]})
-    return results
-
-
-@_per_trial
-def _suite_perturbation(rng):
-    f = _rand_upoly(rng, dmax=3)
-    N = rng.randint(8, 12)
-    pert = []
-    for a in f.coeffs:
-        bump = PSeries("t", {Fraction(N + rng.randint(0, 2)):
-                             Fraction(rng.randint(-2, 2))})
-        pert.append(a + bump)
-    rep = perturbation_check(f, UPoly("y", pert), N)
-    return {"ok": rep["pass"], "N": N}
-
-
-@_per_trial
-def _suite_contact(rng):
-    h = _rand_upoly(rng, dmax=3)
-    return {"ok": contact_order_identity_check(h, _rand_w(rng))["pass"]}
-
-
-@_per_trial
-def _suite_ring(rng):
-    def rnd():
-        terms = {}
-        for _ in range(rng.randint(0, 4)):
-            e = Fraction(rng.randint(0, 8), rng.choice([1, 1, 2]))
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            if c:
-                terms[e] = c
-        return PSeries("t", terms)
-
-    a, b, c = rnd(), rnd(), rnd()
-    ok = ((a + b) + c == a + (b + c)) and \
-        (a * (b + c) == a * b + a * c) and (a * b == b * a)
-    oa, ob = a.order(), b.order()
-    if oa.is_exact and ob.is_exact:
-        ok = ok and (a * b).order() == oa + ob
-    return {"ok": ok}
-
-
-def _suite_oracle(trials, seed):
-    rng = random.Random(seed)
-    results = []
-    for i in range(trials):
-        d, k = rng.randint(1, 12), rng.randint(1, 12)
-        closed = orc.lct_binomial_curve(d, k)
-        mono = orc.lct_monomial_ideal([(k, 0), (0, d)])
-        ok = closed == min(Fraction(1), mono)
-        results.append({"trial": i, "ok": ok, "d": d, "k": k})
-    return results
-
-
-_SUITES = {
-    "orders": _suite_orders,
-    "partial-sums": _suite_partial_sums,
-    "max-order": _suite_max_order,
-    "diffs": _suite_diffs,
-    "shift": _suite_shift,
-    "integrality": _suite_integrality,
-    "containment": _suite_containment,
-    "perturbation": _suite_perturbation,
-    "contact": _suite_contact,
-    "ring": _suite_ring,
-    "oracle": _suite_oracle,
-}
-
-# terse aliases kept for compatibility with existing invocations
-_SUITES.update({
-    "lem1": _suite_orders,
-    "prop1": _suite_partial_sums,
-    "cor4": _suite_max_order,
-    "cor2": _suite_shift,
-    "cor3": _suite_integrality,
-    "lem11": _suite_perturbation,
-    "lem31": _suite_contact,
-})
-
-
 def _cmd_verify(args):
+    from .verify import _SUITES
     suite = _SUITES.get(args.suite)
     if suite is None:
         raise ValueError(

@@ -1,0 +1,423 @@
+"""The paper's criterion ideals: the Q-ideals built from root products and
+root differences, the root-integrality pack, the symbolic plus/minus pair
+(closed form for d <= 3), the degree-3 and bottom-band specializations, and
+the containment check of the pair.
+
+These serve as validation routes for criterion.lct_ge and are not on its
+path.  The pair's orders are evaluated factor-wise (the semigroup laws make
+this exact), which avoids materializing huge generator powers.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import namedtuple
+from fractions import Fraction
+from functools import lru_cache
+
+from . import criterion
+from .criterion import (
+    CriterionContext, _band, _centers, _eval_v, _order_json, _validate_coeffs,
+)
+from .errors import BudgetError
+from .poly import (
+    MPoly, UPoly, generic_compound_coeffs, generic_difference_coeffs,
+    taylor_shift, z_vars,
+)
+from .qideal import (
+    QIdeal, ord_diff_le_one, qi_ord, qi_power, qi_product, qi_sum,
+)
+from .series import NO, OrderVal, PSeries, as_frac, frac_str
+
+_ONE = Fraction(1)
+_EXACT_ZERO = OrderVal.exact(0)
+
+
+# ---------------------------------------------------------------------------
+# Criterion ideals
+# ---------------------------------------------------------------------------
+
+def build_b(d: int) -> QIdeal:
+    """Sum of (z_i)^(1/i): its order at (a_1..a_d) is the smallest root
+    order."""
+    return qi_sum([qi_power(QIdeal.principal(MPoly.variable(f"z{i}")),
+                            Fraction(1, i))
+                   for i in range(1, d + 1)])
+
+
+def build_c(d: int) -> QIdeal:
+    """Sum of (z_(d-i))^(1/i) (z_d)^((i-1)/i) with z_0 the unit; subtracting
+    its order from ord(a_d) gives the largest root order."""
+    parts = []
+    for i in range(1, d + 1):
+        factors = []
+        if i < d:
+            factors.append(qi_power(
+                QIdeal.principal(MPoly.variable(f"z{d - i}")), Fraction(1, i)))
+        if i > 1:
+            factors.append(qi_power(
+                QIdeal.principal(MPoly.variable(f"z{d}")),
+                Fraction(i - 1, i)))
+        if not factors:
+            factors = [QIdeal.unit()]
+        parts.append(qi_product(factors))
+    return qi_sum(parts)
+
+
+def _nonzero_ideal(polys, exps):
+    parts = []
+    for g, e in zip(polys, exps):
+        if g.is_zero():
+            continue
+        parts.append(qi_power(QIdeal.principal(g), e))
+    if not parts:
+        return QIdeal.zero()
+    return qi_sum(parts)
+
+
+def build_bk(d: int, k: int) -> QIdeal:
+    """Sum over ell of (A_k^(ell))^(1/ell), where A_k^(ell) expresses the
+    ell-th symmetric function of the products of k distinct roots in the
+    coefficients.  Its order at (a_1..a_d) is the smallest order among those
+    products."""
+    coeffs = generic_compound_coeffs(d, k)
+    return _nonzero_ideal(coeffs, [Fraction(1, ell)
+                                   for ell in range(1, len(coeffs) + 1)])
+
+
+@lru_cache(maxsize=None)
+def _generic_shifted_compound(d, k):
+    """A_k^(ell) evaluated at the coefficients of the generic h(y + w):
+    polynomials in z_1..z_d and w."""
+    hgen = UPoly("y", [MPoly.variable(v) for v in z_vars(d)])
+    shifted = taylor_shift(hgen, "w")
+    mapping = {f"z{i}": shifted.coeff(i) for i in range(1, d + 1)}
+    return tuple(c.substitute(mapping) for c in generic_compound_coeffs(d, k))
+
+
+def build_tilde_bk(d: int, k: int) -> QIdeal:
+    """Shifted variant of build_bk: generators live in z_1..z_d and w, and
+    the order at (a_1..a_d, w) is the smallest order among products of k
+    distinct (alpha_j - w)."""
+    if k == 0:
+        return QIdeal.unit()
+    coeffs = _generic_shifted_compound(d, k)
+    return _nonzero_ideal(coeffs, [Fraction(1, ell)
+                                   for ell in range(1, len(coeffs) + 1)])
+
+
+def build_bbar_k(d: int, k: int) -> QIdeal:
+    """The explicit monomial form: sum over index tuples (i_1..i_k) with
+    i_m >= k - m + 1 of the rational monomial power prod (z_(i_m))^(j_m)."""
+    if not 1 <= k <= d:
+        raise ValueError("k out of range")
+    tuples = [[]]
+    for m in range(1, k + 1):
+        tuples = [t + [i] for t in tuples for i in range(k - m + 1, d + 1)]
+    parts = []
+    for tup in tuples:
+        factors = []
+        for m, i in enumerate(tup, start=1):
+            j = Fraction(1, i - k + m)
+            for ell in range(1, m):
+                il = tup[ell - 1]
+                j *= Fraction(il - k + ell - 1, il - k + ell)
+            if j == 0:
+                continue
+            factors.append(qi_power(
+                QIdeal.principal(MPoly.variable(f"z{i}")), j))
+        parts.append(qi_product(factors) if factors else QIdeal.unit())
+    return qi_sum(parts)
+
+
+# ---------------------------------------------------------------------------
+# Root-integrality pack
+# ---------------------------------------------------------------------------
+
+class Cor3Pack(namedtuple("Cor3Pack", "polys modulus")):
+    """Polynomials P_i in the coefficients and a modulus m: if m divides
+    ord(P_i(a)) for every i, all roots are unramified."""
+    __slots__ = ()
+
+
+COR3_BUDGET = 2
+
+
+def build_cor3_pack(d: int) -> Cor3Pack:
+    """Divisibility pack from the difference polynomial.  The expanded
+    polynomial representation is only tractable for d <= 2: clearing the
+    partial-sum ideals of a degree d(d-1) polynomial to a common denominator
+    raises generators to lcm-sized powers."""
+    if d > COR3_BUDGET:
+        raise BudgetError(
+            f"integrality pack limited to d <= {COR3_BUDGET}; use "
+            "integrality_test for larger degrees")
+    if d == 1:
+        return Cor3Pack((), 1)
+    bcoeffs = generic_difference_coeffs(d)
+    big_d = d * (d - 1)
+    ideals = []
+    for k in range(1, big_d + 1):
+        ck = build_bbar_k(big_d, k)
+        mapping = {f"z{i}": bcoeffs[i - 1] for i in range(1, big_d + 1)}
+        gens = [g.substitute(mapping) for g in ck.gens]
+        gens = [g for g in gens if not g.is_zero()]
+        if gens:
+            ideals.append(QIdeal(gens, ck.exp))
+    m = 1
+    for a in ideals:
+        m = m * a.exp.denominator // math.gcd(m, a.exp.denominator)
+    polys = []
+    for a in ideals:
+        k = int(a.exp * m)
+        for g in a.gens:
+            p = g ** k
+            if not any(p == q for q in polys):
+                polys.append(p)
+    return Cor3Pack(tuple(polys), m)
+
+
+def cor3_divisibility(pack: Cor3Pack, coeffs) -> bool:
+    """True when the modulus divides the order of every pack polynomial
+    evaluated at the given series coefficients (infinite orders pass)."""
+    d = len(coeffs)
+    mapping = {f"z{i}": coeffs[i - 1] for i in range(1, d + 1)}
+    var = next((c.var for c in coeffs), "x")
+    for p in pack.polys:
+        val = p.eval_series(mapping, out_var=var)
+        ov = val.order()
+        if ov.is_infinite:
+            continue
+        if not ov.is_exact:
+            return False
+        if ov.value.denominator != 1 or ov.value % pack.modulus != 0:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The plus/minus pair (symbolic route, d <= 3)
+# ---------------------------------------------------------------------------
+
+class CriterionIdeals:
+    """Factor lists for the plus and minus ideals.  Orders are evaluated
+    factor-wise; the materialized Q-ideals are available on demand."""
+
+    __slots__ = ("ctx", "plus_factors", "minus_factors")
+
+    def __init__(self, ctx, plus_factors, minus_factors):
+        self.ctx = ctx
+        self.plus_factors = tuple(plus_factors)
+        self.minus_factors = tuple(minus_factors)
+
+    @staticmethod
+    def _ord(factors, arc):
+        total = OrderVal.exact(0)
+        for base, e in factors:
+            total = total + qi_ord(base, arc).scale(e)
+        return total
+
+    def ord_plus(self, arc) -> OrderVal:
+        return self._ord(self.plus_factors, arc)
+
+    def ord_minus(self, arc) -> OrderVal:
+        return self._ord(self.minus_factors, arc)
+
+    def _materialize(self, factors):
+        if not factors:
+            return QIdeal.unit()
+        return qi_product([qi_power(base, e) for base, e in factors])
+
+    @property
+    def p_plus(self) -> QIdeal:
+        return self._materialize(self.plus_factors)
+
+    @property
+    def p_minus(self) -> QIdeal:
+        return self._materialize(self.minus_factors)
+
+
+def build_p_plus_minus(ctx: CriterionContext) -> CriterionIdeals:
+    """Closed forms of the plus/minus pair.
+
+    d = 2: plus = (z1^2 - 4 z2)^(c2/2), minus trivial.
+    d = 3 (depressed input a_1 = 0, ideals in z2, z3):
+      p = 1: plus = (z2^3, z3^2)^(c2/6), minus trivial;
+      p = 2: split on the sign of c2 - c1 around the discriminant ideal.
+    """
+    d, c1, c2 = ctx.d, ctx.c1, ctx.c2
+    if d == 2:
+        disc = MPoly.variable("z1") ** 2 - 4 * MPoly.variable("z2")
+        return CriterionIdeals(
+            ctx, [(QIdeal.principal(disc), c2 / 2)], [])
+    if d == 3:
+        z2, z3 = MPoly.variable("z2"), MPoly.variable("z3")
+        mideal = QIdeal([z2 ** 3, z3 ** 2], _ONE)
+        disc = QIdeal.principal(4 * z2 ** 3 + 27 * z3 ** 2)
+        if ctx.p == 1:
+            return CriterionIdeals(ctx, [(mideal, c2 / 6)], [])
+        if c2 >= c1:
+            return CriterionIdeals(
+                ctx, [(disc, c2 / 2)], [(mideal, (c2 - c1) / 6)])
+        return CriterionIdeals(
+            ctx, [(disc, c2 / 2), (mideal, (c1 - c2) / 6)], [])
+    raise ValueError("symbolic plus/minus pair is built for d <= 3 only")
+
+
+# ---------------------------------------------------------------------------
+# The theorem's left-hand side and the explicit specializations
+# ---------------------------------------------------------------------------
+
+def eval_theorem_lhs(ctx: CriterionContext, coeffs) -> OrderVal:
+    """V = max over centers i of c1 * (sum of the p-1 smallest difference
+    orders at i) + c2 * (sum of the p smallest).  Minima over index tuples
+    include the center itself, contributing an infinite order that is never
+    selected while finite alternatives remain."""
+    _validate_coeffs(coeffs, ctx.d)
+    num, rank, one = _eval_v(_band(ctx.d, ctx.c), coeffs)
+    if rank == 2:
+        return OrderVal.infinite()
+    return OrderVal(OrderVal.KINDS[rank], Fraction(num, one))
+
+
+def degree3_test(a: PSeries, b: PSeries, c):
+    """Explicit degree-3 criterion for the depressed cubic y^3 + a(x) y +
+    b(x); the order arithmetic of the displayed ideal pair decides the
+    verdict.
+
+    For 1/3 < c <= 1/2 the pair is ((a^3, b^2)^((3c-1)/6), trivial); for
+    1/2 < c <= 1 the discriminant ideal (4a^3 + 27b^2)^(c - 1/2) combines
+    with (a^3, b^2)^((2-3c)/6), the latter moving to the denominator when
+    c > 2/3.
+    """
+    c = as_frac(c)
+    if not (Fraction(1, 3) < c <= 1):
+        raise ValueError("c must lie in (1/3, 1]")
+    for s, name in ((a, "a"), (b, "b")):
+        if not s.has_positive_order:
+            raise ValueError(f"coefficient {name} must have positive order")
+    m_ideal = QIdeal([a ** 3, b ** 2], _ONE) \
+        if not (a.is_exactly_zero and b.is_exactly_zero) else QIdeal.zero()
+    ord_m = qi_ord(m_ideal)
+    diag = {"c": frac_str(c)}
+    if c <= Fraction(1, 2):
+        num = ord_m.scale((3 * c - 1) / 6)
+        diag["ord_plus"] = num.to_json()
+        return ord_diff_le_one(num, OrderVal.exact(0)), diag
+    delta = a ** 3 * 4 + b ** 2 * 27
+    ord_delta = delta.order()
+    num = ord_delta.scale(c - Fraction(1, 2))
+    den = OrderVal.exact(0)
+    if c <= Fraction(2, 3):
+        num = num + ord_m.scale((2 - 3 * c) / 6)
+    else:
+        den = ord_m.scale((3 * c - 2) / 6)
+    diag["ord_plus"] = num.to_json()
+    diag["ord_minus"] = den.to_json()
+    if num.is_infinite:
+        # vanishing numerator ideal: the pair is malformed, never log
+        # canonical (the discriminant vanishes on a repeated root)
+        return NO, diag
+    return ord_diff_le_one(num, den), diag
+
+
+def example3_test(d: int, c, tail):
+    """Bottom band 1/d < c <= 1/(d-1) with a_1 = 0: the verdict is
+    (cd - 1) * ord of the sum of (z_i)^(1/i) over i >= 2, tested against 1."""
+    c = as_frac(c)
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if not (Fraction(1, d) < c <= Fraction(1, d - 1)):
+        raise ValueError(f"c must lie in (1/{d}, 1/{d - 1}]")
+    tail = list(tail)
+    if len(tail) != d - 1:
+        raise ValueError(f"expected coefficients a_2..a_{d}")
+    for a in tail:
+        if not a.has_positive_order:
+            raise ValueError("coefficients must have positive order")
+    vals = [a.order().scale(Fraction(1, i))
+            for i, a in enumerate(tail, start=2)]
+    ord_p = OrderVal.min_of(vals)
+    v = ord_p.scale(c * d - 1)
+    return ord_diff_le_one(v, _EXACT_ZERO)
+
+
+def depressed_cubic(a1: PSeries, a2: PSeries, a3: PSeries):
+    """Coordinate shift y -> y - a1/3 removing the quadratic coefficient;
+    returns (a, b) with y^3 + a y + b."""
+    h = UPoly("y", [a1, a2, a3])
+    shifted = taylor_shift(h, a1.scale(Fraction(-1, 3)))
+    if not shifted.coeff(1).is_zero():
+        raise AssertionError("depression failed to clear the quadratic term")
+    return shifted.coeff(2), shifted.coeff(3)
+
+
+# ---------------------------------------------------------------------------
+# Containment of the pair (the d/(d-1) bound)
+# ---------------------------------------------------------------------------
+
+def _rand_sample(rng, d, var="x"):
+    coeffs = []
+    for i in range(d):
+        terms = {}
+        for _ in range(rng.randint(0, 2)):
+            e = Fraction(rng.randint(1, 5))
+            cc = Fraction(rng.randint(-4, 4))
+            if cc:
+                terms[e] = cc
+        coeffs.append(PSeries(var, terms))
+    return coeffs
+
+
+CONTAINMENT_DRAWS = 20
+
+
+def containment_check(ctx: CriterionContext, samples=100, seed=0):
+    """Checks ord(plus) >= (d/(d-1)) * ord(minus) through the lambda
+    decomposition: with v_i = c1 * prefix(p-1) + c2 * prefix(p) at center i,
+    lambda_d = sum of all v_i and lambda_(d-1) = sum of the d-1 smallest,
+    the bound reads lambda_d >= (d/(d-1)) * lambda_(d-1).
+
+    Samples are distinct polynomials: a repeated draw is discarded (it
+    would only recheck a cached table) and counted in `discarded`, with at
+    most CONTAINMENT_DRAWS draws per requested sample.  A sample that fails
+    to certify raises; it is a fault, not a skip."""
+    import random as _random
+    rng = _random.Random(seed)
+    d = ctx.d
+    band = _band(d, ctx.c)
+    failures = []
+    seen = set()
+    checked = discarded = 0
+    for _ in range(CONTAINMENT_DRAWS * samples):
+        if checked == samples:
+            break
+        coeffs = _rand_sample(rng, d)
+        key = tuple(tuple(a.sorted_terms()) for a in coeffs)
+        if key in seen:
+            discarded += 1
+            continue
+        seen.add(key)
+        # looked up on the module, so that the check and lct_ge always
+        # read one binding of the table cache
+        table = criterion._table_for(tuple(coeffs))
+        checked += 1
+        centers = _centers(band, table.prefix_sums)
+        if any(r == 2 for _, r in centers):
+            continue  # lambda_d is infinite
+        centers.sort()
+        small = centers[:d - 1]
+        lam_d = sum(n for n, _ in centers)
+        lam_d1 = sum(n for n, _ in small)
+        rank_d1 = max(r for _, r in small)
+        # lambda_d >= (d/(d-1)) lambda_(d-1) holds for certain only when
+        # lambda_(d-1) is exact; otherwise it is unknown, a violation
+        if rank_d1 == 0 and (d - 1) * lam_d >= d * lam_d1:
+            continue
+        den = band[3] * table.denominator
+        failures.append({
+            "sample": [a.to_json() for a in coeffs],
+            "lambda_d": _order_json(lam_d, max(r for _, r in centers), den),
+            "lambda_d_minus_1": _order_json(lam_d1, rank_d1, den)})
+    return {"pass": not failures, "samples": checked, "discarded": discarded,
+            "violations": failures}

@@ -14,11 +14,7 @@ import math
 from fractions import Fraction
 
 from .poly import MPoly
-from .series import OrderVal, PSeries, as_frac, frac_str
-
-YES = "yes"
-NO = "no"
-UNKNOWN = "unknown"
+from .series import NO, UNKNOWN, YES, OrderVal, PSeries, as_frac, frac_str
 
 
 class QIdeal:

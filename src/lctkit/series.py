@@ -90,6 +90,13 @@ def _json_rational(value) -> bool:
     return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
+# The three verdicts of a decision on orders: truncated data that cannot
+# settle a comparison gives UNKNOWN, never a guess.
+YES = "yes"
+NO = "no"
+UNKNOWN = "unknown"
+
+
 class OrderVal:
     """Order of vanishing: Exact(q), AtLeast(q) (from truncation), or Infinite.
 

@@ -7,18 +7,20 @@ import random
 import time
 from fractions import Fraction
 
-from lctkit.criterion import (
-    build_cor3_pack, choose_p, containment_check, cor3_divisibility, lct_ge,
-    degree3_test,
-)
+from lctkit.criterion import choose_p, lct_ge
 from lctkit.errors import DegenerateError
+from lctkit.ideals import (
+    build_cor3_pack, containment_check, cor3_divisibility, degree3_test,
+)
+from lctkit.numeric import (
+    contact_order_identity_check, diff_orders, orders_against_series,
+    perturbation_check,
+)
 from lctkit.oracle import lct_binomial_curve, lct_plane_nondegenerate
 from lctkit.poly import MPoly, UPoly
 from lctkit.qideal import NO, YES
 from lctkit.rootdata import (
-    contact_order_identity_check, diff_orders, integrality_test,
-    max_root_order, orders_against_series, partial_sums,
-    perturbation_check, root_orders,
+    integrality_test, max_root_order, partial_sums, root_orders,
 )
 from lctkit.series import PSeries
 

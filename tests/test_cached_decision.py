@@ -12,14 +12,14 @@ from fractions import Fraction
 import pytest
 
 from lctkit import criterion, rootdata
-from lctkit.criterion import (
-    choose_p, containment_check, eval_theorem_lhs, lct_ge,
-)
+from lctkit.criterion import choose_p, lct_ge
 from lctkit.errors import ConsistencyError, DegenerateError, TruncationError
+from lctkit.ideals import containment_check, eval_theorem_lhs
+from lctkit.numeric import diff_orders
 from lctkit.oracle import lct_plane_nondegenerate
 from lctkit.poly import MPoly, UPoly
 from lctkit.qideal import ord_diff_le_one
-from lctkit.rootdata import RootRows, diff_orders
+from lctkit.rootdata import RootRows
 from lctkit.series import OrderVal, PSeries, frac_str
 
 F = Fraction

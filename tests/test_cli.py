@@ -210,6 +210,24 @@ class TestZeroDenominator:
         assert "zero denominator" in json.loads(line)["error"]
 
 
+class TestDegreeOption:
+    """A --d that is not an integer is a usage error whose message names
+    --d: exit 2, nothing on stdout and one JSON error line on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lct", "--d", "two", "--c", "3/4", "--coeff", "x", "--coeff",
+         "x^2"],
+        ["criterion", "--d", "two", "--c", "3/4"],
+    ], ids=["lct", "criterion"])
+    def test_usage_error(self, capsys, argv):
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert json.loads(line) == {
+            "error": "--d must be an integer, got 'two'"}
+
+
 class TestThresholdFromFile:
     """`lctkit lct` takes c from --c, else from the --coeffs document's
     "c" field; with neither, it is a usage error naming --c."""
@@ -403,7 +421,7 @@ class TestDeterminism:
         assert first == second
 
     def test_all_suites_pass_briefly(self, capsys):
-        from lctkit.cli import _SUITES
+        from lctkit.verify import _SUITES
         seen = set()
         for name in sorted(_SUITES):
             if _SUITES[name] in seen:

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from lctkit import criterion
-from lctkit.criterion import (
-    build_b, build_bbar_k, build_bk, build_c, build_cor3_pack,
-    build_p_plus_minus, build_tilde_bk, choose_p, containment_check,
-    cor3_divisibility, degree3_test, depressed_cubic, eval_theorem_lhs,
-    example3_test, lct_ge,
-)
+from lctkit.criterion import choose_p, lct_ge
 from lctkit.errors import BudgetError, ConsistencyError
+from lctkit.ideals import (
+    build_b, build_bbar_k, build_bk, build_c, build_cor3_pack,
+    build_p_plus_minus, build_tilde_bk, containment_check,
+    cor3_divisibility, degree3_test, depressed_cubic, eval_theorem_lhs,
+    example3_test,
+)
 from lctkit.poly import UPoly
 from lctkit.qideal import NO, UNKNOWN, YES, qi_ord
 from lctkit.rootdata import integrality_test

@@ -1,12 +1,16 @@
 """Static checks over the package sources: no handler broad enough to hide a
 ConsistencyError, no unused import, no assignment or parameter a function
-never reads, no function, method or class that only tests use, and no
-runtime dependency besides the standard library and mpmath; importing the CLI loads neither dataclasses nor inspect, and mpmath
-stays unloaded until the numeric layer runs, also on truncated input at
-d <= 4, which never expands; an exact decision constructs no OrderVal, and
-an exact table-cache miss constructs two UPolys."""
+never reads, no function, method or class that only tests use, no runtime
+dependency besides the standard library and mpmath, and no module-level
+import of a module off the decision path from a module on it.  Importing
+the package loads the decision path only and the CLI neither dataclasses
+nor inspect; every other layer, mpmath included, stays unloaded until a
+command uses it, also on truncated input at d <= 4, which never expands; an
+exact decision constructs no OrderVal, and an exact table-cache miss
+constructs two UPolys."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +25,11 @@ BROAD = {"Exception", "BaseException"}
 ALLOWED = set(sys.stdlib_module_names) | {"mpmath"}
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# the modules `import lctkit` and `lctkit lct` load, and the package's
+# modules (and mpmath) that those may import only inside a function
+DECISION_PATH = ("__init__.py", "errors.py", "series.py", "poly.py",
+                 "rootdata.py", "criterion.py", "cli.py")
+OFF_PATH = {"numeric", "ideals", "qideal", "oracle", "verify", "mpmath"}
 
 
 def _tree(path):
@@ -145,9 +154,16 @@ def unreferenced_definitions(trees, exported):
 
 
 def exported_names(tree):
-    """Names an __init__ module imports from its submodules."""
-    return {alias.asname or alias.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    """Names an __init__ module imports from its submodules, and the keys
+    of its `_LAZY` table, the names it imports on first access."""
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and any(isinstance(t, ast.Name) and t.id == "_LAZY"
+                        for t in node.targets)):
+            names.update(key.value for key in node.value.keys)
+    return names
 
 
 def foreign_imports(tree):
@@ -164,6 +180,34 @@ def foreign_imports(tree):
         found.extend((node.lineno, name.split(".")[0]) for name in names
                      if name.split(".")[0] not in ALLOWED)
     return found
+
+
+def eager_imports(tree):
+    """(line, module) of every import that runs when the module loads (at
+    module level or in a class body, not inside a function) of a module in
+    OFF_PATH, named relatively or as lctkit.<module>."""
+    found = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None or node.module == "lctkit":
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module]
+        else:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.extend(ast.iter_child_nodes(node))
+            continue
+        for name in names:
+            parts = name.split(".")
+            module = parts[1] if parts[0] == "lctkit" and parts[1:] \
+                else parts[0]
+            if module in OFF_PATH:
+                found.append((node.lineno, module))
+    return sorted(found)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -199,6 +243,11 @@ def test_only_stdlib_and_mpmath_imports(path):
     assert foreign_imports(_tree(path)) == []
 
 
+@pytest.mark.parametrize("name", DECISION_PATH)
+def test_decision_path_imports_stay_on_it(name):
+    assert eager_imports(_tree(SRC / name)) == []
+
+
 def test_checks_catch_offenders():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -213,6 +262,32 @@ def test_checks_catch_offenders():
                      "from scipy.linalg import eig\nfrom . import poly\n"
                      "from collections import OrderedDict\n")
     assert foreign_imports(tree) == [(1, "numpy"), (3, "scipy")]
+
+
+def test_eager_import_check_catches_offenders():
+    tree = ast.parse(
+        "import mpmath\n"
+        "from .numeric import _expanded\n"
+        "from . import oracle, poly\n"
+        "from lctkit.ideals import degree3_test\n"
+        "import lctkit.verify\n"
+        "from lctkit import qideal\n"
+        "from .series import YES\n"                # on the path: kept
+        "try:\n    from mpmath import mpf\nexcept ImportError:\n    pass\n"
+        "class A:\n    from . import numeric\n"    # runs on load
+        "def f():\n"                              # runs on call: exempt
+        "    from .numeric import diff_orders\n"
+        "    import mpmath\n")
+    assert eager_imports(tree) == [
+        (1, "mpmath"), (2, "numeric"), (3, "oracle"), (4, "ideals"),
+        (5, "verify"), (6, "qideal"), (9, "mpmath"), (13, "numeric")]
+
+
+def test_exported_names_read_the_lazy_table():
+    tree = ast.parse("from .a import api\n"
+                     "_LAZY = {'later': 'b', 'other': 'c'}\n"
+                     "TABLE = {'not_exported': 'd'}\n")
+    assert exported_names(tree) == {"api", "later", "other"}
 
 
 def test_unread_assignment_check_catches_offenders():
@@ -285,29 +360,57 @@ def test_unreferenced_definition_check_catches_offenders():
 
 
 LAZY_MPMATH = """
+import json
 import sys
+
+
+def loaded():
+    return json.dumps(sorted(m for m in sys.modules
+                             if m.split(".")[0] in ("lctkit", "mpmath")
+                             and m.count(".") < 2))
+
+
+import lctkit
+print(loaded())
 import lctkit.cli
 print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
 code = lctkit.cli.run(["lct", "--c", "5/6", "--coeff", "x", "--coeff",
                        "x^2 - x^3", "--coeff", "2*x^3"])
 print(code, "mpmath" in sys.modules)
+print(loaded())
 lctkit.cli.run(["diffs", "--poly", "y^3 + t^2*y + t^3"])
 print("mpmath" in sys.modules)
+print(loaded())
+lctkit.cli.run(["oracle", "--binomial", "3", "4"])
+print(loaded())
 """
+
+DECISION_MODULES = ["lctkit", "lctkit.criterion", "lctkit.errors",
+                    "lctkit.poly", "lctkit.rootdata", "lctkit.series"]
 
 
 def test_exact_decision_leaves_mpmath_unloaded():
-    """Importing the CLI loads neither dataclasses nor inspect.  A d = 3
-    `lctkit lct` run decides from the certificate alone, so the process
-    never imports mpmath; `lctkit diffs` expands and loads it."""
+    """Importing the package loads exactly the decision path, and importing
+    the CLI neither dataclasses nor inspect.  A d = 3 `lctkit lct` run
+    decides from the certificate alone, so it adds only lctkit.cli and the
+    process never imports mpmath; `lctkit diffs` expands and loads
+    lctkit.numeric and mpmath, and `lctkit oracle` loads lctkit.oracle."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", LAZY_MPMATH], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    heavy, verdict, lct_done, _, diffs_done = proc.stdout.splitlines()
+    (package, heavy, verdict, lct_done, after_lct, _, diffs_done,
+     after_diffs, _, after_oracle) = proc.stdout.splitlines()
     assert heavy == "[]"
     assert '"verdict": "no"' in verdict
     assert (lct_done, diffs_done) == ("0 False", "True")
+    package, after_lct, after_diffs, after_oracle = (
+        set(json.loads(line))
+        for line in (package, after_lct, after_diffs, after_oracle))
+    assert package == set(DECISION_MODULES)
+    assert after_lct - package == {"lctkit.cli"}
+    assert {"lctkit.numeric", "mpmath"} <= after_diffs - after_lct
+    assert after_oracle - after_diffs == {"lctkit.oracle"}
 
 
 TRUNCATED_MPMATH = """
@@ -345,8 +448,6 @@ def test_truncated_decision_leaves_mpmath_unloaded():
     """Truncated input at d = 2..4 is decided from the certificate's root
     tree, or left unknown by a polygon, so the process never imports
     mpmath."""
-    import json
-
     cases = _truncated_cases()
     blob = json.dumps([[d, str(c), [a.to_json() for a in coeffs]]
                        for d, c, coeffs, _ in cases])
@@ -362,14 +463,14 @@ def test_truncated_decision_leaves_mpmath_unloaded():
 def test_truncated_decision_never_expands(monkeypatch):
     """The same truncated decisions with the expansion replaced by a
     failure: none of them reaches it."""
-    from lctkit import criterion, rootdata
+    from lctkit import criterion, numeric
     from lctkit.criterion import lct_ge
 
     def refuse(*args):
         raise AssertionError("expanded")
 
     criterion._table_for.cache_clear()
-    monkeypatch.setattr(rootdata, "_expanded", refuse)
+    monkeypatch.setattr(numeric, "_expanded", refuse)
     for d, c, coeffs, verdict in _truncated_cases():
         assert lct_ge(d, c, coeffs)[0] == verdict
 

@@ -4,13 +4,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from lctkit import rootdata
+from lctkit import numeric
 from lctkit.errors import ConsistencyError, PrecisionError, TruncationError
+from lctkit.numeric import (
+    contact_order_identity_check, diff_orders, orders_against_series,
+    perturbation_check, puiseux_expand,
+)
 from lctkit.poly import UPoly, compound_poly, difference_poly, q_squarefree
 from lctkit.rootdata import (
-    contact_order_identity_check, diff_orders, integrality_test,
-    max_root_order, newton_polygon, orders_against_series, partial_sums,
-    perturbation_check, puiseux_expand, root_orders,
+    integrality_test, max_root_order, newton_polygon, partial_sums,
+    root_orders,
 )
 from lctkit.series import INF, OrderVal, PSeries
 
@@ -513,7 +516,7 @@ class TestEscalation:
     def _patch(monkeypatch, fail):
         """Replace puiseux_expand; fail(n) gives the error for the n-th call
         (from 1) or None to expand for real.  Returns the precisions seen."""
-        real = rootdata.puiseux_expand
+        real = numeric.puiseux_expand
         bits = []
 
         def fake(h, depth, precision=None):
@@ -523,7 +526,7 @@ class TestEscalation:
                 raise err
             return real(h, depth, precision)
 
-        monkeypatch.setattr(rootdata, "puiseux_expand", fake)
+        monkeypatch.setattr(numeric, "puiseux_expand", fake)
         return bits
 
     CALLERS = {
@@ -577,7 +580,7 @@ class TestEscalation:
         roots = [[(F(1), one)], [(F(1), one)], [(F(1), two)]]
 
         def certify(cert):
-            return rootdata._certified_orders(
+            return numeric._certified_orders(
                 lambda p: (roots, roots), [(0, 1), (0, 2)], cert,
                 F(3), "mismatch", "exhausted")
 
@@ -590,14 +593,14 @@ class TestEscalation:
 
     @pytest.mark.parametrize("name", list(CALLERS))
     def test_mismatch_exhausts_five_attempts(self, monkeypatch, name):
-        real = rootdata.puiseux_expand
+        real = numeric.puiseux_expand
         bits = []
 
         def fake(h, depth, precision=None):
             bits.append(precision)
             return real(self.OTHER[name], depth, precision)
 
-        monkeypatch.setattr(rootdata, "puiseux_expand", fake)
+        monkeypatch.setattr(numeric, "puiseux_expand", fake)
         with pytest.raises(ConsistencyError) as info:
             self._call(name)
         assert str(info.value) == self.MISMATCH[name]
@@ -628,8 +631,8 @@ class TestCharRoots:
     def _roots(self, coeffs, prec=PREC):
         with mpmath.workprec(prec + 64):
             mp = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
-            got = rootdata._char_roots(mp, prec,
-                                       rootdata._tolerances(prec)[1])
+            got = numeric._char_roots(mp, prec,
+                                       numeric._tolerances(prec)[1])
             want = mpmath.polyroots(mp, maxsteps=400, extraprec=4 * prec)
         return got, want
 
@@ -687,7 +690,7 @@ class TestCharRoots:
                 deg = rng.randint(2, 5)
                 mp = [mpmath.mpc(rng.randint(-9, 9) or 1, rng.randint(-9, 9))
                       for _ in range(deg + 1)]
-                got = rootdata._char_roots(mp, 2 * self.PREC)
+                got = numeric._char_roots(mp, 2 * self.PREC)
                 want = mpmath.polyroots(mp, maxsteps=400,
                                         extraprec=4 * self.PREC)
                 tol = mpmath.mpf(2) ** (-(self.PREC // 2))
@@ -705,7 +708,7 @@ class TestTransformCut:
         rng = random.Random(9)
         exps = [F(k, r) for r in (1, 2, 3) for k in range(0, 13)]
         with mpmath.workprec(self.PREC + 64):
-            tols = rootdata._tolerances(self.PREC)
+            tols = numeric._tolerances(self.PREC)
 
             def value():
                 return mpmath.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -717,13 +720,13 @@ class TestTransformCut:
                 for _ in range(d + 1):
                     terms = {e: value() for e in rng.sample(exps, 3)}
                     trunc = INF if rng.random() < 0.7 else F(13)
-                    coeffs.append(rootdata._ns_normalize(terms, trunc, tols))
+                    coeffs.append(numeric._ns_normalize(terms, trunc, tols))
                 q = F(rng.randint(1, 6), rng.randint(1, 3))
                 mu = F(rng.randint(0, 12), rng.randint(1, 2))
                 cut = F(rng.randint(1, 24), rng.randint(1, 3))
                 u = value()
-                full = rootdata._transform(coeffs, q, u, mu, INF, tols)
-                lazy = rootdata._transform(coeffs, q, u, mu, cut, tols)
+                full = numeric._transform(coeffs, q, u, mu, INF, tols)
+                lazy = numeric._transform(coeffs, q, u, mu, cut, tols)
                 dropping += any(e >= cut for a in full for e in a.terms)
                 for a, b in zip(full, lazy):
                     assert b.terms == {e: c for e, c in a.terms.items()
@@ -749,9 +752,9 @@ class TestShortfallGuard:
     def test_shortfall_on_exact_input_is_a_consistency_error(
             self, monkeypatch):
         def short(coeffs, depth):
-            raise rootdata._Shortfall("a forced shortfall", F(5, 2))
+            raise numeric._Shortfall("a forced shortfall", F(5, 2))
 
-        monkeypatch.setattr(rootdata, "_numeric_polygon", short)
+        monkeypatch.setattr(numeric, "_numeric_polygon", short)
         h = UPoly.from_roots("y", [mono(1), mono(2)])
         with pytest.raises(ConsistencyError, match="shortfall 5/2"):
             puiseux_expand(h, 3)

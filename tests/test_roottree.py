@@ -12,13 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from lctkit import criterion, rootdata
+from lctkit import criterion, numeric, rootdata
 from lctkit.criterion import choose_p, lct_ge
 from lctkit.errors import ConsistencyError
+from lctkit.numeric import DiffOrderTable, diff_orders
 from lctkit.poly import UPoly
-from lctkit.rootdata import (
-    DiffOrderTable, _row_multisets, certified_rows, diff_orders,
-)
+from lctkit.rootdata import _row_multisets, certified_rows
 from lctkit.series import OrderVal, PSeries
 
 F = Fraction
@@ -224,7 +223,7 @@ def test_ambiguous_pattern_falls_back_to_expansion(monkeypatch):
     # the d = 5 pattern above: blocks {x, x + x^3} and {x^2, 2x^2, 3x^2}
     roots = [mono(1), mono(1) + mono(3), mono(2), mono(2, 2), mono(2, 3)]
     h = UPoly.from_roots("y", roots)
-    expanded = _counted(monkeypatch, rootdata, "_expanded")
+    expanded = _counted(monkeypatch, numeric, "_expanded")
     built = _counted(monkeypatch, rootdata, "difference_poly")
     criterion._table_for.cache_clear()
     table = criterion._table_for(h.coeffs)
@@ -254,7 +253,7 @@ def test_exact_decisions_without_expansion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the expansion ran")
 
-    monkeypatch.setattr(rootdata, "puiseux_expand", refuse)
+    monkeypatch.setattr(numeric, "puiseux_expand", refuse)
     criterion._table_for.cache_clear()
     for (h, _), (c, v) in zip(cases, want):
         verdict, diag = lct_ge(h.degree, c, h.coeffs)

@@ -1,9 +1,9 @@
 """Command-line front end: text/JSON parsing, subcommand dispatch, JSON
 reporting.
 
-The module loads only what `lctkit lct` needs (the decision path); every
-other subcommand imports its own layer when it runs, and `lctkit verify`
-runs the seeded suites of lctkit.verify.
+The module loads only the decision path, which is all `lctkit lct` needs;
+a subcommand that needs a layer off that path imports it when it runs, and
+`lctkit verify` runs the seeded suites of lctkit.verify.
 
 Exit codes: 0 success (a verdict was produced), 2 parse/usage error,
 3 unknown due to truncation, 1 internal consistency failure.
@@ -20,12 +20,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .criterion import lct_ge
+from .criterion import choose_p, lct_ge
 from .errors import (
     ConsistencyError, DegenerateError, LctkitError, ParseError,
     TruncationError,
 )
 from .poly import MPoly, UPoly
+from .rootdata import (
+    integrality_test, max_root_order, newton_polygon, partial_sums,
+)
 from .series import UNKNOWN, PSeries, frac_str
 
 # ---------------------------------------------------------------------------
@@ -307,7 +310,6 @@ def _load_lct_input(args):
 
 
 def _cmd_orders(args):
-    from .rootdata import max_root_order, newton_polygon, partial_sums
     h = parse_upoly(args.poly, args.var)
     np = newton_polygon(h)
     out = np.to_json()
@@ -328,7 +330,6 @@ def _cmd_diffs(args):
 
 
 def _cmd_integrality(args):
-    from .rootdata import integrality_test
     h = parse_upoly(args.poly, args.var)
     verdict, cert = integrality_test(h)
     _emit(cert)
@@ -336,7 +337,6 @@ def _cmd_integrality(args):
 
 
 def _cmd_criterion(args):
-    from .criterion import choose_p
     from .ideals import build_p_plus_minus
     ctx = choose_p(_integer(args.d, "--d"), _rational(args.c, "--c"))
     out = {"d": ctx.d, "c": frac_str(ctx.c), "p": ctx.p,

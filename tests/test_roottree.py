@@ -205,10 +205,10 @@ def test_certified_rows_match_expansion(seed, degrees):
     assert decided >= len(degrees) * 2
 
 
-def _counted(monkeypatch, module, name):
+def _counted(monkeypatch, module, name, calls=None):
     """Replace module.name by a wrapper that logs the degree of each call's
-    polynomial; returns the log."""
-    calls = []
+    polynomial; returns the log (a fresh one unless `calls` is given)."""
+    calls = [] if calls is None else calls
     real = getattr(module, name)
 
     def counted(g, *args, **kwargs):
@@ -224,7 +224,10 @@ def test_ambiguous_pattern_falls_back_to_expansion(monkeypatch):
     roots = [mono(1), mono(1) + mono(3), mono(2), mono(2, 2), mono(2, 3)]
     h = UPoly.from_roots("y", roots)
     expanded = _counted(monkeypatch, numeric, "_expanded")
+    # numeric binds its own difference_poly (numeric.diff_orders builds D
+    # there), so both bindings log to one list
     built = _counted(monkeypatch, rootdata, "difference_poly")
+    _counted(monkeypatch, numeric, "difference_poly", built)
     criterion._table_for.cache_clear()
     table = criterion._table_for(h.coeffs)
     # one expansion, and the fallback reuses the certificate

@@ -8,9 +8,9 @@ a subcommand that needs a layer off that path imports it when it runs, and
 Exit codes: 0 success (a verdict was produced), 2 parse/usage error,
 3 unknown due to truncation, 1 internal consistency failure.
 
-Identical argv, seed and environment produce byte-identical output: all
-rationals are serialized as "p/q" strings, reports are sorted, and per-trial
-seeds derive deterministically from the master seed.
+Identical argv and seed produce byte-identical output: all rationals are
+serialized as "p/q" strings, reports are sorted, and per-trial seeds derive
+deterministically from the master seed.
 """
 
 from __future__ import annotations
@@ -174,17 +174,15 @@ def parse_series(text, var=None) -> PSeries:
     return PSeries(name, acc)
 
 
-def parse_series_group(texts, var=None):
+def parse_series_group(texts):
     """Parse several series sharing one variable; constants adopt it."""
     seen = set()
     for t in texts:
         for _, exps in _Parser(t).parse():
             seen.update(exps)
-    if var is None:
-        if len(seen) > 1:
-            raise ParseError(
-                f"series use several variables {sorted(seen)}", 0)
-        var = seen.pop() if seen else "x"
+    if len(seen) > 1:
+        raise ParseError(f"series use several variables {sorted(seen)}", 0)
+    var = seen.pop() if seen else "x"
     return [parse_series(t, var=var) for t in texts]
 
 
@@ -242,13 +240,16 @@ def _emit(obj):
 
 
 def _rational(value, option):
-    """The rational value of an option; a zero denominator is a usage
-    error (ValueError) like any other malformed value."""
+    """The rational value of an option; anything else, a zero denominator
+    included, is a usage error (ValueError) that names the option."""
     try:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(
             f"{option} has a zero denominator: {value!r}") from None
+    except ValueError:
+        raise ValueError(
+            f"{option} must be a rational, got {value!r}") from None
 
 
 def _integer(value, option):
@@ -261,18 +262,10 @@ def _integer(value, option):
             f"{option} must be an integer, got {value!r}") from None
 
 
-def _apply_trunc(coeffs, arg):
-    """--trunc without a value truncates at the LCTKIT_TRUNC default."""
-    if arg is None:
-        return coeffs
-    from .series import default_trunc
-    bound = default_trunc() if arg == "" else _rational(arg, "--trunc")
-    return [s.truncated(bound) for s in coeffs]
-
-
 def _load_lct_input(args):
-    """The coefficients of `lctkit lct`; fills args.d and args.c from a
-    --coeffs document where the command line leaves them out."""
+    """The coefficients of `lctkit lct`, cut at --trunc when it is given;
+    fills args.d and args.c from a --coeffs document where the command line
+    leaves them out."""
     if args.coeffs:
         with open(args.coeffs) as fh:
             blob = json.load(fh)
@@ -295,18 +288,21 @@ def _load_lct_input(args):
                     raise ValueError(
                         '--coeffs JSON field "d" must be an integer') from None
             if args.c is None and "c" in blob:
-                if isinstance(blob["c"], bool) or \
-                        not isinstance(blob["c"], (int, str)):
+                c = blob["c"]
+                if isinstance(c, bool) or not isinstance(c, (int, str)):
                     raise ValueError(
                         '--coeffs JSON field "c" must be a rational')
-                args.c = blob["c"]
+                args.c = _rational(c, '--coeffs JSON field "c"')
     else:
         coeffs = parse_series_group(args.coeff or [])
     if args.c is None:
         raise ValueError(
             'missing the threshold: give --c or a "c" field in the --coeffs '
             'JSON')
-    return _apply_trunc(coeffs, getattr(args, "trunc", None))
+    if args.trunc is not None:
+        bound = _rational(args.trunc, "--trunc")
+        coeffs = [s.truncated(bound) for s in coeffs]
+    return coeffs
 
 
 def _cmd_orders(args):
@@ -360,7 +356,7 @@ def _cmd_lct(args):
 
 def _cmd_degree3(args):
     from .ideals import degree3_test
-    a, b = parse_series_group([args.a, args.b], var=args.series_var)
+    a, b = parse_series_group([args.a, args.b])
     verdict, diag = degree3_test(a, b, _rational(args.c, "--c"))
     diag["verdict"] = verdict
     _emit(diag)
@@ -372,13 +368,13 @@ def _cmd_oracle(args):
         lct_binomial_curve, lct_monomial_ideal, lct_plane_nondegenerate,
     )
     if args.binomial:
-        d, k = (int(v) for v in args.binomial)
+        d, k = (_integer(v, "--binomial") for v in args.binomial)
         _emit({"lct": frac_str(lct_binomial_curve(d, k)),
                "kind": "binomial"})
         return 0
     if args.vectors:
         vecs = json.loads(args.vectors)
-        lct = lct_monomial_ideal(vecs, n=args.n)
+        lct = lct_monomial_ideal(vecs)
         _emit({"lct": frac_str(lct), "kind": "monomial"})
         return 0
     f = parse_poly(args.poly)
@@ -408,8 +404,17 @@ def _cmd_verify(args):
 # Dispatch
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line like every other usage error: one
+    {"error": ...} line on stderr and exit 2."""
+
+    def error(self, message):
+        sys.stderr.write(json.dumps({"error": message}) + "\n")
+        self.exit(2)
+
+
 def _build_argparser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="lctkit",
         description="Exact threshold toolkit for monic polynomials with "
                     "one-variable series coefficients")
@@ -445,15 +450,14 @@ def _build_argparser():
                    help="JSON file with the coefficient series")
     p.add_argument("--coeff", action="append",
                    help="coefficient as series text (repeatable)")
-    p.add_argument("--trunc", nargs="?", const="", default=None,
-                   help="truncate inputs (default bound from LCTKIT_TRUNC)")
+    p.add_argument("--trunc", default=None,
+                   help="truncate every coefficient at this rational bound")
     p.set_defaults(func=_cmd_lct)
 
     p = sub.add_parser("degree3", help="explicit depressed-cubic test")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--c", required=True)
-    p.add_argument("--series-var", default=None)
     p.set_defaults(func=_cmd_degree3)
 
     p = sub.add_parser("oracle", help="independent threshold oracles")
@@ -463,7 +467,6 @@ def _build_argparser():
                        help="JSON list of exponent vectors")
     which.add_argument("--binomial", nargs=2, default=None,
                        metavar=("D", "K"))
-    p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="seeded verification suites")

@@ -164,9 +164,7 @@ def build_cor3_pack(d: int) -> Cor3Pack:
         gens = [g for g in gens if not g.is_zero()]
         if gens:
             ideals.append(QIdeal(gens, ck.exp))
-    m = 1
-    for a in ideals:
-        m = m * a.exp.denominator // math.gcd(m, a.exp.denominator)
+    m = math.lcm(*(a.exp.denominator for a in ideals))
     polys = []
     for a in ideals:
         k = int(a.exp * m)

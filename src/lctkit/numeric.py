@@ -14,7 +14,6 @@ certificate alone never loads mpmath.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 import mpmath
@@ -31,19 +30,9 @@ from .series import INF, OrderVal, PSeries, as_frac, frac_str
 
 _ZERO = Fraction(0)
 
-
-def default_precision() -> int:
-    """Working precision in bits: LCTKIT_PRECISION, 256 when unset.
-    Anything but a positive integer is a usage error (ValueError)."""
-    text = os.environ.get("LCTKIT_PRECISION", "256")
-    try:
-        prec = int(text)
-    except ValueError:
-        prec = 0
-    if prec < 1:
-        raise ValueError(
-            f"LCTKIT_PRECISION must be a positive integer, got {text!r}")
-    return prec
+# Working precision in bits: the default of puiseux_expand and the first of
+# _certified_orders' five attempts, each of which doubles it.
+PRECISION = 256
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +424,7 @@ def puiseux_expand(h: UPoly, depth, precision=None) -> PuiseuxRootSet:
     depth = as_frac(depth)
     if depth <= 0:
         raise ValueError("depth must be positive")
-    prec = precision or default_precision()
+    prec = precision or PRECISION
     orders = root_orders(h)
     d = h.degree
     with mpmath.workprec(prec + 64):
@@ -548,23 +537,21 @@ def _certified_orders(expand, pairs, cert, depth, mismatch, exhausted):
     (a, b), certified against `cert`, the exact multiset of the same orders.
 
     expand(p) gives the numeric term lists (left, right); it runs under p +
-    64 bits at p = prec, 2 prec, ..., 16 prec with prec =
-    default_precision().  An attempt certifies when its finite orders are
-    cert's orders below `depth` and it leaves as many pairs unresolved as
-    cert has orders that are infinite or at least `depth`; those pairs get
-    Infinite when all such orders are, else AtLeast(depth).  A
-    PrecisionError or a disagreement moves on to the next precision; every
-    other error propagates at once.  Once all five are spent, raises
-    ConsistencyError: `mismatch` when the last attempt disagreed, else
-    `exhausted` with the PrecisionError."""
+    64 bits at p = PRECISION, 2 PRECISION, ..., 16 PRECISION.  An attempt
+    certifies when its finite orders are cert's orders below `depth` and it
+    leaves as many pairs unresolved as cert has orders that are infinite or
+    at least `depth`; those pairs get Infinite when all such orders are,
+    else AtLeast(depth).  A PrecisionError or a disagreement moves on to the
+    next precision; every other error propagates at once.  Once all five
+    are spent, raises ConsistencyError: `mismatch` when the last attempt
+    disagreed, else `exhausted` with the PrecisionError."""
     small = sorted(v.value for v in cert if v.is_exact and v.value < depth)
     rest = [v for v in cert if v.is_infinite or v.value >= depth]
     fill = (OrderVal.infinite() if all(v.is_infinite for v in rest)
             else OrderVal.at_least(depth))
-    prec = default_precision()
     last_error = None
     for i in range(5):
-        p = prec << i
+        p = PRECISION << i
         try:
             with mpmath.workprec(p + 64):
                 left, right = expand(p)

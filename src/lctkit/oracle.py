@@ -10,11 +10,11 @@ curve, and the binomial-curve closed form.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .errors import DegenerateError
+from .errors import ConsistencyError, DegenerateError
 from .poly import MPoly, q_squarefree
-from .rootdata import _lower_hull
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -94,7 +94,7 @@ def _diag_entry(vectors):
 # Oracles
 # ---------------------------------------------------------------------------
 
-def lct_monomial_ideal(vectors, n=None) -> Fraction:
+def lct_monomial_ideal(vectors) -> Fraction:
     """Threshold of the monomial ideal generated by x^v over the given
     exponent vectors: the largest t with the all-ones vector inside t times
     the Newton polyhedron.  Raises ValueError unless `vectors` is a list
@@ -109,9 +109,7 @@ def lct_monomial_ideal(vectors, n=None) -> Fraction:
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         raise ValueError("no exponent vectors")
-    if n is None:
-        n = len(vectors[0])
-    if any(len(v) != n for v in vectors):
+    if len({len(v) for v in vectors}) > 1:
         raise ValueError("exponent vectors of mixed arity")
     if any(c < 0 for v in vectors for c in v):
         raise ValueError("exponents must be nonnegative")
@@ -122,17 +120,28 @@ def lct_monomial_ideal(vectors, n=None) -> Fraction:
 
 
 def _staircase_edges(support):
-    """Compact edges of the Newton boundary (lower-left staircase hull)."""
-    minimal = [p for p in support
-               if not any(q != p and q[0] <= p[0] and q[1] <= p[1]
-                          for q in support)]
-    hull = _lower_hull(sorted(set(minimal)))
+    """Compact edges of the Newton boundary and its vertices: the lower
+    convex hull of the minimal support points, which sorted by x have
+    strictly falling y.  A point leaves the hull while the slope into it is
+    not below the slope out of it."""
+    stairs = sorted(p for p in support
+                    if not any(q != p and q[0] <= p[0] and q[1] <= p[1]
+                               for q in support))
+    hull = []
+    for p in stairs:
+        while len(hull) >= 2 and (_slope(hull[-2], hull[-1])
+                                  >= _slope(hull[-1], p)):
+            hull.pop()
+        hull.append(p)
     return list(zip(hull, hull[1:])), hull
+
+
+def _slope(p, q):
+    return Fraction(q[1] - p[1], q[0] - p[0])
 
 
 def _edge_polynomial(p1, p2, coeff_of):
     """One-variable polynomial carried by a compact edge, dense descending."""
-    import math
     dx, dy = p2[0] - p1[0], p1[1] - p2[1]
     g = math.gcd(dx, dy)
     step = (dx // g, -(dy // g))
@@ -184,7 +193,6 @@ def lct_binomial_curve(d: int, k: int) -> Fraction:
     f = MPoly(("x", "y"), {(0, d): _ONE, (k, 0): _ONE})
     from_plane, _ = lct_plane_nondegenerate(f)
     if from_plane != closed:
-        from .errors import ConsistencyError
         raise ConsistencyError(
             f"binomial closed form {closed} disagrees with the plane "
             f"oracle {from_plane}")

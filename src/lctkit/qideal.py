@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import BudgetError
 from .poly import MPoly
 from .series import NO, UNKNOWN, YES, OrderVal, PSeries, as_frac, frac_str
 
@@ -108,17 +109,6 @@ class QIdealFrac:
         return cls(QIdeal.from_json(obj["num"]), QIdeal.from_json(obj["den"]))
 
 
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
-def _common_denominator(ideals):
-    m = 1
-    for a in ideals:
-        m = _lcm(m, a.exp.denominator)
-    return m
-
-
 _POWER_BUDGET = 4096
 
 
@@ -131,9 +121,7 @@ def _int_power_gens(gens, k):
             return (PSeries.one(g.var),)
         return (MPoly.const(1),)
     n = len(gens)
-    from math import comb
-    if comb(n + k - 1, k) > _POWER_BUDGET:
-        from .errors import BudgetError
+    if math.comb(n + k - 1, k) > _POWER_BUDGET:
         raise BudgetError(
             f"generator set of an integer power J^{k} exceeds the budget")
     out = []
@@ -168,7 +156,7 @@ def qi_product(ideals) -> QIdeal:
         return QIdeal.unit()
     if any(a.is_zero for a in ideals):
         return QIdeal.zero()
-    m = _common_denominator(ideals)
+    m = math.lcm(*(a.exp.denominator for a in ideals))
     gens = None
     for a in ideals:
         k = int(a.exp * m)
@@ -186,7 +174,7 @@ def qi_sum(ideals) -> QIdeal:
     ideals = [a for a in ideals if not a.is_zero]
     if not ideals:
         return QIdeal.zero()
-    m = _common_denominator(ideals)
+    m = math.lcm(*(a.exp.denominator for a in ideals))
     gens = []
     for a in ideals:
         k = int(a.exp * m)

@@ -26,7 +26,6 @@ All values are immutable and all operations are pure.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -35,21 +34,6 @@ from .errors import ConsistencyError, TruncationError
 INF = math.inf
 
 _ZERO = Fraction(0)
-
-
-def default_trunc():
-    """Working truncation bound for operations that must pick one:
-    LCTKIT_TRUNC, 64 when unset.  Anything but a positive rational is a
-    usage error (ValueError)."""
-    text = os.environ.get("LCTKIT_TRUNC", "64")
-    try:
-        bound = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        bound = 0
-    if bound <= 0:
-        raise ValueError(
-            f"LCTKIT_TRUNC must be a positive rational, got {text!r}")
-    return bound
 
 
 def as_frac(x) -> Fraction:
@@ -521,9 +505,6 @@ class PSeries:
         c = None if r else self._t.get(k)
         return _ZERO if c is None else Fraction(c, self._den)
 
-    def max_exp(self):
-        return Fraction(max(self._t), self._ram) if self._t else None
-
     def sorted_terms(self):
         ram, den = self._ram, self._den
         return [(Fraction(e, ram), Fraction(c, den))
@@ -638,7 +619,7 @@ class PSeries:
             result = result * g
         return result if trunc is None else result.truncated(trunc)
 
-    def div_exact(self, b: "PSeries", max_exp=None) -> "PSeries":
+    def div_exact(self, b: "PSeries") -> "PSeries":
         """Quotient self/b when b divides self in the Puiseux-polynomial ring.
 
         Used by fraction-free elimination, which guarantees divisibility for
@@ -670,9 +651,7 @@ class PSeries:
                 known.append(b._tr + oa - 2 * obq)
             q_tr = min(known) if known else None
         bound = None if q_tr is None else _ceil_units(q_tr, ram)
-        if max_exp is not None:
-            top = math.floor(as_frac(max_exp) * ram)
-        elif self._tr is None:
+        if self._tr is None:
             # exact polynomial divisibility cannot exceed this
             top = max(self._t) * fa - ob if self._t else 0
         else:

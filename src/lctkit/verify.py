@@ -198,14 +198,3 @@ _SUITES = {
     "ring": _suite_ring,
     "oracle": _suite_oracle,
 }
-
-# terse aliases kept for compatibility with existing invocations
-_SUITES.update({
-    "lem1": _suite_orders,
-    "prop1": _suite_partial_sums,
-    "cor4": _suite_max_order,
-    "cor2": _suite_shift,
-    "cor3": _suite_integrality,
-    "lem11": _suite_perturbation,
-    "lem31": _suite_contact,
-})

@@ -71,7 +71,7 @@ def test_moved_names_have_one_home():
     the modules they left."""
     from lctkit import criterion, rootdata
 
-    assert not [name for name in PUBLIC["numeric"] + ("default_precision",)
+    assert not [name for name in PUBLIC["numeric"]
                 if hasattr(rootdata, name)]
     assert not [name for name in PUBLIC["ideals"] + ("QIdeal",)
                 if hasattr(criterion, name)]

@@ -6,8 +6,11 @@ import pytest
 from lctkit.cli import (
     parse_poly, parse_series, parse_series_group, parse_upoly, run,
 )
+from lctkit.criterion import choose_p
 from lctkit.errors import ParseError
-from lctkit.series import PSeries, default_trunc
+from lctkit.ideals import build_p_plus_minus
+from lctkit.oracle import lct_binomial_curve
+from lctkit.series import PSeries, frac_str
 
 F = Fraction
 
@@ -160,7 +163,7 @@ class TestCommands:
         assert F(out["required"]) > 1 and out["reason"]
 
     def test_verify_lem1(self, capsys):
-        assert run(["verify", "--suite", "lem1", "--trials", "5",
+        assert run(["verify", "--suite", "orders", "--trials", "5",
                     "--seed", "42"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["failures"] == 0
@@ -168,26 +171,6 @@ class TestCommands:
 
     def test_verify_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "nope"]) == 2
-
-
-class TestPrecisionVariable:
-    ARGV = ["diffs", "--poly", "y^2 - t^3"]
-
-    @pytest.mark.parametrize("text", ["-8", "0", "abc"])
-    def test_bad_value_is_a_usage_error(self, monkeypatch, capsys, text):
-        monkeypatch.setenv("LCTKIT_PRECISION", text)
-        assert run(self.ARGV) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert "LCTKIT_PRECISION" in json.loads(out.err)["error"]
-
-    def test_default_value_gives_default_output(self, monkeypatch, capsys):
-        monkeypatch.delenv("LCTKIT_PRECISION", raising=False)
-        assert run(self.ARGV) == 0
-        default = capsys.readouterr().out
-        monkeypatch.setenv("LCTKIT_PRECISION", "256")
-        assert run(self.ARGV) == 0
-        assert capsys.readouterr().out == default
 
 
 class TestZeroDenominator:
@@ -208,6 +191,47 @@ class TestZeroDenominator:
         assert out.out == ""
         (line,) = out.err.splitlines()
         assert "zero denominator" in json.loads(line)["error"]
+
+
+class TestMalformedRational:
+    """A rational option that is no rational is a usage error whose message
+    names the option: exit 2, nothing on stdout and one JSON error line on
+    stderr."""
+
+    @pytest.mark.parametrize("argv,option", [
+        (["lct", "--c", "abc", "--coeff", "x", "--coeff", "x^2"], "--c"),
+        (["criterion", "--d", "3", "--c", "abc"], "--c"),
+        (["degree3", "--a", "x", "--b", "x^2", "--c", "abc"], "--c"),
+        (["lct", "--c", "3/4", "--coeff", "x", "--coeff", "x^2",
+          "--trunc", "abc"], "--trunc"),
+        (["diffs", "--poly", "y^2 - t^3", "--depth", "abc"], "--depth"),
+    ], ids=["lct-c", "criterion-c", "degree3-c", "lct-trunc", "diffs-depth"])
+    def test_usage_error(self, capsys, argv, option):
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert json.loads(line) == {
+            "error": f"{option} must be a rational, got 'abc'"}
+
+
+class TestRemovedSpellings:
+    """Spellings the CLI no longer accepts are usage errors: exit 2,
+    nothing on stdout and one JSON error line on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lct", "--c", "3/4", "--coeff", "x", "--coeff", "x^2", "--trunc"],
+        ["degree3", "--a", "x", "--b", "x^2", "--c", "3/4",
+         "--series-var", "t"],
+        ["oracle", "--vectors", "[[1,0],[0,2]]", "--n", "2"],
+        ["verify", "--suite", "lem1"],
+    ], ids=["bare-trunc", "series-var", "oracle-n", "suite-alias"])
+    def test_usage_error(self, capsys, argv):
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert "error" in json.loads(line)
 
 
 class TestDegreeOption:
@@ -257,7 +281,9 @@ class TestThresholdFromFile:
         ([], {"c": None}, '"c"'),
         ([], {"c": ["5/6"]}, '"c"'),
         ([], {"c": True}, '"c"'),
-    ], ids=["no-file", "file-without-c", "null-c", "list-c", "bool-c"])
+        ([], {"c": "abc"}, '"c"'),
+    ], ids=["no-file", "file-without-c", "null-c", "list-c", "bool-c",
+            "word-c"])
     def test_usage_error(self, tmp_path, capsys, argv, fields, named):
         if fields is not None:
             argv = argv + ["--coeffs", self._file(tmp_path, **fields)]
@@ -325,41 +351,57 @@ class TestMalformedCoeffsFile:
         assert field in json.loads(line)["error"]
 
 
-class TestTruncVariable:
-    """LCTKIT_TRUNC, read by a bare --trunc, must be a positive rational."""
+class TestTruncOption:
+    """--trunc B cuts every coefficient at B before the decision."""
 
     # y^2 + 2x^3 y + x^3, lct 5/6; cut at 5/2 it has the completion
     # y^2 + x^5, lct 7/10 < 3/4
-    ARGV = ["lct", "--c", "3/4", "--coeff=2*x^3", "--coeff=x^3", "--trunc"]
+    ARGV = ["lct", "--c", "3/4", "--coeff=2*x^3", "--coeff=x^3"]
 
-    @pytest.mark.parametrize("text", ["abc", "0", "-3", "1/0"])
-    def test_bad_value_is_a_usage_error(self, monkeypatch, capsys, text):
-        monkeypatch.setenv("LCTKIT_TRUNC", text)
-        with pytest.raises(ValueError, match="LCTKIT_TRUNC"):
-            default_trunc()
-        assert run(self.ARGV) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        (line,) = out.err.splitlines()
-        assert "LCTKIT_TRUNC" in json.loads(line)["error"]
-
-    def test_default_and_set_values(self, monkeypatch, capsys):
-        monkeypatch.delenv("LCTKIT_TRUNC", raising=False)
-        assert default_trunc() == 64
+    def test_explicit_bounds(self, capsys):
         assert run(self.ARGV) == 0
-        default = capsys.readouterr().out
-        monkeypatch.setenv("LCTKIT_TRUNC", "64")
-        assert run(self.ARGV) == 0
-        assert capsys.readouterr().out == default
-        monkeypatch.setenv("LCTKIT_TRUNC", "5/2")
-        assert default_trunc() == F(5, 2)
-        assert run(self.ARGV) == 3
+        exact = capsys.readouterr().out
+        assert run(self.ARGV + ["--trunc", "64"]) == 0
+        assert capsys.readouterr().out == exact
+        assert run(self.ARGV + ["--trunc", "5/2"]) == 3
         assert json.loads(capsys.readouterr().out)["verdict"] == "unknown"
+        # the completion y^2 + x^5 itself
         assert run(self.ARGV[:3] + ["--coeff=0", "--coeff=x^5"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "no"
         # the node y^2 + 2x^3 y + x^2 is decided from its cut at 5/2
-        assert run(self.ARGV[:4] + ["--coeff=x^2", "--trunc"]) == 0
+        assert run(self.ARGV[:4] + ["--coeff=x^2", "--trunc", "5/2"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "yes"
+
+
+class TestCriterionCommand:
+    """`lctkit criterion` prints choose_p's band data and, for d <= 3, the
+    plus/minus pair of build_p_plus_minus."""
+
+    @pytest.mark.parametrize("d,c,p", [
+        (2, "3/4", 1), (3, "2/5", 1), (3, "5/6", 2), (3, "3/5", 2),
+        (4, "1/2", 2),
+    ], ids=["d2", "d3-p1", "d3-p2-c2-ge-c1", "d3-p2-c2-lt-c1", "d4"])
+    def test_output(self, capsys, d, c, p):
+        assert run(["criterion", "--d", str(d), "--c", c]) == 0
+        out = json.loads(capsys.readouterr().out)
+        ctx = choose_p(d, F(c))
+        assert ctx.p == p
+        want = {"d": d, "c": c, "p": p, "c1": frac_str(ctx.c1),
+                "c2": frac_str(ctx.c2)}
+        if d <= 3:
+            pair = build_p_plus_minus(ctx)
+            want["p_plus"] = json.loads(json.dumps(pair.p_plus.to_json()))
+            want["p_minus"] = json.loads(json.dumps(pair.p_minus.to_json()))
+        assert out == want
+
+
+class TestOracleBinomial:
+    def test_output(self, capsys):
+        assert run(["oracle", "--binomial", "3", "4"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"lct": frac_str(lct_binomial_curve(3, 4)),
+                       "kind": "binomial"}
+        assert out["lct"] == "7/12"
 
 
 class TestDashLedText:
@@ -406,9 +448,9 @@ class TestDashLedText:
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
-        ["verify", "--suite", "lem1", "--trials", "8", "--seed", "7"],
+        ["verify", "--suite", "orders", "--trials", "8", "--seed", "7"],
         ["verify", "--suite", "diffs", "--trials", "4", "--seed", "3"],
-        ["verify", "--suite", "cor3", "--trials", "6", "--seed", "1"],
+        ["verify", "--suite", "integrality", "--trials", "6", "--seed", "1"],
         ["lct", "--c", "5/6", "--coeff", "0", "--coeff", "0",
          "--coeff", "x^2"],
         ["orders", "--poly", "y^3 + t^2*y + t^3"],
@@ -422,25 +464,11 @@ class TestDeterminism:
 
     def test_all_suites_pass_briefly(self, capsys):
         from lctkit.verify import _SUITES
-        seen = set()
+        assert len(_SUITES) == 11
         for name in sorted(_SUITES):
-            if _SUITES[name] in seen:
-                continue  # terse aliases point at the same suite
-            seen.add(_SUITES[name])
             trials = 3 if name not in ("oracle",) else 1
             rc = run(["verify", "--suite", name, "--trials", str(trials),
                       "--seed", "5"])
             out = json.loads(capsys.readouterr().out)
             assert rc == 0, (name, out)
             assert out["failures"] == 0
-
-    def test_alias_matches_primary(self, capsys):
-        for alias, primary in (("lem1", "orders"), ("cor2", "shift")):
-            assert run(["verify", "--suite", alias, "--trials", "3",
-                        "--seed", "2"]) == 0
-            out_a = capsys.readouterr().out
-            assert run(["verify", "--suite", primary, "--trials", "3",
-                        "--seed", "2"]) == 0
-            out_p = capsys.readouterr().out
-            assert json.loads(out_a)["results"] == \
-                json.loads(out_p)["results"]

@@ -1,8 +1,9 @@
 """Static checks over the package sources: no handler broad enough to hide a
 ConsistencyError, no unused import, no assignment or parameter a function
 never reads, no function, method or class that only tests use, no runtime
-dependency besides the standard library and mpmath, and no module-level
-import of a module off the decision path from a module on it.  Importing
+dependency besides the standard library and mpmath, no module-level
+import of a module off the decision path from a module on it, and no
+import in the oracles of a module whose results they check.  Importing
 the package loads the decision path only and the CLI neither dataclasses
 nor inspect; every other layer, mpmath included, stays unloaded until a
 command uses it, also on truncated input at d <= 4, which never expands; an
@@ -30,6 +31,8 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 DECISION_PATH = ("__init__.py", "errors.py", "series.py", "poly.py",
                  "rootdata.py", "criterion.py", "cli.py")
 OFF_PATH = {"numeric", "ideals", "qideal", "oracle", "verify", "mpmath"}
+# the modules whose results the oracles check, which they must not reuse
+CHECKED_BY_ORACLE = {"rootdata", "numeric", "criterion"}
 
 
 def _tree(path):
@@ -182,6 +185,19 @@ def foreign_imports(tree):
     return found
 
 
+def _imported_modules(node):
+    """The modules an import node names, a package module relatively or as
+    lctkit.<module>, each by its first name below the package."""
+    if isinstance(node, ast.ImportFrom) and node.module not in (None,
+                                                                "lctkit"):
+        names = [node.module]
+    else:
+        names = [alias.name for alias in node.names]
+    for name in names:
+        parts = name.split(".")
+        yield parts[1] if parts[0] == "lctkit" and parts[1:] else parts[0]
+
+
 def eager_imports(tree):
     """(line, module) of every import that runs when the module loads (at
     module level or in a class body, not inside a function) of a module in
@@ -190,24 +206,21 @@ def eager_imports(tree):
     stack = list(tree.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is None or node.module == "lctkit":
-                names = [alias.name for alias in node.names]
-            else:
-                names = [node.module]
-        else:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                stack.extend(ast.iter_child_nodes(node))
-            continue
-        for name in names:
-            parts = name.split(".")
-            module = parts[1] if parts[0] == "lctkit" and parts[1:] \
-                else parts[0]
-            if module in OFF_PATH:
-                found.append((node.lineno, module))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend((node.lineno, module)
+                         for module in _imported_modules(node)
+                         if module in OFF_PATH)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
     return sorted(found)
+
+
+def imports_of(tree, modules):
+    """(line, module) of every import, wherever it runs, of one of
+    `modules`, named relatively or as lctkit.<module>."""
+    return sorted((node.lineno, module) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for module in _imported_modules(node) if module in modules)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -248,6 +261,10 @@ def test_decision_path_imports_stay_on_it(name):
     assert eager_imports(_tree(SRC / name)) == []
 
 
+def test_oracle_stays_disjoint_from_what_it_checks():
+    assert imports_of(_tree(SRC / "oracle.py"), CHECKED_BY_ORACLE) == []
+
+
 def test_checks_catch_offenders():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -281,6 +298,20 @@ def test_eager_import_check_catches_offenders():
     assert eager_imports(tree) == [
         (1, "mpmath"), (2, "numeric"), (3, "oracle"), (4, "ideals"),
         (5, "verify"), (6, "qideal"), (9, "mpmath"), (13, "numeric")]
+
+
+def test_oracle_import_check_catches_offenders():
+    tree = ast.parse(
+        "from .rootdata import _lower_hull\n"
+        "from . import criterion, poly\n"
+        "import lctkit.numeric\n"
+        "from .poly import MPoly\n"                 # not checked: kept
+        "def f():\n"                               # inside a function too
+        "    from lctkit.rootdata import root_orders\n"
+        "    from lctkit import criterion\n")
+    assert imports_of(tree, CHECKED_BY_ORACLE) == [
+        (1, "rootdata"), (2, "criterion"), (3, "numeric"), (6, "rootdata"),
+        (7, "criterion")]
 
 
 def test_exported_names_read_the_lazy_table():

@@ -492,14 +492,14 @@ class TestTruncationHints:
 
 class TestEscalation:
     """The shared precision-escalation loop, seen through each caller with
-    puiseux_expand replaced: precisions prec << i for five attempts, only a
-    PrecisionError retried."""
+    puiseux_expand replaced: precisions numeric.PRECISION << i for five
+    attempts, only a PrecisionError retried."""
 
     PREC = 96
 
     @pytest.fixture(autouse=True)
     def _precision(self, monkeypatch):
-        monkeypatch.setenv("LCTKIT_PRECISION", str(self.PREC))
+        monkeypatch.setattr(numeric, "PRECISION", self.PREC)
 
     @staticmethod
     def _call(name):

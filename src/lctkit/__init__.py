@@ -7,10 +7,10 @@ associated criterion ideals, and decides lct(f) >= c in one variable, all
 with exact rational arithmetic cross-validated against independent
 Newton-polyhedron oracles.
 
-Importing the package loads the decision path only (errors, series, poly,
-rootdata and criterion).  Every other public name is imported from its
-module on first access: the Q-ideals, the numeric Newton-Puiseux layer,
-the criterion ideals and the oracles.
+Importing the package loads the decision path only (errors, series, poly
+with its packed kernel, rootdata and criterion).  Every other public name
+is imported from its module on first access: the Q-ideals, the numeric
+Newton-Puiseux layer, the criterion ideals and the oracles.
 """
 
 import importlib

@@ -252,6 +252,15 @@ def _rational(value, option):
             f"{option} must be a rational, got {value!r}") from None
 
 
+def _positive(value, option):
+    """The positive rational value of an option; anything else is a usage
+    error (ValueError) that names the option."""
+    q = _rational(value, option)
+    if q <= 0:
+        raise ValueError(f"{option} must be positive, got {value!r}")
+    return q
+
+
 def _integer(value, option):
     """The int value of an option; anything else is a usage error
     (ValueError) that names the option."""
@@ -299,8 +308,10 @@ def _load_lct_input(args):
         raise ValueError(
             'missing the threshold: give --c or a "c" field in the --coeffs '
             'JSON')
+    if not coeffs:
+        raise ValueError("missing the coefficients: give --coeff or --coeffs")
     if args.trunc is not None:
-        bound = _rational(args.trunc, "--trunc")
+        bound = _positive(args.trunc, "--trunc")
         coeffs = [s.truncated(bound) for s in coeffs]
     return coeffs
 
@@ -319,7 +330,7 @@ def _cmd_orders(args):
 def _cmd_diffs(args):
     from .numeric import diff_orders
     h = parse_upoly(args.poly, args.var)
-    depth = _rational(args.depth, "--depth") if args.depth else None
+    depth = _positive(args.depth, "--depth") if args.depth else None
     table = diff_orders(h, depth=depth)
     _emit(table.to_json())
     return 0

@@ -4,12 +4,14 @@ Taylor shifts, and the auxiliary monic polynomials whose roots are products,
 differences, or polynomial images of the roots of a given polynomial.
 
 The difference, cross-difference, compound and value polynomials come from
-one kernel over either coefficient domain: root power sums by Newton's
-identities, combined and turned back into coefficients by the same
-identities run in reverse.  Every identity is one sum of scaled products,
-which `_sum_products` forms in a single pass over series coefficients (one
-dict, one reduction) and by a plain fold over MPoly.  Compound polynomials
-have no degree cap.
+one kernel: root power sums by Newton's identities, combined and turned
+back into coefficients by the same identities run in reverse.  The
+identities are written once, over a domain that supplies their
+multiply-accumulate and exact division.  Over series input the difference,
+cross-difference and compound polynomials run on Kronecker-packed ints, one
+int product per series product; the value polynomial runs on
+`sum_of_products`, and MPoly coefficients on a plain fold.  Compound
+polynomials have no degree cap.
 
 Resultants take one route over both coefficient domains, a fraction-free
 subresultant remainder sequence (which keeps truncation loss in check over
@@ -23,6 +25,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from . import packed
 from .errors import ConsistencyError
 from .series import PSeries, as_frac, frac_str, sum_of_products
 
@@ -321,18 +324,6 @@ def _dom_one(template):
     return MPoly.const(1, template.vars)
 
 
-def _sum_products(template, triples):
-    """Sum of k*a*b over (k, a, b) triples (k*a where b is None) in the
-    domain of `template`: one fused pass over series, a plain fold over
-    MPoly."""
-    if isinstance(template, PSeries):
-        return sum_of_products(template.var, triples)
-    acc = MPoly.zero(template.vars)
-    for k, a, b in triples:
-        acc = acc + (a if b is None else a * b).scale(k)
-    return acc
-
-
 class UPoly:
     """Monic univariate polynomial y^d + a_1 y^(d-1) + ... + a_d with
     coefficients a_i in one shared domain (MPoly or PSeries)."""
@@ -348,16 +339,15 @@ class UPoly:
         if template is None:
             raise ValueError(
                 "coefficients must include at least one MPoly or PSeries")
-        coeffs = [_lift(c, template) for c in coeffs]
-        kinds = {type(c) for c in coeffs}
-        if len(kinds) != 1:
+        kind = type(template)
+        coeffs = tuple(c if type(c) is kind else _lift(c, template)
+                       for c in coeffs)
+        if any(type(c) is not kind for c in coeffs):
             raise ValueError("coefficient domain must be homogeneous")
-        if isinstance(template, PSeries):
-            svars = {c.var for c in coeffs}
-            if len(svars) != 1:
-                raise ValueError("series coefficients use different variables")
+        if kind is PSeries and any(c.var != template.var for c in coeffs):
+            raise ValueError("series coefficients use different variables")
         self.var = var
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
 
     @property
     def degree(self):
@@ -542,52 +532,115 @@ def z_vars(d):
 # Root power sums: one kernel for the polynomials whose roots are
 # differences, products or polynomial images of roots (Bostan, Flajolet,
 # Salvy and Schost, "Fast computation of special resultants", J. Symbolic
-# Comput. 41, 2006).  Works over either coefficient domain.
+# Comput. 41, 2006).
+#
+# Newton's identities are written once, over a domain that supplies
+# `const(c)`, the multiply-accumulate `mac(terms)` (the sum of k*a*b over
+# (k, a, b) triples with int k, k*a where b is None) and the exact division
+# `div(x, k)`.  MPoly coefficients fold, and value_poly's series run through
+# `sum_of_products`.  The difference, composed-difference and compound
+# polynomials of series input run on Kronecker-packed ints
+# (`lctkit.packed`), one int product per series product.
 # ---------------------------------------------------------------------------
 
-def power_sums(h: UPoly, n):
-    """Root power sums s_0..s_n of the monic h, by Newton's identities
+class _Exact:
+    """MPoly or PSeries coefficients: one `sum_of_products` per identity
+    over series, a plain fold over MPoly."""
+
+    def __init__(self, template):
+        self.template = template
+
+    def const(self, c):
+        return _lift(c, self.template)
+
+    def mac(self, terms):
+        if isinstance(self.template, PSeries):
+            return sum_of_products(self.template.var, terms)
+        acc = MPoly.zero(self.template.vars)
+        for k, a, b in terms:
+            acc = acc + (a if b is None else a * b).scale(k)
+        return acc
+
+    @staticmethod
+    def div(x, k):
+        return x.scale(Fraction(1, k))
+
+
+def _build(polys, newton, weight, *args):
+    """c_1..c_n from `newton` over the coefficients of `polys`: on packed
+    ints for series, folded for MPoly."""
+    template = polys[0].coeffs[0]
+    if isinstance(template, PSeries):
+        return packed.packed(polys, newton, weight, args)
+    return newton(_Exact(template), *(p.coeffs for p in polys), *args)
+
+
+def power_sums(dom, a, n):
+    """Root power sums s_0..s_n of the monic polynomial with coefficients
+    a = [a_1, ..., a_d] over `dom`, by Newton's identities
     s_k = -(k a_k + a_1 s_(k-1) + ... + a_(k-1) s_1), where a_k = 0 for
     k > d and the sum stops at a_d."""
-    d = h.degree
-    a = h.coeffs
-    s = [_lift(d, a[0])]
+    d = len(a)
+    s = [dom.const(d)]
     for k in range(1, n + 1):
-        terms = [(-1, a[i - 1], s[k - i])
-                 for i in range(1, min(k - 1, d) + 1)]
+        terms = [(-1, x, y) for x, y in zip(a, s[:0:-1])]
         if k <= d:
             terms.append((-k, a[k - 1], None))
-        s.append(_sum_products(a[0], terms))
+        s.append(dom.mac(terms))
     return s
 
 
-def from_power_sums(p, n):
-    """Coefficients a_1..a_n of the monic degree-n polynomial whose root
-    power sums are p[1..n] (p[0] is not read): Newton's identities in
-    reverse, k a_k = -(p_k + a_1 p_(k-1) + ... + a_(k-1) p_1), over Q."""
+def from_power_sums(dom, p, n):
+    """Coefficients a_1..a_n over `dom` of the monic degree-n polynomial
+    whose root power sums are p[1..n] (p[0] is not read): Newton's
+    identities in reverse, k a_k = -(p_k + a_1 p_(k-1) + ... +
+    a_(k-1) p_1), each an exact division by k."""
     a = []
     for k in range(1, n + 1):
-        w = Fraction(-1, k)
-        terms = [(w, p[k], None)]
-        terms += [(w, a[i - 1], p[k - i]) for i in range(1, k)]
-        a.append(_sum_products(p[1], terms))
+        terms = [(-1, x, y) for x, y in zip(a, p[k - 1:0:-1])]
+        terms.append((-1, p[k], None))
+        a.append(dom.div(dom.mac(terms), k))
     return a
+
+
+def _composed_sums(dom, a, b):
+    n = len(a) * len(b)
+    sf, sg = power_sums(dom, a, n), power_sums(dom, b, n)
+    p = [None]
+    for k in range(1, n + 1):
+        p.append(dom.mac(list(zip(_signed_binomials(k), sf, sg[k::-1]))))
+    return from_power_sums(dom, p, n)
+
+
+@lru_cache(maxsize=None)
+def _signed_binomials(k):
+    """(-1)^m C(k, m) for m = 0..k."""
+    return tuple(-math.comb(k, m) if m % 2 else math.comb(k, m)
+                 for m in range(k + 1))
 
 
 def composed_difference(f: UPoly, g: UPoly) -> UPoly:
     """Monic polynomial of degree deg f * deg g whose roots are the
     differences beta - alpha over the roots alpha of f and beta of g.  Its
     power sums are P_k = sum_m C(k, m) (-1)^m s_m(f) s_(k-m)(g)."""
-    n = f.degree * g.degree
-    sf, sg = power_sums(f, n), power_sums(g, n)
-    p = [None]
-    for k in range(1, n + 1):
-        terms = []
-        for m in range(k + 1):
-            c = math.comb(k, m)
-            terms.append((-c if m % 2 else c, sf[m], sg[k - m]))
-        p.append(_sum_products(f.coeffs[0], terms))
-    return UPoly(f.var, from_power_sums(p, n))
+    if f.is_series and g.is_series and f.coeffs[0].var != g.coeffs[0].var:
+        raise ValueError("series variable mismatch: "
+                         f"{f.coeffs[0].var!r} vs {g.coeffs[0].var!r}")
+    return UPoly(f.var, _build([f, g], _composed_sums, 1))
+
+
+def _difference_sums(dom, a):
+    d = len(a)
+    n = d * (d - 1) // 2
+    s = power_sums(dom, a, 2 * n)
+    q = [None]
+    for j in range(1, n + 1):
+        # the terms m and 2j - m agree, and the middle one is halved
+        c = _signed_binomials(2 * j)
+        terms = list(zip(c[1:j], s[1:j], s[2 * j - 1:j:-1]))
+        terms += [(d, s[2 * j], None), (c[j] // 2, s[j], s[j])]
+        q.append(dom.mac(terms))
+    return from_power_sums(dom, q, n)
 
 
 def difference_poly(h: UPoly) -> UPoly:
@@ -601,40 +654,33 @@ def difference_poly(h: UPoly) -> UPoly:
     Q_j = d s_(2j) + sum_(0<m<j) C(2j, m) (-1)^m s_m s_(2j-m)
           + C(2j, j)/2 (-1)^j s_j^2.
     """
-    d = h.degree
-    if d < 2:
+    if h.degree < 2:
         raise ValueError("difference polynomial needs degree >= 2")
-    n = d * (d - 1) // 2
-    s = power_sums(h, 2 * n)
-    q = [None]
-    for j in range(1, n + 1):
-        terms = [(d, s[2 * j], None)]
-        for m in range(1, j + 1):
-            c = math.comb(2 * j, m) // (2 if m == j else 1)
-            terms.append((-c if m % 2 else c, s[m], s[2 * j - m]))
-        q.append(_sum_products(h.coeffs[0], terms))
     zero = _lift(0, h.coeffs[0])
     coeffs = []
-    for e in from_power_sums(q, n):
+    for e in _build([h], _difference_sums, 2):
         coeffs.extend((zero, e))
     return UPoly(h.var, coeffs)
+
+
+def _compound_sums(dom, a, k):
+    n = math.comb(len(a), k)
+    s = power_sums(dom, a, k * n)
+    p = [None]
+    for m in range(1, n + 1):
+        # a_k of the polynomial with roots alpha^m is (-1)^k e_k(alpha^m)
+        ak = from_power_sums(dom, [None] + s[m:k * m + 1:m], k)[-1]
+        p.append(dom.mac([(-1, ak, None)]) if k % 2 else ak)
+    return from_power_sums(dom, p, n)
 
 
 def compound_poly(h: UPoly, k: int) -> UPoly:
     """Monic polynomial whose roots are the products of k distinct roots
     of h (degree N = C(d, k)).  Its m-th power sum is e_k(alpha^m), which
     Newton's identities give from s_m, s_2m, ..., s_km."""
-    d = h.degree
-    if not 1 <= k <= d:
+    if not 1 <= k <= h.degree:
         raise ValueError("k out of range")
-    n = math.comb(d, k)
-    s = power_sums(h, k * n)
-    p = [None]
-    for m in range(1, n + 1):
-        # a_k of the polynomial with roots alpha^m is (-1)^k e_k(alpha^m)
-        ak = from_power_sums([None] + s[m:k * m + 1:m], k)[-1]
-        p.append(ak.scale(-1 if k % 2 else 1))
-    return UPoly(h.var, from_power_sums(p, n))
+    return UPoly(h.var, _build([h], _compound_sums, k, k))
 
 
 def _generic(d):
@@ -702,14 +748,14 @@ def value_poly(h: UPoly, G: MPoly) -> UPoly:
         by_w[wexp] = by_w.get(wexp, mono - mono) + mono
     zero = _lift(0, template)
     g = [by_w.get(e, zero) for e in range(max(by_w, default=0) + 1)]
-    s = power_sums(h, d - 1)
+    dom = _Exact(template)
+    s = power_sums(dom, h.coeffs, d - 1)
     p = [None]
     r = [_dom_one(template)]
     for _ in range(d):
         r = _mul_mod(r, g, h)
-        p.append(_sum_products(template, [(1, x, sk)
-                                          for x, sk in zip(r, s)]))
-    return UPoly(h.var, from_power_sums(p, d))
+        p.append(dom.mac([(1, x, sk) for x, sk in zip(r, s)]))
+    return UPoly(h.var, from_power_sums(dom, p, d))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ bound, in the exponent units of the result, wherever terms are cut.  The
 public `terms` and `trunc` present the same values as {Fraction: Fraction}
 and as INF or a Fraction.  Sums, differences, scalings and products all
 go through `sum_of_products`, which forms a whole sum of scaled products in
-one dict with one reduction: the shape of every Newton identity.
+one dict with one reduction.  It is the series arithmetic; of the Newton
+identities it runs only the value polynomial's, since `lctkit.poly` runs
+the difference, cross-difference and compound polynomials on packed ints
+under its truncation rule.
 
 All values are immutable and all operations are pure.
 """
@@ -434,6 +437,8 @@ class PSeries:
     @classmethod
     def const(cls, var, c):
         _check_name(var)
+        if type(c) is int:
+            return _series(var, {0: c} if c else {}, 1, 1, None)
         c = as_frac(c)
         return _series(var, {0: c.numerator} if c else {}, 1, c.denominator,
                        None)

@@ -214,6 +214,46 @@ class TestMalformedRational:
         assert json.loads(line) == {
             "error": f"{option} must be a rational, got 'abc'"}
 
+    @pytest.mark.parametrize("argv,option,value", [
+        (["lct", "--c", "3/4", "--coeff", "x", "--coeff", "x^2",
+          "--trunc", "0"], "--trunc", "0"),
+        (["lct", "--c", "3/4", "--coeff", "x", "--coeff", "x^2",
+          "--trunc=-1/2"], "--trunc", "-1/2"),
+        (["diffs", "--poly", "y^2 - t^3", "--depth", "0"], "--depth", "0"),
+        (["diffs", "--poly", "y^2 - t^3", "--depth", "-3"], "--depth",
+         "-3"),
+    ], ids=["lct-trunc-zero", "lct-trunc-negative", "diffs-depth-zero",
+            "diffs-depth-negative"])
+    def test_non_positive_bound(self, capsys, argv, option, value):
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert json.loads(line) == {
+            "error": f"{option} must be positive, got {value!r}"}
+
+
+class TestMissingCoefficients:
+    """`lctkit lct` without coefficients, from neither --coeff nor a
+    --coeffs document, is a usage error naming both options."""
+
+    @pytest.mark.parametrize("argv,document", [
+        (["--c", "1/2"], None),
+        (["--c", "1/2", "--d", "2"], None),
+        (["--c", "1/2"], {"coeffs": []}),
+    ], ids=["c-only", "c-and-d", "empty-document"])
+    def test_usage_error(self, tmp_path, capsys, argv, document):
+        if document is not None:
+            path = tmp_path / "empty.json"
+            path.write_text(json.dumps(document))
+            argv = argv + ["--coeffs", str(path)]
+        assert run(["lct", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert json.loads(line) == {
+            "error": "missing the coefficients: give --coeff or --coeffs"}
+
 
 class TestRemovedSpellings:
     """Spellings the CLI no longer accepts are usage errors: exit 2,

@@ -1,14 +1,14 @@
 """Static checks over the package sources: no handler broad enough to hide a
-ConsistencyError, no unused import, no assignment or parameter a function
-never reads, no function, method or class that only tests use, no runtime
-dependency besides the standard library and mpmath, no module-level
-import of a module off the decision path from a module on it, and no
-import in the oracles of a module whose results they check.  Importing
-the package loads the decision path only and the CLI neither dataclasses
-nor inspect; every other layer, mpmath included, stays unloaded until a
-command uses it, also on truncated input at d <= 4, which never expands; an
-exact decision constructs no OrderVal, and an exact table-cache miss
-constructs two UPolys."""
+ConsistencyError, no `assert` statement (`python -O` strips it), no unused
+import, no assignment or parameter a function never reads, no function,
+method or class that only tests use, no runtime dependency besides the
+standard library and mpmath, no module-level import of a module off the
+decision path from a module on it, and no import in the oracles of a
+module whose results they check.  Importing the package loads the decision
+path only and the CLI neither dataclasses nor inspect; every other layer,
+mpmath included, stays unloaded until a command uses it, also on truncated
+input at d <= 4, which never expands; an exact decision constructs no
+OrderVal, and an exact table-cache miss constructs two UPolys."""
 
 import ast
 import json
@@ -29,7 +29,7 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # the modules `import lctkit` and `lctkit lct` load, and the package's
 # modules (and mpmath) that those may import only inside a function
 DECISION_PATH = ("__init__.py", "errors.py", "series.py", "poly.py",
-                 "rootdata.py", "criterion.py", "cli.py")
+                 "packed.py", "rootdata.py", "criterion.py", "cli.py")
 OFF_PATH = {"numeric", "ideals", "qideal", "oracle", "verify", "mpmath"}
 # the modules whose results the oracles check, which they must not reuse
 CHECKED_BY_ORACLE = {"rootdata", "numeric", "criterion"}
@@ -169,6 +169,13 @@ def exported_names(tree):
     return names
 
 
+def assert_statements(tree):
+    """Line numbers of `assert` statements: `python -O` strips them, so a
+    check that must hold raises instead."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
 def foreign_imports(tree):
     """(line, top-level module) of every absolute import from outside the
     standard library and mpmath; relative imports stay in the package."""
@@ -252,6 +259,11 @@ def test_every_definition_is_used_or_exported():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    assert assert_statements(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_stdlib_and_mpmath_imports(path):
     assert foreign_imports(_tree(path)) == []
 
@@ -275,6 +287,13 @@ def test_checks_catch_offenders():
         "try:\n    pass\nexcept ValueError:\n    raise ConsistencyError\n")
     assert broad_handlers(tree) == [6, 10]
     assert unused_imports(tree) == [(2, "os"), (3, "BudgetError")]
+    tree = ast.parse("assert True\n"
+                     "def f(x):\n"
+                     "    assert x > 0, 'positive'\n"
+                     "    if x:\n"
+                     "        raise ConsistencyError\n"   # raises: kept
+                     "    return [y for y in x if y]\n")
+    assert assert_statements(tree) == [1, 3]
     tree = ast.parse("import math, numpy as np\nimport mpmath.libmp\n"
                      "from scipy.linalg import eig\nfrom . import poly\n"
                      "from collections import OrderedDict\n")
@@ -417,7 +436,8 @@ print(loaded())
 """
 
 DECISION_MODULES = ["lctkit", "lctkit.criterion", "lctkit.errors",
-                    "lctkit.poly", "lctkit.rootdata", "lctkit.series"]
+                    "lctkit.packed", "lctkit.poly", "lctkit.rootdata",
+                    "lctkit.series"]
 
 
 def test_exact_decision_leaves_mpmath_unloaded():

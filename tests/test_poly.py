@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lctkit import poly
+from lctkit import packed, poly
 from lctkit.errors import ConsistencyError
 from lctkit.poly import (
     MPoly, UPoly, composed_difference, compound_poly, difference_poly,
@@ -443,6 +443,35 @@ def rand_exact_series(rng, var="t"):
                          for _ in range(rng.randint(1, 2))})
 
 
+BIG = 2 ** 70 + 12345
+
+
+def stress_roots():
+    """Root lists that stress the packed kernel: coefficients beyond 2^64
+    of both signs, rational coefficients, ramified exponents, a root 0
+    (an exactly zero a_d), and a repeated root (disc(h) = 0)."""
+    return [
+        [PSeries("t", {1: BIG, F(5, 2): F(-1, 3)}),
+         PSeries("t", {F(1, 2): -BIG, 2: F(2, 7)})],
+        [PSeries("t", {F(1, 3): F(3, 5)}), PSeries("t", {1: -BIG}),
+         PSeries.zero("t")],
+        [mono(1, F(1, 2)), mono(1, F(1, 2)), mono(F(3, 2), -BIG)],
+        [mono(F(2, 3), 7), mono(2, -3) + mono(3, 5), mono(F(1, 2), 2),
+         PSeries("t", {F(2, 3): 7, 4: F(-9, 11)})],
+    ]
+
+
+def stress_upolys():
+    """The stress roots' polynomials, and two with an exactly zero
+    coefficient whose roots are not series: a_1 = 0 with a ramified,
+    rational a_2, and a_2 = 0 with a_3 beyond -2^64."""
+    return [UPoly.from_roots("y", roots) for roots in stress_roots()] + [
+        UPoly("y", [PSeries.zero("t"),
+                    PSeries("t", {F(1, 3): F(-4, 9), 5: BIG})]),
+        UPoly("y", [mono(1, 3), PSeries.zero("t"), mono(1, -BIG)]),
+    ]
+
+
 def prs_nodes(count):
     """Nonzero integer nodes 1, -1, 2, -2, ..."""
     return [F((k // 2 + 1) * (-1) ** k) for k in range(count)]
@@ -458,17 +487,26 @@ class TestPowerSumKernel:
             roots = [F(rng.randint(-5, 5), rng.randint(1, 3))
                      for _ in range(d)]
             h = UPoly.from_roots("y", [MPoly.const(r) for r in roots])
-            s = power_sums(h, 7)
+            dom = poly._Exact(MPoly.zero(()))
+            s = power_sums(dom, h.coeffs, 7)
             assert [x.const_value() for x in s] == \
                 [sum(r ** k for r in roots) for k in range(8)]
-            assert from_power_sums(s, d) == list(h.coeffs)
+            assert from_power_sums(dom, s, d) == list(h.coeffs)
+            # the packed domain on the roots scaled to integers
+            L = math.lcm(*(r.denominator for r in roots))
+            ints = [int(a.const_value() * L ** i)
+                    for i, a in enumerate(h.coeffs, 1)]
+            s = power_sums(packed._Ints, ints, 7)
+            assert s == [sum((r * L) ** k for r in roots) for k in range(8)]
+            assert from_power_sums(packed._Ints, s, d) == ints
 
     @pytest.mark.parametrize("d,count", [(2, 6), (3, 4), (4, 2), (5, 1)])
     def test_difference_poly_matches_prs(self, d, count):
         # Res_z(h(z), h(z + r)) = r^d D(r) at d(d-1)+1 integer nodes
         rng = random.Random(50 + d)
-        for _ in range(count):
-            h = UPoly("y", [rand_exact_series(rng) for _ in range(d)])
+        hs = [UPoly("y", [rand_exact_series(rng) for _ in range(d)])
+              for _ in range(count)]
+        for h in hs + [h for h in stress_upolys() if h.degree == d]:
             D = difference_poly(h)
             assert D.degree == d * (d - 1)
             for r in prs_nodes(d * (d - 1) + 1):
@@ -478,11 +516,11 @@ class TestPowerSumKernel:
     def test_composed_difference_matches_prs(self):
         # Res_z(f(z), g(z + r)) = C(r), C with roots beta - alpha
         rng = random.Random(61)
-        for _ in range(12):
-            f = UPoly("y", [rand_exact_series(rng)
-                            for _ in range(rng.randint(1, 3))])
-            g = UPoly("y", [rand_exact_series(rng)
-                            for _ in range(rng.randint(1, 3))])
+        pairs = [tuple(UPoly("y", [rand_exact_series(rng)
+                                   for _ in range(rng.randint(1, 3))])
+                       for _ in range(2)) for _ in range(12)]
+        stress = [h for h in stress_upolys() if h.degree <= 3]
+        for f, g in pairs + list(zip(stress, stress[1:] + stress[:1])):
             C = composed_difference(f, g)
             assert C.degree == f.degree * g.degree
             for r in prs_nodes(C.degree + 1):
@@ -528,12 +566,54 @@ class TestPowerSumKernel:
     def test_truncated_input_stays_sound(self):
         # every known term of D from truncated data matches the exact D
         rng = random.Random(71)
+        pairs = []
         for _ in range(20):
             d = rng.randint(2, 4)
             h = UPoly("y", [rand_exact_series(rng) for _ in range(d)])
-            exact = difference_poly(h)
-            cut = difference_poly(UPoly("y", [a.truncated(F(rng.randint(2, 6)))
-                                              for a in h.coeffs]))
+            pairs.append((h, [a.truncated(F(rng.randint(2, 6)))
+                              for a in h.coeffs]))
+        # the stress inputs keep some coefficients exact and cut others,
+        # some below their first term
+        pairs += [(h, [a if rng.random() < 0.2 else
+                       a.truncated(F(rng.randint(1, 12), rng.choice([2, 3])))
+                       for a in h.coeffs]) for h in stress_upolys()]
+        for h, cut in pairs:
+            exact = difference_poly(h).coeffs
+            for a, b in zip(exact, difference_poly(UPoly("y", cut)).coeffs):
+                assert a.truncated(b.trunc) == b
+
+    def test_inexact_packed_division_raises(self):
+        # the reverse identities divide by k; a remainder is an
+        # inconsistency, raised also under python -O
+        for dom, x in ((packed._Ints, 7), (packed._Cut(8), (7, None))):
+            assert dom.div(dom.mac([(3, x, None)]), 3) in (7, (7, None))
+            with pytest.raises(ConsistencyError, match="divisible by 2"):
+                dom.div(x, 2)
+
+    @pytest.mark.parametrize("roots", stress_roots())
+    def test_stress_roots_match_explicit_polynomials(self, roots):
+        # D, the composed difference with the reversed roots and every
+        # compound polynomial, against the polynomials built from the
+        # explicit differences and products; then each from truncated
+        # input against the exact one
+        rng = random.Random(len(roots))
+        h = UPoly.from_roots("y", roots)
+        g = UPoly.from_roots("y", roots[::-1][:2])
+        builds = [
+            (difference_poly, (h,),
+             [b - a for a, b in itertools.permutations(roots, 2)]),
+            (composed_difference, (h, g),
+             [b - a for a in roots for b in roots[::-1][:2]])]
+        builds += [(compound_poly, (h, k),
+                    [math.prod(sub, start=PSeries.one("t"))
+                     for sub in itertools.combinations(roots, k)])
+                   for k in range(1, len(roots) + 1)]
+        for build, args, want in builds:
+            exact = build(*args)
+            assert exact == UPoly.from_roots("y", want)
+            cut = build(*[UPoly("y", [a.truncated(F(rng.randint(1, 9), 2))
+                                      for a in u.coeffs])
+                          if isinstance(u, UPoly) else u for u in args])
             for a, b in zip(exact.coeffs, cut.coeffs):
                 assert a.truncated(b.trunc) == b
 
@@ -590,10 +670,18 @@ def _builds(rng):
     return out
 
 
+def series_route(polys, newton, weight, args):
+    """Newton's identities over PSeries coefficients, in place of the
+    packed route."""
+    return newton(poly._Exact(polys[0].coeffs[0]),
+                  *(p.coeffs for p in polys), *args)
+
+
 class TestTruncatedKernel:
     """On truncated input every polynomial built from roots has the fields
-    it gets from a reference sum of products, and each known term agrees
-    with the result from exact input."""
+    it gets from the same identities over PSeries with a reference sum of
+    products, and each known term agrees with the result from exact
+    input."""
 
     def test_matches_reference_sums(self, monkeypatch):
         def fields(thunk):
@@ -602,6 +690,7 @@ class TestTruncatedKernel:
         builds = _builds(random.Random(79))
         fused = [fields(thunk) for _, thunk in builds]
         monkeypatch.setattr(poly, "sum_of_products", fold_products)
+        monkeypatch.setattr(packed, "packed", series_route)
         folded = [fields(thunk) for _, thunk in builds]
         for (name, _), a, b in zip(builds, fused, folded):
             assert a == b, name

@@ -205,6 +205,55 @@ def test_certified_rows_match_expansion(seed, degrees):
     assert decided >= len(degrees) * 2
 
 
+def _clustered_roots(rng, d, depth):
+    """d roots that share random prefixes: each root walks 1..depth terms
+    down a tree whose branches differ in one coefficient, so the roots fall
+    into nested clusters; sometimes a root repeats."""
+    roots = []
+    for _ in range(d):
+        terms, e = {}, F(0)
+        for _ in range(rng.randint(1, depth)):
+            e += F(1, rng.choice([1, 1, 2]))
+            terms[e] = F(rng.choice([-1, 1, 2]))
+        roots.append(PSeries("x", terms))
+    if rng.random() < 0.2:
+        roots[-1] = roots[0]
+    return roots
+
+
+@pytest.mark.parametrize("seed,d,depth,tree", [
+    (17, 6, 3, True), (1, 6, 3, False), (9, 7, 3, True), (1, 7, 2, False),
+    (6, 8, 2, True), (1, 8, 2, False)])
+def test_explicit_roots_at_high_degree(monkeypatch, seed, d, depth, tree):
+    """The certificate levels that certified_rows reads are the orders
+    ord(alpha_i - alpha_j) of explicit roots at d = 6..8; where the root
+    tree decides the rows (`tree`), they are the roots' rows."""
+    def undecided(*args):
+        raise LookupError("the root tree leaves the rows open")
+
+    read = []
+
+    def levels(g):
+        read.append(real(g))
+        return read[-1]
+
+    real = rootdata._root_levels
+    monkeypatch.setattr(numeric, "_expanded", undecided)
+    monkeypatch.setattr(rootdata, "_root_levels", levels)
+    roots = _clustered_roots(random.Random(seed), d, depth)
+    want = sorted(((b - a).order()
+                   for a, b in itertools.permutations(roots, 2)),
+                  key=OrderVal.sort_key)
+    try:
+        rows = certified_rows(UPoly.from_roots("y", roots))
+    except LookupError:
+        rows = None
+    assert rootdata._order_list(*read[0]) == want, roots
+    assert (rows is not None) == tree
+    if tree:
+        assert _key(rows.rows) == _key(_explicit_rows(roots)), roots
+
+
 def _counted(monkeypatch, module, name, calls=None):
     """Replace module.name by a wrapper that logs the degree of each call's
     polynomial; returns the log (a fresh one unless `calls` is given)."""

@@ -30,6 +30,12 @@ _WORDS = {memoryview(bytes(8)).cast(code).itemsize: code
           for code in "BHILQ"}
 _LITTLE = sys.byteorder == "little"
 
+# The most digits per stored input term that `packed` packs.  On
+# y^d + x^k, y^d + x^a y + x^b and four-term inputs at d = 2..6, packing
+# stops paying between 10 and 130 digits per term, at fewer for larger d;
+# on dense random input it still pays at 114.
+DIGITS_PER_TERM = 64
+
 
 class _Norms:
     """Bounds on the L1 norms of packed series, carried through the same
@@ -39,8 +45,8 @@ class _Norms:
     `packed`).  `top` keeps the largest bound met.  It is taken before any
     cut and before any division, so it bounds every digit ever formed."""
 
-    def __init__(self, top):
-        self.top = top
+    def __init__(self):
+        self.top = 1
 
     def const(self, c):
         self.top = max(self.top, abs(c))
@@ -130,7 +136,7 @@ class _Cut:
 def _unit_bound(newton, degrees, args):
     """The `top` of `newton` run on unit norms, and the number of
     coefficients it builds; one entry per shape of input."""
-    bound = _Norms(1)
+    bound = _Norms()
     out = newton(bound, *[[1] * d for d in degrees], *args)
     return bound.top, len(out)
 
@@ -167,24 +173,31 @@ def _digits(x, w):
 def packed(polys, newton, weight, args):
     """The coefficients c_1..c_n that `newton(dom, *coefficient lists,
     *args)` builds from the series coefficients of `polys`, run on packed
-    ints.
+    ints, or None when the input is too sparse for packing to pay.
+
+    The identities are weighted homogeneous, a_i of weight i and c_j of
+    weight `weight` j, and no value weighs more than c_n.  So no value has
+    a digit past D v, D = weight n and v the largest top digit of an a_i
+    divided by i.  Past `DIGITS_PER_TERM` such digits per stored input
+    term, the packed ints are mostly zero digits and the series products
+    cost less.
 
     The roots are scaled by L, so c_j comes out scaled by L^(weight j) and
     is unpacked over that.
 
-    The digit width needs a bound on every value.  The identities are
-    weighted homogeneous, a_i of weight i and c_j of weight `weight` j, and
-    no value weighs more than c_n.  So with norms n_i <= M^i, every bound is
-    at most its unit-norm bound times M^D, D = weight n, and
-    M^D <= max n_i^ceil(D/i).  When that scaled bound asks for digits wider
-    than 64 bits, the bounds are carried through the identities again on
-    the actual norms, for a narrower width."""
+    The digit width needs a bound on every value.  With norms n_i <= M^i,
+    by the same homogeneity every bound is at most its unit-norm bound
+    times M^D, and M^D <= max n_i^ceil(D/i)."""
     var = polys[0].coeffs[0].var
     L = R = 1
     for p in polys:
         for a in p.coeffs:
             L, R = math.lcm(L, a._den), math.lcm(R, a._ram)
+    unit, n = _unit_bound(newton, tuple([len(p.coeffs) for p in polys]),
+                          args)
+    D = weight * n
     exact = True
+    reach = terms = 0
     # a_i L^i as {digit: int coefficient}, its norm and its truncation in
     # digits
     rows, norms, trs = [], [], []
@@ -195,24 +208,24 @@ def packed(polys, newton, weight, args):
             t = a._t
             if f != 1 or g != 1:
                 t = {e * g: c * f for e, c in t.items()}
+            if t:
+                terms += len(t)
+                top = D * max(t) // i
+                if top > reach:
+                    reach = top
             row.append(t)
             norm.append(sum(map(abs, t.values())))
             trs.append(None if a._tr is None else a._tr * R)
             exact = exact and a._tr is None
         rows.append(row)
         norms.append(norm)
-    unit, n = _unit_bound(newton, tuple(map(len, rows)), args)
-    D = weight * n
+    if reach > DIGITS_PER_TERM * terms:
+        return None
     scale = 1
     for norm in norms:
         for i, m in enumerate(norm, 1):
             scale = max(scale, m ** -(-D // i))
-    top = unit * scale
-    if top.bit_length() >= 64:
-        bound = _Norms(max(map(max, norms)))
-        newton(bound, *norms, *args)
-        top = bound.top
-    w = _width(top)
+    w = _width(unit * scale)
     trs = iter(trs)
     ints = []
     for row in rows:

@@ -9,9 +9,10 @@ back into coefficients by the same identities run in reverse.  The
 identities are written once, over a domain that supplies their
 multiply-accumulate and exact division.  Over series input the difference,
 cross-difference and compound polynomials run on Kronecker-packed ints, one
-int product per series product; the value polynomial runs on
-`sum_of_products`, and MPoly coefficients on a plain fold.  Compound
-polynomials have no degree cap.
+int product per series product, unless the input is too sparse for that
+to pay; the value polynomial and sparse input run on `sum_of_products`,
+and MPoly coefficients on a plain fold.  Compound polynomials have no
+degree cap.
 
 Resultants take one route over both coefficient domains, a fraction-free
 subresultant remainder sequence (which keeps truncation loss in check over
@@ -540,7 +541,9 @@ def z_vars(d):
 # `div(x, k)`.  MPoly coefficients fold, and value_poly's series run through
 # `sum_of_products`.  The difference, composed-difference and compound
 # polynomials of series input run on Kronecker-packed ints
-# (`lctkit.packed`), one int product per series product.
+# (`lctkit.packed`), one int product per series product, unless the input
+# is too sparse for packing to pay; then they run through
+# `sum_of_products` too.
 # ---------------------------------------------------------------------------
 
 class _Exact:
@@ -568,10 +571,12 @@ class _Exact:
 
 def _build(polys, newton, weight, *args):
     """c_1..c_n from `newton` over the coefficients of `polys`: on packed
-    ints for series, folded for MPoly."""
+    ints for series unless they are too sparse, else through `_Exact`."""
     template = polys[0].coeffs[0]
     if isinstance(template, PSeries):
-        return packed.packed(polys, newton, weight, args)
+        out = packed.packed(polys, newton, weight, args)
+        if out is not None:
+            return out
     return newton(_Exact(template), *(p.coeffs for p in polys), *args)
 
 

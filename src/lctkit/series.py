@@ -19,9 +19,10 @@ public `terms` and `trunc` present the same values as {Fraction: Fraction}
 and as INF or a Fraction.  Sums, differences, scalings and products all
 go through `sum_of_products`, which forms a whole sum of scaled products in
 one dict with one reduction.  It is the series arithmetic; of the Newton
-identities it runs only the value polynomial's, since `lctkit.poly` runs
-the difference, cross-difference and compound polynomials on packed ints
-under its truncation rule.
+identities it runs the value polynomial's, and the others only on input
+too sparse to pack, since `lctkit.poly` runs the difference,
+cross-difference and compound polynomials on packed ints under its
+truncation rule.
 
 All values are immutable and all operations are pure.
 """

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -449,7 +450,9 @@ BIG = 2 ** 70 + 12345
 def stress_roots():
     """Root lists that stress the packed kernel: coefficients beyond 2^64
     of both signs, rational coefficients, ramified exponents, a root 0
-    (an exactly zero a_d), and a repeated root (disc(h) = 0)."""
+    (an exactly zero a_d), and a repeated root (disc(h) = 0); and one with
+    high, ramified exponents that is too sparse to pack (its truncations
+    are packed)."""
     return [
         [PSeries("t", {1: BIG, F(5, 2): F(-1, 3)}),
          PSeries("t", {F(1, 2): -BIG, 2: F(2, 7)})],
@@ -458,17 +461,20 @@ def stress_roots():
         [mono(1, F(1, 2)), mono(1, F(1, 2)), mono(F(3, 2), -BIG)],
         [mono(F(2, 3), 7), mono(2, -3) + mono(3, 5), mono(F(1, 2), 2),
          PSeries("t", {F(2, 3): 7, 4: F(-9, 11)})],
+        [mono(F(1, 3)), mono(500, 2), mono(F(1001, 2), -BIG)],
     ]
 
 
 def stress_upolys():
-    """The stress roots' polynomials, and two with an exactly zero
+    """The stress roots' polynomials, and three with an exactly zero
     coefficient whose roots are not series: a_1 = 0 with a ramified,
-    rational a_2, and a_2 = 0 with a_3 beyond -2^64."""
+    rational a_2, a_2 = 0 with a_3 beyond -2^64, and the sparse
+    y^4 + t y + t^1000."""
     return [UPoly.from_roots("y", roots) for roots in stress_roots()] + [
         UPoly("y", [PSeries.zero("t"),
                     PSeries("t", {F(1, 3): F(-4, 9), 5: BIG})]),
         UPoly("y", [mono(1, 3), PSeries.zero("t"), mono(1, -BIG)]),
+        UPoly("y", [PSeries.zero("t")] * 2 + [mono(1), mono(1000)]),
     ]
 
 
@@ -589,6 +595,34 @@ class TestPowerSumKernel:
             assert dom.div(dom.mac([(3, x, None)]), 3) in (7, (7, None))
             with pytest.raises(ConsistencyError, match="divisible by 2"):
                 dom.div(x, 2)
+
+    def test_sparse_input_is_not_packed(self, monkeypatch):
+        # y^4 + t^(10^6) would pack into ints of 3e6 digits; the series
+        # route keeps one term per value.  Its roots are zeta t^250000, so
+        # D is the difference polynomial of y^4 + 1 with c_j scaled by
+        # t^(250000 j).
+        routes = []
+        real = packed.packed
+
+        def spy(*args):
+            routes.append(real(*args))
+            return routes[-1]
+
+        monkeypatch.setattr(packed, "packed", spy)
+        top = 10 ** 6
+        zeros = [PSeries.zero("t")] * 3
+        start = time.perf_counter()
+        D = difference_poly(UPoly("y", zeros + [mono(top)]))
+        elapsed = time.perf_counter() - start
+        one = difference_poly(UPoly("y", zeros + [PSeries.one("t")]))
+        assert list(D.coeffs) == [c * mono(F(top, 4) * j)
+                                  for j, c in enumerate(one.coeffs, 1)]
+        assert routes[0] is None and routes[1] is not None
+        assert elapsed < 5
+        # the sparsest packing any benchmark workload asks for stays
+        # packed: y^5 + t^10 reaches 40 digits with one term
+        difference_poly(UPoly("y", zeros + [PSeries.zero("t"), mono(10)]))
+        assert routes[2] is not None
 
     @pytest.mark.parametrize("roots", stress_roots())
     def test_stress_roots_match_explicit_polynomials(self, roots):

@@ -489,18 +489,22 @@ def _build_argparser():
     return ap
 
 
-# Options whose value is series or polynomial text, by subcommand.
+# Options whose value is series, polynomial or rational text, by
+# subcommand.
 _TEXT_OPTIONS = {
-    "orders": ("--poly",), "diffs": ("--poly",), "integrality": ("--poly",),
-    "oracle": ("--poly",), "lct": ("--coeff",), "degree3": ("--a", "--b"),
+    "orders": ("--poly",), "diffs": ("--poly", "--depth"),
+    "integrality": ("--poly",), "oracle": ("--poly",),
+    "lct": ("--coeff", "--c", "--trunc"), "criterion": ("--c",),
+    "degree3": ("--a", "--b", "--c"),
 }
 
 
 def _join_text_values(argv):
-    """Series text may start with "-", which argparse reads as an option:
-    "--coeff -x^5/3" fails with "expected one argument".  Such a value is
-    joined to its option as "--coeff=-x^5/3", the form argparse reads as a
-    value.  A following "--..." or "-h" stays an option."""
+    """Series text and rationals may start with "-", which argparse reads
+    as an option unless it looks like a negative number: "--coeff
+    -x^5/3" and "--c -1/2" fail with "expected one argument".  Such a
+    value is joined to its option as "--coeff=-x^5/3", the form argparse
+    reads as a value.  A following "--..." or "-h" stays an option."""
     argv = list(argv)
     opts = _TEXT_OPTIONS.get(argv[0], ()) if argv else ()
     out = []

@@ -7,13 +7,15 @@ The decision evaluates V = max_i [c1 * (b_1 + .. + b_(p-1)) + c2 * (b_1 +
 in one variable the pair is log canonical iff V <= 1.  V reads the rows only
 as a multiset, which rootdata.certified_rows builds by its one route, on
 exact and truncated input alike: from the root tree of the certified
-difference orders whenever the tree fixes it (always for d <= 4), otherwise
-from the certified expansion.  The tables are cached by the coefficients
-alone.  A table stores each row's prefix sums when it is built, as ints
-over one table-wide denominator, and only p, c1 and c2 depend on c, so a
-decision on a cached table evaluates V from two stored prefix sums per
-distinct row in int arithmetic and decides by one int comparison.  The
-paper's criterion ideals, which validate this route, live in lctkit.ideals.
+difference orders, read off the Newton polygon of the difference
+polynomial's packed coefficients without building it, whenever the tree
+fixes it (always for d <= 4), otherwise from the certified expansion.  The
+tables are cached by the coefficients alone.  A table stores each row's
+prefix sums when it is built, as ints over one table-wide denominator, and
+only p, c1 and c2 depend on c, so a decision on a cached table evaluates V
+from two stored prefix sums per distinct row in int arithmetic and decides
+by one int comparison.  The paper's criterion ideals, which validate this
+route, live in lctkit.ideals.
 """
 
 from __future__ import annotations

@@ -2,13 +2,13 @@
 and arbitrary-precision complex coefficients (mpmath), used to attach
 pairwise root-difference orders to individual roots.
 
-Every numerically derived order is certified against an exact difference or
-cross-difference polynomial (built from root power sums by the exact layer,
-lctkit.rootdata); a mismatch escalates precision and ultimately raises,
-never returning a silent answer.  The exact decision path does not import
-this module: rootdata.certified_rows reaches it only for a root-tree count
-pattern that leaves the rows open, so a process that decides from the
-certificate alone never loads mpmath.
+Every numerically derived order is certified against the exact root orders
+of a difference or cross-difference polynomial (from root power sums, by the
+exact layer, lctkit.rootdata); a mismatch escalates precision and
+ultimately raises, never returning a silent answer.  The exact decision
+path does not import this module: rootdata.certified_rows reaches it only
+for a root-tree count pattern that leaves the rows open, so a process that
+decides from the certificate alone never loads mpmath.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ConsistencyError, PrecisionError, TruncationError
-from .poly import (
-    UPoly, difference_poly, q_squarefree_decomposition, taylor_shift,
-)
+from .poly import UPoly, q_squarefree_decomposition, taylor_shift
 from .rootdata import (
-    RootRows, _hull_value, _lower_hull, _order_list, _root_levels,
+    RootRows, _difference_levels, _hull_value, _lower_hull, _order_list,
     cross_difference_orders, root_orders,
 )
 from .series import INF, OrderVal, PSeries, as_frac, frac_str
@@ -581,8 +579,7 @@ def diff_orders(h: UPoly, depth=None) -> DiffOrderTable:
     if h.degree == 1:
         return DiffOrderTable(1, [[OrderVal.infinite()]], [],
                               as_frac(depth or 1))
-    return _expanded(h, orders, _order_list(*_root_levels(difference_poly(h))),
-                     depth)
+    return _expanded(h, orders, _order_list(*_difference_levels(h)), depth)
 
 
 def _expanded(h, orders, cert, depth):

@@ -12,8 +12,10 @@ coefficient built from them is an int series.  Such a series
 sum_e c_e t^(e/R) is packed as the one int sum_e c_e 2^(w e), with
 balanced w-bit digits, and a series product is one int product.  Exact
 input runs on bare ints; truncated input carries each value's truncation
-under `sum_of_products`' bound rule.  Only the output coefficients are
-unpacked, each with one reduction.
+under `sum_of_products`' bound rule.  One run feeds one of two readers:
+`packed` unpacks each output coefficient, with one reduction, and `orders`
+reads only each output's lowest digit and truncation, all that a Newton
+polygon needs.
 """
 
 from __future__ import annotations
@@ -170,10 +172,12 @@ def _digits(x, w):
     return {i: c - half for i, c in enumerate(words) if c != half}
 
 
-def packed(polys, newton, weight, args):
-    """The coefficients c_1..c_n that `newton(dom, *coefficient lists,
-    *args)` builds from the series coefficients of `polys`, run on packed
-    ints, or None when the input is too sparse for packing to pay.
+def _run(polys, newton, weight, args):
+    """`newton(dom, *coefficient lists, *args)` run on packed ints over the
+    series coefficients of `polys`: (values, w, R, L), each value a pair
+    (x, tr) of the packed int of c_j L^(weight j) and its truncation in
+    digits (None when exactly known), or None when the input is too sparse
+    for packing to pay.
 
     The identities are weighted homogeneous, a_i of weight i and c_j of
     weight `weight` j, and no value weighs more than c_n.  So no value has
@@ -182,13 +186,9 @@ def packed(polys, newton, weight, args):
     term, the packed ints are mostly zero digits and the series products
     cost less.
 
-    The roots are scaled by L, so c_j comes out scaled by L^(weight j) and
-    is unpacked over that.
-
     The digit width needs a bound on every value.  With norms n_i <= M^i,
     by the same homogeneity every bound is at most its unit-norm bound
     times M^D, and M^D <= max n_i^ceil(D/i)."""
-    var = polys[0].coeffs[0].var
     L = R = 1
     for p in polys:
         for a in p.coeffs:
@@ -236,10 +236,39 @@ def packed(polys, newton, weight, args):
                 x += c << w * e
             xs.append(x if exact else (x, next(trs)))
         ints.append(xs)
-    coeffs = []
-    for j, x in enumerate(newton(_Ints if exact else _Cut(w), *ints, *args),
-                          1):
-        x, tr = (x, None) if exact else x
-        coeffs.append(_reduced(var, _digits(x, w), R, L ** (weight * j),
-                               None if tr is None else tr / R))
-    return coeffs
+    values = newton(_Ints if exact else _Cut(w), *ints, *args)
+    if exact:
+        values = [(x, None) for x in values]
+    return values, w, R, L
+
+
+def packed(polys, newton, weight, args):
+    """The coefficients c_1..c_n that `newton(dom, *coefficient lists,
+    *args)` builds from the series coefficients of `polys`, run on packed
+    ints (see `_run`), or None when the input is too sparse for packing to
+    pay.  The roots are scaled by L, so c_j comes out scaled by
+    L^(weight j) and is unpacked over that."""
+    run = _run(polys, newton, weight, args)
+    if run is None:
+        return None
+    values, w, R, L = run
+    var = polys[0].coeffs[0].var
+    return [_reduced(var, _digits(x, w), R, L ** (weight * j),
+                     None if tr is None else tr / R)
+            for j, (x, tr) in enumerate(values, 1)]
+
+
+def orders(polys, newton, weight, args):
+    """The orders of the coefficients c_1..c_n that `packed` would unpack,
+    as `PSeries.order_units` gives them, or None when the input is too
+    sparse for packing to pay.  Only each value's lowest digit is read:
+    the digits are balanced, so the lowest nonzero one of x is
+    v2(x) // w, and a cut leaves none at or past the truncation.  The
+    order k / R is over R itself, not reduced, and a value with no digit
+    gives (None, its truncation)."""
+    run = _run(polys, newton, weight, args)
+    if run is None:
+        return None
+    values, w, R, _ = run
+    return [(((x & -x).bit_length() - 1) // w, R) if x else
+            (None, None if tr is None else tr / R) for x, tr in values]

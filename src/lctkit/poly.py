@@ -12,7 +12,9 @@ cross-difference and compound polynomials run on Kronecker-packed ints, one
 int product per series product, unless the input is too sparse for that
 to pay; the value polynomial and sparse input run on `sum_of_products`,
 and MPoly coefficients on a plain fold.  Compound polynomials have no
-degree cap.
+degree cap.  The exact certificate reads only the orders of the difference
+polynomial's coefficients, which `difference_orders` takes off the packed
+ints without unpacking them.
 
 Resultants take one route over both coefficient domains, a fraction-free
 subresultant remainder sequence (which keeps truncation loss in check over
@@ -666,6 +668,24 @@ def difference_poly(h: UPoly) -> UPoly:
     for e in _build([h], _difference_sums, 2):
         coeffs.extend((zero, e))
     return UPoly(h.var, coeffs)
+
+
+def difference_orders(h: UPoly):
+    """The orders of the coefficients a_1..a_(d(d-1)) of h's difference
+    polynomial D over series, as `PSeries.order_units` gives them, read
+    without building D: the lowest packed digit of each coefficient E_j of
+    E, or on sparse input the E_j of the series route.  D(y) = E(y^2), so
+    E_j is D's a_(2j), and the odd coefficients vanish exactly."""
+    if h.degree < 2:
+        raise ValueError("difference polynomial needs degree >= 2")
+    evens = packed.orders([h], _difference_sums, 2, ())
+    if evens is None:
+        evens = [e.order_units() for e in
+                 _difference_sums(_Exact(h.coeffs[0]), h.coeffs)]
+    out = []
+    for e in evens:
+        out += ((None, None), e)
+    return out
 
 
 def _compound_sums(dom, a, k):

@@ -4,11 +4,14 @@ exact layer.
 Newton polygons with truncation-aware ordinates, root-order multisets,
 partial sums of the smallest root orders (computed two independent ways that
 must agree), the maximum root order (again dual-route), the integrality test
-and the exact cross-difference orders.  certified_rows reads the per-root
-rows of difference orders, on exact and truncated input alike, from the
-root tree of the difference orders wherever that tree fixes them; only where
-it does not does it import the numeric layer (lctkit.numeric, and with it
-mpmath) to attach orders to roots.
+and the exact cross-difference orders.  One int polygon, with its
+truncation and Lemma-1 checks, reads a list of coefficient orders: those of
+h's coefficients, or those of the difference polynomial D's, read off the
+packed power sums without building D (poly.difference_orders).
+certified_rows reads the per-root rows of difference orders, on exact and
+truncated input alike, from the root tree of D's root orders wherever that
+tree fixes them; only where it does not does it import the numeric layer
+(lctkit.numeric, and with it mpmath) to attach orders to roots.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConsistencyError, TruncationError
-from .poly import UPoly, composed_difference, difference_poly
+from .poly import UPoly, composed_difference, difference_orders
 from .series import OrderVal, frac_str
 
 _ZERO = Fraction(0)
@@ -77,28 +80,38 @@ def _hull_value(hull, x):
     raise ValueError("abscissa outside hull range")
 
 
-def _polygon(h: UPoly):
-    """The Newton polygon of h on ints: (R, hull).
+def _coeff_orders(h: UPoly):
+    """The orders of h's coefficients a_1..a_d on ints, as
+    PSeries.order_units gives them: the list _polygon and _lemma1_order
+    read."""
+    if not h.is_series:
+        raise ValueError("newton_polygon expects series coefficients")
+    return [a.order_units() for a in h.coeffs]
 
-    R is the lcm of the ramification indices of the coefficients with a
-    stored term, so each such a_i gives the int point (d - i, ord(a_i) R);
-    hull lists the lower-hull vertices of those points and the anchor
-    (d, 0).  The hull starts at the count of roots of infinite order, and a
-    segment from (x1, y1) to (x2, y2) carries x2 - x1 roots of order
+
+def _polygon(orders):
+    """The Newton polygon on ints, (R, hull), of the monic polynomial of
+    degree d = len(orders) whose coefficient a_i has the order orders[i-1]:
+    (k, ram), the order k / ram witnessed by a term, or (None, t), no term
+    stored and the order at least the truncation t (infinite when t is
+    None), as PSeries.order_units gives them.
+
+    R is the lcm of the ram of the coefficients with a stored term, so each
+    such a_i gives the int point (d - i, ord(a_i) R); hull lists the
+    lower-hull vertices of those points and the anchor (d, 0).  The hull
+    starts at the count of roots of infinite order, and a segment from
+    (x1, y1) to (x2, y2) carries x2 - x1 roots of order
     (y1 - y2) / ((x2 - x1) R).  Raises TruncationError, with a
     required-truncation hint, when a coefficient known only from below
     leaves the hull ambiguous."""
-    if not h.is_series:
-        raise ValueError("newton_polygon expects series coefficients")
-    d = h.degree
+    d = len(orders)
     known = []
     loose = []
-    for i, a in enumerate(h.coeffs, 1):
-        units = a.order_units()
-        if units is not None:
-            known.append((d - i,) + units)
-        elif not a.is_exactly_zero:
-            loose.append((d - i, a.trunc))
+    for i, (k, x) in enumerate(orders, 1):
+        if k is not None:
+            known.append((d - i, k, x))
+        elif x is not None:
+            loose.append((d - i, x))
     R = math.lcm(*(ram for _, _, ram in known))
     points = [(j, k * (R // ram)) for j, k, ram in reversed(known)]
     points.append((d, 0))
@@ -151,7 +164,7 @@ def _slope_levels(R, hull):
 def newton_polygon(h: UPoly) -> NewtonPolygon:
     """Exact Newton polygon; raises TruncationError when truncated coefficient
     data leaves the hull ambiguous (with a required-truncation hint)."""
-    R, hull = _polygon(h)
+    R, hull = _polygon(_coeff_orders(h))
     d = h.degree
     points = [(0, OrderVal.exact(0))]
     points.extend((i, h.coeff(i).order()) for i in range(1, d + 1))
@@ -163,9 +176,10 @@ def newton_polygon(h: UPoly) -> NewtonPolygon:
                          slopes)
 
 
-def _lemma1_order(h: UPoly):
+def _lemma1_order(orders):
     """Order of the ideal sum of (a_i)^(1/i) over the coefficients that are
-    not exactly zero, min_i ord(a_i) / i by the semigroup law
+    not exactly zero, their orders given as _polygon reads them,
+    min_i ord(a_i) / i by the semigroup law
     ord(sum) = min(ord), as (num, den, rank): rank 0 when a coefficient
     with a stored term attains the minimum, else 1, the minimum then being
     known from below only (as in OrderVal.min_of); None, the infinite
@@ -175,28 +189,26 @@ def _lemma1_order(h: UPoly):
     cross-multiplication, apart from the polygon whose least slope it
     checks."""
     best = None
-    for i, a in enumerate(h.coeffs, 1):
-        units = a.order_units()
-        if units is not None:
-            num, den, rank = units[0], units[1] * i, 0
-        elif a.is_exactly_zero:
+    for i, (k, x) in enumerate(orders, 1):
+        if k is not None:
+            num, den, rank = k, x * i, 0
+        elif x is None:
             continue
         else:
-            t = a.trunc
-            num, den, rank = t.numerator, t.denominator * i, 1
+            num, den, rank = x.numerator, x.denominator * i, 1
         if best is None or (num * best[1], rank) < (best[0] * den, best[2]):
             best = num, den, rank
     return best
 
 
-def _root_levels(h: UPoly):
-    """h's root orders on ints, (levels, infinite): the finite orders as
-    _slope_levels gives them and the count of infinite ones.  Every call
-    checks the least order against the coefficient-ideal order of
-    _lemma1_order."""
-    R, hull = _polygon(h)
+def _root_levels(orders):
+    """The root orders on ints, (levels, infinite), of the polynomial whose
+    coefficient orders _polygon reads: the finite orders as _slope_levels
+    gives them and the count of infinite ones.  Every call checks the least
+    order against the coefficient-ideal order of _lemma1_order."""
+    R, hull = _polygon(orders)
     levels = _slope_levels(R, hull)
-    lem1 = _lemma1_order(h)
+    lem1 = _lemma1_order(orders)
     if levels:
         num, den, _ = levels[0]
         ok = (lem1 is not None and lem1[2] == 0
@@ -226,7 +238,17 @@ def _order_list(levels, infinite):
 def root_orders(h: UPoly):
     """Ascending multiset of root orders (slope multiset), with the smallest
     order checked against the coefficient-ideal route."""
-    return _order_list(*_root_levels(h))
+    return _order_list(*_root_levels(_coeff_orders(h)))
+
+
+def _difference_levels(h: UPoly):
+    """The certificate: the root levels of h's difference polynomial D, as
+    _root_levels gives them, read off D's coefficient orders
+    (poly.difference_orders) without building D.  Its truncation checks
+    and their hints name D's coefficients."""
+    if not h.is_series:
+        raise ValueError("newton_polygon expects series coefficients")
+    return _root_levels(difference_orders(h))
 
 
 def partial_sums(h: UPoly, k: int) -> OrderVal:
@@ -424,12 +446,14 @@ def certified_rows(h: UPoly):
     coefficients to the table V reads: a RootRows.
 
     The rows are read from the certificate's root tree, the root orders of
-    the difference polynomial D.  Truncation is tracked through D's
-    coefficients, so a polygon of D that certifies is that of every
-    completion of h, and so are the rows.  Where the tree does not fix the
-    rows (some count patterns from d = 5 on; every pattern with d <= 4
-    fixes them), the certified expansion attaches orders to roots, checked
-    against the certificate already built.  When D's polygon is left open
+    the difference polynomial D, which _difference_levels reads off the
+    lowest digit of each of D's packed coefficients without building D.
+    Truncation is tracked through D's coefficients, so a polygon of D that
+    certifies is that of every completion of h, and so are the rows.
+    Where the tree does not fix the rows (some count patterns from d = 5
+    on; every pattern with d <= 4 fixes them), the certified expansion
+    attaches orders to roots, checked against the certificate already
+    read.  When D's polygon is left open
     by truncation, h's own polygon is read first, so that a TruncationError
     of h's, with its `required` hint in h's terms, is the one raised.
 
@@ -438,9 +462,9 @@ def certified_rows(h: UPoly):
     Their numerators over L become the table's entries, with one infinite
     entry last for each root's order against itself."""
     try:
-        levels, infinite = _root_levels(difference_poly(h))
+        levels, infinite = _difference_levels(h)
     except TruncationError:
-        _root_levels(h)
+        _root_levels(_coeff_orders(h))
         raise
     counts = [mult for _, _, mult in levels]
     if infinite:
@@ -478,15 +502,15 @@ def _is_integral(v: OrderVal) -> bool:
 def integrality_test(h: UPoly):
     """All roots lie in unramified series iff every root order and every
     pairwise difference order is an integer (or infinite).  Fully exact:
-    root orders from the polygon, difference orders through the difference
-    polynomial.  Returns (verdict, certificate)."""
+    root orders from the polygon, difference orders from the certificate
+    (_difference_levels).  Returns (verdict, certificate)."""
     orders = root_orders(h)
     for v in orders:
         if not _is_integral(v):
             return False, {"integral": False, "source": "root",
                            "violating_order": frac_str(v.value)}
     if h.degree >= 2:
-        for v in _order_list(*_root_levels(difference_poly(h))):
+        for v in _order_list(*_difference_levels(h)):
             if not _is_integral(v):
                 return False, {"integral": False, "source": "difference",
                                "violating_order": frac_str(v.value)}

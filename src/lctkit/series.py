@@ -498,12 +498,12 @@ class PSeries:
         return OrderVal.at_least(self._tr)
 
     def order_units(self):
-        """The order as ints (k, ram), ord = k / ram over the ramification
-        index, when a term witnesses it; None when no term is stored (the
-        order is infinite or only known to be at least the truncation)."""
+        """The order on ints: (k, ram), ord = k / ram over the ramification
+        index, when a term witnesses it; else (None, tr), the order being at
+        least the truncation tr, or infinite when tr is None."""
         if self._t:
             return min(self._t), self._ram
-        return None
+        return None, self._tr
 
     def coeff(self, e) -> Fraction:
         e = as_frac(e)

@@ -222,8 +222,13 @@ class TestMalformedRational:
         (["diffs", "--poly", "y^2 - t^3", "--depth", "0"], "--depth", "0"),
         (["diffs", "--poly", "y^2 - t^3", "--depth", "-3"], "--depth",
          "-3"),
+        (["lct", "--c", "3/4", "--coeff", "x", "--coeff", "x^2",
+          "--trunc", "-1/2"], "--trunc", "-1/2"),
+        (["diffs", "--poly", "y^2 - t^3", "--depth", "-1/2"], "--depth",
+         "-1/2"),
     ], ids=["lct-trunc-zero", "lct-trunc-negative", "diffs-depth-zero",
-            "diffs-depth-negative"])
+            "diffs-depth-negative", "lct-trunc-negative-separate",
+            "diffs-depth-negative-fraction"])
     def test_non_positive_bound(self, capsys, argv, option, value):
         assert run(argv) == 2
         out = capsys.readouterr()
@@ -231,6 +236,22 @@ class TestMalformedRational:
         (line,) = out.err.splitlines()
         assert json.loads(line) == {
             "error": f"{option} must be positive, got {value!r}"}
+
+    @pytest.mark.parametrize("argv", [
+        ["lct", "--c", "-1/2", "--coeff", "x", "--coeff", "x^2"],
+        ["criterion", "--d", "3", "--c", "-1/2"],
+        ["degree3", "--a", "x", "--b", "x^2", "--c", "-1/2"],
+    ], ids=["lct", "criterion", "degree3"])
+    def test_negative_rational_is_a_value(self, capsys, argv):
+        """"--c -1/2" is read as "--c=-1/2", not as an option: both forms
+        give the same exit code and output."""
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        code = run(joined)
+        want = capsys.readouterr()
+        assert run(argv) == code
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (want.out, want.err)
+        assert "expected one argument" not in want.err
 
 
 class TestMissingCoefficients:

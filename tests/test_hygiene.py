@@ -8,7 +8,8 @@ module whose results they check.  Importing the package loads the decision
 path only and the CLI neither dataclasses nor inspect; every other layer,
 mpmath included, stays unloaded until a command uses it, also on truncated
 input at d <= 4, which never expands; an exact decision constructs no
-OrderVal, and an exact table-cache miss constructs two UPolys."""
+OrderVal, and an exact table-cache miss constructs one UPoly and unpacks
+no packed digit."""
 
 import ast
 import json
@@ -572,13 +573,14 @@ def test_exact_decision_constructs_no_orderval(monkeypatch):
     assert made == []
 
 
-def test_exact_miss_constructs_two_upolys(monkeypatch):
+def test_exact_miss_constructs_one_upoly(monkeypatch):
     """An exact lct_ge miss at d = 2..4 validates the coefficients once:
-    it constructs two UPolys, h from the coefficients and the difference
-    polynomial D of degree d(d - 1)."""
+    it constructs one UPoly, h from the coefficients.  The certificate is
+    read off the packed ints' lowest digits, so no difference polynomial is
+    built and no packed digit is unpacked."""
     from fractions import Fraction
 
-    from lctkit import criterion
+    from lctkit import criterion, packed
     from lctkit.criterion import lct_ge
     from lctkit.poly import UPoly
 
@@ -591,10 +593,14 @@ def test_exact_miss_constructs_two_upolys(monkeypatch):
         real(self, var, coeffs)
         made.append(self.degree)
 
+    def unpacked(*args):
+        raise AssertionError("a packed digit was unpacked")
+
     criterion._table_for.cache_clear()
     monkeypatch.setattr(UPoly, "__init__", counted)
+    monkeypatch.setattr(packed, "_digits", unpacked)
     for d, coeffs in inputs:
         lct_ge(d, Fraction(2, 3), coeffs)
     monkeypatch.undo()
     assert criterion._table_for.cache_info().misses == len(inputs)
-    assert made == [n for d, _ in inputs for n in (d, d * (d - 1))]
+    assert made == [d for d, _ in inputs]

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from lctkit import packed, poly
-from lctkit.errors import ConsistencyError
+from lctkit import packed, poly, rootdata
+from lctkit.errors import ConsistencyError, TruncationError
 from lctkit.poly import (
     MPoly, UPoly, composed_difference, compound_poly, difference_poly,
     from_power_sums, generic_compound_coeffs, generic_difference_coeffs,
@@ -749,6 +749,61 @@ class TestTruncatedKernel:
             for exact, got in pairs:
                 for a, b in zip(exact.coeffs, got.coeffs):
                     assert a.truncated(b.trunc) == b
+
+
+def _certificate(read, h):
+    """read(h)'s root levels with each order a reduced Fraction, and the
+    count of infinite orders; or the TruncationError's text and hint."""
+    try:
+        levels, infinite = read(h)
+    except TruncationError as exc:
+        return "raised", str(exc), exc.required
+    return [(F(num, den), mult) for num, den, mult in levels], infinite
+
+
+def _built_certificate(h):
+    """The certificate read off D built in full, coefficient by
+    coefficient."""
+    return rootdata._root_levels(rootdata._coeff_orders(difference_poly(h)))
+
+
+class TestDifferenceOrders:
+    """The certificate read off the lowest packed digit of each coefficient
+    of D (rootdata._difference_levels) against D built and read: the same
+    levels, and on truncated input the same TruncationError text and
+    `required` hint."""
+
+    def test_matches_built_difference_poly(self, monkeypatch):
+        rng = random.Random(89)
+        exact = [UPoly("y", [rand_exact_series(rng) for _ in range(d)])
+                 for d in range(2, 7) for _ in range(4)]
+        # roots with ramified exponents: repeated levels in the tree
+        exact += [UPoly.from_roots("y", [rand_exact_series(rng)
+                                         for _ in range(d)])
+                  for d in range(2, 6) for _ in range(4)]
+        exact += stress_upolys()
+        cut = [UPoly("y", [a.truncated(F(rng.randint(1, 12),
+                                         rng.choice([1, 2, 3])))
+                           if rng.random() < 0.7 else a for a in h.coeffs])
+               for h in exact for _ in range(3)]
+        routes = []
+        real = packed.orders
+
+        def spy(*args):
+            out = real(*args)
+            routes.append(out is not None)
+            return out
+
+        monkeypatch.setattr(packed, "orders", spy)
+        seen = set()
+        for h in exact + cut:
+            got = _certificate(rootdata._difference_levels, h)
+            assert got == _certificate(_built_certificate, h), h.coeffs
+            seen.add("raised" if got[0] == "raised" else
+                     "infinite" if got[1] else "finite")
+        assert seen == {"raised", "infinite", "finite"}
+        # y^4 + t y + t^1000 takes the series route
+        assert routes.count(False) >= 1 and routes.count(True) > len(cut)
 
 
 class TestValuePoly:

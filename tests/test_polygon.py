@@ -172,11 +172,15 @@ def test_polygon_matches_fraction_reference(seed):
                     "certified past a truncation", "mixed ramification"}
 
 
+def _lemma1(h):
+    return rootdata._lemma1_order(rootdata._coeff_orders(h))
+
+
 @pytest.mark.parametrize("seed", [4, 5])
 def test_lemma1_matches_qideal(seed):
     kinds = set()
     for h in _corpus(seed, 300):
-        got = _as_order(rootdata._lemma1_order(h))
+        got = _as_order(_lemma1(h))
         assert got == ref_lemma1(h), h.coeffs
         assert got == (OrderVal.min_of(
             h.coeff(i).order().scale(F(1, i))
@@ -192,9 +196,9 @@ def test_lemma1_prefers_an_exact_witness():
     # a_1 known only above 2 and a_2 = t^4 tie at 2: the exact one wins
     h = UPoly("y", [PSeries.zero("t", 2),
                     PSeries.monomial("t", 4)])
-    assert _as_order(rootdata._lemma1_order(h)) == OrderVal.exact(2)
+    assert _as_order(_lemma1(h)) == OrderVal.exact(2)
     h = UPoly("y", [PSeries.zero("t", 2), PSeries.zero("t", 5)])
-    assert _as_order(rootdata._lemma1_order(h)) == OrderVal.at_least(2)
+    assert _as_order(_lemma1(h)) == OrderVal.at_least(2)
 
 
 def test_shifted_slope_is_caught(monkeypatch):
@@ -203,8 +207,8 @@ def test_shifted_slope_is_caught(monkeypatch):
     certificate."""
     real = rootdata._polygon
 
-    def shifted(h):
-        R, hull = real(h)
+    def shifted(orders):
+        R, hull = real(orders)
         j, y = hull[-2]
         return R, hull[:-2] + [(j, y + 1), hull[-1]]
 

@@ -237,9 +237,9 @@ def test_explicit_roots_at_high_degree(monkeypatch, seed, d, depth, tree):
         read.append(real(g))
         return read[-1]
 
-    real = rootdata._root_levels
+    real = rootdata._difference_levels
     monkeypatch.setattr(numeric, "_expanded", undecided)
-    monkeypatch.setattr(rootdata, "_root_levels", levels)
+    monkeypatch.setattr(rootdata, "_difference_levels", levels)
     roots = _clustered_roots(random.Random(seed), d, depth)
     want = sorted(((b - a).order()
                    for a, b in itertools.permutations(roots, 2)),
@@ -273,14 +273,14 @@ def test_ambiguous_pattern_falls_back_to_expansion(monkeypatch):
     roots = [mono(1), mono(1) + mono(3), mono(2), mono(2, 2), mono(2, 3)]
     h = UPoly.from_roots("y", roots)
     expanded = _counted(monkeypatch, numeric, "_expanded")
-    # numeric binds its own difference_poly (numeric.diff_orders builds D
-    # there), so both bindings log to one list
-    built = _counted(monkeypatch, rootdata, "difference_poly")
-    _counted(monkeypatch, numeric, "difference_poly", built)
+    # numeric binds its own _difference_levels (numeric.diff_orders reads
+    # the certificate there), so both bindings log to one list
+    read = _counted(monkeypatch, rootdata, "_difference_levels")
+    _counted(monkeypatch, numeric, "_difference_levels", read)
     criterion._table_for.cache_clear()
     table = criterion._table_for(h.coeffs)
-    # one expansion, and the fallback reuses the certificate
-    assert (expanded, built) == ([5], [5])
+    # one expansion, and the fallback reuses the certificate read once
+    assert (expanded, read) == ([5], [5])
     assert _key(table.rows) == _key(_explicit_rows(roots))
 
 
@@ -327,7 +327,8 @@ def test_inconsistent_certificate_raises(monkeypatch, cert, message):
     # (order numerator, denominator, multiplicity) of each finite level,
     # and no infinite orders
     levels = tuple((v, 1, cert.count(v)) for v in sorted(set(cert)))
-    monkeypatch.setattr(rootdata, "_root_levels", lambda g: (levels, 0))
+    monkeypatch.setattr(rootdata, "_difference_levels",
+                        lambda g: (levels, 0))
     h = UPoly.from_roots("y", [mono(1), mono(2), mono(3)])
     with pytest.raises(ConsistencyError, match=message):
         certified_rows(h)

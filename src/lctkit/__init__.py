@@ -9,7 +9,9 @@ Newton-polyhedron oracles.
 
 Importing the package loads the decision path only (errors, series, poly
 with its packed kernel, rootdata and criterion).  Every other public name
-is imported from its module on first access: the Q-ideals, the numeric
+is imported from its module on first access: the symbolic layer
+(multivariate polynomials, resultants, Taylor shifts, the value
+polynomial), the dual-route root-order reports, the Q-ideals, the numeric
 Newton-Puiseux layer, the criterion ideals and the oracles.
 """
 
@@ -20,20 +22,19 @@ from .errors import (
     PrecisionError, TruncationError,
 )
 from .series import INF, NO, UNKNOWN, YES, OrderVal, PSeries
-from .poly import (
-    MPoly, UPoly, compound_poly, difference_poly, resultant, taylor_shift,
-    value_poly,
-)
-from .rootdata import (
-    NewtonPolygon, integrality_test, max_root_order, newton_polygon,
-    partial_sums, root_orders,
-)
+from .poly import UPoly, compound_poly, difference_poly
+from .rootdata import root_orders
 from .criterion import CriterionContext, choose_p, lct_ge
 
 __version__ = "0.1.0"
 
 # The public names off the decision path, each with the module defining it.
 _LAZY = {
+    "MPoly": "mpoly", "resultant": "mpoly", "taylor_shift": "mpoly",
+    "value_poly": "mpoly",
+    "NewtonPolygon": "reports", "integrality_test": "reports",
+    "max_root_order": "reports", "newton_polygon": "reports",
+    "partial_sums": "reports",
     "QIdeal": "qideal", "QIdealFrac": "qideal", "lc_dim1": "qideal",
     "qi_ord": "qideal", "qi_power": "qideal", "qi_product": "qideal",
     "qi_sum": "qideal",

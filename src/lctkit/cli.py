@@ -25,10 +25,7 @@ from .errors import (
     ConsistencyError, DegenerateError, LctkitError, ParseError,
     TruncationError,
 )
-from .poly import MPoly, UPoly
-from .rootdata import (
-    integrality_test, max_root_order, newton_polygon, partial_sums,
-)
+from .poly import UPoly
 from .series import UNKNOWN, PSeries, frac_str
 
 # ---------------------------------------------------------------------------
@@ -186,8 +183,9 @@ def parse_series_group(texts):
     return [parse_series(t, var=var) for t in texts]
 
 
-def parse_poly(text) -> MPoly:
-    """Multivariate polynomial from text (integer exponents)."""
+def parse_poly(text):
+    """Multivariate polynomial (an MPoly) from text (integer exponents)."""
+    from .mpoly import MPoly
     terms = _Parser(text).parse()
     vars = tuple(sorted({v for _, exps in terms for v in exps}))
     acc = {}
@@ -317,6 +315,7 @@ def _load_lct_input(args):
 
 
 def _cmd_orders(args):
+    from .reports import max_root_order, newton_polygon, partial_sums
     h = parse_upoly(args.poly, args.var)
     np = newton_polygon(h)
     out = np.to_json()
@@ -337,6 +336,7 @@ def _cmd_diffs(args):
 
 
 def _cmd_integrality(args):
+    from .reports import integrality_test
     h = parse_upoly(args.poly, args.var)
     verdict, cert = integrality_test(h)
     _emit(cert)
@@ -489,22 +489,24 @@ def _build_argparser():
     return ap
 
 
-# Options whose value is series, polynomial or rational text, by
+# Options whose value is series, polynomial, rational or integer text, by
 # subcommand.
 _TEXT_OPTIONS = {
     "orders": ("--poly",), "diffs": ("--poly", "--depth"),
     "integrality": ("--poly",), "oracle": ("--poly",),
-    "lct": ("--coeff", "--c", "--trunc"), "criterion": ("--c",),
+    "lct": ("--coeff", "--c", "--d", "--trunc"),
+    "criterion": ("--c", "--d"),
     "degree3": ("--a", "--b", "--c"),
 }
 
 
 def _join_text_values(argv):
-    """Series text and rationals may start with "-", which argparse reads
-    as an option unless it looks like a negative number: "--coeff
-    -x^5/3" and "--c -1/2" fail with "expected one argument".  Such a
-    value is joined to its option as "--coeff=-x^5/3", the form argparse
-    reads as a value.  A following "--..." or "-h" stays an option."""
+    """Series text, rationals and integers may start with "-", which
+    argparse reads as an option unless it looks like a negative number:
+    "--coeff -x^5/3", "--c -1/2" and "--d -1/2" fail with "expected one
+    argument".  Such a value is joined to its option as "--coeff=-x^5/3",
+    the form argparse reads as a value.  A following "--..." or "-h" stays
+    an option."""
     argv = list(argv)
     opts = _TEXT_OPTIONS.get(argv[0], ()) if argv else ()
     out = []

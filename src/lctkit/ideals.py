@@ -20,10 +20,11 @@ from .criterion import (
     CriterionContext, _band, _centers, _eval_v, _order_json, _validate_coeffs,
 )
 from .errors import BudgetError
-from .poly import (
-    MPoly, UPoly, generic_compound_coeffs, generic_difference_coeffs,
-    taylor_shift, z_vars,
+from .mpoly import (
+    MPoly, generic_compound_coeffs, generic_difference_coeffs, taylor_shift,
+    z_vars,
 )
+from .poly import UPoly
 from .qideal import (
     QIdeal, ord_diff_le_one, qi_ord, qi_power, qi_product, qi_sum,
 )

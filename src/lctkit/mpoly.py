@@ -1,0 +1,590 @@
+"""The symbolic layer: multivariate polynomials over Q, Taylor shifts,
+resultants, the generic coefficient polynomials of the paper's ideals, the
+value polynomial, and dense univariate helpers over Q.
+
+None of it runs in a decision.  The criterion ideals (lctkit.ideals,
+lctkit.qideal), the oracles and the numeric layer import it; the decision
+path never does, so `import lctkit` does not compile it.  MPoly is a
+coefficient domain of lctkit.poly's UPoly, and the generic and value
+polynomials run on that module's power-sum kernel.
+
+Resultants take one route over both coefficient domains, a fraction-free
+subresultant remainder sequence (which keeps truncation loss in check over
+series).  It stays as the public `resultant` and as an oracle independent of
+the kernel.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+
+from .errors import ConsistencyError
+from .poly import (
+    UPoly, _Exact, _lift, compound_poly, difference_poly, from_power_sums,
+    power_sums,
+)
+from .series import PSeries, as_frac, frac_str
+
+_ZERO = Fraction(0)
+
+
+class MPoly:
+    """Multivariate polynomial over Q: ordered variable tuple plus a map
+    exponent-vector -> nonzero rational coefficient."""
+
+    __slots__ = ("vars", "terms")
+
+    def __init__(self, vars, terms):
+        vars = tuple(vars)
+        clean = {}
+        for exps, c in terms.items():
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != len(vars):
+                raise ValueError("exponent arity does not match variables")
+            if any(e < 0 for e in exps):
+                raise ValueError("negative exponent in polynomial")
+            c = as_frac(c)
+            if c:
+                clean[exps] = c
+        self.vars = vars
+        self.terms = clean
+
+    # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def zero(cls, vars=()):
+        return cls(vars, {})
+
+    @classmethod
+    def const(cls, c, vars=()):
+        vars = tuple(vars)
+        return cls(vars, {(0,) * len(vars): as_frac(c)})
+
+    @classmethod
+    def variable(cls, name, vars=None):
+        if vars is None:
+            vars = (name,)
+        vars = tuple(vars)
+        exps = tuple(1 if v == name else 0 for v in vars)
+        if sum(exps) != 1:
+            raise ValueError(f"variable {name!r} not in {vars}")
+        return cls(vars, {exps: Fraction(1)})
+
+    # -- structure -----------------------------------------------------------
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_const(self):
+        return all(not any(e) for e in self.terms)
+
+    def const_value(self):
+        if not self.terms:
+            return _ZERO
+        [(exps, c)] = self.terms.items()
+        if any(exps):
+            raise ValueError("not a constant polynomial")
+        return c
+
+    def with_vars(self, vars):
+        """Reinterpret over a superset of variables (order given by `vars`)."""
+        vars = tuple(vars)
+        pos = {v: i for i, v in enumerate(vars)}
+        terms = {}
+        for exps, c in self.terms.items():
+            new = [0] * len(vars)
+            for v, e in zip(self.vars, exps):
+                if e:
+                    if v not in pos:
+                        raise ValueError(f"variable {v!r} missing from {vars}")
+                    new[pos[v]] = e
+            terms[tuple(new)] = terms.get(tuple(new), _ZERO) + c
+        return MPoly(vars, terms)
+
+    @staticmethod
+    def _common_vars(a, b):
+        if a.vars == b.vars:
+            return a.vars
+        return tuple(sorted(set(a.vars) | set(b.vars)))
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = MPoly.const(other, self.vars)
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        vars = MPoly._common_vars(self, other)
+        a = self if self.vars == vars else self.with_vars(vars)
+        b = other if other.vars == vars else other.with_vars(vars)
+        terms = dict(a.terms)
+        for exps, c in b.terms.items():
+            terms[exps] = terms.get(exps, _ZERO) + c
+        return MPoly(vars, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = MPoly.const(other, self.vars)
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        c = as_frac(c)
+        if c == 0:
+            return MPoly.zero(self.vars)
+        return MPoly(self.vars, {e: c * k for e, k in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        vars = MPoly._common_vars(self, other)
+        a = self if self.vars == vars else self.with_vars(vars)
+        b = other if other.vars == vars else other.with_vars(vars)
+        terms = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                terms[e] = terms.get(e, _ZERO) + c1 * c2
+        return MPoly(vars, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("polynomial power wants a nonnegative integer")
+        result = MPoly.const(1, self.vars)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def __eq__(self, other):
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        if self.vars == other.vars:
+            return self.terms == other.terms
+        vars = MPoly._common_vars(self, other)
+        return self.with_vars(vars).terms == other.with_vars(vars).terms
+
+    def __hash__(self):
+        return hash((self.vars, tuple(sorted(self.terms.items()))))
+
+    # -- lex order & exact division -------------------------------------------
+
+    def lex_lead(self):
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
+        e = max(self.terms)
+        return e, self.terms[e]
+
+    def div_exact(self, b: "MPoly") -> "MPoly":
+        """Exact quotient self/b; raises ConsistencyError if b does not
+        divide self."""
+        if b.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        vars = MPoly._common_vars(self, b)
+        a = self if self.vars == vars else self.with_vars(vars)
+        bb = b if b.vars == vars else b.with_vars(vars)
+        if bb.is_const():
+            return a.scale(1 / bb.const_value())
+        lead_b, lc_b = bb.lex_lead()
+        rem = dict(a.terms)
+        out = {}
+        while rem:
+            m = max(rem)
+            diff = tuple(x - y for x, y in zip(m, lead_b))
+            if any(e < 0 for e in diff):
+                raise ConsistencyError("polynomial division is not exact")
+            c = rem[m] / lc_b
+            out[diff] = c
+            for eb, cb in bb.terms.items():
+                k = tuple(x + y for x, y in zip(diff, eb))
+                v = rem.get(k, _ZERO) - c * cb
+                if v == 0:
+                    rem.pop(k, None)
+                else:
+                    rem[k] = v
+        return MPoly(vars, out)
+
+    # -- substitution & evaluation --------------------------------------------
+
+    def substitute(self, mapping) -> "MPoly":
+        """Map some variables to MPoly/rational values; others stay symbolic."""
+        out = None
+        for exps, c in self.terms.items():
+            term = MPoly.const(c)
+            for v, e in zip(self.vars, exps):
+                if not e:
+                    continue
+                val = mapping.get(v)
+                if val is None:
+                    val = MPoly.variable(v)
+                elif isinstance(val, (int, Fraction)):
+                    val = MPoly.const(val)
+                term = term * val ** e
+            out = term if out is None else out + term
+        return MPoly.zero(()) if out is None else out
+
+    def eval_series(self, mapping, out_var=None) -> PSeries:
+        """Evaluate at series values for every variable."""
+        var = out_var
+        for s in mapping.values():
+            if var is None:
+                var = s.var
+            elif s.var != var:
+                raise ValueError("series arguments use different variables")
+        if var is None:
+            var = "t"
+        total = PSeries.zero(var)
+        pow_cache = {}
+        for exps, c in self.terms.items():
+            term = PSeries.const(var, c)
+            for v, e in zip(self.vars, exps):
+                if not e:
+                    continue
+                if v not in mapping:
+                    raise ValueError(f"no series value for variable {v!r}")
+                key = (v, e)
+                if key not in pow_cache:
+                    pow_cache[key] = mapping[v] ** e
+                term = term * pow_cache[key]
+            total = total + term
+        return total
+
+    # -- serialization ---------------------------------------------------------
+
+    def to_json(self):
+        return {
+            "vars": list(self.vars),
+            "terms": [{"exps": list(e), "c": frac_str(c)}
+                      for e, c in sorted(self.terms.items())],
+        }
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(tuple(obj["vars"]),
+                   {tuple(t["exps"]): Fraction(t["c"]) for t in obj["terms"]})
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for exps, c in sorted(self.terms.items(), reverse=True):
+            factors = [f"{v}^{e}" if e > 1 else v
+                       for v, e in zip(self.vars, exps) if e]
+            if not factors:
+                parts.append(frac_str(c))
+            else:
+                body = "*".join(factors)
+                if c == 1:
+                    parts.append(body)
+                elif c == -1:
+                    parts.append(f"-{body}")
+                else:
+                    parts.append(f"{frac_str(c)}*{body}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+
+# ---------------------------------------------------------------------------
+# Taylor shift
+# ---------------------------------------------------------------------------
+
+def taylor_shift(h: UPoly, w) -> UPoly:
+    """h(y + w): synthetic Pascal-style shift, O(d^2) ring operations.
+
+    `w` may be a domain element, a rational, or a fresh symbol name (for
+    polynomial-coefficient input).
+    """
+    if isinstance(w, str):
+        if h.is_series:
+            raise ValueError("symbolic shift requires polynomial coefficients")
+        w = MPoly.variable(w)
+    w = _lift(w, h.coeffs[0])
+    c = h.dense()
+    d = h.degree
+    for i in range(d):
+        for j in range(1, d + 1 - i):
+            c[j] = c[j] + w * c[j - 1]
+    return UPoly(h.var, c[1:])
+
+
+
+# ---------------------------------------------------------------------------
+# Resultants
+# ---------------------------------------------------------------------------
+
+def _strip(f):
+    i = 0
+    while i < len(f) and f[i].is_zero():
+        i += 1
+    return f[i:]
+
+
+def _prem(f, g):
+    """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g (dense, descending)."""
+    df, dg = len(f) - 1, len(g) - 1
+    if df < dg:
+        raise ValueError("pseudo-remainder needs deg f >= deg g")
+    l = g[0]
+    r = list(f)
+    n = df - dg + 1
+    while r and len(r) - 1 >= dg:
+        lcr = r[0]
+        # l*r - lcr*g*x^(deg r - dg); the leading terms cancel exactly
+        r = [l * c for c in r[1:]]
+        for i in range(dg):
+            r[i] = r[i] - lcr * g[i + 1]
+        r = _strip(r)
+        n -= 1
+    if n > 0:
+        scale = l ** n
+        r = [scale * c for c in r]
+    return r
+
+
+def resultant_lists(f, g):
+    """Resultant of dense descending coefficient lists over a shared domain
+    (general leading coefficients allowed), by the subresultant PRS (Brown's
+    algorithm)."""
+    f, g = _strip(list(f)), _strip(list(g))
+    if not f or not g:
+        raise ValueError("resultant of the zero polynomial")
+    n, m = len(f) - 1, len(g) - 1
+    sign = 1
+    if n < m:
+        f, g = g, f
+        n, m = m, n
+        if n % 2 and m % 2:
+            sign = -sign
+    one = _lift(1, f[0])
+    if n == 0:
+        return one  # two nonzero constants
+    if m == 0:
+        res = g[0] ** n
+        return res if sign == 1 else -res
+    d = n - m
+    b = one if (d + 1) % 2 == 0 else -one
+    h = _prem(f, g)
+    h = [b * c for c in h]
+    lc = g[0]
+    c = lc ** d
+    subres = [one, c]
+    c = -c
+    while h:
+        k = len(h) - 1
+        f, g = g, h
+        d = m - k
+        m = k
+        bb = -(lc * c ** d)
+        h = _prem(f, g)
+        h = [x.div_exact(bb) for x in h]
+        lc = g[0]
+        if d > 1:
+            q = c ** (d - 1)
+            c = ((-lc) ** d).div_exact(q)
+        else:
+            c = -lc
+        subres.append(-c)
+    if len(g) - 1 > 0:
+        # nonconstant gcd: resultant vanishes
+        if isinstance(one, PSeries):
+            return PSeries.zero(one.var)
+        return MPoly.zero(one.vars)
+    res = subres[-1]
+    return res if sign == 1 else -res
+
+
+def resultant(f: UPoly, g: UPoly):
+    """Classical resultant eliminating the shared main variable; vanishes
+    iff f and g have a common root."""
+    if f.var != g.var:
+        raise ValueError("resultant requires a shared main variable")
+    if f.degree < 1 or g.degree < 1:
+        raise ValueError("resultant needs positive-degree inputs")
+    return resultant_lists(f.dense(), g.dense())
+
+
+def z_vars(d):
+    return tuple(f"z{i}" for i in range(1, d + 1))
+
+
+
+# ---------------------------------------------------------------------------
+# Generic coefficients and the value polynomial, on lctkit.poly's power-sum
+# kernel
+# ---------------------------------------------------------------------------
+
+def _generic(d):
+    """The generic monic y^d + z_1 y^(d-1) + ... + z_d."""
+    zs = z_vars(d)
+    return UPoly("y", [MPoly.variable(v, zs) for v in zs])
+
+
+@lru_cache(maxsize=None)
+def generic_compound_coeffs(d, k):
+    """Coefficients (MPoly in z_1..z_d) of the monic polynomial whose roots
+    are the products of k distinct roots of the generic monic degree-d
+    polynomial; entry index ell carries (-1)^ell s_ell of the products."""
+    return compound_poly(_generic(d), k).coeffs
+
+
+@lru_cache(maxsize=None)
+def generic_difference_coeffs(d):
+    """Coefficients (MPoly in z_1..z_d) of the difference polynomial of the
+    generic monic y^d + z_1 y^(d-1) + ... + z_d."""
+    if d < 2:
+        raise ValueError("difference polynomial needs degree >= 2")
+    return difference_poly(_generic(d)).coeffs
+
+
+
+def _mul_mod(r, g, h: UPoly):
+    """Ascending coefficients of r * g modulo the monic h."""
+    zero = _lift(0, h.coeffs[0])
+    prod = [zero] * (len(r) + len(g) - 1)
+    for i, x in enumerate(r):
+        for j, y in enumerate(g):
+            prod[i + j] = prod[i + j] + x * y
+    d = h.degree
+    while len(prod) > d:
+        top = prod.pop()  # coefficient of y^n, n = len(prod)
+        n = len(prod)
+        for i in range(1, d + 1):
+            prod[n - i] = prod[n - i] - top * h.coeffs[i - 1]
+    return prod
+
+
+def value_poly(h: UPoly, G: MPoly) -> UPoly:
+    """Monic degree-d polynomial whose roots are G(a_1..a_d, alpha_i) over
+    the roots alpha_i of h.  Its power sums are traces,
+    sum_i G(alpha_i)^m = Tr(G^m mod h) with Tr(y^k) = s_k(h)."""
+    d = h.degree
+    wvar = "w"
+    if wvar not in G.vars:
+        G = G.with_vars(tuple(G.vars) + (wvar,))
+    # split G by powers of w, substituting the actual coefficients for z_i
+    wpos = G.vars.index(wvar)
+    template = h.coeffs[0]
+    by_w = {}
+    for exps, c in G.terms.items():
+        wexp = exps[wpos]
+        rest = {v: e for v, e in zip(G.vars, exps) if v != wvar and e}
+        mono = _lift(c, template)
+        for v, e in rest.items():
+            if not v.startswith("z"):
+                raise ValueError(f"unexpected variable {v!r} in G")
+            i = int(v[1:])
+            if not 1 <= i <= d:
+                raise ValueError(f"variable {v!r} outside z1..z{d}")
+            mono = mono * h.coeff(i) ** e
+        by_w[wexp] = by_w.get(wexp, mono - mono) + mono
+    zero = _lift(0, template)
+    g = [by_w.get(e, zero) for e in range(max(by_w, default=0) + 1)]
+    dom = _Exact(template)
+    s = power_sums(dom, h.coeffs, d - 1)
+    p = [None]
+    r = [_lift(1, template)]
+    for _ in range(d):
+        r = _mul_mod(r, g, h)
+        p.append(dom.mac([(1, x, sk) for x, sk in zip(r, s)]))
+    return UPoly(h.var, from_power_sums(dom, p, d))
+
+
+
+# ---------------------------------------------------------------------------
+# Dense univariate polynomials over Q (helpers for squarefree structure,
+# discriminants, and edge-polynomial checks).
+# ---------------------------------------------------------------------------
+
+def q_strip(f):
+    i = 0
+    while i < len(f) and f[i] == 0:
+        i += 1
+    return [as_frac(c) for c in f[i:]]
+
+
+def q_deriv(f):
+    n = len(f) - 1
+    return q_strip([c * (n - i) for i, c in enumerate(f[:-1])])
+
+
+def q_divmod(f, g):
+    f, g = q_strip(f), q_strip(g)
+    if not g:
+        raise ZeroDivisionError
+    if len(f) < len(g):
+        return [], f
+    r = list(f)
+    q = []
+    for _ in range(len(f) - len(g) + 1):
+        c = r[0] / g[0]
+        q.append(c)
+        for i in range(1, len(g)):
+            r[i] -= c * g[i]
+        r.pop(0)
+    return q_strip(q), q_strip(r)
+
+
+def q_gcd_monic(f, g):
+    f, g = q_strip(f), q_strip(g)
+    while g:
+        f, g = g, q_divmod(f, g)[1]
+    if not f:
+        return []
+    return [c / f[0] for c in f]
+
+
+def q_squarefree(f) -> bool:
+    f = q_strip(f)
+    if len(f) <= 1:
+        return True
+    return len(q_gcd_monic(f, q_deriv(f))) == 1
+
+
+def _q_sub(f, g):
+    n = max(len(f), len(g))
+    f = [_ZERO] * (n - len(f)) + list(f)
+    g = [_ZERO] * (n - len(g)) + list(g)
+    return q_strip([x - y for x, y in zip(f, g)])
+
+
+def q_squarefree_decomposition(f):
+    """Yun's algorithm: list of (monic squarefree factor, multiplicity)."""
+    f = q_strip(f)
+    if len(f) <= 1:
+        return []
+    f = [c / f[0] for c in f]
+    df = q_deriv(f)
+    a = q_gcd_monic(f, df)
+    b = q_divmod(f, a)[0]
+    c = q_divmod(df, a)[0]
+    d = _q_sub(c, q_deriv(b))
+    out = []
+    i = 1
+    while len(b) > 1:
+        a = q_gcd_monic(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b = q_divmod(b, a)[0]
+        c = q_divmod(d, a)[0]
+        d = _q_sub(c, q_deriv(b))
+        i += 1
+    return out
+

@@ -19,10 +19,12 @@ from fractions import Fraction
 import mpmath
 
 from .errors import ConsistencyError, PrecisionError, TruncationError
-from .poly import UPoly, q_squarefree_decomposition, taylor_shift
+from .mpoly import q_squarefree_decomposition, taylor_shift
+from .poly import UPoly
+from .reports import cross_difference_orders
 from .rootdata import (
     RootRows, _difference_levels, _hull_value, _lower_hull, _order_list,
-    cross_difference_orders, root_orders,
+    root_orders,
 )
 from .series import INF, OrderVal, PSeries, as_frac, frac_str
 

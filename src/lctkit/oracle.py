@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import ConsistencyError, DegenerateError
-from .poly import MPoly, q_squarefree
+from .mpoly import MPoly, q_squarefree
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

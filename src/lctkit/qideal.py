@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import BudgetError
-from .poly import MPoly
+from .mpoly import MPoly
 from .series import NO, UNKNOWN, YES, OrderVal, PSeries, as_frac, frac_str
 
 

@@ -1,17 +1,19 @@
 """Root-order data for monic polynomials over one-variable series: the
-exact layer.
+exact layer of the decision.
 
-Newton polygons with truncation-aware ordinates, root-order multisets,
-partial sums of the smallest root orders (computed two independent ways that
-must agree), the maximum root order (again dual-route), the integrality test
-and the exact cross-difference orders.  One int polygon, with its
-truncation and Lemma-1 checks, reads a list of coefficient orders: those of
-h's coefficients, or those of the difference polynomial D's, read off the
-packed power sums without building D (poly.difference_orders).
+Newton polygons on ints with truncation-aware ordinates, root-order
+multisets, the certificate and the table of difference-order rows.  One
+int polygon, with its truncation and Lemma-1 checks, reads a list of
+coefficient orders: those of h's coefficients, or those of the difference
+polynomial D's, read off the packed power sums without building D
+(poly.difference_orders).
 certified_rows reads the per-root rows of difference orders, on exact and
 truncated input alike, from the root tree of D's root orders wherever that
 tree fixes them; only where it does not does it import the numeric layer
-(lctkit.numeric, and with it mpmath) to attach orders to roots.
+(lctkit.numeric, and with it mpmath) to attach orders to roots.  The
+dual-route reports built on this polygon (the NewtonPolygon object,
+partial sums, the largest root order, integrality, cross-difference orders)
+are lctkit.reports, which a decision never loads.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConsistencyError, TruncationError
-from .poly import UPoly, composed_difference, difference_orders
-from .series import OrderVal, frac_str
+from .poly import UPoly, difference_orders
+from .series import OrderVal
 
 _ZERO = Fraction(0)
 
@@ -30,29 +32,6 @@ _ZERO = Fraction(0)
 # ---------------------------------------------------------------------------
 # Newton polygon (exact)
 # ---------------------------------------------------------------------------
-
-class NewtonPolygon:
-    """Lower hull of the coefficient-order points of a monic polynomial over
-    series; the (negated) slopes are the root orders with multiplicity.
-
-    `points` lists (i, ord(a_i)) for i = 0..d with a_0 = 1; the hull is over
-    abscissa j = d - i with the anchor (d, 0) from the leading coefficient.
-    `slopes` is the ascending multiset [(OrderVal, multiplicity)]; an entry
-    may be Infinite when trailing coefficients vanish identically.
-    """
-
-    __slots__ = ("degree", "points", "hull", "slopes")
-
-    def __init__(self, degree, points, hull, slopes):
-        self.degree = degree
-        self.points = points
-        self.hull = hull
-        self.slopes = slopes
-
-    def to_json(self):
-        return {"slopes": [[("inf" if v.is_infinite else frac_str(v.value)),
-                            m] for v, m in self.slopes]}
-
 
 def _lower_hull(points):
     """Lower convex hull vertices of (x, y) pairs with distinct x, sorted."""
@@ -161,21 +140,6 @@ def _slope_levels(R, hull):
     return tuple(levels)
 
 
-def newton_polygon(h: UPoly) -> NewtonPolygon:
-    """Exact Newton polygon; raises TruncationError when truncated coefficient
-    data leaves the hull ambiguous (with a required-truncation hint)."""
-    R, hull = _polygon(_coeff_orders(h))
-    d = h.degree
-    points = [(0, OrderVal.exact(0))]
-    points.extend((i, h.coeff(i).order()) for i in range(1, d + 1))
-    slopes = [(OrderVal.exact(Fraction(num, den)), mult)
-              for num, den, mult in _slope_levels(R, hull)]
-    if hull[0][0]:
-        slopes.append((OrderVal.infinite(), hull[0][0]))
-    return NewtonPolygon(d, points, [(j, Fraction(y, R)) for j, y in hull],
-                         slopes)
-
-
 def _lemma1_order(orders):
     """Order of the ideal sum of (a_i)^(1/i) over the coefficients that are
     not exactly zero, their orders given as _polygon reads them,
@@ -249,59 +213,6 @@ def _difference_levels(h: UPoly):
     if not h.is_series:
         raise ValueError("newton_polygon expects series coefficients")
     return _root_levels(difference_orders(h))
-
-
-def partial_sums(h: UPoly, k: int) -> OrderVal:
-    """Sum of the k smallest root orders, computed both from the slope
-    multiset and from the explicit coefficient recursion; the two must
-    agree."""
-    d = h.degree
-    if not 1 <= k <= d:
-        raise ValueError("k out of range")
-    orders = root_orders(h)
-    from_slopes = OrderVal.sum_of(orders[:k])
-    prev = OrderVal.exact(0)
-    from_rec = None
-    for kk in range(1, k + 1):
-        candidates = []
-        for i in range(kk, d + 1):
-            term = h.coeff(i).order().scale(Fraction(1, i - kk + 1)) + \
-                prev.scale(Fraction(i - kk, i - kk + 1))
-            candidates.append(term)
-        prev = OrderVal.min_of(candidates)
-    from_rec = prev
-    if from_slopes != from_rec:
-        raise ConsistencyError(
-            f"partial sum routes disagree: {from_slopes!r} vs {from_rec!r}")
-    return from_slopes
-
-
-def max_root_order(h: UPoly) -> OrderVal:
-    """Largest root order, from the slopes and from the complementary-product
-    ideal formula ord(a_d) - min_i [ord(a_{d-i}) + (i-1) ord(a_d)]/i."""
-    d = h.degree
-    orders = root_orders(h)
-    from_slopes = orders[-1]
-    ad = h.coeff(d).order()
-    if ad.is_infinite:
-        if not from_slopes.is_infinite:
-            raise ConsistencyError("vanishing a_d must give an infinite root")
-        return from_slopes
-    candidates = []
-    for i in range(1, d + 1):
-        low = OrderVal.exact(0) if i == d else h.coeff(d - i).order()
-        term = (low + ad.scale(i - 1)).scale(Fraction(1, i))
-        candidates.append(term)
-    cval = OrderVal.min_of(candidates)
-    if not cval.is_exact:
-        raise TruncationError(
-            "complementary-product order is not resolved by the data")
-    from_formula = ad.sub(cval)
-    if from_slopes != from_formula:
-        raise ConsistencyError(
-            f"max root order routes disagree: {from_slopes!r} vs "
-            f"{from_formula!r}")
-    return from_slopes
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +303,16 @@ def _prefix_sums(entries, row):
     return tuple(sums), inexact, inf
 
 
-@lru_cache(maxsize=None)
+# The root-tree enumeration caches, _row_multisets keyed by count pattern
+# and _partitions by (n, most), hold at most this many entries each.  A
+# degree d has 1, 2, 6, 18, 64, 274, 1326, 6258 and 36010 count patterns
+# for d = 2, ..., 10, so an unbounded cache would keep every pattern a long
+# run at d = 10 meets.  1024 keeps all 365 patterns of d <= 7 resident,
+# and every (n, most) key of _partitions up to n = 10 (64 of them).
+_TREE_CACHE = 1024
+
+
+@lru_cache(maxsize=_TREE_CACHE)
 def _partitions(n, most=None):
     """Integer partitions of n into parts of at most `most`, descending."""
     most = n if most is None else most
@@ -421,7 +341,7 @@ def _split_blocks(blocks, want, k):
             yield head + tail
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TREE_CACHE)
 def _row_multisets(d, counts):
     """Every row multiset of a root tree on d roots with counts[k] pairs on
     its k-th lowest level, as a sorted tuple of sorted tuples; a row lists
@@ -489,39 +409,3 @@ def certified_rows(h: UPoly):
     top = len(levels)
     return object.__new__(RootRows)._set(
         den, entries, tuple(row + (top,) for row in found[0]))
-
-
-# ---------------------------------------------------------------------------
-# Integrality of roots
-# ---------------------------------------------------------------------------
-
-def _is_integral(v: OrderVal) -> bool:
-    return v.is_infinite or v.value.denominator == 1
-
-
-def integrality_test(h: UPoly):
-    """All roots lie in unramified series iff every root order and every
-    pairwise difference order is an integer (or infinite).  Fully exact:
-    root orders from the polygon, difference orders from the certificate
-    (_difference_levels).  Returns (verdict, certificate)."""
-    orders = root_orders(h)
-    for v in orders:
-        if not _is_integral(v):
-            return False, {"integral": False, "source": "root",
-                           "violating_order": frac_str(v.value)}
-    if h.degree >= 2:
-        for v in _order_list(*_difference_levels(h)):
-            if not _is_integral(v):
-                return False, {"integral": False, "source": "difference",
-                               "violating_order": frac_str(v.value)}
-    return True, {"integral": True, "violating_order": None}
-
-
-# ---------------------------------------------------------------------------
-# Cross-difference orders (exact)
-# ---------------------------------------------------------------------------
-
-def cross_difference_orders(f: UPoly, g: UPoly):
-    """Exact multiset of ord(beta_j - alpha_i) over roots alpha of f and
-    beta of g, via their composed-difference polynomial."""
-    return root_orders(composed_difference(f, g))

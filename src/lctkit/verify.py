@@ -21,9 +21,8 @@ from .numeric import (
 )
 from .oracle import lct_binomial_curve, lct_monomial_ideal
 from .poly import UPoly
-from .rootdata import (
-    integrality_test, max_root_order, partial_sums, root_orders,
-)
+from .reports import integrality_test, max_root_order, partial_sums
+from .rootdata import root_orders
 from .series import PSeries, frac_str
 
 

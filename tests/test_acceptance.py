@@ -17,11 +17,11 @@ from lctkit.numeric import (
     perturbation_check,
 )
 from lctkit.oracle import lct_binomial_curve, lct_plane_nondegenerate
-from lctkit.poly import MPoly, UPoly
+from lctkit.mpoly import MPoly
+from lctkit.poly import UPoly
 from lctkit.qideal import NO, YES
-from lctkit.rootdata import (
-    integrality_test, max_root_order, partial_sums, root_orders,
-)
+from lctkit.reports import integrality_test, max_root_order, partial_sums
+from lctkit.rootdata import root_orders
 from lctkit.series import PSeries
 
 F = Fraction

@@ -14,12 +14,13 @@ PUBLIC = {
                "LctkitError", "ParseError", "PrecisionError",
                "TruncationError"),
     "series": ("INF", "NO", "OrderVal", "PSeries", "UNKNOWN", "YES"),
-    "poly": ("MPoly", "UPoly", "compound_poly", "difference_poly",
-             "resultant", "taylor_shift", "value_poly"),
+    "poly": ("UPoly", "compound_poly", "difference_poly"),
+    "mpoly": ("MPoly", "resultant", "taylor_shift", "value_poly"),
     "qideal": ("QIdeal", "QIdealFrac", "lc_dim1", "qi_ord", "qi_power",
                "qi_product", "qi_sum"),
-    "rootdata": ("NewtonPolygon", "integrality_test", "max_root_order",
-                 "newton_polygon", "partial_sums", "root_orders"),
+    "rootdata": ("root_orders",),
+    "reports": ("NewtonPolygon", "integrality_test", "max_root_order",
+                "newton_polygon", "partial_sums"),
     "numeric": ("DiffOrderTable", "PuiseuxRootSet",
                 "contact_order_identity_check", "diff_orders",
                 "orders_against_series", "perturbation_check",
@@ -67,11 +68,15 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_moved_names_have_one_home():
-    """The numeric layer and the criterion ideals are not re-exported by
-    the modules they left."""
-    from lctkit import criterion, rootdata
+    """The numeric layer, the criterion ideals, the symbolic layer and the
+    reports are not re-exported by the modules they left."""
+    from lctkit import criterion, poly, rootdata
 
     assert not [name for name in PUBLIC["numeric"]
                 if hasattr(rootdata, name)]
     assert not [name for name in PUBLIC["ideals"] + ("QIdeal",)
                 if hasattr(criterion, name)]
+    assert not [name for name in PUBLIC["mpoly"] + ("q_squarefree",)
+                if hasattr(poly, name)]
+    assert not [name for name in PUBLIC["reports"] + (
+        "cross_difference_orders",) if hasattr(rootdata, name)]

@@ -17,7 +17,8 @@ from lctkit.errors import ConsistencyError, DegenerateError, TruncationError
 from lctkit.ideals import containment_check, eval_theorem_lhs
 from lctkit.numeric import diff_orders
 from lctkit.oracle import lct_plane_nondegenerate
-from lctkit.poly import MPoly, UPoly
+from lctkit.mpoly import MPoly
+from lctkit.poly import UPoly
 from lctkit.qideal import ord_diff_le_one
 from lctkit.rootdata import RootRows
 from lctkit.series import OrderVal, PSeries, frac_str

@@ -19,7 +19,7 @@ import pytest
 
 from lctkit.errors import LctkitError
 from lctkit.poly import UPoly, compound_poly, difference_poly
-from lctkit.rootdata import cross_difference_orders
+from lctkit.reports import cross_difference_orders
 from lctkit.series import PSeries
 
 F = Fraction

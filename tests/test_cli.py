@@ -241,10 +241,13 @@ class TestMalformedRational:
         ["lct", "--c", "-1/2", "--coeff", "x", "--coeff", "x^2"],
         ["criterion", "--d", "3", "--c", "-1/2"],
         ["degree3", "--a", "x", "--b", "x^2", "--c", "-1/2"],
-    ], ids=["lct", "criterion", "degree3"])
+        ["lct", "--c", "1/2", "--coeff", "x", "--d", "-1/2"],
+        ["criterion", "--c", "1/2", "--d", "-1/2"],
+    ], ids=["lct", "criterion", "degree3", "lct-d", "criterion-d"])
     def test_negative_rational_is_a_value(self, capsys, argv):
         """"--c -1/2" is read as "--c=-1/2", not as an option: both forms
-        give the same exit code and output."""
+        give the same exit code and output.  "--d -1/2" likewise reaches
+        the integer check of --d."""
         joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
         code = run(joined)
         want = capsys.readouterr()
@@ -252,6 +255,10 @@ class TestMalformedRational:
         got = capsys.readouterr()
         assert (got.out, got.err) == (want.out, want.err)
         assert "expected one argument" not in want.err
+        if argv[-2] == "--d":
+            assert code == 2
+            assert json.loads(want.err) == {
+                "error": "--d must be an integer, got '-1/2'"}
 
 
 class TestMissingCoefficients:

@@ -14,7 +14,7 @@ from lctkit.ideals import (
 )
 from lctkit.poly import UPoly
 from lctkit.qideal import NO, UNKNOWN, YES, qi_ord
-from lctkit.rootdata import integrality_test
+from lctkit.reports import integrality_test
 from lctkit.series import OrderVal, PSeries
 
 F = Fraction
@@ -103,7 +103,7 @@ class TestIdealBuilders:
                                       rng.randint(1, 3))
                      for _ in range(d)]
             h = UPoly.from_roots("y", roots)
-            from lctkit.rootdata import partial_sums
+            from lctkit.reports import partial_sums
             for k in range(1, d + 1):
                 bk = build_bk(d, k)
                 a = {f"z{i}": h.coeff(i) for i in range(1, d + 1)}
@@ -153,7 +153,7 @@ class TestIdealBuilders:
 
     def test_bbar_matches_partial_sums(self):
         rng = random.Random(21)
-        from lctkit.rootdata import partial_sums
+        from lctkit.reports import partial_sums
         for _ in range(15):
             d = rng.randint(2, 4)
             roots = [PSeries.monomial("t", rng.randint(1, 3),
@@ -169,7 +169,7 @@ class TestCor3Pack:
     def test_d2_pack_shape(self):
         pack = build_cor3_pack(2)
         assert pack.modulus == 2
-        from lctkit.poly import MPoly
+        from lctkit.mpoly import MPoly
         disc = MPoly.variable("z1") ** 2 - 4 * MPoly.variable("z2")
         assert any(p == disc or p == -disc for p in pack.polys)
 
@@ -285,7 +285,7 @@ class TestKnownThresholds:
         # product of d distinct lines: threshold 2/d; the direct decision,
         # the closed form, and the plane oracle must agree
         from lctkit.oracle import lct_plane_nondegenerate
-        from lctkit.poly import MPoly
+        from lctkit.mpoly import MPoly
         for d in (3, 4):
             h = UPoly.from_roots("y", [xs(1, k) for k in range(1, d + 1)])
             coeffs = list(h.coeffs)

@@ -27,7 +27,8 @@ import pytest
 from lctkit.criterion import choose_p, lct_ge
 from lctkit.errors import LctkitError, TruncationError
 from lctkit.numeric import diff_orders
-from lctkit.poly import UPoly, taylor_shift
+from lctkit.mpoly import taylor_shift
+from lctkit.poly import UPoly
 from lctkit.series import OrderVal, PSeries, frac_str
 
 F = Fraction

@@ -3,8 +3,9 @@ ConsistencyError, no `assert` statement (`python -O` strips it), no unused
 import, no assignment or parameter a function never reads, no function,
 method or class that only tests use, no runtime dependency besides the
 standard library and mpmath, no module-level import of a module off the
-decision path from a module on it, and no import in the oracles of a
-module whose results they check.  Importing the package loads the decision
+decision path from a module on it, no import of the symbolic layer from
+the polynomial kernel, and no import in the oracles of a module whose
+results they check.  Importing the package loads the decision
 path only and the CLI neither dataclasses nor inspect; every other layer,
 mpmath included, stays unloaded until a command uses it, also on truncated
 input at d <= 4, which never expands; an exact decision constructs no
@@ -31,9 +32,10 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # modules (and mpmath) that those may import only inside a function
 DECISION_PATH = ("__init__.py", "errors.py", "series.py", "poly.py",
                  "packed.py", "rootdata.py", "criterion.py", "cli.py")
-OFF_PATH = {"numeric", "ideals", "qideal", "oracle", "verify", "mpmath"}
+OFF_PATH = {"mpoly", "reports", "numeric", "ideals", "qideal", "oracle",
+            "verify", "mpmath"}
 # the modules whose results the oracles check, which they must not reuse
-CHECKED_BY_ORACLE = {"rootdata", "numeric", "criterion"}
+CHECKED_BY_ORACLE = {"rootdata", "reports", "numeric", "criterion"}
 
 
 def _tree(path):
@@ -278,6 +280,14 @@ def test_oracle_stays_disjoint_from_what_it_checks():
     assert imports_of(_tree(SRC / "oracle.py"), CHECKED_BY_ORACLE) == []
 
 
+def test_kernel_stays_apart_from_the_symbolic_layer():
+    """lctkit.poly imports lctkit.mpoly nowhere, not even inside a function,
+    and names MPoly nowhere: it reaches a coefficient domain through the
+    coefficients' own type."""
+    assert imports_of(_tree(SRC / "poly.py"), {"mpoly"}) == []
+    assert "MPoly" not in (SRC / "poly.py").read_text()
+
+
 def test_checks_catch_offenders():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -305,7 +315,7 @@ def test_eager_import_check_catches_offenders():
     tree = ast.parse(
         "import mpmath\n"
         "from .numeric import _expanded\n"
-        "from . import oracle, poly\n"
+        "from . import mpoly, oracle, poly, reports\n"
         "from lctkit.ideals import degree3_test\n"
         "import lctkit.verify\n"
         "from lctkit import qideal\n"
@@ -316,22 +326,23 @@ def test_eager_import_check_catches_offenders():
         "    from .numeric import diff_orders\n"
         "    import mpmath\n")
     assert eager_imports(tree) == [
-        (1, "mpmath"), (2, "numeric"), (3, "oracle"), (4, "ideals"),
+        (1, "mpmath"), (2, "numeric"), (3, "mpoly"), (3, "oracle"),
+        (3, "reports"), (4, "ideals"),
         (5, "verify"), (6, "qideal"), (9, "mpmath"), (13, "numeric")]
 
 
 def test_oracle_import_check_catches_offenders():
     tree = ast.parse(
         "from .rootdata import _lower_hull\n"
-        "from . import criterion, poly\n"
+        "from . import criterion, poly, reports\n"
         "import lctkit.numeric\n"
-        "from .poly import MPoly\n"                 # not checked: kept
+        "from .mpoly import MPoly\n"                # not checked: kept
         "def f():\n"                               # inside a function too
         "    from lctkit.rootdata import root_orders\n"
         "    from lctkit import criterion\n")
     assert imports_of(tree, CHECKED_BY_ORACLE) == [
-        (1, "rootdata"), (2, "criterion"), (3, "numeric"), (6, "rootdata"),
-        (7, "criterion")]
+        (1, "rootdata"), (2, "criterion"), (2, "reports"), (3, "numeric"),
+        (6, "rootdata"), (7, "criterion")]
 
 
 def test_exported_names_read_the_lazy_table():
@@ -429,6 +440,10 @@ code = lctkit.cli.run(["lct", "--c", "5/6", "--coeff", "x", "--coeff",
                        "x^2 - x^3", "--coeff", "2*x^3"])
 print(code, "mpmath" in sys.modules)
 print(loaded())
+lctkit.cli.run(["integrality", "--poly", "y^3 + t^2*y + t^3"])
+print(loaded())
+lctkit.cli.run(["orders", "--poly", "y^3 + t^2*y + t^3"])
+print(loaded())
 lctkit.cli.run(["diffs", "--poly", "y^3 + t^2*y + t^3"])
 print("mpmath" in sys.modules)
 print(loaded())
@@ -444,24 +459,32 @@ DECISION_MODULES = ["lctkit", "lctkit.criterion", "lctkit.errors",
 def test_exact_decision_leaves_mpmath_unloaded():
     """Importing the package loads exactly the decision path, and importing
     the CLI neither dataclasses nor inspect.  A d = 3 `lctkit lct` run
-    decides from the certificate alone, so it adds only lctkit.cli and the
-    process never imports mpmath; `lctkit diffs` expands and loads
-    lctkit.numeric and mpmath, and `lctkit oracle` loads lctkit.oracle."""
+    decides from the certificate alone, so it adds only lctkit.cli: the
+    process imports neither mpmath nor the symbolic layer (lctkit.mpoly)
+    nor the reports (lctkit.reports).  `lctkit integrality` loads the
+    reports and nothing else, and `lctkit orders` then adds nothing;
+    `lctkit diffs` expands and loads lctkit.numeric, lctkit.mpoly and
+    mpmath, and `lctkit oracle` loads lctkit.oracle."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", LAZY_MPMATH], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    (package, heavy, verdict, lct_done, after_lct, _, diffs_done,
-     after_diffs, _, after_oracle) = proc.stdout.splitlines()
+    (package, heavy, verdict, lct_done, after_lct, _, after_integrality, _,
+     after_orders, _, diffs_done, after_diffs, _,
+     after_oracle) = proc.stdout.splitlines()
     assert heavy == "[]"
     assert '"verdict": "no"' in verdict
     assert (lct_done, diffs_done) == ("0 False", "True")
-    package, after_lct, after_diffs, after_oracle = (
-        set(json.loads(line))
-        for line in (package, after_lct, after_diffs, after_oracle))
+    (package, after_lct, after_integrality, after_orders, after_diffs,
+     after_oracle) = (set(json.loads(line)) for line in (
+         package, after_lct, after_integrality, after_orders, after_diffs,
+         after_oracle))
     assert package == set(DECISION_MODULES)
     assert after_lct - package == {"lctkit.cli"}
-    assert {"lctkit.numeric", "mpmath"} <= after_diffs - after_lct
+    assert after_integrality - after_lct == {"lctkit.reports"}
+    assert after_orders == after_integrality
+    assert ({"lctkit.numeric", "lctkit.mpoly", "mpmath"}
+            <= after_diffs - after_orders)
     assert after_oracle - after_diffs == {"lctkit.oracle"}
 
 

@@ -6,7 +6,7 @@ from lctkit.errors import DegenerateError
 from lctkit.oracle import (
     lct_binomial_curve, lct_monomial_ideal, lct_plane_nondegenerate,
 )
-from lctkit.poly import MPoly
+from lctkit.mpoly import MPoly
 
 F = Fraction
 

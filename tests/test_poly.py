@@ -9,11 +9,14 @@ import pytest
 
 from lctkit import packed, poly, rootdata
 from lctkit.errors import ConsistencyError, TruncationError
+from lctkit.mpoly import (
+    MPoly, generic_compound_coeffs, generic_difference_coeffs, q_deriv,
+    q_divmod, q_squarefree, q_squarefree_decomposition, q_strip, resultant,
+    resultant_lists, taylor_shift, value_poly, z_vars,
+)
 from lctkit.poly import (
-    MPoly, UPoly, composed_difference, compound_poly, difference_poly,
-    from_power_sums, generic_compound_coeffs, generic_difference_coeffs,
-    power_sums, q_deriv, q_divmod, q_squarefree, q_squarefree_decomposition,
-    q_strip, resultant, resultant_lists, taylor_shift, value_poly, z_vars,
+    UPoly, composed_difference, compound_poly, difference_poly,
+    from_power_sums, power_sums,
 )
 from lctkit.series import INF, PSeries
 
@@ -534,7 +537,7 @@ class TestPowerSumKernel:
                 assert C.evaluate(r) == want
 
     def test_cross_difference_orders_of_explicit_roots(self):
-        from lctkit.rootdata import cross_difference_orders
+        from lctkit.reports import cross_difference_orders
         rng = random.Random(67)
         for _ in range(12):
             alphas = [rand_exact_series(rng) for _ in range(rng.randint(1, 3))]

@@ -17,7 +17,8 @@ from lctkit import rootdata
 from lctkit.errors import ConsistencyError, TruncationError
 from lctkit.poly import UPoly, difference_poly
 from lctkit.qideal import QIdeal, qi_ord, qi_power
-from lctkit.rootdata import certified_rows, newton_polygon, root_orders
+from lctkit.reports import newton_polygon
+from lctkit.rootdata import certified_rows, root_orders
 from lctkit.series import OrderVal, PSeries
 
 F = Fraction

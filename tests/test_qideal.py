@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lctkit.poly import MPoly
+from lctkit.mpoly import MPoly
 from lctkit.qideal import (
     NO, QIdeal, QIdealFrac, UNKNOWN, YES, lc_dim1, qi_ord, qi_power,
     qi_product, qi_sum,

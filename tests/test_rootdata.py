@@ -10,11 +10,12 @@ from lctkit.numeric import (
     contact_order_identity_check, diff_orders, orders_against_series,
     perturbation_check, puiseux_expand,
 )
-from lctkit.poly import UPoly, compound_poly, difference_poly, q_squarefree
-from lctkit.rootdata import (
+from lctkit.mpoly import q_squarefree
+from lctkit.poly import UPoly, compound_poly, difference_poly
+from lctkit.reports import (
     integrality_test, max_root_order, newton_polygon, partial_sums,
-    root_orders,
 )
+from lctkit.rootdata import root_orders
 from lctkit.series import INF, OrderVal, PSeries
 
 F = Fraction

@@ -101,6 +101,15 @@ def test_patterns_match_brute_force(d):
     assert ambiguous == ([] if d <= 4 else [(6, 2, 1, 1), (6, 3, 1)])
 
 
+def test_enumeration_caches_are_bounded():
+    """The pattern counts that size rootdata._TREE_CACHE, 1, 2, 6 and 18
+    for d = 2..5, by brute force; both enumeration caches are bounded, and
+    the bound holds the 365 patterns of every d <= 7."""
+    assert [len(brute_force(d)) for d in (2, 3, 4, 5)] == [1, 2, 6, 18]
+    for cache in (rootdata._row_multisets, rootdata._partitions):
+        assert cache.cache_info().maxsize == rootdata._TREE_CACHE >= 365
+
+
 def test_d5_pattern_is_ambiguous():
     # 6 pairs at a, 3 at b, 1 at c: blocks of 3 and 2 split at a; then the
     # 3 splits fully at b and the 2 at c, or the 3 splits 2 + 1 and the 2

@@ -403,6 +403,9 @@ def _cmd_verify(args):
         raise ValueError(
             f"unknown suite {args.suite!r}; available: "
             f"{', '.join(sorted(_SUITES))}")
+    if args.trials < 1:
+        raise ValueError(
+            f"--trials must be positive, got {str(args.trials)!r}")
     results = suite(args.trials, args.seed)
     results.sort(key=lambda r: r["trial"])
     failures = sum(1 for r in results if not r["ok"])

@@ -1,6 +1,6 @@
-"""Newton's identities on Kronecker-packed ints: the coefficient domain
-of the difference, composed-difference and compound polynomials of series
-input (Harvey, "Faster polynomial multiplication via multipoint Kronecker
+"""Newton's identities on Kronecker-packed ints: the coefficient orders of
+the difference polynomial of series input, which the exact certificate
+reads (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44, 2009).
 
 `lctkit.poly` writes the identities once, over a domain that supplies
@@ -12,30 +12,24 @@ coefficient built from them is an int series.  Such a series
 sum_e c_e t^(e/R) is packed as the one int sum_e c_e 2^(w e), with
 balanced w-bit digits, and a series product is one int product.  Exact
 input runs on bare ints; truncated input carries each value's truncation
-under `sum_of_products`' bound rule.  One run feeds one of two readers:
-`packed` unpacks each output coefficient, with one reduction, and `orders`
-reads only each output's lowest digit and truncation, all that a Newton
-polygon needs.
+under `sum_of_products`' bound rule.  `orders` reads only each output's
+lowest digit and truncation, all that a Newton polygon needs; no output is
+unpacked, so every polynomial that is built runs on the series route, a
+kernel that shares nothing with this one beyond the identities.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 
 from .errors import ConsistencyError
-from .series import _reduced
 
-# memoryview formats by item size, for reading packed digits off their bytes
-_WORDS = {memoryview(bytes(8)).cast(code).itemsize: code
-          for code in "BHILQ"}
-_LITTLE = sys.byteorder == "little"
-
-# The most digits per stored input term that `packed` packs.  On
-# y^d + x^k, y^d + x^a y + x^b and four-term inputs at d = 2..6, packing
-# stops paying between 10 and 130 digits per term, at fewer for larger d;
-# on dense random input it still pays at 114.
+# The most digits per stored input term that `orders` packs.  Timed
+# against the series route on y^d + x^k, y^d + x^a y + x^b and four-term
+# inputs at d = 2..6, packing stops paying between 24 and 512 digits per
+# term, at fewer for larger d and more terms (y^2 + x^k still pays at
+# 256); on dense random input at d = 6 it still pays 8.7x at 103.
 DIGITS_PER_TERM = 64
 
 
@@ -44,7 +38,7 @@ class _Norms:
     identities: the norm of a product is at most the product of the norms,
     and that of an exact quotient by k at most the norm over k, rounded up
     so that the bounds of unit norms also bound the rational ones (see
-    `packed`).  `top` keeps the largest bound met.  It is taken before any
+    `_run`).  `top` keeps the largest bound met.  It is taken before any
     cut and before any division, so it bounds every digit ever formed."""
 
     def __init__(self):
@@ -135,11 +129,11 @@ class _Cut:
 
 
 @lru_cache(maxsize=64)
-def _unit_bound(newton, degrees, args):
-    """The `top` of `newton` run on unit norms, and the number of
-    coefficients it builds; one entry per shape of input."""
+def _unit_bound(newton, d):
+    """The `top` of `newton` run on unit norms at degree d, and the number
+    of coefficients it builds."""
     bound = _Norms()
-    out = newton(bound, *[[1] * d for d in degrees], *args)
+    out = newton(bound, [1] * d)
     return bound.top, len(out)
 
 
@@ -152,32 +146,12 @@ def _width(top):
     return -(-bits // 8) * 8
 
 
-def _digits(x, w):
-    """The nonzero balanced base-2^w digits of x, {index: digit}, each
-    below 2^(w - 1) in size: one offset lifts every digit to w unsigned
-    bits, which are read off the bytes of the sum."""
-    if not x:
-        return {}
-    n = x.bit_length() // w + 1
-    step = w // 8
-    half = 1 << (w - 1)
-    raw = (x + int.from_bytes(half.to_bytes(step, "little") * n, "little")
-           ).to_bytes(n * step, "little")
-    code = _WORDS.get(step) if _LITTLE else None
-    if code is None:
-        words = [int.from_bytes(raw[i:i + step], "little")
-                 for i in range(0, n * step, step)]
-    else:
-        words = memoryview(raw).cast(code)
-    return {i: c - half for i, c in enumerate(words) if c != half}
-
-
-def _run(polys, newton, weight, args):
-    """`newton(dom, *coefficient lists, *args)` run on packed ints over the
-    series coefficients of `polys`: (values, w, R, L), each value a pair
-    (x, tr) of the packed int of c_j L^(weight j) and its truncation in
-    digits (None when exactly known), or None when the input is too sparse
-    for packing to pay.
+def _run(h, newton, weight):
+    """`newton(dom, coefficient list)` run on packed ints over the series
+    coefficients of h: (values, w, R), each value a pair (x, tr) of the
+    packed int of c_j L^(weight j) and its truncation in digits (None when
+    exactly known), or None when the input is too sparse for packing to
+    pay.
 
     The identities are weighted homogeneous, a_i of weight i and c_j of
     weight `weight` j, and no value weighs more than c_n.  So no value has
@@ -190,85 +164,58 @@ def _run(polys, newton, weight, args):
     by the same homogeneity every bound is at most its unit-norm bound
     times M^D, and M^D <= max n_i^ceil(D/i)."""
     L = R = 1
-    for p in polys:
-        for a in p.coeffs:
-            L, R = math.lcm(L, a._den), math.lcm(R, a._ram)
-    unit, n = _unit_bound(newton, tuple([len(p.coeffs) for p in polys]),
-                          args)
+    for a in h.coeffs:
+        L, R = math.lcm(L, a._den), math.lcm(R, a._ram)
+    unit, n = _unit_bound(newton, len(h.coeffs))
     D = weight * n
     exact = True
     reach = terms = 0
     # a_i L^i as {digit: int coefficient}, its norm and its truncation in
     # digits
-    rows, norms, trs = [], [], []
-    for p in polys:
-        row, norm = [], []
-        for i, a in enumerate(p.coeffs, 1):
-            f, g = L ** i // a._den, R // a._ram
-            t = a._t
-            if f != 1 or g != 1:
-                t = {e * g: c * f for e, c in t.items()}
-            if t:
-                terms += len(t)
-                top = D * max(t) // i
-                if top > reach:
-                    reach = top
-            row.append(t)
-            norm.append(sum(map(abs, t.values())))
-            trs.append(None if a._tr is None else a._tr * R)
-            exact = exact and a._tr is None
-        rows.append(row)
-        norms.append(norm)
+    row, norms, trs = [], [], []
+    for i, a in enumerate(h.coeffs, 1):
+        f, g = L ** i // a._den, R // a._ram
+        t = a._t
+        if f != 1 or g != 1:
+            t = {e * g: c * f for e, c in t.items()}
+        if t:
+            terms += len(t)
+            top = D * max(t) // i
+            if top > reach:
+                reach = top
+        row.append(t)
+        norms.append(sum(map(abs, t.values())))
+        trs.append(None if a._tr is None else a._tr * R)
+        exact = exact and a._tr is None
     if reach > DIGITS_PER_TERM * terms:
         return None
     scale = 1
-    for norm in norms:
-        for i, m in enumerate(norm, 1):
-            scale = max(scale, m ** -(-D // i))
+    for i, m in enumerate(norms, 1):
+        scale = max(scale, m ** -(-D // i))
     w = _width(unit * scale)
-    trs = iter(trs)
-    ints = []
-    for row in rows:
-        xs = []
-        for t in row:
-            x = 0
-            for e, c in t.items():
-                x += c << w * e
-            xs.append(x if exact else (x, next(trs)))
-        ints.append(xs)
-    values = newton(_Ints if exact else _Cut(w), *ints, *args)
+    xs = []
+    for t, tr in zip(row, trs):
+        x = 0
+        for e, c in t.items():
+            x += c << w * e
+        xs.append(x if exact else (x, tr))
+    values = newton(_Ints if exact else _Cut(w), xs)
     if exact:
         values = [(x, None) for x in values]
-    return values, w, R, L
+    return values, w, R
 
 
-def packed(polys, newton, weight, args):
-    """The coefficients c_1..c_n that `newton(dom, *coefficient lists,
-    *args)` builds from the series coefficients of `polys`, run on packed
-    ints (see `_run`), or None when the input is too sparse for packing to
-    pay.  The roots are scaled by L, so c_j comes out scaled by
-    L^(weight j) and is unpacked over that."""
-    run = _run(polys, newton, weight, args)
+def orders(h, newton, weight):
+    """The orders of the coefficients c_1..c_n that `newton(dom, h.coeffs)`
+    builds from the series coefficients of h, as `PSeries.order_units`
+    gives them, or None when the input is too sparse for packing to pay.
+    Only each value's lowest digit is read: the digits are balanced, so the
+    lowest nonzero one of x is v2(x) // w, and a cut leaves none at or past
+    the truncation.  The order k / R is over R itself, not reduced, and a
+    value with no digit gives (None, its truncation)."""
+    run = _run(h, newton, weight)
     if run is None:
         return None
-    values, w, R, L = run
-    var = polys[0].coeffs[0].var
-    return [_reduced(var, _digits(x, w), R, L ** (weight * j),
-                     None if tr is None else tr / R)
-            for j, (x, tr) in enumerate(values, 1)]
-
-
-def orders(polys, newton, weight, args):
-    """The orders of the coefficients c_1..c_n that `packed` would unpack,
-    as `PSeries.order_units` gives them, or None when the input is too
-    sparse for packing to pay.  Only each value's lowest digit is read:
-    the digits are balanced, so the lowest nonzero one of x is
-    v2(x) // w, and a cut leaves none at or past the truncation.  The
-    order k / R is over R itself, not reduced, and a value with no digit
-    gives (None, its truncation)."""
-    run = _run(polys, newton, weight, args)
-    if run is None:
-        return None
-    values, w, R, _ = run
+    values, w, R = run
     return [(((x & -x).bit_length() - 1) // w, R) if x else
             (None, None if tr is None else tr / R) for x, tr in values]

@@ -7,13 +7,15 @@ The difference, cross-difference and compound polynomials come from one
 kernel: root power sums by Newton's identities, combined and turned back
 into coefficients by the same identities run in reverse.  The identities
 are written once, over a domain that supplies their multiply-accumulate
-and exact division.  Over series input they run on Kronecker-packed ints,
-one int product per series product, unless the input is too sparse for
-that to pay; sparse input runs on `sum_of_products`, and polynomial
-coefficients on a plain fold.  Compound polynomials have no degree cap.
-The exact certificate reads only the orders of the difference polynomial's
-coefficients, which `difference_orders` takes off the packed ints without
-unpacking them.
+and exact division.  Every polynomial that is built runs them on its own
+coefficients: series through `sum_of_products`, polynomials by a plain
+fold.  Compound polynomials have no degree cap.  The exact certificate
+reads only the orders of the difference polynomial's coefficients, which
+`difference_orders` takes off Kronecker-packed ints (lctkit.packed)
+without building the polynomial, unless the input is too sparse for
+packing to pay.  On packed input the two routes share only the
+identities, so the built polynomial is an independent check of the
+certificate.
 
 This module is the decision path's share of the polynomial layer.  The
 symbolic layer (multivariate polynomials over Q, Taylor shifts, resultants,
@@ -138,12 +140,10 @@ class UPoly:
 # Newton's identities are written once, over a domain that supplies
 # `const(c)`, the multiply-accumulate `mac(terms)` (the sum of k*a*b over
 # (k, a, b) triples with int k, k*a where b is None) and the exact division
-# `div(x, k)`.  Polynomial coefficients fold, and the value polynomial's
-# series (lctkit.mpoly) run through `sum_of_products`.  The difference,
-# composed-difference and compound polynomials of series input run on
-# Kronecker-packed ints (`lctkit.packed`), one int product per series
-# product, unless the input is too sparse for packing to pay; then they run
-# through `sum_of_products` too.
+# `div(x, k)`.  Every polynomial built from roots runs them over `_Exact`:
+# series through `sum_of_products`, polynomial coefficients by a fold.  The
+# certificate's orders alone run them on Kronecker-packed ints
+# (`lctkit.packed`), one int product per series product.
 # ---------------------------------------------------------------------------
 
 class _Exact:
@@ -167,17 +167,6 @@ class _Exact:
     @staticmethod
     def div(x, k):
         return x.scale(Fraction(1, k))
-
-
-def _build(polys, newton, weight, *args):
-    """c_1..c_n from `newton` over the coefficients of `polys`: on packed
-    ints for series unless they are too sparse, else through `_Exact`."""
-    template = polys[0].coeffs[0]
-    if isinstance(template, PSeries):
-        out = packed.packed(polys, newton, weight, args)
-        if out is not None:
-            return out
-    return newton(_Exact(template), *(p.coeffs for p in polys), *args)
 
 
 def power_sums(dom, a, n):
@@ -231,7 +220,8 @@ def composed_difference(f: UPoly, g: UPoly) -> UPoly:
     if f.is_series and g.is_series and f.coeffs[0].var != g.coeffs[0].var:
         raise ValueError("series variable mismatch: "
                          f"{f.coeffs[0].var!r} vs {g.coeffs[0].var!r}")
-    return UPoly(f.var, _build([f, g], _composed_sums, 1))
+    return UPoly(f.var, _composed_sums(_Exact(f.coeffs[0]), f.coeffs,
+                                       g.coeffs))
 
 
 def _difference_sums(dom, a):
@@ -263,7 +253,7 @@ def difference_poly(h: UPoly) -> UPoly:
         raise ValueError("difference polynomial needs degree >= 2")
     zero = _lift(0, h.coeffs[0])
     coeffs = []
-    for e in _build([h], _difference_sums, 2):
+    for e in _difference_sums(_Exact(h.coeffs[0]), h.coeffs):
         coeffs.extend((zero, e))
     return UPoly(h.var, coeffs)
 
@@ -276,7 +266,7 @@ def difference_orders(h: UPoly):
     E_j is D's a_(2j), and the odd coefficients vanish exactly."""
     if h.degree < 2:
         raise ValueError("difference polynomial needs degree >= 2")
-    evens = packed.orders([h], _difference_sums, 2, ())
+    evens = packed.orders(h, _difference_sums, 2)
     if evens is None:
         evens = [e.order_units() for e in
                  _difference_sums(_Exact(h.coeffs[0]), h.coeffs)]
@@ -303,5 +293,5 @@ def compound_poly(h: UPoly, k: int) -> UPoly:
     Newton's identities give from s_m, s_2m, ..., s_km."""
     if not 1 <= k <= h.degree:
         raise ValueError("k out of range")
-    return UPoly(h.var, _build([h], _compound_sums, k, k))
+    return UPoly(h.var, _compound_sums(_Exact(h.coeffs[0]), h.coeffs, k))
 

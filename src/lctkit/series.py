@@ -18,11 +18,11 @@ bound, in the exponent units of the result, wherever terms are cut.  The
 public `terms` and `trunc` present the same values as {Fraction: Fraction}
 and as INF or a Fraction.  Sums, differences, scalings and products all
 go through `sum_of_products`, which forms a whole sum of scaled products in
-one dict with one reduction.  It is the series arithmetic; of the Newton
-identities it runs the value polynomial's, and the others only on input
-too sparse to pack, since `lctkit.poly` runs the difference,
-cross-difference and compound polynomials on packed ints under its
-truncation rule.
+one dict with one reduction.  It is the series arithmetic, and it runs
+Newton's identities for every polynomial that is built: the difference,
+cross-difference, compound and value polynomials.  Only the certificate's
+coefficient orders run them on packed ints (lctkit.packed), under this
+function's truncation rule.
 
 All values are immutable and all operations are pure.
 """

@@ -226,9 +226,12 @@ class TestMalformedRational:
           "--trunc", "-1/2"], "--trunc", "-1/2"),
         (["diffs", "--poly", "y^2 - t^3", "--depth", "-1/2"], "--depth",
          "-1/2"),
+        (["verify", "--suite", "diffs", "--trials", "0"], "--trials", "0"),
+        (["verify", "--suite", "diffs", "--trials", "-1"], "--trials", "-1"),
     ], ids=["lct-trunc-zero", "lct-trunc-negative", "diffs-depth-zero",
             "diffs-depth-negative", "lct-trunc-negative-separate",
-            "diffs-depth-negative-fraction"])
+            "diffs-depth-negative-fraction", "verify-trials-zero",
+            "verify-trials-negative"])
     def test_non_positive_bound(self, capsys, argv, option, value):
         assert run(argv) == 2
         out = capsys.readouterr()

@@ -4,13 +4,13 @@ import, no assignment or parameter a function never reads, no function,
 method or class that only tests use, no runtime dependency besides the
 standard library and mpmath, no module-level import of a module off the
 decision path from a module on it, no import of the symbolic layer from
-the polynomial kernel, and no import in the oracles of a module whose
-results they check.  Importing the package loads the decision
+the polynomial kernel, no import in the packed kernel of a package module
+besides errors, and no import in the oracles of a module whose results
+they check.  Importing the package loads the decision
 path only and the CLI neither dataclasses nor inspect; every other layer,
 mpmath included, stays unloaded until a command uses it, also on truncated
 input at d <= 4, which never expands; an exact decision constructs no
-OrderVal, and an exact table-cache miss constructs one UPoly and unpacks
-no packed digit."""
+OrderVal, and an exact table-cache miss constructs one UPoly."""
 
 import ast
 import json
@@ -36,6 +36,8 @@ OFF_PATH = {"mpoly", "reports", "numeric", "ideals", "qideal", "oracle",
             "verify", "mpmath"}
 # the modules whose results the oracles check, which they must not reuse
 CHECKED_BY_ORACLE = {"rootdata", "reports", "numeric", "criterion"}
+# the package modules lctkit.packed must not import: all but errors
+BESIDE_PACKED = {path.stem for path in MODULES} - {"__init__", "errors"}
 
 
 def _tree(path):
@@ -288,6 +290,14 @@ def test_kernel_stays_apart_from_the_symbolic_layer():
     assert "MPoly" not in (SRC / "poly.py").read_text()
 
 
+def test_packed_kernel_imports_only_errors():
+    """lctkit.packed imports no package module besides lctkit.errors, not
+    even inside a function.  It reads the certificate's orders off packed
+    ints and builds no series, so no reader that unpacks them, and no
+    series route, sits beside the kernel the built polynomials check."""
+    assert imports_of(_tree(SRC / "packed.py"), BESIDE_PACKED) == []
+
+
 def test_checks_catch_offenders():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -343,6 +353,18 @@ def test_oracle_import_check_catches_offenders():
     assert imports_of(tree, CHECKED_BY_ORACLE) == [
         (1, "rootdata"), (2, "criterion"), (2, "reports"), (3, "numeric"),
         (6, "rootdata"), (7, "criterion")]
+
+
+def test_packed_import_check_catches_offenders():
+    tree = ast.parse(
+        "import math\n"
+        "from .errors import ConsistencyError\n"     # errors: kept
+        "from .series import _reduced\n"
+        "from . import errors, poly\n"
+        "def f():\n"                                # inside a function too
+        "    import lctkit.series\n")
+    assert imports_of(tree, BESIDE_PACKED) == [
+        (3, "series"), (4, "poly"), (6, "series")]
 
 
 def test_exported_names_read_the_lazy_table():
@@ -600,10 +622,10 @@ def test_exact_miss_constructs_one_upoly(monkeypatch):
     """An exact lct_ge miss at d = 2..4 validates the coefficients once:
     it constructs one UPoly, h from the coefficients.  The certificate is
     read off the packed ints' lowest digits, so no difference polynomial is
-    built and no packed digit is unpacked."""
+    built."""
     from fractions import Fraction
 
-    from lctkit import criterion, packed
+    from lctkit import criterion
     from lctkit.criterion import lct_ge
     from lctkit.poly import UPoly
 
@@ -616,12 +638,8 @@ def test_exact_miss_constructs_one_upoly(monkeypatch):
         real(self, var, coeffs)
         made.append(self.degree)
 
-    def unpacked(*args):
-        raise AssertionError("a packed digit was unpacked")
-
     criterion._table_for.cache_clear()
     monkeypatch.setattr(UPoly, "__init__", counted)
-    monkeypatch.setattr(packed, "_digits", unpacked)
     for d, coeffs in inputs:
         lct_ge(d, Fraction(2, 3), coeffs)
     monkeypatch.undo()

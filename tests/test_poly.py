@@ -15,8 +15,8 @@ from lctkit.mpoly import (
     resultant_lists, taylor_shift, value_poly, z_vars,
 )
 from lctkit.poly import (
-    UPoly, composed_difference, compound_poly, difference_poly,
-    from_power_sums, power_sums,
+    UPoly, composed_difference, compound_poly, difference_orders,
+    difference_poly, from_power_sums, power_sums,
 )
 from lctkit.series import INF, PSeries
 
@@ -603,29 +603,32 @@ class TestPowerSumKernel:
         # y^4 + t^(10^6) would pack into ints of 3e6 digits; the series
         # route keeps one term per value.  Its roots are zeta t^250000, so
         # D is the difference polynomial of y^4 + 1 with c_j scaled by
-        # t^(250000 j).
+        # t^(250000 j), and the certificate reads D's orders.
         routes = []
-        real = packed.packed
+        real = packed.orders
 
         def spy(*args):
             routes.append(real(*args))
             return routes[-1]
 
-        monkeypatch.setattr(packed, "packed", spy)
+        monkeypatch.setattr(packed, "orders", spy)
         top = 10 ** 6
         zeros = [PSeries.zero("t")] * 3
+        h = UPoly("y", zeros + [mono(top)])
         start = time.perf_counter()
-        D = difference_poly(UPoly("y", zeros + [mono(top)]))
+        got = difference_orders(h)
+        D = difference_poly(h)
         elapsed = time.perf_counter() - start
         one = difference_poly(UPoly("y", zeros + [PSeries.one("t")]))
         assert list(D.coeffs) == [c * mono(F(top, 4) * j)
                                   for j, c in enumerate(one.coeffs, 1)]
-        assert routes[0] is None and routes[1] is not None
+        assert got == [c.order_units() for c in D.coeffs]
+        assert routes == [None]
         assert elapsed < 5
         # the sparsest packing any benchmark workload asks for stays
         # packed: y^5 + t^10 reaches 40 digits with one term
-        difference_poly(UPoly("y", zeros + [PSeries.zero("t"), mono(10)]))
-        assert routes[2] is not None
+        difference_orders(UPoly("y", zeros + [PSeries.zero("t"), mono(10)]))
+        assert routes[1] is not None
 
     @pytest.mark.parametrize("roots", stress_roots())
     def test_stress_roots_match_explicit_polynomials(self, roots):
@@ -707,13 +710,6 @@ def _builds(rng):
     return out
 
 
-def series_route(polys, newton, weight, args):
-    """Newton's identities over PSeries coefficients, in place of the
-    packed route."""
-    return newton(poly._Exact(polys[0].coeffs[0]),
-                  *(p.coeffs for p in polys), *args)
-
-
 class TestTruncatedKernel:
     """On truncated input every polynomial built from roots has the fields
     it gets from the same identities over PSeries with a reference sum of
@@ -727,7 +723,6 @@ class TestTruncatedKernel:
         builds = _builds(random.Random(79))
         fused = [fields(thunk) for _, thunk in builds]
         monkeypatch.setattr(poly, "sum_of_products", fold_products)
-        monkeypatch.setattr(packed, "packed", series_route)
         folded = [fields(thunk) for _, thunk in builds]
         for (name, _), a, b in zip(builds, fused, folded):
             assert a == b, name
@@ -772,9 +767,9 @@ def _built_certificate(h):
 
 class TestDifferenceOrders:
     """The certificate read off the lowest packed digit of each coefficient
-    of D (rootdata._difference_levels) against D built and read: the same
-    levels, and on truncated input the same TruncationError text and
-    `required` hint."""
+    of D (rootdata._difference_levels) against D built on the series route
+    and read: the same levels, and on truncated input the same
+    TruncationError text and `required` hint."""
 
     def test_matches_built_difference_poly(self, monkeypatch):
         rng = random.Random(89)
@@ -789,19 +784,25 @@ class TestDifferenceOrders:
                                          rng.choice([1, 2, 3])))
                            if rng.random() < 0.7 else a for a in h.coeffs])
                for h in exact for _ in range(3)]
-        routes = []
-        real = packed.orders
+        runs = []
+        real = packed._run
 
         def spy(*args):
             out = real(*args)
-            routes.append(out is not None)
+            runs.append(out is not None)
             return out
 
-        monkeypatch.setattr(packed, "orders", spy)
-        seen = set()
+        # the certificate runs the packed kernel once per input, and D is
+        # built without it: the two share only Newton's identities
+        monkeypatch.setattr(packed, "_run", spy)
+        routes, seen = [], set()
         for h in exact + cut:
             got = _certificate(rootdata._difference_levels, h)
+            assert len(runs) == 1, h.coeffs
+            routes += runs
+            runs.clear()
             assert got == _certificate(_built_certificate, h), h.coeffs
+            assert runs == [], h.coeffs
             seen.add("raised" if got[0] == "raised" else
                      "infinite" if got[1] else "finite")
         assert seen == {"raised", "infinite", "finite"}

@@ -86,35 +86,32 @@ def _table_for(coeffs):
 
 def _centers(band, prefix_sums):
     """The center c1 * S_(p-1) + c2 * S_p of each row of int prefix sums
-    (see RootRows), as (numerator over b * L, rank): rank 0 for an exact
-    center, 1 for one known from below and 2, numerator None, for an
-    infinite one, the ranks of OrderVal.sort_key.  c2 > 0, so a center is
-    infinite exactly when S_p is; an infinite S_(p-1) makes S_p infinite,
-    so a zero c1 against it needs no case of its own."""
+    (see RootRows), as its numerator over b * L, or None when it is
+    infinite.  c2 > 0, so a center is infinite exactly when S_p is; an
+    infinite S_(p-1) makes S_p infinite, so a zero c1 against it needs no
+    case of its own."""
     p, w1, w2, _ = band
-    return [(None, 2) if p > inf else
-            (w1 * sums[p - 1] + w2 * sums[p], 0 if p <= inexact else 1)
-            for sums, inexact, inf in prefix_sums]
+    return [None if p >= len(sums) else w1 * sums[p - 1] + w2 * sums[p]
+            for sums in prefix_sums]
 
 
 def _eval_v(band, coeffs):
     """V from validated coefficients, the largest center over the table's
-    distinct rows, as (numerator, rank, b * L): infinite when one center
-    is, exact when all are."""
+    distinct rows, as (numerator or None, b * L): None, the infinite V,
+    when one center is infinite."""
     table = _table_for(tuple(coeffs))
     one = band[3] * table.denominator
     centers = _centers(band, table.distinct_prefix_sums)
-    rank = max(r for _, r in centers)
-    if rank == 2:
-        return None, 2, one
-    return max(n for n, _ in centers), rank, one
+    if None in centers:
+        return None, one
+    return max(centers), one
 
 
-def _order_json(num, rank, den):
-    """OrderVal.to_json of num/den with the given rank, from the ints."""
-    if rank == 2:
+def _order_json(num, den):
+    """OrderVal.to_json of num/den from the ints; None is infinite."""
+    if num is None:
         return {"kind": OrderVal.INFINITE}
-    return {"kind": OrderVal.KINDS[rank], "value": ratio_str(num, den)}
+    return {"kind": OrderVal.EXACT, "value": ratio_str(num, den)}
 
 
 def lct_ge(d: int, c, coeffs):
@@ -127,10 +124,9 @@ def lct_ge(d: int, c, coeffs):
     with the error as `reason` and the truncation hint as `required` in
     place of V.
 
-    V = num / (b * L) with c = a/b and L the table's denominator, so the
-    verdict is the one int comparison num <= b * L: yes when V is exact, no
-    when V is infinite or exceeds 1, unknown when V is only known from
-    below and does not exceed 1.
+    Every entry of the table is exact or infinite, so V is too: with
+    c = a/b and L the table's denominator, V = num / (b * L) and the
+    verdict is the one int comparison num <= b * L, no when V is infinite.
     """
     c = as_frac(c)
     if d < 1:
@@ -149,13 +145,13 @@ def lct_ge(d: int, c, coeffs):
     p, w1, w2, _ = band
     diag.update({"p": p, "c1": ratio_str(w1, b), "c2": ratio_str(w2, b)})
     try:
-        num, rank, one = _eval_v(band, coeffs)
+        num, one = _eval_v(band, coeffs)
     except TruncationError as exc:
         diag["reason"] = str(exc)
         diag["required"] = (None if exc.required is None
                             else frac_str(exc.required))
         return UNKNOWN, diag
-    diag["V"] = _order_json(num, rank, one)
-    if rank == 2 or num > one:
+    diag["V"] = _order_json(num, one)
+    if num is None or num > one:
         return NO, diag
-    return (YES if rank == 0 else UNKNOWN), diag
+    return YES, diag

@@ -23,8 +23,7 @@ from .mpoly import q_squarefree_decomposition, taylor_shift
 from .poly import UPoly
 from .reports import cross_difference_orders
 from .rootdata import (
-    RootRows, _difference_levels, _hull_value, _lower_hull, _order_list,
-    root_orders,
+    _difference_levels, _hull_value, _lower_hull, _order_list, root_orders,
 )
 from .series import INF, OrderVal, PSeries, as_frac, frac_str
 
@@ -238,11 +237,11 @@ def _char_roots(coeffs, extraprec, separation=None):
 def _solve_char(phi_num, phi_exact, prec, tols):
     """Roots of the characteristic polynomial with multiplicity structure.
 
-    phi_num: descending mpc coefficients; phi_exact: matching Fractions when
-    the data is exact (top level), else None.  Returns [(root, mult)].
-    Exact data gets its multiplicities from a squarefree decomposition; the
-    numeric fallback first tests for a single multiple root, then clusters
-    by tolerance.
+    phi_num: descending mpc coefficients; phi_exact: matching Fractions where
+    the input is known on the segment (top level), else None.  Returns
+    [(root, mult)].  Exact data gets its multiplicities from a squarefree
+    decomposition; the numeric fallback first tests for a single multiple
+    root, then clusters by tolerance.
     """
     deg = len(phi_num) - 1
     if phi_exact is not None:
@@ -377,6 +376,7 @@ def _transform(coeffs, q, u, mu, cut, tols):
 def _expand_rec(coeffs, exact, depth, prec, tols, lazy, level):
     """All positive-order root expansions of the polynomial with coefficients
     c_0..c_d (ascending), truncated below `depth` (relative exponents).
+    `exact` is the input's coefficients at the top level, None below it;
     `lazy` turns on the depth cut of _transform (exact input only)."""
     if level > 512:
         raise ConsistencyError("expansion recursion exceeded its level cap")
@@ -389,14 +389,14 @@ def _expand_rec(coeffs, exact, depth, prec, tols, lazy, level):
             expansions.extend([] for _ in range(mult_total))
             continue
         # characteristic polynomial from the points on the segment
-        phi_num = []
-        phi_exact = [] if exact is not None else None
-        for j in range(j2, j1 - 1, -1):
-            line = v1 - q * (j - j1)
-            c = coeffs[j].terms.get(line)
-            phi_num.append(c if c is not None else mpmath.mpc(0))
-            if phi_exact is not None:
-                phi_exact.append(exact[j].coeff(line))
+        points = [(j, v1 - q * (j - j1)) for j in range(j2, j1 - 1, -1)]
+        phi_num = [coeffs[j].terms.get(line, mpmath.mpc(0))
+                   for j, line in points]
+        # read exactly when every coefficient on the segment is known there
+        phi_exact = ([exact[j].coeff(line) for j, line in points]
+                     if exact is not None
+                     and all(exact[j].trunc > line for j, line in points)
+                     else None)
         mu = v1 + q * j1
         found = 0
         for (u, mult) in _solve_char(phi_num, phi_exact, prec, tols):
@@ -442,8 +442,6 @@ def puiseux_expand(h: UPoly, depth, precision=None) -> PuiseuxRootSet:
             exact.append(ps)
         known = max((ps.trunc for ps in exact if ps.trunc != INF),
                     default=None)
-        if known is not None:
-            exact = None  # exact char-poly route needs fully exact data
         try:
             expansions = _expand_rec(coeffs, exact, depth, prec,
                                      _tolerances(prec), known is None, 0)
@@ -475,18 +473,18 @@ def puiseux_expand(h: UPoly, depth, precision=None) -> PuiseuxRootSet:
 # Difference-order tables
 # ---------------------------------------------------------------------------
 
-class DiffOrderTable(RootRows):
+class DiffOrderTable:
     """d x d matrix of ord(alpha_j - alpha_i) with per-root sorted rows;
     the off-diagonal multiset is certified against the exact root orders of
     the difference polynomial."""
 
-    __slots__ = ("degree", "entries", "certificate", "depth")
+    __slots__ = ("degree", "entries", "rows", "certificate", "depth")
 
     def __init__(self, degree, entries, certificate, depth):
-        super().__init__([sorted(row, key=OrderVal.sort_key)
-                          for row in entries])
         self.degree = degree
         self.entries = entries
+        self.rows = tuple(tuple(sorted(row, key=OrderVal.sort_key))
+                          for row in entries)
         self.certificate = certificate
         self.depth = depth
 

@@ -7,10 +7,10 @@ int polygon, with its truncation and Lemma-1 checks, reads a list of
 coefficient orders: those of h's coefficients, or those of the difference
 polynomial D's, read off the packed power sums without building D
 (poly.difference_orders).
-certified_rows reads the per-root rows of difference orders, on exact and
-truncated input alike, from the root tree of D's root orders wherever that
-tree fixes them; only where it does not does it import the numeric layer
-(lctkit.numeric, and with it mpmath) to attach orders to roots.  The
+certified_rows builds the per-root rows of difference orders, on exact and
+truncated input alike, from one root tree of D's root orders; only where
+several trees have D's counts does it import the numeric layer
+(lctkit.numeric, and with it mpmath), whose expansion picks the tree.  The
 dual-route reports built on this polygon (the NewtonPolygon object,
 partial sums, the largest root order, integrality, cross-difference orders)
 are lctkit.reports, which a decision never loads.
@@ -54,8 +54,6 @@ def _hull_value(hull, x):
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if x1 <= x <= x2:
             return y1 + (y2 - y1) * Fraction(x - x1, x2 - x1)
-    if hull and x == hull[0][0]:
-        return hull[0][1]
     raise ValueError("abscissa outside hull range")
 
 
@@ -224,83 +222,59 @@ class RootRows:
     each ending in the root's infinite order against itself.  The rows form
     a multiset: which row belongs to which root is not recorded.
 
-    A table is kept on ints.  `denominator` is the lcm L of the
-    denominators of its finite entries.  Each distinct entry is a pair
-    (num, rank): its numerator over L (None when infinite) and its rank in
-    OrderVal.RANK; a row lists the indices of its entries.  The prefix sums
-    S_0 = 0, S_1, .., S_d of a row are a triple (sums, inexact, inf):
-    `sums` holds the numerators over L of its finite sums S_0 .. S_inf,
-    `inexact` is the index of the row's first entry that is not exact and
-    `inf` that of its first infinite entry (both len(row) when there is
-    none), so S_k is exact iff k <= inexact and finite iff k <= inf.
+    A table is built from one root tree and kept on ints.  `denominator` is
+    the lcm L of the denominators of the tree's finite levels, `levels`
+    holds their numerators over L, ascending, with None, the infinite
+    order, last, and a row lists the indices of its entries' levels.  Every
+    entry is exact or infinite.  The prefix sums S_0 = 0, S_1, .. of a row
+    are the numerators over L of its finite sums: they stop at its first
+    infinite entry, so S_k is infinite iff k >= len(sums).
 
-    `distinct_prefix_sums`, one triple per distinct row, is built with the
+    `distinct_prefix_sums`, one tuple per distinct row, is built with the
     table: it is all that a maximum over the rows reads.  `prefix_sums`,
-    one triple per row with equal rows sharing one, and the OrderVal
-    `rows` are built when read."""
+    one tuple per row with equal rows sharing one, and the OrderVal `rows`
+    are built when read."""
 
-    __slots__ = ("denominator", "distinct_prefix_sums", "_entries", "_shape",
+    __slots__ = ("denominator", "distinct_prefix_sums", "_levels", "_shape",
                  "_rows")
 
-    def __init__(self, rows):
-        """The table of rows of OrderVals."""
-        rows = [tuple(row) for row in rows]
-        vals = list(dict.fromkeys(v for row in rows for v in row))
-        den = math.lcm(*(v.value.denominator for v in vals
-                         if not v.is_infinite))
-        entries = tuple(
-            (None, 2) if v.is_infinite else
-            (v.value.numerator * (den // v.value.denominator),
-             OrderVal.RANK[v.kind]) for v in vals)
-        index = {v: k for k, v in enumerate(vals)}
-        self._set(den, entries,
-                  tuple(tuple(index[v] for v in row) for row in rows))
-
-    def _set(self, den, entries, shape):
-        """Fills a table from its int form (see RootRows)."""
-        self.denominator = den
-        self._entries = entries
+    def __init__(self, denominator, levels, shape):
+        self.denominator = denominator
+        self._levels = levels
         self._shape = shape
         self._rows = None
         self.distinct_prefix_sums = tuple(
-            _prefix_sums(entries, row) for row in dict.fromkeys(shape))
-        return self
+            _prefix_sums(levels, row) for row in dict.fromkeys(shape))
 
     @property
     def rows(self):
         """The rows as tuples of OrderVals."""
         if self._rows is None:
             den = self.denominator
-            vals = [OrderVal.infinite() if rank == 2 else
-                    OrderVal(OrderVal.KINDS[rank], Fraction(num, den))
-                    for num, rank in self._entries]
+            vals = [OrderVal.infinite() if num is None else
+                    OrderVal.exact(Fraction(num, den))
+                    for num in self._levels]
             self._rows = tuple(tuple(vals[k] for k in row)
                                for row in self._shape)
         return self._rows
 
     @property
     def prefix_sums(self):
-        """One prefix-sum triple per row; equal rows share one."""
+        """One prefix-sum tuple per row; equal rows share one."""
         sums = dict(zip(dict.fromkeys(self._shape),
                         self.distinct_prefix_sums))
         return tuple(sums[row] for row in self._shape)
 
 
-def _prefix_sums(entries, row):
-    """The (sums, inexact, inf) triple of the row of entries[k], k in row
-    (see RootRows): the one routine that builds prefix sums."""
+def _prefix_sums(levels, row):
+    """The prefix sums of the row of levels[k], k in row (see RootRows):
+    the one routine that builds them."""
     sums = [0]
-    inexact = inf = len(row)
-    for k, e in enumerate(row):
-        num, rank = entries[e]
-        if rank == 2:
-            inf = k
-            inexact = min(inexact, k)
+    for k in row:
+        if levels[k] is None:
             break
-        if rank and inexact > k:
-            inexact = k
-        sums.append(sums[-1] + num)
-    return tuple(sums), inexact, inf
+        sums.append(sums[-1] + levels[k])
+    return tuple(sums)
 
 
 # The root-tree enumeration caches, _row_multisets keyed by count pattern
@@ -363,24 +337,25 @@ def _row_multisets(d, counts):
 
 def certified_rows(h: UPoly):
     """The rows of h's difference-order table, the one route from the
-    coefficients to the table V reads: a RootRows.
+    coefficients to the table V reads: a RootRows, built from one root tree.
 
     The rows are read from the certificate's root tree, the root orders of
     the difference polynomial D, which _difference_levels reads off the
     lowest digit of each of D's packed coefficients without building D.
     Truncation is tracked through D's coefficients, so a polygon of D that
     certifies is that of every completion of h, and so are the rows.
-    Where the tree does not fix the rows (some count patterns from d = 5
-    on; every pattern with d <= 4 fixes them), the certified expansion
-    attaches orders to roots, checked against the certificate already
-    read.  When D's polygon is left open
-    by truncation, h's own polygon is read first, so that a TruncationError
-    of h's, with its `required` hint in h's terms, is the one raised.
+    Where several trees have the certificate's counts (some patterns from
+    d = 5 on; every pattern with d <= 4 has one), the certified expansion
+    only picks the tree: its rows, mapped onto the certificate's levels,
+    must be one of the enumerated row multisets, else ConsistencyError.
+    When D's polygon is left open by truncation, h's own polygon is read
+    first, so that a TruncationError of h's, with its `required` hint in
+    h's terms, is the one raised.
 
     The levels of the tree are the certificate's distinct orders: its
     finite levels, ascending, then its infinite one when there is one.
-    Their numerators over L become the table's entries, with one infinite
-    entry last for each root's order against itself."""
+    Their numerators over L become the table's levels, with one infinite
+    level last for each root's order against itself."""
     try:
         levels, infinite = _difference_levels(h)
     except TruncationError:
@@ -396,16 +371,25 @@ def certified_rows(h: UPoly):
     if not found:
         raise ConsistencyError(
             "no root tree has the difference-polynomial orders")
+    tree = found[0]
     if len(found) > 1:
         from .numeric import _expanded
-        return _expanded(h, root_orders(h), _order_list(levels, infinite),
-                         None)
+        cert = _order_list(levels, infinite)
+        index = {v: k for k, v in enumerate(dict.fromkeys(cert))}
+        index[OrderVal.infinite()] = len(levels)
+        # each row drops its last infinite entry, the root against itself
+        tree = tuple(sorted(
+            tuple(sorted(index.get(v, -1) for v in row))[:-1]
+            for row in _expanded(h, root_orders(h), cert, None).rows))
+        if tree not in found:
+            raise ConsistencyError(
+                "the expansion's rows form no root tree of the "
+                "difference-polynomial orders")
     reduced = []
     for num, den, _ in levels:
         g = math.gcd(num, den)
         reduced.append((num // g, den // g))
     den = math.lcm(*(q for _, q in reduced))
-    entries = tuple((p * (den // q), 0) for p, q in reduced) + ((None, 2),)
     top = len(levels)
-    return object.__new__(RootRows)._set(
-        den, entries, tuple(row + (top,) for row in found[0]))
+    return RootRows(den, tuple(p * (den // q) for p, q in reduced) + (None,),
+                    tuple(row + (top,) for row in tree))

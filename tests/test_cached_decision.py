@@ -2,10 +2,13 @@
 from the prefix sums a table stores, over its distinct rows, against a
 test-side copy of the per-center formula on OrderVal; the containment
 lambdas against the same reference; the closed-form band against the band
-loop; and digests of the verdicts and diagnostics of a parameter sweep."""
+loop; and digests of the verdicts and diagnostics of a parameter sweep.
+Every entry of a table is exact or infinite, so the reference rows are
+too."""
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -63,20 +66,33 @@ def _ref_containment(ctx, rows):
     return lam_d, lam_d1, lam_d.ge(lam_d1.scale(F(d, d - 1))) is True
 
 
-def _as_order(num, rank, den):
-    """An int center (numerator over den, rank) as an OrderVal."""
-    if rank == 2:
+def _as_order(num, den):
+    """An int center (numerator over den, None when infinite) as an
+    OrderVal."""
+    if num is None:
         return OrderVal.infinite()
-    return OrderVal((OrderVal.EXACT, OrderVal.ATLEAST)[rank], F(num, den))
+    return OrderVal.exact(F(num, den))
+
+
+def _table(rows):
+    """The RootRows of ascending rows of exact or infinite OrderVals: the
+    distinct finite values are the levels, infinite last."""
+    finite = sorted({v.value for row in rows for v in row if v.is_exact})
+    den = math.lcm(*(q.denominator for q in finite))
+    index = {OrderVal.exact(q): k for k, q in enumerate(finite)}
+    index[OrderVal.infinite()] = len(finite)
+    return RootRows(den, tuple(q.numerator * (den // q.denominator)
+                               for q in finite) + (None,),
+                    tuple(tuple(index[v] for v in row) for row in rows))
 
 
 def _row_prefix_sum(table, i, k):
     """Sum of the k smallest difference orders at center i, read from the
     table's int prefix sums."""
-    sums, inexact, inf = table.prefix_sums[i]
-    if k > inf:
+    sums = table.prefix_sums[i]
+    if k >= len(sums):
         return OrderVal.infinite()
-    return _as_order(sums[k], 0 if k <= inexact else 1, table.denominator)
+    return _as_order(sums[k], table.denominator)
 
 
 def _band_thresholds(d):
@@ -97,11 +113,9 @@ def _positive_coeffs(d):
 # ---------------------------------------------------------------------------
 
 def _random_order(rng, dens=(1, 2, 3)):
-    kind = rng.choice("eeeai")
-    if kind == "i":
+    if rng.random() < 0.2:
         return OrderVal.infinite()
-    q = F(rng.randint(1, 12), rng.choice(dens))
-    return OrderVal.exact(q) if kind == "e" else OrderVal.at_least(q)
+    return OrderVal.exact(F(rng.randint(1, 12), rng.choice(dens)))
 
 
 def _random_rows(rng, d, dens=(1, 2, 3)):
@@ -122,7 +136,7 @@ class TestAgainstReference:
         for _ in range(200):
             d = rng.randint(2, 6)
             rows = _random_rows(rng, d)
-            table = RootRows(rows)
+            table = _table(rows)
             kinds.update(v.kind for row in rows for v in row)
             monkeypatch.setattr(criterion, "_table_for",
                                 lambda *args, t=table: t)
@@ -133,10 +147,10 @@ class TestAgainstReference:
                 assert got == _ref_v(ctx, rows), (rows, c)
                 band = criterion._band(d, c)
                 den = band[3] * table.denominator
-                assert [_as_order(n, r, den) for n, r in criterion._centers(
+                assert [_as_order(n, den) for n in criterion._centers(
                     band, table.prefix_sums)] == \
                     [_ref_center(ctx, rows, i) for i in range(d)]
-        assert kinds == {"exact", "atleast", "inf"}
+        assert kinds == {"exact", "inf"}
 
     def test_int_verdict_and_diagnostics(self, monkeypatch):
         """lct_ge on a cached table against ord_diff_le_one(V, 0) and the
@@ -147,7 +161,7 @@ class TestAgainstReference:
         for _ in range(150):
             d = rng.randint(2, 6)
             rows = _random_rows(rng, d, dens=(1, 2, 3, 5, 7, 12))
-            table = RootRows(rows)
+            table = _table(rows)
             kinds.update(v.kind for row in rows for v in row)
             monkeypatch.setattr(criterion, "_table_for",
                                 lambda *args, t=table: t)
@@ -166,21 +180,21 @@ class TestAgainstReference:
                 verdicts.add(verdict)
                 zero_c1_inf += ctx.c1 == 0 and any(
                     r[ctx.p - 2].is_infinite for r in rows if ctx.p > 1)
-        assert kinds == {"exact", "atleast", "inf"}
-        assert verdicts == {"yes", "no", "unknown"}
+        assert kinds == {"exact", "inf"}
+        assert verdicts == {"yes", "no"}
         assert zero_c1_inf > 0
 
     def test_containment_lambdas(self, monkeypatch):
         """containment_check's pass and lambda values against the OrderVal
         reference, on random rows: a table with an infinite center passes,
-        and so does one whose largest center alone is known only from
-        below; one whose lambda_(d-1) is known only from below fails."""
+        and so does every exact one, whose largest center is at least the
+        mean of the d - 1 smallest."""
         rng = random.Random(99)
         outcomes = set()
         for _ in range(150):
             d = rng.randint(2, 6)
             rows = _random_rows(rng, d, dens=(1, 2, 3, 5))
-            table = RootRows(rows)
+            table = _table(rows)
             monkeypatch.setattr(criterion, "_table_for",
                                 lambda *args, t=table: t)
             for _, c in _band_thresholds(d):
@@ -193,15 +207,13 @@ class TestAgainstReference:
                 assert lams == ([] if ok else
                                 [(lam_d.to_json(), lam_d1.to_json())] * 2)
                 outcomes.add((ok, lam_d.kind))
-        assert outcomes == {
-            (True, "inf"), (True, "exact"), (True, "atleast"),
-            (False, "atleast")}
+        assert outcomes == {(True, "inf"), (True, "exact")}
 
     def test_repeated_rows_collapse(self):
         inf = OrderVal.infinite()
         row = (OrderVal.exact(1), OrderVal.exact(F(3, 2)), inf)
         other = (OrderVal.exact(1), OrderVal.exact(1), inf)
-        table = RootRows([row, other, list(row)])
+        table = _table([row, other, row])
         assert len(table.distinct_prefix_sums) == 2
         assert len(table.prefix_sums) == 3
         assert table.prefix_sums[2] is table.prefix_sums[0]
@@ -212,7 +224,7 @@ class TestAgainstReference:
         for _ in range(100):
             d = rng.randint(2, 6)
             rows = _random_rows(rng, d)
-            table = RootRows(rows)
+            table = _table(rows)
             for i in range(d):
                 for k in range(d + 1):
                     assert _row_prefix_sum(table, i, k) == \
@@ -224,12 +236,12 @@ class TestAgainstReference:
         inf = OrderVal.infinite()
         rows = [(OrderVal.exact(2), OrderVal.exact(3), inf),
                 (inf, inf, inf), (OrderVal.exact(2), OrderVal.exact(3), inf)]
-        table = RootRows(rows)
+        table = _table(rows)
         ctx = choose_p(3, F(1))
         assert (ctx.p, ctx.c1) == (2, 0)
         centers = criterion._centers(criterion._band(3, F(1)),
                                      table.prefix_sums)
-        assert centers[1] == (None, 2)
+        assert centers[1] is None
         monkeypatch.setattr(criterion, "_table_for", lambda *args: table)
         assert eval_theorem_lhs(ctx, _positive_coeffs(3)) == \
             _ref_v(ctx, rows) == inf
@@ -237,10 +249,9 @@ class TestAgainstReference:
         assert (verdict, diag["V"]) == ("no", inf.to_json())
 
     def test_truncated_diff_order_tables(self):
-        """V on diff_orders' tables of truncated input, at the default
-        depth and at depth 2 (whose AtLeast entries no decision builds),
-        from the int centers against the reference; at the default depth
-        eval_theorem_lhs, which builds the same table, agrees."""
+        """V on diff_orders' tables of truncated input at the default
+        depth, whose entries are exact or infinite, against
+        eval_theorem_lhs, which builds the table from the root tree."""
         rng = random.Random(7)
         tables = 0
         kinds = set()
@@ -252,26 +263,18 @@ class TestAgainstReference:
                       for _ in range(d)]
             for bound in (3, 6, 9):
                 cut = [a.truncated(F(bound)) for a in coeffs]
-                for depth in (None, F(2)):
-                    try:
-                        table = diff_orders(UPoly("y", cut), depth=depth)
-                    except (TruncationError, ConsistencyError):
-                        continue
-                    tables += 1
-                    kinds.update(v.kind for row in table.rows for v in row)
-                    for _, c in _band_thresholds(d):
-                        ctx = choose_p(d, c)
-                        band = criterion._band(d, c)
-                        den = band[3] * table.denominator
-                        v = OrderVal.max_of(
-                            _as_order(n, r, den) for n, r in
-                            criterion._centers(band,
-                                               table.distinct_prefix_sums))
-                        assert v == _ref_v(ctx, table.rows), (cut, depth, c)
-                        if depth is None:
-                            assert eval_theorem_lhs(ctx, cut) == v
-        assert tables > 60
-        assert kinds == {"exact", "atleast", "inf"}
+                try:
+                    table = diff_orders(UPoly("y", cut))
+                except (TruncationError, ConsistencyError):
+                    continue
+                tables += 1
+                kinds.update(v.kind for row in table.rows for v in row)
+                for _, c in _band_thresholds(d):
+                    ctx = choose_p(d, c)
+                    assert _ref_v(ctx, table.rows) == \
+                        eval_theorem_lhs(ctx, cut), (cut, c)
+        assert tables > 40
+        assert kinds == {"exact", "inf"}
 
 
 class TestClosedFormBand:
@@ -387,9 +390,9 @@ class TestSweepPins:
         built = []
         real = rootdata._prefix_sums
         monkeypatch.setattr(rootdata, "_prefix_sums",
-                            lambda entries, row: built.append(
-                                tuple(entries[k] for k in row)) or
-                            real(entries, row))
+                            lambda levels, row: built.append(
+                                tuple(levels[k] for k in row)) or
+                            real(levels, row))
         criterion._table_for.cache_clear()
         zero = PSeries.zero("x")
         coeffs = (zero, PSeries.monomial("x", 3), PSeries.monomial("x", 5))
@@ -398,9 +401,9 @@ class TestSweepPins:
         info = criterion._table_for.cache_info()
         criterion._table_for.cache_clear()
         assert (info.misses, info.hits) == (1, 39)
-        # the three roots share one row, 3/2, 3/2, inf as (numerator over
-        # L = 2, rank) pairs, so its prefix sums are built once
-        assert built == [((3, 0), (3, 0), (None, 2))]
+        # the three roots share one row, 3/2, 3/2, inf as numerators over
+        # L = 2, so its prefix sums are built once
+        assert built == [(3, 3, None)]
 
 
 SWEEP_DIGEST = (

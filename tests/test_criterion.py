@@ -476,19 +476,6 @@ class TestContainment:
         with pytest.raises(ConsistencyError):
             containment_check(choose_p(2, F(2, 3)), samples=5, seed=0)
 
-    def test_unknown_comparison_is_a_violation(self, monkeypatch):
-        """Rows known only from below give lambda_d = AtLeast(4) against
-        the bound AtLeast(4): the bound may fail, so the sample is a
-        violation, not a pass."""
-        from lctkit.rootdata import RootRows
-        row = (OrderVal.at_least(2), OrderVal.infinite())
-        monkeypatch.setattr(criterion, "_table_for",
-                            lambda *args: RootRows([row, row]))
-        rep = containment_check(choose_p(2, F(1)), samples=3, seed=0)
-        assert not rep["pass"] and rep["samples"] == 3
-        assert {(v["lambda_d"]["kind"], v["lambda_d"]["value"])
-                for v in rep["violations"]} == {("atleast", "4")}
-
     def test_degenerate_sample_passes(self):
         # triple root: infinite on both sides
         ctx = choose_p(3, F(5, 6))
@@ -496,7 +483,7 @@ class TestContainment:
         from lctkit.criterion import _band, _centers, _table_for
         table = _table_for(tuple(h.coeffs))
         vals = _centers(_band(3, ctx.c), table.prefix_sums)
-        assert vals == [(None, 2)] * 3
+        assert vals == [None] * 3
 
 
 class TestTruncatedInput:
@@ -547,6 +534,24 @@ class TestTruncatedInput:
         assert verdict == UNKNOWN
         assert diag["V"] is None
         assert F(diag["required"]) > 1
+
+    @pytest.mark.parametrize("bound", [14, 20, 30])
+    def test_double_char_root_beside_simple_one(self, bound):
+        """An ambiguous d = 6 pattern whose top characteristic polynomial
+        has the double root 2 beside the simple root -1: the expansion reads
+        it exactly wherever the cut input is known on the segment, so the
+        cut decides as the exact input does."""
+        roots = [xs(1, -1) + xs(F(3, 2)) + xs(4), xs(F(3, 2), -2),
+                 xs(1, 2) + xs(F(3, 2), 2) + xs(4, 2), xs(2, -2),
+                 xs(1, 2) + xs(4, 2), xs(2, 2)]
+        coeffs = UPoly.from_roots("y", roots).coeffs
+        cut = [a.truncated(F(bound)) for a in coeffs]
+        for c, want, v in ((F(14, 75), YES, "3/25"), (F(1, 2), NO, "9/4"),
+                           (F(1), NO, "13/2")):
+            assert lct_ge(6, c, coeffs)[0] == want
+            verdict, diag = lct_ge(6, c, cut)
+            assert (verdict, diag["V"]) == (
+                want, {"kind": "exact", "value": v})
 
 
 class TestTableCache:

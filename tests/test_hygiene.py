@@ -5,8 +5,9 @@ method or class that only tests use, no runtime dependency besides the
 standard library and mpmath, no module-level import of a module off the
 decision path from a module on it, no import of the symbolic layer from
 the polynomial kernel, no import in the packed kernel of a package module
-besides errors, and no import in the oracles of a module whose results
-they check.  Importing the package loads the decision
+besides errors, no import in the oracles of a module whose results they
+check, and no construction of RootRows, the decision's table, outside
+lctkit.rootdata.  Importing the package loads the decision
 path only and the CLI neither dataclasses nor inspect; every other layer,
 mpmath included, stays unloaded until a command uses it, also on truncated
 input at d <= 4, which never expands; an exact decision constructs no
@@ -235,6 +236,37 @@ def imports_of(tree, modules):
                   for module in _imported_modules(node) if module in modules)
 
 
+def imported_names(tree, names):
+    """(line, name) of every `from ... import` of one of `names`, wherever
+    it runs."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name in names)
+
+
+def _names(node, name):
+    """Whether node is `name` or an attribute `<...>.name`."""
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def constructions(tree, name):
+    """Line numbers of every construction of the class `name`, plain or
+    as an attribute: a call of it, `object.__new__` of it, or a class
+    deriving from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                _names(node.func, name)
+                or (_names(node.func, "__new__")
+                    and any(_names(arg, name) for arg in node.args))):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ClassDef) and any(
+                _names(base, name) for base in node.bases):
+            found.append(node.lineno)
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_broad_except(path):
     assert broad_handlers(_tree(path)) == []
@@ -296,6 +328,15 @@ def test_packed_kernel_imports_only_errors():
     ints and builds no series, so no reader that unpacks them, and no
     series route, sits beside the kernel the built polynomials check."""
     assert imports_of(_tree(SRC / "packed.py"), BESIDE_PACKED) == []
+
+
+def test_one_builder_of_the_decision_table():
+    """RootRows, the table V reads, is built from a root tree in
+    lctkit.rootdata and nowhere else; lctkit.numeric, whose DiffOrderTable
+    is a table of its own, does not even import it."""
+    assert imported_names(_tree(SRC / "numeric.py"), {"RootRows"}) == []
+    assert [path.name for path in MODULES
+            if constructions(_tree(path), "RootRows")] == ["rootdata.py"]
 
 
 def test_checks_catch_offenders():
@@ -365,6 +406,24 @@ def test_packed_import_check_catches_offenders():
         "    import lctkit.series\n")
     assert imports_of(tree, BESIDE_PACKED) == [
         (3, "series"), (4, "poly"), (6, "series")]
+
+
+def test_table_builder_checks_catch_offenders():
+    tree = ast.parse(
+        "from .rootdata import RootRows, certified_rows\n"
+        "from . import rootdata\n"
+        "t = RootRows(1, (None,), ((0,),))\n"
+        "u = rootdata.RootRows(1, (None,), ((0,),))\n"
+        "v = object.__new__(RootRows)\n"
+        "class Table(rootdata.RootRows):\n    pass\n"
+        "w = certified_rows(h)\n"             # reads a table: kept
+        "x = isinstance(w, RootRows)\n"       # names the class: kept
+        "def f():\n"                          # inside a function too
+        "    from lctkit.rootdata import RootRows\n"
+        "    return RootRows(*args)\n")
+    assert imported_names(tree, {"RootRows"}) == [
+        (1, "RootRows"), (11, "RootRows")]
+    assert constructions(tree, "RootRows") == [3, 4, 5, 6, 12]
 
 
 def test_exported_names_read_the_lazy_table():

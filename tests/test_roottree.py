@@ -1,9 +1,10 @@
 """Difference-order rows from the exact certificate's root tree.
 
 The count-pattern enumeration is checked against a brute force over
-labelled ultrametrics, and every row multiset it decides is checked against
-the sorted rows of the numeric expansion (diff_orders) or, where the roots
-are known, against the table of the explicit roots."""
+labelled ultrametrics, and every table certified_rows builds from a tree,
+whether the counts fix the tree or the expansion picks it, is checked
+against the sorted rows of the numeric expansion (diff_orders) or, where
+the roots are known, against the table of the explicit roots."""
 
 import itertools
 import random
@@ -15,9 +16,9 @@ import pytest
 from lctkit import criterion, numeric, rootdata
 from lctkit.criterion import choose_p, lct_ge
 from lctkit.errors import ConsistencyError
-from lctkit.numeric import DiffOrderTable, diff_orders
+from lctkit.numeric import diff_orders
 from lctkit.poly import UPoly
-from lctkit.rootdata import _row_multisets, certified_rows
+from lctkit.rootdata import RootRows, _row_multisets, certified_rows
 from lctkit.series import OrderVal, PSeries
 
 F = Fraction
@@ -198,20 +199,15 @@ def corpus(seed, degrees):
     (3, (5, 5, 5)),
 ])
 def test_certified_rows_match_expansion(seed, degrees):
-    decided = 0
     for h, roots in corpus(seed, degrees):
         rows = certified_rows(h)
-        if isinstance(rows, DiffOrderTable):  # the tree left them open
-            assert h.degree >= 5
-            continue
-        decided += 1
+        assert isinstance(rows, RootRows)
         if roots:
             assert _key(rows.rows) == _key(_explicit_rows(roots)), roots
         # the expansion cannot split a repeated root beside a simple one
         # below a shared prefix, a known defect; it checks the rest
         if not roots or len(set(map(repr, roots))) == len(roots):
             assert _key(rows.rows) == _key(diff_orders(h).rows), h
-    assert decided >= len(degrees) * 2
 
 
 def _clustered_roots(rng, d, depth):
@@ -290,7 +286,63 @@ def test_ambiguous_pattern_falls_back_to_expansion(monkeypatch):
     table = criterion._table_for(h.coeffs)
     # one expansion, and the fallback reuses the certificate read once
     assert (expanded, read) == ([5], [5])
-    assert _key(table.rows) == _key(_explicit_rows(roots))
+    # the expansion picks the tree, and the table is built from it
+    assert isinstance(table, RootRows)
+    assert _key(table.rows) == _key(_explicit_rows(roots)) == \
+        _key(diff_orders(h).rows)
+
+
+def _pattern(h):
+    """The certificate's count pattern and its row multisets."""
+    levels, infinite = rootdata._difference_levels(h)
+    counts = [mult // 2 for _, _, mult in levels]
+    if infinite:
+        counts.append(infinite // 2)
+    return _row_multisets(h.degree, tuple(counts))
+
+
+@pytest.mark.parametrize("seed,d,depth", [
+    (8, 5, 2), (3, 5, 3), (8, 6, 2), (3, 6, 3), (8, 7, 2), (16, 7, 3)])
+def test_expansion_picks_one_enumerated_tree(seed, d, depth):
+    """On ambiguous patterns of distinct explicit roots at d = 5..7, where
+    the roots' tree is not the first one enumerated, the table built from
+    the tree the expansion picks has the explicit roots' rows and the
+    expansion's."""
+    roots = _clustered_roots(random.Random(seed), d, depth)
+    assert len(set(map(repr, roots))) == d
+    h = UPoly.from_roots("y", roots)
+    assert len(_pattern(h)) > 1
+    rows = certified_rows(h)
+    assert isinstance(rows, RootRows)
+    assert _key(rows.rows) == _key(_explicit_rows(roots)) == \
+        _key(diff_orders(h).rows), roots
+
+
+@pytest.mark.parametrize("rows", [
+    # the d = 5 pattern's pairs per level, but a root with two pairs on
+    # the top level, which holds one pair: no tree has these rows
+    [[1, 1, 1, 2, None]] * 2 + [[1, 1, 2, 2, None]] * 2 +
+    [[1, 1, 3, 3, None]],
+    # the first tree's rows with its top level known only from below,
+    # which is no level of the certificate
+    [[1, 1, 1, 2, None]] * 2 + [[1, 1, 2, 2, None]] +
+    [[1, 1, 2, ">=3", None]] * 2])
+def test_expansion_outside_the_trees_raises(monkeypatch, rows):
+    roots = [mono(1), mono(1) + mono(3), mono(2), mono(2, 2), mono(2, 3)]
+    h = UPoly.from_roots("y", roots)
+
+    def value(v):
+        if v is None:
+            return OrderVal.infinite()
+        if isinstance(v, str):
+            return OrderVal.at_least(int(v[2:]))
+        return OrderVal.exact(v)
+
+    table = type("Expanded", (), {
+        "rows": [tuple(map(value, row)) for row in rows]})
+    monkeypatch.setattr(numeric, "_expanded", lambda *args: table)
+    with pytest.raises(ConsistencyError, match="no root tree"):
+        certified_rows(h)
 
 
 def test_exact_decisions_without_expansion(monkeypatch):

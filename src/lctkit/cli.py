@@ -1,16 +1,16 @@
-"""Command-line front end: text/JSON parsing, subcommand dispatch, JSON
-reporting.
+"""Command-line front end: parsing, subcommand dispatch, JSON reporting.
 
 The module loads only the decision path, which is all `lctkit lct` needs;
 a subcommand that needs a layer off that path imports it when it runs, and
 `lctkit verify` runs the seeded suites of lctkit.verify.
 
-Exit codes: 0 success (a verdict was produced), 2 parse/usage error,
-3 unknown due to truncation, 1 internal consistency failure.
+Exit codes: 0 a verdict, 2 parse/usage error or BudgetError, 3 unknown due
+to truncation, 1 internal consistency failure (an exhausted precision
+escalation is raised as one).
 
-Identical argv and seed produce byte-identical output: all rationals are
-serialized as "p/q" strings, reports are sorted, and per-trial seeds derive
-deterministically from the master seed.
+Identical argv and seed give byte-identical output: rationals are "p/q"
+strings, reports are sorted, and per-trial seeds derive from the master
+seed.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The paper's criterion ideals: the Q-ideals built from root products and
 root differences, the root-integrality pack, the symbolic plus/minus pair
 (closed form for d <= 3), the degree-3 and bottom-band specializations, and
-the containment check of the pair.
+the containment check of the pair along one arc.
 
 These serve as validation routes for criterion.lct_ge and are not on its
 path.  The pair's orders are evaluated factor-wise (the semigroup laws make
@@ -15,10 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from . import criterion
-from .criterion import (
-    CriterionContext, _band, _centers, _eval_v, _order_json, _validate_coeffs,
-)
+from .criterion import CriterionContext, _band, _eval_v, _validate_coeffs
 from .errors import BudgetError
 from .mpoly import (
     MPoly, generic_compound_coeffs, generic_difference_coeffs, taylor_shift,
@@ -355,67 +352,21 @@ def depressed_cubic(a1: PSeries, a2: PSeries, a3: PSeries):
 # Containment of the pair (the d/(d-1) bound)
 # ---------------------------------------------------------------------------
 
-def _rand_sample(rng, d, var="x"):
-    coeffs = []
-    for i in range(d):
-        terms = {}
-        for _ in range(rng.randint(0, 2)):
-            e = Fraction(rng.randint(1, 5))
-            cc = Fraction(rng.randint(-4, 4))
-            if cc:
-                terms[e] = cc
-        coeffs.append(PSeries(var, terms))
-    return coeffs
-
-
-CONTAINMENT_DRAWS = 20
-
-
-def containment_check(ctx: CriterionContext, samples=100, seed=0):
-    """Checks ord(plus) >= (d/(d-1)) * ord(minus) through the lambda
-    decomposition: with v_i = c1 * prefix(p-1) + c2 * prefix(p) at center i,
-    lambda_d = sum of all v_i and lambda_(d-1) = sum of the d-1 smallest,
-    the bound reads lambda_d >= (d/(d-1)) * lambda_(d-1).  The table's
-    entries are exact or infinite, so every v_i is too: a sample with an
-    infinite v_i has an infinite lambda_d and passes, and every other one
-    is decided by one int comparison.
-
-    Samples are distinct polynomials: a repeated draw is discarded (it
-    would only recheck a cached table) and counted in `discarded`, with at
-    most CONTAINMENT_DRAWS draws per requested sample.  A sample that fails
-    to certify raises; it is a fault, not a skip."""
-    import random as _random
-    rng = _random.Random(seed)
-    d = ctx.d
-    band = _band(d, ctx.c)
-    failures = []
-    seen = set()
-    checked = discarded = 0
-    for _ in range(CONTAINMENT_DRAWS * samples):
-        if checked == samples:
-            break
-        coeffs = _rand_sample(rng, d)
-        key = tuple(tuple(a.sorted_terms()) for a in coeffs)
-        if key in seen:
-            discarded += 1
-            continue
-        seen.add(key)
-        # looked up on the module, so that the check and lct_ge always
-        # read one binding of the table cache
-        table = criterion._table_for(tuple(coeffs))
-        checked += 1
-        centers = _centers(band, table.prefix_sums)
-        if None in centers:
-            continue  # lambda_d is infinite
-        centers.sort()
-        lam_d = sum(centers)
-        lam_d1 = sum(centers[:d - 1])
-        if (d - 1) * lam_d >= d * lam_d1:
-            continue
-        den = band[3] * table.denominator
-        failures.append({
-            "sample": [a.to_json() for a in coeffs],
-            "lambda_d": _order_json(lam_d, den),
-            "lambda_d_minus_1": _order_json(lam_d1, den)})
-    return {"pass": not failures, "samples": checked, "discarded": discarded,
-            "violations": failures}
+def containment_check(ctx: CriterionContext, coeffs):
+    """Checks ord(plus) >= (d/(d-1)) * ord(minus) for build_p_plus_minus's
+    pair along one arc, z_i -> a_i(x), with a cubic depressed first (its
+    pair lives in z2, z3).  An ideal bound holds for the integral closure
+    exactly when it holds along every arc (the valuative criterion), so a
+    caller samples arcs.  `pass` is true only when the bound holds for
+    certain; d > 3 raises build_p_plus_minus's ValueError."""
+    pair = build_p_plus_minus(ctx)
+    _validate_coeffs(coeffs, ctx.d)
+    if ctx.d == 3:
+        a, b = depressed_cubic(*coeffs)
+        arc = {"z2": a, "z3": b}
+    else:
+        arc = {"z1": coeffs[0], "z2": coeffs[1]}
+    plus, minus = pair.ord_plus(arc), pair.ord_minus(arc)
+    bound = minus.scale(Fraction(ctx.d, ctx.d - 1))
+    return {"pass": plus.ge(bound) is True, "ord_plus": plus.to_json(),
+            "ord_minus": minus.to_json()}

@@ -231,9 +231,8 @@ class RootRows:
     infinite entry, so S_k is infinite iff k >= len(sums).
 
     `distinct_prefix_sums`, one tuple per distinct row, is built with the
-    table: it is all that a maximum over the rows reads.  `prefix_sums`,
-    one tuple per row with equal rows sharing one, and the OrderVal `rows`
-    are built when read."""
+    table: it is all that a maximum over the rows reads.  The OrderVal
+    `rows` are built when read."""
 
     __slots__ = ("denominator", "distinct_prefix_sums", "_levels", "_shape",
                  "_rows")
@@ -257,13 +256,6 @@ class RootRows:
             self._rows = tuple(tuple(vals[k] for k in row)
                                for row in self._shape)
         return self._rows
-
-    @property
-    def prefix_sums(self):
-        """One prefix-sum tuple per row; equal rows share one."""
-        sums = dict(zip(dict.fromkeys(self._shape),
-                        self.distinct_prefix_sums))
-        return tuple(sums[row] for row in self._shape)
 
 
 def _prefix_sums(levels, row):

@@ -1,7 +1,8 @@
 """Deterministic verification suites of `lctkit verify`: seeded random
 checks of the root orders, the dual-route identities, the certified
-difference and contact orders, the integrality pack, containment,
-perturbation, series arithmetic and the oracles.
+difference and contact orders, the integrality pack, the containment
+bound of the paper's plus/minus pair along random arcs, perturbation,
+series arithmetic and the oracles.
 
 Each suite takes (trials, seed) and returns one report per trial; every
 trial draws from its own random.Random seeded from the master seed and the
@@ -30,8 +31,8 @@ def _trial_rng(seed, index):
     return random.Random(seed * 1_000_003 + index)
 
 
-def _rand_upoly(rng, dmax=4, var="t"):
-    d = rng.randint(2, dmax)
+def _rand_coeffs(rng, d):
+    """d coefficients in t of up to two terms, exponents 1..6."""
     coeffs = []
     for _ in range(d):
         terms = {}
@@ -40,8 +41,12 @@ def _rand_upoly(rng, dmax=4, var="t"):
             c = Fraction(rng.randint(-5, 5))
             if c:
                 terms[e] = c
-        coeffs.append(PSeries(var, terms))
-    return UPoly("y", coeffs)
+        coeffs.append(PSeries("t", terms))
+    return coeffs
+
+
+def _rand_upoly(rng, dmax=4):
+    return UPoly("y", _rand_coeffs(rng, rng.randint(2, dmax)))
 
 
 def _rand_w(rng, var="t"):
@@ -120,17 +125,17 @@ def _suite_integrality(trials, seed):
     return results
 
 
-def _suite_containment(trials, seed):
-    results = []
-    combos = [(2, Fraction(2, 3)), (2, Fraction(1)), (3, Fraction(5, 12)),
-              (3, Fraction(2, 3)), (3, Fraction(11, 12))]
-    per = max(1, trials // len(combos))
-    for i, (d, c) in enumerate(combos):
-        ctx = choose_p(d, c)
-        rep = containment_check(ctx, samples=per, seed=seed + i)
-        results.append({"trial": i, "ok": rep["pass"], "d": d,
-                        "c": frac_str(c), "samples": rep["samples"]})
-    return results
+_CONTAINMENT_PAIRS = ((2, Fraction(2, 3)), (2, Fraction(1)),
+                      (3, Fraction(5, 12)), (3, Fraction(2, 3)),
+                      (3, Fraction(11, 12)))
+
+
+@_per_trial
+def _suite_containment(rng):
+    d, c = rng.choice(_CONTAINMENT_PAIRS)
+    rep = containment_check(choose_p(d, c), _rand_coeffs(rng, d))
+    return {"ok": rep["pass"], "d": d, "c": frac_str(c),
+            "ord_plus": rep["ord_plus"], "ord_minus": rep["ord_minus"]}
 
 
 @_per_trial

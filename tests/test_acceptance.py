@@ -186,17 +186,20 @@ def test_criterion_5_integrality():
 
 
 def test_criterion_6_containment():
-    """ord(plus) >= (d/(d-1)) ord(minus) via the lambda decomposition on 100
-    samples per (d, c) pair."""
+    """ord(plus) >= (d/(d-1)) ord(minus) for the paper's plus/minus pair
+    along 100 random arcs z_i -> a_i per (d, c) pair."""
     t0 = time.time()
     failures = []
     combos = [(2, F(2, 3)), (2, F(5, 6)), (2, F(1)),
               (3, F(5, 12)), (3, F(2, 3)), (3, F(11, 12))]
     for i, (d, c) in enumerate(combos):
         ctx = choose_p(d, c)
-        rep = containment_check(ctx, samples=100, seed=1000 + i)
-        if not rep["pass"]:
-            failures.append((d, c, rep["violations"][:1]))
+        rng = random.Random(1000 + i)
+        for _ in range(100):
+            coeffs = [rand_series(rng) for _ in range(d)]
+            rep = containment_check(ctx, coeffs)
+            if not rep["pass"]:
+                failures.append((d, c, coeffs, rep))
     report(6, "containment bound", failures, time.time() - t0, 120)
 
 

@@ -1,8 +1,8 @@
 """The cached decision: V, the verdict and the diagnostics evaluated on ints
 from the prefix sums a table stores, over its distinct rows, against a
-test-side copy of the per-center formula on OrderVal; the containment
-lambdas against the same reference; the closed-form band against the band
-loop; and digests of the verdicts and diagnostics of a parameter sweep.
+test-side copy of the per-center formula on OrderVal; the closed-form band
+against the band loop; and digests of the verdicts and diagnostics of a
+parameter sweep.
 Every entry of a table is exact or infinite, so the reference rows are
 too."""
 
@@ -17,7 +17,7 @@ import pytest
 from lctkit import criterion, rootdata
 from lctkit.criterion import choose_p, lct_ge
 from lctkit.errors import ConsistencyError, DegenerateError, TruncationError
-from lctkit.ideals import containment_check, eval_theorem_lhs
+from lctkit.ideals import eval_theorem_lhs
 from lctkit.numeric import diff_orders
 from lctkit.oracle import lct_plane_nondegenerate
 from lctkit.mpoly import MPoly
@@ -56,16 +56,6 @@ def _ref_band(d, c):
     raise AssertionError("band partition failed")
 
 
-def _ref_containment(ctx, rows):
-    """lambda_d, lambda_(d-1) and whether lambda_d >= (d/(d-1))
-    lambda_(d-1) holds for certain, on OrderVal."""
-    d = ctx.d
-    vals = [_ref_center(ctx, rows, i) for i in range(len(rows))]
-    lam_d = OrderVal.sum_of(vals)
-    lam_d1 = OrderVal.sum_of(sorted(vals, key=OrderVal.sort_key)[:d - 1])
-    return lam_d, lam_d1, lam_d.ge(lam_d1.scale(F(d, d - 1))) is True
-
-
 def _as_order(num, den):
     """An int center (numerator over den, None when infinite) as an
     OrderVal."""
@@ -87,9 +77,9 @@ def _table(rows):
 
 
 def _row_prefix_sum(table, i, k):
-    """Sum of the k smallest difference orders at center i, read from the
-    table's int prefix sums."""
-    sums = table.prefix_sums[i]
+    """Sum of the k smallest difference orders of distinct row i, read
+    from the table's int prefix sums."""
+    sums = table.distinct_prefix_sums[i]
     if k >= len(sums):
         return OrderVal.infinite()
     return _as_order(sums[k], table.denominator)
@@ -137,6 +127,7 @@ class TestAgainstReference:
             d = rng.randint(2, 6)
             rows = _random_rows(rng, d)
             table = _table(rows)
+            distinct = list(dict.fromkeys(rows))
             kinds.update(v.kind for row in rows for v in row)
             monkeypatch.setattr(criterion, "_table_for",
                                 lambda *args, t=table: t)
@@ -148,8 +139,9 @@ class TestAgainstReference:
                 band = criterion._band(d, c)
                 den = band[3] * table.denominator
                 assert [_as_order(n, den) for n in criterion._centers(
-                    band, table.prefix_sums)] == \
-                    [_ref_center(ctx, rows, i) for i in range(d)]
+                    band, table.distinct_prefix_sums)] == \
+                    [_ref_center(ctx, distinct, i)
+                     for i in range(len(distinct))]
         assert kinds == {"exact", "inf"}
 
     def test_int_verdict_and_diagnostics(self, monkeypatch):
@@ -184,55 +176,29 @@ class TestAgainstReference:
         assert verdicts == {"yes", "no"}
         assert zero_c1_inf > 0
 
-    def test_containment_lambdas(self, monkeypatch):
-        """containment_check's pass and lambda values against the OrderVal
-        reference, on random rows: a table with an infinite center passes,
-        and so does every exact one, whose largest center is at least the
-        mean of the d - 1 smallest."""
-        rng = random.Random(99)
-        outcomes = set()
-        for _ in range(150):
-            d = rng.randint(2, 6)
-            rows = _random_rows(rng, d, dens=(1, 2, 3, 5))
-            table = _table(rows)
-            monkeypatch.setattr(criterion, "_table_for",
-                                lambda *args, t=table: t)
-            for _, c in _band_thresholds(d):
-                ctx = choose_p(d, c)
-                lam_d, lam_d1, ok = _ref_containment(ctx, rows)
-                rep = containment_check(ctx, samples=2, seed=rng.random())
-                assert rep["pass"] is ok and rep["samples"] == 2
-                lams = [(v["lambda_d"], v["lambda_d_minus_1"])
-                        for v in rep["violations"]]
-                assert lams == ([] if ok else
-                                [(lam_d.to_json(), lam_d1.to_json())] * 2)
-                outcomes.add((ok, lam_d.kind))
-        assert outcomes == {(True, "inf"), (True, "exact")}
-
     def test_repeated_rows_collapse(self):
         inf = OrderVal.infinite()
         row = (OrderVal.exact(1), OrderVal.exact(F(3, 2)), inf)
         other = (OrderVal.exact(1), OrderVal.exact(1), inf)
         table = _table([row, other, row])
-        assert len(table.distinct_prefix_sums) == 2
-        assert len(table.prefix_sums) == 3
-        assert table.prefix_sums[2] is table.prefix_sums[0]
+        # levels 1 and 3/2 as numerators over L = 2
+        assert table.distinct_prefix_sums == ((0, 2, 5), (0, 2, 4))
         assert isinstance(table.rows[2], tuple)
 
     def test_row_prefix_sums(self):
         rng = random.Random(17)
         for _ in range(100):
             d = rng.randint(2, 6)
-            rows = _random_rows(rng, d)
+            rows = list(dict.fromkeys(_random_rows(rng, d)))
             table = _table(rows)
-            for i in range(d):
+            for i, row in enumerate(rows):
                 for k in range(d + 1):
                     assert _row_prefix_sum(table, i, k) == \
-                        OrderVal.sum_of(rows[i][:k])
+                        OrderVal.sum_of(row[:k])
 
     def test_zero_weight_against_infinite_prefix(self, monkeypatch):
         # p = 2 at its upper edge c = 1/(d-2): c1 = 0 meets an infinite
-        # S_1 on the second row, and contributes 0
+        # S_1 on the second distinct row, and contributes 0
         inf = OrderVal.infinite()
         rows = [(OrderVal.exact(2), OrderVal.exact(3), inf),
                 (inf, inf, inf), (OrderVal.exact(2), OrderVal.exact(3), inf)]
@@ -240,7 +206,7 @@ class TestAgainstReference:
         ctx = choose_p(3, F(1))
         assert (ctx.p, ctx.c1) == (2, 0)
         centers = criterion._centers(criterion._band(3, F(1)),
-                                     table.prefix_sums)
+                                     table.distinct_prefix_sums)
         assert centers[1] is None
         monkeypatch.setattr(criterion, "_table_for", lambda *args: table)
         assert eval_theorem_lhs(ctx, _positive_coeffs(3)) == \
@@ -379,13 +345,6 @@ class TestSweepPins:
                     assert verdict == lct_ge(d, c, other)[0], (d, bound, c)
         assert (decided, unknown) == (560, 240)
 
-    def test_containment_reports(self):
-        lines = [containment_check(choose_p(d, c), samples=15, seed=seed)
-                 for d, c, seed in ((2, F(2, 3), 1), (3, F(5, 6), 2),
-                                    (3, F(1, 2), 3), (4, F(3, 5), 4))]
-        assert all(rep["pass"] for rep in lines)
-        assert _digest(lines) == CONTAINMENT_DIGEST
-
     def test_forty_thresholds_build_one_table(self, monkeypatch):
         built = []
         real = rootdata._prefix_sums
@@ -408,5 +367,3 @@ class TestSweepPins:
 
 SWEEP_DIGEST = (
     "8677198a812725f6963836289235e2135ef15082af287232e10cf8b92be3f596")
-CONTAINMENT_DIGEST = (
-    "dc5cf2989c71c4c765f37d2a6bd4d3c3589fd7cf4418dbf3188d4810c6fcdacc")

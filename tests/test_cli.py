@@ -169,6 +169,15 @@ class TestCommands:
         assert out["failures"] == 0
         assert out["trials"] == 5
 
+    def test_verify_containment_gives_one_result_per_trial(self, capsys):
+        assert run(["verify", "--suite", "containment", "--trials", "7",
+                    "--seed", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["trials"], out["failures"]) == (7, 0)
+        assert [r["trial"] for r in out["results"]] == list(range(7))
+        assert {(r["d"], r["c"]) for r in out["results"]} <= {
+            (2, "2/3"), (2, "1"), (3, "5/12"), (3, "2/3"), (3, "11/12")}
+
     def test_verify_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "nope"]) == 2
 
@@ -465,6 +474,15 @@ class TestCriterionCommand:
             want["p_minus"] = json.loads(json.dumps(pair.p_minus.to_json()))
         assert out == want
 
+    @pytest.mark.parametrize("d,c", [(2, "7919/7920"), (3, "3999/4000")])
+    def test_large_denominator_exceeds_the_budget(self, capsys, d, c):
+        # the pairs hold (z1^2 - 4 z2)^3959 and (4 z2^3 + 27 z3^2)^1999
+        assert run(["criterion", "--d", str(d), "--c", c]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "budget" in json.loads(line)["error"]
+
 
 class TestOracleBinomial:
     def test_output(self, capsys):
@@ -525,6 +543,7 @@ class TestDeterminism:
         ["lct", "--c", "5/6", "--coeff", "0", "--coeff", "0",
          "--coeff", "x^2"],
         ["orders", "--poly", "y^3 + t^2*y + t^3"],
+        ["verify", "--suite", "containment", "--trials", "7", "--seed", "4"],
     ])
     def test_byte_identical(self, argv, capsys):
         assert run(list(argv)) == 0

@@ -3,17 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from lctkit import criterion
+from lctkit import criterion, ideals, rootdata
 from lctkit.criterion import choose_p, lct_ge
-from lctkit.errors import BudgetError, ConsistencyError
+from lctkit.errors import BudgetError
 from lctkit.ideals import (
-    build_b, build_bbar_k, build_bk, build_c, build_cor3_pack,
+    CriterionIdeals, build_b, build_bbar_k, build_bk, build_c, build_cor3_pack,
     build_p_plus_minus, build_tilde_bk, containment_check,
     cor3_divisibility, degree3_test, depressed_cubic, eval_theorem_lhs,
     example3_test,
 )
+from lctkit.mpoly import MPoly
 from lctkit.poly import UPoly
-from lctkit.qideal import NO, UNKNOWN, YES, qi_ord
+from lctkit.qideal import NO, UNKNOWN, YES, QIdeal, qi_ord
 from lctkit.reports import integrality_test
 from lctkit.series import OrderVal, PSeries
 
@@ -169,7 +170,6 @@ class TestCor3Pack:
     def test_d2_pack_shape(self):
         pack = build_cor3_pack(2)
         assert pack.modulus == 2
-        from lctkit.mpoly import MPoly
         disc = MPoly.variable("z1") ** 2 - 4 * MPoly.variable("z2")
         assert any(p == disc or p == -disc for p in pack.polys)
 
@@ -285,7 +285,6 @@ class TestKnownThresholds:
         # product of d distinct lines: threshold 2/d; the direct decision,
         # the closed form, and the plane oracle must agree
         from lctkit.oracle import lct_plane_nondegenerate
-        from lctkit.mpoly import MPoly
         for d in (3, 4):
             h = UPoly.from_roots("y", [xs(1, k) for k in range(1, d + 1)])
             coeffs = list(h.coeffs)
@@ -452,38 +451,83 @@ class TestPlusMinusPair:
         assert e == F(1, 4)  # c2/2 = (2c-1)/2
 
 
+_CONTAINMENT_PAIRS = [(2, F(2, 3)), (2, F(3, 4)), (2, F(1)),
+                      (3, F(5, 12)), (3, F(2, 3)), (3, F(11, 12))]
+
+
+def _rand_arc(rng, d):
+    """d coefficients in x of up to two terms, exponents 1..6: the arc
+    z_i -> a_i."""
+    return [PSeries("x", {F(rng.randint(1, 6)): F(rng.randint(-5, 5))
+                          for _ in range(rng.randint(0, 2))})
+            for _ in range(d)]
+
+
 class TestContainment:
-    @pytest.mark.parametrize("d,c", [
-        (2, F(2, 3)), (2, F(3, 4)), (2, F(1)),
-        (3, F(5, 12)), (3, F(2, 3)), (3, F(11, 12)),
-    ])
+    """containment_check compares the orders of build_p_plus_minus's pair
+    along one arc; the callers sample the arcs."""
+
+    @pytest.mark.parametrize("d,c", _CONTAINMENT_PAIRS)
     def test_no_violations(self, d, c):
+        rng = random.Random(11)
         ctx = choose_p(d, c)
-        rep = containment_check(ctx, samples=30, seed=11)
-        assert rep["pass"], rep["violations"][:1]
+        for _ in range(30):
+            coeffs = _rand_arc(rng, d)
+            rep = containment_check(ctx, coeffs)
+            assert rep["pass"], (coeffs, rep)
 
-    def test_distinct_samples_and_discards(self):
-        ctx = choose_p(2, F(2, 3))
-        rep = containment_check(ctx, samples=40, seed=3)
-        assert rep["samples"] == 40 and rep["discarded"] > 0
+    def test_planted_violation(self, monkeypatch):
+        # a trivial plus ideal against (z2^3, z3^2)^(1/6): along a = x^2,
+        # b = x^3 the minus order is 1, and 0 >= 3/2 fails
+        ctx = choose_p(3, F(5, 6))
+        z2, z3 = MPoly.variable("z2"), MPoly.variable("z3")
+        planted = CriterionIdeals(
+            ctx, [], [(QIdeal([z2 ** 3, z3 ** 2], 1), F(1, 6))])
+        monkeypatch.setattr(ideals, "build_p_plus_minus",
+                            lambda ctx: planted)
+        rep = containment_check(ctx, [zero(), xs(2), xs(3)])
+        assert rep == {"pass": False,
+                       "ord_plus": OrderVal.exact(0).to_json(),
+                       "ord_minus": OrderVal.exact(1).to_json()}
 
-    def test_certification_failure_propagates(self, monkeypatch):
-        import lctkit.criterion as crit
+    def test_degenerate_arcs_pass(self):
+        inf = OrderVal.infinite().to_json()
+        ctx = choose_p(3, F(5, 6))
+        # triple root: a = b = 0, both orders infinite
+        triple = UPoly.from_roots("y", [xs(1)] * 3).coeffs
+        assert containment_check(ctx, triple) == {
+            "pass": True, "ord_plus": inf, "ord_minus": inf}
+        # double root: the discriminant vanishes, (a^3, b^2) has order 6
+        double = UPoly.from_roots("y", [xs(1), xs(1), xs(2)]).coeffs
+        assert containment_check(ctx, double) == {
+            "pass": True, "ord_plus": inf,
+            "ord_minus": OrderVal.exact(F(1, 2)).to_json()}
+        square = UPoly.from_roots("y", [xs(1), xs(1)]).coeffs
+        assert containment_check(choose_p(2, F(3, 4)), square) == {
+            "pass": True, "ord_plus": inf,
+            "ord_minus": OrderVal.exact(0).to_json()}
 
-        def broken(*args):
-            raise ConsistencyError("planted")
-        monkeypatch.setattr(crit, "_table_for", broken)
-        with pytest.raises(ConsistencyError):
-            containment_check(choose_p(2, F(2, 3)), samples=5, seed=0)
+    def test_degree_four_raises(self):
+        with pytest.raises(ValueError, match="d <= 3"):
+            containment_check(choose_p(4, F(1, 2)), [xs(1)] * 4)
+
+    def test_reads_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the check read a difference-order table")
+        monkeypatch.setattr(criterion, "_table_for", refuse)
+        monkeypatch.setattr(rootdata, "certified_rows", refuse)
+        rng = random.Random(3)
+        for d, c in _CONTAINMENT_PAIRS:
+            assert containment_check(choose_p(d, c), _rand_arc(rng, d))["pass"]
 
     def test_degenerate_sample_passes(self):
-        # triple root: infinite on both sides
+        # triple root: one distinct row, infinite past its first entry
         ctx = choose_p(3, F(5, 6))
         h = UPoly.from_roots("y", [xs(1)] * 3)
         from lctkit.criterion import _band, _centers, _table_for
         table = _table_for(tuple(h.coeffs))
-        vals = _centers(_band(3, ctx.c), table.prefix_sums)
-        assert vals == [None] * 3
+        vals = _centers(_band(3, ctx.c), table.distinct_prefix_sums)
+        assert vals == [None]
 
 
 class TestTruncatedInput:

@@ -6,12 +6,14 @@ standard library and mpmath, no module-level import of a module off the
 decision path from a module on it, no import of the symbolic layer from
 the polynomial kernel, no import in the packed kernel of a package module
 besides errors, no import in the oracles of a module whose results they
-check, and no construction of RootRows, the decision's table, outside
-lctkit.rootdata.  Importing the package loads the decision
-path only and the CLI neither dataclasses nor inspect; every other layer,
-mpmath included, stays unloaded until a command uses it, also on truncated
-input at d <= 4, which never expands; an exact decision constructs no
-OrderVal, and an exact table-cache miss constructs one UPoly."""
+check, no construction of RootRows, the decision's table, outside
+lctkit.rootdata, and no mention of that table or its cache in
+lctkit.ideals, whose containment check reads the paper's pair.  Importing
+the package loads the decision path only and the CLI neither dataclasses
+nor inspect; every other layer, mpmath included, stays unloaded until a
+command uses it, also on truncated input at d <= 4, which never expands;
+an exact decision constructs no OrderVal, and an exact table-cache miss
+constructs one UPoly."""
 
 import ast
 import json
@@ -250,6 +252,23 @@ def _names(node, name):
             or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
+def names_of(tree, names):
+    """(line, name) of every mention in code of one of `names`: a name, an
+    attribute, an imported name or a string that is exactly the name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update((node.lineno, alias.name.rpartition(".")[2])
+                         for alias in node.names)
+        elif isinstance(node, ast.Name):
+            found.add((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant):
+            found.add((node.lineno, node.value))
+    return sorted((line, name) for line, name in found if name in names)
+
+
 def constructions(tree, name):
     """Line numbers of every construction of the class `name`, plain or
     as an attribute: a call of it, `object.__new__` of it, or a class
@@ -339,6 +358,13 @@ def test_one_builder_of_the_decision_table():
             if constructions(_tree(path), "RootRows")] == ["rootdata.py"]
 
 
+def test_containment_check_reads_no_table():
+    """lctkit.ideals checks the paper's plus/minus pair along arcs: it
+    names neither the decision's table cache nor its table."""
+    assert names_of(_tree(SRC / "ideals.py"),
+                    {"_table_for", "RootRows"}) == []
+
+
 def test_checks_catch_offenders():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -424,6 +450,21 @@ def test_table_builder_checks_catch_offenders():
     assert imported_names(tree, {"RootRows"}) == [
         (1, "RootRows"), (11, "RootRows")]
     assert constructions(tree, "RootRows") == [3, 4, 5, 6, 12]
+
+
+def test_name_check_catches_offenders():
+    tree = ast.parse(
+        "from .criterion import _table_for\n"
+        "from . import criterion, rootdata\n"
+        "t = criterion._table_for(coeffs)\n"
+        "isinstance(t, rootdata.RootRows)\n"
+        "u = getattr(criterion, '_table_for')\n"
+        "w = 'the RootRows of a table'\n"     # prose: kept
+        "def f():\n"                          # inside a function too
+        "    from lctkit.rootdata import RootRows as Rows\n")
+    assert names_of(tree, {"_table_for", "RootRows"}) == [
+        (1, "_table_for"), (3, "_table_for"), (4, "RootRows"),
+        (5, "_table_for"), (8, "RootRows")]
 
 
 def test_exported_names_read_the_lazy_table():

@@ -4,18 +4,22 @@ reads (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44, 2009).
 
 `lctkit.poly` writes the identities once, over a domain that supplies
-`const`, the multiply-accumulate `mac` and the exact division `div`; this
-module supplies the packed domains and runs them.  With the roots scaled by
-L, the lcm of the coefficient denominators, and the exponents counted over
-R, the lcm of the ramification indices, every power sum and every
-coefficient built from them is an int series.  Such a series
-sum_e c_e t^(e/R) is packed as the one int sum_e c_e 2^(w e), with
+`const`, the multiply-accumulate `mac` and the exact division `div`.  This
+module runs them once per degree over a recording domain, `_Recorder`,
+whose values are slot indices: the result is a straight-line program of
+multiply-accumulate ops, kept per (identities, degree), with the unit-norm
+bound that sets the digit width.  Every packed run replays that program.
+With the roots scaled by L, the lcm of the coefficient denominators, and
+the exponents counted over R, the lcm of the ramification indices, every
+power sum and every coefficient built from them is an int series.  Such a
+series sum_e c_e t^(e/R) is packed as the one int sum_e c_e 2^(w e), with
 balanced w-bit digits, and a series product is one int product.  Exact
-input runs on bare ints; truncated input carries each value's truncation
-under `sum_of_products`' bound rule.  `orders` reads only each output's
-lowest digit and truncation, all that a Newton polygon needs; no output is
-unpacked, so every polynomial that is built runs on the series route, a
-kernel that shares nothing with this one beyond the identities.
+input replays on bare ints in one loop; truncated input replays over
+`_Cut`, which carries each value's truncation under `sum_of_products`'
+bound rule.  `orders` reads only each output's lowest digit and
+truncation, all that a Newton polygon needs; no output is unpacked, so
+every polynomial that is built runs on the series route, a kernel that
+shares nothing with this one beyond the identities.
 """
 
 from __future__ import annotations
@@ -33,32 +37,68 @@ from .errors import ConsistencyError
 DIGITS_PER_TERM = 64
 
 
-class _Norms:
-    """Bounds on the L1 norms of packed series, carried through the same
-    identities: the norm of a product is at most the product of the norms,
-    and that of an exact quotient by k at most the norm over k, rounded up
-    so that the bounds of unit norms also bound the rational ones (see
-    `_run`).  `top` keeps the largest bound met.  It is taken before any
-    cut and before any division, so it bounds every digit ever formed."""
+class _Recorder:
+    """The domain that records the identities: each value is a slot index,
+    inputs first, then one slot per op.  An op (c, singles, products, k)
+    starts from the constant c, adds k' a for each single term
+    (k', a, None) and k' a b for each product term (k', a, b), and divides
+    the sum exactly by k.  A `div` of the op just recorded folds into that
+    op: in the identities every exact division divides the sum just
+    formed, which nothing else reads.
 
-    def __init__(self):
+    `norms` bounds the L1 norm of each slot's packed series when every
+    input has norm at most 1: the norm of a product is at most the product
+    of the norms, and that of an exact quotient by k at most the norm over
+    k, rounded up so that the bounds of unit norms also bound the rational
+    ones (see `_run`).  `top` keeps the largest bound met.  It is taken
+    before any cut and before any division, so it bounds every digit ever
+    formed."""
+
+    def __init__(self, d):
+        self.norms = [1] * d
         self.top = 1
+        self.ops = []
+
+    def _slot(self, op, norm):
+        self.ops.append(op)
+        self.norms.append(norm)
+        if norm > self.top:
+            self.top = norm
+        return len(self.norms) - 1
 
     def const(self, c):
-        self.top = max(self.top, abs(c))
-        return abs(c)
+        return self._slot((c, (), (), 1), abs(c))
 
     def mac(self, terms):
-        x = 0
-        for k, a, b in terms:
-            x += abs(k) * a if b is None else abs(k) * a * b
-        if x > self.top:
-            self.top = x
-        return x
+        norms = self.norms
+        singles, products, x = [], [], 0
+        for term in terms:
+            k, a, b = term
+            if b is None:
+                singles.append(term)
+                x += abs(k) * norms[a]
+            else:
+                products.append(term)
+                x += abs(k) * norms[a] * norms[b]
+        return self._slot((0, tuple(singles), tuple(products), 1), x)
 
-    @staticmethod
-    def div(x, k):
-        return -(-x // k)
+    def div(self, x, k):
+        ops, norm = self.ops, -(-self.norms[x] // k)
+        if ops and x == len(self.norms) - 1 and ops[-1][3] == 1:
+            c, singles, products, _ = ops[-1]
+            ops[-1] = (c, singles, products, k)
+            self.norms[x] = norm
+            return x
+        return self._slot((0, ((1, x, None),), (), k), norm)
+
+
+@lru_cache(maxsize=64)
+def _program(newton, d):
+    """`newton` recorded at degree d: its ops, its output slots, and the
+    largest unit-norm bound met (see `_Recorder`)."""
+    rec = _Recorder(d)
+    out = newton(rec, list(range(d)))
+    return tuple(rec.ops), tuple(out), rec.top
 
 
 def _exact_quotient(x, k):
@@ -69,18 +109,19 @@ def _exact_quotient(x, k):
     return q
 
 
-class _Ints:
-    """Exactly known packed series: each value is a bare int."""
-
-    const = staticmethod(int)
-    div = staticmethod(_exact_quotient)
-
-    @staticmethod
-    def mac(terms):
-        acc = 0
-        for k, a, b in terms:
-            acc += k * a if b is None else k * a * b
-        return acc
+def _replay_ints(program, xs):
+    """The program's outputs on exactly known packed ints xs."""
+    ops, out, _ = program
+    v = list(xs)
+    for acc, singles, products, k in ops:
+        for m, a, _ in singles:
+            acc += m * v[a]
+        for m, a, b in products:
+            acc += m * v[a] * v[b]
+        if k != 1:
+            acc = _exact_quotient(acc, k)
+        v.append(acc)
+    return [v[i] for i in out]
 
 
 class _Cut:
@@ -128,13 +169,22 @@ class _Cut:
         return _exact_quotient(x[0], k), x[1]
 
 
-@lru_cache(maxsize=64)
-def _unit_bound(newton, d):
-    """The `top` of `newton` run on unit norms at degree d, and the number
-    of coefficients it builds."""
-    bound = _Norms()
-    out = newton(bound, [1] * d)
-    return bound.top, len(out)
+def _replay_cut(program, xs, w):
+    """The program's outputs on packed pairs xs, each (x, truncation), run
+    over `_Cut(w)`."""
+    ops, out, _ = program
+    dom = _Cut(w)
+    v = list(xs)
+    for c, singles, products, k in ops:
+        if singles or products:
+            x = dom.mac([(m, v[a], None) for m, a, _ in singles] +
+                        [(m, v[a], v[b]) for m, a, b in products])
+        else:
+            x = dom.const(c)
+        if k != 1:
+            x = dom.div(x, k)
+        v.append(x)
+    return [v[i] for i in out]
 
 
 def _width(top):
@@ -147,11 +197,11 @@ def _width(top):
 
 
 def _run(h, newton, weight):
-    """`newton(dom, coefficient list)` run on packed ints over the series
-    coefficients of h: (values, w, R), each value a pair (x, tr) of the
-    packed int of c_j L^(weight j) and its truncation in digits (None when
-    exactly known), or None when the input is too sparse for packing to
-    pay.
+    """`newton(dom, coefficient list)`, recorded once per degree, replayed
+    on packed ints over the series coefficients of h: (values, w, R), each
+    value a pair (x, tr) of the packed int of c_j L^(weight j) and its
+    truncation in digits (None when exactly known), or None when the input
+    is too sparse for packing to pay.
 
     The identities are weighted homogeneous, a_i of weight i and c_j of
     weight `weight` j, and no value weighs more than c_n.  So no value has
@@ -166,8 +216,9 @@ def _run(h, newton, weight):
     L = R = 1
     for a in h.coeffs:
         L, R = math.lcm(L, a._den), math.lcm(R, a._ram)
-    unit, n = _unit_bound(newton, len(h.coeffs))
-    D = weight * n
+    program = _program(newton, len(h.coeffs))
+    _, out, unit = program
+    D = weight * len(out)
     exact = True
     reach = terms = 0
     # a_i L^i as {digit: int coefficient}, its norm and its truncation in
@@ -199,10 +250,9 @@ def _run(h, newton, weight):
         for e, c in t.items():
             x += c << w * e
         xs.append(x if exact else (x, tr))
-    values = newton(_Ints if exact else _Cut(w), xs)
     if exact:
-        values = [(x, None) for x in values]
-    return values, w, R
+        return [(x, None) for x in _replay_ints(program, xs)], w, R
+    return _replay_cut(program, xs, w), w, R
 
 
 def orders(h, newton, weight):

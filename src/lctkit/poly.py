@@ -13,7 +13,9 @@ fold.  Compound polynomials have no degree cap.  The exact certificate
 reads only the orders of the difference polynomial's coefficients, which
 `difference_orders` takes off Kronecker-packed ints (lctkit.packed)
 without building the polynomial, unless the input is too sparse for
-packing to pay.  On packed input the two routes share only the
+packing to pay: lctkit.packed records the identities once per degree, over
+a domain whose values are slot indices, and replays the recorded program
+on the packed ints.  On packed input the two routes share only the
 identities, so the built polynomial is an independent check of the
 certificate.
 
@@ -142,8 +144,10 @@ class UPoly:
 # (k, a, b) triples with int k, k*a where b is None) and the exact division
 # `div(x, k)`.  Every polynomial built from roots runs them over `_Exact`:
 # series through `sum_of_products`, polynomial coefficients by a fold.  The
-# certificate's orders alone run them on Kronecker-packed ints
-# (`lctkit.packed`), one int product per series product.
+# certificate's orders alone take them to Kronecker-packed ints: the
+# recording domain of `lctkit.packed` runs them once per degree into a
+# straight-line program, which the packed replays run, one int product per
+# series product.
 # ---------------------------------------------------------------------------
 
 class _Exact:

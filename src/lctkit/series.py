@@ -21,8 +21,9 @@ go through `sum_of_products`, which forms a whole sum of scaled products in
 one dict with one reduction.  It is the series arithmetic, and it runs
 Newton's identities for every polynomial that is built: the difference,
 cross-difference, compound and value polynomials.  Only the certificate's
-coefficient orders run them on packed ints (lctkit.packed), under this
-function's truncation rule.
+coefficient orders take them to packed ints (lctkit.packed), which records
+them once per degree and replays the recorded program, on truncated input
+under this function's truncation rule.
 
 All values are immutable and all operations are pure.
 """

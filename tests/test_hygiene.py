@@ -5,15 +5,17 @@ method or class that only tests use, no runtime dependency besides the
 standard library and mpmath, no module-level import of a module off the
 decision path from a module on it, no import of the symbolic layer from
 the polynomial kernel, no import in the packed kernel of a package module
-besides errors, no import in the oracles of a module whose results they
+besides errors and no call there of the identities it is handed outside
+its recorder, no import in the oracles of a module whose results they
 check, no construction of RootRows, the decision's table, outside
 lctkit.rootdata, and no mention of that table or its cache in
 lctkit.ideals, whose containment check reads the paper's pair.  Importing
 the package loads the decision path only and the CLI neither dataclasses
 nor inspect; every other layer, mpmath included, stays unloaded until a
 command uses it, also on truncated input at d <= 4, which never expands;
-an exact decision constructs no OrderVal, and an exact table-cache miss
-constructs one UPoly."""
+nothing is recorded on import, and the identities are recorded once per
+degree; an exact decision constructs no OrderVal, and an exact table-cache
+miss constructs one UPoly."""
 
 import ast
 import json
@@ -286,6 +288,31 @@ def constructions(tree, name):
     return sorted(found)
 
 
+def callers_of(tree, name):
+    """(line, scope) of every call of the plain name `name`, with the name
+    of the innermost function the call runs in: "<lambda>" in a lambda,
+    "" at module or class level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == name):
+                found.append((child.lineno, scope))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, ast.Lambda):
+                visit(child, "<lambda>")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, "")
+            else:
+                visit(child, scope)
+
+    visit(tree, "")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_broad_except(path):
     assert broad_handlers(_tree(path)) == []
@@ -347,6 +374,14 @@ def test_packed_kernel_imports_only_errors():
     ints and builds no series, so no reader that unpacks them, and no
     series route, sits beside the kernel the built polynomials check."""
     assert imports_of(_tree(SRC / "packed.py"), BESIDE_PACKED) == []
+
+
+def test_identities_run_only_in_the_recorder():
+    """lctkit.packed calls the identities it is handed, `newton`, in one
+    place: the recorder, once per degree.  Every packed run replays the
+    recorded program, so no route runs the identities per call."""
+    assert [scope for _, scope in callers_of(_tree(SRC / "packed.py"),
+                                             "newton")] == ["_program"]
 
 
 def test_one_builder_of_the_decision_table():
@@ -432,6 +467,22 @@ def test_packed_import_check_catches_offenders():
         "    import lctkit.series\n")
     assert imports_of(tree, BESIDE_PACKED) == [
         (3, "series"), (4, "poly"), (6, "series")]
+
+
+def test_caller_check_catches_offenders():
+    tree = ast.parse(
+        "def _program(newton, d):\n"
+        "    return newton(rec, d)\n"
+        "def _run(h, newton):\n"
+        "    return newton(dom, h)\n"
+        "class A:\n"
+        "    def m(self, newton):\n"
+        "        return lambda: newton(1, 2)\n"
+        "    x = newton(0, 1)\n"
+        "def g(newton):\n"
+        "    return dom.newton(newton)\n")   # an attribute: not a call of it
+    assert callers_of(tree, "newton") == [
+        (2, "_program"), (4, "_run"), (7, "<lambda>"), (8, "")]
 
 
 def test_table_builder_checks_catch_offenders():
@@ -608,6 +659,38 @@ def test_exact_decision_leaves_mpmath_unloaded():
     assert ({"lctkit.numeric", "lctkit.mpoly", "mpmath"}
             <= after_diffs - after_orders)
     assert after_oracle - after_diffs == {"lctkit.oracle"}
+
+
+RECORDING = """
+import json
+import sys
+
+import lctkit
+from lctkit import packed
+
+print(packed._program.cache_info().currsize)
+import lctkit.cli
+print(packed._program.cache_info().currsize)
+from lctkit.criterion import lct_ge
+from lctkit.series import PSeries
+for d, coeffs in json.loads(sys.argv[1]):
+    lct_ge(d, "2/3", [PSeries.from_json(a) for a in coeffs])
+info = packed._program.cache_info()
+print(info.misses, info.currsize)
+"""
+
+
+def test_identities_are_recorded_on_first_use():
+    """Nothing is recorded on import: importing the package and the CLI
+    leaves packed._program empty.  Deciding 50 exact inputs at d = 2 and 3
+    records the identities once per degree, twice in all."""
+    blob = json.dumps([[d, [a.to_json() for a in _exact_coeffs(d, shift)]]
+                       for d in (2, 3) for shift in range(1, 26)])
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", RECORDING, blob], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "2", "2"]
 
 
 TRUNCATED_MPMATH = """

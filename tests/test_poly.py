@@ -1,9 +1,13 @@
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from lctkit.poly import (
 from lctkit.series import INF, PSeries
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +486,43 @@ def stress_upolys():
     ]
 
 
+def _seven_sums(dom, a):
+    """Root power sums s_0..s_7 of the monic polynomial with coefficients
+    a."""
+    return power_sums(dom, a, 7)
+
+
+def _coeffs_of_sums(dom, p):
+    """Coefficients of the monic polynomial with root power sums p."""
+    return from_power_sums(dom, [None] + p, len(p))
+
+
+def _product_and_half(dom, a):
+    """a_1 a_2, and a_1 halved."""
+    product = dom.mac([(1, a[0], a[1])])
+    return [product, dom.div(a[0], 2)]
+
+
+INEXACT_DIVISION = """
+from lctkit import packed
+from lctkit.errors import ConsistencyError
+from lctkit.poly import from_power_sums
+
+
+def coeffs_of_sums(dom, p):
+    return from_power_sums(dom, [None] + p, len(p))
+
+
+program = packed._program(coeffs_of_sums, 2)
+for replay in (lambda: packed._replay_ints(program, [1, 0]),
+               lambda: packed._replay_cut(program, [(1, None), (0, 2)], 8)):
+    try:
+        replay()
+    except ConsistencyError:
+        print("ConsistencyError")
+"""
+
+
 def prs_nodes(count):
     """Nonzero integer nodes 1, -1, 2, -2, ..."""
     return [F((k // 2 + 1) * (-1) ** k) for k in range(count)]
@@ -501,13 +543,15 @@ class TestPowerSumKernel:
             assert [x.const_value() for x in s] == \
                 [sum(r ** k for r in roots) for k in range(8)]
             assert from_power_sums(dom, s, d) == list(h.coeffs)
-            # the packed domain on the roots scaled to integers
+            # the identities recorded and replayed on the roots scaled to
+            # integers
             L = math.lcm(*(r.denominator for r in roots))
             ints = [int(a.const_value() * L ** i)
                     for i, a in enumerate(h.coeffs, 1)]
-            s = power_sums(packed._Ints, ints, 7)
+            s = packed._replay_ints(packed._program(_seven_sums, d), ints)
             assert s == [sum((r * L) ** k for r in roots) for k in range(8)]
-            assert from_power_sums(packed._Ints, s, d) == ints
+            assert packed._replay_ints(packed._program(_coeffs_of_sums, d),
+                                       s[1:d + 1]) == ints
 
     @pytest.mark.parametrize("d,count", [(2, 6), (3, 4), (4, 2), (5, 1)])
     def test_difference_poly_matches_prs(self, d, count):
@@ -593,11 +637,32 @@ class TestPowerSumKernel:
 
     def test_inexact_packed_division_raises(self):
         # the reverse identities divide by k; a remainder is an
-        # inconsistency, raised also under python -O
-        for dom, x in ((packed._Ints, 7), (packed._Cut(8), (7, None))):
-            assert dom.div(dom.mac([(3, x, None)]), 3) in (7, (7, None))
+        # inconsistency, raised by the exact and the truncated replay, also
+        # under python -O.  The power sums 1, 0 give a_1 = -1 and
+        # 2 a_2 = 1; the power sums 1, 1 give a_2 = 0.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", INEXACT_DIVISION], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ConsistencyError"] * 2
+        program = packed._program(_coeffs_of_sums, 2)
+        assert packed._replay_ints(program, [1, 1]) == [-1, 0]
+        assert packed._replay_cut(program, [(1, None), (1, 3)], 8) == \
+            [(-1, None), (0, 3)]
+        for replay in (lambda: packed._replay_ints(program, [1, 0]),
+                       lambda: packed._replay_cut(
+                           program, [(1, None), (0, None)], 8)):
             with pytest.raises(ConsistencyError, match="divisible by 2"):
-                dom.div(x, 2)
+                replay()
+
+    def test_division_of_an_older_value_is_its_own_op(self):
+        # only a division of the sum just formed folds into its op
+        program = packed._program(_product_and_half, 2)
+        assert [op[3] for op in program[0]] == [1, 2] and program[2] == 1
+        assert packed._replay_ints(program, [4, -6]) == [-24, 2]
+        with pytest.raises(ConsistencyError, match="divisible by 2"):
+            packed._replay_ints(program, [5, 6])
 
     def test_sparse_input_is_not_packed(self, monkeypatch):
         # y^4 + t^(10^6) would pack into ints of 3e6 digits; the series
@@ -808,6 +873,85 @@ class TestDifferenceOrders:
         assert seen == {"raised", "infinite", "finite"}
         # y^4 + t y + t^1000 takes the series route
         assert routes.count(False) >= 1 and routes.count(True) > len(cut)
+
+
+class _PlainInts:
+    """Bare ints, written apart from lctkit.packed: the reference the
+    exact replay is checked against."""
+
+    @staticmethod
+    def const(c):
+        return c
+
+    @staticmethod
+    def mac(terms):
+        return sum(k * a if b is None else k * a * b for k, a, b in terms)
+
+    @staticmethod
+    def div(x, k):
+        q, r = divmod(x, k)
+        assert r == 0, (x, k)
+        return q
+
+
+# The unit-norm bound of the difference sums at d = 2..10, as the norms
+# carried by a separate pass over the identities gave it before they were
+# recorded, and the digit width each one sets.
+UNIT_BOUNDS = {
+    2: 7,
+    3: 3048,
+    4: 21769686,
+    5: 2390675931640,
+    6: 4076822144502811560,
+    7: 106859696620898903934317184,
+    8: 43260502212829420904304024057184932,
+    9: 271832750305552901569246700698705572573088176,
+    10: 26677024566297122178028951398863532515929747448236685265,
+}
+WIDTHS = {2: 8, 3: 16, 4: 32, 5: 64, 6: 64, 7: 88, 8: 120, 9: 152, 10: 192}
+
+
+class TestRecordedIdentities:
+    """Newton's identities recorded once per degree (packed._program) and
+    replayed: on bare ints for exact input, over packed._Cut for truncated
+    input."""
+
+    def test_unit_bounds_and_widths(self):
+        for d, bound in UNIT_BOUNDS.items():
+            _, out, top = packed._program(poly._difference_sums, d)
+            assert (top, len(out)) == (bound, d * (d - 1) // 2)
+            assert packed._width(top) == WIDTHS[d]
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_exact_replay_matches_plain_ints(self, d):
+        rng = random.Random(100 + d)
+        program = packed._program(poly._difference_sums, d)
+        for bits in (8, 80, 300):
+            xs = [rng.randrange(-2 ** bits, 2 ** bits) for _ in range(d)]
+            assert packed._replay_ints(program, xs) == \
+                poly._difference_sums(_PlainInts, xs)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_truncated_replay_matches_cut_domain(self, d, monkeypatch):
+        # the packed pairs and widths of random truncated inputs, as the
+        # certificate forms them
+        runs = []
+        real = packed._replay_cut
+
+        def spy(program, xs, w):
+            runs.append((xs, w, real(program, xs, w)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(packed, "_replay_cut", spy)
+        rng = random.Random(200 + d)
+        for _ in range(6):
+            packed.orders(rand_cut_upoly(rng, d), poly._difference_sums, 2)
+        assert len(runs) >= 3
+        cuts = set()
+        for xs, w, got in runs:
+            assert got == poly._difference_sums(packed._Cut(w), xs)
+            cuts.update(tr for _, tr in got)
+        assert len(cuts) > 1
 
 
 class TestValuePoly:

@@ -1,5 +1,5 @@
 """Newton's identities on Kronecker-packed ints: the coefficient orders of
-the difference polynomial of series input, which the exact certificate
+the difference polynomial of exact series input, which the certificate
 reads (Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44, 2009).
 
@@ -8,18 +8,18 @@ substitution", J. Symbolic Comput. 44, 2009).
 module runs them once per degree over a recording domain, `_Recorder`,
 whose values are slot indices: the result is a straight-line program of
 multiply-accumulate ops, kept per (identities, degree), with the unit-norm
-bound that sets the digit width.  Every packed run replays that program.
-With the roots scaled by L, the lcm of the coefficient denominators, and
-the exponents counted over R, the lcm of the ramification indices, every
-power sum and every coefficient built from them is an int series.  Such a
-series sum_e c_e t^(e/R) is packed as the one int sum_e c_e 2^(w e), with
-balanced w-bit digits, and a series product is one int product.  Exact
-input replays on bare ints in one loop; truncated input replays over
-`_Cut`, which carries each value's truncation under `sum_of_products`'
-bound rule.  `orders` reads only each output's lowest digit and
-truncation, all that a Newton polygon needs; no output is unpacked, so
-every polynomial that is built runs on the series route, a kernel that
-shares nothing with this one beyond the identities.
+bound that sets the digit width.  Every packed run replays that program on
+bare ints in one loop.  With the roots scaled by L, the lcm of the
+coefficient denominators, and the exponents counted over R, the lcm of the
+ramification indices, every power sum and every coefficient built from
+them is an int series.  Such a series sum_e c_e t^(e/R) is packed as the
+one int sum_e c_e 2^(w e), with balanced w-bit digits, and a series
+product is one int product.  Only exact input is packed: truncated input,
+like input too sparse for packing to pay, takes the series route, whose
+`sum_of_products` holds the one truncation rule.  `orders` reads only each
+output's lowest digit, all that a Newton polygon needs; no output is
+unpacked, so every polynomial that is built runs on the series route, a
+kernel that shares nothing with this one beyond the identities.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ class _Recorder:
     input has norm at most 1: the norm of a product is at most the product
     of the norms, and that of an exact quotient by k at most the norm over
     k, rounded up so that the bounds of unit norms also bound the rational
-    ones (see `_run`).  `top` keeps the largest bound met.  It is taken
-    before any cut and before any division, so it bounds every digit ever
-    formed."""
+    ones (see `orders`).  `top` keeps the largest bound met.  It is taken
+    before any division, so it bounds every digit ever formed."""
 
     def __init__(self, d):
         self.norms = [1] * d
@@ -124,69 +123,6 @@ def _replay_ints(program, xs):
     return [v[i] for i in out]
 
 
-class _Cut:
-    """Packed series known below a truncation: each value is a pair (x, t)
-    of the packed int and the truncation in digits (a Fraction, or None when
-    exactly known), under `sum_of_products`' bound rule.  The lowest nonzero
-    digit of x is v2(x) // w, and a sum known below t digits keeps the
-    balanced residue of x mod 2^(w ceil(t))."""
-
-    def __init__(self, w):
-        self.w = w
-
-    @staticmethod
-    def const(c):
-        return c, None
-
-    def mac(self, terms):
-        acc, tr, w = 0, None, self.w
-        for k, (x, ta), b in terms:
-            if b is None:
-                acc += k * x
-                t = ta
-            else:
-                # a product is known below min(T_a + ord b, T_b + ord a),
-                # ord the lowest stored digit, or T when none is stored
-                y, tb = b
-                acc += k * x * y
-                t = None
-                lb = ((y & -y).bit_length() - 1) // w if y else tb
-                if ta is not None and lb is not None:
-                    t = ta + lb
-                la = ((x & -x).bit_length() - 1) // w if x else ta
-                if tb is not None and la is not None and (
-                        t is None or tb + la < t):
-                    t = tb + la
-            if t is not None and (tr is None or t < tr):
-                tr = t
-        if tr is not None:
-            m = 1 << (w * math.ceil(tr))
-            acc = ((acc + (m >> 1)) & (m - 1)) - (m >> 1)
-        return acc, tr
-
-    @staticmethod
-    def div(x, k):
-        return _exact_quotient(x[0], k), x[1]
-
-
-def _replay_cut(program, xs, w):
-    """The program's outputs on packed pairs xs, each (x, truncation), run
-    over `_Cut(w)`."""
-    ops, out, _ = program
-    dom = _Cut(w)
-    v = list(xs)
-    for c, singles, products, k in ops:
-        if singles or products:
-            x = dom.mac([(m, v[a], None) for m, a, _ in singles] +
-                        [(m, v[a], v[b]) for m, a, b in products])
-        else:
-            x = dom.const(c)
-        if k != 1:
-            x = dom.div(x, k)
-        v.append(x)
-    return [v[i] for i in out]
-
-
 def _width(top):
     """Digit width for digits of size at most `top`: a power of two from 8
     to 64 bits, above that a multiple of 8, with room for the sign."""
@@ -196,12 +132,15 @@ def _width(top):
     return -(-bits // 8) * 8
 
 
-def _run(h, newton, weight):
-    """`newton(dom, coefficient list)`, recorded once per degree, replayed
-    on packed ints over the series coefficients of h: (values, w, R), each
-    value a pair (x, tr) of the packed int of c_j L^(weight j) and its
-    truncation in digits (None when exactly known), or None when the input
-    is too sparse for packing to pay.
+def orders(h, newton, weight):
+    """The orders of the coefficients c_1..c_n that `newton(dom, h.coeffs)`
+    builds from the series coefficients of h, as `PSeries.order_units`
+    gives them, or None when the input is truncated or too sparse for
+    packing to pay.  The program is replayed on the packed ints of
+    c_j L^(weight j), and only each output's lowest digit is read: the
+    digits are balanced, so the lowest nonzero one of x is v2(x) // w.  The
+    order k / R is over R itself, not reduced, and a value with no digit
+    gives (None, None).
 
     The identities are weighted homogeneous, a_i of weight i and c_j of
     weight `weight` j, and no value weighs more than c_n.  So no value has
@@ -215,15 +154,15 @@ def _run(h, newton, weight):
     times M^D, and M^D <= max n_i^ceil(D/i)."""
     L = R = 1
     for a in h.coeffs:
+        if a._tr is not None:
+            return None
         L, R = math.lcm(L, a._den), math.lcm(R, a._ram)
     program = _program(newton, len(h.coeffs))
     _, out, unit = program
     D = weight * len(out)
-    exact = True
     reach = terms = 0
-    # a_i L^i as {digit: int coefficient}, its norm and its truncation in
-    # digits
-    row, norms, trs = [], [], []
+    # a_i L^i as {digit: int coefficient}, and its norm
+    row, norms = [], []
     for i, a in enumerate(h.coeffs, 1):
         f, g = L ** i // a._den, R // a._ram
         t = a._t
@@ -236,8 +175,6 @@ def _run(h, newton, weight):
                 reach = top
         row.append(t)
         norms.append(sum(map(abs, t.values())))
-        trs.append(None if a._tr is None else a._tr * R)
-        exact = exact and a._tr is None
     if reach > DIGITS_PER_TERM * terms:
         return None
     scale = 1
@@ -245,27 +182,10 @@ def _run(h, newton, weight):
         scale = max(scale, m ** -(-D // i))
     w = _width(unit * scale)
     xs = []
-    for t, tr in zip(row, trs):
+    for t in row:
         x = 0
         for e, c in t.items():
             x += c << w * e
-        xs.append(x if exact else (x, tr))
-    if exact:
-        return [(x, None) for x in _replay_ints(program, xs)], w, R
-    return _replay_cut(program, xs, w), w, R
-
-
-def orders(h, newton, weight):
-    """The orders of the coefficients c_1..c_n that `newton(dom, h.coeffs)`
-    builds from the series coefficients of h, as `PSeries.order_units`
-    gives them, or None when the input is too sparse for packing to pay.
-    Only each value's lowest digit is read: the digits are balanced, so the
-    lowest nonzero one of x is v2(x) // w, and a cut leaves none at or past
-    the truncation.  The order k / R is over R itself, not reduced, and a
-    value with no digit gives (None, its truncation)."""
-    run = _run(h, newton, weight)
-    if run is None:
-        return None
-    values, w, R = run
-    return [(((x & -x).bit_length() - 1) // w, R) if x else
-            (None, None if tr is None else tr / R) for x, tr in values]
+        xs.append(x)
+    return [(((x & -x).bit_length() - 1) // w, R) if x else (None, None)
+            for x in _replay_ints(program, xs)]

@@ -9,15 +9,16 @@ into coefficients by the same identities run in reverse.  The identities
 are written once, over a domain that supplies their multiply-accumulate
 and exact division.  Every polynomial that is built runs them on its own
 coefficients: series through `sum_of_products`, polynomials by a plain
-fold.  Compound polynomials have no degree cap.  The exact certificate
-reads only the orders of the difference polynomial's coefficients, which
+fold.  Compound polynomials have no degree cap.  The certificate reads
+only the orders of the difference polynomial's coefficients, which
 `difference_orders` takes off Kronecker-packed ints (lctkit.packed)
-without building the polynomial, unless the input is too sparse for
-packing to pay: lctkit.packed records the identities once per degree, over
-a domain whose values are slot indices, and replays the recorded program
-on the packed ints.  On packed input the two routes share only the
-identities, so the built polynomial is an independent check of the
-certificate.
+without building the polynomial, unless the input is truncated or too
+sparse for packing to pay: lctkit.packed records the identities once per
+degree, over a domain whose values are slot indices, and replays the
+recorded program on the packed ints.  Truncated input takes the series
+route, so `sum_of_products` holds the one truncation rule.  On packed
+input the two routes share only the identities, so the built polynomial
+is an independent check of the certificate.
 
 This module is the decision path's share of the polynomial layer.  The
 symbolic layer (multivariate polynomials over Q, Taylor shifts, resultants,
@@ -144,10 +145,10 @@ class UPoly:
 # (k, a, b) triples with int k, k*a where b is None) and the exact division
 # `div(x, k)`.  Every polynomial built from roots runs them over `_Exact`:
 # series through `sum_of_products`, polynomial coefficients by a fold.  The
-# certificate's orders alone take them to Kronecker-packed ints: the
-# recording domain of `lctkit.packed` runs them once per degree into a
-# straight-line program, which the packed replays run, one int product per
-# series product.
+# certificate's orders of exact input alone take them to Kronecker-packed
+# ints: the recording domain of `lctkit.packed` runs them once per degree
+# into a straight-line program, which the packed replay runs, one int
+# product per series product.
 # ---------------------------------------------------------------------------
 
 class _Exact:
@@ -266,8 +267,9 @@ def difference_orders(h: UPoly):
     """The orders of the coefficients a_1..a_(d(d-1)) of h's difference
     polynomial D over series, as `PSeries.order_units` gives them, read
     without building D: the lowest packed digit of each coefficient E_j of
-    E, or on sparse input the E_j of the series route.  D(y) = E(y^2), so
-    E_j is D's a_(2j), and the odd coefficients vanish exactly."""
+    E, or on truncated or too sparse input the E_j of the series route.
+    D(y) = E(y^2), so E_j is D's a_(2j), and the odd coefficients vanish
+    exactly."""
     if h.degree < 2:
         raise ValueError("difference polynomial needs degree >= 2")
     evens = packed.orders(h, _difference_sums, 2)

@@ -62,7 +62,7 @@ def _coeff_orders(h: UPoly):
     PSeries.order_units gives them: the list _polygon and _lemma1_order
     read."""
     if not h.is_series:
-        raise ValueError("newton_polygon expects series coefficients")
+        raise ValueError("root orders need series coefficients")
     return [a.order_units() for a in h.coeffs]
 
 
@@ -209,7 +209,7 @@ def _difference_levels(h: UPoly):
     (poly.difference_orders) without building D.  Its truncation checks
     and their hints name D's coefficients."""
     if not h.is_series:
-        raise ValueError("newton_polygon expects series coefficients")
+        raise ValueError("root orders need series coefficients")
     return _root_levels(difference_orders(h))
 
 

@@ -20,10 +20,11 @@ and as INF or a Fraction.  Sums, differences, scalings and products all
 go through `sum_of_products`, which forms a whole sum of scaled products in
 one dict with one reduction.  It is the series arithmetic, and it runs
 Newton's identities for every polynomial that is built: the difference,
-cross-difference, compound and value polynomials.  Only the certificate's
-coefficient orders take them to packed ints (lctkit.packed), which records
-them once per degree and replays the recorded program, on truncated input
-under this function's truncation rule.
+cross-difference, compound and value polynomials, and the certificate's
+coefficient orders of truncated or sparse input.  Only the certificate's
+coefficient orders of exact dense input take them to packed ints
+(lctkit.packed), which records them once per degree and replays the
+recorded program; this function holds the one truncation rule.
 
 All values are immutable and all operations are pure.
 """

@@ -177,16 +177,12 @@ def _suite_ring(rng):
     return {"ok": ok}
 
 
-def _suite_oracle(trials, seed):
-    rng = random.Random(seed)
-    results = []
-    for i in range(trials):
-        d, k = rng.randint(1, 12), rng.randint(1, 12)
-        closed = lct_binomial_curve(d, k)
-        mono = lct_monomial_ideal([(k, 0), (0, d)])
-        ok = closed == min(Fraction(1), mono)
-        results.append({"trial": i, "ok": ok, "d": d, "k": k})
-    return results
+@_per_trial
+def _suite_oracle(rng):
+    d, k = rng.randint(1, 12), rng.randint(1, 12)
+    closed = lct_binomial_curve(d, k)
+    mono = lct_monomial_ideal([(k, 0), (0, d)])
+    return {"ok": closed == min(Fraction(1), mono), "d": d, "k": k}
 
 
 _SUITES = {

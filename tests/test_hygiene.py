@@ -673,24 +673,36 @@ import lctkit.cli
 print(packed._program.cache_info().currsize)
 from lctkit.criterion import lct_ge
 from lctkit.series import PSeries
-for d, coeffs in json.loads(sys.argv[1]):
-    lct_ge(d, "2/3", [PSeries.from_json(a) for a in coeffs])
-info = packed._program.cache_info()
-print(info.misses, info.currsize)
+for blob in sys.argv[1:]:
+    verdicts = set()
+    for d, coeffs in json.loads(blob):
+        verdicts.add(lct_ge(d, "2/3",
+                            [PSeries.from_json(a) for a in coeffs])[0])
+    info = packed._program.cache_info()
+    print(info.misses, info.currsize, *sorted(verdicts))
 """
 
 
 def test_identities_are_recorded_on_first_use():
     """Nothing is recorded on import: importing the package and the CLI
     leaves packed._program empty.  Deciding 50 exact inputs at d = 2 and 3
-    records the identities once per degree, twice in all."""
-    blob = json.dumps([[d, [a.to_json() for a in _exact_coeffs(d, shift)]]
-                       for d in (2, 3) for shift in range(1, 26)])
+    records the identities once per degree, twice in all.  Deciding
+    truncated inputs at d = 4 and 5, which keep known terms and are
+    decided or left unknown, records nothing more: truncated input takes
+    the series route."""
+    exact = json.dumps([[d, [a.to_json() for a in _exact_coeffs(d, shift)]]
+                        for d in (2, 3) for shift in range(1, 26)])
+    cut = json.dumps([[d, [a.truncated(bound).to_json()
+                           for a in _exact_coeffs(d, shift)]]
+                      for d in (4, 5) for shift in (1, 2)
+                      for bound in (4, 8, 12)])
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", RECORDING, blob], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", RECORDING, exact, cut],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "2", "2"]
+    assert proc.stdout.splitlines() == ["0", "0", "2 2 no yes",
+                                        "2 2 no unknown"]
 
 
 TRUNCATED_MPMATH = """

@@ -513,13 +513,10 @@ def coeffs_of_sums(dom, p):
     return from_power_sums(dom, [None] + p, len(p))
 
 
-program = packed._program(coeffs_of_sums, 2)
-for replay in (lambda: packed._replay_ints(program, [1, 0]),
-               lambda: packed._replay_cut(program, [(1, None), (0, 2)], 8)):
-    try:
-        replay()
-    except ConsistencyError:
-        print("ConsistencyError")
+try:
+    packed._replay_ints(packed._program(coeffs_of_sums, 2), [1, 0])
+except ConsistencyError:
+    print("ConsistencyError")
 """
 
 
@@ -637,24 +634,19 @@ class TestPowerSumKernel:
 
     def test_inexact_packed_division_raises(self):
         # the reverse identities divide by k; a remainder is an
-        # inconsistency, raised by the exact and the truncated replay, also
-        # under python -O.  The power sums 1, 0 give a_1 = -1 and
-        # 2 a_2 = 1; the power sums 1, 1 give a_2 = 0.
+        # inconsistency, raised by the replay, also under python -O.  The
+        # power sums 1, 0 give a_1 = -1 and 2 a_2 = 1; the power sums 1, 1
+        # give a_2 = 0.
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(
             [sys.executable, "-O", "-c", INEXACT_DIVISION], env=env,
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["ConsistencyError"] * 2
+        assert proc.stdout.split() == ["ConsistencyError"]
         program = packed._program(_coeffs_of_sums, 2)
         assert packed._replay_ints(program, [1, 1]) == [-1, 0]
-        assert packed._replay_cut(program, [(1, None), (1, 3)], 8) == \
-            [(-1, None), (0, 3)]
-        for replay in (lambda: packed._replay_ints(program, [1, 0]),
-                       lambda: packed._replay_cut(
-                           program, [(1, None), (0, None)], 8)):
-            with pytest.raises(ConsistencyError, match="divisible by 2"):
-                replay()
+        with pytest.raises(ConsistencyError, match="divisible by 2"):
+            packed._replay_ints(program, [1, 0])
 
     def test_division_of_an_older_value_is_its_own_op(self):
         # only a division of the sum just formed folds into its op
@@ -831,10 +823,10 @@ def _built_certificate(h):
 
 
 class TestDifferenceOrders:
-    """The certificate read off the lowest packed digit of each coefficient
-    of D (rootdata._difference_levels) against D built on the series route
-    and read: the same levels, and on truncated input the same
-    TruncationError text and `required` hint."""
+    """The certificate read off D's coefficient orders without building D
+    (rootdata._difference_levels) against D built on the series route and
+    read: the same levels, and on truncated input the same TruncationError
+    text and `required` hint."""
 
     def test_matches_built_difference_poly(self, monkeypatch):
         rng = random.Random(89)
@@ -849,30 +841,33 @@ class TestDifferenceOrders:
                                          rng.choice([1, 2, 3])))
                            if rng.random() < 0.7 else a for a in h.coeffs])
                for h in exact for _ in range(3)]
-        runs = []
-        real = packed._run
+        replays = []
+        real = packed._replay_ints
 
         def spy(*args):
-            out = real(*args)
-            runs.append(out is not None)
-            return out
+            replays.append(args)
+            return real(*args)
 
-        # the certificate runs the packed kernel once per input, and D is
-        # built without it: the two share only Newton's identities
-        monkeypatch.setattr(packed, "_run", spy)
-        routes, seen = [], set()
+        # the certificate replays the packed program at most once per exact
+        # input and never on truncated input, and D is built without it:
+        # on packed input the two share only Newton's identities
+        monkeypatch.setattr(packed, "_replay_ints", spy)
+        packs, seen = [], set()
         for h in exact + cut:
             got = _certificate(rootdata._difference_levels, h)
-            assert len(runs) == 1, h.coeffs
-            routes += runs
-            runs.clear()
+            if any(a.trunc != INF for a in h.coeffs):
+                assert replays == [], h.coeffs
+            else:
+                assert len(replays) <= 1, h.coeffs
+                packs.append(len(replays))
+            replays.clear()
             assert got == _certificate(_built_certificate, h), h.coeffs
-            assert runs == [], h.coeffs
+            assert replays == [], h.coeffs
             seen.add("raised" if got[0] == "raised" else
                      "infinite" if got[1] else "finite")
         assert seen == {"raised", "infinite", "finite"}
         # y^4 + t y + t^1000 takes the series route
-        assert routes.count(False) >= 1 and routes.count(True) > len(cut)
+        assert packs.count(0) >= 1 and packs.count(1) >= len(exact) - 1
 
 
 class _PlainInts:
@@ -913,8 +908,7 @@ WIDTHS = {2: 8, 3: 16, 4: 32, 5: 64, 6: 64, 7: 88, 8: 120, 9: 152, 10: 192}
 
 class TestRecordedIdentities:
     """Newton's identities recorded once per degree (packed._program) and
-    replayed: on bare ints for exact input, over packed._Cut for truncated
-    input."""
+    replayed on bare ints."""
 
     def test_unit_bounds_and_widths(self):
         for d, bound in UNIT_BOUNDS.items():
@@ -930,28 +924,6 @@ class TestRecordedIdentities:
             xs = [rng.randrange(-2 ** bits, 2 ** bits) for _ in range(d)]
             assert packed._replay_ints(program, xs) == \
                 poly._difference_sums(_PlainInts, xs)
-
-    @pytest.mark.parametrize("d", range(2, 9))
-    def test_truncated_replay_matches_cut_domain(self, d, monkeypatch):
-        # the packed pairs and widths of random truncated inputs, as the
-        # certificate forms them
-        runs = []
-        real = packed._replay_cut
-
-        def spy(program, xs, w):
-            runs.append((xs, w, real(program, xs, w)))
-            return runs[-1][2]
-
-        monkeypatch.setattr(packed, "_replay_cut", spy)
-        rng = random.Random(200 + d)
-        for _ in range(6):
-            packed.orders(rand_cut_upoly(rng, d), poly._difference_sums, 2)
-        assert len(runs) >= 3
-        cuts = set()
-        for xs, w, got in runs:
-            assert got == poly._difference_sums(packed._Cut(w), xs)
-            cuts.update(tr for _, tr in got)
-        assert len(cuts) > 1
 
 
 class TestValuePoly:

@@ -10,12 +10,12 @@ from lctkit.numeric import (
     contact_order_identity_check, diff_orders, orders_against_series,
     perturbation_check, puiseux_expand,
 )
-from lctkit.mpoly import q_squarefree
+from lctkit.mpoly import MPoly, q_squarefree
 from lctkit.poly import UPoly, compound_poly, difference_poly
 from lctkit.reports import (
     integrality_test, max_root_order, newton_polygon, partial_sums,
 )
-from lctkit.rootdata import root_orders
+from lctkit.rootdata import _difference_levels, root_orders
 from lctkit.series import INF, OrderVal, PSeries
 
 F = Fraction
@@ -122,6 +122,16 @@ class TestRootOrders:
             for k in range(1, d + 1):
                 partial_sums(h, k)  # internal dual-route assert
             max_root_order(h)       # internal dual-route assert
+
+    @pytest.mark.parametrize("read", [root_orders, _difference_levels,
+                                      integrality_test])
+    def test_polynomial_coefficients_are_rejected(self, read):
+        # the message says what is wrong with the input, not which helper
+        # found it
+        z = MPoly.variable("z")
+        with pytest.raises(ValueError,
+                           match="^root orders need series coefficients$"):
+            read(UPoly("y", [z, z * z]))
 
     def test_truncated_orders_are_exact_or_infinite(self):
         """A truncation either leaves the polygon ambiguous, and raises, or

@@ -132,34 +132,30 @@ def _width(top):
     return -(-bits // 8) * 8
 
 
-def orders(h, newton, weight):
+def orders(h, newton, top):
     """The orders of the coefficients c_1..c_n that `newton(dom, h.coeffs)`
     builds from the series coefficients of h, as `PSeries.order_units`
     gives them, or None when the input is truncated or too sparse for
-    packing to pay.  The program is replayed on the packed ints of
-    c_j L^(weight j), and only each output's lowest digit is read: the
-    digits are balanced, so the lowest nonzero one of x is v2(x) // w.  The
-    order k / R is over R itself, not reduced, and a value with no digit
-    gives (None, None).
+    packing to pay; no program is recorded for such input.  The program is
+    replayed on the packed ints of c_j L^(top j / n), and only each
+    output's lowest digit is read: the digits are balanced, so the lowest
+    nonzero one of x is v2(x) // w.  The order k / R is over R itself, not
+    reduced, and a value with no digit gives (None, None).
 
     The identities are weighted homogeneous, a_i of weight i and c_j of
-    weight `weight` j, and no value weighs more than c_n.  So no value has
-    a digit past D v, D = weight n and v the largest top digit of an a_i
-    divided by i.  Past `DIGITS_PER_TERM` such digits per stored input
-    term, the packed ints are mostly zero digits and the series products
-    cost less.
+    weight `top` j / n, and no value weighs more than c_n.  So no value
+    has a digit past top v, v = max_i e_i / i with e_i the last digit of
+    a_i.  Past `DIGITS_PER_TERM` such digits per stored input term, the
+    packed ints are mostly zero digits and the series products cost less.
 
     The digit width needs a bound on every value.  With norms n_i <= M^i,
     by the same homogeneity every bound is at most its unit-norm bound
-    times M^D, and M^D <= max n_i^ceil(D/i)."""
+    times M^top, and M^top <= max n_i^ceil(top/i)."""
     L = R = 1
     for a in h.coeffs:
         if a._tr is not None:
             return None
         L, R = math.lcm(L, a._den), math.lcm(R, a._ram)
-    program = _program(newton, len(h.coeffs))
-    _, out, unit = program
-    D = weight * len(out)
     reach = terms = 0
     # a_i L^i as {digit: int coefficient}, and its norm
     row, norms = [], []
@@ -170,17 +166,16 @@ def orders(h, newton, weight):
             t = {e * g: c * f for e, c in t.items()}
         if t:
             terms += len(t)
-            top = D * max(t) // i
-            if top > reach:
-                reach = top
+            reach = max(reach, top * max(t) // i)
         row.append(t)
         norms.append(sum(map(abs, t.values())))
     if reach > DIGITS_PER_TERM * terms:
         return None
+    program = _program(newton, len(h.coeffs))
     scale = 1
     for i, m in enumerate(norms, 1):
-        scale = max(scale, m ** -(-D // i))
-    w = _width(unit * scale)
+        scale = max(scale, m ** -(-top // i))
+    w = _width(program[2] * scale)
     xs = []
     for t in row:
         x = 0

@@ -272,7 +272,9 @@ def difference_orders(h: UPoly):
     exactly."""
     if h.degree < 2:
         raise ValueError("difference polynomial needs degree >= 2")
-    evens = packed.orders(h, _difference_sums, 2)
+    d = h.degree
+    # E_n, D's last coefficient, weighs D's degree
+    evens = packed.orders(h, _difference_sums, d * (d - 1))
     if evens is None:
         evens = [e.order_units() for e in
                  _difference_sums(_Exact(h.coeffs[0]), h.coeffs)]

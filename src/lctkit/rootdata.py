@@ -19,6 +19,7 @@ are lctkit.reports, which a decision never loads.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -217,56 +218,16 @@ def _difference_levels(h: UPoly):
 # Difference-order rows from the root tree (exact)
 # ---------------------------------------------------------------------------
 
-class RootRows:
-    """Per-root rows of ascending difference orders ord(alpha_j - alpha_i),
-    each ending in the root's infinite order against itself.  The rows form
-    a multiset: which row belongs to which root is not recorded.
-
-    A table is built from one root tree and kept on ints.  `denominator` is
-    the lcm L of the denominators of the tree's finite levels, `levels`
-    holds their numerators over L, ascending, with None, the infinite
-    order, last, and a row lists the indices of its entries' levels.  Every
-    entry is exact or infinite.  The prefix sums S_0 = 0, S_1, .. of a row
-    are the numerators over L of its finite sums: they stop at its first
-    infinite entry, so S_k is infinite iff k >= len(sums).
-
-    `distinct_prefix_sums`, one tuple per distinct row, is built with the
-    table: it is all that a maximum over the rows reads.  The OrderVal
-    `rows` are built when read."""
-
-    __slots__ = ("denominator", "distinct_prefix_sums", "_levels", "_shape",
-                 "_rows")
-
-    def __init__(self, denominator, levels, shape):
-        self.denominator = denominator
-        self._levels = levels
-        self._shape = shape
-        self._rows = None
-        self.distinct_prefix_sums = tuple(
-            _prefix_sums(levels, row) for row in dict.fromkeys(shape))
-
-    @property
-    def rows(self):
-        """The rows as tuples of OrderVals."""
-        if self._rows is None:
-            den = self.denominator
-            vals = [OrderVal.infinite() if num is None else
-                    OrderVal.exact(Fraction(num, den))
-                    for num in self._levels]
-            self._rows = tuple(tuple(vals[k] for k in row)
-                               for row in self._shape)
-        return self._rows
-
-
-def _prefix_sums(levels, row):
-    """The prefix sums of the row of levels[k], k in row (see RootRows):
-    the one routine that builds them."""
-    sums = [0]
-    for k in row:
-        if levels[k] is None:
-            break
-        sums.append(sums[-1] + levels[k])
-    return tuple(sums)
+# Per-root rows of ascending difference orders ord(alpha_j - alpha_i),
+# j != i, kept as all that a maximum over the rows reads: `denominator`,
+# the lcm L of the denominators of the tree's finite levels, and
+# `distinct_prefix_sums`, one tuple per distinct row.  The rows form a
+# multiset, and neither which row belongs to which root nor how often a
+# row repeats is recorded.  Every entry is exact or infinite.  The prefix
+# sums S_0 = 0, S_1, .. of a row are the numerators over L of its finite
+# sums: they stop at its first infinite entry, so S_k is infinite iff
+# k >= len(sums).
+RootRows = namedtuple("RootRows", "denominator distinct_prefix_sums")
 
 
 # The root-tree enumeration caches, _row_multisets keyed by count pattern
@@ -345,9 +306,10 @@ def certified_rows(h: UPoly):
     h's terms, is the one raised.
 
     The levels of the tree are the certificate's distinct orders: its
-    finite levels, ascending, then its infinite one when there is one.
-    Their numerators over L become the table's levels, with one infinite
-    level last for each root's order against itself."""
+    finite levels, ascending, then its infinite one when there is one.  In
+    a row, index len(levels) is that infinite level, a repeated root, and
+    the row's prefix sums stop there; the sums are built in one pass over
+    the tree's distinct rows, from the finite levels' numerators over L."""
     try:
         levels, infinite = _difference_levels(h)
     except TruncationError:
@@ -382,6 +344,13 @@ def certified_rows(h: UPoly):
         g = math.gcd(num, den)
         reduced.append((num // g, den // g))
     den = math.lcm(*(q for _, q in reduced))
-    top = len(levels)
-    return RootRows(den, tuple(p * (den // q) for p, q in reduced) + (None,),
-                    tuple(row + (top,) for row in tree))
+    nums = [p * (den // q) for p, q in reduced]
+    distinct = []
+    for row in dict.fromkeys(tree):
+        sums = [0]
+        for k in row:
+            if k == len(nums):
+                break
+            sums.append(sums[-1] + nums[k])
+        distinct.append(tuple(sums))
+    return RootRows(den, tuple(distinct))

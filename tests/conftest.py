@@ -1,0 +1,35 @@
+"""Fixtures shared by the test modules."""
+
+import math
+
+import pytest
+
+from lctkit.rootdata import RootRows
+from lctkit.series import OrderVal
+
+
+def _table_of(rows):
+    """The RootRows of rows of exact or infinite OrderVals: the common
+    denominator L of their finite values and the sorted distinct tuples
+    of their prefix sums over L, each stopping at the row's first infinite
+    entry."""
+    rows = [sorted(row, key=OrderVal.sort_key) for row in rows]
+    den = math.lcm(*(v.value.denominator for row in rows for v in row
+                     if not v.is_infinite))
+    distinct = set()
+    for row in rows:
+        sums = [0]
+        for v in row:
+            if v.is_infinite:
+                break
+            assert v.is_exact
+            sums.append(sums[-1] + int(v.value * den))
+        distinct.add(tuple(sums))
+    return RootRows(den, tuple(sorted(distinct)))
+
+
+@pytest.fixture
+def table_of():
+    """The test-side table of OrderVal rows, what a RootRows keeps of
+    them: a reference that shares no code with rootdata.certified_rows."""
+    return _table_of

@@ -8,7 +8,6 @@ too."""
 
 import hashlib
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -64,18 +63,6 @@ def _as_order(num, den):
     return OrderVal.exact(F(num, den))
 
 
-def _table(rows):
-    """The RootRows of ascending rows of exact or infinite OrderVals: the
-    distinct finite values are the levels, infinite last."""
-    finite = sorted({v.value for row in rows for v in row if v.is_exact})
-    den = math.lcm(*(q.denominator for q in finite))
-    index = {OrderVal.exact(q): k for k, q in enumerate(finite)}
-    index[OrderVal.infinite()] = len(finite)
-    return RootRows(den, tuple(q.numerator * (den // q.denominator)
-                               for q in finite) + (None,),
-                    tuple(tuple(index[v] for v in row) for row in rows))
-
-
 def _row_prefix_sum(table, i, k):
     """Sum of the k smallest difference orders of distinct row i, read
     from the table's int prefix sums."""
@@ -120,13 +107,13 @@ def _random_rows(rng, d, dens=(1, 2, 3)):
 
 
 class TestAgainstReference:
-    def test_random_rows_every_band(self, monkeypatch):
+    def test_random_rows_every_band(self, monkeypatch, table_of):
         rng = random.Random(808)
         kinds = set()
         for _ in range(200):
             d = rng.randint(2, 6)
             rows = _random_rows(rng, d)
-            table = _table(rows)
+            table = table_of(rows)
             distinct = list(dict.fromkeys(rows))
             kinds.update(v.kind for row in rows for v in row)
             monkeypatch.setattr(criterion, "_table_for",
@@ -138,13 +125,15 @@ class TestAgainstReference:
                 assert got == _ref_v(ctx, rows), (rows, c)
                 band = criterion._band(d, c)
                 den = band[3] * table.denominator
-                assert [_as_order(n, den) for n in criterion._centers(
-                    band, table.distinct_prefix_sums)] == \
-                    [_ref_center(ctx, distinct, i)
-                     for i in range(len(distinct))]
+                assert sorted((_as_order(n, den) for n in criterion._centers(
+                    band, table.distinct_prefix_sums)),
+                    key=OrderVal.sort_key) == \
+                    sorted((_ref_center(ctx, distinct, i)
+                            for i in range(len(distinct))),
+                           key=OrderVal.sort_key)
         assert kinds == {"exact", "inf"}
 
-    def test_int_verdict_and_diagnostics(self, monkeypatch):
+    def test_int_verdict_and_diagnostics(self, monkeypatch, table_of):
         """lct_ge on a cached table against ord_diff_le_one(V, 0) and the
         JSON of the reference V, on rows with larger denominators, at
         every band edge and at random thresholds in each band."""
@@ -153,7 +142,7 @@ class TestAgainstReference:
         for _ in range(150):
             d = rng.randint(2, 6)
             rows = _random_rows(rng, d, dens=(1, 2, 3, 5, 7, 12))
-            table = _table(rows)
+            table = table_of(rows)
             kinds.update(v.kind for row in rows for v in row)
             monkeypatch.setattr(criterion, "_table_for",
                                 lambda *args, t=table: t)
@@ -177,37 +166,42 @@ class TestAgainstReference:
         assert zero_c1_inf > 0
 
     def test_repeated_rows_collapse(self):
-        inf = OrderVal.infinite()
-        row = (OrderVal.exact(1), OrderVal.exact(F(3, 2)), inf)
-        other = (OrderVal.exact(1), OrderVal.exact(1), inf)
-        table = _table([row, other, row])
-        # levels 1 and 3/2 as numerators over L = 2
-        assert table.distinct_prefix_sums == ((0, 2, 5), (0, 2, 4))
-        assert isinstance(table.rows[2], tuple)
+        # roots x and x + x^(3/2) share the row 1, 3/2 and 2x has 1, 1:
+        # the table keeps each distinct row once, as numerators over L = 2
+        h = UPoly.from_roots("y", [PSeries.monomial("x", 1),
+                                   PSeries("x", {F(1): F(1), F(3, 2): F(1)}),
+                                   PSeries.monomial("x", 1, 2)])
+        table = rootdata.certified_rows(h)
+        assert table == RootRows(2, ((0, 2, 4), (0, 2, 5)))
 
-    def test_row_prefix_sums(self):
+    def test_row_prefix_sums(self, table_of):
+        """Each distinct row's sums, read back from the table as
+        OrderVals, are the sums of its k smallest orders, k = 0..d."""
         rng = random.Random(17)
         for _ in range(100):
             d = rng.randint(2, 6)
             rows = list(dict.fromkeys(_random_rows(rng, d)))
-            table = _table(rows)
-            for i, row in enumerate(rows):
-                for k in range(d + 1):
-                    assert _row_prefix_sum(table, i, k) == \
-                        OrderVal.sum_of(row[:k])
+            table = table_of(rows)
+            assert len(table.distinct_prefix_sums) == len(rows)
+            got = sorted([_row_prefix_sum(table, i, k).sort_key()
+                          for k in range(d + 1)]
+                         for i in range(len(rows)))
+            assert got == sorted([OrderVal.sum_of(row[:k]).sort_key()
+                                  for k in range(d + 1)] for row in rows)
 
-    def test_zero_weight_against_infinite_prefix(self, monkeypatch):
+    def test_zero_weight_against_infinite_prefix(self, monkeypatch,
+                                                 table_of):
         # p = 2 at its upper edge c = 1/(d-2): c1 = 0 meets an infinite
-        # S_1 on the second distinct row, and contributes 0
+        # S_1 on the all-infinite row, sorted first, and contributes 0
         inf = OrderVal.infinite()
         rows = [(OrderVal.exact(2), OrderVal.exact(3), inf),
                 (inf, inf, inf), (OrderVal.exact(2), OrderVal.exact(3), inf)]
-        table = _table(rows)
+        table = table_of(rows)
         ctx = choose_p(3, F(1))
         assert (ctx.p, ctx.c1) == (2, 0)
         centers = criterion._centers(criterion._band(3, F(1)),
                                      table.distinct_prefix_sums)
-        assert centers[1] is None
+        assert centers == [None, 5]
         monkeypatch.setattr(criterion, "_table_for", lambda *args: table)
         assert eval_theorem_lhs(ctx, _positive_coeffs(3)) == \
             _ref_v(ctx, rows) == inf
@@ -347,11 +341,9 @@ class TestSweepPins:
 
     def test_forty_thresholds_build_one_table(self, monkeypatch):
         built = []
-        real = rootdata._prefix_sums
-        monkeypatch.setattr(rootdata, "_prefix_sums",
-                            lambda levels, row: built.append(
-                                tuple(levels[k] for k in row)) or
-                            real(levels, row))
+        real = criterion.certified_rows
+        monkeypatch.setattr(criterion, "certified_rows",
+                            lambda h: built.append(real(h)) or built[-1])
         criterion._table_for.cache_clear()
         zero = PSeries.zero("x")
         coeffs = (zero, PSeries.monomial("x", 3), PSeries.monomial("x", 5))
@@ -360,9 +352,9 @@ class TestSweepPins:
         info = criterion._table_for.cache_info()
         criterion._table_for.cache_clear()
         assert (info.misses, info.hits) == (1, 39)
-        # the three roots share one row, 3/2, 3/2, inf as numerators over
-        # L = 2, so its prefix sums are built once
-        assert built == [(3, 3, None)]
+        # the three roots share one row, 3/2, 3/2 as numerators over
+        # L = 2, so the one table keeps one tuple of prefix sums
+        assert built == [RootRows(2, ((0, 3, 6),))]
 
 
 SWEEP_DIGEST = (

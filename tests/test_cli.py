@@ -431,6 +431,25 @@ class TestMalformedCoeffsFile:
         assert field in json.loads(line)["error"]
 
 
+class TestMalformedSeries:
+    """A --coeffs entry that is no series object, or whose `ram` disagrees
+    with its exponents, is a usage error: exit 2, nothing on stdout and
+    one JSON error line on stderr."""
+
+    @pytest.mark.parametrize("blob,message", [
+        ([5], "a series must be a JSON object, got 5"),
+        ([{**_X, "ram": 3, "terms": [{"e": "1/2", "c": "1"}]}],
+         "ramification field 3 does not match exponents"),
+    ], ids=["not-an-object", "wrong-ram"])
+    def test_usage_error(self, tmp_path, capsys, blob, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(blob))
+        assert run(["lct", "--c", "1/2", "--coeffs", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [json.dumps({"error": message})]
+
+
 class TestTruncOption:
     """--trunc B cuts every coefficient at B before the decision."""
 

@@ -244,6 +244,19 @@ class TestLctGe:
         with pytest.raises(ValueError):
             lct_ge(2, F(3, 4), [PSeries.one("x"), xs(1)])
 
+    def test_coefficient_count_rejected(self):
+        with pytest.raises(ValueError,
+                           match="expected 2 coefficients, got 1"):
+            lct_ge(2, "1/2", [xs(1)])
+
+    def test_non_series_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="coefficients must be series"):
+            lct_ge(2, "1/2", [xs(1), 3])
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            lct_ge(0, "1/2", [])
+
     def test_monotone_in_c(self):
         rng = random.Random(77)
         grid = [F(j, 24) for j in range(9, 25)]

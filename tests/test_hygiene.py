@@ -689,20 +689,26 @@ def test_identities_are_recorded_on_first_use():
     records the identities once per degree, twice in all.  Deciding
     truncated inputs at d = 4 and 5, which keep known terms and are
     decided or left unknown, records nothing more: truncated input takes
-    the series route."""
+    the series route.  Nor does deciding the exact y^5 + x^100000 at the
+    new degree 5: input too sparse for packing to pay takes the series
+    route before any recording."""
     exact = json.dumps([[d, [a.to_json() for a in _exact_coeffs(d, shift)]]
                         for d in (2, 3) for shift in range(1, 26)])
     cut = json.dumps([[d, [a.truncated(bound).to_json()
                            for a in _exact_coeffs(d, shift)]]
                       for d in (4, 5) for shift in (1, 2)
                       for bound in (4, 8, 12)])
+    sparse = json.dumps([[5, [{"var": "x", "terms": [], "trunc": "inf"}] * 4
+                          + [{"var": "x", "terms": [{"e": "100000", "c": "1"}],
+                              "trunc": "inf"}]]])
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", RECORDING, exact, cut],
+    proc = subprocess.run([sys.executable, "-c", RECORDING, exact, cut,
+                           sparse],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["0", "0", "2 2 no yes",
-                                        "2 2 no unknown"]
+                                        "2 2 no unknown", "2 2 no"]
 
 
 TRUNCATED_MPMATH = """

@@ -177,6 +177,24 @@ def const_upoly(var, coeffs):
     return UPoly(var, [MPoly.const(c) for c in coeffs])
 
 
+class TestUPolyRefusals:
+    """UPoly takes a nonempty list of coefficients from one domain: series
+    in one variable, or polynomials, with ints and Fractions lifted."""
+
+    @pytest.mark.parametrize("coeffs,message", [
+        ([], "UPoly degree must be positive"),
+        ([1, 2], "coefficients must include at least one polynomial or "
+                 "series"),
+        ([mono(1), MPoly.variable("w")],
+         "coefficient domain must be homogeneous"),
+        ([mono(1), PSeries.monomial("x", 1)],
+         "series coefficients use different variables"),
+    ], ids=["empty", "rationals", "series-and-mpoly", "two-variables"])
+    def test_refused(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            UPoly("y", coeffs)
+
+
 class TestMPoly:
     def test_arith(self):
         a, b = zpoly("a"), zpoly("b")
@@ -669,6 +687,7 @@ class TestPowerSumKernel:
             return routes[-1]
 
         monkeypatch.setattr(packed, "orders", spy)
+        packed._program.cache_clear()
         top = 10 ** 6
         zeros = [PSeries.zero("t")] * 3
         h = UPoly("y", zeros + [mono(top)])
@@ -676,6 +695,8 @@ class TestPowerSumKernel:
         got = difference_orders(h)
         D = difference_poly(h)
         elapsed = time.perf_counter() - start
+        # the sparse certificate records no program
+        assert packed._program.cache_info().currsize == 0
         one = difference_poly(UPoly("y", zeros + [PSeries.one("t")]))
         assert list(D.coeffs) == [c * mono(F(top, 4) * j)
                                   for j, c in enumerate(one.coeffs, 1)]

@@ -14,8 +14,12 @@ tables are cached by the coefficients alone.  A table stores each row's
 prefix sums when it is built, as ints over one table-wide denominator, and
 only p, c1 and c2 depend on c, so a decision on a cached table evaluates V
 from two stored prefix sums per distinct row in int arithmetic and decides
-by one int comparison.  The paper's criterion ideals, which validate this
-route, live in lctkit.ideals.
+by one int comparison.  What depends on (d, c) alone is cached apart, for
+the 1024 most recently used pairs: the shortcut verdict or the band, and
+the diagnostics without V.  So a parameter sweep derives it once per pair,
+and a decision on a cached table formats only V.  lct_ge returns a fresh
+dict on every call, which the caller owns.  The paper's criterion ideals,
+which validate this route, live in lctkit.ideals.
 """
 
 from __future__ import annotations
@@ -48,10 +52,18 @@ def _band(d, c):
     return d - m, b - m * a, (m + 1) * a - b, b
 
 
+def _check_degree(d):
+    """The degree is a plain int: a float, a Fraction or a bool equal to
+    an int would share its cache entries and leak into their output."""
+    if type(d) is not int:
+        raise TypeError(f"degree must be an int, got {d!r}")
+
+
 def choose_p(d: int, c) -> CriterionContext:
     """The unique p in {1..d-1} with 1/(d-p+1) < c <= 1/(d-p), plus the
     weights c1 = 1-(d-p)c and c2 = (d-p+1)c - 1."""
     c = as_frac(c)
+    _check_degree(d)
     if d < 2:
         raise ValueError("the band parameter needs d >= 2")
     if not (Fraction(1, d) < c <= 1):
@@ -107,6 +119,26 @@ def _eval_v(band, coeffs):
     return max(centers), one
 
 
+@lru_cache(maxsize=1024)
+def _head(d, a, b):
+    """What lct_ge's answer at degree d and threshold c = a/b (lowest
+    terms, b > 0) owes to (d, c) alone: (verdict, head) when a shortcut
+    decides, else (band, head), where head is the diagnostics dict without
+    V.  Kept for the 1024 most recently used pairs; callers copy head."""
+    head = {"d": d, "c": ratio_str(a, b), "p": None, "c1": None, "c2": None,
+            "V": None}
+    if a > b:
+        head["reason"] = "thresholds of monic polynomials never exceed 1"
+        return NO, head
+    if d == 1 or d * a <= b:
+        head["reason"] = "thresholds lie in [1/d, 1]"
+        return YES, head
+    band = _band(d, Fraction(a, b))
+    p, w1, w2, _ = band
+    head.update({"p": p, "c1": ratio_str(w1, b), "c2": ratio_str(w2, b)})
+    return band, head
+
+
 def _order_json(num, den):
     """OrderVal.to_json of num/den from the ints; None is infinite."""
     if num is None:
@@ -127,23 +159,19 @@ def lct_ge(d: int, c, coeffs):
     Every entry of the table is exact or infinite, so V is too: with
     c = a/b and L the table's denominator, V = num / (b * L) and the
     verdict is the one int comparison num <= b * L, no when V is infinite.
+    Everything but V depends on (d, c) alone and comes from a cache of the
+    1024 most recently used pairs; the returned dict is a fresh copy that
+    the caller owns.
     """
     c = as_frac(c)
+    _check_degree(d)
     if d < 1:
         raise ValueError("degree must be positive")
     _validate_coeffs(coeffs, d)
-    diag = {"d": d, "c": frac_str(c), "p": None, "c1": None, "c2": None,
-            "V": None}
-    a, b = c.numerator, c.denominator
-    if a > b:
-        diag["reason"] = "thresholds of monic polynomials never exceed 1"
-        return NO, diag
-    if d == 1 or d * a <= b:
-        diag["reason"] = "thresholds lie in [1/d, 1]"
-        return YES, diag
-    band = _band(d, c)
-    p, w1, w2, _ = band
-    diag.update({"p": p, "c1": ratio_str(w1, b), "c2": ratio_str(w2, b)})
+    band, head = _head(d, c.numerator, c.denominator)
+    diag = head.copy()
+    if isinstance(band, str):           # a shortcut verdict
+        return band, diag
     try:
         num, one = _eval_v(band, coeffs)
     except TruncationError as exc:

@@ -261,6 +261,117 @@ class TestClosedFormBand:
 
 
 # ---------------------------------------------------------------------------
+# The hit path: the per-(d, c) head cache
+# ---------------------------------------------------------------------------
+
+def _cusp():
+    """y^3 + x^5 at c = 5/6, in the band p = 2: a decision that reads a
+    table."""
+    zero = PSeries.zero("x")
+    return 3, F(5, 6), (zero, zero, PSeries.monomial("x", 5))
+
+
+SHORTCUTS = [
+    (3, F(3, 2), "no", "thresholds of monic polynomials never exceed 1"),
+    (3, F(1, 3), "yes", "thresholds lie in [1/d, 1]"),
+    (3, F(1, 4), "yes", "thresholds lie in [1/d, 1]"),
+    (1, F(1, 2), "yes", "thresholds lie in [1/d, 1]"),
+    (3, F(0), "yes", "thresholds lie in [1/d, 1]"),
+    (3, F(-1, 2), "yes", "thresholds lie in [1/d, 1]"),
+]
+
+
+class TestHitPath:
+    def test_each_call_owns_its_dict(self):
+        """Mutating a result, as `lctkit lct` adds "verdict" to it, leaves
+        the next result of the same decision unchanged, on a table and on
+        a shortcut."""
+        d, c, coeffs = _cusp()
+        cases = [(d, c, coeffs)] + [
+            (d, c, _positive_coeffs(d)) for d, c, *_ in SHORTCUTS]
+        for d, c, coeffs in cases:
+            verdict, diag = lct_ge(d, c, coeffs)
+            expected = dict(diag)
+            diag["verdict"] = verdict
+            diag["c"] = diag["p"] = None
+            diag.pop("V")
+            again = lct_ge(d, c, coeffs)
+            assert again == (verdict, expected)
+            assert again[1] is not diag
+
+    def test_repeat_formats_only_v(self, monkeypatch):
+        """The first decision at a (d, c) formats c, c1, c2 and V; a repeat
+        on the cached table formats V alone."""
+        from lctkit import series
+
+        d, c, coeffs = _cusp()
+        criterion._head.cache_clear()
+        calls = []
+        real = series.ratio_str
+
+        def counted(num, den):
+            calls.append((num, den))
+            return real(num, den)
+
+        monkeypatch.setattr(criterion, "ratio_str", counted)
+        monkeypatch.setattr(series, "ratio_str", counted)
+        first = lct_ge(d, c, coeffs)
+        assert len(calls) == 4
+        del calls[:]
+        assert lct_ge(d, c, coeffs) == first
+        assert len(calls) == 1
+        assert first[1]["V"] == {"kind": "exact",
+                                 "value": real(*calls[0])}
+
+    def test_shortcuts_repeat_equal(self):
+        for d, c, verdict, reason in SHORTCUTS:
+            criterion._head.cache_clear()
+            first = lct_ge(d, c, _positive_coeffs(d))
+            assert first == (verdict, {
+                "d": d, "c": frac_str(c), "p": None, "c1": None,
+                "c2": None, "V": None, "reason": reason})
+            assert lct_ge(d, c, _positive_coeffs(d)) == first
+
+    def test_validation_errors_repeat(self):
+        """Each refused call raises the same error on a cold and on a warm
+        head cache, and reads neither cache: a float degree equal to a
+        cached int one does not reach the int's entry."""
+        d, c, coeffs = _cusp()
+        x = PSeries.monomial("x", 1)
+        bad = [
+            (d, 0.5, coeffs), (3.0, c, coeffs), (F(3), c, coeffs),
+            (True, c, coeffs[:1]), (0, c, ()), (d, c, coeffs[:2]),
+            (d, c, coeffs[:2] + (5,)),
+            (d, c, coeffs[:2] + (PSeries.one("x"),)),
+            (d, "1/0", coeffs), (2, F(3, 4), (x, 2.0)),
+        ]
+
+        def errors():
+            found = []
+            for args in bad:
+                with pytest.raises((TypeError, ValueError,
+                                    ZeroDivisionError)) as info:
+                    lct_ge(*args)
+                found.append((info.type, str(info.value)))
+            return found
+
+        criterion._head.cache_clear()
+        cold = errors()
+        assert criterion._head.cache_info().currsize == 0
+        lct_ge(d, c, coeffs)
+        lct_ge(2, F(3, 4), (x, x))
+        heads = criterion._head.cache_info()
+        tables = criterion._table_for.cache_info()
+        assert errors() == cold
+        assert criterion._head.cache_info() == heads
+        assert criterion._table_for.cache_info() == tables
+        assert [t for t, _ in cold] == [
+            TypeError, TypeError, TypeError, TypeError, ValueError,
+            ValueError, TypeError, ValueError, ZeroDivisionError,
+            TypeError]
+
+
+# ---------------------------------------------------------------------------
 # Parameter sweep: pinned outputs and a table built once
 # ---------------------------------------------------------------------------
 

@@ -62,6 +62,11 @@ class TestChooseP:
         with pytest.raises(ValueError):
             choose_p(3, F(4, 3))
 
+    def test_non_int_degree_rejected(self):
+        for d in (3.0, F(3), True, "3"):
+            with pytest.raises(TypeError, match="degree must be an int"):
+                choose_p(d, F(1, 2))
+
 
 class TestIdealBuilders:
     def test_b_small(self):
@@ -256,6 +261,17 @@ class TestLctGe:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError, match="degree must be positive"):
             lct_ge(0, "1/2", [])
+
+    def test_non_int_degree_rejected(self):
+        """A degree equal to an int but not one is refused before the
+        coefficients are read, so it neither builds a table nor reaches
+        the band: 2.0 and Fraction(2) used to fail inside V with a raw
+        TypeError, and True came back as "d": true."""
+        cases = [(2.0, [xs(1), xs(2)]), (F(2), [xs(1), xs(2)]),
+                 (True, [xs(1)]), (False, []), ("2", [xs(1), xs(2)])]
+        for d, coeffs in cases:
+            with pytest.raises(TypeError, match="degree must be an int"):
+                lct_ge(d, "3/4", coeffs)
 
     def test_monotone_in_c(self):
         rng = random.Random(77)

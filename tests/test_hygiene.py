@@ -3,19 +3,20 @@ ConsistencyError, no `assert` statement (`python -O` strips it), no unused
 import, no assignment or parameter a function never reads, no function,
 method or class that only tests use, no runtime dependency besides the
 standard library and mpmath, no module-level import of a module off the
-decision path from a module on it, no import of the symbolic layer from
-the polynomial kernel, no import in the packed kernel of a package module
-besides errors and no call there of the identities it is handed outside
-its recorder, no import in the oracles of a module whose results they
-check, no construction of RootRows, the decision's table, outside
-lctkit.rootdata, and no mention of that table or its cache in
+decision path from a module on it, no import of the symbolic layer from the
+polynomial kernel, no import in the packed kernel of a package module
+besides errors and no call there of the identities it is handed outside its
+recorder, no import in the oracles of a module whose results they check, no
+construction of RootRows, the decision's table, outside lctkit.rootdata, no
+read of the band formula in lctkit.criterion beyond choose_p and the
+per-(d, c) head cache, and no mention of that table or its cache in
 lctkit.ideals, whose containment check reads the paper's pair.  Importing
 the package loads the decision path only and the CLI neither dataclasses
 nor inspect; every other layer, mpmath included, stays unloaded until a
 command uses it, also on truncated input at d <= 4, which never expands;
-nothing is recorded on import, and the identities are recorded once per
-degree; an exact decision constructs no OrderVal, and an exact table-cache
-miss constructs one UPoly."""
+nothing is recorded or cached on import, and the identities are recorded
+once per degree; an exact decision constructs no OrderVal, and an exact
+table-cache miss constructs one UPoly."""
 
 import ast
 import json
@@ -288,17 +289,15 @@ def constructions(tree, name):
     return sorted(found)
 
 
-def callers_of(tree, name):
-    """(line, scope) of every call of the plain name `name`, with the name
-    of the innermost function the call runs in: "<lambda>" in a lambda,
-    "" at module or class level."""
+def _scoped(tree, match):
+    """(line, scope) of every node `match` accepts, with the name of the
+    innermost function it runs in: "<lambda>" in a lambda, "" at module or
+    class level."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Name)
-                    and child.func.id == name):
+            if match(child):
                 found.append((child.lineno, scope))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
@@ -311,6 +310,20 @@ def callers_of(tree, name):
 
     visit(tree, "")
     return sorted(found)
+
+
+def callers_of(tree, name):
+    """(line, scope) of every call of the plain name `name`."""
+    return _scoped(tree, lambda node: isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == name)
+
+
+def readers_of(tree, name):
+    """(line, scope) of every read of the plain name `name`: a call of it,
+    or an alias or argument that passes it on."""
+    return _scoped(tree, lambda node: isinstance(node, ast.Name)
+                   and node.id == name and isinstance(node.ctx, ast.Load))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -382,6 +395,14 @@ def test_identities_run_only_in_the_recorder():
     recorded program, so no route runs the identities per call."""
     assert [scope for _, scope in callers_of(_tree(SRC / "packed.py"),
                                              "newton")] == ["_program"]
+
+
+def test_band_is_derived_once_per_threshold():
+    """In lctkit.criterion the band formula `_band` is read in two places:
+    choose_p and the per-(d, c) head cache.  lct_ge reads the band off the
+    cached head, so no per-call route derives it again."""
+    assert [scope for _, scope in readers_of(_tree(SRC / "criterion.py"),
+                                             "_band")] == ["choose_p", "_head"]
 
 
 def test_one_builder_of_the_decision_table():
@@ -483,6 +504,24 @@ def test_caller_check_catches_offenders():
         "    return dom.newton(newton)\n")   # an attribute: not a call of it
     assert callers_of(tree, "newton") == [
         (2, "_program"), (4, "_run"), (7, "<lambda>"), (8, "")]
+
+
+def test_reader_check_catches_offenders():
+    tree = ast.parse(
+        "def _band(d, c):\n"                  # the definition: not a read
+        "    return d\n"
+        "def _head(d, a, b):\n"
+        "    return _band(d, a)\n"
+        "def lct_ge(d, c):\n"
+        "    band = _band\n"                   # an alias
+        "    return band(d, c), map(_band, d)\n"
+        "class A:\n"
+        "    f = staticmethod(lambda d: _band(d, 1))\n"
+        "def g(_band):\n"                    # a parameter: not a read
+        "    _band = 1\n"                       # a store: not a read
+        "    return criterion._band\n")      # an attribute: not the name
+    assert readers_of(tree, "_band") == [
+        (4, "_head"), (6, "lct_ge"), (7, "lct_ge"), (9, "<lambda>")]
 
 
 def test_table_builder_checks_catch_offenders():
@@ -666,11 +705,13 @@ import json
 import sys
 
 import lctkit
-from lctkit import packed
+from lctkit import criterion, packed
 
-print(packed._program.cache_info().currsize)
+print(packed._program.cache_info().currsize,
+      criterion._head.cache_info().currsize)
 import lctkit.cli
-print(packed._program.cache_info().currsize)
+print(packed._program.cache_info().currsize,
+      criterion._head.cache_info().currsize)
 from lctkit.criterion import lct_ge
 from lctkit.series import PSeries
 for blob in sys.argv[1:]:
@@ -685,8 +726,9 @@ for blob in sys.argv[1:]:
 
 def test_identities_are_recorded_on_first_use():
     """Nothing is recorded on import: importing the package and the CLI
-    leaves packed._program empty.  Deciding 50 exact inputs at d = 2 and 3
-    records the identities once per degree, twice in all.  Deciding
+    leaves packed._program and the decision's head cache empty.  Deciding
+    50 exact inputs at d = 2 and 3 records the identities once per degree,
+    twice in all.  Deciding
     truncated inputs at d = 4 and 5, which keep known terms and are
     decided or left unknown, records nothing more: truncated input takes
     the series route.  Nor does deciding the exact y^5 + x^100000 at the
@@ -707,7 +749,7 @@ def test_identities_are_recorded_on_first_use():
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0", "0", "2 2 no yes",
+    assert proc.stdout.splitlines() == ["0 0", "0 0", "2 2 no yes",
                                         "2 2 no unknown", "2 2 no"]
 
 

@@ -10,11 +10,12 @@ exact and truncated input alike: from the root tree of the certified
 difference orders, read off the Newton polygon of the difference
 polynomial's packed coefficients without building it, whenever the tree
 fixes it (always for d <= 4), otherwise from the certified expansion.  The
-tables are cached by the coefficients alone.  A table stores each row's
-prefix sums when it is built, as ints over one table-wide denominator, and
-only p, c1 and c2 depend on c, so a decision on a cached table evaluates V
-from two stored prefix sums per distinct row in int arithmetic and decides
-by one int comparison.  What depends on (d, c) alone is cached apart, for
+tables, or the TruncationError that leaves an input unknown, are cached by
+the validated coefficients alone.  A table stores each row's prefix sums
+when it is built, as ints over one table-wide denominator, and only p, c1
+and c2 depend on c, so a decision on a cached table evaluates V from two
+stored prefix sums per distinct row in int arithmetic and decides by one
+int comparison.  What depends on (d, c) alone is cached apart, for
 the 1024 most recently used pairs: the shortcut verdict or the band, and
 the diagnostics without V.  So a parameter sweep derives it once per pair,
 and a decision on a cached table formats only V.  lct_ge returns a fresh
@@ -79,21 +80,30 @@ def choose_p(d: int, c) -> CriterionContext:
 def _validate_coeffs(coeffs, d):
     if len(coeffs) != d:
         raise ValueError(f"expected {d} coefficients, got {len(coeffs)}")
-    for i, a in enumerate(coeffs, start=1):
+    i = 0
+    for a in coeffs:
+        i += 1
         if not isinstance(a, PSeries):
             raise TypeError("coefficients must be series")
         if not a.has_positive_order:
             raise ValueError(
                 f"coefficient a_{i} must have positive order")
+    var = coeffs[0].var
+    for a in coeffs:
+        if a.var != var:
+            raise ValueError("series coefficients use different variables")
 
 
 @lru_cache(maxsize=257)
 def _table_for(coeffs):
-    """Difference-order rows of y^d + sum a_i y^(d-i) from
-    rootdata.certified_rows, kept for the 257 most recently used inputs (a
-    parameter sweep revisits each curve once per threshold);
-    _table_for.cache_info() counts hits and misses."""
-    return certified_rows(UPoly("y", coeffs))
+    """Difference-order rows of y^d + sum a_i y^(d-i), validated, from
+    rootdata.certified_rows, or its TruncationError, kept for the 257
+    most recently used inputs (a parameter sweep revisits each curve once
+    per threshold); _table_for.cache_info() counts hits and misses."""
+    try:
+        return certified_rows(UPoly.of_series("y", coeffs))
+    except TruncationError as exc:
+        return exc.with_traceback(None)
 
 
 def _centers(band, prefix_sums):
@@ -112,6 +122,8 @@ def _eval_v(band, coeffs):
     distinct rows, as (numerator or None, b * L): None, the infinite V,
     when one center is infinite."""
     table = _table_for(tuple(coeffs))
+    if isinstance(table, TruncationError):
+        raise table.with_traceback(None)
     one = band[3] * table.denominator
     centers = _centers(band, table.distinct_prefix_sums)
     if None in centers:

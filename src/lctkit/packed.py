@@ -13,13 +13,14 @@ bare ints in one loop.  With the roots scaled by L, the lcm of the
 coefficient denominators, and the exponents counted over R, the lcm of the
 ramification indices, every power sum and every coefficient built from
 them is an int series.  Such a series sum_e c_e t^(e/R) is packed as the
-one int sum_e c_e 2^(w e), with balanced w-bit digits, and a series
-product is one int product.  Only exact input is packed: truncated input,
-like input too sparse for packing to pay, takes the series route, whose
-`sum_of_products` holds the one truncation rule.  `orders` reads only each
-output's lowest digit, all that a Newton polygon needs; no output is
-unpacked, so every polynomial that is built runs on the series route, a
-kernel that shares nothing with this one beyond the identities.
+one int sum_e c_e 2^(w e), with balanced w-bit digits, w one bit past
+the bound on every digit, and a series product is one int product.  Only
+exact input is packed: truncated input, like input too sparse for packing
+to pay, takes the series route, whose `sum_of_products` holds the one
+truncation rule.  `orders` reads only each output's lowest digit, all
+that a Newton polygon needs; no output is unpacked, so every polynomial
+that is built runs on the series route, a kernel that shares nothing with
+this one beyond the identities.
 """
 
 from __future__ import annotations
@@ -124,23 +125,18 @@ def _replay_ints(program, xs):
 
 
 def _width(top):
-    """Digit width for digits of size at most `top`: a power of two from 8
-    to 64 bits, above that a multiple of 8, with room for the sign."""
-    bits = top.bit_length() + 1
-    if bits <= 64:
-        return max(8, 1 << (bits - 1).bit_length())
-    return -(-bits // 8) * 8
+    """Digit width for digits of size at most `top`, with room for the
+    sign."""
+    return top.bit_length() + 1
 
 
-def orders(h, newton, top):
-    """The orders of the coefficients c_1..c_n that `newton(dom, h.coeffs)`
-    builds from the series coefficients of h, as `PSeries.order_units`
-    gives them, or None when the input is truncated or too sparse for
-    packing to pay; no program is recorded for such input.  The program is
-    replayed on the packed ints of c_j L^(top j / n), and only each
+def orders(coeffs, newton, top):
+    """(R, digits) for the c_1..c_n that `newton(dom, coeffs)` builds from
+    the series `coeffs`: c_j has the order digits[j-1] / R, not reduced,
+    or is zero when that is None; None, recording no program, for
+    truncated input or input too sparse for packing to pay.  Only each
     output's lowest digit is read: the digits are balanced, so the lowest
-    nonzero one of x is v2(x) // w.  The order k / R is over R itself, not
-    reduced, and a value with no digit gives (None, None).
+    nonzero one of x is v2(x) // w.
 
     The identities are weighted homogeneous, a_i of weight i and c_j of
     weight `top` j / n, and no value weighs more than c_n.  So no value
@@ -150,37 +146,30 @@ def orders(h, newton, top):
 
     The digit width needs a bound on every value.  With norms n_i <= M^i,
     by the same homogeneity every bound is at most its unit-norm bound
-    times M^top, and M^top <= max n_i^ceil(top/i)."""
+    times M^top, and M^top <= max n_i^ceil(top/i).  One pass takes the
+    coefficients' reach and that bound, the next packs a_i L^i."""
     L = R = 1
-    for a in h.coeffs:
+    for a in coeffs:
         if a._tr is not None:
             return None
         L, R = math.lcm(L, a._den), math.lcm(R, a._ram)
-    reach = terms = 0
-    # a_i L^i as {digit: int coefficient}, and its norm
-    row, norms = [], []
-    for i, a in enumerate(h.coeffs, 1):
-        f, g = L ** i // a._den, R // a._ram
+    reach, terms, scale = 0, 0, 1
+    for i, a in enumerate(coeffs, 1):
         t = a._t
-        if f != 1 or g != 1:
-            t = {e * g: c * f for e, c in t.items()}
         if t:
             terms += len(t)
-            reach = max(reach, top * max(t) // i)
-        row.append(t)
-        norms.append(sum(map(abs, t.values())))
+            reach = max(reach, top * max(t) * (R // a._ram) // i)
+            scale = max(scale, (L ** i // a._den * sum(map(abs, t.values())))
+                        ** -(-top // i))
     if reach > DIGITS_PER_TERM * terms:
         return None
-    program = _program(newton, len(h.coeffs))
-    scale = 1
-    for i, m in enumerate(norms, 1):
-        scale = max(scale, m ** -(-top // i))
+    program = _program(newton, len(coeffs))
     w = _width(program[2] * scale)
     xs = []
-    for t in row:
-        x = 0
-        for e, c in t.items():
-            x += c << w * e
-        xs.append(x)
-    return [(((x & -x).bit_length() - 1) // w, R) if x else (None, None)
-            for x in _replay_ints(program, xs)]
+    for i, a in enumerate(coeffs, 1):
+        x, wg = 0, w * (R // a._ram)
+        for e, c in a._t.items():
+            x += c << wg * e
+        xs.append(x * (L ** i // a._den))
+    return R, [((x & -x).bit_length() - 1) // w if x else None
+               for x in _replay_ints(program, xs)]

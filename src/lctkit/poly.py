@@ -10,7 +10,7 @@ are written once, over a domain that supplies their multiply-accumulate
 and exact division.  Every polynomial that is built runs them on its own
 coefficients: series through `sum_of_products`, polynomials by a plain
 fold.  Compound polynomials have no degree cap.  The certificate reads
-only the orders of the difference polynomial's coefficients, which
+only the Newton-polygon points of the difference polynomial, which
 `difference_orders` takes off Kronecker-packed ints (lctkit.packed)
 without building the polynomial, unless the input is truncated or too
 sparse for packing to pay: lctkit.packed records the identities once per
@@ -74,6 +74,13 @@ class UPoly:
             raise ValueError("series coefficients use different variables")
         self.var = var
         self.coeffs = coeffs
+
+    @classmethod
+    def of_series(cls, var, coeffs):
+        """The polynomial of a checked tuple of series in one variable."""
+        h = object.__new__(cls)
+        h.var, h.coeffs = var, coeffs
+        return h
 
     @property
     def degree(self):
@@ -263,25 +270,41 @@ def difference_poly(h: UPoly) -> UPoly:
     return UPoly(h.var, coeffs)
 
 
+def polygon_points(orders, step=1):
+    """Newton-polygon points, (n, R, points, loose), of the monic
+    polynomial of degree n = step len(orders) whose a_(step i) has the
+    order orders[i-1] (`PSeries.order_units`), the others being zero:
+    (n - i, ord(a_i) R) for each a_i with a term, R the lcm of their ram,
+    and (n - i, t) for each one of order at least a truncation t."""
+    n = step * len(orders)
+    R = math.lcm(*(x for k, x in orders if k is not None))
+    points, loose = [], []
+    for i, (k, x) in enumerate(orders, 1):
+        j = n - step * i
+        if k is not None:
+            points.append((j, k * (R // x)))
+        elif x is not None:
+            loose.append((j, x))
+    return n, R, points, loose
+
+
 def difference_orders(h: UPoly):
-    """The orders of the coefficients a_1..a_(d(d-1)) of h's difference
-    polynomial D over series, as `PSeries.order_units` gives them, read
-    without building D: the lowest packed digit of each coefficient E_j of
-    E, or on truncated or too sparse input the E_j of the series route.
-    D(y) = E(y^2), so E_j is D's a_(2j), and the odd coefficients vanish
-    exactly."""
+    """The points of h's difference polynomial D over series, as
+    `polygon_points` gives them, read without building D: those of the
+    E_j, D's a_(2j), at abscissae n - 2j, from their lowest packed digits
+    over one R, or on truncated or too sparse input from the E_j of the
+    series route."""
     if h.degree < 2:
         raise ValueError("difference polynomial needs degree >= 2")
-    d = h.degree
-    # E_n, D's last coefficient, weighs D's degree
-    evens = packed.orders(h, _difference_sums, d * (d - 1))
-    if evens is None:
-        evens = [e.order_units() for e in
-                 _difference_sums(_Exact(h.coeffs[0]), h.coeffs)]
-    out = []
-    for e in evens:
-        out += ((None, None), e)
-    return out
+    n = h.degree * (h.degree - 1)
+    # E_N, D's last coefficient, weighs D's degree
+    got = packed.orders(h.coeffs, _difference_sums, n)
+    if got is None:
+        return polygon_points([e.order_units() for e in _difference_sums(
+            _Exact(h.coeffs[0]), h.coeffs)], 2)
+    R, digits = got
+    return n, R, [(2 * j, k) for j, k in enumerate(reversed(digits))
+                  if k is not None], ()
 
 
 def _compound_sums(dom, a, k):

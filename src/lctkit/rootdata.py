@@ -3,17 +3,17 @@ exact layer of the decision.
 
 Newton polygons on ints with truncation-aware ordinates, root-order
 multisets, the certificate and the table of difference-order rows.  One
-int polygon, with its truncation and Lemma-1 checks, reads a list of
-coefficient orders: those of h's coefficients, or those of the difference
-polynomial D's, read off the packed power sums without building D
-(poly.difference_orders).
-certified_rows builds the per-root rows of difference orders, on exact and
-truncated input alike, from one root tree of D's root orders; only where
-several trees have D's counts does it import the numeric layer
-(lctkit.numeric, and with it mpmath), whose expansion picks the tree.  The
-dual-route reports built on this polygon (the NewtonPolygon object,
-partial sums, the largest root order, integrality, cross-difference orders)
-are lctkit.reports, which a decision never loads.
+int polygon, with its truncation and Lemma-1 checks, reads the points of
+poly.polygon_points: those of h's coefficients, or those of the
+difference polynomial D's, read off the packed power sums without building
+D (poly.difference_orders).  certified_rows builds the per-root rows of
+difference orders, on exact and truncated input alike, from one root tree
+of D's root orders; only where several trees have D's counts does it
+import the numeric layer (lctkit.numeric, and with it mpmath), whose
+expansion picks the tree.  The dual-route reports built on this polygon
+(the NewtonPolygon object, partial sums, the largest root order,
+integrality, cross-difference orders) are lctkit.reports, which a
+decision never loads.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConsistencyError, TruncationError
-from .poly import UPoly, difference_orders
+from .poly import UPoly, difference_orders, polygon_points
 from .series import OrderVal
 
 _ZERO = Fraction(0)
@@ -59,41 +59,24 @@ def _hull_value(hull, x):
 
 
 def _coeff_orders(h: UPoly):
-    """The orders of h's coefficients a_1..a_d on ints, as
-    PSeries.order_units gives them: the list _polygon and _lemma1_order
-    read."""
+    """h's points (poly.polygon_points), read by _polygon and
+    _lemma1_order."""
     if not h.is_series:
         raise ValueError("root orders need series coefficients")
-    return [a.order_units() for a in h.coeffs]
+    return polygon_points([a.order_units() for a in h.coeffs])
 
 
-def _polygon(orders):
+def _polygon(pts):
     """The Newton polygon on ints, (R, hull), of the monic polynomial of
-    degree d = len(orders) whose coefficient a_i has the order orders[i-1]:
-    (k, ram), the order k / ram witnessed by a term, or (None, t), no term
-    stored and the order at least the truncation t (infinite when t is
-    None), as PSeries.order_units gives them.
-
-    R is the lcm of the ram of the coefficients with a stored term, so each
-    such a_i gives the int point (d - i, ord(a_i) R); hull lists the
-    lower-hull vertices of those points and the anchor (d, 0).  The hull
-    starts at the count of roots of infinite order, and a segment from
-    (x1, y1) to (x2, y2) carries x2 - x1 roots of order
-    (y1 - y2) / ((x2 - x1) R).  Raises TruncationError, with a
+    degree d with the points pts = (d, R, points, loose) of
+    poly.polygon_points: the lower-hull vertices of the points and the
+    anchor (d, 0).  The hull starts at the count of roots of infinite
+    order, and a segment from (x1, y1) to (x2, y2) carries x2 - x1 roots of
+    order (y1 - y2) / ((x2 - x1) R).  Raises TruncationError, with a
     required-truncation hint, when a coefficient known only from below
     leaves the hull ambiguous."""
-    d = len(orders)
-    known = []
-    loose = []
-    for i, (k, x) in enumerate(orders, 1):
-        if k is not None:
-            known.append((d - i, k, x))
-        elif x is not None:
-            loose.append((d - i, x))
-    R = math.lcm(*(ram for _, _, ram in known))
-    points = [(j, k * (R // ram)) for j, k, ram in reversed(known)]
-    points.append((d, 0))
-    hull = _lower_hull(points)
+    d, R, points, loose = pts
+    hull = _lower_hull(points + [(d, 0)])
     if loose:
         _check_truncated(d, R, hull, loose)
     return R, hull
@@ -139,39 +122,35 @@ def _slope_levels(R, hull):
     return tuple(levels)
 
 
-def _lemma1_order(orders):
+def _lemma1_order(pts):
     """Order of the ideal sum of (a_i)^(1/i) over the coefficients that are
-    not exactly zero, their orders given as _polygon reads them,
-    min_i ord(a_i) / i by the semigroup law
-    ord(sum) = min(ord), as (num, den, rank): rank 0 when a coefficient
-    with a stored term attains the minimum, else 1, the minimum then being
-    known from below only (as in OrderVal.min_of); None, the infinite
-    order, when every coefficient is exactly zero.
-
-    The minimum is taken over the coefficients' int exponents by
-    cross-multiplication, apart from the polygon whose least slope it
+    not exactly zero, min_i ord(a_i) / i by the semigroup law ord(sum) =
+    min(ord), as (num, den, rank): rank 0 when a coefficient with a stored
+    term attains the minimum, else 1, the minimum then being known from
+    below only (as in OrderVal.min_of); None, the infinite order, when
+    every coefficient is exactly zero.  It reads _polygon's points by
+    cross-multiplication, apart from the hull whose least slope it
     checks."""
+    d, R, points, loose = pts
     best = None
-    for i, (k, x) in enumerate(orders, 1):
-        if k is not None:
-            num, den, rank = k, x * i, 0
-        elif x is None:
-            continue
-        else:
-            num, den, rank = x.numerator, x.denominator * i, 1
-        if best is None or (num * best[1], rank) < (best[0] * den, best[2]):
-            best = num, den, rank
+    for j, y in points:
+        if best is None or y * best[1] < best[0] * R * (d - j):
+            best = y, R * (d - j), 0
+    for j, t in loose:
+        num, den = t.numerator, t.denominator * (d - j)
+        if best is None or num * best[1] < best[0] * den:
+            best = num, den, 1
     return best
 
 
-def _root_levels(orders):
+def _root_levels(pts):
     """The root orders on ints, (levels, infinite), of the polynomial whose
-    coefficient orders _polygon reads: the finite orders as _slope_levels
-    gives them and the count of infinite ones.  Every call checks the least
-    order against the coefficient-ideal order of _lemma1_order."""
-    R, hull = _polygon(orders)
+    points _polygon reads: the finite orders as _slope_levels gives them
+    and the count of infinite ones.  Every call checks the least order
+    against the coefficient-ideal order of _lemma1_order."""
+    R, hull = _polygon(pts)
     levels = _slope_levels(R, hull)
-    lem1 = _lemma1_order(orders)
+    lem1 = _lemma1_order(pts)
     if levels:
         num, den, _ = levels[0]
         ok = (lem1 is not None and lem1[2] == 0
@@ -206,9 +185,9 @@ def root_orders(h: UPoly):
 
 def _difference_levels(h: UPoly):
     """The certificate: the root levels of h's difference polynomial D, as
-    _root_levels gives them, read off D's coefficient orders
-    (poly.difference_orders) without building D.  Its truncation checks
-    and their hints name D's coefficients."""
+    _root_levels gives them, read off D's points (poly.difference_orders)
+    without building D.  Its truncation checks and their hints name D's
+    coefficients."""
     if not h.is_series:
         raise ValueError("root orders need series coefficients")
     return _root_levels(difference_orders(h))
@@ -293,35 +272,37 @@ def certified_rows(h: UPoly):
     coefficients to the table V reads: a RootRows, built from one root tree.
 
     The rows are read from the certificate's root tree, the root orders of
-    the difference polynomial D, which _difference_levels reads off the
-    lowest digit of each of D's packed coefficients without building D.
-    Truncation is tracked through D's coefficients, so a polygon of D that
-    certifies is that of every completion of h, and so are the rows.
-    Where several trees have the certificate's counts (some patterns from
-    d = 5 on; every pattern with d <= 4 has one), the certified expansion
-    only picks the tree: its rows, mapped onto the certificate's levels,
-    must be one of the enumerated row multisets, else ConsistencyError.
-    When D's polygon is left open by truncation, h's own polygon is read
-    first, so that a TruncationError of h's, with its `required` hint in
-    h's terms, is the one raised.
+    the difference polynomial D (_difference_levels).  Truncation is
+    tracked through D's coefficients, so a polygon of D that certifies is
+    that of every completion of h, and so are the rows.  Where several
+    trees have the certificate's counts (some patterns from d = 5 on; every
+    pattern with d <= 4 has one), the certified expansion only picks the
+    tree: its rows, mapped onto the certificate's levels, must be one of
+    the enumerated row multisets, else ConsistencyError.  When D's polygon
+    is left open by truncation, h's own polygon is read first, so that a
+    TruncationError of h's, with its `required` hint in h's terms, is the
+    one raised.
 
     The levels of the tree are the certificate's distinct orders: its
     finite levels, ascending, then its infinite one when there is one.  In
     a row, index len(levels) is that infinite level, a repeated root, and
-    the row's prefix sums stop there; the sums are built in one pass over
-    the tree's distinct rows, from the finite levels' numerators over L."""
+    the row's prefix sums stop there.  They are the finite levels'
+    numerators over L, the lcm of their reduced denominators."""
     try:
         levels, infinite = _difference_levels(h)
     except TruncationError:
         _root_levels(_coeff_orders(h))
         raise
-    counts = [mult for _, _, mult in levels]
+    counts, den = [], 1
+    for num, q, mult in levels:
+        counts.append(mult)
+        den = math.lcm(den, q // math.gcd(num, q))
     if infinite:
         counts.append(infinite)
     if any(m % 2 for m in counts):
         raise ConsistencyError(
             "difference-polynomial orders do not come in pairs")
-    found = _row_multisets(h.degree, tuple(m // 2 for m in counts))
+    found = _row_multisets(h.degree, tuple([m // 2 for m in counts]))
     if not found:
         raise ConsistencyError(
             "no root tree has the difference-polynomial orders")
@@ -339,12 +320,7 @@ def certified_rows(h: UPoly):
             raise ConsistencyError(
                 "the expansion's rows form no root tree of the "
                 "difference-polynomial orders")
-    reduced = []
-    for num, den, _ in levels:
-        g = math.gcd(num, den)
-        reduced.append((num // g, den // g))
-    den = math.lcm(*(q for _, q in reduced))
-    nums = [p * (den // q) for p, q in reduced]
+    nums = [num * den // q for num, q, _ in levels]
     distinct = []
     for row in dict.fromkeys(tree):
         sums = [0]

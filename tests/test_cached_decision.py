@@ -2,7 +2,7 @@
 from the prefix sums a table stores, over its distinct rows, against a
 test-side copy of the per-center formula on OrderVal; the closed-form band
 against the band loop; and digests of the verdicts and diagnostics of a
-parameter sweep.
+parameter sweep and of table misses on exact and truncated input.
 Every entry of a table is exact or infinite, so the reference rows are
 too."""
 
@@ -23,7 +23,7 @@ from lctkit.mpoly import MPoly
 from lctkit.poly import UPoly
 from lctkit.qideal import ord_diff_le_one
 from lctkit.rootdata import RootRows
-from lctkit.series import OrderVal, PSeries, frac_str
+from lctkit.series import UNKNOWN, OrderVal, PSeries, frac_str
 
 F = Fraction
 
@@ -338,12 +338,15 @@ class TestHitPath:
         cached int one does not reach the int's entry."""
         d, c, coeffs = _cusp()
         x = PSeries.monomial("x", 1)
+        # coefficients in two variables, at a shortcut's c and a table's
+        mixed = (PSeries.monomial("x", 2), PSeries.monomial("t", 3))
         bad = [
             (d, 0.5, coeffs), (3.0, c, coeffs), (F(3), c, coeffs),
             (True, c, coeffs[:1]), (0, c, ()), (d, c, coeffs[:2]),
             (d, c, coeffs[:2] + (5,)),
             (d, c, coeffs[:2] + (PSeries.one("x"),)),
             (d, "1/0", coeffs), (2, F(3, 4), (x, 2.0)),
+            (2, F(1, 2), mixed), (2, F(3, 2), mixed), (2, F(2, 3), mixed),
         ]
 
         def errors():
@@ -368,7 +371,34 @@ class TestHitPath:
         assert [t for t, _ in cold] == [
             TypeError, TypeError, TypeError, TypeError, ValueError,
             ValueError, TypeError, ValueError, ZeroDivisionError,
-            TypeError]
+            TypeError, ValueError, ValueError, ValueError]
+        assert {m for _, m in cold[-3:]} == {
+            "series coefficients use different variables"}
+
+    def test_truncated_outcome_is_cached(self):
+        """Input that truncation leaves unknown builds its certificate
+        once: y^2 + O(x^3) at three thresholds is one miss and two hits,
+        each with the same reason and required hint, and the cached error
+        raised again carries no earlier call's frames."""
+        cut = (PSeries.zero("x", 3), PSeries.zero("x", 3))
+        reason = ("coefficient a_1 is unknown below its truncation and "
+                  "controls the polygon; required truncation >= 4")
+        criterion._table_for.cache_clear()
+        counts = []
+        for c in (F(3, 4), F(4, 5), F(5, 6)):
+            verdict, diag = lct_ge(2, c, cut)
+            assert (verdict, diag["V"], diag["reason"], diag["required"]) \
+                == ("unknown", None, reason, "4")
+            info = criterion._table_for.cache_info()
+            counts.append((info.misses, info.hits, info.currsize))
+        assert counts == [(1, 0, 1), (1, 1, 1), (1, 2, 1)]
+        depths = []
+        for _ in range(2):
+            with pytest.raises(TruncationError) as info:
+                eval_theorem_lhs(choose_p(2, F(3, 4)), cut)
+            assert (str(info.value), info.value.required) == (reason, 4)
+            depths.append(len(info.traceback))
+        assert depths[0] == depths[1]
 
 
 # ---------------------------------------------------------------------------
@@ -468,5 +498,104 @@ class TestSweepPins:
         assert built == [RootRows(2, ((0, 3, 6),))]
 
 
+# ---------------------------------------------------------------------------
+# Table misses: pinned outputs of the exact and truncated certificate
+# ---------------------------------------------------------------------------
+
+def _rational_series(rng, terms):
+    """A series of positive order with `terms` terms, exponents over 1, 2
+    or 3 and coefficients over 1, 2, 3 or 5."""
+    return PSeries("x", {F(rng.randint(1, 9), rng.choice((1, 2, 3))):
+                         F(rng.choice((-3, -2, -1, 1, 2, 3)),
+                           rng.choice((1, 2, 3, 5)))
+                         for _ in range(terms)})
+
+
+def _clustered_roots(rng, d):
+    """d roots: each repeats an earlier one with probability 0.1, or
+    copies an earlier root's terms below a random exponent with probability
+    0.7 and adds one or two terms of its own."""
+    roots = []
+    while len(roots) < d:
+        if roots and rng.random() < 0.1:
+            roots.append(rng.choice(roots))
+            continue
+        terms = {}
+        if roots and rng.random() < 0.7:
+            cut = rng.randint(1, 5)
+            terms = {e: c for e, c in rng.choice(roots).terms.items()
+                     if e < cut}
+        for _ in range(rng.randint(1, 2)):
+            terms[F(rng.randint(1, 9), rng.choice((1, 1, 2)))] = \
+                F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2)))
+        root = PSeries("x", terms)
+        if all(root != r for r in roots):
+            roots.append(root)
+    return roots
+
+
+def _miss_corpus():
+    """(d, coeffs) pairs: exact inputs with rational coefficients and
+    ramified exponents at d = 2..5, each also cut at two truncations and
+    with all but a_d cut low, and the coefficients of clustered roots at
+    d = 2..5, each also cut at one truncation."""
+    rng = random.Random(32)
+    corpus = []
+    for d in range(2, 6):
+        for _ in range(12):
+            coeffs = tuple(_rational_series(rng, rng.randint(0, 2))
+                           for _ in range(d - 1))
+            coeffs += (_rational_series(rng, rng.randint(1, 2)),)
+            corpus.append((d, coeffs))
+            for bound in (F(rng.randint(2, 9), rng.choice((1, 2))),
+                          F(rng.randint(8, 16))):
+                corpus.append((d, tuple(a.truncated(bound)
+                                        for a in coeffs)))
+            # a_d exact and the others cut low: below h's polygon
+            bound = F(rng.randint(1, 4), 2)
+            corpus.append((d, tuple(a.truncated(bound)
+                                    for a in coeffs[:-1]) + coeffs[-1:]))
+        for _ in range(6):
+            h = UPoly.from_roots("y", _clustered_roots(rng, d))
+            corpus.append((d, h.coeffs))
+            bound = F(rng.randint(6, 24), rng.choice((1, 2)))
+            corpus.append((d, tuple(a.truncated(bound) for a in h.coeffs)))
+    return corpus
+
+
+class TestMissPins:
+    def test_miss_verdicts_and_diagnostics(self):
+        """Every verdict and diagnostic of distinct inputs at five
+        thresholds each: the certificate's route from the coefficients to
+        the table changes no byte."""
+        lines, seen = [], set()
+        for d, coeffs in _miss_corpus():
+            seen.add(("L", any(c.denominator > 1 for a in coeffs
+                               for c in a.terms.values())))
+            seen.add(("R", any(a.ram > 1 for a in coeffs)))
+            for j in range(1, 6):
+                c = F(1, d) + (1 - F(1, d)) * F(j, 5)
+                verdict, diag = lct_ge(d, c, coeffs)
+                lines.append([d, [a.to_json() for a in coeffs], verdict,
+                              diag])
+                seen.add(verdict)
+                seen.add(("V", None if diag["V"] is None
+                          else diag["V"]["kind"]))
+                if verdict == UNKNOWN:
+                    # "a_<i>" names h's coefficient or D's
+                    i = int(diag["reason"].split()[1][2:])
+                    seen.add(("a_i of", "h" if i <= d else "D"))
+                    seen.add(("reason", diag["reason"].split()[3]))
+        assert len(lines) == 4 * (12 * 4 + 6 * 2) * 5
+        assert seen >= {"yes", "no", "unknown", ("L", True), ("R", True),
+                        ("V", OrderVal.EXACT), ("V", OrderVal.INFINITE),
+                        ("V", None), ("a_i of", "h"), ("a_i of", "D"),
+                        ("reason", "unknown"), ("reason", "only")}
+        assert _digest(lines) == MISS_DIGEST
+
+
 SWEEP_DIGEST = (
     "8677198a812725f6963836289235e2135ef15082af287232e10cf8b92be3f596")
+
+MISS_DIGEST = (
+    "3adc540faab8218cafeebd3ce669d6c9e93c1c92d71bc2867f28cb6f249c36d9")

@@ -861,11 +861,11 @@ def test_exact_decision_constructs_no_orderval(monkeypatch):
     assert made == []
 
 
-def test_exact_miss_constructs_one_upoly(monkeypatch):
-    """An exact lct_ge miss at d = 2..4 validates the coefficients once:
-    it constructs one UPoly, h from the coefficients.  The certificate is
-    read off the packed ints' lowest digits, so no difference polynomial is
-    built."""
+def test_exact_miss_constructs_no_upoly(monkeypatch):
+    """An exact lct_ge miss at d = 2..4 validates the coefficients once, in
+    lct_ge: it runs the UPoly constructor for neither h nor a difference
+    polynomial.  The certificate is read off the packed ints' lowest
+    digits, so no difference polynomial is built."""
     from fractions import Fraction
 
     from lctkit import criterion
@@ -887,4 +887,38 @@ def test_exact_miss_constructs_one_upoly(monkeypatch):
         lct_ge(d, Fraction(2, 3), coeffs)
     monkeypatch.undo()
     assert criterion._table_for.cache_info().misses == len(inputs)
-    assert made == [d for d, _ in inputs]
+    assert made == []
+
+
+def test_exact_miss_replays_once_on_ints(monkeypatch):
+    """An exact dense lct_ge miss at d = 2..4 runs the recorded identities
+    once on packed ints and never on series: one packed._replay_ints call
+    per miss, no series.sum_of_products call."""
+    from fractions import Fraction
+
+    from lctkit import criterion, packed, poly, series
+    from lctkit.criterion import lct_ge
+
+    inputs = [(d, _exact_coeffs(d, shift)) for d in (2, 3, 4)
+              for shift in (6, 7)]
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(packed, "_replay_ints")
+    counted(poly, "sum_of_products")
+    counted(series, "sum_of_products")
+    criterion._table_for.cache_clear()
+    for d, coeffs in inputs:
+        assert all(a.terms and a.trunc == series.INF for a in coeffs)
+        del calls[:]
+        lct_ge(d, Fraction(2, 3), coeffs)
+        assert calls == ["_replay_ints"], d
+    assert criterion._table_for.cache_info().misses == len(inputs)

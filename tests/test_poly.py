@@ -700,7 +700,8 @@ class TestPowerSumKernel:
         one = difference_poly(UPoly("y", zeros + [PSeries.one("t")]))
         assert list(D.coeffs) == [c * mono(F(top, 4) * j)
                                   for j, c in enumerate(one.coeffs, 1)]
-        assert got == [c.order_units() for c in D.coeffs]
+        assert got == poly.polygon_points(
+            [c.order_units() for c in D.coeffs])
         assert routes == [None]
         assert elapsed < 5
         # the sparsest packing any benchmark workload asks for stays
@@ -924,7 +925,7 @@ UNIT_BOUNDS = {
     9: 271832750305552901569246700698705572573088176,
     10: 26677024566297122178028951398863532515929747448236685265,
 }
-WIDTHS = {2: 8, 3: 16, 4: 32, 5: 64, 6: 64, 7: 88, 8: 120, 9: 152, 10: 192}
+WIDTHS = {2: 4, 3: 13, 4: 26, 5: 43, 6: 63, 7: 88, 8: 117, 9: 149, 10: 186}
 
 
 class TestRecordedIdentities:

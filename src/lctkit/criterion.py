@@ -18,9 +18,11 @@ stored prefix sums per distinct row in int arithmetic and decides by one
 int comparison.  What depends on (d, c) alone is cached apart, for
 the 1024 most recently used pairs: the shortcut verdict or the band, and
 the diagnostics without V.  So a parameter sweep derives it once per pair,
-and a decision on a cached table formats only V.  lct_ge returns a fresh
-dict on every call, which the caller owns.  The paper's criterion ideals,
-which validate this route, live in lctkit.ideals.
+and a decision on a cached table runs in lct_ge's own frame: past the
+shared validator and the two cache reads, one loop over the distinct rows
+keeps the largest numerator and one ratio_str call formats V.  lct_ge
+returns a fresh dict on every call, which the caller owns.  The paper's
+criterion ideals, which validate this route, live in lctkit.ideals.
 """
 
 from __future__ import annotations
@@ -53,18 +55,22 @@ def _band(d, c):
     return d - m, b - m * a, (m + 1) * a - b, b
 
 
-def _check_degree(d):
-    """The degree is a plain int: a float, a Fraction or a bool equal to
-    an int would share its cache entries and leak into their output."""
+def _checked(d, c):
+    """c as a Fraction, or the TypeError of a degree that is not a plain
+    int or a threshold that is a bool: either, equal to an int, would
+    share its cache entries and leak into their output."""
+    if isinstance(c, bool):
+        raise TypeError(f"cannot interpret {c!r} as an exact rational")
+    c = as_frac(c)
     if type(d) is not int:
         raise TypeError(f"degree must be an int, got {d!r}")
+    return c
 
 
 def choose_p(d: int, c) -> CriterionContext:
     """The unique p in {1..d-1} with 1/(d-p+1) < c <= 1/(d-p), plus the
     weights c1 = 1-(d-p)c and c2 = (d-p+1)c - 1."""
-    c = as_frac(c)
-    _check_degree(d)
+    c = _checked(d, c)
     if d < 2:
         raise ValueError("the band parameter needs d >= 2")
     if not (Fraction(1, d) < c <= 1):
@@ -85,7 +91,7 @@ def _validate_coeffs(coeffs, d):
         i += 1
         if not isinstance(a, PSeries):
             raise TypeError("coefficients must be series")
-        if not a.has_positive_order:
+        if 0 in a._t:           # has_positive_order, without its call
             raise ValueError(
                 f"coefficient a_{i} must have positive order")
     var = coeffs[0].var
@@ -104,31 +110,6 @@ def _table_for(coeffs):
         return certified_rows(UPoly.of_series("y", coeffs))
     except TruncationError as exc:
         return exc.with_traceback(None)
-
-
-def _centers(band, prefix_sums):
-    """The center c1 * S_(p-1) + c2 * S_p of each row of int prefix sums
-    (see RootRows), as its numerator over b * L, or None when it is
-    infinite.  c2 > 0, so a center is infinite exactly when S_p is; an
-    infinite S_(p-1) makes S_p infinite, so a zero c1 against it needs no
-    case of its own."""
-    p, w1, w2, _ = band
-    return [None if p >= len(sums) else w1 * sums[p - 1] + w2 * sums[p]
-            for sums in prefix_sums]
-
-
-def _eval_v(band, coeffs):
-    """V from validated coefficients, the largest center over the table's
-    distinct rows, as (numerator or None, b * L): None, the infinite V,
-    when one center is infinite."""
-    table = _table_for(tuple(coeffs))
-    if isinstance(table, TruncationError):
-        raise table.with_traceback(None)
-    one = band[3] * table.denominator
-    centers = _centers(band, table.distinct_prefix_sums)
-    if None in centers:
-        return None, one
-    return max(centers), one
 
 
 @lru_cache(maxsize=1024)
@@ -151,13 +132,6 @@ def _head(d, a, b):
     return band, head
 
 
-def _order_json(num, den):
-    """OrderVal.to_json of num/den from the ints; None is infinite."""
-    if num is None:
-        return {"kind": OrderVal.INFINITE}
-    return {"kind": OrderVal.EXACT, "value": ratio_str(num, den)}
-
-
 def lct_ge(d: int, c, coeffs):
     """Decide lct(f) >= c for f = y^d + sum a_i y^(d-i).
 
@@ -175,8 +149,8 @@ def lct_ge(d: int, c, coeffs):
     1024 most recently used pairs; the returned dict is a fresh copy that
     the caller owns.
     """
-    c = as_frac(c)
-    _check_degree(d)
+    if type(c) is not Fraction or type(d) is not int:
+        c = _checked(d, c)
     if d < 1:
         raise ValueError("degree must be positive")
     _validate_coeffs(coeffs, d)
@@ -184,14 +158,24 @@ def lct_ge(d: int, c, coeffs):
     diag = head.copy()
     if isinstance(band, str):           # a shortcut verdict
         return band, diag
-    try:
-        num, one = _eval_v(band, coeffs)
-    except TruncationError as exc:
-        diag["reason"] = str(exc)
-        diag["required"] = (None if exc.required is None
-                            else frac_str(exc.required))
+    table = _table_for(tuple(coeffs))
+    if isinstance(table, TruncationError):
+        diag["reason"] = str(table)
+        diag["required"] = (None if table.required is None
+                            else frac_str(table.required))
         return UNKNOWN, diag
-    diag["V"] = _order_json(num, one)
-    if num is None or num > one:
-        return NO, diag
-    return YES, diag
+    # V's numerator: the largest center w1 * S_(p-1) + w2 * S_p (each >= 0)
+    # over the distinct rows.  w2 > 0, so V is infinite at the first row
+    # without S_p; a row without S_(p-1) has none, so w1 = 0 needs no case.
+    p, w1, w2, b = band
+    num = 0
+    for sums in table.distinct_prefix_sums:
+        if p >= len(sums):
+            diag["V"] = {"kind": OrderVal.INFINITE}
+            return NO, diag
+        center = w1 * sums[p - 1] + w2 * sums[p]
+        if center > num:
+            num = center
+    one = b * table.denominator
+    diag["V"] = {"kind": OrderVal.EXACT, "value": ratio_str(num, one)}
+    return (NO if num > one else YES), diag

@@ -15,8 +15,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .criterion import CriterionContext, _band, _eval_v, _validate_coeffs
-from .errors import BudgetError
+from .criterion import CriterionContext, _validate_coeffs, lct_ge
+from .errors import BudgetError, TruncationError
 from .mpoly import (
     MPoly, generic_compound_coeffs, generic_difference_coeffs, taylor_shift,
     z_vars,
@@ -25,7 +25,7 @@ from .poly import UPoly
 from .qideal import (
     QIdeal, ord_diff_le_one, qi_ord, qi_power, qi_product, qi_sum,
 )
-from .series import NO, OrderVal, PSeries, as_frac, frac_str
+from .series import NO, UNKNOWN, OrderVal, PSeries, as_frac, frac_str
 
 _ONE = Fraction(1)
 _EXACT_ZERO = OrderVal.exact(0)
@@ -268,12 +268,21 @@ def eval_theorem_lhs(ctx: CriterionContext, coeffs) -> OrderVal:
     """V = max over centers i of c1 * (sum of the p-1 smallest difference
     orders at i) + c2 * (sum of the p smallest).  Minima over index tuples
     include the center itself, contributing an infinite order that is never
-    selected while finite alternatives remain."""
-    _validate_coeffs(coeffs, ctx.d)
-    num, one = _eval_v(_band(ctx.d, ctx.c), coeffs)
-    if num is None:
-        return OrderVal.infinite()
-    return OrderVal.exact(Fraction(num, one))
+    selected while finite alternatives remain.
+
+    V is lct_ge's, read back from its diagnostics; where lct_ge answers
+    unknown, its reason and required hint are raised as the
+    TruncationError they came from.  A context whose c lies outside
+    choose_p's (1/d, 1] has no band, and raises choose_p's ValueError."""
+    verdict, diag = lct_ge(ctx.d, ctx.c, coeffs)
+    if diag["p"] is None:               # lct_ge's shortcut: no band
+        raise ValueError(f"c must lie in (1/{ctx.d}, 1]")
+    if verdict == UNKNOWN:
+        exc = TruncationError(diag["reason"])
+        if diag["required"] is not None:
+            exc.required = Fraction(diag["required"])
+        raise exc
+    return OrderVal.from_json(diag["V"])
 
 
 def degree3_test(a: PSeries, b: PSeries, c):

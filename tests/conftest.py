@@ -33,3 +33,20 @@ def table_of():
     """The test-side table of OrderVal rows, what a RootRows keeps of
     them: a reference that shares no code with rootdata.certified_rows."""
     return _table_of
+
+
+def _centers_of(ctx, table):
+    """The center c1 * S_(p-1) + c2 * S_p of each distinct row of a table,
+    from its int prefix sums over L, as an OrderVal: infinite when the row
+    stores no S_p.  A test-side copy of the formula lct_ge runs on ints."""
+    p, den = ctx.p, table.denominator
+    return [OrderVal.infinite() if p >= len(sums) else
+            OrderVal.exact((ctx.c1 * sums[p - 1] + ctx.c2 * sums[p]) / den)
+            for sums in table.distinct_prefix_sums]
+
+
+@pytest.fixture
+def centers_of():
+    """Each distinct row's center from a table's prefix sums, computed
+    in the tests rather than read from lctkit.criterion."""
+    return _centers_of

@@ -9,6 +9,7 @@ too."""
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -107,7 +108,8 @@ def _random_rows(rng, d, dens=(1, 2, 3)):
 
 
 class TestAgainstReference:
-    def test_random_rows_every_band(self, monkeypatch, table_of):
+    def test_random_rows_every_band(self, monkeypatch, table_of,
+                                    centers_of):
         rng = random.Random(808)
         kinds = set()
         for _ in range(200):
@@ -123,11 +125,8 @@ class TestAgainstReference:
                 assert ctx.p == p
                 got = eval_theorem_lhs(ctx, _positive_coeffs(d))
                 assert got == _ref_v(ctx, rows), (rows, c)
-                band = criterion._band(d, c)
-                den = band[3] * table.denominator
-                assert sorted((_as_order(n, den) for n in criterion._centers(
-                    band, table.distinct_prefix_sums)),
-                    key=OrderVal.sort_key) == \
+                assert sorted(centers_of(ctx, table),
+                              key=OrderVal.sort_key) == \
                     sorted((_ref_center(ctx, distinct, i)
                             for i in range(len(distinct))),
                            key=OrderVal.sort_key)
@@ -190,7 +189,7 @@ class TestAgainstReference:
                                   for k in range(d + 1)] for row in rows)
 
     def test_zero_weight_against_infinite_prefix(self, monkeypatch,
-                                                 table_of):
+                                                 table_of, centers_of):
         # p = 2 at its upper edge c = 1/(d-2): c1 = 0 meets an infinite
         # S_1 on the all-infinite row, sorted first, and contributes 0
         inf = OrderVal.infinite()
@@ -199,9 +198,7 @@ class TestAgainstReference:
         table = table_of(rows)
         ctx = choose_p(3, F(1))
         assert (ctx.p, ctx.c1) == (2, 0)
-        centers = criterion._centers(criterion._band(3, F(1)),
-                                     table.distinct_prefix_sums)
-        assert centers == [None, 5]
+        assert centers_of(ctx, table) == [inf, OrderVal.exact(5)]
         monkeypatch.setattr(criterion, "_table_for", lambda *args: table)
         assert eval_theorem_lhs(ctx, _positive_coeffs(3)) == \
             _ref_v(ctx, rows) == inf
@@ -323,6 +320,61 @@ class TestHitPath:
         assert first[1]["V"] == {"kind": "exact",
                                  "value": real(*calls[0])}
 
+    def test_warm_decision_calls(self):
+        """The Python-level calls of a decision on a cached table at d = 3:
+        lct_ge, the shared validator, the threshold's numerator and
+        denominator (Fraction properties), the series hash of each
+        coefficient that the table lookup makes, and the one ratio_str that
+        formats V.  V is evaluated in lct_ge's own frame."""
+        zero = PSeries.zero("x")
+        coeffs = (zero, PSeries.monomial("x", 3), PSeries.monomial("x", 5))
+        c = F(3, 5)
+        # primed with these very objects, so the lookup compares none
+        criterion._table_for.cache_clear()
+        first = lct_ge(3, c, coeffs)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            again = lct_ge(3, c, coeffs)
+        finally:
+            sys.setprofile(None)
+        assert again == first
+        assert calls == ["lct_ge", "_validate_coeffs", "numerator",
+                         "denominator", "__hash__", "__hash__", "__hash__",
+                         "ratio_str"]
+
+    def test_warm_equals_cold(self):
+        """A cached unknown, with its reason and required hint, and a table
+        whose second distinct row has no S_p, so V is infinite at the
+        loop's early return, decide the same on cold and on warm caches."""
+        x = PSeries.monomial("x", 1)
+        cut = (PSeries.zero("x", 3), PSeries.zero("x", 3))
+        h = UPoly.from_roots("y", [x, x, PSeries.monomial("x", 1, 2)])
+        cases = [
+            (2, F(3, 4), cut, ("unknown", {
+                "d": 2, "c": "3/4", "p": 1, "c1": "1/4", "c2": "1/2",
+                "V": None, "required": "4",
+                "reason": "coefficient a_1 is unknown below its truncation "
+                          "and controls the polygon; required truncation "
+                          ">= 4"})),
+            (3, F(5, 6), h.coeffs, ("no", {
+                "d": 3, "c": "5/6", "p": 2, "c1": "1/6", "c2": "2/3",
+                "V": {"kind": "inf"}})),
+        ]
+        assert criterion._table_for(h.coeffs) == \
+            RootRows(1, ((0, 1, 2), (0, 1)))
+        for d, c, coeffs, expected in cases:
+            criterion._table_for.cache_clear()
+            criterion._head.cache_clear()
+            cold = lct_ge(d, c, coeffs)
+            assert lct_ge(d, c, coeffs) == cold == expected
+            assert criterion._table_for.cache_info()[:2] == (1, 1)
+
     def test_shortcuts_repeat_equal(self):
         for d, c, verdict, reason in SHORTCUTS:
             criterion._head.cache_clear()
@@ -347,6 +399,7 @@ class TestHitPath:
             (d, c, coeffs[:2] + (PSeries.one("x"),)),
             (d, "1/0", coeffs), (2, F(3, 4), (x, 2.0)),
             (2, F(1, 2), mixed), (2, F(3, 2), mixed), (2, F(2, 3), mixed),
+            (d, True, coeffs), (2, False, (x, x)), (True, True, coeffs),
         ]
 
         def errors():
@@ -371,9 +424,23 @@ class TestHitPath:
         assert [t for t, _ in cold] == [
             TypeError, TypeError, TypeError, TypeError, ValueError,
             ValueError, TypeError, ValueError, ZeroDivisionError,
-            TypeError, ValueError, ValueError, ValueError]
-        assert {m for _, m in cold[-3:]} == {
+            TypeError, ValueError, ValueError, ValueError,
+            TypeError, TypeError, TypeError]
+        assert {m for _, m in cold[-6:-3]} == {
             "series coefficients use different variables"}
+        # a bool threshold is refused before the degree is read, as a bool
+        # degree is, and by choose_p too; int and str thresholds are read
+        assert cold[-3:] == [
+            (TypeError, "cannot interpret True as an exact rational"),
+            (TypeError, "cannot interpret False as an exact rational"),
+            (TypeError, "cannot interpret True as an exact rational")]
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="cannot interpret"):
+                choose_p(2, flag)
+        assert lct_ge(2, 1, (x, x)) == lct_ge(2, F(1), (x, x))
+        assert lct_ge(d, "5/6", coeffs) == lct_ge(d, c, coeffs)
+        assert choose_p(2, 1) == choose_p(2, "1") == choose_p(2, F(1))
+        assert type(choose_p(2, 1).c) is F
 
     def test_truncated_outcome_is_cached(self):
         """Input that truncation leaves unknown builds its certificate
@@ -566,8 +633,11 @@ def _miss_corpus():
 class TestMissPins:
     def test_miss_verdicts_and_diagnostics(self):
         """Every verdict and diagnostic of distinct inputs at five
-        thresholds each: the certificate's route from the coefficients to
-        the table changes no byte."""
+        thresholds each, from cold caches: the certificate's route from the
+        coefficients to the table changes no byte.  Decided again on the
+        warm caches, every decision a hit, they give the same digest."""
+        criterion._table_for.cache_clear()
+        criterion._head.cache_clear()
         lines, seen = [], set()
         for d, coeffs in _miss_corpus():
             seen.add(("L", any(c.denominator > 1 for a in coeffs
@@ -592,6 +662,12 @@ class TestMissPins:
                         ("V", None), ("a_i of", "h"), ("a_i of", "D"),
                         ("reason", "unknown"), ("reason", "only")}
         assert _digest(lines) == MISS_DIGEST
+        misses = criterion._table_for.cache_info().misses
+        warm = [[d, [a.to_json() for a in coeffs],
+                 *lct_ge(d, F(1, d) + (1 - F(1, d)) * F(j, 5), coeffs)]
+                for d, coeffs in _miss_corpus() for j in range(1, 6)]
+        assert criterion._table_for.cache_info().misses == misses
+        assert _digest(warm) == MISS_DIGEST
 
 
 SWEEP_DIGEST = (

@@ -222,6 +222,14 @@ class TestEvalTheoremLhs:
         v = eval_theorem_lhs(ctx, list(h.coeffs))
         assert v.is_infinite
 
+    def test_context_outside_the_bands(self):
+        # a context built by hand, with c where lct_ge's shortcuts decide
+        from lctkit.criterion import CriterionContext
+        for c in (F(1, 4), F(1, 3), F(3, 2)):
+            ctx = CriterionContext(3, c, 1, F(0), F(0))
+            with pytest.raises(ValueError, match=r"must lie in \(1/3, 1\]"):
+                eval_theorem_lhs(ctx, [xs(1)] * 3)
+
 
 class TestLctGe:
     def test_cusp_yes_at_threshold(self):
@@ -549,14 +557,13 @@ class TestContainment:
         for d, c in _CONTAINMENT_PAIRS:
             assert containment_check(choose_p(d, c), _rand_arc(rng, d))["pass"]
 
-    def test_degenerate_sample_passes(self):
+    def test_degenerate_sample_passes(self, centers_of):
         # triple root: one distinct row, infinite past its first entry
         ctx = choose_p(3, F(5, 6))
         h = UPoly.from_roots("y", [xs(1)] * 3)
-        from lctkit.criterion import _band, _centers, _table_for
+        from lctkit.criterion import _table_for
         table = _table_for(tuple(h.coeffs))
-        vals = _centers(_band(3, ctx.c), table.distinct_prefix_sums)
-        assert vals == [None]
+        assert centers_of(ctx, table) == [OrderVal.infinite()]
 
 
 class TestTruncatedInput:

@@ -56,11 +56,9 @@ def _band(d, c):
 
 
 def _checked(d, c):
-    """c as a Fraction, or the TypeError of a degree that is not a plain
-    int or a threshold that is a bool: either, equal to an int, would
-    share its cache entries and leak into their output."""
-    if isinstance(c, bool):
-        raise TypeError(f"cannot interpret {c!r} as an exact rational")
+    """c as a Fraction, or the TypeError of a threshold as_frac refuses (a
+    bool among them) or of a degree that is not a plain int: a degree equal
+    to an int would share its cache entries and leak into their output."""
     c = as_frac(c)
     if type(d) is not int:
         raise TypeError(f"degree must be an int, got {d!r}")

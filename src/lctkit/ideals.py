@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .criterion import CriterionContext, _validate_coeffs, lct_ge
-from .errors import BudgetError, TruncationError
+from .errors import BudgetError, ConsistencyError, TruncationError
 from .mpoly import (
     MPoly, generic_compound_coeffs, generic_difference_coeffs, taylor_shift,
     z_vars,
@@ -353,7 +353,8 @@ def depressed_cubic(a1: PSeries, a2: PSeries, a3: PSeries):
     h = UPoly("y", [a1, a2, a3])
     shifted = taylor_shift(h, a1.scale(Fraction(-1, 3)))
     if not shifted.coeff(1).is_zero():
-        raise AssertionError("depression failed to clear the quadratic term")
+        raise ConsistencyError(
+            "depression failed to clear the quadratic term")
     return shifted.coeff(2), shifted.coeff(3)
 
 

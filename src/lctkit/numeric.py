@@ -101,27 +101,9 @@ class PuiseuxRootSet:
         self.roots = roots
 
 
-def _single_cluster(phi_num, tols):
-    """(u, m) when the degree-m polynomial is within the gray tolerance of
-    c_0 (z - u)^m, where u = -c_1 / (m c_0); else None.
-
-    Root finders converge only linearly on a multiple root, so a branch
-    whose roots share a prefix would otherwise exhaust every precision
-    escalation.  A false cluster is caught by the exact certificate."""
-    m = len(phi_num) - 1
-    c0 = phi_num[0]
-    u = -phi_num[1] / (m * c0)
-    tol = tols[1] * max(abs(c) for c in phi_num)
-    want = c0
-    for k in range(1, m + 1):
-        want = want * (-u) * (m - k + 1) / k  # c_0 C(m, k) (-u)^k
-        if abs(phi_num[k] - want) > tol:
-            return None
-    return u, m
-
-
 _DK_STEPS = 200
 _SEED_STEPS = 100
+_POLISH_STEPS = 50
 
 
 def _quadratic_roots(b, c):
@@ -185,14 +167,14 @@ def _seed_roots(monic):
 
 
 def _durand_kerner(monic, tol):
-    """mpmath.polyroots' iteration on the monic polynomial, started from
-    _seed_roots when they exist: it stops once no root moves by tol."""
+    """mpmath.polyroots' iteration on the monic polynomial from _seed_roots
+    when they exist, for _DK_STEPS sweeps or until no root moves by tol."""
     seeds = _seed_roots(monic) or _start_points(len(monic))
     roots = [mpmath.mpc(s) for s in seeds]
     for _ in range(_DK_STEPS):
         if _dk_sweep(roots, monic) < tol:
-            return roots
-    raise PrecisionError("characteristic roots did not converge")
+            break
+    return roots
 
 
 def _char_roots(coeffs, extraprec, separation=None):
@@ -203,10 +185,10 @@ def _char_roots(coeffs, extraprec, separation=None):
 
     Degrees 1 and 2 use the closed form; higher degrees run Durand-Kerner
     from machine-precision seeds instead of fixed start points, so a few
-    quadratically converging steps reach full precision.  Raises
-    PrecisionError when the iteration does not converge, or when
-    `separation` is given and two roots lie within it of each other (they
-    cannot be told apart downstream, and are never returned merged)."""
+    quadratically converging steps reach simple roots to full precision.
+    Raises PrecisionError when `separation` is given and two roots lie
+    within it of each other (they cannot be told apart downstream, and are
+    never returned merged)."""
     tol = +mpmath.eps
     with mpmath.extraprec(extraprec):
         monic = [c / coeffs[0] for c in coeffs[1:]]
@@ -234,42 +216,59 @@ def _char_roots(coeffs, extraprec, separation=None):
     return roots
 
 
+def _polish(coeffs, u, m, extraprec, gray):
+    """The root of multiplicity m near u of the polynomial with descending
+    coefficients `coeffs`: Newton's method at `extraprec` extra bits on its
+    (m-1)-th derivative.  PrecisionError when Newton does not settle, or a
+    lower derivative there is not zero to within `gray` times its size."""
+    tol, n = +mpmath.eps, len(coeffs) - 1
+    with mpmath.extraprec(extraprec):
+        derivs = [[c * math.perm(n - i, k)
+                   for i, c in enumerate(coeffs[:n + 1 - k])]
+                  for k in range(m)]
+        for _ in range(_POLISH_STEPS):
+            value, slope = mpmath.polyval(derivs[-1], u, derivative=True)
+            if not slope or abs(value) < tol * abs(slope):
+                break
+            u -= value / slope
+        if not abs(value) < tol * abs(slope):
+            raise PrecisionError("characteristic roots did not converge")
+        for p in derivs[:-1]:
+            size = mpmath.polyval([abs(c) for c in p], abs(u))
+            if abs(mpmath.polyval(p, u)) > gray * size:
+                raise PrecisionError("a root cluster is not one multiple root")
+    return +u
+
+
 def _solve_char(phi_num, phi_exact, prec, tols):
     """Roots of the characteristic polynomial with multiplicity structure.
 
     phi_num: descending mpc coefficients; phi_exact: matching Fractions where
     the input is known on the segment (top level), else None.  Returns
     [(root, mult)].  Exact data gets its multiplicities from a squarefree
-    decomposition; the numeric fallback first tests for a single multiple
-    root, then clusters by tolerance.
-    """
+    decomposition; the numeric route clusters the roots by tolerance.  Each
+    root, a cluster's centroid or a factor's simple root, is then polished."""
     deg = len(phi_num) - 1
     if phi_exact is not None:
         out = []
         for factor, mult in q_squarefree_decomposition(phi_exact):
             coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
                       for c in factor]
-            out.extend((r, mult)
+            out.extend((_polish(coeffs, r, 1, prec, tols[1]), mult)
                        for r in _char_roots(coeffs, prec, tols[1]))
         if sum(m for _, m in out) != deg:
             raise ConsistencyError("squarefree multiplicities do not add up")
         return out
-    cluster = _single_cluster(phi_num, tols)
-    if cluster is not None:
-        return [cluster]
     clusters = []
     for r in _char_roots(phi_num, 2 * prec):
         for c in clusters:
             if abs(r - c[0]) < tols[2]:
-                c[1].append(r)
+                c.append(r)
                 break
         else:
-            clusters.append([r, [r]])
-    out = []
-    for _, members in clusters:
-        centroid = sum(members) / len(members)
-        out.append((centroid, len(members)))
-    return out
+            clusters.append([r])
+    return [(_polish(phi_num, sum(c) / len(c), len(c), 2 * prec, tols[1]),
+             len(c)) for c in clusters]
 
 
 class _Shortfall(TruncationError):

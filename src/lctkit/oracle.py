@@ -80,7 +80,7 @@ def _game_value(A):
                     for i in range(m))
                 if ok:
                     return v
-    raise AssertionError("matrix game has no kernel")  # unreachable
+    raise ConsistencyError("matrix game has no kernel")  # unreachable
 
 
 def _diag_entry(vectors):

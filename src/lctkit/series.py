@@ -45,9 +45,8 @@ _ZERO = Fraction(0)
 def as_frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    # a bool is an int, but True read as 1 is a caller's mistake
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -172,7 +171,7 @@ class OrderVal:
         """Multiply by a rational c >= 0; scale(0, anything finite-or-not) = Exact(0).
 
         Callers that need a different 0*inf convention must special-case
-        before scaling (the V-evaluator does).
+        before scaling.
         """
         c = as_frac(c)
         if c < 0:

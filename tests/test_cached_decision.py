@@ -208,7 +208,7 @@ class TestAgainstReference:
     def test_truncated_diff_order_tables(self):
         """V on diff_orders' tables of truncated input at the default
         depth, whose entries are exact or infinite, against
-        eval_theorem_lhs, which builds the table from the root tree."""
+        eval_theorem_lhs, which reads lct_ge's V from its diagnostics."""
         rng = random.Random(7)
         tables = 0
         kinds = set()

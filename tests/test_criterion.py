@@ -352,6 +352,11 @@ class TestDegree3:
         with pytest.raises(ValueError):
             degree3_test(zero(), xs(2), F(1, 4))
 
+    def test_bool_threshold_is_refused(self):
+        # True equals 1, a threshold in the band, but is not a rational
+        with pytest.raises(TypeError, match="^cannot interpret True as"):
+            degree3_test(zero(), xs(2), True)
+
     def test_matches_lct_ge_random(self):
         rng = random.Random(4242)
         cs = [F(5, 12), F(1, 2), F(7, 12), F(2, 3), F(3, 4), F(5, 6), F(1)]

@@ -5,12 +5,11 @@ polynomials (sparse random coefficients, roots sharing a prefix, repeated
 roots, products of binomials with conjugate and ramified roots), each exact
 and truncated at two bounds.  The expected strings were recorded before the
 expansion gained its closed-form characteristic roots and depth cut; any
-change to them is a change of output, not of speed.  Two shared-prefix
-cases with a repeated root (12 and 14) pin a ConsistencyError for their
-tables: below the shared prefix their characteristic polynomial has a
-double root beside a simple one, which the numeric fallback cannot split.
-Their exact lct_ge verdicts come from the certificate's root tree, which
-needs no expansion; every shared-prefix verdict is checked against the
+change to them is a change of output, not of speed.  In two shared-prefix
+cases with a repeated root (12 and 14) the characteristic polynomial below
+the shared prefix has a double root beside a simple one; their tables were
+first pinned as a ConsistencyError, and now read as the explicit roots'
+tables.  Every shared-prefix table and verdict is checked against the
 table of its explicit roots.  Truncated verdicts come from the same tree,
 which can decide where the expanded table still asks for more terms
 (case 2).  Only public API is used, so the same file
@@ -217,8 +216,7 @@ PINNED = [
      'unknown@8',
      'required=7',
      'unknown@7'),
-    ('ConsistencyError: difference orders failed to certify: characteristic '
-     'roots did not converge',
+    ('inf,6,6;6,inf,inf;6,inf,inf',
      'no',
      'required=4',
      'unknown@4',
@@ -230,8 +228,7 @@ PINNED = [
      'unknown@11',
      'required=10',
      'unknown@10'),
-    ('ConsistencyError: difference orders failed to certify: characteristic '
-     'roots did not converge',
+    ('inf,6,6,6;6,inf,6,6;6,6,inf,inf;6,6,inf,inf',
      'no',
      'required=11',
      'unknown@11',
@@ -331,6 +328,17 @@ def test_shared_prefix_verdicts_match_explicit_roots(index):
         _weighted(ctx.c2, OrderVal.sum_of(row[:ctx.p])) for row in rows)
     assert diag["V"] == v.to_json()
     assert verdict == ("yes" if v.is_exact and v.value <= 1 else "no")
+
+
+@pytest.mark.parametrize("index", sorted(ROOTS))
+def test_shared_prefix_tables_match_explicit_roots(index):
+    """The pinned exact table of each shared-prefix case against the table
+    ord(alpha_i - alpha_j) of its explicit roots, as multisets of rows."""
+    roots = ROOTS[index]
+    explicit = [[_code((a - b).order() if j != i else OrderVal.infinite())
+                 for j, b in enumerate(roots)] for i, a in enumerate(roots)]
+    pinned = [row.split(",") for row in PINNED[index][0].split(";")]
+    assert sorted(map(sorted, pinned)) == sorted(map(sorted, explicit))
 
 
 def _literal(part, indent):

@@ -1,5 +1,6 @@
 """Static checks over the package sources: no handler broad enough to hide a
-ConsistencyError, no `assert` statement (`python -O` strips it), no unused
+ConsistencyError, no `assert` statement (`python -O` strips it) and no
+`raise AssertionError` (it escapes the CLI as a traceback), no unused
 import, no assignment or parameter a function never reads, no function,
 method or class that only tests use, no runtime dependency besides the
 standard library and mpmath, no module-level import of a module off the
@@ -187,6 +188,19 @@ def assert_statements(tree):
             if isinstance(node, ast.Assert)]
 
 
+def assertion_raises(tree):
+    """Line numbers of `raise AssertionError`, bare or called: lctkit.cli.run
+    turns a ConsistencyError into exit 1 with a JSON error, but lets an
+    AssertionError out as a traceback."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append(node.lineno)
+    return found
+
+
 def foreign_imports(tree):
     """(line, top-level module) of every absolute import from outside the
     standard library and mpmath; relative imports stay in the package."""
@@ -360,6 +374,11 @@ def test_no_assert_statement(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assertion_error_raised(path):
+    assert assertion_raises(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_stdlib_and_mpmath_imports(path):
     assert foreign_imports(_tree(path)) == []
 
@@ -438,6 +457,14 @@ def test_checks_catch_offenders():
                      "        raise ConsistencyError\n"   # raises: kept
                      "    return [y for y in x if y]\n")
     assert assert_statements(tree) == [1, 3]
+    tree = ast.parse("def f(x):\n"
+                     "    if x:\n"
+                     "        raise AssertionError('unreachable')\n"
+                     "    if not x:\n"
+                     "        raise AssertionError\n"
+                     "    raise ConsistencyError('kept')\n")
+    assert assertion_raises(tree) == [3, 5]
+    assert assert_statements(tree) == []
     tree = ast.parse("import math, numpy as np\nimport mpmath.libmp\n"
                      "from scipy.linalg import eig\nfrom . import poly\n"
                      "from collections import OrderedDict\n")

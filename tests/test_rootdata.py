@@ -710,6 +710,69 @@ class TestCharRoots:
                                if abs(g - w) <= tol * max(1, abs(w))) == 1
 
 
+class TestSolveChar:
+    """The numeric route of _solve_char: Durand-Kerner approximations
+    clustered, and each cluster of m polished to one root of multiplicity
+    m."""
+
+    PREC = 256
+
+    @staticmethod
+    def _from_roots(lead, roots):
+        """Descending mpc coefficients of lead * prod (z - r)."""
+        poly = [mpmath.mpc(lead)]
+        for r in roots:
+            poly = [a - r * b for a, b in zip(poly + [0], [0] + poly)]
+        return poly
+
+    def _solve(self, lead, roots, tols=None):
+        with mpmath.workprec(self.PREC + 64):
+            return numeric._solve_char(
+                self._from_roots(lead, roots), None, self.PREC,
+                tols or numeric._tolerances(self.PREC))
+
+    def _check(self, got, want):
+        """got holds each (root, mult) of want once, the root to within
+        2^-(PREC/2), in some order."""
+        assert len(got) == len(want)
+        tol = mpmath.mpf(2) ** (-(self.PREC // 2))
+        for w, m in want:
+            assert sum(1 for u, k in got
+                       if k == m and abs(u - w) <= tol) == 1, (got, want)
+
+    def test_double_root_beside_a_simple_one(self):
+        # (z + 1)^2 (z - 1): Durand-Kerner closes in on -1 only linearly
+        self._check(self._solve(1, [-1, -1, 1]), [(-1, 2), (1, 1)])
+        w = mpmath.mpc(2, 1)
+        self._check(self._solve(1.5, [1, w, 1, 1, w]), [(1, 3), (w, 2)])
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    def test_one_multiple_root(self, m):
+        # c_0 (z - u)^m: the polish is one Newton step to -c_1 / (m c_0)
+        u = mpmath.mpc(0.7, -1.3)
+        self._check(self._solve(mpmath.mpc(3, 2), [u] * m), [(u, m)])
+
+    def test_cluster_of_distinct_roots_raises(self):
+        # 1 and 11/10 fall into one cluster at a coarse cluster tolerance,
+        # but (z - 1)(z - 11/10)(z + 2) has no double root between them
+        with mpmath.workprec(self.PREC + 64):
+            tols = numeric._tolerances(self.PREC)[:2] + (mpmath.mpf(1) / 2,)
+        with pytest.raises(PrecisionError, match="not one multiple root"):
+            self._solve(1, [1, mpmath.mpf(11) / 10, -2], tols)
+        self._check(self._solve(1, [1, mpmath.mpf(11) / 10, -2]),
+                    [(-2, 1), (1, 1), (mpmath.mpf(11) / 10, 1)])
+
+    def test_split_multiple_root_raises(self):
+        # at a cluster tolerance too fine to join them, the approximations
+        # to a triple root are three simple roots, and Newton's method on
+        # the polynomial itself closes in on each only linearly
+        with mpmath.workprec(self.PREC + 64):
+            tols = numeric._tolerances(self.PREC)[:2] + (
+                mpmath.mpf(2) ** -1000,)
+        with pytest.raises(PrecisionError, match="did not converge"):
+            self._solve(1, [1, 1, 1, -2], tols)
+
+
 class TestTransformCut:
     """_transform drops the terms at or past its cut and nothing else."""
 

@@ -212,10 +212,7 @@ def test_certified_rows_match_expansion(seed, degrees, table_of):
         assert isinstance(rows, RootRows)
         if roots:
             assert _sorted(rows) == table_of(_explicit_rows(roots)), roots
-        # the expansion cannot split a repeated root beside a simple one
-        # below a shared prefix, a known defect; it checks the rest
-        if not roots or len(set(map(repr, roots))) == len(roots):
-            assert _sorted(rows) == table_of(diff_orders(h).rows), h
+        assert _sorted(rows) == table_of(diff_orders(h).rows), h
 
 
 def _clustered_roots(rng, d, depth):
@@ -327,6 +324,65 @@ def test_expansion_picks_one_enumerated_tree(seed, d, depth, table_of):
     assert _key(_explicit_rows(roots)) == _key(diff_orders(h).rows), roots
 
 
+def _series(*terms):
+    """The series sum of c x^e over the pairs (e, c)."""
+    return PSeries("x", {F(e): F(c) for e, c in terms})
+
+
+def _v_of(rows, c):
+    """V at c from rows of exact or infinite orders, by OrderVal sums."""
+    rows = [sorted(row, key=OrderVal.sort_key) for row in rows]
+    ctx = choose_p(len(rows), c)
+    return OrderVal.max_of(
+        (OrderVal.exact(0) if ctx.c1 == 0 else
+         OrderVal.sum_of(row[:ctx.p - 1]).scale(ctx.c1)) +
+        OrderVal.sum_of(row[:ctx.p]).scale(ctx.c2) for row in rows)
+
+
+W = ((1, 1), (3, 3), (4, -2))  # x + 3x^3 - 2x^4
+
+
+@pytest.mark.parametrize("roots", [
+    # d = 7 and 6, ambiguous patterns: an expansion level below a shared
+    # prefix meets a double characteristic root beside other roots
+    [_series((4, 3), (5, -4)), _series((4, 3), (5, 2)),
+     _series((3, -2), (6, 3)), _series((3, -2), (6, -3)),
+     _series((4, 3), (6, -4)), _series((3, -2), (6, 3), (7, 2)),
+     _series((3, -2), (6, 1), (9, -4))],
+    [_series((6, 3), (8, -2)), _series((3, -1), (4, 2)),
+     _series((3, -1), (4, -2), (6, 4)), _series((5, -3)),
+     _series((3, -1), (4, 2), (6, -2)), _series((2, -3), (4, 3))],
+    # clustered roots at d = 7, 8 and 6: each root copies an earlier
+    # root's terms below a cut and adds one or two
+    [_series((1, -4)), _series((1, -4), (2, 2)), _series((1, -4), (2, 4)),
+     _series((8, 3)), _series((1, -3), (2, 2), (4, 1)),
+     _series((1, -4), (2, 4), (7, 1), (9, -4)), _series((1, -6), (2, 4))],
+    [_series((3, -3), (8, 4)), _series((3, -2)),
+     _series((2, -4), (3, -2), (4, -1)),
+     _series((2, -4), (3, -2), (4, -1), (5, -1)),
+     _series((2, 3), (3, -3)), _series((2, -4), (3, -2), (4, -5)),
+     _series((2, -4), (3, -2), (4, 4), (6, -4)), _series((4, 4))],
+    [_series((1, -4), (2, -3)), _series((1, -4), (2, -3), (5, 2)),
+     _series((1, -4), (9, 2)), _series((6, 1)), _series((1, -4), (2, -1)),
+     _series((1, -1), (3, -3))],
+    # a repeated root beside a simple one: (z + 1)^2 (z - 1) at x^6
+    [_series(*W, (6, -1)), _series(*W, (6, -1)), _series(*W, (6, 1))],
+], ids=["d7", "d6", "clustered-d7", "clustered-d8", "clustered-d6",
+        "double-beside-simple"])
+def test_multiple_characteristic_root_beside_others(roots, table_of):
+    """Where a characteristic polynomial of the expansion has a multiple
+    root that is not its only root, the table, the expansion's rows and
+    lct_ge's V are those of the explicit roots."""
+    h = UPoly.from_roots("y", roots)
+    explicit = _explicit_rows(roots)
+    assert _sorted(certified_rows(h)) == table_of(explicit)
+    assert _key(diff_orders(h).rows) == _key(explicit)
+    criterion._table_for.cache_clear()
+    for c in (F(1, 2), F(2, 3), F(1)):
+        assert lct_ge(h.degree, c, h.coeffs)[1]["V"] == \
+            _v_of(explicit, c).to_json()
+
+
 @pytest.mark.parametrize("rows", [
     # the d = 5 pattern's pairs per level, but a root with two pairs on
     # the top level, which holds one pair: no tree has these rows
@@ -363,14 +419,8 @@ def test_exact_decisions_without_expansion(monkeypatch):
     for h, roots in cases:
         d = h.degree
         c = F(1, d) + (1 - F(1, d)) * F(rng.randint(1, 10), 10)
-        rows = [sorted(row, key=OrderVal.sort_key) for row in
-                (_explicit_rows(roots) if roots else diff_orders(h).rows)]
-        ctx = choose_p(d, c)
-        v = OrderVal.max_of(
-            (OrderVal.exact(0) if ctx.c1 == 0 else
-             OrderVal.sum_of(row[:ctx.p - 1]).scale(ctx.c1)) +
-            OrderVal.sum_of(row[:ctx.p]).scale(ctx.c2) for row in rows)
-        want.append((c, v))
+        want.append((c, _v_of(_explicit_rows(roots) if roots
+                              else diff_orders(h).rows, c)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the expansion ran")

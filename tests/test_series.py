@@ -7,7 +7,9 @@ import pytest
 
 from lctkit.errors import ConsistencyError
 from lctkit.qideal import ord_diff_le_one
-from lctkit.series import INF, OrderVal, PSeries, frac_str, sum_of_products
+from lctkit.series import (
+    INF, OrderVal, PSeries, as_frac, frac_str, sum_of_products,
+)
 
 
 def S(var="t", **terms):
@@ -60,6 +62,18 @@ class TestBasics:
         p = half * half
         assert p == mono(1)
         assert p.ram == 1
+
+    def test_bools_are_not_rationals(self):
+        # True == 1, but a bool where a rational belongs is a mistake
+        assert as_frac(1) == 1 and as_frac("3/2") == Fraction(3, 2)
+        for flag in (True, False):
+            with pytest.raises(TypeError,
+                               match=f"^cannot interpret {flag} as an exact"):
+                as_frac(flag)
+        with pytest.raises(TypeError):
+            PSeries("t", {True: True})
+        with pytest.raises(TypeError):
+            PSeries("t", {Fraction(1): 1}, trunc=True)
 
     def test_var_mismatch(self):
         with pytest.raises(ValueError):

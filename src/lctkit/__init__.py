@@ -42,8 +42,8 @@ _LAZY = {
     "contact_order_identity_check": "numeric", "diff_orders": "numeric",
     "orders_against_series": "numeric", "perturbation_check": "numeric",
     "puiseux_expand": "numeric",
-    "Cor3Pack": "ideals", "CriterionIdeals": "ideals", "build_b": "ideals",
-    "build_bbar_k": "ideals", "build_bk": "ideals", "build_c": "ideals",
+    "Cor3Pack": "ideals", "build_b": "ideals", "build_bbar_k": "ideals",
+    "build_bk": "ideals", "build_c": "ideals",
     "build_cor3_pack": "ideals", "build_p_plus_minus": "ideals",
     "build_tilde_bk": "ideals", "containment_check": "ideals",
     "cor3_divisibility": "ideals", "degree3_test": "ideals",

@@ -152,9 +152,10 @@ class _Parser:
 
 
 def parse_series(text, var=None) -> PSeries:
-    """Series from text; exact (infinite truncation).  The variable is
-    inferred when unambiguous; constants default to `var` or 't'."""
-    terms = _Parser(text).parse()
+    """Series from text, or from the terms _Parser made of it; exact
+    (infinite truncation).  The variable is inferred when unambiguous;
+    constants default to `var` or 't'."""
+    terms = _Parser(text).parse() if isinstance(text, str) else text
     seen = {v for _, exps in terms for v in exps}
     if len(seen) > 1:
         raise ParseError(f"series text uses several variables {sorted(seen)}",
@@ -172,15 +173,15 @@ def parse_series(text, var=None) -> PSeries:
 
 
 def parse_series_group(texts):
-    """Parse several series sharing one variable; constants adopt it."""
-    seen = set()
-    for t in texts:
-        for _, exps in _Parser(t).parse():
-            seen.update(exps)
+    """Parse several series sharing one variable; constants adopt it.  Each
+    text is parsed once: every text's ParseError comes before the check for
+    several variables."""
+    parsed = [_Parser(t).parse() for t in texts]
+    seen = {v for terms in parsed for _, exps in terms for v in exps}
     if len(seen) > 1:
         raise ParseError(f"series use several variables {sorted(seen)}", 0)
     var = seen.pop() if seen else "x"
-    return [parse_series(t, var=var) for t in texts]
+    return [parse_series(terms, var=var) for terms in parsed]
 
 
 def parse_poly(text):
@@ -349,9 +350,9 @@ def _cmd_criterion(args):
     out = {"d": ctx.d, "c": frac_str(ctx.c), "p": ctx.p,
            "c1": frac_str(ctx.c1), "c2": frac_str(ctx.c2)}
     if ctx.d <= 3:
-        ideals = build_p_plus_minus(ctx)
-        out["p_plus"] = ideals.p_plus.to_json()
-        out["p_minus"] = ideals.p_minus.to_json()
+        pair = build_p_plus_minus(ctx)
+        out["p_plus"] = pair.numer.to_json()
+        out["p_minus"] = pair.denom.to_json()
     _emit(out)
     return 0
 

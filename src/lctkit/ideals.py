@@ -4,8 +4,8 @@ root differences, the root-integrality pack, the symbolic plus/minus pair
 the containment check of the pair along one arc.
 
 These serve as validation routes for criterion.lct_ge and are not on its
-path.  The pair's orders are evaluated factor-wise (the semigroup laws make
-this exact), which avoids materializing huge generator powers.
+path.  The pair is a qideal.QIdealFrac, whose orders are evaluated
+factor-wise, which avoids materializing huge generator powers.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .criterion import CriterionContext, _validate_coeffs, lct_ge
+from .criterion import CriterionContext, _validate_coeffs, choose_p, lct_ge
 from .errors import BudgetError, ConsistencyError, TruncationError
 from .mpoly import (
     MPoly, generic_compound_coeffs, generic_difference_coeffs, taylor_shift,
@@ -23,11 +23,11 @@ from .mpoly import (
 )
 from .poly import UPoly
 from .qideal import (
-    QIdeal, ord_diff_le_one, qi_ord, qi_power, qi_product, qi_sum,
+    QIdeal, QIdealFrac, lc_dim1, ord_diff_le_one, qi_power, qi_product,
+    qi_sum,
 )
-from .series import NO, UNKNOWN, OrderVal, PSeries, as_frac, frac_str
+from .series import UNKNOWN, OrderVal, PSeries, as_frac, frac_str
 
-_ONE = Fraction(1)
 _EXACT_ZERO = OrderVal.exact(0)
 
 
@@ -195,46 +195,19 @@ def cor3_divisibility(pack: Cor3Pack, coeffs) -> bool:
 # The plus/minus pair (symbolic route, d <= 3)
 # ---------------------------------------------------------------------------
 
-class CriterionIdeals:
-    """Factor lists for the plus and minus ideals.  Orders are evaluated
-    factor-wise; the materialized Q-ideals are available on demand."""
-
-    __slots__ = ("ctx", "plus_factors", "minus_factors")
-
-    def __init__(self, ctx, plus_factors, minus_factors):
-        self.ctx = ctx
-        self.plus_factors = tuple(plus_factors)
-        self.minus_factors = tuple(minus_factors)
-
-    @staticmethod
-    def _ord(factors, arc):
-        total = OrderVal.exact(0)
-        for base, e in factors:
-            total = total + qi_ord(base, arc).scale(e)
-        return total
-
-    def ord_plus(self, arc) -> OrderVal:
-        return self._ord(self.plus_factors, arc)
-
-    def ord_minus(self, arc) -> OrderVal:
-        return self._ord(self.minus_factors, arc)
-
-    def _materialize(self, factors):
-        if not factors:
-            return QIdeal.unit()
-        return qi_product([qi_power(base, e) for base, e in factors])
-
-    @property
-    def p_plus(self) -> QIdeal:
-        return self._materialize(self.plus_factors)
-
-    @property
-    def p_minus(self) -> QIdeal:
-        return self._materialize(self.minus_factors)
+@lru_cache(maxsize=None)
+def _pair_ideals(d):
+    """build_p_plus_minus's Q-ideals, built once per degree: the
+    discriminant ideal and, at d = 3, (z2^3, z3^2)."""
+    z1, z2, z3 = (MPoly.variable(f"z{i}") for i in (1, 2, 3))
+    if d == 2:
+        return QIdeal.principal(z1 ** 2 - 4 * z2), None
+    return (QIdeal.principal(4 * z2 ** 3 + 27 * z3 ** 2),
+            QIdeal([z2 ** 3, z3 ** 2], 1))
 
 
-def build_p_plus_minus(ctx: CriterionContext) -> CriterionIdeals:
-    """Closed forms of the plus/minus pair.
+def build_p_plus_minus(ctx: CriterionContext) -> QIdealFrac:
+    """Closed forms of the plus/minus pair, as the fraction plus / minus.
 
     d = 2: plus = (z1^2 - 4 z2)^(c2/2), minus trivial.
     d = 3 (depressed input a_1 = 0, ideals in z2, z3):
@@ -242,22 +215,16 @@ def build_p_plus_minus(ctx: CriterionContext) -> CriterionIdeals:
       p = 2: split on the sign of c2 - c1 around the discriminant ideal.
     """
     d, c1, c2 = ctx.d, ctx.c1, ctx.c2
+    if d > 3:
+        raise ValueError("symbolic plus/minus pair is built for d <= 3 only")
+    disc, mideal = _pair_ideals(d)
     if d == 2:
-        disc = MPoly.variable("z1") ** 2 - 4 * MPoly.variable("z2")
-        return CriterionIdeals(
-            ctx, [(QIdeal.principal(disc), c2 / 2)], [])
-    if d == 3:
-        z2, z3 = MPoly.variable("z2"), MPoly.variable("z3")
-        mideal = QIdeal([z2 ** 3, z3 ** 2], _ONE)
-        disc = QIdeal.principal(4 * z2 ** 3 + 27 * z3 ** 2)
-        if ctx.p == 1:
-            return CriterionIdeals(ctx, [(mideal, c2 / 6)], [])
-        if c2 >= c1:
-            return CriterionIdeals(
-                ctx, [(disc, c2 / 2)], [(mideal, (c2 - c1) / 6)])
-        return CriterionIdeals(
-            ctx, [(disc, c2 / 2), (mideal, (c1 - c2) / 6)], [])
-    raise ValueError("symbolic plus/minus pair is built for d <= 3 only")
+        return QIdealFrac([(disc, c2 / 2)])
+    if ctx.p == 1:
+        return QIdealFrac([(mideal, c2 / 6)])
+    if c2 >= c1:
+        return QIdealFrac([(disc, c2 / 2)], [(mideal, (c2 - c1) / 6)])
+    return QIdealFrac([(disc, c2 / 2), (mideal, (c1 - c2) / 6)])
 
 
 # ---------------------------------------------------------------------------
@@ -287,43 +254,25 @@ def eval_theorem_lhs(ctx: CriterionContext, coeffs) -> OrderVal:
 
 def degree3_test(a: PSeries, b: PSeries, c):
     """Explicit degree-3 criterion for the depressed cubic y^3 + a(x) y +
-    b(x); the order arithmetic of the displayed ideal pair decides the
-    verdict.
+    b(x): lc_dim1 of build_p_plus_minus's d = 3 pair along z2 -> a,
+    z3 -> b, with the pair's orders as diagnostics.
 
     For 1/3 < c <= 1/2 the pair is ((a^3, b^2)^((3c-1)/6), trivial); for
     1/2 < c <= 1 the discriminant ideal (4a^3 + 27b^2)^(c - 1/2) combines
     with (a^3, b^2)^((2-3c)/6), the latter moving to the denominator when
-    c > 2/3.
+    c > 2/3.  A vanishing discriminant (a repeated root) gives an infinite
+    numerator order, which is never log canonical.
     """
-    c = as_frac(c)
-    if not (Fraction(1, 3) < c <= 1):
-        raise ValueError("c must lie in (1/3, 1]")
+    ctx = choose_p(3, c)
     for s, name in ((a, "a"), (b, "b")):
         if not s.has_positive_order:
             raise ValueError(f"coefficient {name} must have positive order")
-    m_ideal = QIdeal([a ** 3, b ** 2], _ONE) \
-        if not (a.is_exactly_zero and b.is_exactly_zero) else QIdeal.zero()
-    ord_m = qi_ord(m_ideal)
-    diag = {"c": frac_str(c)}
-    if c <= Fraction(1, 2):
-        num = ord_m.scale((3 * c - 1) / 6)
-        diag["ord_plus"] = num.to_json()
-        return ord_diff_le_one(num, OrderVal.exact(0)), diag
-    delta = a ** 3 * 4 + b ** 2 * 27
-    ord_delta = delta.order()
-    num = ord_delta.scale(c - Fraction(1, 2))
-    den = OrderVal.exact(0)
-    if c <= Fraction(2, 3):
-        num = num + ord_m.scale((2 - 3 * c) / 6)
-    else:
-        den = ord_m.scale((3 * c - 2) / 6)
-    diag["ord_plus"] = num.to_json()
-    diag["ord_minus"] = den.to_json()
-    if num.is_infinite:
-        # vanishing numerator ideal: the pair is malformed, never log
-        # canonical (the discriminant vanishes on a repeated root)
-        return NO, diag
-    return ord_diff_le_one(num, den), diag
+    pair = build_p_plus_minus(ctx)
+    arc = {"z2": a, "z3": b}
+    diag = {"c": frac_str(ctx.c), "ord_plus": pair.ord_numer(arc).to_json()}
+    if ctx.p == 2:
+        diag["ord_minus"] = pair.ord_denom(arc).to_json()
+    return lc_dim1(pair, arc), diag
 
 
 def example3_test(d: int, c, tail):
@@ -368,7 +317,12 @@ def containment_check(ctx: CriterionContext, coeffs):
     pair lives in z2, z3).  An ideal bound holds for the integral closure
     exactly when it holds along every arc (the valuative criterion), so a
     caller samples arcs.  `pass` is true only when the bound holds for
-    certain; d > 3 raises build_p_plus_minus's ValueError."""
+    certain; d > 3 raises build_p_plus_minus's ValueError.
+
+    On an exact arc the check cannot fail: at d = 2, and at d = 3 with
+    p = 1 or c2 < c1, the minus side is empty; otherwise ord(4a^3 + 27b^2)
+    >= M = min(3 ord a, 2 ord b), so ord plus >= (c2/2) M >= (c2 - c1) M / 4
+    = (3/2) ord minus.  Only a truncated arc can make `pass` false."""
     pair = build_p_plus_minus(ctx)
     _validate_coeffs(coeffs, ctx.d)
     if ctx.d == 3:
@@ -376,7 +330,7 @@ def containment_check(ctx: CriterionContext, coeffs):
         arc = {"z2": a, "z3": b}
     else:
         arc = {"z1": coeffs[0], "z2": coeffs[1]}
-    plus, minus = pair.ord_plus(arc), pair.ord_minus(arc)
+    plus, minus = pair.ord_numer(arc), pair.ord_denom(arc)
     bound = minus.scale(Fraction(ctx.d, ctx.d - 1))
     return {"pass": plus.ge(bound) is True, "ord_plus": plus.to_json(),
             "ord_minus": minus.to_json()}

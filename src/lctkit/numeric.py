@@ -153,8 +153,9 @@ def _dk_sweep(roots, monic):
 
 def _seed_roots(monic):
     """The roots to about 1e-13 by Durand-Kerner in machine complex
-    arithmetic, or None when the coefficients leave the float range or the
-    iteration does not settle."""
+    arithmetic, or as close as _SEED_STEPS sweeps get when the iteration
+    does not settle (a multiple root); None when the coefficients or the
+    approximations leave the float range."""
     cs = [complex(c) for c in monic]
     roots = _start_points(len(cs))
     for _ in range(_SEED_STEPS):
@@ -162,8 +163,8 @@ def _seed_roots(monic):
         if not all(math.isfinite(abs(r)) for r in roots):
             return None
         if step < 1e-13 * max(1.0, max(abs(r) for r in roots)):
-            return roots
-    return None
+            break
+    return roots
 
 
 def _durand_kerner(monic, tol):
@@ -177,7 +178,7 @@ def _durand_kerner(monic, tol):
     return roots
 
 
-def _char_roots(coeffs, extraprec, separation=None):
+def _char_roots(coeffs, extraprec, separation=None, stop=None):
     """Roots of the polynomial with descending coefficients `coeffs`
     (leading one nonzero), worked out at `extraprec` bits above the working
     precision and sorted as mpmath.polyroots sorts them: by |imaginary part|,
@@ -186,10 +187,12 @@ def _char_roots(coeffs, extraprec, separation=None):
     Degrees 1 and 2 use the closed form; higher degrees run Durand-Kerner
     from machine-precision seeds instead of fixed start points, so a few
     quadratically converging steps reach simple roots to full precision.
-    Raises PrecisionError when `separation` is given and two roots lie
-    within it of each other (they cannot be told apart downstream, and are
-    never returned merged)."""
+    Durand-Kerner stops once no root moves by `stop`, by default the
+    working epsilon.  Raises PrecisionError when `separation` is given and
+    two roots lie within it of each other (they cannot be told apart
+    downstream, and are never returned merged)."""
     tol = +mpmath.eps
+    stop = tol if stop is None else stop
     with mpmath.extraprec(extraprec):
         monic = [c / coeffs[0] for c in coeffs[1:]]
         if len(monic) == 1:
@@ -197,7 +200,7 @@ def _char_roots(coeffs, extraprec, separation=None):
         elif len(monic) == 2:
             roots = _quadratic_roots(*monic)
         else:
-            roots = _durand_kerner(monic, tol)
+            roots = _durand_kerner(monic, stop)
         for i, r in enumerate(roots):
             if abs(r) < tol:
                 roots[i] = mpmath.mpf(0)
@@ -246,8 +249,10 @@ def _solve_char(phi_num, phi_exact, prec, tols):
     phi_num: descending mpc coefficients; phi_exact: matching Fractions where
     the input is known on the segment (top level), else None.  Returns
     [(root, mult)].  Exact data gets its multiplicities from a squarefree
-    decomposition; the numeric route clusters the roots by tolerance.  Each
-    root, a cluster's centroid or a factor's simple root, is then polished."""
+    decomposition; the numeric route clusters the roots by tolerance, and
+    stops Durand-Kerner once no root moves by 2^-8 of it, since a multiple
+    root's approximations close in only linearly.  Each root, a cluster's
+    centroid or a factor's simple root, is then polished."""
     deg = len(phi_num) - 1
     if phi_exact is not None:
         out = []
@@ -260,7 +265,7 @@ def _solve_char(phi_num, phi_exact, prec, tols):
             raise ConsistencyError("squarefree multiplicities do not add up")
         return out
     clusters = []
-    for r in _char_roots(phi_num, 2 * prec):
+    for r in _char_roots(phi_num, 2 * prec, stop=tols[2] / 256):
         for c in clusters:
             if abs(r - c[0]) < tols[2]:
                 c.append(r)

@@ -1,6 +1,7 @@
 """Q-ideals: finitely generated ideals raised to nonnegative rational
-exponents, with sums, products, rational powers, formal fractions, and
-orders of vanishing along arcs.
+exponents, with sums, products, rational powers, orders of vanishing along
+arcs, and formal fractions of their products (the criterion's plus/minus
+pair) with the one-variable log-canonicity test lc_dim1.
 
 Only order-along-arc semantics are implemented; the integral-closure order
 relation between Q-ideals is out of scope.  Equality of Q-ideals is never
@@ -90,23 +91,6 @@ class QIdeal:
         if not gens:
             return cls.zero()
         return cls(gens, Fraction(obj["exp"]))
-
-
-class QIdealFrac:
-    """Formal fraction numer * denom^(-1) of two Q-ideals."""
-
-    __slots__ = ("numer", "denom")
-
-    def __init__(self, numer: QIdeal, denom: QIdeal):
-        self.numer = numer
-        self.denom = denom
-
-    def to_json(self):
-        return {"num": self.numer.to_json(), "den": self.denom.to_json()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(QIdeal.from_json(obj["num"]), QIdeal.from_json(obj["den"]))
 
 
 # The term products one sum or product of Q-ideals may spend, its integer
@@ -235,17 +219,67 @@ def qi_ord(a: QIdeal, arc=None) -> OrderVal:
     return OrderVal.min_of(vals).scale(a.exp)
 
 
+class QIdealFrac:
+    """Formal fraction numer * denom^(-1) of two products of Q-ideals, each
+    a tuple of factors (Q-ideal, exponent >= 0); a plain Q-ideal J is the
+    one-factor product ((J, 1),).  Orders along an arc are read factor by
+    factor (the semigroup laws make this exact), so only numer, denom and
+    to_json build generators."""
+
+    __slots__ = ("numer_factors", "denom_factors")
+
+    def __init__(self, numer_factors=(), denom_factors=()):
+        self.numer_factors = tuple(numer_factors)
+        self.denom_factors = tuple(denom_factors)
+
+    def ord_numer(self, arc=None) -> OrderVal:
+        return _factors_ord(self.numer_factors, arc)
+
+    def ord_denom(self, arc=None) -> OrderVal:
+        return _factors_ord(self.denom_factors, arc)
+
+    @property
+    def numer(self) -> QIdeal:
+        return _factors_ideal(self.numer_factors)
+
+    @property
+    def denom(self) -> QIdeal:
+        return _factors_ideal(self.denom_factors)
+
+    def to_json(self):
+        return {"num": self.numer.to_json(), "den": self.denom.to_json()}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls([(QIdeal.from_json(obj["num"]), 1)],
+                   [(QIdeal.from_json(obj["den"]), 1)])
+
+
+def _factors_ord(factors, arc) -> OrderVal:
+    total = OrderVal.exact(0)
+    for base, e in factors:
+        total = total + qi_ord(base, arc).scale(e)
+    return total
+
+
+def _factors_ideal(factors) -> QIdeal:
+    """The product as one Q-ideal; a plain Q-ideal is returned as given."""
+    if len(factors) == 1 and factors[0][1] == 1:
+        return factors[0][0]
+    return qi_product([qi_power(base, e) for base, e in factors])
+
+
 def lc_dim1(pair: QIdealFrac, arc=None):
     """One-variable log-canonicity test for a fraction of Q-ideals:
-    yes iff ord(numer) - ord(denom) <= 1, with interval-aware verdicts.
+    yes iff ord(numer) - ord(denom) <= 1 along the arc, with interval-aware
+    verdicts.
 
-    Raises ValueError when either part is the zero Q-ideal (malformed pair).
-    """
-    if pair.numer.is_zero or pair.denom.is_zero:
+    Raises ValueError when either part has a zero Q-ideal factor
+    (malformed pair)."""
+    if any(base.is_zero
+           for base, _ in pair.numer_factors + pair.denom_factors):
         raise ValueError("log-canonicity test on a zero Q-ideal")
-    on = qi_ord(pair.numer, arc)
-    od = qi_ord(pair.denom, arc)
-    return ord_diff_le_one(on, od)
+    return ord_diff_le_one(pair.ord_numer(arc), pair.ord_denom(arc))
 
 
 def ord_diff_le_one(on: OrderVal, od: OrderVal):

@@ -26,7 +26,7 @@ PUBLIC = {
                 "orders_against_series", "perturbation_check",
                 "puiseux_expand"),
     "criterion": ("CriterionContext", "choose_p", "lct_ge"),
-    "ideals": ("Cor3Pack", "CriterionIdeals", "build_b", "build_bbar_k",
+    "ideals": ("Cor3Pack", "build_b", "build_bbar_k",
                "build_bk", "build_c", "build_cor3_pack",
                "build_p_plus_minus", "build_tilde_bk", "containment_check",
                "cor3_divisibility", "degree3_test", "depressed_cubic",

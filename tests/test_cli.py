@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lctkit.cli import (
-    parse_poly, parse_series, parse_series_group, parse_upoly, run,
+    _Parser, parse_poly, parse_series, parse_series_group, parse_upoly, run,
 )
 from lctkit.criterion import choose_p
 from lctkit.errors import ParseError
@@ -44,6 +44,26 @@ class TestParseSeries:
     def test_group_infers_shared_var(self):
         a, b, c = parse_series_group(["0", "x^2", "0"])
         assert a.var == b.var == c.var == "x"
+
+    def test_group_parses_each_text_once(self, monkeypatch):
+        parsed = []
+        parse = _Parser.parse
+
+        def counted(self):
+            parsed.append(self.text)
+            return parse(self)
+
+        monkeypatch.setattr(_Parser, "parse", counted)
+        parse_series_group(["x", "x^2 - 1", "0"])
+        assert parsed == ["x", "x^2 - 1", "0"]
+
+    def test_group_parse_errors_come_first(self):
+        # the second text's ParseError wins over the first's two variables
+        with pytest.raises(ParseError, match="^zero denominator "):
+            parse_series_group(["x + y", "1/0"])
+        several = r"^series use several variables \['x', 'y'\]"
+        with pytest.raises(ParseError, match=several):
+            parse_series_group(["x", "y^2"])
 
     def test_bad_character_position(self):
         with pytest.raises(ParseError) as err:
@@ -489,8 +509,8 @@ class TestCriterionCommand:
                 "c2": frac_str(ctx.c2)}
         if d <= 3:
             pair = build_p_plus_minus(ctx)
-            want["p_plus"] = json.loads(json.dumps(pair.p_plus.to_json()))
-            want["p_minus"] = json.loads(json.dumps(pair.p_minus.to_json()))
+            want["p_plus"] = json.loads(json.dumps(pair.numer.to_json()))
+            want["p_minus"] = json.loads(json.dumps(pair.denom.to_json()))
         assert out == want
 
     @pytest.mark.parametrize("d,c", [(2, "7919/7920"), (3, "3999/4000")])

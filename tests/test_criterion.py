@@ -7,16 +7,18 @@ from lctkit import criterion, ideals, rootdata
 from lctkit.criterion import choose_p, lct_ge
 from lctkit.errors import BudgetError
 from lctkit.ideals import (
-    CriterionIdeals, build_b, build_bbar_k, build_bk, build_c, build_cor3_pack,
+    build_b, build_bbar_k, build_bk, build_c, build_cor3_pack,
     build_p_plus_minus, build_tilde_bk, containment_check,
     cor3_divisibility, degree3_test, depressed_cubic, eval_theorem_lhs,
     example3_test,
 )
 from lctkit.mpoly import MPoly
 from lctkit.poly import UPoly
-from lctkit.qideal import NO, UNKNOWN, YES, QIdeal, qi_ord
+from lctkit.qideal import (
+    NO, UNKNOWN, YES, QIdeal, QIdealFrac, lc_dim1, qi_ord,
+)
 from lctkit.reports import integrality_test
-from lctkit.series import OrderVal, PSeries
+from lctkit.series import INF, OrderVal, PSeries
 
 F = Fraction
 
@@ -416,15 +418,34 @@ class TestPlusMinusPair:
                       for _ in range(2)]
             for c in (F(2, 3), F(3, 4), F(1)):
                 ctx = choose_p(2, c)
-                ideals = build_p_plus_minus(ctx)
+                pair = build_p_plus_minus(ctx)
                 a = {"z1": coeffs[0], "z2": coeffs[1]}
-                lhs = ideals.ord_plus(a)
-                rhs = ideals.ord_minus(a)
+                lhs = pair.ord_numer(a)
+                rhs = pair.ord_denom(a)
                 v = eval_theorem_lhs(ctx, coeffs)
                 if v.is_infinite:
                     assert lhs.is_infinite
                 else:
                     assert lhs.sub(rhs) == v
+
+    def test_d2_lc_dim1_decides_as_lct_ge(self):
+        # lct(y^2 + a1 y + a2) >= c iff (c - 1/2) ord(a1^2 - 4 a2) <= 1:
+        # lc_dim1 of the pair along z1 -> a1, z2 -> a2 answers as lct_ge on
+        # exact input, and never against it on truncated input
+        rng = random.Random(29)
+        for _ in range(60):
+            coeffs = [PSeries("x", {F(rng.randint(1, 8), rng.choice((1, 2))):
+                                    F(rng.randint(-3, 3))
+                                    for _ in range(rng.randint(0, 2))})
+                      for _ in range(2)]
+            if rng.random() < 0.3:
+                coeffs[1] = coeffs[1].truncated(F(rng.randint(1, 6)))
+            arc = {"z1": coeffs[0], "z2": coeffs[1]}
+            for c in (F(3, 5), F(2, 3), F(3, 4), F(5, 6), F(1)):
+                got = lc_dim1(build_p_plus_minus(choose_p(2, c)), arc)
+                want = lct_ge(2, c, coeffs)[0]
+                if want != UNKNOWN or coeffs[1].trunc == INF:
+                    assert got == want, (coeffs, c)
 
     def test_d3_depressed_difference_is_v(self):
         rng = random.Random(17)
@@ -436,10 +457,10 @@ class TestPlusMinusPair:
                               for _ in range(rng.randint(0, 2))})
             for c in cs:
                 ctx = choose_p(3, c)
-                ideals = build_p_plus_minus(ctx)
+                pair = build_p_plus_minus(ctx)
                 m = {"z2": a, "z3": b}
-                lhs = ideals.ord_plus(m)
-                rhs = ideals.ord_minus(m)
+                lhs = pair.ord_numer(m)
+                rhs = pair.ord_denom(m)
                 v = eval_theorem_lhs(ctx, [zero(), a, b])
                 if v.is_infinite:
                     assert lhs.is_infinite or rhs.is_infinite
@@ -448,10 +469,9 @@ class TestPlusMinusPair:
 
     def test_materialized_small_denominator(self):
         ctx = choose_p(3, F(5, 6))
-        ideals = build_p_plus_minus(ctx)
-        p_plus = ideals.p_plus
+        pair = build_p_plus_minus(ctx)
         a = {"z2": zero(), "z3": xs(2)}
-        assert qi_ord(p_plus, a) == ideals.ord_plus(a)
+        assert qi_ord(pair.numer, a) == pair.ord_numer(a)
 
     def test_vanishing_generators(self):
         # for c2 > 0 the plus ideal evaluates to positive order on
@@ -460,12 +480,12 @@ class TestPlusMinusPair:
         for d in (2, 3):
             for c in (F(2, 3), F(1)):
                 ctx = choose_p(d, c)
-                ideals = build_p_plus_minus(ctx)
+                pair = build_p_plus_minus(ctx)
                 for _ in range(10):
                     m = {f"z{i}": PSeries(
                         "x", {F(rng.randint(1, 3)): F(rng.randint(1, 3))})
                         for i in range(1 if d == 2 else 2, d + 1)}
-                    assert ideals.ord_plus(m).lower > 0
+                    assert pair.ord_numer(m).lower > 0
 
     def test_unsupported_degree(self):
         with pytest.raises(ValueError):
@@ -473,23 +493,23 @@ class TestPlusMinusPair:
 
     def test_branch_shapes(self):
         # bottom band: minus part trivial, plus exponent c2/6
-        ideals = build_p_plus_minus(choose_p(3, F(5, 12)))
-        assert ideals.minus_factors == ()
-        [(base, e)] = ideals.plus_factors
+        pair = build_p_plus_minus(choose_p(3, F(5, 12)))
+        assert pair.denom_factors == ()
+        [(base, e)] = pair.numer_factors
         assert e == choose_p(3, F(5, 12)).c2 / 6 and len(base.gens) == 2
         # upper band, c <= 2/3: both ideals multiply into the plus part
-        ideals = build_p_plus_minus(choose_p(3, F(3, 5)))
-        assert ideals.minus_factors == ()
-        assert len(ideals.plus_factors) == 2
+        pair = build_p_plus_minus(choose_p(3, F(3, 5)))
+        assert pair.denom_factors == ()
+        assert len(pair.numer_factors) == 2
         # upper band, c > 2/3: the monomial-pair ideal moves below the bar
-        ideals = build_p_plus_minus(choose_p(3, F(5, 6)))
-        assert len(ideals.plus_factors) == 1
-        [(base, e)] = ideals.minus_factors
+        pair = build_p_plus_minus(choose_p(3, F(5, 6)))
+        assert len(pair.numer_factors) == 1
+        [(base, e)] = pair.denom_factors
         assert e == F(1, 12)
         # degree 2: discriminant only
-        ideals = build_p_plus_minus(choose_p(2, F(3, 4)))
-        assert ideals.minus_factors == ()
-        [(base, e)] = ideals.plus_factors
+        pair = build_p_plus_minus(choose_p(2, F(3, 4)))
+        assert pair.denom_factors == ()
+        [(base, e)] = pair.numer_factors
         assert e == F(1, 4)  # c2/2 = (2c-1)/2
 
 
@@ -523,8 +543,7 @@ class TestContainment:
         # b = x^3 the minus order is 1, and 0 >= 3/2 fails
         ctx = choose_p(3, F(5, 6))
         z2, z3 = MPoly.variable("z2"), MPoly.variable("z3")
-        planted = CriterionIdeals(
-            ctx, [], [(QIdeal([z2 ** 3, z3 ** 2], 1), F(1, 6))])
+        planted = QIdealFrac([], [(QIdeal([z2 ** 3, z3 ** 2], 1), F(1, 6))])
         monkeypatch.setattr(ideals, "build_p_plus_minus",
                             lambda ctx: planted)
         rep = containment_check(ctx, [zero(), xs(2), xs(3)])

@@ -762,6 +762,29 @@ class TestSolveChar:
         self._check(self._solve(1, [1, mpmath.mpf(11) / 10, -2]),
                     [(-2, 1), (1, 1), (mpmath.mpf(11) / 10, 1)])
 
+    def test_multiple_roots_stop_durand_kerner_early(self, monkeypatch):
+        # the six roots x + x^2 + a x^3 share their first two terms, so
+        # the expansion's second level has a sixfold characteristic root,
+        # which Durand-Kerner approaches only linearly: its sweeps stop once
+        # no approximation moves by 2^-8 of the cluster tolerance, not after
+        # all _DK_STEPS of them
+        sweeps = []
+        sweep = numeric._dk_sweep
+
+        def counted(roots, monic):
+            if isinstance(roots[0], mpmath.mpc):
+                sweeps.append(len(roots))
+            return sweep(roots, monic)
+
+        monkeypatch.setattr(numeric, "_dk_sweep", counted)
+        roots = [PSeries("x", {F(1): F(1), F(2): F(1), F(3): F(a)})
+                 for a in range(1, 7)]
+        table = numeric.diff_orders(UPoly.from_roots("y", roots))
+        assert len(sweeps) <= 100
+        assert table.entries == [
+            [OrderVal.infinite() if i == j else OrderVal.exact(3)
+             for j in range(6)] for i in range(6)]
+
     def test_split_multiple_root_raises(self):
         # at a cluster tolerance too fine to join them, the approximations
         # to a triple root are three simple roots, and Newton's method on

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .criterion import choose_p, lct_ge
@@ -33,47 +35,32 @@ from .series import UNKNOWN, PSeries, frac_str
 # ---------------------------------------------------------------------------
 
 
-class _Tok:
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+# Tokens are numbers [0-9]+, names [A-Za-z_][A-Za-z0-9_]* and the operators
+# +-*^()/; whitespace between them is skipped and any other character is
+# an error at its position.
+_Token = namedtuple("_Token", "kind value pos")
+_SCAN = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                   r"|(?P<op>[-+*^()/])|(?P<space>\s+)|(?P<bad>.)")
 
 
 def _tokenize(text):
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("num", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()/":
-            toks.append(_Tok(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(_Tok("end", None, n))
+    for m in _SCAN.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "num":
+            toks.append(_Token(kind, int(value), pos))
+        elif kind != "space":
+            toks.append(_Token(value if kind == "op" else kind, value, pos))
+    toks.append(_Token("end", None, len(text)))
     return toks
 
 
 class _Parser:
-    """Terms c*x^(p/q) joined by + and -; rational literals p/q; variables
-    alphanumeric.  Produces a list of (Fraction, {var: Fraction})."""
+    """Terms c*x^(p/q) joined by + and -, each a product of factors joined
+    by '*'; rational literals p/q; variables ASCII names.  Produces a list
+    of (Fraction, {var: Fraction})."""
 
     def __init__(self, text):
         self.text = text
@@ -105,28 +92,26 @@ class _Parser:
         return terms
 
     def term(self, sign):
+        """factor ('*' factor)*, where a factor is a rational or a name with
+        an optional exponent."""
         coeff = Fraction(sign)
         exps = {}
-        first = True
         while True:
             tok = self.peek()
             if tok.kind == "num":
                 coeff *= self.rational()
             elif tok.kind == "name":
                 self.take()
-                var = tok.value
                 e = Fraction(1)
                 if self.peek().kind == "^":
                     self.take()
                     e = self.exponent()
-                exps[var] = exps.get(var, Fraction(0)) + e
-            elif first:
+                exps[tok.value] = exps.get(tok.value, Fraction(0)) + e
+            else:
                 raise ParseError("expected a term", tok.pos)
-            if self.peek().kind == "*":
-                self.take()
-                first = False
-                continue
-            return coeff, exps
+            if self.peek().kind != "*":
+                return coeff, exps
+            self.take()
 
     def rational(self):
         tok = self.take("num")

@@ -23,8 +23,7 @@ from .mpoly import (
 )
 from .poly import UPoly
 from .qideal import (
-    QIdeal, QIdealFrac, lc_dim1, ord_diff_le_one, qi_power, qi_product,
-    qi_sum,
+    QIdeal, QIdealFrac, ord_diff_le_one, qi_power, qi_product, qi_sum,
 )
 from .series import UNKNOWN, OrderVal, PSeries, as_frac, frac_str
 
@@ -254,8 +253,10 @@ def eval_theorem_lhs(ctx: CriterionContext, coeffs) -> OrderVal:
 
 def degree3_test(a: PSeries, b: PSeries, c):
     """Explicit degree-3 criterion for the depressed cubic y^3 + a(x) y +
-    b(x): lc_dim1 of build_p_plus_minus's d = 3 pair along z2 -> a,
-    z3 -> b, with the pair's orders as diagnostics.
+    b(x): build_p_plus_minus's d = 3 pair along z2 -> a, z3 -> b, decided
+    by lc_dim1's rule (ord_diff_le_one) on the pair's two orders, which are
+    also the diagnostics.  The pair has no zero factor, so lc_dim1's
+    malformed-pair check has nothing to refuse.
 
     For 1/3 < c <= 1/2 the pair is ((a^3, b^2)^((3c-1)/6), trivial); for
     1/2 < c <= 1 the discriminant ideal (4a^3 + 27b^2)^(c - 1/2) combines
@@ -269,10 +270,11 @@ def degree3_test(a: PSeries, b: PSeries, c):
             raise ValueError(f"coefficient {name} must have positive order")
     pair = build_p_plus_minus(ctx)
     arc = {"z2": a, "z3": b}
-    diag = {"c": frac_str(ctx.c), "ord_plus": pair.ord_numer(arc).to_json()}
+    on, od = pair.ord_numer(arc), pair.ord_denom(arc)
+    diag = {"c": frac_str(ctx.c), "ord_plus": on.to_json()}
     if ctx.p == 2:
-        diag["ord_minus"] = pair.ord_denom(arc).to_json()
-    return lc_dim1(pair, arc), diag
+        diag["ord_minus"] = od.to_json()
+    return ord_diff_le_one(on, od), diag
 
 
 def example3_test(d: int, c, tail):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -133,6 +134,13 @@ class TestCommands:
         assert run(["integrality", "--poly", "y^2 - t^4"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["integral"] is True
+
+    def test_integrality_reports_a_difference(self, capsys):
+        # roots x + x^(3/2) and x - x^(3/2): integral orders, difference 3/2
+        assert run(["integrality", "--poly", "y^2 - 2*x*y + x^2 - x^3"]) == 0
+        assert capsys.readouterr().out == (
+            '{"integral": false, "source": "difference", '
+            '"violating_order": "3/2"}\n')
 
     def test_diffs_full_and_shallow(self, capsys):
         assert run(["diffs", "--poly", "y^2 - t^3"]) == 0
@@ -601,3 +609,127 @@ class TestDeterminism:
             out = json.loads(capsys.readouterr().out)
             assert rc == 0, (name, out)
             assert out["failures"] == 0
+
+
+def _cli_digest(capsys, corpus):
+    """SHA-256 over one JSON line [argv, exit code, stdout, stderr] per
+    argv, each run once through cli.run."""
+    h = hashlib.sha256()
+    for argv in corpus:
+        rc = run(list(argv))
+        out = capsys.readouterr()
+        h.update(json.dumps([argv, rc, out.out, out.err]).encode() + b"\n")
+    return h.hexdigest()
+
+
+# Every subcommand on well-formed input, exit 3 on truncated input, a
+# BudgetError, and usage and parse errors, the latter with their positions.
+CLI_CORPUS = [
+    ["orders", "--poly", "y^3 + t^2*y + t^3"],
+    ["orders", "--poly", "-t^3+y^2"],
+    ["orders", "--poly", "z^2 - x^(3/2)*z + 1/2*x^4", "--var", "z"],
+    ["orders", "--poly", "y^2 - x^3 ? 1"],
+    ["orders", "--poly", "2*y^2 + x"],
+    ["orders", "--poly", "y^(1/2) + x"],
+    ["orders", "--poly", "y^2 + x + t"],
+    ["orders", "--poly", "x^3"],
+    ["orders"],
+    ["diffs", "--poly", "y^2 - t^3"],
+    ["diffs", "--poly", "y^3 - x^2*y + x^5", "--depth", "2"],
+    ["diffs", "--poly", "y - x^2"],
+    ["diffs", "--poly", "y^2 - t^3", "--depth", "0"],
+    ["diffs", "--poly", "y^2 - t^3 +"],
+    ["integrality", "--poly", "y^2 - x^3"],
+    ["integrality", "--poly", "y^2 - x^2"],
+    ["integrality", "--poly", "y^2 - 2*x*y + x^2 - x^3"],
+    ["integrality", "--poly", "y^2 - x^"],
+    ["criterion", "--d", "2", "--c", "3/4"],
+    ["criterion", "--d", "3", "--c", "5/6"],
+    ["criterion", "--d", "3", "--c", "2/5"],
+    ["criterion", "--d", "4", "--c", "1/2"],
+    ["criterion", "--d", "2", "--c", "7919/7920"],
+    ["criterion", "--d", "two", "--c", "1/2"],
+    ["criterion", "--d", "3", "--c", "1/0"],
+    ["lct", "--c", "5/6", "--coeff", "0", "--coeff", "0", "--coeff", "x^2"],
+    ["lct", "--c", "5/6", "--coeff", "0", "--coeff", "x^3"],
+    ["lct", "--c", "1", "--coeff", "0", "--coeff", "x^3"],
+    ["lct", "--c", "3/4", "--coeff", "-x^5/3", "--coeff", "x^3"],
+    ["lct", "--c", "3/4", "--coeff=2*x^3", "--coeff=x^2", "--trunc", "1"],
+    ["lct", "--c", "2/3", "--coeff", "x^(3/2) - 1/2*x^2", "--coeff", "0",
+     "--coeff", "x^4 + 3*x^(9/2)"],
+    ["lct", "--d", "3", "--c", "1/2", "--coeff", "t", "--coeff", "t^2",
+     "--coeff", "t^3"],
+    ["lct", "--c", "3/4", "--coeff", "x", "--coeff", "y^2"],
+    ["lct", "--c", "3/4", "--coeff", "x", "--coeff", "x^(1/0)"],
+    ["lct", "--c", "3/4", "--coeff", "x", "--coeff", "(x"],
+    ["lct", "--c", "3/4", "--coeff", "x", "--coeff", "x^(1/2"],
+    ["lct", "--c", "3/4", "--coeff", "x", "--coeff", "x y"],
+    ["lct", "--c", "3/4", "--coeff", "x", "--coeff", "x^-1"],
+    ["lct", "--c", "3/4", "--coeff", "-?", "--coeff", "x^3"],
+    ["lct", "--c", "3/4", "--coeff", "x", "--coeff", ""],
+    ["lct", "--c", "3/4"],
+    ["lct", "--coeff", "x"],
+    ["lct", "--c", "3/4", "--coeff", "x", "--coeff", "x^2", "--trunc", "-1"],
+    ["lct", "--c", "half", "--coeff", "x"],
+    ["degree3", "--a", "x^2", "--b", "x^3", "--c", "3/4"],
+    ["degree3", "--a", "-x^2", "--b", "x^3", "--c", "1/2"],
+    ["degree3", "--a", "0", "--b", "x^2", "--c", "9/10"],
+    ["degree3", "--a", "0", "--b", "x^2", "--c", "5/6"],
+    ["degree3", "--a", "0", "--b", "0", "--c", "2/3"],
+    ["degree3", "--a", "x^2", "--b", "x^3", "--c", "1/3"],
+    ["degree3", "--a", "1 + x", "--b", "x^3", "--c", "3/4"],
+    ["degree3", "--a", "x^2", "--b", "t^3", "--c", "3/4"],
+    ["oracle", "--poly", "y^3 + x^2"],
+    ["oracle", "--poly", "y^2 + x^3 + x^2*y^2"],
+    ["oracle", "--poly", "x*y + z"],
+    ["oracle", "--poly", "y^2 + x^(3/2)"],
+    ["oracle", "--vectors", "[[2,0],[0,3]]"],
+    ["oracle", "--vectors", "[[2,0],"],
+    ["oracle", "--binomial", "3", "4"],
+    ["oracle", "--binomial", "3", "four"],
+    ["verify", "--suite", "orders", "--trials", "3", "--seed", "1"],
+    ["verify", "--suite", "nope"],
+    ["verify", "--suite", "orders", "--trials", "0"],
+]
+
+CLI_DIGEST = (
+    "8862f4c97ce1cc90d01d26a1deb9a624a7a5d18ecc2e6dc2b7b0444297f8af64")
+
+
+class TestCliBytes:
+    def test_corpus_digest(self, capsys):
+        """The exit code, stdout and stderr of every argv in CLI_CORPUS
+        keep their bytes."""
+        assert _cli_digest(capsys, CLI_CORPUS) == CLI_DIGEST
+
+
+class TestMalformedText:
+    """A '*' must be followed by a factor and only ASCII characters make
+    tokens, so each text is a parse error at its position on every
+    subcommand that reads text: exit 2, nothing on stdout and one
+    {"error", "pos"} line on stderr."""
+
+    TEXTS = [("x**2", 2, "expected a term"), ("x*", 2, "expected a term"),
+             ("2*", 2, "expected a term"), ("x^2*", 4, "expected a term"),
+             ("3**x", 2, "expected a term"),
+             ("²x", 0, "unexpected character '²'"),
+             ("x^٣", 2, "unexpected character '٣'")]
+
+    @pytest.mark.parametrize("text,pos,message", TEXTS)
+    @pytest.mark.parametrize("argv", [
+        ["lct", "--c", "1", "--coeff", "0", "--coeff", "{}"],
+        ["degree3", "--a", "{}", "--b", "x^3", "--c", "9/10"],
+        ["degree3", "--a", "0", "--b", "{}", "--c", "9/10"],
+        ["orders", "--poly", "{}"],
+        ["diffs", "--poly", "{}"],
+        ["integrality", "--poly", "{}"],
+        ["oracle", "--poly", "{}"],
+    ], ids=["lct-coeff", "degree3-a", "degree3-b", "orders", "diffs",
+            "integrality", "oracle"])
+    def test_parse_error(self, capsys, argv, text, pos, message):
+        assert run([a.replace("{}", text) for a in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert json.loads(line) == {
+            "error": f"{message} (at position {pos})", "pos": pos}

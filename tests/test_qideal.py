@@ -6,8 +6,8 @@ import pytest
 
 from lctkit.mpoly import MPoly
 from lctkit.qideal import (
-    NO, QIdeal, QIdealFrac, UNKNOWN, YES, lc_dim1, qi_ord, qi_power,
-    qi_product, qi_sum,
+    NO, QIdeal, QIdealFrac, UNKNOWN, YES, lc_dim1, ord_diff_le_one, qi_ord,
+    qi_power, qi_product, qi_sum,
 )
 from lctkit.series import OrderVal, PSeries
 
@@ -182,6 +182,19 @@ class TestLcDim1:
         assert lc_dim1(QIdealFrac([(num, 1)], [(den, 1)])) == NO
         den_big = QIdeal([x_to(7)], F(1))
         assert lc_dim1(QIdealFrac([(num, 1)], [(den_big, 1)])) == UNKNOWN
+
+    @pytest.mark.parametrize("on,od,verdict", [
+        (OrderVal.exact(3), OrderVal.infinite(), YES),
+        (OrderVal.exact(3), OrderVal.at_least(2), YES),
+        (OrderVal.exact(3), OrderVal.at_least(1), UNKNOWN),
+        (OrderVal.at_least(3), OrderVal.at_least(1), UNKNOWN),
+    ], ids=["exact-inf", "exact-atleast-yes", "exact-atleast-unknown",
+            "atleast-atleast"])
+    def test_inexact_denominator(self, on, od, verdict):
+        # an infinite denominator leaves a finite numerator's difference at
+        # -inf; a denominator of at least k bounds the difference by
+        # ord(numer) - k from above only
+        assert ord_diff_le_one(on, od) == verdict
 
     def test_fraction_equivalence(self):
         # multiplying both parts by a common ideal preserves the verdict

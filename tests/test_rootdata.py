@@ -240,6 +240,12 @@ class TestDiffOrders:
                 if i != j:
                     assert t.entries[i][j] == OrderVal.exact(1)
 
+    def test_degree_one(self):
+        # one root: no pair, so an empty certificate
+        t = diff_orders(UPoly("y", [-mono(2)]))
+        assert t.entries == [[OrderVal.infinite()]]
+        assert t.certificate == []
+
     def test_double_root_infinite(self):
         h = UPoly.from_roots("y", [mono(1), mono(1)])
         t = diff_orders(h)
@@ -345,6 +351,16 @@ class TestIntegrality:
         h = UPoly("y", [zero(), -mono(3)])
         _, cert = integrality_test(h)
         assert cert["violating_order"] == "3/2"
+
+    def test_difference_is_the_violation(self):
+        # the roots t + t^(3/2) and t - t^(3/2) have integral orders, but
+        # their difference has order 3/2
+        h = UPoly.from_roots("y", [mono(1) + mono(F(3, 2)),
+                                   mono(1) - mono(F(3, 2))])
+        assert root_orders(h) == [OrderVal.exact(1)] * 2
+        assert integrality_test(h) == (False, {
+            "integral": False, "source": "difference",
+            "violating_order": "3/2"})
 
 
 class TestContactOrder:

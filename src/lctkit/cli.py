@@ -50,7 +50,10 @@ def _tokenize(text):
         if kind == "bad":
             raise ParseError(f"unexpected character {value!r}", pos)
         if kind == "num":
-            toks.append(_Token(kind, int(value), pos))
+            try:
+                toks.append(_Token(kind, int(value), pos))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError("number has too many digits", pos) from None
         elif kind != "space":
             toks.append(_Token(value if kind == "op" else kind, value, pos))
     toks.append(_Token("end", None, len(text)))
@@ -60,7 +63,7 @@ def _tokenize(text):
 class _Parser:
     """Terms c*x^(p/q) joined by + and -, each a product of factors joined
     by '*'; rational literals p/q; variables ASCII names.  Produces a list
-    of (Fraction, {var: Fraction})."""
+    of (Fraction, {var: Fraction}, position of the term's first factor)."""
 
     def __init__(self, text):
         self.text = text
@@ -96,6 +99,7 @@ class _Parser:
         an optional exponent."""
         coeff = Fraction(sign)
         exps = {}
+        pos = self.peek().pos
         while True:
             tok = self.peek()
             if tok.kind == "num":
@@ -110,7 +114,7 @@ class _Parser:
             else:
                 raise ParseError("expected a term", tok.pos)
             if self.peek().kind != "*":
-                return coeff, exps
+                return coeff, exps, pos
             self.take()
 
     def rational(self):
@@ -136,22 +140,34 @@ class _Parser:
         raise ParseError("expected an exponent", tok.pos)
 
 
+def _one_var(texts, what, skip=None):
+    """The one variable, skip aside, of the terms of the parsed texts, or
+    None.  A second is a ParseError at the term that brings it in, naming
+    that term's text by its 1-based place when there are several."""
+    seen = set()
+    for k, terms in enumerate(texts, 1):
+        for _, exps, pos in terms:
+            seen |= exps.keys() - {skip}
+            if len(seen) > 1:
+                every = {v for ts in texts for t in ts for v in t[1]} - {skip}
+                where = f" in text {k}" if len(texts) > 1 else ""
+                raise ParseError(
+                    f"{what} several variables {sorted(every)}{where}", pos)
+    return seen.pop() if seen else None
+
+
 def parse_series(text, var=None) -> PSeries:
     """Series from text, or from the terms _Parser made of it; exact
     (infinite truncation).  The variable is inferred when unambiguous;
     constants default to `var` or 't'."""
     terms = _Parser(text).parse() if isinstance(text, str) else text
-    seen = {v for _, exps in terms for v in exps}
-    if len(seen) > 1:
-        raise ParseError(f"series text uses several variables {sorted(seen)}",
-                         0)
-    name = var or (seen.pop() if seen else "t")
+    name = var or _one_var([terms], "series text uses") or "t"
     acc = {}
-    for coeff, exps in terms:
+    for coeff, exps, pos in terms:
         stray = [v for v in exps if v != name]
         if stray:
             raise ParseError(
-                f"series text uses {stray[0]!r}, expected {name!r}", 0)
+                f"series text uses {stray[0]!r}, expected {name!r}", pos)
         e = exps.get(name, Fraction(0))
         acc[e] = acc.get(e, Fraction(0)) + coeff
     return PSeries(name, acc)
@@ -162,10 +178,7 @@ def parse_series_group(texts):
     text is parsed once: every text's ParseError comes before the check for
     several variables."""
     parsed = [_Parser(t).parse() for t in texts]
-    seen = {v for terms in parsed for _, exps in terms for v in exps}
-    if len(seen) > 1:
-        raise ParseError(f"series use several variables {sorted(seen)}", 0)
-    var = seen.pop() if seen else "x"
+    var = _one_var(parsed, "series use") or "x"
     return [parse_series(terms, var=var) for terms in parsed]
 
 
@@ -173,13 +186,13 @@ def parse_poly(text):
     """Multivariate polynomial (an MPoly) from text (integer exponents)."""
     from .mpoly import MPoly
     terms = _Parser(text).parse()
-    vars = tuple(sorted({v for _, exps in terms for v in exps}))
+    vars = tuple(sorted({v for _, exps, _ in terms for v in exps}))
     acc = {}
-    for coeff, exps in terms:
+    for coeff, exps, pos in terms:
         for v, e in exps.items():
             if e.denominator != 1:
                 raise ParseError(
-                    f"fractional exponent on {v!r} in a polynomial", 0)
+                    f"fractional exponent on {v!r} in a polynomial", pos)
         key = tuple(int(exps.get(v, 0)) for v in vars)
         acc[key] = acc.get(key, Fraction(0)) + coeff
     return MPoly(vars, acc)
@@ -189,28 +202,25 @@ def parse_upoly(text, main="y") -> UPoly:
     """Monic polynomial in `main` with exact series coefficients in the
     remaining variable."""
     terms = _Parser(text).parse()
-    others = {v for _, exps in terms for v in exps if v != main}
-    if len(others) > 1:
-        raise ParseError(
-            f"coefficients use several variables {sorted(others)}", 0)
-    cvar = others.pop() if others else "x"
+    cvar = _one_var([terms], "coefficients use", skip=main) or "x"
     d = 0
-    for _, exps in terms:
+    for _, exps, pos in terms:
         e = exps.get(main, Fraction(0))
         if e.denominator != 1:
-            raise ParseError(f"fractional power of {main!r}", 0)
+            raise ParseError(f"fractional power of {main!r}", pos)
         d = max(d, int(e))
     if d == 0:
         raise ParseError(f"no positive power of {main!r}", 0)
     coeff_terms = [dict() for _ in range(d + 1)]
-    for coeff, exps in terms:
+    for coeff, exps, _ in terms:
         k = int(exps.get(main, Fraction(0)))
         e = exps.get(cvar, Fraction(0))
         tgt = coeff_terms[d - k]
         tgt[e] = tgt.get(e, Fraction(0)) + coeff
     lead = coeff_terms[0]
     if list(lead.items()) != [(Fraction(0), Fraction(1))]:
-        raise ParseError(f"polynomial is not monic in {main!r}", 0)
+        raise ParseError(f"polynomial is not monic in {main!r}", next(
+            pos for _, exps, pos in terms if exps.get(main) == d))
     coeffs = [PSeries(cvar, t) for t in coeff_terms[1:]]
     return UPoly(main, coeffs)
 

@@ -8,10 +8,9 @@ path never does, so `import lctkit` does not compile it.  MPoly is a
 coefficient domain of lctkit.poly's UPoly, and the generic and value
 polynomials run on that module's power-sum kernel.
 
-Resultants take one route over both coefficient domains, a fraction-free
-subresultant remainder sequence (which keeps truncation loss in check over
-series).  It stays as the public `resultant` and as an oracle independent of
-the kernel.
+Resultants take MPoly coefficients alone, through a fraction-free
+subresultant remainder sequence.  It stays as the public `resultant` and as
+an oracle independent of the kernel.
 """
 
 from __future__ import annotations
@@ -360,10 +359,13 @@ def _prem(f, g):
 
 
 def resultant_lists(f, g):
-    """Resultant of dense descending coefficient lists over a shared domain
-    (general leading coefficients allowed), by the subresultant PRS (Brown's
-    algorithm)."""
-    f, g = _strip(list(f)), _strip(list(g))
+    """Resultant of dense descending lists of MPoly coefficients (general
+    leading coefficients allowed), by the subresultant PRS (Brown's
+    algorithm); ValueError on any other coefficient."""
+    f, g = list(f), list(g)
+    if not all(isinstance(c, MPoly) for c in f + g):
+        raise ValueError("resultant coefficients must be MPoly")
+    f, g = _strip(f), _strip(g)
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
     n, m = len(f) - 1, len(g) - 1
@@ -373,7 +375,7 @@ def resultant_lists(f, g):
         n, m = m, n
         if n % 2 and m % 2:
             sign = -sign
-    one = _lift(1, f[0])
+    one = MPoly.const(1, f[0].vars)
     if n == 0:
         return one  # two nonzero constants
     if m == 0:
@@ -403,17 +405,14 @@ def resultant_lists(f, g):
             c = -lc
         subres.append(-c)
     if len(g) - 1 > 0:
-        # nonconstant gcd: resultant vanishes
-        if isinstance(one, PSeries):
-            return PSeries.zero(one.var)
-        return MPoly.zero(one.vars)
+        return MPoly.zero(one.vars)  # nonconstant gcd: resultant vanishes
     res = subres[-1]
     return res if sign == 1 else -res
 
 
 def resultant(f: UPoly, g: UPoly):
-    """Classical resultant eliminating the shared main variable; vanishes
-    iff f and g have a common root."""
+    """Classical resultant of two UPolys over MPoly, eliminating the shared
+    main variable; vanishes iff f and g have a common root."""
     if f.var != g.var:
         raise ValueError("resultant requires a shared main variable")
     if f.degree < 1 or g.degree < 1:

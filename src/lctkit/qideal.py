@@ -1,7 +1,8 @@
-"""Q-ideals: finitely generated ideals raised to nonnegative rational
-exponents, with sums, products, rational powers, orders of vanishing along
-arcs, and formal fractions of their products (the criterion's plus/minus
-pair) with the one-variable log-canonicity test lc_dim1.
+"""Q-ideals: finitely generated ideals of polynomials over Q (MPoly) raised
+to nonnegative rational exponents, with sums, products, rational powers,
+orders of vanishing along arcs, and formal fractions of their products (the
+criterion's plus/minus pair) with the one-variable log-canonicity test
+lc_dim1.
 
 Only order-along-arc semantics are implemented; the integral-closure order
 relation between Q-ideals is out of scope.  Equality of Q-ideals is never
@@ -16,11 +17,12 @@ from fractions import Fraction
 
 from .errors import BudgetError
 from .mpoly import MPoly
-from .series import NO, UNKNOWN, YES, OrderVal, PSeries, as_frac, frac_str
+from .series import NO, UNKNOWN, YES, OrderVal, as_frac, frac_str
 
 
 class QIdeal:
-    """Generators (all MPoly or all PSeries) with a rational exponent >= 0.
+    """MPoly generators (ints and Fractions become constants) with a
+    rational exponent >= 0.
 
     The zero Q-ideal carries no generators and is equal to (0)^q for every
     q; its order along any arc is infinite.
@@ -36,20 +38,11 @@ class QIdeal:
         for g in gens:
             if isinstance(g, (int, Fraction)):
                 g = MPoly.const(g)
-            if isinstance(g, PSeries):
-                if g.is_exactly_zero:
-                    continue
-            elif isinstance(g, MPoly):
-                if g.is_zero():
-                    continue
-            else:
-                raise TypeError("generators must be MPoly or PSeries")
-            kept.append(g)
-        if kept:
-            kinds = {type(g) for g in kept}
-            if len(kinds) != 1:
-                raise ValueError("generator domain must be homogeneous")
-        elif not allow_zero:
+            elif not isinstance(g, MPoly):
+                raise TypeError("generators must be MPoly")
+            if not g.is_zero():
+                kept.append(g)
+        if not kept and not allow_zero:
             raise ValueError(
                 "no nonzero generators; use QIdeal.zero() for the zero ideal")
         self.gens = tuple(kept)
@@ -82,12 +75,7 @@ class QIdeal:
 
     @classmethod
     def from_json(cls, obj):
-        gens = []
-        for g in obj["gens"]:
-            if "vars" in g:
-                gens.append(MPoly.from_json(g))
-            else:
-                gens.append(PSeries.from_json(g))
+        gens = [MPoly.from_json(g) for g in obj["gens"]]
         if not gens:
             return cls.zero()
         return cls(gens, Fraction(obj["exp"]))
@@ -115,9 +103,7 @@ def _mul(x, y, work):
 def _int_power_gens(gens, k, work):
     """Generators of J^k: the k-fold products g_1^(e_1)...g_n^(e_n) with
     e_1 + ... + e_n = k, built incrementally (one multiplication per node)
-    from the unit of the generators' domain, which is J^0."""
-    g = gens[0]
-    one = PSeries.one(g.var) if isinstance(g, PSeries) else MPoly.const(1)
+    from the unit, which is J^0."""
     n = len(gens)
     out = []
 
@@ -134,7 +120,7 @@ def _int_power_gens(gens, k, work):
             if e < remaining:
                 cur = _mul(cur, gens[i], work)
 
-    rec(0, k, one)
+    rec(0, k, MPoly.const(1))
     return tuple(_dedup(out))
 
 
@@ -189,32 +175,21 @@ def qi_power(a: QIdeal, q) -> QIdeal:
 
 
 def _gen_order(gen, arc) -> OrderVal:
-    if isinstance(gen, PSeries):
-        if arc is None:
-            return gen.order()
-        u = arc.get(gen.var)
-        if u is None:
-            raise ValueError(f"arc does not cover variable {gen.var!r}")
-        return gen.substitute(u).order()
-    if arc is None:
-        raise ValueError("polynomial generators require an arc")
+    for v in gen.vars:
+        if v not in arc:
+            raise ValueError(f"arc does not cover variable {v!r}")
     return gen.eval_series({v: arc[v] for v in gen.vars}).order()
 
 
-def qi_ord(a: QIdeal, arc=None) -> OrderVal:
-    """Order of vanishing along an arc (variable -> positive-order series).
-
-    For ideals with series generators, `arc=None` means the identity arc:
-    the order of the series themselves.  Exponent times the minimum of the
-    generator orders, in interval semantics.
-    """
+def qi_ord(a: QIdeal, arc) -> OrderVal:
+    """Order of vanishing along an arc, a map from each generator variable
+    to a series of positive order in one variable: the exponent times the
+    minimum of the generator orders, in interval semantics."""
     if a.is_zero:
         return OrderVal.infinite()
-    if arc is not None:
-        for v, u in arc.items():
-            if u.order().lower <= 0:
-                raise ValueError(
-                    f"arc component {v!r} must have positive order")
+    for v, u in arc.items():
+        if u.order().lower <= 0:
+            raise ValueError(f"arc component {v!r} must have positive order")
     vals = [_gen_order(g, arc) for g in a.gens]
     return OrderVal.min_of(vals).scale(a.exp)
 
@@ -232,10 +207,10 @@ class QIdealFrac:
         self.numer_factors = tuple(numer_factors)
         self.denom_factors = tuple(denom_factors)
 
-    def ord_numer(self, arc=None) -> OrderVal:
+    def ord_numer(self, arc) -> OrderVal:
         return _factors_ord(self.numer_factors, arc)
 
-    def ord_denom(self, arc=None) -> OrderVal:
+    def ord_denom(self, arc) -> OrderVal:
         return _factors_ord(self.denom_factors, arc)
 
     @property
@@ -269,7 +244,7 @@ def _factors_ideal(factors) -> QIdeal:
     return qi_product([qi_power(base, e) for base, e in factors])
 
 
-def lc_dim1(pair: QIdealFrac, arc=None):
+def lc_dim1(pair: QIdealFrac, arc):
     """One-variable log-canonicity test for a fraction of Q-ideals:
     yes iff ord(numer) - ord(denom) <= 1 along the arc, with interval-aware
     verdicts.

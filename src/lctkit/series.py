@@ -35,8 +35,6 @@ import math
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import ConsistencyError, TruncationError
-
 INF = math.inf
 
 _ZERO = Fraction(0)
@@ -519,11 +517,6 @@ class PSeries:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_var(self, other):
-        if self.var != other.var:
-            raise ValueError(
-                f"series variable mismatch: {self.var!r} vs {other.var!r}")
-
     def __add__(self, other):
         if not isinstance(other, PSeries):
             if not isinstance(other, (int, Fraction)):
@@ -598,106 +591,6 @@ class PSeries:
     def is_zero(self) -> bool:
         """No stored terms (exactly zero, or zero as far as known)."""
         return not self._t
-
-    def substitute(self, g: "PSeries") -> "PSeries":
-        """Composition f(g) for f with integer exponents and ord(g) > 0."""
-        if self._ram != 1:
-            raise ValueError(
-                "substitution into fractional-exponent series is undefined")
-        w = g._lower()  # certified lower bound on ord(g); None if infinite
-        if w is not None and w <= 0:
-            raise ValueError("substitution requires a series of positive order")
-        # the unknown tail of f sits beyond trunc(f)*ord(g); g's own
-        # truncation is threaded through the arithmetic below
-        trunc = None if self._tr is None or w is None else self._tr * w
-        exps = sorted(self._t, reverse=True)
-        if not exps:
-            return _series(g.var, {}, 1, 1, trunc)
-        # Horner over descending integer exponents
-        result = PSeries.zero(g.var)
-        prev = None
-        for e in exps:
-            if prev is not None:
-                for _ in range(prev - e):
-                    result = result * g
-            result = result + Fraction(self._t[e], self._den)
-            prev = e
-        for _ in range(prev):
-            result = result * g
-        return result if trunc is None else result.truncated(trunc)
-
-    def div_exact(self, b: "PSeries") -> "PSeries":
-        """Quotient self/b when b divides self in the Puiseux-polynomial ring.
-
-        Used by fraction-free elimination, which guarantees divisibility for
-        exactly-known data; raises ConsistencyError when division fails.
-        Truncated inputs yield a correctly truncated quotient.  The long
-        division runs on int numerators: each step multiplies the remainder
-        by b's leading numerator instead of dividing by it, and the quotient
-        takes its coefficient over the accumulated denominator.
-        """
-        self._check_var(b)
-        if b.is_zero():
-            if b._tr is not None:
-                raise TruncationError("division by a series with no known terms",
-                                      required=b._tr)
-            raise ZeroDivisionError("series division by exact zero")
-        ram = math.lcm(self._ram, b._ram)
-        fa, fb = ram // self._ram, ram // b._ram
-        right = [(e * fb, c) for e, c in b._t.items()]
-        ob, lead = min(right)
-        # quotient known below this bound
-        if self._tr is None and b._tr is None:
-            q_tr = None
-        else:
-            obq, oa = Fraction(ob, ram), self._lower()
-            known = []
-            if self._tr is not None:
-                known.append(self._tr - obq)
-            if b._tr is not None and oa is not None:
-                known.append(b._tr + oa - 2 * obq)
-            q_tr = min(known) if known else None
-        bound = None if q_tr is None else _ceil_units(q_tr, ram)
-        if self._tr is None:
-            # exact polynomial divisibility cannot exceed this
-            top = max(self._t) * fa - ob if self._t else 0
-        else:
-            top = None  # implied by the bound
-        rem = {e * fa: c for e, c in self._t.items()}  # over _den * scale
-        scale = 1
-        out = {}
-        while rem:
-            e = min(rem)
-            qe = e - ob
-            if bound is not None and qe >= bound:
-                break
-            if (top is not None and qe > top) or qe < 0:
-                raise ConsistencyError(
-                    "series division left a nonzero remainder")
-            r = rem[e]
-            out[qe] = Fraction(r * b._den, self._den * scale * lead)
-            if lead != 1:
-                rem = {k: v * lead for k, v in rem.items()}
-                scale *= lead
-            for eb, cb in right:
-                k = qe + eb
-                v = rem.get(k, 0) - r * cb
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-            if lead != 1:
-                g = math.gcd(scale, *rem.values())
-                if g > 1:
-                    scale //= g
-                    rem = {k: v // g for k, v in rem.items()}
-        if rem and q_tr is None:
-            raise ConsistencyError("series division left a nonzero remainder")
-        if q_tr is not None and q_tr <= 0:
-            raise ValueError("truncation bound must be positive")
-        den = math.lcm(*(c.denominator for c in out.values()))
-        return _reduced(self.var, {e: c.numerator * (den // c.denominator)
-                                   for e, c in out.items()}, ram, den, q_tr)
 
     # -- serialization -------------------------------------------------------
 

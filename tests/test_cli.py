@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from lctkit.oracle import lct_binomial_curve
 from lctkit.series import PSeries, frac_str
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParseSeries:
@@ -693,7 +698,7 @@ CLI_CORPUS = [
 ]
 
 CLI_DIGEST = (
-    "8862f4c97ce1cc90d01d26a1deb9a624a7a5d18ecc2e6dc2b7b0444297f8af64")
+    "260aa11ac5dfc7f0b0ab353b1454bcc7253e2896274cb81cad8add12aad2dd2f")
 
 
 class TestCliBytes:
@@ -733,3 +738,78 @@ class TestMalformedText:
         (line,) = out.err.splitlines()
         assert json.loads(line) == {
             "error": f"{message} (at position {pos})", "pos": pos}
+
+
+def _one_error_line(capsys):
+    """The one {"error", "pos"} line of a parse error, nothing on stdout."""
+    out = capsys.readouterr()
+    assert out.out == ""
+    (line,) = out.err.splitlines()
+    obj = json.loads(line)
+    assert set(obj) == {"error", "pos"}
+    return obj
+
+
+class TestTermPositions:
+    """A semantic error in text points at the term that causes it: the
+    position of the term's first factor."""
+
+    @pytest.mark.parametrize("argv,pos,message", [
+        (["orders", "--poly", "y^2 - x^(1/2)*y + x + t"], 22,
+         "coefficients use several variables ['t', 'x']"),
+        (["orders", "--poly", "y^2 + x*y^(1/2)"], 6,
+         "fractional power of 'y'"),
+        (["orders", "--poly", "x + 2*y^2"], 4,
+         "polynomial is not monic in 'y'"),
+        (["orders", "--poly", "x^2 + x"], 0, "no positive power of 'y'"),
+        (["oracle", "--poly", "y^2 + x*y^(3/2)"], 6,
+         "fractional exponent on 'y' in a polynomial"),
+        (["lct", "--c", "1", "--coeff", "x", "--coeff", "x^2 - 3*t"], 6,
+         "series use several variables ['t', 'x'] in text 2"),
+        (["degree3", "--a", "0", "--b", "x^2 + t + s", "--c", "1/2"], 6,
+         "series use several variables ['s', 't', 'x'] in text 2"),
+    ], ids=["several", "fractional-y", "not-monic", "no-power-of-y",
+            "fractional-exponent", "group", "group-three"])
+    def test_cli_position(self, capsys, argv, pos, message):
+        assert run(argv) == 2
+        assert _one_error_line(capsys) == {
+            "error": f"{message} (at position {pos})", "pos": pos}
+
+    def test_series_text(self):
+        with pytest.raises(ParseError, match="several variables") as err:
+            parse_series("x - x^2 + 3*t")
+        assert err.value.pos == 10
+        with pytest.raises(ParseError, match="uses 't'") as err:
+            parse_series("x + 1/2*t^2", var="x")
+        assert err.value.pos == 4
+
+
+class TestLongNumber:
+    def test_digit_limit(self, capsys):
+        # one digit past the limit of int() on decimal text
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        argv = ["lct", "--c", "1", "--coeff", "0", "--coeff",
+                f"x^3 + {digits}*x^4"]
+        assert run(argv) == 2
+        assert _one_error_line(capsys) == {
+            "error": "number has too many digits (at position 6)", "pos": 6}
+
+
+class TestMain:
+    """`python -m lctkit.cli` runs main(), whose exit code is run()'s."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["lct", "--c", "5/6", "--coeff", "0", "--coeff", "0",
+          "--coeff", "x^2"], 0),
+        (["lct", "--c", "1", "--coeff", "0", "--coeff", "x**3"], 2),
+    ], ids=["yes", "parse-error"])
+    def test_exit_code(self, argv, code):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "lctkit.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert json.loads(proc.stdout)["verdict"] == "yes"
+        else:
+            assert proc.stdout == "" and "pos" in json.loads(proc.stderr)

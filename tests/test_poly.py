@@ -224,6 +224,25 @@ class TestMPoly:
         p = zpoly("z1") ** 2 - 4 * zpoly("z2")
         assert MPoly.from_json(p.to_json()) == p
 
+    def test_rsub(self):
+        p = zpoly("a") ** 2 - 3 * zpoly("b")
+        assert 1 - p == MPoly.const(1) - p
+
+    def test_repr(self):
+        x = MPoly.variable("x", ("x", "z"))
+        z = MPoly.variable("z", ("x", "z"))
+        p = 3 * x ** 2 * z - z ** 3 + F(1, 2) * x - 1
+        assert repr(p) == "3*x^2*z + 1/2*x - z^3 - 1"
+        assert repr(MPoly.zero()) == "0"
+
+
+class TestUPolyRepr:
+    def test_skips_zero_coefficients(self):
+        h = UPoly("y", [PSeries.zero("x"),
+                        PSeries("x", {F(3, 2): -1, 2: F(1, 2)}),
+                        PSeries("x", {5: 3}, 7)])
+        assert repr(h) == "y^3 + (-x^3/2 + 1/2*x^2)y + (3*x^5 + O(x^7))"
+
 
 class TestTaylorShift:
     def test_quadratic_symbolic(self):
@@ -270,9 +289,17 @@ class TestResultant:
 
     def test_series_perturbation(self):
         # Res_z(z^2 - t^3, z^2 - t^3 + t^10) = t^20
+        t = zpoly("t")
+        f = UPoly("z", [MPoly.zero(("t",)), -t ** 3])
+        g = UPoly("z", [MPoly.zero(("t",)), -t ** 3 + t ** 10])
+        assert resultant(f, g) == t ** 20
+
+    def test_series_coefficients_are_refused(self):
         f = UPoly("z", [PSeries.zero("t"), -mono(3)])
-        g = UPoly("z", [PSeries.zero("t"), -mono(3) + mono(10)])
-        assert resultant(f, g) == mono(20)
+        with pytest.raises(ValueError, match="MPoly"):
+            resultant(f, f)
+        with pytest.raises(ValueError, match="MPoly"):
+            resultant_lists(f.dense(), f.dense())
 
     def test_prs_matches_field(self):
         rng = random.Random(11)
@@ -313,22 +340,6 @@ class TestResultant:
                 assert _eval_frac(res, pt) == q_resultant(fq, gq)
                 checked += 1
         assert checked > 60
-
-    def test_prs_on_series_matches_field_specialization(self):
-        rng = random.Random(23)
-        for _ in range(30):
-            df, dg = rng.randint(1, 3), rng.randint(1, 3)
-            fs = [mono(0, 1)] + [mono(rng.randint(0, 3), rng.randint(-3, 3))
-                                 for _ in range(df)]
-            gs = [mono(0, 1)] + [mono(rng.randint(0, 3), rng.randint(-3, 3))
-                                 for _ in range(dg)]
-            res = resultant_lists(fs, gs)
-            x = F(rng.randint(1, 5), rng.randint(1, 3))
-            fq = [sum((c * x ** e for e, c in p.terms.items()), F(0)) for p in fs]
-            gq = [sum((c * x ** e for e, c in p.terms.items()), F(0)) for p in gs]
-            want = q_resultant(fq, gq)
-            got = sum((c * x ** e for e, c in res.terms.items()), F(0))
-            assert got == want
 
 
 class TestSymmetricReduce:
@@ -543,9 +554,35 @@ def prs_nodes(count):
     return [F((k // 2 + 1) * (-1) ** k) for k in range(count)]
 
 
+# Points s where the resultant identities are checked over Q, at t = s^R.
+S_POINTS = (F(2), F(-3), F(5))
+
+
+def ram_lcm(*hs):
+    """R: the lcm of the ramification indices of the coefficients."""
+    return math.lcm(*(a.ram for h in hs for a in h.coeffs))
+
+
+def q_at(a, s, R):
+    """The exact series a at t = s^R; R is a multiple of a's ramification."""
+    assert a.trunc == INF and R % a.ram == 0
+    return sum((c * s ** int(e * R) for e, c in a.terms.items()), F(0))
+
+
+def q_shift(f, r):
+    """f(z + r) for a dense descending rational list f, by Horner."""
+    out = []
+    for c in f:
+        new = out + [F(c)]
+        for i, x in enumerate(out):
+            new[i + 1] += r * x
+        out = new
+    return out
+
+
 class TestPowerSumKernel:
     """The kernel against oracles that do not share its code: the
-    subresultant PRS, explicit roots, and symmetric reduction."""
+    Euclidean resultant over Q, explicit roots, and symmetric reduction."""
 
     def test_power_sums_of_explicit_roots(self):
         rng = random.Random(3)
@@ -570,16 +607,21 @@ class TestPowerSumKernel:
 
     @pytest.mark.parametrize("d,count", [(2, 6), (3, 4), (4, 2), (5, 1)])
     def test_difference_poly_matches_prs(self, d, count):
-        # Res_z(h(z), h(z + r)) = r^d D(r) at d(d-1)+1 integer nodes
+        # Res_z(h(z), h(z + r)) = r^d D(r) at d(d-1)+1 integer nodes, each
+        # at the points t = s^R
         rng = random.Random(50 + d)
         hs = [UPoly("y", [rand_exact_series(rng) for _ in range(d)])
               for _ in range(count)]
         for h in hs + [h for h in stress_upolys() if h.degree == d]:
             D = difference_poly(h)
             assert D.degree == d * (d - 1)
+            R = ram_lcm(h)
             for r in prs_nodes(d * (d - 1) + 1):
-                want = resultant_lists(h.dense(), taylor_shift(h, r).dense())
-                assert D.evaluate(r).scale(r ** d) == want
+                got = D.evaluate(r).scale(r ** d)
+                for s in S_POINTS:
+                    hq = [q_at(a, s, R) for a in h.dense()]
+                    want = q_resultant(hq, q_shift(hq, r))
+                    assert q_at(got, s, R) == want
 
     def test_composed_difference_matches_prs(self):
         # Res_z(f(z), g(z + r)) = C(r), C with roots beta - alpha
@@ -591,9 +633,14 @@ class TestPowerSumKernel:
         for f, g in pairs + list(zip(stress, stress[1:] + stress[:1])):
             C = composed_difference(f, g)
             assert C.degree == f.degree * g.degree
+            R = ram_lcm(f, g)
             for r in prs_nodes(C.degree + 1):
-                want = resultant_lists(f.dense(), taylor_shift(g, r).dense())
-                assert C.evaluate(r) == want
+                got = C.evaluate(r)
+                for s in S_POINTS:
+                    fq = [q_at(a, s, R) for a in f.dense()]
+                    gq = [q_at(a, s, R) for a in g.dense()]
+                    want = q_resultant(fq, q_shift(gq, r))
+                    assert q_at(got, s, R) == want
 
     def test_cross_difference_orders_of_explicit_roots(self):
         from lctkit.reports import cross_difference_orders

@@ -16,7 +16,8 @@ import pytest
 from lctkit import rootdata
 from lctkit.errors import ConsistencyError, TruncationError
 from lctkit.poly import UPoly, difference_poly
-from lctkit.qideal import QIdeal, qi_ord, qi_power
+from lctkit.mpoly import MPoly
+from lctkit.qideal import QIdeal, qi_ord, qi_power, qi_sum
 from lctkit.reports import newton_polygon
 from lctkit.rootdata import certified_rows, root_orders
 from lctkit.series import OrderVal, PSeries
@@ -88,11 +89,11 @@ def ref_polygon(h):
 
 
 def ref_lemma1(h):
-    """Order of the ideal sum of (a_i)^(1/i), through QIdeal."""
-    vals = [qi_ord(qi_power(QIdeal.principal(h.coeff(i)), F(1, i)))
-            for i in range(1, h.degree + 1)
-            if not h.coeff(i).is_exactly_zero]
-    return OrderVal.min_of(vals) if vals else OrderVal.infinite()
+    """Order of the Q-ideal sum of (z_i)^(1/i) along the arc z_i -> a_i."""
+    d = h.degree
+    ideal = qi_sum([qi_power(QIdeal.principal(MPoly.variable(f"z{i}")),
+                             F(1, i)) for i in range(1, d + 1)])
+    return qi_ord(ideal, {f"z{i}": h.coeff(i) for i in range(1, d + 1)})
 
 
 def _as_order(lem1):

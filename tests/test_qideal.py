@@ -14,8 +14,9 @@ from lctkit.series import OrderVal, PSeries
 F = Fraction
 
 
-def x_to(e, c=1):
-    return PSeries.monomial("x", F(e), F(c))
+def x_to(e):
+    """The polynomial x^e, read along an arc x -> t-series."""
+    return MPoly(("x",), {(e,): F(1)})
 
 
 def arc_t(e=1):
@@ -56,7 +57,7 @@ class TestProductSumPower:
         a = QIdeal([x_to(1)], F(1, 2))
         b = QIdeal([x_to(1)], F(1, 3))
         p = qi_product([a, b])
-        assert qi_ord(p) == OrderVal.exact(F(5, 6))
+        assert qi_ord(p, arc_t()) == OrderVal.exact(F(5, 6))
 
     def test_product_unit_identity(self):
         rng = random.Random(1)
@@ -76,7 +77,7 @@ class TestProductSumPower:
     def test_sum_is_min(self):
         a = QIdeal([x_to(3)], F(1))
         b = QIdeal([x_to(5)], F(1))
-        assert qi_ord(qi_sum([a, b])) == OrderVal.exact(3)
+        assert qi_ord(qi_sum([a, b]), arc_t()) == OrderVal.exact(3)
 
     def test_sum_of_root_powers_d3(self):
         b = qi_sum([qi_power(QIdeal([zvar(i)], 1), F(1, i))
@@ -126,6 +127,12 @@ class TestOrd:
         with pytest.raises(ValueError):
             qi_ord(a, {"x": PSeries.one("t")})
 
+    def test_arc_must_cover_every_variable(self):
+        a = QIdeal([zvar(1) * zvar(2)], F(1))
+        with pytest.raises(ValueError,
+                           match="arc does not cover variable 'z2'"):
+            qi_ord(a, {"z1": PSeries.monomial("t", 1)})
+
     def test_morphism_properties_random(self):
         rng = random.Random(99)
         for _ in range(100):
@@ -157,31 +164,33 @@ class TestLcDim1:
     def test_boundary_difference_one(self):
         num = QIdeal([x_to(2)], F(1))
         den = QIdeal([x_to(1)], F(1))
-        assert lc_dim1(QIdealFrac([(num, 1)], [(den, 1)])) == YES
+        assert lc_dim1(QIdealFrac([(num, 1)], [(den, 1)]), arc_t()) == YES
 
     def test_difference_two(self):
         num = QIdeal([x_to(3)], F(1))
         den = QIdeal([x_to(1)], F(1))
-        assert lc_dim1(QIdealFrac([(num, 1)], [(den, 1)])) == NO
+        assert lc_dim1(QIdealFrac([(num, 1)], [(den, 1)]), arc_t()) == NO
 
     def test_effective_half(self):
         num = QIdeal([x_to(1)], F(1, 2))
-        den = QIdeal([PSeries.one("x")], F(1))
-        assert lc_dim1(QIdealFrac([(num, 1)], [(den, 1)])) == YES
+        den = QIdeal([MPoly.const(1)], F(1))
+        assert lc_dim1(QIdealFrac([(num, 1)], [(den, 1)]), arc_t()) == YES
 
     def test_zero_part_is_error(self):
         num = QIdeal.zero()
         den = QIdeal([x_to(1)], F(1))
         with pytest.raises(ValueError):
-            lc_dim1(QIdealFrac([(num, 1)], [(den, 1)]))
+            lc_dim1(QIdealFrac([(num, 1)], [(den, 1)]), arc_t())
 
     def test_truncation_unknown(self):
-        num = QIdeal([PSeries.zero("x", 8)], F(1))
+        # w along O(t^8): ord >= 8 > 2
+        num = QIdeal([MPoly.variable("w")], F(1))
         den = QIdeal([x_to(1)], F(1))
-        # ord >= 8 > 2
-        assert lc_dim1(QIdealFrac([(num, 1)], [(den, 1)])) == NO
+        arc = {**arc_t(), "w": PSeries.zero("t", 8)}
+        assert lc_dim1(QIdealFrac([(num, 1)], [(den, 1)]), arc) == NO
         den_big = QIdeal([x_to(7)], F(1))
-        assert lc_dim1(QIdealFrac([(num, 1)], [(den_big, 1)])) == UNKNOWN
+        assert lc_dim1(QIdealFrac([(num, 1)], [(den_big, 1)]), arc) \
+            == UNKNOWN
 
     @pytest.mark.parametrize("on,od,verdict", [
         (OrderVal.exact(3), OrderVal.infinite(), YES),
@@ -203,19 +212,13 @@ class TestLcDim1:
             n = QIdeal([x_to(rng.randint(1, 5))], F(rng.randint(1, 3)))
             d = QIdeal([x_to(rng.randint(1, 5))], F(rng.randint(1, 3), 2))
             m = QIdeal([x_to(rng.randint(1, 4))], F(rng.randint(1, 3), 3))
-            base = lc_dim1(QIdealFrac([(n, 1)], [(d, 1)]))
+            base = lc_dim1(QIdealFrac([(n, 1)], [(d, 1)]), arc_t())
             scaled = lc_dim1(QIdealFrac([(qi_product([n, m]), 1)],
-                                        [(qi_product([d, m]), 1)]))
+                                        [(qi_product([d, m]), 1)]), arc_t())
             assert base == scaled
 
 
 class TestJson:
-    def test_roundtrip_series_gens(self):
-        a = QIdeal([x_to(3, -2), x_to(F(1, 2))], F(5, 6))
-        blob = json.dumps(a.to_json(), sort_keys=True)
-        b = QIdeal.from_json(json.loads(blob))
-        assert b.exp == a.exp and b.gens == a.gens
-
     def test_roundtrip_poly_gens(self):
         a = QIdeal([zvar(1) ** 3 - zvar(2)], F(2, 3))
         b = QIdeal.from_json(json.loads(json.dumps(a.to_json())))
@@ -231,3 +234,10 @@ class TestJson:
     def test_zero_roundtrip(self):
         z = QIdeal.zero()
         assert QIdeal.from_json(z.to_json()).is_zero
+
+
+class TestRepr:
+    def test_generators_and_exponent(self):
+        a = QIdeal([zvar(1) ** 3, zvar(2) ** 2 - zvar(2)], F(1, 6))
+        assert repr(a) == "(z1^3, z2^2 - z2)^1/6"
+        assert repr(QIdeal.zero()) == "(0)"

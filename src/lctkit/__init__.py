@@ -47,8 +47,7 @@ _LAZY = {
     "build_cor3_pack": "ideals", "build_p_plus_minus": "ideals",
     "build_tilde_bk": "ideals", "containment_check": "ideals",
     "cor3_divisibility": "ideals", "degree3_test": "ideals",
-    "depressed_cubic": "ideals", "eval_theorem_lhs": "ideals",
-    "example3_test": "ideals",
+    "depressed_cubic": "ideals", "example3_test": "ideals",
     "lct_binomial_curve": "oracle", "lct_monomial_ideal": "oracle",
     "lct_plane_nondegenerate": "oracle",
 }

@@ -4,8 +4,9 @@ root differences, the root-integrality pack, the symbolic plus/minus pair
 the containment check of the pair along one arc.
 
 These serve as validation routes for criterion.lct_ge and are not on its
-path.  The pair is a qideal.QIdealFrac, whose orders are evaluated
-factor-wise, which avoids materializing huge generator powers.
+path.  Every ideal is a formal qideal.QIdeal and the pair a
+qideal.QIdealFrac of two of them, read through their orders along arcs;
+only the root-integrality pack multiplies polynomials out.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .criterion import CriterionContext, _validate_coeffs, choose_p, lct_ge
-from .errors import BudgetError, ConsistencyError, TruncationError
+from .criterion import CriterionContext, _validate_coeffs, choose_p
+from .errors import BudgetError, ConsistencyError
 from .mpoly import (
     MPoly, generic_compound_coeffs, generic_difference_coeffs, taylor_shift,
     z_vars,
@@ -25,7 +26,7 @@ from .poly import UPoly
 from .qideal import (
     QIdeal, QIdealFrac, ord_diff_le_one, qi_power, qi_product, qi_sum,
 )
-from .series import UNKNOWN, OrderVal, PSeries, as_frac, frac_str
+from .series import OrderVal, PSeries, as_frac, frac_str
 
 _EXACT_ZERO = OrderVal.exact(0)
 
@@ -34,42 +35,31 @@ _EXACT_ZERO = OrderVal.exact(0)
 # Criterion ideals
 # ---------------------------------------------------------------------------
 
+def _z(i, e) -> QIdeal:
+    """(z_i)^e; the unit ideal at e = 0."""
+    return QIdeal.principal(MPoly.variable(f"z{i}"), e)
+
+
+def _root_sum(coeffs) -> QIdeal:
+    """Sum over ell of (coeffs[ell - 1])^(1/ell), zero coefficients
+    dropped."""
+    return qi_sum([QIdeal([g], Fraction(1, ell), allow_zero=True)
+                   for ell, g in enumerate(coeffs, start=1)])
+
+
 def build_b(d: int) -> QIdeal:
     """Sum of (z_i)^(1/i): its order at (a_1..a_d) is the smallest root
     order."""
-    return qi_sum([qi_power(QIdeal.principal(MPoly.variable(f"z{i}")),
-                            Fraction(1, i))
-                   for i in range(1, d + 1)])
+    return qi_sum([_z(i, Fraction(1, i)) for i in range(1, d + 1)])
 
 
 def build_c(d: int) -> QIdeal:
     """Sum of (z_(d-i))^(1/i) (z_d)^((i-1)/i) with z_0 the unit; subtracting
     its order from ord(a_d) gives the largest root order."""
-    parts = []
-    for i in range(1, d + 1):
-        factors = []
-        if i < d:
-            factors.append(qi_power(
-                QIdeal.principal(MPoly.variable(f"z{d - i}")), Fraction(1, i)))
-        if i > 1:
-            factors.append(qi_power(
-                QIdeal.principal(MPoly.variable(f"z{d}")),
-                Fraction(i - 1, i)))
-        if not factors:
-            factors = [QIdeal.unit()]
-        parts.append(qi_product(factors))
-    return qi_sum(parts)
-
-
-def _nonzero_ideal(polys, exps):
-    parts = []
-    for g, e in zip(polys, exps):
-        if g.is_zero():
-            continue
-        parts.append(qi_power(QIdeal.principal(g), e))
-    if not parts:
-        return QIdeal.zero()
-    return qi_sum(parts)
+    return qi_sum([
+        qi_product([_z(d - i, Fraction(1, i)) if i < d else QIdeal.unit(),
+                    _z(d, Fraction(i - 1, i))])
+        for i in range(1, d + 1)])
 
 
 def build_bk(d: int, k: int) -> QIdeal:
@@ -77,9 +67,7 @@ def build_bk(d: int, k: int) -> QIdeal:
     ell-th symmetric function of the products of k distinct roots in the
     coefficients.  Its order at (a_1..a_d) is the smallest order among those
     products."""
-    coeffs = generic_compound_coeffs(d, k)
-    return _nonzero_ideal(coeffs, [Fraction(1, ell)
-                                   for ell in range(1, len(coeffs) + 1)])
+    return _root_sum(generic_compound_coeffs(d, k))
 
 
 @lru_cache(maxsize=None)
@@ -98,9 +86,7 @@ def build_tilde_bk(d: int, k: int) -> QIdeal:
     distinct (alpha_j - w)."""
     if k == 0:
         return QIdeal.unit()
-    coeffs = _generic_shifted_compound(d, k)
-    return _nonzero_ideal(coeffs, [Fraction(1, ell)
-                                   for ell in range(1, len(coeffs) + 1)])
+    return _root_sum(_generic_shifted_compound(d, k))
 
 
 def build_bbar_k(d: int, k: int) -> QIdeal:
@@ -119,11 +105,8 @@ def build_bbar_k(d: int, k: int) -> QIdeal:
             for ell in range(1, m):
                 il = tup[ell - 1]
                 j *= Fraction(il - k + ell - 1, il - k + ell)
-            if j == 0:
-                continue
-            factors.append(qi_power(
-                QIdeal.principal(MPoly.variable(f"z{i}")), j))
-        parts.append(qi_product(factors) if factors else QIdeal.unit())
+            factors.append(_z(i, j))
+        parts.append(qi_product(factors))
     return qi_sum(parts)
 
 
@@ -141,34 +124,32 @@ COR3_BUDGET = 2
 
 
 def build_cor3_pack(d: int) -> Cor3Pack:
-    """Divisibility pack from the difference polynomial.  The expanded
-    polynomial representation is only tractable for d <= 2: clearing the
-    partial-sum ideals of a degree d(d-1) polynomial to a common denominator
-    raises generators to lcm-sized powers."""
+    """Divisibility pack from the difference polynomial: each term of the
+    bbar_k ideals of its coefficients, multiplied out as prod g^(e m) at
+    the common denominator m of the exponents.  That is only tractable for
+    d <= 2: the terms of a degree d(d-1) polynomial's ideals raise
+    generators to lcm-sized powers."""
     if d > COR3_BUDGET:
         raise BudgetError(
             f"integrality pack limited to d <= {COR3_BUDGET}; use "
             "integrality_test for larger degrees")
     if d == 1:
         return Cor3Pack((), 1)
-    bcoeffs = generic_difference_coeffs(d)
     big_d = d * (d - 1)
-    ideals = []
+    bcoeffs = generic_difference_coeffs(d)
+    mapping = {f"z{i}": bcoeffs[i - 1] for i in range(1, big_d + 1)}
+    terms = []
     for k in range(1, big_d + 1):
-        ck = build_bbar_k(big_d, k)
-        mapping = {f"z{i}": bcoeffs[i - 1] for i in range(1, big_d + 1)}
-        gens = [g.substitute(mapping) for g in ck.gens]
-        gens = [g for g in gens if not g.is_zero()]
-        if gens:
-            ideals.append(QIdeal(gens, ck.exp))
-    m = math.lcm(*(a.exp.denominator for a in ideals))
+        for t in build_bbar_k(big_d, k).terms:
+            t = [(g.substitute(mapping), e) for g, e in t]
+            if not any(g.is_zero() for g, _ in t):
+                terms.append(t)
+    m = math.lcm(*(e.denominator for t in terms for _, e in t))
     polys = []
-    for a in ideals:
-        k = int(a.exp * m)
-        for g in a.gens:
-            p = g ** k
-            if not any(p == q for q in polys):
-                polys.append(p)
+    for t in terms:
+        p = math.prod(g ** int(e * m) for g, e in t)
+        if p not in polys:
+            polys.append(p)
     return Cor3Pack(tuple(polys), m)
 
 
@@ -218,45 +199,26 @@ def build_p_plus_minus(ctx: CriterionContext) -> QIdealFrac:
         raise ValueError("symbolic plus/minus pair is built for d <= 3 only")
     disc, mideal = _pair_ideals(d)
     if d == 2:
-        return QIdealFrac([(disc, c2 / 2)])
+        return QIdealFrac(qi_power(disc, c2 / 2))
     if ctx.p == 1:
-        return QIdealFrac([(mideal, c2 / 6)])
+        return QIdealFrac(qi_power(mideal, c2 / 6))
     if c2 >= c1:
-        return QIdealFrac([(disc, c2 / 2)], [(mideal, (c2 - c1) / 6)])
-    return QIdealFrac([(disc, c2 / 2), (mideal, (c1 - c2) / 6)])
+        return QIdealFrac(qi_power(disc, c2 / 2),
+                          qi_power(mideal, (c2 - c1) / 6))
+    return QIdealFrac(qi_product([qi_power(disc, c2 / 2),
+                                  qi_power(mideal, (c1 - c2) / 6)]))
 
 
 # ---------------------------------------------------------------------------
-# The theorem's left-hand side and the explicit specializations
+# The explicit specializations
 # ---------------------------------------------------------------------------
-
-def eval_theorem_lhs(ctx: CriterionContext, coeffs) -> OrderVal:
-    """V = max over centers i of c1 * (sum of the p-1 smallest difference
-    orders at i) + c2 * (sum of the p smallest).  Minima over index tuples
-    include the center itself, contributing an infinite order that is never
-    selected while finite alternatives remain.
-
-    V is lct_ge's, read back from its diagnostics; where lct_ge answers
-    unknown, its reason and required hint are raised as the
-    TruncationError they came from.  A context whose c lies outside
-    choose_p's (1/d, 1] has no band, and raises choose_p's ValueError."""
-    verdict, diag = lct_ge(ctx.d, ctx.c, coeffs)
-    if diag["p"] is None:               # lct_ge's shortcut: no band
-        raise ValueError(f"c must lie in (1/{ctx.d}, 1]")
-    if verdict == UNKNOWN:
-        exc = TruncationError(diag["reason"])
-        if diag["required"] is not None:
-            exc.required = Fraction(diag["required"])
-        raise exc
-    return OrderVal.from_json(diag["V"])
-
 
 def degree3_test(a: PSeries, b: PSeries, c):
     """Explicit degree-3 criterion for the depressed cubic y^3 + a(x) y +
     b(x): build_p_plus_minus's d = 3 pair along z2 -> a, z3 -> b, decided
     by lc_dim1's rule (ord_diff_le_one) on the pair's two orders, which are
-    also the diagnostics.  The pair has no zero factor, so lc_dim1's
-    malformed-pair check has nothing to refuse.
+    also the diagnostics.  Neither part of the pair is the zero ideal, so
+    lc_dim1's malformed-pair check has nothing to refuse.
 
     For 1/3 < c <= 1/2 the pair is ((a^3, b^2)^((3c-1)/6), trivial); for
     1/2 < c <= 1 the discriminant ideal (4a^3 + 27b^2)^(c - 1/2) combines

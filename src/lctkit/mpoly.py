@@ -23,7 +23,7 @@ from .poly import (
     UPoly, _Exact, _lift, compound_poly, difference_poly, from_power_sums,
     power_sums,
 )
-from .series import PSeries, as_frac, frac_str
+from .series import PSeries, _json_rational, as_frac, frac_str
 
 _ZERO = Fraction(0)
 
@@ -277,8 +277,22 @@ class MPoly:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(tuple(obj["vars"]),
-                   {tuple(t["exps"]): Fraction(t["c"]) for t in obj["terms"]})
+        """The polynomial that to_json wrote.  A malformed object is a
+        ValueError that names the field at fault."""
+        names = obj.get("vars") if isinstance(obj, dict) else None
+        if not (isinstance(names, list)
+                and all(isinstance(v, str) for v in names)):
+            raise ValueError('polynomial JSON field "vars" must be a list of '
+                             'variable names')
+        terms = obj.get("terms")
+        if not (isinstance(terms, list) and all(
+                isinstance(t, dict) and isinstance(t.get("exps"), list)
+                and all(type(e) is int for e in t["exps"])
+                and _json_rational(t.get("c")) for t in terms)):
+            raise ValueError('polynomial JSON field "terms" must be a list of '
+                             '{"exps": [int, ...], "c": rational} objects')
+        return cls(tuple(names),
+                   {tuple(t["exps"]): Fraction(t["c"]) for t in terms})
 
     def __repr__(self):
         if not self.terms:

@@ -1,9 +1,11 @@
 """Fixtures shared by the test modules."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
+from lctkit.mpoly import MPoly
 from lctkit.rootdata import RootRows
 from lctkit.series import OrderVal
 
@@ -50,3 +52,29 @@ def centers_of():
     """Each distinct row's center from a table's prefix sums, computed
     in the tests rather than read from lctkit.criterion."""
     return _centers_of
+
+
+def _materialized_ord(a, arc):
+    """The order of a Q-ideal along an arc with every term multiplied out
+    at the common denominator m of its exponents: the least order of
+    prod g^(e m), over m.  It multiplies polynomials where qi_ord adds the
+    orders of the generators."""
+    if a.is_zero:
+        return OrderVal.infinite()
+    m = math.lcm(*(e.denominator for t in a.terms for _, e in t))
+    vals = []
+    for t in a.terms:
+        p = MPoly.const(1)
+        for g, e in t:
+            p = p * g ** int(e * m)
+        val = p.eval_series({v: arc[v] for v in p.vars},
+                            out_var=next(iter(arc.values())).var)
+        vals.append(val.order().scale(Fraction(1, m)))
+    return OrderVal.min_of(vals)
+
+
+@pytest.fixture
+def materialized_ord():
+    """The order of a Q-ideal along an arc with its terms multiplied out,
+    the oracle for qideal.qi_ord."""
+    return _materialized_ord

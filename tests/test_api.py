@@ -30,7 +30,7 @@ PUBLIC = {
                "build_bk", "build_c", "build_cor3_pack",
                "build_p_plus_minus", "build_tilde_bk", "containment_check",
                "cor3_divisibility", "degree3_test", "depressed_cubic",
-               "eval_theorem_lhs", "example3_test"),
+               "example3_test"),
     "oracle": ("lct_binomial_curve", "lct_monomial_ideal",
                "lct_plane_nondegenerate"),
 }

@@ -526,14 +526,16 @@ class TestCriterionCommand:
             want["p_minus"] = json.loads(json.dumps(pair.denom.to_json()))
         assert out == want
 
-    @pytest.mark.parametrize("d,c", [(2, "7919/7920"), (3, "3999/4000")])
-    def test_large_denominator_exceeds_the_budget(self, capsys, d, c):
-        # the pairs hold (z1^2 - 4 z2)^3959 and (4 z2^3 + 27 z3^2)^1999
-        assert run(["criterion", "--d", str(d), "--c", c]) == 2
+    @pytest.mark.parametrize("d,c,exp", [(2, "7919/7920", "3959/7920"),
+                                          (3, "3999/4000", "1999/4000")])
+    def test_large_denominator_stays_formal(self, capsys, d, c, exp):
+        # the plus parts are (z1^2 - 4 z2)^(3959/7920) and
+        # (4 z2^3 + 27 z3^2)^(1999/4000), one term each, never multiplied out
+        assert run(["criterion", "--d", str(d), "--c", c]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert "budget" in json.loads(line)["error"]
+        assert captured.err == ""
+        [[factor]] = json.loads(captured.out)["p_plus"]["terms"]
+        assert factor["exp"] == exp
 
 
 class TestOracleBinomial:
@@ -627,8 +629,9 @@ def _cli_digest(capsys, corpus):
     return h.hexdigest()
 
 
-# Every subcommand on well-formed input, exit 3 on truncated input, a
-# BudgetError, and usage and parse errors, the latter with their positions.
+# Every subcommand on well-formed input, exit 3 on truncated input, a pair
+# at a large denominator, and usage and parse errors, the latter with their
+# positions.
 CLI_CORPUS = [
     ["orders", "--poly", "y^3 + t^2*y + t^3"],
     ["orders", "--poly", "-t^3+y^2"],
@@ -698,7 +701,7 @@ CLI_CORPUS = [
 ]
 
 CLI_DIGEST = (
-    "260aa11ac5dfc7f0b0ab353b1454bcc7253e2896274cb81cad8add12aad2dd2f")
+    "0c979302398a0d4c16795b615a343ae4c2e034516273a45f9b9102257de77c42")
 
 
 class TestCliBytes:

@@ -9,13 +9,12 @@ from lctkit.errors import BudgetError
 from lctkit.ideals import (
     build_b, build_bbar_k, build_bk, build_c, build_cor3_pack,
     build_p_plus_minus, build_tilde_bk, containment_check,
-    cor3_divisibility, degree3_test, depressed_cubic, eval_theorem_lhs,
-    example3_test,
+    cor3_divisibility, degree3_test, depressed_cubic, example3_test,
 )
 from lctkit.mpoly import MPoly
 from lctkit.poly import UPoly
 from lctkit.qideal import (
-    NO, UNKNOWN, YES, QIdeal, QIdealFrac, lc_dim1, qi_ord,
+    NO, UNKNOWN, YES, QIdeal, QIdealFrac, lc_dim1, qi_ord, qi_power,
 )
 from lctkit.reports import integrality_test
 from lctkit.series import INF, OrderVal, PSeries
@@ -25,6 +24,11 @@ F = Fraction
 
 def xs(e, c=1):
     return PSeries.monomial("x", F(e), F(c))
+
+
+def lct_v(ctx, coeffs):
+    """V of lct_ge's diagnostics at ctx's threshold."""
+    return OrderVal.from_json(lct_ge(ctx.d, ctx.c, coeffs)[1]["V"])
 
 
 def zero():
@@ -207,30 +211,32 @@ class TestCor3Pack:
 
 
 class TestEvalTheoremLhs:
+    """The theorem's left-hand side V, as lct_ge's diagnostics give it."""
+
     def test_cusp_v_is_one(self):
         ctx = choose_p(3, F(5, 6))
-        v = eval_theorem_lhs(ctx, [zero(), zero(), xs(2)])
+        v = lct_v(ctx, [zero(), zero(), xs(2)])
         assert v == OrderVal.exact(1)
 
     def test_cusp_higher_c(self):
         ctx = choose_p(3, F(11, 12))
-        v = eval_theorem_lhs(ctx, [zero(), zero(), xs(2)])
+        v = lct_v(ctx, [zero(), zero(), xs(2)])
         assert v == OrderVal.exact(F(7, 6))
 
     def test_triple_root_infinite(self):
         g = xs(2)
         h = UPoly.from_roots("y", [g, g, g])
         ctx = choose_p(3, F(5, 6))
-        v = eval_theorem_lhs(ctx, list(h.coeffs))
+        v = lct_v(ctx, list(h.coeffs))
         assert v.is_infinite
 
     def test_context_outside_the_bands(self):
-        # a context built by hand, with c where lct_ge's shortcuts decide
-        from lctkit.criterion import CriterionContext
+        # c where lct_ge's shortcuts decide: no band, so no V
         for c in (F(1, 4), F(1, 3), F(3, 2)):
-            ctx = CriterionContext(3, c, 1, F(0), F(0))
             with pytest.raises(ValueError, match=r"must lie in \(1/3, 1\]"):
-                eval_theorem_lhs(ctx, [xs(1)] * 3)
+                choose_p(3, c)
+            _, diag = lct_ge(3, c, [xs(1)] * 3)
+            assert diag["p"] is None and diag["V"] is None
 
 
 class TestLctGe:
@@ -422,7 +428,7 @@ class TestPlusMinusPair:
                 a = {"z1": coeffs[0], "z2": coeffs[1]}
                 lhs = pair.ord_numer(a)
                 rhs = pair.ord_denom(a)
-                v = eval_theorem_lhs(ctx, coeffs)
+                v = lct_v(ctx, coeffs)
                 if v.is_infinite:
                     assert lhs.is_infinite
                 else:
@@ -461,17 +467,24 @@ class TestPlusMinusPair:
                 m = {"z2": a, "z3": b}
                 lhs = pair.ord_numer(m)
                 rhs = pair.ord_denom(m)
-                v = eval_theorem_lhs(ctx, [zero(), a, b])
+                v = lct_v(ctx, [zero(), a, b])
                 if v.is_infinite:
                     assert lhs.is_infinite or rhs.is_infinite
                 else:
                     assert lhs.sub(rhs) == v, (a, b, c)
 
-    def test_materialized_small_denominator(self):
-        ctx = choose_p(3, F(5, 6))
-        pair = build_p_plus_minus(ctx)
-        a = {"z2": zero(), "z3": xs(2)}
-        assert qi_ord(pair.numer, a) == pair.ord_numer(a)
+    def test_materialized_small_denominator(self, materialized_ord):
+        # both parts of the d = 3 pairs at small denominators, multiplied
+        # out, against their formal orders
+        rng = random.Random(31)
+        arcs = [{"z2": zero(), "z3": xs(2)}, {"z2": xs(2), "z3": xs(3)}]
+        arcs += [{"z2": _rand_arc(rng, 1)[0], "z3": _rand_arc(rng, 1)[0]}
+                 for _ in range(6)]
+        for c in (F(5, 12), F(3, 5), F(5, 6)):
+            pair = build_p_plus_minus(choose_p(3, c))
+            for a in arcs:
+                assert materialized_ord(pair.numer, a) == pair.ord_numer(a)
+                assert materialized_ord(pair.denom, a) == pair.ord_denom(a)
 
     def test_vanishing_generators(self):
         # for c2 > 0 the plus ideal evaluates to positive order on
@@ -492,25 +505,29 @@ class TestPlusMinusPair:
             build_p_plus_minus(choose_p(4, F(1, 2)))
 
     def test_branch_shapes(self):
+        z2, z3 = MPoly.variable("z2"), MPoly.variable("z3")
+        disc3 = 4 * z2 ** 3 + 27 * z3 ** 2
         # bottom band: minus part trivial, plus exponent c2/6
         pair = build_p_plus_minus(choose_p(3, F(5, 12)))
-        assert pair.denom_factors == ()
-        [(base, e)] = pair.numer_factors
-        assert e == choose_p(3, F(5, 12)).c2 / 6 and len(base.gens) == 2
+        assert pair.denom.terms == ((),)
+        e = choose_p(3, F(5, 12)).c2 / 6
+        assert pair.numer.terms == (((z2 ** 3, e),), ((z3 ** 2, e),))
         # upper band, c <= 2/3: both ideals multiply into the plus part
         pair = build_p_plus_minus(choose_p(3, F(3, 5)))
-        assert pair.denom_factors == ()
-        assert len(pair.numer_factors) == 2
+        assert pair.denom.terms == ((),)
+        assert pair.numer.terms == (
+            ((disc3, F(1, 10)), (z2 ** 3, F(1, 30))),
+            ((disc3, F(1, 10)), (z3 ** 2, F(1, 30))))
         # upper band, c > 2/3: the monomial-pair ideal moves below the bar
         pair = build_p_plus_minus(choose_p(3, F(5, 6)))
-        assert len(pair.numer_factors) == 1
-        [(base, e)] = pair.denom_factors
-        assert e == F(1, 12)
-        # degree 2: discriminant only
+        assert pair.numer.terms == (((disc3, F(1, 3)),),)
+        assert pair.denom.terms == (((z2 ** 3, F(1, 12)),),
+                                    ((z3 ** 2, F(1, 12)),))
+        # degree 2: discriminant only, c2/2 = (2c-1)/2
         pair = build_p_plus_minus(choose_p(2, F(3, 4)))
-        assert pair.denom_factors == ()
-        [(base, e)] = pair.numer_factors
-        assert e == F(1, 4)  # c2/2 = (2c-1)/2
+        assert pair.denom.terms == ((),)
+        disc2 = MPoly.variable("z1") ** 2 - 4 * z2
+        assert pair.numer.terms == (((disc2, F(1, 4)),),)
 
 
 _CONTAINMENT_PAIRS = [(2, F(2, 3)), (2, F(3, 4)), (2, F(1)),
@@ -543,7 +560,8 @@ class TestContainment:
         # b = x^3 the minus order is 1, and 0 >= 3/2 fails
         ctx = choose_p(3, F(5, 6))
         z2, z3 = MPoly.variable("z2"), MPoly.variable("z3")
-        planted = QIdealFrac([], [(QIdeal([z2 ** 3, z3 ** 2], 1), F(1, 6))])
+        planted = QIdealFrac(QIdeal.unit(),
+                             qi_power(QIdeal([z2 ** 3, z3 ** 2], 1), F(1, 6)))
         monkeypatch.setattr(ideals, "build_p_plus_minus",
                             lambda ctx: planted)
         rep = containment_check(ctx, [zero(), xs(2), xs(3)])

@@ -75,7 +75,7 @@ def _generic_shifted_compound(d, k):
     """A_k^(ell) evaluated at the coefficients of the generic h(y + w):
     polynomials in z_1..z_d and w."""
     hgen = UPoly("y", [MPoly.variable(v) for v in z_vars(d)])
-    shifted = taylor_shift(hgen, "w")
+    shifted = taylor_shift(hgen, MPoly.variable("w"))
     mapping = {f"z{i}": shifted.coeff(i) for i in range(1, d + 1)}
     return tuple(c.substitute(mapping) for c in generic_compound_coeffs(d, k))
 
@@ -158,9 +158,8 @@ def cor3_divisibility(pack: Cor3Pack, coeffs) -> bool:
     evaluated at the given series coefficients (infinite orders pass)."""
     d = len(coeffs)
     mapping = {f"z{i}": coeffs[i - 1] for i in range(1, d + 1)}
-    var = next((c.var for c in coeffs), "x")
     for p in pack.polys:
-        val = p.eval_series(mapping, out_var=var)
+        val = p.eval_series(mapping)
         ov = val.order()
         if ov.is_infinite:
             continue

@@ -2,6 +2,11 @@
 resultants, the generic coefficient polynomials of the paper's ideals, the
 value polynomial, and dense univariate helpers over Q.
 
+An MPoly has one stored form: the sorted tuple of the variables that occur
+and its terms over exactly those, so equal polynomials hash equal and the
+Q-ideals (lctkit.qideal) merge and cache equal generators.  Operands over
+different variables are laid over the union of their variables.
+
 None of it runs in a decision.  The criterion ideals (lctkit.ideals,
 lctkit.qideal), the oracles and the numeric layer import it; the decision
 path never does, so `import lctkit` does not compile it.  MPoly is a
@@ -29,46 +34,58 @@ _ZERO = Fraction(0)
 
 
 class MPoly:
-    """Multivariate polynomial over Q: ordered variable tuple plus a map
-    exponent-vector -> nonzero rational coefficient."""
+    """Multivariate polynomial over Q in one stored form: `vars` is the
+    sorted tuple of the variables that occur (with a nonzero exponent in
+    some term), and `terms` maps exponent vectors over exactly those
+    variables to nonzero rational coefficients.
+
+    The constructor takes any tuple of distinct names with int exponents
+    aligned to it, drops the columns no term uses and sorts the rest, so
+    equal polynomials have equal fields, compare equal and hash equal."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars, terms):
         vars = tuple(vars)
+        for i, v in enumerate(vars):
+            if v in vars[:i]:
+                raise ValueError(f"variable {v!r} repeated in {vars}")
         clean = {}
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
             if len(exps) != len(vars):
                 raise ValueError("exponent arity does not match variables")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent in polynomial")
+            for e in exps:
+                if type(e) is not int:
+                    raise ValueError(
+                        f"exponent {e!r} in polynomial is not an int")
+                if e < 0:
+                    raise ValueError("negative exponent in polynomial")
             c = as_frac(c)
             if c:
                 clean[exps] = c
+        keep = sorted((i for i, col in enumerate(zip(*clean)) if any(col)),
+                      key=vars.__getitem__)
+        if keep != list(range(len(vars))):
+            vars = tuple(vars[i] for i in keep)
+            clean = {tuple(exps[i] for i in keep): c
+                     for exps, c in clean.items()}
         self.vars = vars
         self.terms = clean
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, vars=()):
-        return cls(vars, {})
+    def zero(cls):
+        return cls((), {})
 
     @classmethod
-    def const(cls, c, vars=()):
-        vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): as_frac(c)})
+    def const(cls, c):
+        return cls((), {(): as_frac(c)})
 
     @classmethod
-    def variable(cls, name, vars=None):
-        if vars is None:
-            vars = (name,)
-        vars = tuple(vars)
-        exps = tuple(1 if v == name else 0 for v in vars)
-        if sum(exps) != 1:
-            raise ValueError(f"variable {name!r} not in {vars}")
-        return cls(vars, {exps: Fraction(1)})
+    def variable(cls, name):
+        return cls((name,), {(1,): Fraction(1)})
 
     # -- structure -----------------------------------------------------------
 
@@ -76,49 +93,37 @@ class MPoly:
         return not self.terms
 
     def is_const(self):
-        return all(not any(e) for e in self.terms)
+        return not self.vars
 
     def const_value(self):
-        if not self.terms:
-            return _ZERO
-        [(exps, c)] = self.terms.items()
-        if any(exps):
+        if self.vars:
             raise ValueError("not a constant polynomial")
-        return c
+        return self.terms.get((), _ZERO)
 
-    def with_vars(self, vars):
-        """Reinterpret over a superset of variables (order given by `vars`)."""
-        vars = tuple(vars)
-        pos = {v: i for i, v in enumerate(vars)}
-        terms = {}
-        for exps, c in self.terms.items():
-            new = [0] * len(vars)
-            for v, e in zip(self.vars, exps):
-                if e:
-                    if v not in pos:
-                        raise ValueError(f"variable {v!r} missing from {vars}")
-                    new[pos[v]] = e
-            terms[tuple(new)] = terms.get(tuple(new), _ZERO) + c
-        return MPoly(vars, terms)
-
-    @staticmethod
-    def _common_vars(a, b):
-        if a.vars == b.vars:
-            return a.vars
-        return tuple(sorted(set(a.vars) | set(b.vars)))
+    def _aligned(self, other):
+        """The sorted union of both variable tuples, then each operand's
+        terms laid over it."""
+        if self.vars == other.vars:
+            return self.vars, self.terms, other.terms
+        vars = tuple(sorted({*self.vars, *other.vars}))
+        laid = [vars]
+        for p in (self, other):
+            # index -1 reads the 0 appended to each exponent vector
+            idx = [p.vars.index(v) if v in p.vars else -1 for v in vars]
+            laid.append({tuple((exps + (0,))[i] for i in idx): c
+                         for exps, c in p.terms.items()})
+        return laid
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other, self.vars)
+            other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        vars = MPoly._common_vars(self, other)
-        a = self if self.vars == vars else self.with_vars(vars)
-        b = other if other.vars == vars else other.with_vars(vars)
-        terms = dict(a.terms)
-        for exps, c in b.terms.items():
+        vars, a, b = self._aligned(other)
+        terms = dict(a)
+        for exps, c in b.items():
             terms[exps] = terms.get(exps, _ZERO) + c
         return MPoly(vars, terms)
 
@@ -129,7 +134,7 @@ class MPoly:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other, self.vars)
+            other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
         return self + (-other)
@@ -139,8 +144,6 @@ class MPoly:
 
     def scale(self, c):
         c = as_frac(c)
-        if c == 0:
-            return MPoly.zero(self.vars)
         return MPoly(self.vars, {e: c * k for e, k in self.terms.items()})
 
     def __mul__(self, other):
@@ -148,12 +151,10 @@ class MPoly:
             return self.scale(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        vars = MPoly._common_vars(self, other)
-        a = self if self.vars == vars else self.with_vars(vars)
-        b = other if other.vars == vars else other.with_vars(vars)
+        vars, a, b = self._aligned(other)
         terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 terms[e] = terms.get(e, _ZERO) + c1 * c2
         return MPoly(vars, terms)
@@ -163,7 +164,7 @@ class MPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power wants a nonnegative integer")
-        result = MPoly.const(1, self.vars)
+        result = MPoly.const(1)
         base = self
         while n:
             if n & 1:
@@ -176,34 +177,24 @@ class MPoly:
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented
-        if self.vars == other.vars:
-            return self.terms == other.terms
-        vars = MPoly._common_vars(self, other)
-        return self.with_vars(vars).terms == other.with_vars(vars).terms
+        return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self.vars, frozenset(self.terms.items())))
 
-    # -- lex order & exact division -------------------------------------------
-
-    def lex_lead(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
+    # -- exact division --------------------------------------------------------
 
     def div_exact(self, b: "MPoly") -> "MPoly":
-        """Exact quotient self/b; raises ConsistencyError if b does not
-        divide self."""
+        """Exact quotient self/b by lex leading terms; raises
+        ConsistencyError if b does not divide self."""
         if b.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        vars = MPoly._common_vars(self, b)
-        a = self if self.vars == vars else self.with_vars(vars)
-        bb = b if b.vars == vars else b.with_vars(vars)
-        if bb.is_const():
-            return a.scale(1 / bb.const_value())
-        lead_b, lc_b = bb.lex_lead()
-        rem = dict(a.terms)
+        if b.is_const():
+            return self.scale(1 / b.const_value())
+        vars, rem, bt = self._aligned(b)
+        rem = dict(rem)
+        lead_b = max(bt)
+        lc_b = bt[lead_b]
         out = {}
         while rem:
             m = max(rem)
@@ -212,7 +203,7 @@ class MPoly:
                 raise ConsistencyError("polynomial division is not exact")
             c = rem[m] / lc_b
             out[diff] = c
-            for eb, cb in bb.terms.items():
+            for eb, cb in bt.items():
                 k = tuple(x + y for x, y in zip(diff, eb))
                 v = rem.get(k, _ZERO) - c * cb
                 if v == 0:
@@ -238,18 +229,16 @@ class MPoly:
                     val = MPoly.const(val)
                 term = term * val ** e
             out = term if out is None else out + term
-        return MPoly.zero(()) if out is None else out
+        return MPoly.zero() if out is None else out
 
-    def eval_series(self, mapping, out_var=None) -> PSeries:
-        """Evaluate at series values for every variable."""
-        var = out_var
-        for s in mapping.values():
-            if var is None:
-                var = s.var
-            elif s.var != var:
-                raise ValueError("series arguments use different variables")
-        if var is None:
-            var = "t"
+    def eval_series(self, mapping) -> PSeries:
+        """Evaluate at series values for every variable.  The values share
+        one series variable, which the result takes; with no values (a
+        constant polynomial) the result is a series in t."""
+        names = {s.var for s in mapping.values()}
+        if len(names) > 1:
+            raise ValueError("series arguments use different variables")
+        var = names.pop() if names else "t"
         total = PSeries.zero(var)
         pow_cache = {}
         for exps, c in self.terms.items():
@@ -322,13 +311,9 @@ class MPoly:
 def taylor_shift(h: UPoly, w) -> UPoly:
     """h(y + w): synthetic Pascal-style shift, O(d^2) ring operations.
 
-    `w` may be a domain element, a rational, or a fresh symbol name (for
-    polynomial-coefficient input).
+    `w` is an element of h's coefficient domain or a rational; a symbolic
+    shift passes a polynomial such as MPoly.variable("w").
     """
-    if isinstance(w, str):
-        if h.is_series:
-            raise ValueError("symbolic shift requires polynomial coefficients")
-        w = MPoly.variable(w)
     w = _lift(w, h.coeffs[0])
     c = h.dense()
     d = h.degree
@@ -389,7 +374,7 @@ def resultant_lists(f, g):
         n, m = m, n
         if n % 2 and m % 2:
             sign = -sign
-    one = MPoly.const(1, f[0].vars)
+    one = MPoly.const(1)
     if n == 0:
         return one  # two nonzero constants
     if m == 0:
@@ -419,7 +404,7 @@ def resultant_lists(f, g):
             c = -lc
         subres.append(-c)
     if len(g) - 1 > 0:
-        return MPoly.zero(one.vars)  # nonconstant gcd: resultant vanishes
+        return MPoly.zero()  # nonconstant gcd: resultant vanishes
     res = subres[-1]
     return res if sign == 1 else -res
 
@@ -446,8 +431,7 @@ def z_vars(d):
 
 def _generic(d):
     """The generic monic y^d + z_1 y^(d-1) + ... + z_d."""
-    zs = z_vars(d)
-    return UPoly("y", [MPoly.variable(v, zs) for v in zs])
+    return UPoly("y", [MPoly.variable(v) for v in z_vars(d)])
 
 
 @lru_cache(maxsize=None)
@@ -489,16 +473,12 @@ def value_poly(h: UPoly, G: MPoly) -> UPoly:
     the roots alpha_i of h.  Its power sums are traces,
     sum_i G(alpha_i)^m = Tr(G^m mod h) with Tr(y^k) = s_k(h)."""
     d = h.degree
-    wvar = "w"
-    if wvar not in G.vars:
-        G = G.with_vars(tuple(G.vars) + (wvar,))
     # split G by powers of w, substituting the actual coefficients for z_i
-    wpos = G.vars.index(wvar)
     template = h.coeffs[0]
     by_w = {}
     for exps, c in G.terms.items():
-        wexp = exps[wpos]
-        rest = {v: e for v, e in zip(G.vars, exps) if v != wvar and e}
+        rest = {v: e for v, e in zip(G.vars, exps) if e}
+        wexp = rest.pop("w", 0)
         mono = _lift(c, template)
         for v, e in rest.items():
             if not v.startswith("z"):

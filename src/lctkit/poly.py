@@ -38,7 +38,7 @@ from .series import PSeries, sum_of_products
 
 # ---------------------------------------------------------------------------
 # The coefficient domain.  Elements are PSeries, or polynomials over Q in
-# named variables (lctkit.mpoly) with `const(c, vars)`; both support +, -,
+# named variables (lctkit.mpoly) with `const(c)`; both support +, -,
 # *, scale and is_zero, and only the polynomials have div_exact.
 # ---------------------------------------------------------------------------
 
@@ -47,7 +47,7 @@ def _lift(value, template):
     if isinstance(value, (int, Fraction)):
         if isinstance(template, PSeries):
             return PSeries.const(template.var, value)
-        return type(template).const(value, template.vars)
+        return type(template).const(value)
     return value
 
 

@@ -67,8 +67,7 @@ def _materialized_ord(a, arc):
         p = MPoly.const(1)
         for g, e in t:
             p = p * g ** int(e * m)
-        val = p.eval_series({v: arc[v] for v in p.vars},
-                            out_var=next(iter(arc.values())).var)
+        val = p.eval_series({v: arc[v] for v in p.vars})
         vals.append(val.order().scale(Fraction(1, m)))
     return OrderVal.min_of(vals)
 

@@ -133,6 +133,44 @@ class TestProductSumPower:
         assert qi_sum([]).is_zero
 
 
+# One polynomial, z1, spelled three ways: over a wider tuple, as a
+# cancellation that leaves z2 unused, and over an unsorted tuple.
+SPELLINGS = {
+    "wider": lambda: MPoly(("z1", "z2"), {(1, 0): 1}),
+    "cancelled": lambda: zvar(1) + zvar(2) - zvar(2),
+    "unsorted": lambda: MPoly(("z2", "z1"), {(0, 1): 1}),
+}
+
+
+class TestOneStoredForm:
+    """Every spelling of a polynomial is stored one way, so Q-ideals merge
+    and cache equal generators whatever tuple built them."""
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_spellings_are_one_generator(self, spelling, monkeypatch):
+        a, b = zvar(1), SPELLINGS[spelling]()
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        prod = qi_product([QIdeal([a], 1), QIdeal([b], 1)])
+        assert prod.terms == (((a, F(2)),),)
+        assert repr(prod) == "(z1)^2"
+        assert len(qi_sum([QIdeal([a], 1), QIdeal([b], 1)]).terms) == 1
+
+        calls = []
+        evaluate = MPoly.eval_series
+
+        def counted(self, mapping):
+            calls.append(self)
+            return evaluate(self, mapping)
+
+        monkeypatch.setattr(MPoly, "eval_series", counted)
+        s = qi_sum([QIdeal([a], 1), QIdeal([b], F(1, 2))])
+        arc = {"z1": PSeries.monomial("t", F(2)),
+               "z2": PSeries.monomial("t", F(1))}
+        assert qi_ord(s, arc) == OrderVal.exact(1)
+        assert calls == [a]
+
+
 class TestOrd:
     def test_principal_along_power_arc(self):
         a = QIdeal([MPoly.variable("x")], F(5, 6))

@@ -11,11 +11,7 @@ None of it runs in a decision.  The criterion ideals (lctkit.ideals,
 lctkit.qideal), the oracles and the numeric layer import it; the decision
 path never does, so `import lctkit` does not compile it.  MPoly is a
 coefficient domain of lctkit.poly's UPoly, and the generic and value
-polynomials run on that module's power-sum kernel.
-
-Resultants take MPoly coefficients alone, through a fraction-free
-subresultant remainder sequence.  It stays as the public `resultant` and as
-an oracle independent of the kernel.
+polynomials and resultants run on that module's power-sum kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConsistencyError
 from .poly import (
     UPoly, _Exact, _lift, compound_poly, difference_poly, from_power_sums,
     power_sums,
@@ -91,14 +86,6 @@ class MPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def is_const(self):
-        return not self.vars
-
-    def const_value(self):
-        if self.vars:
-            raise ValueError("not a constant polynomial")
-        return self.terms.get((), _ZERO)
 
     def _aligned(self, other):
         """The sorted union of both variable tuples, then each operand's
@@ -182,36 +169,6 @@ class MPoly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    # -- exact division --------------------------------------------------------
-
-    def div_exact(self, b: "MPoly") -> "MPoly":
-        """Exact quotient self/b by lex leading terms; raises
-        ConsistencyError if b does not divide self."""
-        if b.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if b.is_const():
-            return self.scale(1 / b.const_value())
-        vars, rem, bt = self._aligned(b)
-        rem = dict(rem)
-        lead_b = max(bt)
-        lc_b = bt[lead_b]
-        out = {}
-        while rem:
-            m = max(rem)
-            diff = tuple(x - y for x, y in zip(m, lead_b))
-            if any(e < 0 for e in diff):
-                raise ConsistencyError("polynomial division is not exact")
-            c = rem[m] / lc_b
-            out[diff] = c
-            for eb, cb in bt.items():
-                k = tuple(x + y for x, y in zip(diff, eb))
-                v = rem.get(k, _ZERO) - c * cb
-                if v == 0:
-                    rem.pop(k, None)
-                else:
-                    rem[k] = v
-        return MPoly(vars, out)
-
     # -- substitution & evaluation --------------------------------------------
 
     def substitute(self, mapping) -> "MPoly":
@@ -280,8 +237,12 @@ class MPoly:
                 and _json_rational(t.get("c")) for t in terms)):
             raise ValueError('polynomial JSON field "terms" must be a list of '
                              '{"exps": [int, ...], "c": rational} objects')
+        exps = [tuple(t["exps"]) for t in terms]
+        if len(set(exps)) != len(exps):
+            raise ValueError('polynomial JSON field "terms" repeats an '
+                             'exponent vector')
         return cls(tuple(names),
-                   {tuple(t["exps"]): Fraction(t["c"]) for t in terms})
+                   {e: Fraction(t["c"]) for e, t in zip(exps, terms)})
 
     def __repr__(self):
         if not self.terms:
@@ -325,109 +286,13 @@ def taylor_shift(h: UPoly, w) -> UPoly:
 
 
 # ---------------------------------------------------------------------------
-# Resultants
+# Generic coefficients, the value polynomial and resultants, on
+# lctkit.poly's power-sum kernel
 # ---------------------------------------------------------------------------
-
-def _strip(f):
-    i = 0
-    while i < len(f) and f[i].is_zero():
-        i += 1
-    return f[i:]
-
-
-def _prem(f, g):
-    """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g (dense, descending)."""
-    df, dg = len(f) - 1, len(g) - 1
-    if df < dg:
-        raise ValueError("pseudo-remainder needs deg f >= deg g")
-    l = g[0]
-    r = list(f)
-    n = df - dg + 1
-    while r and len(r) - 1 >= dg:
-        lcr = r[0]
-        # l*r - lcr*g*x^(deg r - dg); the leading terms cancel exactly
-        r = [l * c for c in r[1:]]
-        for i in range(dg):
-            r[i] = r[i] - lcr * g[i + 1]
-        r = _strip(r)
-        n -= 1
-    if n > 0:
-        scale = l ** n
-        r = [scale * c for c in r]
-    return r
-
-
-def resultant_lists(f, g):
-    """Resultant of dense descending lists of MPoly coefficients (general
-    leading coefficients allowed), by the subresultant PRS (Brown's
-    algorithm); ValueError on any other coefficient."""
-    f, g = list(f), list(g)
-    if not all(isinstance(c, MPoly) for c in f + g):
-        raise ValueError("resultant coefficients must be MPoly")
-    f, g = _strip(f), _strip(g)
-    if not f or not g:
-        raise ValueError("resultant of the zero polynomial")
-    n, m = len(f) - 1, len(g) - 1
-    sign = 1
-    if n < m:
-        f, g = g, f
-        n, m = m, n
-        if n % 2 and m % 2:
-            sign = -sign
-    one = MPoly.const(1)
-    if n == 0:
-        return one  # two nonzero constants
-    if m == 0:
-        res = g[0] ** n
-        return res if sign == 1 else -res
-    d = n - m
-    b = one if (d + 1) % 2 == 0 else -one
-    h = _prem(f, g)
-    h = [b * c for c in h]
-    lc = g[0]
-    c = lc ** d
-    subres = [one, c]
-    c = -c
-    while h:
-        k = len(h) - 1
-        f, g = g, h
-        d = m - k
-        m = k
-        bb = -(lc * c ** d)
-        h = _prem(f, g)
-        h = [x.div_exact(bb) for x in h]
-        lc = g[0]
-        if d > 1:
-            q = c ** (d - 1)
-            c = ((-lc) ** d).div_exact(q)
-        else:
-            c = -lc
-        subres.append(-c)
-    if len(g) - 1 > 0:
-        return MPoly.zero()  # nonconstant gcd: resultant vanishes
-    res = subres[-1]
-    return res if sign == 1 else -res
-
-
-def resultant(f: UPoly, g: UPoly):
-    """Classical resultant of two UPolys over MPoly, eliminating the shared
-    main variable; vanishes iff f and g have a common root."""
-    if f.var != g.var:
-        raise ValueError("resultant requires a shared main variable")
-    if f.degree < 1 or g.degree < 1:
-        raise ValueError("resultant needs positive-degree inputs")
-    return resultant_lists(f.dense(), g.dense())
-
 
 def z_vars(d):
     return tuple(f"z{i}" for i in range(1, d + 1))
 
-
-
-# ---------------------------------------------------------------------------
-# Generic coefficients and the value polynomial, on lctkit.poly's power-sum
-# kernel
-# ---------------------------------------------------------------------------
 
 def _generic(d):
     """The generic monic y^d + z_1 y^(d-1) + ... + z_d."""
@@ -468,12 +333,27 @@ def _mul_mod(r, g, h: UPoly):
     return prod
 
 
+def _root_values(h: UPoly, g) -> UPoly:
+    """Monic polynomial of degree d = deg h whose roots are g(alpha_i) over
+    the roots alpha_i of h, for g the ascending coefficients of a polynomial
+    over h's domain.  Its power sums are traces,
+    sum_i g(alpha_i)^m = Tr(g^m mod h) with Tr(y^k) = s_k(h)."""
+    d = h.degree
+    dom = _Exact(h.coeffs[0])
+    s = power_sums(dom, h.coeffs, d - 1)
+    p = [None]
+    r = [dom.const(1)]
+    for _ in range(d):
+        r = _mul_mod(r, g, h)
+        p.append(dom.mac([(1, x, sk) for x, sk in zip(r, s)]))
+    return UPoly(h.var, from_power_sums(dom, p, d))
+
+
 def value_poly(h: UPoly, G: MPoly) -> UPoly:
     """Monic degree-d polynomial whose roots are G(a_1..a_d, alpha_i) over
-    the roots alpha_i of h.  Its power sums are traces,
-    sum_i G(alpha_i)^m = Tr(G^m mod h) with Tr(y^k) = s_k(h)."""
+    the roots alpha_i of h: G, a polynomial in w and z_1..z_d, becomes one
+    in w over h's domain by z_i -> a_i, and `_root_values` takes it."""
     d = h.degree
-    # split G by powers of w, substituting the actual coefficients for z_i
     template = h.coeffs[0]
     by_w = {}
     for exps, c in G.terms.items():
@@ -489,15 +369,24 @@ def value_poly(h: UPoly, G: MPoly) -> UPoly:
             mono = mono * h.coeff(i) ** e
         by_w[wexp] = by_w.get(wexp, mono - mono) + mono
     zero = _lift(0, template)
-    g = [by_w.get(e, zero) for e in range(max(by_w, default=0) + 1)]
-    dom = _Exact(template)
-    s = power_sums(dom, h.coeffs, d - 1)
-    p = [None]
-    r = [_lift(1, template)]
-    for _ in range(d):
-        r = _mul_mod(r, g, h)
-        p.append(dom.mac([(1, x, sk) for x, sk in zip(r, s)]))
-    return UPoly(h.var, from_power_sums(dom, p, d))
+    return _root_values(
+        h, [by_w.get(e, zero) for e in range(max(by_w, default=0) + 1)])
+
+
+def resultant(f: UPoly, g: UPoly):
+    """Resultant of two UPolys over one coefficient domain (MPoly, or
+    series in one variable), eliminating the shared main variable; vanishes
+    iff f and g have a common root.  For monic f it is prod_i g(alpha_i)
+    over the roots alpha_i of f, so (-1)^deg f times the constant term of
+    `_root_values(f, g)`."""
+    if f.var != g.var:
+        raise ValueError("resultant requires a shared main variable")
+    kf, kg = type(f.coeffs[0]), type(g.coeffs[0])
+    if kf is not kg:
+        raise ValueError("resultant coefficients over two domains: "
+                         f"{kf.__name__} and {kg.__name__}")
+    last = _root_values(f, g.dense()[::-1]).coeffs[-1]
+    return -last if f.degree % 2 else last
 
 
 

@@ -154,17 +154,21 @@ def _edge_polynomial(p1, p2, coeff_of):
 
 def lct_plane_nondegenerate(f: MPoly):
     """Newton-boundary threshold min(1, 1/t0) for a nondegenerate plane
-    curve germ; refuses (DegenerateError) when any compact face carries a
-    polynomial with a repeated nonzero root.
+    curve germ f in x and y (either may be absent); refuses
+    (DegenerateError) when any compact face carries a polynomial with a
+    repeated nonzero root.
 
     Returns (threshold, certificate)."""
     if len(f.vars) > 2:
         raise ValueError("plane oracle expects at most two variables")
+    other = [v for v in f.vars if v not in ("x", "y")]
+    if other:
+        raise ValueError(
+            f"plane oracle expects the variables x and y, not {other[0]!r}")
     support = {}
     for exps, c in f.terms.items():
-        x = exps[0] if len(exps) >= 1 else 0
-        y = exps[1] if len(exps) >= 2 else 0
-        support[(x, y)] = c
+        e = dict(zip(f.vars, exps))
+        support[(e.get("x", 0), e.get("y", 0))] = c
     if not support:
         raise ValueError("zero polynomial")
     if (0, 0) in support:

@@ -39,7 +39,7 @@ from .series import PSeries, sum_of_products
 # ---------------------------------------------------------------------------
 # The coefficient domain.  Elements are PSeries, or polynomials over Q in
 # named variables (lctkit.mpoly) with `const(c)`; both support +, -,
-# *, scale and is_zero, and only the polynomials have div_exact.
+# *, scale and is_zero.
 # ---------------------------------------------------------------------------
 
 def _lift(value, template):

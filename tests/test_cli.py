@@ -430,6 +430,20 @@ class TestOracleArguments:
         (line,) = out.err.splitlines()
         assert "error" in json.loads(line)
 
+    @pytest.mark.parametrize("poly", ["y^2", "y^2 + x - x"])
+    def test_plane_reads_y_by_name(self, capsys, poly):
+        # a polynomial in y alone has its hull point on the y axis
+        assert run(["oracle", "--poly", poly]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["hull"] == [[0, 2]] and out["lct"] == "1/2"
+
+    def test_plane_refuses_other_names(self, capsys):
+        assert run(["oracle", "--poly", "v^2 + u^3"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert "x and y, not 'u'" in json.loads(line)["error"]
+
 
 _X = {"var": "x", "terms": [{"e": "1", "c": "1"}], "trunc": "inf"}
 

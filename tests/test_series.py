@@ -237,35 +237,6 @@ class TestSubstitute:
         assert r.trunc == INF
 
 
-class TestDivExact:
-    """Exact division of polynomials in t, which the resultant's remainder
-    sequence runs on MPoly coefficients."""
-
-    def test_monomial(self):
-        assert poly_of(mono(5)).div_exact(poly_of(mono(2))) == \
-            poly_of(mono(3))
-
-    def test_poly(self):
-        one, t = PSeries.one("t"), mono(1)
-        assert poly_of(one - mono(2)).div_exact(poly_of(one + t)) == \
-            poly_of(one - t)
-
-    def test_nondivisible_raises(self):
-        from lctkit.errors import ConsistencyError
-        with pytest.raises(ConsistencyError):
-            poly_of(mono(1) - mono(2)).div_exact(
-                poly_of(PSeries.one("t") + mono(1)))
-
-    def test_random_roundtrip(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            a = poly_of(rand_series(rng))
-            b = poly_of(rand_series(rng))
-            if b.is_zero():
-                continue
-            assert (a * b).div_exact(b) == a
-
-
 class TestJson:
     def test_roundtrip_bit_exact(self):
         s = PSeries("t", {Fraction(3, 2): Fraction(-4)}, 64)

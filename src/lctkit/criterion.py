@@ -5,8 +5,9 @@ parameter p with its weights c1, c2, and lct_ge.
 The decision evaluates V = max_i [c1 * (b_1 + .. + b_(p-1)) + c2 * (b_1 +
 .. + b_p)] over the per-root rows b_1 <= b_2 <= .. of difference orders, and
 in one variable the pair is log canonical iff V <= 1.  V reads the rows only
-as a multiset, which rootdata.certified_rows builds by its one route, on
-exact and truncated input alike: from the root tree of the certified
+as a multiset, which rootdata.certified_rows builds by two routes: from
+d = 4 on, an exact Newton-nondegenerate input's rows off its own Newton
+polygon; every other input's from the root tree of the certified
 difference orders, read off the Newton polygon of the difference
 polynomial's packed coefficients without building it, whenever the tree
 fixes it (always for d <= 4), otherwise from the certified expansion.  The

@@ -7,8 +7,9 @@ of a difference or cross-difference polynomial (from root power sums, by the
 exact layer, lctkit.rootdata); a mismatch escalates precision and
 ultimately raises, never returning a silent answer.  The exact decision
 path does not import this module: rootdata.certified_rows reaches it only
-for a root-tree count pattern that leaves the rows open, so a process that
-decides from the certificate alone never loads mpmath.
+for a certificate whose count pattern leaves the rows open, so a process
+that decides from a depth-one polygon or the certificate alone never loads
+mpmath.
 """
 
 from __future__ import annotations

@@ -7,8 +7,11 @@ int polygon, with its truncation and Lemma-1 checks, reads the points of
 poly.polygon_points: those of h's coefficients, or those of the
 difference polynomial D's, read off the packed power sums without building
 D (poly.difference_orders).  certified_rows builds the per-root rows of
-difference orders, on exact and truncated input alike, from one root tree
-of D's root orders; only where several trees have D's counts does it
+difference orders by two routes.  From degree DEPTH_ONE_FROM on, an exact
+Newton-nondegenerate h with at most one zero root has a depth-one root
+tree, and its rows are read off h's own polygon (_depth_one_rows).  Every
+other input, truncated input among it, takes the certificate: one root
+tree of D's root orders; only where several trees have D's counts does it
 import the numeric layer (lctkit.numeric, and with it mpmath), whose
 expansion picks the tree.  The dual-route reports built on this polygon
 (the NewtonPolygon object, partial sums, the largest root order,
@@ -267,11 +270,105 @@ def _row_multisets(d, counts):
                          if all(n == 1 for n, _ in state)}))
 
 
-def certified_rows(h: UPoly):
-    """The rows of h's difference-order table, the one route from the
-    coefficients to the table V reads: a RootRows, built from one root tree.
+# certified_rows tries _depth_one_rows first from this degree on.  Below it
+# the certificate costs 19-80 us a table, and on the degenerate inputs of
+# the benchmark's `contact` workload, which depth one never decides, the
+# failed pre-pass added 61-83% to a d = 2 miss and 45-65% to a d = 3 one.
+# From d = 4 on the median lct_ge miss on raw draws falls from 0.12-0.21 ms
+# (d = 4) and 33-42 ms (d = 8) to 0.027-0.037 ms.  (In process, CPython
+# 3.11.7, 2 cores.)
+DEPTH_ONE_FROM = 4
 
-    The rows are read from the certificate's root tree, the root orders of
+
+def _squarefree(p):
+    """Whether the int polynomial p[0] + p[1] u + .., p[0] and p[-1] not
+    zero, has no repeated root: whether gcd(p, p') is a constant, by
+    pseudo-remainders made primitive."""
+    if len(p) == 3:
+        return p[1] * p[1] != 4 * p[0] * p[2]
+    f, g = p, [k * c for k, c in enumerate(p)][1:]
+    while len(g) > 1:
+        while len(f) >= len(g):
+            s, lf, lg = len(f) - len(g), f[-1], g[-1]
+            f = [lg * c - lf * g[k - s] if k >= s else lg * c
+                 for k, c in enumerate(f[:-1])]
+            while f and not f[-1]:
+                f.pop()
+            if not f:
+                return False
+            m = math.gcd(*f)
+            f = [c // m for c in f]
+        f, g = g, f
+    return True
+
+
+def _depth_one_rows(h: UPoly):
+    """The rows of an exact h from its own Newton polygon, when its Kuo-Lu
+    tree has depth one: when every edge polynomial is squarefree, the roots
+    on an edge of slope q have distinct leading coefficients, so that
+    ord(alpha_i - alpha_j) is q within an edge and min(q, q') across edges.
+    A single zero root lies above every level.  None on truncated input,
+    on a repeated zero root or on an edge polynomial with a repeated root:
+    there only the certificate decides.
+
+    The table is the certificate's, with its denominator and its order of
+    distinct rows: the pair levels are the edge slopes but the top one when
+    its edge carries the only root above the rest, and edge e's row, in
+    ascending e, lists the lower edges' levels, then q_e for every root
+    left.  It never reads the difference polynomial D."""
+    pts = d, R, points, _ = _coeff_orders(h)
+    for a in h.coeffs:
+        if a._tr is not None:
+            return None
+    hull = _lower_hull(points + [(d, 0)])
+    zero = hull[0][0]
+    if zero > 1:
+        return None
+    ys = dict(points)
+    ys[d] = 0
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        # the edge polynomial in u = y^s, s the edge's lattice step, needs
+        # a test only with a support point inside the edge
+        g = math.gcd(x2 - x1, y1 - y2)
+        s, t = (x2 - x1) // g, (y1 - y2) // g
+        on = [k for k in range(g + 1) if ys.get(x1 + k * s) == y1 - k * t]
+        if len(on) > 2:
+            # its coefficients, the terms of order y / R, on ints over the
+            # lcm of their denominators
+            lead = [h.coeff(d - x1 - k * s) for k in on]
+            m = math.lcm(*(a._den for a in lead))
+            p = [0] * (g + 1)
+            for k, a in zip(on, lead):
+                p[k] = a._t[min(a._t)] * (m // a._den)
+            if not _squarefree(p):
+                return None
+    levels = _slope_levels(R, hull)
+    lem1 = _lemma1_order(pts)
+    num, q, _ = levels[0]
+    if lem1[0] * q != num * lem1[1]:
+        raise ConsistencyError(
+            "minimum root order disagrees with the coefficient ideal order")
+    den = 1
+    for num, q, _ in levels if zero or levels[-1][2] > 1 else levels[:-1]:
+        den = math.lcm(den, q // math.gcd(num, q))
+    rows, sums = {}, [0]
+    for num, q, mult in levels:
+        v, row = num * den // q, sums[:]
+        while len(row) < d:
+            row.append(row[-1] + v)
+        rows[tuple(row)] = None
+        sums = row[:len(sums) + mult]
+    return RootRows(den, tuple(rows))
+
+
+def certified_rows(h: UPoly):
+    """The rows of h's difference-order table, from the coefficients to
+    the table V reads: a RootRows, built from one root tree.
+
+    From degree DEPTH_ONE_FROM on, an exact h whose tree has depth one
+    (_depth_one_rows) has its rows read off its own Newton polygon.  Every
+    other input takes the certificate.  The rows are then read from the
+    certificate's root tree, the root orders of
     the difference polynomial D (_difference_levels).  Truncation is
     tracked through D's coefficients, so a polygon of D that certifies is
     that of every completion of h, and so are the rows.  Where several
@@ -288,6 +385,10 @@ def certified_rows(h: UPoly):
     a row, index len(levels) is that infinite level, a repeated root, and
     the row's prefix sums stop there.  They are the finite levels'
     numerators over L, the lcm of their reduced denominators."""
+    if len(h.coeffs) >= DEPTH_ONE_FROM:
+        rows = _depth_one_rows(h)
+        if rows is not None:
+            return rows
     try:
         levels, infinite = _difference_levels(h)
     except TruncationError:

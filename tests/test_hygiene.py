@@ -917,17 +917,38 @@ def test_exact_miss_constructs_no_upoly(monkeypatch):
     assert made == []
 
 
+def _shared_lead_coeffs(d, shift):
+    """Coefficients of the polynomial with the d roots
+    x + (k + shift) x^((k + 3)/2), k < d: every root has the leading term
+    x, so the edge polynomial (u - 1)^d is degenerate and only the
+    certificate decides."""
+    from fractions import Fraction
+
+    from lctkit.poly import UPoly
+    from lctkit.series import PSeries
+
+    roots = [PSeries("x", {Fraction(1): Fraction(1),
+                           Fraction(k + 3, 2): Fraction(k + shift)})
+             for k in range(d)]
+    return UPoly.from_roots("y", roots).coeffs
+
+
 def test_exact_miss_replays_once_on_ints(monkeypatch):
-    """An exact dense lct_ge miss at d = 2..4 runs the recorded identities
-    once on packed ints and never on series: one packed._replay_ints call
-    per miss, no series.sum_of_products call."""
+    """An exact dense lct_ge miss at d = 2..4 that the certificate decides
+    runs the recorded identities once on packed ints and never on series:
+    one packed._replay_ints call per miss, no series.sum_of_products call.
+    At d = 4 that is a degenerate input; a nondegenerate d = 4 miss, whose
+    rows come from its own polygon, makes neither call."""
     from fractions import Fraction
 
     from lctkit import criterion, packed, poly, series
     from lctkit.criterion import lct_ge
 
-    inputs = [(d, _exact_coeffs(d, shift)) for d in (2, 3, 4)
-              for shift in (6, 7)]
+    inputs = [(d, _exact_coeffs(d, shift), ["_replay_ints"])
+              for d in (2, 3) for shift in (6, 7)]
+    inputs += [(4, _shared_lead_coeffs(4, shift), ["_replay_ints"])
+               for shift in (6, 7)]
+    inputs += [(4, _exact_coeffs(4, shift), []) for shift in (6, 7)]
     calls = []
 
     def counted(module, name):
@@ -943,9 +964,9 @@ def test_exact_miss_replays_once_on_ints(monkeypatch):
     counted(poly, "sum_of_products")
     counted(series, "sum_of_products")
     criterion._table_for.cache_clear()
-    for d, coeffs in inputs:
+    for d, coeffs, want in inputs:
         assert all(a.terms and a.trunc == series.INF for a in coeffs)
         del calls[:]
         lct_ge(d, Fraction(2, 3), coeffs)
-        assert calls == ["_replay_ints"], d
+        assert calls == want, d
     assert criterion._table_for.cache_info().misses == len(inputs)

@@ -338,7 +338,7 @@ class TestResultant:
         g = UPoly("z", [MPoly.zero(), -t ** 3 + t ** 10])
         assert resultant(f, g) == t ** 20
 
-    def test_series_coefficients_are_refused(self):
+    def test_series_accepted_mixed_domains_refused(self):
         # series take the same route; only a pair over two domains is refused
         f = UPoly("z", [PSeries.zero("t"), -mono(3)])
         g = UPoly("z", [PSeries.zero("t"), -mono(3) + mono(10)])
@@ -350,7 +350,7 @@ class TestResultant:
         with pytest.raises(ValueError, match="MPoly and PSeries"):
             resultant(h, f)
 
-    def test_prs_matches_field(self):
+    def test_matches_euclidean_resultant(self):
         # general leading coefficients through
         # Res(f, g) = lc(f)^deg g lc(g)^deg f Res(f / lc f, g / lc g)
         rng = random.Random(11)
@@ -365,7 +365,7 @@ class TestResultant:
             got = fq[0] ** dg * gq[0] ** df * _const(resultant(f, g))
             assert got == q_resultant(fq, gq)
 
-    def test_prs_on_symbolic_input_matches_field_specialization(self):
+    def test_symbolic_input_matches_euclidean_resultant_at_points(self):
         # leading coefficients 1, since symbolic ones cannot be divided out
         rng = random.Random(29)
         vars = ("a", "b")
@@ -600,7 +600,7 @@ except ConsistencyError:
 """
 
 
-def prs_nodes(count):
+def integer_nodes(count):
     """Nonzero integer nodes 1, -1, 2, -2, ..."""
     return [F((k // 2 + 1) * (-1) ** k) for k in range(count)]
 
@@ -657,7 +657,7 @@ class TestPowerSumKernel:
                                        s[1:d + 1]) == ints
 
     @pytest.mark.parametrize("d,count", [(2, 6), (3, 4), (4, 2), (5, 1)])
-    def test_difference_poly_matches_prs(self, d, count):
+    def test_difference_poly_matches_shifted_resultant(self, d, count):
         # Res_z(h(z), h(z + r)) = r^d D(r) at d(d-1)+1 integer nodes, each
         # at the points t = s^R
         rng = random.Random(50 + d)
@@ -667,14 +667,14 @@ class TestPowerSumKernel:
             D = difference_poly(h)
             assert D.degree == d * (d - 1)
             R = ram_lcm(h)
-            for r in prs_nodes(d * (d - 1) + 1):
+            for r in integer_nodes(d * (d - 1) + 1):
                 got = D.evaluate(r).scale(r ** d)
                 for s in S_POINTS:
                     hq = [q_at(a, s, R) for a in h.dense()]
                     want = q_resultant(hq, q_shift(hq, r))
                     assert q_at(got, s, R) == want
 
-    def test_composed_difference_matches_prs(self):
+    def test_composed_difference_matches_shifted_resultant(self):
         # Res_z(f(z), g(z + r)) = C(r), C with roots beta - alpha
         rng = random.Random(61)
         pairs = [tuple(UPoly("y", [rand_exact_series(rng)
@@ -685,7 +685,7 @@ class TestPowerSumKernel:
             C = composed_difference(f, g)
             assert C.degree == f.degree * g.degree
             R = ram_lcm(f, g)
-            for r in prs_nodes(C.degree + 1):
+            for r in integer_nodes(C.degree + 1):
                 got = C.evaluate(r)
                 for s in S_POINTS:
                     fq = [q_at(a, s, R) for a in f.dense()]

@@ -505,23 +505,11 @@ class DiffOrderTable:
 def _pair_order(terms_a, terms_b, depth, tol):
     """First exponent (below depth) where two ascending numeric term lists
     differ by more than tol; None when they agree throughout."""
-    ia = ib = 0
-    while ia < len(terms_a) or ib < len(terms_b):
-        ea = terms_a[ia][0] if ia < len(terms_a) else None
-        eb = terms_b[ib][0] if ib < len(terms_b) else None
-        if eb is None or (ea is not None and ea < eb):
-            e, ca, cb = ea, terms_a[ia][1], mpmath.mpc(0)
-            ia += 1
-        elif ea is None or eb < ea:
-            e, ca, cb = eb, mpmath.mpc(0), terms_b[ib][1]
-            ib += 1
-        else:
-            e, ca, cb = ea, terms_a[ia][1], terms_b[ib][1]
-            ia += 1
-            ib += 1
+    a, b, zero = dict(terms_a), dict(terms_b), mpmath.mpc(0)
+    for e in sorted(a.keys() | b.keys()):
         if e >= depth:
             return None
-        if abs(ca - cb) > tol:
+        if abs(a.get(e, zero) - b.get(e, zero)) > tol:
             return e
     return None
 

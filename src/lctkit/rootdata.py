@@ -8,9 +8,9 @@ poly.polygon_points: those of h's coefficients, or those of the
 difference polynomial D's, read off the packed power sums without building
 D (poly.difference_orders).  certified_rows builds the per-root rows of
 difference orders by two routes.  From degree DEPTH_ONE_FROM on, an exact
-Newton-nondegenerate h with at most one zero root has a depth-one root
-tree, and its rows are read off h's own polygon (_depth_one_rows).  Every
-other input, truncated input among it, takes the certificate: one root
+Newton-nondegenerate h, with any number of zero roots, has a depth-one
+root tree, and its rows are read off h's own polygon (_depth_one_rows).
+Every other input, truncated input among it, takes the certificate: one root
 tree of D's root orders; only where several trees have D's counts does it
 import the numeric layer (lctkit.numeric, and with it mpmath), whose
 expansion picks the tree.  The dual-route reports built on this polygon
@@ -307,47 +307,41 @@ def _depth_one_rows(h: UPoly):
     tree has depth one: when every edge polynomial is squarefree, the roots
     on an edge of slope q have distinct leading coefficients, so that
     ord(alpha_i - alpha_j) is q within an edge and min(q, q') across edges.
-    A single zero root lies above every level.  None on truncated input,
-    on a repeated zero root or on an edge polynomial with a repeated root:
-    there only the certificate decides.
+    Zero roots are exact and meet each other on the infinite level.  None
+    on truncated input or on an edge polynomial with a repeated root: there
+    only the certificate decides.
 
     The table is the certificate's, with its denominator and its order of
     distinct rows: the pair levels are the edge slopes but the top one when
     its edge carries the only root above the rest, and edge e's row, in
     ascending e, lists the lower edges' levels, then q_e for every root
-    left.  It never reads the difference polynomial D."""
+    left; two or more zero roots add a last row, the prefix sums over
+    every nonzero root.  It never reads the difference polynomial D."""
     pts = d, R, points, _ = _coeff_orders(h)
     for a in h.coeffs:
         if a._tr is not None:
             return None
-    hull = _lower_hull(points + [(d, 0)])
-    zero = hull[0][0]
-    if zero > 1:
-        return None
+    levels, zero = _root_levels(pts)
     ys = dict(points)
     ys[d] = 0
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+    x, y = d, 0                 # the hull's vertices, from (d, 0) back
+    for num, _, mult in levels:
+        x, y = x - mult, y + num
         # the edge polynomial in u = y^s, s the edge's lattice step, needs
         # a test only with a support point inside the edge
-        g = math.gcd(x2 - x1, y1 - y2)
-        s, t = (x2 - x1) // g, (y1 - y2) // g
-        on = [k for k in range(g + 1) if ys.get(x1 + k * s) == y1 - k * t]
+        g = math.gcd(mult, num)
+        s, t = mult // g, num // g
+        on = [k for k in range(g + 1) if ys.get(x + k * s) == y - k * t]
         if len(on) > 2:
             # its coefficients, the terms of order y / R, on ints over the
             # lcm of their denominators
-            lead = [h.coeff(d - x1 - k * s) for k in on]
+            lead = [h.coeff(d - x - k * s) for k in on]
             m = math.lcm(*(a._den for a in lead))
             p = [0] * (g + 1)
             for k, a in zip(on, lead):
                 p[k] = a._t[min(a._t)] * (m // a._den)
             if not _squarefree(p):
                 return None
-    levels = _slope_levels(R, hull)
-    lem1 = _lemma1_order(pts)
-    num, q, _ = levels[0]
-    if lem1[0] * q != num * lem1[1]:
-        raise ConsistencyError(
-            "minimum root order disagrees with the coefficient ideal order")
     den = 1
     for num, q, _ in levels if zero or levels[-1][2] > 1 else levels[:-1]:
         den = math.lcm(den, q // math.gcd(num, q))
@@ -358,6 +352,7 @@ def _depth_one_rows(h: UPoly):
             row.append(row[-1] + v)
         rows[tuple(row)] = None
         sums = row[:len(sums) + mult]
+    rows[tuple(sums)] = None    # the zero roots' row; else the top row
     return RootRows(den, tuple(rows))
 
 

@@ -1,13 +1,15 @@
 """The depth-one route of rootdata.certified_rows: from d = DEPTH_ONE_FROM
-on, an exact h whose edge polynomials are squarefree and which has at most
-one zero root has its rows read off its own Newton polygon
-(rootdata._depth_one_rows).  The certificate, the Newton polygon of the
-difference polynomial D, is the route's independent check: each table
-here is compared with the one certified_rows builds with depth one patched
-out, and whether the route decides is compared with the plane oracle or
-with the explicit roots."""
+on, an exact h whose edge polynomials are squarefree has its rows read off
+its own Newton polygon (rootdata._depth_one_rows), with any number of zero
+roots.  The certificate, the Newton polygon of the difference polynomial
+D, is the route's independent check: each table here is compared with the
+one certified_rows builds with depth one patched out, and whether the
+route decides is compared with the plane oracle or with the explicit
+roots."""
 
+import ast
 import importlib.util
+import inspect
 import itertools
 import json
 import os
@@ -63,32 +65,33 @@ AMBIGUOUS = [mono(1), mono(1, 2), mono(2), mono(2, 2), mono(3), mono(3, 3)]
 
 
 def test_raw_draws_agree_with_certificate(monkeypatch):
-    """On raw bench draws at d = 4..8 the route decides exactly the draws
-    with a_d != 0 that the plane oracle finds nondegenerate, and the
-    draws with one zero root whose polygon is nondegenerate; every table
-    it builds is the certificate's."""
+    """On raw bench draws at d = 4..8 the route decides a draw y^k g, k
+    its count of zero roots, exactly when the plane oracle finds g =
+    h / y^k nondegenerate (y^d always); every table it builds is the
+    certificate's.  Draws with k >= 2 are among them."""
     workloads = _workloads()
     rng = random.Random("depth-one:raw")
-    decided = 0
+    decided = repeated = 0
     for d, n in ((4, 50), (5, 50), (6, 30), (7, 15), (8, 6)):
         for _ in range(n):
             terms = workloads._random_poly(rng, d)
             h = UPoly("y", [PSeries("x", t) for t in terms])
             rows = _depth_one_rows(h)
-            if terms[-1]:
-                try:
-                    workloads._threshold(d, terms)
-                    nondegenerate = True
-                except DegenerateError:
-                    nondegenerate = False
-                assert (rows is not None) == nondegenerate, terms
-            elif terms[-2] == {}:
-                assert rows is None, terms   # a repeated zero root
+            g = list(itertools.dropwhile(lambda t: not t, reversed(terms)))
+            g.reverse()
+            repeated += d - len(g) > 1
+            try:
+                if g:
+                    workloads._threshold(len(g), g)
+                nondegenerate = True
+            except DegenerateError:
+                nondegenerate = False
+            assert (rows is not None) == nondegenerate, terms
             if rows is not None:
                 decided += 1
                 assert rows == _certificate(monkeypatch, h), terms
                 assert certified_rows(h) == rows
-    assert decided >= 120
+    assert decided >= 120 and repeated >= 15
 
 
 def _clustered(rng, d, depth):
@@ -119,23 +122,58 @@ def _has_depth_one(roots):
                for a, b in itertools.combinations(roots, 2))
 
 
+def _zero_rooted(rng, d, dens):
+    """d roots, 2 to 4 of them zero, the rest distinct with one or two
+    terms whose exponents step by 1 / n, n drawn from dens."""
+    nonzero = []
+    zero = rng.randint(2, min(4, d))
+    while len(nonzero) < d - zero:
+        terms, e = {}, F(0)
+        for _ in range(rng.randint(1, 2)):
+            e += F(1, rng.choice(dens))
+            terms[e] = rng.choice([F(-1), F(1), F(2), F(1, 2), F(-2, 3)])
+        root = PSeries("x", terms)
+        if root not in nonzero:
+            nonzero.append(root)
+    return [PSeries.zero("x")] * zero + nonzero
+
+
 def test_clustered_roots_agree_with_certificate(monkeypatch):
-    """On clustered roots at d = 4..7 the route decides exactly the inputs
-    whose explicit roots have a depth-one tree, a single zero root among
-    them, and builds the certificate's table."""
+    """On clustered roots at d = 4..7, on 300 root sets at d = 4..8 with 2
+    to 4 zero roots, exponents in (1/2)Z and (1/3)Z among them, and on
+    y^4, y^5 and y^6, the route decides exactly the inputs whose explicit
+    roots have a depth-one tree.  certified_rows then reads no difference
+    polynomial, and the table is the certificate's: zero roots meet each
+    other on the infinite level, so their row stops before the others
+    do."""
     rng = random.Random("depth-one:clustered")
-    decided, zero = 0, 0
-    for d in (4, 5, 6, 7):
-        for _ in range(40):
-            roots = _clustered(rng, d, rng.choice([1, 2]))
-            h = _of_roots(roots)
-            rows = _depth_one_rows(h)
-            assert (rows is not None) == _has_depth_one(roots), roots
-            if rows is not None:
-                decided += 1
-                zero += any(r.is_exactly_zero for r in roots)
-                assert rows == _certificate(monkeypatch, h), roots
-    assert decided >= 90 and zero >= 5
+    cases = [_clustered(rng, d, rng.choice([1, 2]))
+             for d in (4, 5, 6, 7) for _ in range(40)]
+    cases += [[PSeries.zero("x")] * d for d in (4, 5, 6)]
+    rng = random.Random("depth-one:zero-roots")
+    # both ramifications together cost the certificate 0.4 s a table at
+    # d = 8, so d = 7 and 8 step by 1/2 only
+    for d, n, dens in ((4, 110, (1, 2, 3)), (5, 90, (1, 2, 3)),
+                       (6, 60, (1, 2, 3)), (7, 25, (1, 1, 2)),
+                       (8, 15, (1, 1, 2))):
+        cases += [_zero_rooted(rng, d, dens) for _ in range(n)]
+    calls = _counted_levels(monkeypatch)
+    decided, zero, repeated, ramified = 0, 0, 0, 0
+    for roots in cases:
+        h = _of_roots(roots)
+        rows = _depth_one_rows(h)
+        assert (rows is not None) == _has_depth_one(roots), roots
+        if rows is not None:
+            zeros = sum(r.is_exactly_zero for r in roots)
+            decided += 1
+            zero += zeros == 1
+            repeated += zeros > 1
+            ramified += zeros > 1 and any(r.ram > 1 for r in roots)
+            del calls[:]
+            assert certified_rows(h) == rows and not calls, roots
+            assert rows == _certificate(monkeypatch, h), roots
+    assert decided >= 300 and zero >= 5
+    assert repeated >= 200 and ramified >= 100
 
 
 def test_ambiguous_pattern_is_decided_by_depth_one(monkeypatch):
@@ -183,6 +221,18 @@ def test_squarefree_edge_polynomials(roots, squarefree):
     assert rootdata._squarefree(p) is squarefree
 
 
+def test_route_reads_h_through_root_levels():
+    """The route reads h's levels and zero-root count through _root_levels,
+    the reader of root_orders and the certificate with the one Lemma-1
+    check, and raises nothing of its own."""
+    tree = ast.parse(inspect.getsource(rootdata._depth_one_rows))
+    called = {n.func.id for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert "_root_levels" in called
+    assert not called & {"_lower_hull", "_slope_levels", "_lemma1_order"}
+    assert not any(isinstance(n, ast.Raise) for n in ast.walk(tree))
+
+
 def _counted_levels(monkeypatch):
     calls = []
     real = rootdata._difference_levels
@@ -196,18 +246,30 @@ def _counted_levels(monkeypatch):
 
 
 @pytest.mark.parametrize("roots", [
-    # a repeated zero root
-    [PSeries.zero("x"), PSeries.zero("x"), mono(1), mono(1, 2)],
     # x and x + x^2 repeat the root 1 of the edge polynomial of slope 1
     [mono(1), mono(1) + mono(2), mono(2, 2), mono(3, 3)],
     # a repeated root
     [mono(1), mono(2), mono(2), mono(3)],
-], ids=["zero-root", "edge-root", "repeated-root"])
+], ids=["edge-root", "repeated-root"])
 def test_degenerate_input_takes_the_certificate(monkeypatch, roots):
     h = _of_roots(roots)
     calls = _counted_levels(monkeypatch)
     assert _depth_one_rows(h) is None
     assert isinstance(certified_rows(h), RootRows)
+    assert calls == [4]
+
+
+def test_repeated_zero_root_takes_depth_one(monkeypatch):
+    """The roots 0, 0, x and 2x: the zero roots meet on the infinite
+    level, so their row, (0, 1, 2), stops before the others' (0, 1, 2,
+    3).  Depth one decides it without the certificate, whose table it
+    builds."""
+    h = _of_roots([PSeries.zero("x"), PSeries.zero("x"), mono(1), mono(1, 2)])
+    calls = _counted_levels(monkeypatch)
+    rows = certified_rows(h)
+    assert rows == RootRows(1, ((0, 1, 2, 3), (0, 1, 2)))
+    assert calls == []
+    assert rows == _certificate(monkeypatch, h)
     assert calls == [4]
 
 
@@ -244,24 +306,40 @@ def test_nondegenerate_decisions_never_read_d(monkeypatch):
         assert lct_ge(len(roots), F(1, 3), _of_roots(roots).coeffs) == verdict
 
 
-AMBIGUOUS_DECISION = """
+FRESH_DECISION = """
 import json
 import sys
+from lctkit import packed
 from lctkit.criterion import lct_ge
 from lctkit.series import PSeries
 coeffs = [PSeries.from_json(a) for a in json.loads(sys.argv[1])]
 print(json.dumps(lct_ge(6, "1/2", coeffs)))
-print("lctkit.numeric" in sys.modules, "mpmath" in sys.modules)
+print(packed._program.cache_info().currsize,
+      "lctkit.numeric" in sys.modules, "mpmath" in sys.modules)
 """
 
 
-def test_ambiguous_decision_loads_no_numeric_layer():
-    coeffs = json.dumps([a.to_json() for a in _of_roots(AMBIGUOUS).coeffs])
+def _fresh_decision(roots):
+    """lct_ge(6, 1/2) on the roots, decided in a fresh process: the
+    verdict, then the count of recorded packed programs and whether
+    lctkit.numeric and mpmath were loaded."""
+    coeffs = json.dumps([a.to_json() for a in _of_roots(roots).coeffs])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", AMBIGUOUS_DECISION, coeffs],
+    proc = subprocess.run([sys.executable, "-c", FRESH_DECISION, coeffs],
                           env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     decision, loaded = proc.stdout.splitlines()
-    assert json.loads(decision)[0] == "no"
-    assert loaded == "False False"
+    return json.loads(decision)[0], loaded
+
+
+def test_ambiguous_decision_loads_no_numeric_layer():
+    assert _fresh_decision(AMBIGUOUS) == ("no", "0 False False")
+
+
+def test_zero_root_decision_records_nothing():
+    """Two zero roots at d = 6 take depth one: no packed program is
+    recorded, and neither the numeric layer nor mpmath is loaded."""
+    roots = [PSeries.zero("x"), PSeries.zero("x"), mono(1), mono(1, 2),
+             mono(2), mono(F(5, 2), 3)]
+    assert _fresh_decision(roots) == ("no", "0 False False")

@@ -194,6 +194,20 @@ class TestTruncation:
         s = PSeries("t", {Fraction(2): 1, Fraction(7): 4}, 5)
         assert Fraction(7) not in s.terms
 
+    def test_negative_exponent_and_bound_refused(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            PSeries("t", {Fraction(-1, 2): 1})
+        for bound in (0, Fraction(-1, 3)):
+            with pytest.raises(ValueError, match="must be positive"):
+                PSeries("t", {Fraction(1): 1}, bound)
+            with pytest.raises(ValueError, match="must be positive"):
+                mono(1).truncated(bound)
+
+    def test_truncated_past_own_bound_is_itself(self):
+        s = PSeries("t", {Fraction(1): 1, Fraction(3): 2}, 5)
+        assert s.truncated(5) is s and s.truncated(9) is s
+        assert s.truncated(2) == PSeries("t", {Fraction(1): 1}, 2)
+
 
 def poly_of(s):
     """An exact series with int exponents as the polynomial in its
@@ -335,6 +349,26 @@ class TestOrderVal:
             .is_infinite
         assert OrderVal.max_of([OrderVal.exact(3), OrderVal.at_least(1)]) \
             == OrderVal.at_least(3)
+
+    def test_sub(self):
+        E, A, I = OrderVal.exact, OrderVal.at_least, OrderVal.infinite
+        assert I().sub(E(3)).is_infinite and I().sub(I()).is_infinite
+        assert E(5).sub(E(Fraction(1, 2))) == E(Fraction(9, 2))
+        assert A(5).sub(E(2)) == A(3)
+        for minuend in (E(5), A(5)):
+            with pytest.raises(ValueError, match="finite minus infinite"):
+                minuend.sub(I())
+            with pytest.raises(ValueError, match="only from below"):
+                minuend.sub(A(2))
+
+    def test_bad_arguments_refused(self):
+        with pytest.raises(ValueError, match="bad OrderVal kind"):
+            OrderVal("exactly", 1)
+        with pytest.raises(ValueError, match="negative"):
+            OrderVal.exact(1).scale(Fraction(-1, 2))
+        for reduce in (OrderVal.min_of, OrderVal.max_of):
+            with pytest.raises(ValueError, match="empty"):
+                reduce([])
 
     def test_json(self):
         for v in [OrderVal.exact(Fraction(7, 6)), OrderVal.at_least(64),

@@ -16,6 +16,7 @@ polynomials and resultants run on that module's power-sum kernel.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -361,7 +362,7 @@ def value_poly(h: UPoly, G: MPoly) -> UPoly:
         wexp = rest.pop("w", 0)
         mono = _lift(c, template)
         for v, e in rest.items():
-            if not v.startswith("z"):
+            if not re.fullmatch(r"z(0|[1-9][0-9]*)", v):
                 raise ValueError(f"unexpected variable {v!r} in G")
             i = int(v[1:])
             if not 1 <= i <= d:

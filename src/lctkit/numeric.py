@@ -425,11 +425,13 @@ def _expand_rec(coeffs, exact, depth, prec, tols, lazy, level):
 def puiseux_expand(h: UPoly, depth, precision=None) -> PuiseuxRootSet:
     """Numeric Newton-Puiseux expansion of all d roots down to exponent
     `depth`, with exact exponents; the leading data must reproduce the exact
-    Newton polygon slopes."""
+    Newton polygon slopes.  `precision`, in bits, is PRECISION when None."""
     depth = as_frac(depth)
     if depth <= 0:
         raise ValueError("depth must be positive")
-    prec = precision or PRECISION
+    prec = PRECISION if precision is None else precision
+    if type(prec) is not int or prec <= 0:
+        raise ValueError(f"precision must be a positive int, not {prec!r}")
     orders = root_orders(h)
     d = h.degree
     with mpmath.workprec(prec + 64):
@@ -568,10 +570,14 @@ def diff_orders(h: UPoly, depth=None) -> DiffOrderTable:
     difference data, which resolves every pair exactly (entries are Exact or
     Infinite); smaller explicit depths may leave AtLeast entries.
     """
+    if depth is not None:
+        depth = as_frac(depth)
+        if depth <= 0:
+            raise ValueError("depth must be positive")
     orders = root_orders(h)
     if h.degree == 1:
         return DiffOrderTable(1, [[OrderVal.infinite()]], [],
-                              as_frac(depth or 1))
+                              Fraction(1) if depth is None else depth)
     return _expanded(h, orders, _order_list(*_difference_levels(h)), depth)
 
 

@@ -9,16 +9,7 @@ into coefficients by the same identities run in reverse.  The identities
 are written once, over a domain that supplies their multiply-accumulate
 and exact division.  Every polynomial that is built runs them on its own
 coefficients: series through `sum_of_products`, polynomials by a plain
-fold.  Compound polynomials have no degree cap.  The certificate reads
-only the Newton-polygon points of the difference polynomial, which
-`difference_orders` takes off Kronecker-packed ints (lctkit.packed)
-without building the polynomial, unless the input is truncated or too
-sparse for packing to pay: lctkit.packed records the identities once per
-degree, over a domain whose values are slot indices, and replays the
-recorded program on the packed ints.  Truncated input takes the series
-route, so `sum_of_products` holds the one truncation rule.  On packed
-input the two routes share only the identities, so the built polynomial
-is an independent check of the certificate.
+fold.  Compound polynomials have no degree cap.
 
 This module is the decision path's share of the polynomial layer.  The
 symbolic layer (multivariate polynomials over Q, Taylor shifts, resultants,
@@ -32,7 +23,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import packed
 from .series import PSeries, sum_of_products
 
 
@@ -102,15 +92,16 @@ class UPoly:
 
     @classmethod
     def from_roots(cls, var, roots):
-        """Monic product of (y - r) over the given domain elements."""
+        """Monic product of (y - r) over the given roots: domain elements,
+        with ints and Fractions among them lifted into that domain."""
         roots = list(roots)
         if not roots:
             raise ValueError("need at least one root")
-        template = roots[0]
-        dense = [_lift(1, template)]
+        # the constructor lifts them into one domain, or refuses them
+        roots = cls(var, roots).coeffs
+        dense = [_lift(1, roots[0])]
         for r in roots:
-            r = _lift(r, template)
-            dense.append(_lift(0, template))
+            dense.append(_lift(0, r))
             for i in range(len(dense) - 2, -1, -1):
                 shifted = dense[i] * r
                 dense[i + 1] = dense[i + 1] - shifted
@@ -151,11 +142,7 @@ class UPoly:
 # `const(c)`, the multiply-accumulate `mac(terms)` (the sum of k*a*b over
 # (k, a, b) triples with int k, k*a where b is None) and the exact division
 # `div(x, k)`.  Every polynomial built from roots runs them over `_Exact`:
-# series through `sum_of_products`, polynomial coefficients by a fold.  The
-# certificate's orders of exact input alone take them to Kronecker-packed
-# ints: the recording domain of `lctkit.packed` runs them once per degree
-# into a straight-line program, which the packed replay runs, one int
-# product per series product.
+# series through `sum_of_products`, polynomial coefficients by a fold.
 # ---------------------------------------------------------------------------
 
 class _Exact:
@@ -268,43 +255,6 @@ def difference_poly(h: UPoly) -> UPoly:
     for e in _difference_sums(_Exact(h.coeffs[0]), h.coeffs):
         coeffs.extend((zero, e))
     return UPoly(h.var, coeffs)
-
-
-def polygon_points(orders, step=1):
-    """Newton-polygon points, (n, R, points, loose), of the monic
-    polynomial of degree n = step len(orders) whose a_(step i) has the
-    order orders[i-1] (`PSeries.order_units`), the others being zero:
-    (n - i, ord(a_i) R) for each a_i with a term, R the lcm of their ram,
-    and (n - i, t) for each one of order at least a truncation t."""
-    n = step * len(orders)
-    R = math.lcm(*(x for k, x in orders if k is not None))
-    points, loose = [], []
-    for i, (k, x) in enumerate(orders, 1):
-        j = n - step * i
-        if k is not None:
-            points.append((j, k * (R // x)))
-        elif x is not None:
-            loose.append((j, x))
-    return n, R, points, loose
-
-
-def difference_orders(h: UPoly):
-    """The points of h's difference polynomial D over series, as
-    `polygon_points` gives them, read without building D: those of the
-    E_j, D's a_(2j), at abscissae n - 2j, from their lowest packed digits
-    over one R, or on truncated or too sparse input from the E_j of the
-    series route."""
-    if h.degree < 2:
-        raise ValueError("difference polynomial needs degree >= 2")
-    n = h.degree * (h.degree - 1)
-    # E_N, D's last coefficient, weighs D's degree
-    got = packed.orders(h.coeffs, _difference_sums, n)
-    if got is None:
-        return polygon_points([e.order_units() for e in _difference_sums(
-            _Exact(h.coeffs[0]), h.coeffs)], 2)
-    R, digits = got
-    return n, R, [(2 * j, k) for j, k in enumerate(reversed(digits))
-                  if k is not None], ()
 
 
 def _compound_sums(dom, a, k):

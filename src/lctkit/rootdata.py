@@ -4,10 +4,14 @@ exact layer of the decision.
 Newton polygons on ints with truncation-aware ordinates, root-order
 multisets, the certificate and the table of difference-order rows.  One
 int polygon, with its truncation and Lemma-1 checks, reads the points of
-poly.polygon_points: those of h's coefficients, or those of the
-difference polynomial D's, read off the packed power sums without building
-D (poly.difference_orders).  certified_rows builds the per-root rows of
-difference orders by two routes.  From degree DEPTH_ONE_FROM on, an exact
+_coeff_orders: those of h's coefficients, or those of the difference
+polynomial D's.  The certificate (_difference_levels) picks D's route: on
+exact input dense enough to pack it reads D's points off Kronecker-packed
+power sums (lctkit.packed) without building D, and on other input off D
+built on the series route (poly.difference_poly), so `sum_of_products`
+holds the one truncation rule.  The two routes share only Newton's
+identities.  certified_rows builds the per-root rows of difference orders
+by two routes.  From degree DEPTH_ONE_FROM on, an exact
 Newton-nondegenerate h, with any number of zero roots, has a depth-one
 root tree, and its rows are read off h's own polygon (_depth_one_rows).
 Every other input, truncated input among it, takes the certificate: one root
@@ -26,8 +30,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
+from . import packed
 from .errors import ConsistencyError, TruncationError
-from .poly import UPoly, difference_orders, polygon_points
+from .poly import UPoly, _difference_sums, difference_poly
 from .series import OrderVal
 
 _ZERO = Fraction(0)
@@ -62,20 +67,32 @@ def _hull_value(hull, x):
 
 
 def _coeff_orders(h: UPoly):
-    """h's points (poly.polygon_points), read by _polygon and
-    _lemma1_order."""
+    """The Newton-polygon points, (d, R, points, loose), of h of degree d
+    over series, read by _polygon and _lemma1_order: (d - i, ord(a_i) R)
+    for each a_i with a term (`PSeries.order_units`), R the lcm of their
+    ram, and (d - i, t) for each one of order at least a truncation t.  An
+    exactly zero a_i adds neither."""
     if not h.is_series:
         raise ValueError("root orders need series coefficients")
-    return polygon_points([a.order_units() for a in h.coeffs])
+    orders = [a.order_units() for a in h.coeffs]
+    d = len(orders)
+    R = math.lcm(*(x for k, x in orders if k is not None))
+    points, loose = [], []
+    for i, (k, x) in enumerate(orders, 1):
+        if k is not None:
+            points.append((d - i, k * (R // x)))
+        elif x is not None:
+            loose.append((d - i, x))
+    return d, R, points, loose
 
 
 def _polygon(pts):
     """The Newton polygon on ints, (R, hull), of the monic polynomial of
-    degree d with the points pts = (d, R, points, loose) of
-    poly.polygon_points: the lower-hull vertices of the points and the
-    anchor (d, 0).  The hull starts at the count of roots of infinite
-    order, and a segment from (x1, y1) to (x2, y2) carries x2 - x1 roots of
-    order (y1 - y2) / ((x2 - x1) R).  Raises TruncationError, with a
+    degree d with the points pts = (d, R, points, loose) of _coeff_orders:
+    the lower-hull vertices of the points and the anchor (d, 0).  The hull
+    starts at the count of roots of infinite order, and a segment from
+    (x1, y1) to (x2, y2) carries x2 - x1 roots of order
+    (y1 - y2) / ((x2 - x1) R).  Raises TruncationError, with a
     required-truncation hint, when a coefficient known only from below
     leaves the hull ambiguous."""
     d, R, points, loose = pts
@@ -188,12 +205,25 @@ def root_orders(h: UPoly):
 
 def _difference_levels(h: UPoly):
     """The certificate: the root levels of h's difference polynomial D, as
-    _root_levels gives them, read off D's points (poly.difference_orders)
-    without building D.  Its truncation checks and their hints name D's
-    coefficients."""
+    _root_levels gives them.  D(y) = E(y^2), so its odd coefficients are
+    exactly zero and add no point.  On exact input dense enough to pack,
+    E_j, D's a_(2j), has its point at abscissa n - 2j read off its lowest
+    packed digit over one R, and D is not built; other input reads the
+    points of D built on the series route.  Its truncation checks and their
+    hints name D's coefficients."""
     if not h.is_series:
         raise ValueError("root orders need series coefficients")
-    return _root_levels(difference_orders(h))
+    if h.degree < 2:
+        raise ValueError("difference polynomial needs degree >= 2")
+    n = h.degree * (h.degree - 1)
+    # E_N, D's last coefficient, weighs D's degree
+    got = packed.orders(h.coeffs, _difference_sums, n)
+    if got is None:
+        return _root_levels(_coeff_orders(difference_poly(h)))
+    R, digits = got
+    return _root_levels((n, R, [(2 * j, k) for j, k in
+                                enumerate(reversed(digits))
+                                if k is not None], ()))
 
 
 # ---------------------------------------------------------------------------

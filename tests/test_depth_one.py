@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from lctkit import criterion, packed, poly, rootdata
+from lctkit import criterion, packed, rootdata
 from lctkit.criterion import lct_ge
 from lctkit.errors import DegenerateError, TruncationError
 from lctkit.poly import UPoly
@@ -296,8 +296,7 @@ def test_nondegenerate_decisions_never_read_d(monkeypatch):
                for d in (4, 5, 6)]
     inputs.append(AMBIGUOUS)
     want = [lct_ge(len(r), F(1, 3), _of_roots(r).coeffs) for r in inputs]
-    for module, name in ((poly, "difference_orders"),
-                         (rootdata, "difference_orders"),
+    for module, name in ((rootdata, "difference_poly"),
                          (packed, "orders"),
                          (rootdata, "_difference_levels")):
         monkeypatch.setattr(module, name, refuse)

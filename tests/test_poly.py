@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -19,8 +20,8 @@ from lctkit.mpoly import (
     taylor_shift, value_poly,
 )
 from lctkit.poly import (
-    UPoly, composed_difference, compound_poly, difference_orders,
-    difference_poly, from_power_sums, power_sums,
+    UPoly, composed_difference, compound_poly, difference_poly,
+    from_power_sums, power_sums,
 )
 from lctkit.series import INF, PSeries
 
@@ -206,6 +207,28 @@ class TestUPolyRefusals:
     def test_refused(self, coeffs, message):
         with pytest.raises(ValueError, match=message):
             UPoly("y", coeffs)
+
+    def test_from_roots_lifts_numbers_wherever_they_stand(self):
+        # the domain is that of the first root that is not a number
+        x = MPoly.variable("x")
+        want = UPoly("y", [-x - 1, x])
+        assert UPoly.from_roots("y", [1, x]) == want
+        assert UPoly.from_roots("y", [x, 1]) == want
+        half = UPoly("y", [-mono(1) - F(1, 2), mono(1, F(1, 2))])
+        assert UPoly.from_roots("y", [F(1, 2), mono(1)]) == half
+        assert UPoly.from_roots("y", [mono(1), F(1, 2)]) == half
+
+    @pytest.mark.parametrize("roots,message", [
+        ([1, F(1, 2)], "coefficients must include at least one polynomial "
+                       "or series"),
+        ([F(1, 2)], "coefficients must include at least one polynomial or "
+                    "series"),
+        ([1, mono(1), MPoly.variable("w")],
+         "coefficient domain must be homogeneous"),
+    ], ids=["numbers", "one-fraction", "series-and-mpoly"])
+    def test_from_roots_refused(self, roots, message):
+        with pytest.raises(ValueError, match=message):
+            UPoly.from_roots("y", roots)
 
 
 class TestMPoly:
@@ -787,7 +810,7 @@ class TestPowerSumKernel:
         zeros = [PSeries.zero("t")] * 3
         h = UPoly("y", zeros + [mono(top)])
         start = time.perf_counter()
-        got = difference_orders(h)
+        got = rootdata._difference_levels(h)
         D = difference_poly(h)
         elapsed = time.perf_counter() - start
         # the sparse certificate records no program
@@ -795,13 +818,13 @@ class TestPowerSumKernel:
         one = difference_poly(UPoly("y", zeros + [PSeries.one("t")]))
         assert list(D.coeffs) == [c * mono(F(top, 4) * j)
                                   for j, c in enumerate(one.coeffs, 1)]
-        assert got == poly.polygon_points(
-            [c.order_units() for c in D.coeffs])
+        assert got == rootdata._root_levels(rootdata._coeff_orders(D))
         assert routes == [None]
         assert elapsed < 5
         # the sparsest packing any benchmark workload asks for stays
         # packed: y^5 + t^10 reaches 40 digits with one term
-        difference_orders(UPoly("y", zeros + [PSeries.zero("t"), mono(10)]))
+        rootdata._difference_levels(
+            UPoly("y", zeros + [PSeries.zero("t"), mono(10)]))
         assert routes[1] is not None
 
     @pytest.mark.parametrize("roots", stress_roots())
@@ -939,10 +962,32 @@ def _built_certificate(h):
     return rootdata._root_levels(rootdata._coeff_orders(difference_poly(h)))
 
 
+def _pinned_levels_corpus():
+    """Sparse inputs, y^d + t^k and 2 t^k y^(d-1) + t^(kd+1) with k up to
+    10^5, and seeded draws at d = 2..6, each coefficient of which is cut
+    at 2, 3, 7/2, 5, 8 or 12 with probability 0.6."""
+    zero = PSeries.zero("t")
+    hs = [UPoly("y", [zero] * (d - 1) + [mono(k)])
+          for d in (2, 3, 4, 5) for k in (7, 1000, 10 ** 5)]
+    hs += [UPoly("y", [mono(k, 2)] + [zero] * (d - 2) + [mono(k * d + 1)])
+           for d in (2, 3, 4, 5) for k in (7, 1000, 10 ** 5)]
+    rng = random.Random(17)
+    for d in range(2, 7):
+        for _ in range(30):
+            coeffs = [PSeries("t", {F(e): F(rng.choice([-3, -2, -1, 1, 2, 4]))
+                                    for e in rng.sample(range(1, 7),
+                                                        rng.randint(0, 2))})
+                      for _ in range(d)]
+            hs.append(UPoly("y", [
+                a.truncated(rng.choice([2, 3, F(7, 2), 5, 8, 12]))
+                if rng.random() < 0.6 else a for a in coeffs]))
+    return hs
+
+
 class TestDifferenceOrders:
-    """The certificate read off D's coefficient orders without building D
-    (rootdata._difference_levels) against D built on the series route and
-    read: the same levels, and on truncated input the same TruncationError
+    """The certificate (rootdata._difference_levels), which builds D only
+    on truncated or too sparse input, against D built on the series route
+    and read: the same levels, and on truncated input the same TruncationError
     text and `required` hint."""
 
     def test_matches_built_difference_poly(self, monkeypatch):
@@ -985,6 +1030,18 @@ class TestDifferenceOrders:
         assert seen == {"raised", "infinite", "finite"}
         # y^4 + t y + t^1000 takes the series route
         assert packs.count(0) >= 1 and packs.count(1) >= len(exact) - 1
+
+    def test_sparse_and_truncated_levels_are_pinned(self):
+        # the levels, or the TruncationError text and `required` hint, of
+        # inputs that take the series route or are packed at few digits:
+        # which route reads D's points changes none of them
+        outs = [_certificate(rootdata._difference_levels, h)
+                for h in _pinned_levels_corpus()]
+        assert len(outs) == 174
+        assert sum(got[0] == "raised" for got in outs) == 52
+        digest = hashlib.sha256(repr(outs).encode()).hexdigest()
+        assert digest == ("179985fb0b60ed0445d8d09e7e0876aa"
+                          "a8741bc90a3b7406acca214cb50c0305")
 
 
 class _PlainInts:
@@ -1088,6 +1145,20 @@ class TestValuePoly:
             want = UPoly.from_roots(
                 "y", [MPoly.const(r ** 3 + a1 * r) for r in roots])
             assert value_poly(h, G) == want
+
+
+    @pytest.mark.parametrize("name", ["z", "zz", "z1a", "z01", "x1"])
+    def test_unexpected_variable_is_refused(self, name):
+        # only z and a decimal index without leading zeros names an a_i
+        with pytest.raises(ValueError,
+                           match=f"unexpected variable '{name}' in G"):
+            value_poly(generic(2), MPoly.variable(name))
+
+    @pytest.mark.parametrize("name", ["z0", "z3"])
+    def test_index_outside_the_degree_is_refused(self, name):
+        with pytest.raises(ValueError, match=f"variable '{name}' outside "
+                                             "z1..z2"):
+            value_poly(generic(2), MPoly.variable(name))
 
 
 class TestQHelpers:

@@ -225,6 +225,18 @@ class TestPuiseuxExpand:
         with pytest.raises(TruncationError):
             puiseux_expand(h, 6)
 
+    def test_explicit_precision_is_kept(self):
+        h = UPoly("y", [zero(), -mono(3)])
+        assert puiseux_expand(h, 3).precision == numeric.PRECISION
+        assert puiseux_expand(h, 3, 64).precision == 64
+
+    @pytest.mark.parametrize("precision", [0, -8, True, False, 64.0, "64"])
+    def test_precision_must_be_a_positive_int(self, precision):
+        h = UPoly("y", [zero(), -mono(3)])
+        with pytest.raises(ValueError,
+                           match="precision must be a positive int"):
+            puiseux_expand(h, 3, precision)
+
 
 class TestDiffOrders:
     def test_cusp(self):
@@ -245,6 +257,18 @@ class TestDiffOrders:
         t = diff_orders(UPoly("y", [-mono(2)]))
         assert t.entries == [[OrderVal.infinite()]]
         assert t.certificate == []
+
+    def test_degree_one_depth(self):
+        h = UPoly("y", [-mono(2)])
+        assert diff_orders(h).depth == 1
+        assert diff_orders(h, "5/2").depth == F(5, 2)
+
+    @pytest.mark.parametrize("depth", [0, -1, "-1/2"])
+    @pytest.mark.parametrize("coeffs", [[-mono(2)], [zero(), -mono(3)]],
+                             ids=["d1", "d2"])
+    def test_depth_must_be_positive(self, coeffs, depth):
+        with pytest.raises(ValueError, match="depth must be positive"):
+            diff_orders(UPoly("y", coeffs), depth)
 
     def test_double_root_infinite(self):
         h = UPoly.from_roots("y", [mono(1), mono(1)])

@@ -26,7 +26,7 @@ from .poly import UPoly
 from .qideal import (
     QIdeal, QIdealFrac, ord_diff_le_one, qi_power, qi_product, qi_sum,
 )
-from .series import OrderVal, PSeries, as_frac, frac_str
+from .series import OrderVal, PSeries, as_frac, as_int, frac_str
 
 _EXACT_ZERO = OrderVal.exact(0)
 
@@ -40,6 +40,14 @@ def _z(i, e) -> QIdeal:
     return QIdeal.principal(MPoly.variable(f"z{i}"), e)
 
 
+def _degree(d):
+    """d, a plain int of at least 1, else the TypeError or ValueError that
+    names it."""
+    if as_int(d, "degree") < 1:
+        raise ValueError(f"degree must be at least 1, got {d}")
+    return d
+
+
 def _root_sum(coeffs) -> QIdeal:
     """Sum over ell of (coeffs[ell - 1])^(1/ell), zero coefficients
     dropped."""
@@ -50,12 +58,14 @@ def _root_sum(coeffs) -> QIdeal:
 def build_b(d: int) -> QIdeal:
     """Sum of (z_i)^(1/i): its order at (a_1..a_d) is the smallest root
     order."""
+    d = _degree(d)
     return qi_sum([_z(i, Fraction(1, i)) for i in range(1, d + 1)])
 
 
 def build_c(d: int) -> QIdeal:
     """Sum of (z_(d-i))^(1/i) (z_d)^((i-1)/i) with z_0 the unit; subtracting
     its order from ord(a_d) gives the largest root order."""
+    d = _degree(d)
     return qi_sum([
         qi_product([_z(d - i, Fraction(1, i)) if i < d else QIdeal.unit(),
                     _z(d, Fraction(i - 1, i))])
@@ -67,6 +77,7 @@ def build_bk(d: int, k: int) -> QIdeal:
     ell-th symmetric function of the products of k distinct roots in the
     coefficients.  Its order at (a_1..a_d) is the smallest order among those
     products."""
+    d, k = _degree(d), as_int(k, "k")
     return _root_sum(generic_compound_coeffs(d, k))
 
 
@@ -84,6 +95,7 @@ def build_tilde_bk(d: int, k: int) -> QIdeal:
     """Shifted variant of build_bk: generators live in z_1..z_d and w, and
     the order at (a_1..a_d, w) is the smallest order among products of k
     distinct (alpha_j - w)."""
+    d, k = _degree(d), as_int(k, "k")
     if k == 0:
         return QIdeal.unit()
     return _root_sum(_generic_shifted_compound(d, k))
@@ -92,6 +104,7 @@ def build_tilde_bk(d: int, k: int) -> QIdeal:
 def build_bbar_k(d: int, k: int) -> QIdeal:
     """The explicit monomial form: sum over index tuples (i_1..i_k) with
     i_m >= k - m + 1 of the rational monomial power prod (z_(i_m))^(j_m)."""
+    d, k = _degree(d), as_int(k, "k")
     if not 1 <= k <= d:
         raise ValueError("k out of range")
     tuples = [[]]
@@ -129,7 +142,7 @@ def build_cor3_pack(d: int) -> Cor3Pack:
     the common denominator m of the exponents.  That is only tractable for
     d <= 2: the terms of a degree d(d-1) polynomial's ideals raise
     generators to lcm-sized powers."""
-    if d > COR3_BUDGET:
+    if _degree(d) > COR3_BUDGET:
         raise BudgetError(
             f"integrality pack limited to d <= {COR3_BUDGET}; use "
             "integrality_test for larger degrees")
@@ -242,7 +255,7 @@ def example3_test(d: int, c, tail):
     """Bottom band 1/d < c <= 1/(d-1) with a_1 = 0: the verdict is
     (cd - 1) * ord of the sum of (z_i)^(1/i) over i >= 2, tested against 1."""
     c = as_frac(c)
-    if d < 2:
+    if as_int(d, "degree") < 2:
         raise ValueError("d must be at least 2")
     if not (Fraction(1, d) < c <= Fraction(1, d - 1)):
         raise ValueError(f"c must lie in (1/{d}, 1/{d - 1}]")

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, DegenerateError
 from .mpoly import MPoly, q_squarefree
+from .series import as_int
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -191,7 +192,7 @@ def lct_plane_nondegenerate(f: MPoly):
 def lct_binomial_curve(d: int, k: int) -> Fraction:
     """Closed form min(1, 1/d + 1/k) for y^d + x^k, cross-checked against
     the plane oracle."""
-    if d < 1 or k < 1:
+    if as_int(d, "degree") < 1 or as_int(k, "k") < 1:
         raise ValueError("exponents must be positive")
     closed = min(_ONE, Fraction(1, d) + Fraction(1, k))
     f = MPoly(("x", "y"), {(0, d): _ONE, (k, 0): _ONE})

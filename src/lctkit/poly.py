@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import PSeries, sum_of_products
+from .series import PSeries, as_int, sum_of_products
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,9 @@ class UPoly:
 
     @classmethod
     def of_series(cls, var, coeffs):
-        """The polynomial of a checked tuple of series in one variable."""
+        """The polynomial of a checked tuple of coefficients in one domain:
+        series in one variable, or polynomials of one type.  Nothing is
+        lifted or checked."""
         h = object.__new__(cls)
         h.var, h.coeffs = var, coeffs
         return h
@@ -254,7 +256,8 @@ def difference_poly(h: UPoly) -> UPoly:
     coeffs = []
     for e in _difference_sums(_Exact(h.coeffs[0]), h.coeffs):
         coeffs.extend((zero, e))
-    return UPoly(h.var, coeffs)
+    # the kernel made every coefficient in h's own domain
+    return UPoly.of_series(h.var, tuple(coeffs))
 
 
 def _compound_sums(dom, a, k):
@@ -272,7 +275,7 @@ def compound_poly(h: UPoly, k: int) -> UPoly:
     """Monic polynomial whose roots are the products of k distinct roots
     of h (degree N = C(d, k)).  Its m-th power sum is e_k(alpha^m), which
     Newton's identities give from s_m, s_2m, ..., s_km."""
-    if not 1 <= k <= h.degree:
+    if not 1 <= as_int(k, "k") <= h.degree:
         raise ValueError("k out of range")
     return UPoly(h.var, _compound_sums(_Exact(h.coeffs[0]), h.coeffs, k))
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConsistencyError, TruncationError
+from .errors import ConsistencyError
 from .poly import UPoly, composed_difference
 from .rootdata import (
     _coeff_orders, _difference_levels, _order_list, _polygon, _slope_levels,
     root_orders,
 )
-from .series import OrderVal, frac_str
+from .series import OrderVal, as_int, frac_str
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ def partial_sums(h: UPoly, k: int) -> OrderVal:
     multiset and from the explicit coefficient recursion; the two must
     agree."""
     d = h.degree
-    if not 1 <= k <= d:
+    if not 1 <= as_int(k, "k") <= d:
         raise ValueError("k out of range")
     orders = root_orders(h)
     from_slopes = OrderVal.sum_of(orders[:k])
@@ -91,7 +91,19 @@ def partial_sums(h: UPoly, k: int) -> OrderVal:
 
 def max_root_order(h: UPoly) -> OrderVal:
     """Largest root order, from the slopes and from the complementary-product
-    ideal formula ord(a_d) - min_i [ord(a_{d-i}) + (i-1) ord(a_d)]/i."""
+    ideal formula ord(a_d) - min_i [ord(a_{d-i}) + (i-1) ord(a_d)]/i.
+
+    Once root_orders certifies h, the minimum is exact on truncated input
+    too.  A termless a_d that is not exactly zero lies left of the hull's
+    start, where _check_truncated raises, so ord(a_d) = y_0 is exact.  With
+    y_i = ord(a_(d-i)) and y_d = 0, candidate i is y_0 + (y_i - y_0) / i:
+    y_0 plus the slope from (0, y_0) to point i.  Over the known points
+    the least one is at the far end of the hull's first edge, an exact
+    point or the anchor at i = d.  A loose point (i, t) passed
+    _check_truncated, so t is at least the hull's value at i, and by
+    convexity its candidate is at least that least one.  So
+    OrderVal.min_of always finds an exact witness; a minimum known only
+    from below would mean that _check_truncated is wrong."""
     d = h.degree
     orders = root_orders(h)
     from_slopes = orders[-1]
@@ -107,8 +119,9 @@ def max_root_order(h: UPoly) -> OrderVal:
         candidates.append(term)
     cval = OrderVal.min_of(candidates)
     if not cval.is_exact:
-        raise TruncationError(
-            "complementary-product order is not resolved by the data")
+        raise ConsistencyError(
+            f"complementary-product order {cval!r} has no exact witness on "
+            "a certified polygon")
     from_formula = ad.sub(cval)
     if from_slopes != from_formula:
         raise ConsistencyError(

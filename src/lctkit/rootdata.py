@@ -11,16 +11,16 @@ power sums (lctkit.packed) without building D, and on other input off D
 built on the series route (poly.difference_poly), so `sum_of_products`
 holds the one truncation rule.  The two routes share only Newton's
 identities.  certified_rows builds the per-root rows of difference orders
-by two routes.  From degree DEPTH_ONE_FROM on, an exact
-Newton-nondegenerate h, with any number of zero roots, has a depth-one
-root tree, and its rows are read off h's own polygon (_depth_one_rows).
-Every other input, truncated input among it, takes the certificate: one root
-tree of D's root orders; only where several trees have D's counts does it
-import the numeric layer (lctkit.numeric, and with it mpmath), whose
-expansion picks the tree.  The dual-route reports built on this polygon
-(the NewtonPolygon object, partial sums, the largest root order,
-integrality, cross-difference orders) are lctkit.reports, which a
-decision never loads.
+from a root tree, which _table turns into rows.  From DEPTH_ONE_FROM on,
+an exact Newton-nondegenerate h, with any number of zero roots, has a
+depth-one tree, read off h's own polygon (_depth_one_rows).  Every other
+input, truncated input among it, takes the certificate: one root tree of
+D's root orders; only where several trees have D's counts does it import
+the numeric layer (lctkit.numeric, and with it mpmath), whose expansion
+picks the tree.  The dual-route reports built on this polygon (the
+NewtonPolygon object, partial sums, the largest root order, integrality,
+cross-difference orders) are lctkit.reports, which a decision never
+loads.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def _difference_levels(h: UPoly):
 
 # Per-root rows of ascending difference orders ord(alpha_j - alpha_i),
 # j != i, kept as all that a maximum over the rows reads: `denominator`,
-# the lcm L of the denominators of the tree's finite levels, and
+# the lcm L of the reduced denominators of the rows' finite levels, and
 # `distinct_prefix_sums`, one tuple per distinct row.  The rows form a
 # multiset, and neither which row belongs to which root nor how often a
 # row repeats is recorded.  Every entry is exact or infinite.  The prefix
@@ -240,6 +240,28 @@ def _difference_levels(h: UPoly):
 # sums: they stop at its first infinite entry, so S_k is infinite iff
 # k >= len(sums).
 RootRows = namedtuple("RootRows", "denominator distinct_prefix_sums")
+
+
+def _table(levels, tree):
+    """The RootRows of a root tree, listed row by row, each row at least
+    once.  A row lists one root's pair levels as ascending indices into
+    the ascending (num, den, mult) `levels`, each used by some row, and
+    index len(levels) is the infinite level.  Distinct rows keep their
+    first order in the tree."""
+    n, den = len(levels), 1
+    for num, q, _ in levels:
+        den = math.lcm(den, q // math.gcd(num, q))
+    nums = [num * den // q for num, q, _ in levels]
+    distinct = []
+    for row in dict.fromkeys(tree):
+        s, sums = 0, [0]
+        for k in row:
+            if k == n:
+                break
+            s += nums[k]
+            sums.append(s)
+        distinct.append(tuple(sums))
+    return RootRows(den, tuple(distinct))
 
 
 # The root-tree enumeration caches, _row_multisets keyed by count pattern
@@ -337,16 +359,10 @@ def _depth_one_rows(h: UPoly):
     tree has depth one: when every edge polynomial is squarefree, the roots
     on an edge of slope q have distinct leading coefficients, so that
     ord(alpha_i - alpha_j) is q within an edge and min(q, q') across edges.
-    Zero roots are exact and meet each other on the infinite level.  None
-    on truncated input or on an edge polynomial with a repeated root: there
-    only the certificate decides.
-
-    The table is the certificate's, with its denominator and its order of
-    distinct rows: the pair levels are the edge slopes but the top one when
-    its edge carries the only root above the rest, and edge e's row, in
-    ascending e, lists the lower edges' levels, then q_e for every root
-    left; two or more zero roots add a last row, the prefix sums over
-    every nonzero root.  It never reads the difference polynomial D."""
+    Zero roots are exact and meet each other on the infinite level.  None on
+    truncated input or on an edge polynomial with a repeated root: there
+    only the certificate decides.  It builds the tree for _table and never
+    reads the difference polynomial D."""
     pts = d, R, points, _ = _coeff_orders(h)
     for a in h.coeffs:
         if a._tr is not None:
@@ -361,7 +377,8 @@ def _depth_one_rows(h: UPoly):
         # a test only with a support point inside the edge
         g = math.gcd(mult, num)
         s, t = mult // g, num // g
-        on = [k for k in range(g + 1) if ys.get(x + k * s) == y - k * t]
+        on = ([k for k in range(g + 1) if ys.get(x + k * s) == y - k * t]
+              if g > 1 else ())
         if len(on) > 2:
             # its coefficients, the terms of order y / R, on ints over the
             # lcm of their denominators
@@ -372,44 +389,35 @@ def _depth_one_rows(h: UPoly):
                 p[k] = a._t[min(a._t)] * (m // a._den)
             if not _squarefree(p):
                 return None
-    den = 1
-    for num, q, _ in levels if zero or levels[-1][2] > 1 else levels[:-1]:
-        den = math.lcm(den, q // math.gcd(num, q))
-    rows, sums = {}, [0]
-    for num, q, mult in levels:
-        v, row = num * den // q, sums[:]
-        while len(row) < d:
-            row.append(row[-1] + v)
-        rows[tuple(row)] = None
-        sums = row[:len(sums) + mult]
-    rows[tuple(sums)] = None    # the zero roots' row; else the top row
-    return RootRows(den, tuple(rows))
+    # rows in the certificate's sorted order: a root on edge e meets lower
+    # edges' roots at their levels and every other root at e, so the top
+    # slope is a pair level only with two roots on or above it
+    tree, below = [], ()
+    for e, (_, _, mult) in enumerate(levels):
+        tree.append(below + (e,) * (d - 1 - len(below)))
+        below += (e,) * mult
+    if zero:
+        tree.append(below + (len(levels),) * (zero - 1))
+    return _table(levels if zero or levels[-1][2] > 1 else levels[:-1], tree)
 
 
 def certified_rows(h: UPoly):
     """The rows of h's difference-order table, from the coefficients to
-    the table V reads: a RootRows, built from one root tree.
+    the table V reads: a RootRows, which _table builds from one root tree.
 
     From degree DEPTH_ONE_FROM on, an exact h whose tree has depth one
-    (_depth_one_rows) has its rows read off its own Newton polygon.  Every
-    other input takes the certificate.  The rows are then read from the
-    certificate's root tree, the root orders of
+    (_depth_one_rows) has its tree read off its own Newton polygon.  Every
+    other input takes the certificate's root tree, from the root orders of
     the difference polynomial D (_difference_levels).  Truncation is
     tracked through D's coefficients, so a polygon of D that certifies is
     that of every completion of h, and so are the rows.  Where several
     trees have the certificate's counts (some patterns from d = 5 on; every
     pattern with d <= 4 has one), the certified expansion only picks the
-    tree: its rows, mapped onto the certificate's levels, must be one of
-    the enumerated row multisets, else ConsistencyError.  When D's polygon
-    is left open by truncation, h's own polygon is read first, so that a
-    TruncationError of h's, with its `required` hint in h's terms, is the
-    one raised.
-
-    The levels of the tree are the certificate's distinct orders: its
-    finite levels, ascending, then its infinite one when there is one.  In
-    a row, index len(levels) is that infinite level, a repeated root, and
-    the row's prefix sums stop there.  They are the finite levels'
-    numerators over L, the lcm of their reduced denominators."""
+    tree: its rows, mapped onto the certificate's levels, D's distinct
+    orders, must be one of the enumerated row multisets, else
+    ConsistencyError.  When D's polygon is left open by truncation, h's
+    own polygon is read first, so that a TruncationError of h's, with its
+    `required` hint in h's terms, is the one raised."""
     if len(h.coeffs) >= DEPTH_ONE_FROM:
         rows = _depth_one_rows(h)
         if rows is not None:
@@ -419,16 +427,16 @@ def certified_rows(h: UPoly):
     except TruncationError:
         _root_levels(_coeff_orders(h))
         raise
-    counts, den = [], 1
-    for num, q, mult in levels:
-        counts.append(mult)
-        den = math.lcm(den, q // math.gcd(num, q))
+    pairs, odd = [], infinite % 2
+    for _, _, mult in levels:
+        pairs.append(mult // 2)
+        odd |= mult % 2
     if infinite:
-        counts.append(infinite)
-    if any(m % 2 for m in counts):
+        pairs.append(infinite // 2)
+    if odd:
         raise ConsistencyError(
             "difference-polynomial orders do not come in pairs")
-    found = _row_multisets(h.degree, tuple([m // 2 for m in counts]))
+    found = _row_multisets(h.degree, tuple(pairs))
     if not found:
         raise ConsistencyError(
             "no root tree has the difference-polynomial orders")
@@ -446,13 +454,4 @@ def certified_rows(h: UPoly):
             raise ConsistencyError(
                 "the expansion's rows form no root tree of the "
                 "difference-polynomial orders")
-    nums = [num * den // q for num, q, _ in levels]
-    distinct = []
-    for row in dict.fromkeys(tree):
-        sums = [0]
-        for k in row:
-            if k == len(nums):
-                break
-            sums.append(sums[-1] + nums[k])
-        distinct.append(tuple(sums))
-    return RootRows(den, tuple(distinct))
+    return _table(levels, tree)

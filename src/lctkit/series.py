@@ -49,6 +49,15 @@ def as_frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def as_int(x, name) -> int:
+    """x when it is a plain int, else a TypeError naming the argument: a
+    bool or a float equal to an int is a caller's mistake, as in
+    as_frac."""
+    if type(x) is not int:
+        raise TypeError(f"{name} must be an int, got {x!r}")
+    return x
+
+
 def frac_str(q) -> str:
     """Serialize a rational as "p" or "p/q" (never floating point)."""
     q = as_frac(q)

@@ -233,6 +233,34 @@ def test_route_reads_h_through_root_levels():
     assert not any(isinstance(n, ast.Raise) for n in ast.walk(tree))
 
 
+@pytest.mark.parametrize("coeffs,rows", [
+    # y^3 + x^2 y + x^(7/2): one root of order 3/2 above two of order 1
+    ((0, 2, F(7, 2)), RootRows(1, ((0, 1, 2),))),
+    # y^5 + x y + x^(9/2): one root of order 7/2 above four of order 1/4
+    ((0, 0, 0, 1, F(9, 2)), RootRows(4, ((0, 1, 2, 3, 4),))),
+], ids=["d3", "d5"])
+def test_unused_top_slope_is_in_no_row(monkeypatch, coeffs, rows):
+    """The top edge carries one root, so no pair has its slope: that level
+    is in no row and adds nothing to the denominator, on both routes."""
+    h = UPoly("y", [mono(e) if e else PSeries.zero("x") for e in coeffs])
+    assert _depth_one_rows(h) == rows
+    assert certified_rows(h) == rows == _certificate(monkeypatch, h)
+
+
+def test_rows_are_built_in_one_place():
+    """rootdata makes a RootRows in one function, _table, which every
+    route hands its root tree."""
+    tree = ast.parse(inspect.getsource(rootdata))
+
+    def calls(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", None) == "RootRows"]
+
+    table = next(n for n in ast.walk(tree)
+                 if isinstance(n, ast.FunctionDef) and n.name == "_table")
+    assert len(calls(table)) == 1 and calls(tree) == calls(table)
+
+
 def _counted_levels(monkeypatch):
     calls = []
     real = rootdata._difference_levels

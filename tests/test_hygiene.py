@@ -925,6 +925,39 @@ def test_exact_miss_constructs_no_upoly(monkeypatch):
     assert made == []
 
 
+def test_truncated_certificate_constructs_no_upoly(monkeypatch):
+    """On truncated input the certificate builds D on the series route,
+    whose coefficients the kernel made in h's own domain: it runs the
+    UPoly constructor for no difference polynomial."""
+    from lctkit import rootdata
+    from lctkit.errors import TruncationError
+    from lctkit.poly import UPoly
+
+    inputs = [UPoly.of_series("y", tuple(a.truncated(trunc) for a in
+                                         _exact_coeffs(d, 4)))
+              for d in (2, 3, 4) for trunc in (3, 5, 8)]
+    made, built = [], []
+    real, real_d = UPoly.__init__, rootdata.difference_poly
+
+    def counted(self, var, coeffs):
+        real(self, var, coeffs)
+        made.append(self.degree)
+
+    def counted_d(h):
+        built.append(h.degree)
+        return real_d(h)
+
+    monkeypatch.setattr(UPoly, "__init__", counted)
+    monkeypatch.setattr(rootdata, "difference_poly", counted_d)
+    for h in inputs:
+        try:
+            rootdata._difference_levels(h)
+        except TruncationError:
+            pass
+    monkeypatch.undo()
+    assert len(built) == len(inputs) and made == []
+
+
 def _shared_lead_coeffs(d, shift):
     """Coefficients of the polynomial with the d roots
     x + (k + shift) x^((k + 3)/2), k < d: every root has the leading term

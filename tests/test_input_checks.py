@@ -5,7 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from lctkit.ideals import build_bbar_k, example3_test
+from lctkit.ideals import (
+    build_b, build_bbar_k, build_bk, build_c, build_cor3_pack, build_tilde_bk,
+    example3_test,
+)
 from lctkit.mpoly import MPoly
 from lctkit.numeric import perturbation_check, puiseux_expand
 from lctkit.oracle import (
@@ -84,6 +87,33 @@ CASES = [
      ValueError, "exponents must be positive"),
     ("binomial-k-zero", lambda: lct_binomial_curve(2, 0),
      ValueError, "exponents must be positive"),
+    # a degree or k must be a plain int: no bool, no float
+    ("bk-k-float", lambda: build_bk(3, 1.0),
+     TypeError, "k must be an int, got 1.0"),
+    ("tilde-bk-k-float", lambda: build_tilde_bk(3, 1.0),
+     TypeError, "k must be an int, got 1.0"),
+    ("bbar-k-float", lambda: build_bbar_k(3, 1.0),
+     TypeError, "k must be an int, got 1.0"),
+    ("b-degree-bool", lambda: build_b(True),
+     TypeError, "degree must be an int, got True"),
+    ("bk-degree-bool", lambda: build_bk(True, 1),
+     TypeError, "degree must be an int, got True"),
+    ("cor3-degree-bool", lambda: build_cor3_pack(True),
+     TypeError, "degree must be an int, got True"),
+    ("c-degree-float", lambda: build_c(2.0),
+     TypeError, "degree must be an int, got 2.0"),
+    ("example3-degree-float", lambda: example3_test(3.0, F(1, 2), []),
+     TypeError, "degree must be an int, got 3.0"),
+    ("b-degree-zero", lambda: build_b(0),
+     ValueError, "degree must be at least 1, got 0"),
+    ("bk-degree-zero", lambda: build_bk(0, 1),
+     ValueError, "degree must be at least 1, got 0"),
+    ("compound-k-bool", lambda: compound_poly(_cusp(), True),
+     TypeError, "k must be an int, got True"),
+    ("partial-sums-k-bool", lambda: partial_sums(_cusp(), True),
+     TypeError, "k must be an int, got True"),
+    ("binomial-k-bool", lambda: lct_binomial_curve(2, True),
+     TypeError, "k must be an int, got True"),
 ]
 
 

@@ -184,6 +184,18 @@ class TestPartialAndMax:
         h = UPoly.from_roots("y", [zero(), mono(1)])
         assert max_root_order(h).is_infinite
 
+    @pytest.mark.parametrize("coeffs,top", [
+        # y^2 + O(t) y + t^2: the loose a_1 sits on the hull
+        ([PSeries.zero("t", 1), mono(2)], 1),
+        # y^3 + O(t^2) y^2 + t^3 y + t^5: the loose a_1 lies above it
+        ([PSeries.zero("t", 2), mono(3), mono(5)], 2),
+    ], ids=["d2", "d3"])
+    def test_max_with_loose_coefficient(self, coeffs, top):
+        """A loose coefficient on or above the hull leaves the minimum of
+        the complementary formula exact: on it, its candidate ties with
+        the least one."""
+        assert max_root_order(UPoly("y", coeffs)) == OrderVal.exact(top)
+
 
 class TestPuiseuxExpand:
     def test_cusp_pair(self):
